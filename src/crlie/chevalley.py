@@ -323,15 +323,6 @@ class LieElement:
         """(v, H-part) via the ambient bilinear form."""
         return _inner_vec(self.system, v, self.h)
 
-    def coords_vector(self, root_order: list[int], cartan_basis: list[RootVector]) -> list[Poly]:
-        """Coordinates of the element in E_roots + chosen Cartan directions.
-
-        The Cartan part must lie in the span of cartan_basis; raises otherwise.
-        """
-        out = [self.e.get(i, P_ZERO) for i in root_order]
-        out.extend(_cartan_coords(self.system, self.h, cartan_basis))
-        return out
-
     def __repr__(self):
         from .rootsys import format_vector
 
@@ -405,32 +396,3 @@ def _gram_row(system: RootSystem, i: int) -> tuple[Q, ...]:
         _GRAM_ROWS[key] = _gram_apply(system, system.roots[i].coords)
     return _GRAM_ROWS[key]
 
-
-def _cartan_coords(system: RootSystem, h: tuple[Poly, ...], basis: list[RootVector]) -> list[Poly]:
-    """Express a polynomial Cartan vector in a rational basis (gauge-aware)."""
-    from .linalg import SpanSolver
-
-    if not basis:
-        if any(not c.is_zero() for c in h):
-            raise ChevalleyError("Cartan part outside the allowed span")
-        return []
-    solver = SpanSolver([b.canon() for b in basis])
-    # decompose each monomial's rational coordinate vector independently
-    mono_vecs: dict[tuple, list[Q]] = {}
-    for k, c in enumerate(h):
-        for m, g in c.terms.items():
-            if g.im != 0:
-                mono_vecs.setdefault((m, "im"), [Q(0)] * system.dim)[k] = g.im
-            if g.re != 0:
-                mono_vecs.setdefault((m, "re"), [Q(0)] * system.dim)[k] = g.re
-    out = [P_ZERO] * len(basis)
-    for (m, part), vec in mono_vecs.items():
-        gauge = RootVector(system, vec).canon()
-        coeffs = solver.reduce(list(gauge))
-        if coeffs is None:
-            raise ChevalleyError("Cartan part outside the allowed span")
-        unit = Gauss(1) if part == "re" else Gauss(0, 1)
-        for j, q in enumerate(coeffs):
-            if q:
-                out[j] = out[j] + Poly({m: unit * Gauss(q)})
-    return out

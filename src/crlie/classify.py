@@ -8,13 +8,16 @@ diffed against the golden fixtures.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from math import isqrt
+from typing import Iterable, Optional
 
 from . import naming
 from .contact import ContactDatum, classify_special, contact_datum, grade_by_highest_root
 from .crstruct import (
     HolomorphicSubspace,
+    _with_conj,
     check_disjointness,
     check_integrability,
     find_crf_parabolics,
@@ -23,6 +26,7 @@ from .crstruct import (
 )
 from .families import (
     FamilyError,
+    SpecialFamilies,
     pair_family,
     short_root_families,
     special_su_families,
@@ -39,7 +43,6 @@ from .rootsys import (
     build,
     build_product,
     format_vector,
-    scale_primitive,
 )
 from .scalars import Gauss
 
@@ -55,7 +58,6 @@ SAMPLES = (
     Gauss(0, Q(1, 2)),
     Gauss(Q(3, 7), Q(-1, 7)),
 )
-UNIT_SAMPLE = Gauss(Q(3, 5), Q(4, 5))  # |t| = 1
 
 
 def simple_types(max_rank: int) -> list[tuple[str, int]]:
@@ -156,17 +158,20 @@ def table2_rows(max_rank: int = DEFAULT_MAX_RANK) -> list[dict]:
     for r in range(3, max_rank + 1):
         s = build("C", r)
         rows.append(_module_table_row(s, s.vector([1, 1] + [0] * (r - 2))))
-    s = build("F4")
-    rows.append(_module_table_row(s, s.vector([1, 0, 0, 0])))
-    s = build("G2")
-    rows.append(_module_table_row(s, s.vector([1, 0, 0])))
+    if max_rank >= 4:
+        s = build("F4")
+        rows.append(_module_table_row(s, s.vector([1, 0, 0, 0])))
+    if max_rank >= 2:
+        s = build("G2")
+        rows.append(_module_table_row(s, s.vector([1, 0, 0])))
     return rows
 
 
 def table3_rows(max_rank: int = DEFAULT_MAX_RANK) -> list[dict]:
     rows = []
-    s = build("B3")
-    rows.append(_module_table_row(s, s.vector([1, 1, 1])))
+    if max_rank >= 3:
+        s = build("B3")
+        rows.append(_module_table_row(s, s.vector([1, 1, 1])))
     for r in range(3, max_rank + 1):
         s = build("D", r)
         rows.append(_module_table_row(s, s.vector([1] + [0] * (r - 1))))
@@ -202,6 +207,39 @@ def special_rows(max_rank: int = DEFAULT_MAX_RANK) -> list[dict]:
     return rows
 
 
+# -- sampled checks, shared by the scans and the structure reports ---------------------------
+
+
+def _sample_values(h: HolomorphicSubspace, j: int = 0) -> dict[str, Gauss]:
+    """Twist values at sample j: t = SAMPLES[j], u = 1/t on a reciprocal
+    chart (t*u = 1), any other parameter the following samples."""
+    params = {p for p in h.parameters() if not p.endswith("~")}
+    if not params:
+        return {}
+    vals = {"t": SAMPLES[j]}
+    if "u" in params:
+        vals["u"] = Gauss(1) / SAMPLES[j]
+    for k, p in enumerate(sorted(params - {"t", "u"})):
+        vals[p] = SAMPLES[(j + k + 1) % len(SAMPLES)]
+    return vals
+
+
+def _verify(h: HolomorphicSubspace, samples: int) -> Optional[bool]:
+    """The sampled checks every scanned family must pass: at each of the
+    first `samples` sample twists, integrable, not standard and normalizer
+    excess 0.  None when a check fails, otherwise whether no fibration
+    witness was found at any of the samples (primitive)."""
+    cons = check_integrability(h)
+    primitive = True
+    for j in range(samples):
+        vals = _sample_values(h, j)
+        if (not cons.holds_at(_with_conj(vals)) or is_standard(h, vals)
+                or normalizer_excess(h, vals) != 0):
+            return None
+        primitive = primitive and find_crf_parabolics(h, vals).primitive
+    return primitive
+
+
 # -- the primitive scan --------------------------------------------------------------------
 
 
@@ -209,10 +247,6 @@ _CROSS_NAMES = {
     1: "S3 = SO4/SO3",
     2: "S7 = Spin7/G2",
     3: "OP2 = F4/Spin9",
-    4: "S{2n} = SO{2n+1}/SO{2n}",
-    5: "S{2n-1} = SO{2n}/SO{2n-1}",
-    6: "CP{n} = SU{n+1}/U{n}",
-    7: "HP{n-1} = Sp{n}/Sp1·Sp{n-1}",
 }
 
 
@@ -226,35 +260,6 @@ def _cross_name(family: int, rank: int) -> str:
     if family == 7:
         return f"HP{rank-1} = Sp{rank}/Sp1·Sp{rank-1}"
     return _CROSS_NAMES[family]
-
-
-def _verify_primitive_family(h: HolomorphicSubspace, reciprocal: bool) -> bool:
-    """Sampled verification: integrable, disjoint, non-standard, covering,
-    and no fibration witness."""
-    cons = check_integrability(h)
-    for tv in SAMPLES[:2]:
-        vals = {"t": tv}
-        if reciprocal:
-            vals["u"] = Gauss(1) / tv
-        if not cons.holds_at(_full_values(h, vals)):
-            return False
-        if is_standard(h, vals):
-            return False
-        if normalizer_excess(h, vals) != 0:
-            return False
-        rep = find_crf_parabolics(h, vals)
-        if not rep.primitive:
-            return False
-    return True
-
-
-def _full_values(h: HolomorphicSubspace, vals: dict) -> dict:
-    from .scalars import conj_var
-
-    out = dict(vals)
-    for k, v in list(vals.items()):
-        out.setdefault(conj_var(k), v.conj())
-    return out
 
 
 def primitive_rows(max_rank: int = DEFAULT_MAX_RANK) -> list[dict]:
@@ -271,9 +276,8 @@ def primitive_rows(max_rank: int = DEFAULT_MAX_RANK) -> list[dict]:
 def _primitive_rows_for(system: RootSystem, ttag, rank) -> list[dict]:
     rows = []
 
-    def emit(family: int, theta: RootVector, h: HolomorphicSubspace, reciprocal: bool,
-             kname: str):
-        if not _verify_primitive_family(h, reciprocal):
+    def emit(family: int, theta: RootVector, h: HolomorphicSubspace, kname: str):
+        if _verify(h, 2) is not True:
             return
         tcanon = system.canonical_form(theta)
         rows.append(
@@ -294,43 +298,31 @@ def _primitive_rows_for(system: RootSystem, ttag, rank) -> list[dict]:
     if t == "A" and rank >= 2:
         F = special_su_families(system)
         kname = naming.subgroup_name(system, F.datum.Ro, corank_drop=0)
-        emit(6, F.mu, F.j0_family, False, kname)
+        emit(6, F.mu, F.j0_family, kname)
     # short-root path
     if t in ("B", "C", "F"):
         R = short_root_families(system)
         fam_id = {"B": 4, "C": 7, "F": 3}[t]
         kname = naming.subgroup_name(system, R.datum.Ro, corank_drop=0)
-        emit(fam_id, R.datum.theta, R.family, False, kname)
-    # paired-root path: orthogonal pairs with theta parallel to no root
+        emit(fam_id, R.datum.theta, R.family, kname)
+    # paired-root path: orthogonal pairs with theta parallel to no root;
+    # a one-sided block (R_J+) rules out primitivity
     seen_thetas: set[str] = set()
     for cand in _pair_candidates(system):
         key = canon_str(system.canonical_form(cand))
         if key in seen_thetas:
             continue
         seen_thetas.add(key)
-        try:
-            datum = contact_datum(system, cand)
-            cd = dual_pairs(datum)
-        except CongruenceError:
+        datum = contact_datum(system, cand)
+        verdict = classify_datum(datum)
+        if verdict.route != "pair" or verdict.rj_plus:
             continue
-        re_roots = cd.paired_roots
-        if re_roots != datum.Rprime:
-            continue  # one-sided part present: never primitive
-        verdict = tilde_Re_type(datum, re_roots)
-        if not verdict.accepted:
-            continue
-        try:
-            P = pair_family(datum)
-        except FamilyError:
-            continue
-        reciprocal = P.shape == "conjugate"
-        fam_id = _pair_family_id(verdict.re_type, str(ttag))
         kname = naming.subgroup_name(system, datum.Ro, corank_drop=0)
-        emit(fam_id, cand, P.family, reciprocal, kname)
+        emit(_pair_family_id(verdict.re_type), cand, verdict.family.family, kname)
     return rows
 
 
-def _pair_family_id(re_type: str, ttag: str) -> int:
+def _pair_family_id(re_type: str) -> int:
     if re_type == "A1+A1":
         return 1
     if re_type == "B3":
@@ -363,19 +355,75 @@ def _pair_candidates(system: RootSystem) -> list[RootVector]:
             if key in seen:
                 continue
             seen.add(key)
-            if _parallel_to_root(system, d):
+            if _root_along(system, d) is not None:
                 continue
             out.append(cand)
     return out
 
 
-def _parallel_to_root(system: RootSystem, v: RootVector, dominant: bool = True) -> bool:
-    d = system.dominant(v) if not dominant else v
-    p = scale_primitive(d)
-    for k in (1, 2, 3):
-        if system.is_root(Q(1, k) * p) or system.is_root(Q(k, 1) * p):
-            return True
-    return False
+def _root_along(system: RootSystem, v: RootVector) -> Optional[int]:
+    """Index of the root that is a positive multiple of v, if one is.
+
+    A root of norm n along v is sqrt(n / (v, v)) * v, so only a rational
+    square root can give one."""
+    vv = system.inner(v, v)
+    for n in {system.norm2(i) for i in range(len(system.roots))}:
+        c = n / vv
+        num, den = isqrt(c.numerator), isqrt(c.denominator)
+        if num * num == c.numerator and den * den == c.denominator:
+            i = system.root_index(Q(num, den) * v)
+            if i is not None:
+                return i
+    return None
+
+
+# -- one contact datum to its verdict -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Where classify_datum sent a contact datum, and what it found there.
+
+    route is "special" (theta along a long root), "g2-short", "short-root",
+    "pair" (theta along no root) or "unclassified", with the reason in
+    ``reason``.  family is the route's family object: SpecialFamilies of an
+    A-type system, the standard subspace of another special or g2-short
+    datum, ShortRootFamilies or PairFamilies.  The pair route also sets the
+    type of the paired-root closure and R_J+, the positive one-sided block.
+    """
+
+    route: str
+    family: object = None
+    reason: str = ""
+    re_type: str = ""
+    rj_plus: frozenset[int] = frozenset()
+
+
+def classify_datum(datum: ContactDatum) -> Verdict:
+    """Send a contact datum down its case of the classification."""
+    sys = datum.system
+    along = _root_along(sys, datum.theta) if sys.is_simple else None
+    if along is not None:
+        if sys.norm2(along) == max(sys.norm2(i) for i in range(len(sys.roots))):
+            if sys.components[0][0] == "A":
+                return Verdict("special", special_su_families(sys))
+            return Verdict("special", special_standard_subspace(sys))
+        if sys.components[0][0] == "G":
+            return Verdict("g2-short", g2_short_standard_subspace())
+        return Verdict("short-root", short_root_families(sys))
+    try:
+        cd = dual_pairs(datum)
+    except CongruenceError:
+        return Verdict("unclassified", reason="excluded multiplicity configuration")
+    shape = tilde_Re_type(datum, cd.paired_roots)
+    if not shape.accepted:
+        return Verdict("unclassified", reason=f"eliminated: {shape.reason}",
+                       re_type=shape.re_type, rj_plus=cd.rj_plus)
+    try:
+        P = pair_family(datum, cd.rj_plus)
+    except FamilyError as e:
+        return Verdict("unclassified", reason=str(e), re_type=shape.re_type, rj_plus=cd.rj_plus)
+    return Verdict("pair", P, re_type=shape.re_type, rj_plus=cd.rj_plus)
 
 
 # -- the CR-graph (non-primitive) scan ------------------------------------------------------
@@ -422,7 +470,7 @@ def _crgraph_row(g: CRGraph, verify: bool) -> dict:
         "base": _display_base(g),
     }
     if verify:
-        row["verified"] = "yes" if _verify_composite(g, datum) else "no"
+        row["verified"] = "yes" if _verify_composite(datum) else "no"
     return row
 
 
@@ -481,35 +529,23 @@ def _display_base(g: CRGraph) -> str:
 
 def composite_family(g: CRGraph):
     """The disc family attached to a good graph (types II to V)."""
-    system = g.graph.system
-    datum = contact_datum(system, g.theta)
-    cd = dual_pairs(datum)
-    rj = frozenset(datum.Rprime) - cd.paired_roots
-    rj_plus = frozenset(i for i in rj if system.positive[i])
-    return pair_family(datum, rj_plus)
+    verdict = classify_datum(contact_datum(g.graph.system, g.theta))
+    if verdict.route != "pair":
+        raise FamilyError(verdict.reason or f"a {verdict.route} contact form has no pair family")
+    return verdict.family
 
 
-def _verify_composite(g: CRGraph, datum: ContactDatum) -> bool:
-    if g.cr_type == "I":
-        system = g.graph.system
-        F = special_su_families(system)
-        h = F.j_family
-        reciprocal = False
+def _verify_composite(datum: ContactDatum) -> bool:
+    """Type I carries the twisted line of its special route, types II to V
+    the disc family of their pair route; it must verify as non-primitive."""
+    verdict = classify_datum(datum)
+    if verdict.route == "pair":
+        h = verdict.family.family
+    elif isinstance(verdict.family, SpecialFamilies) and verdict.family.j_family is not None:
+        h = verdict.family.j_family
     else:
-        P = composite_family(g)
-        h = P.family
-        reciprocal = P.shape == "conjugate"
-    cons = check_integrability(h)
-    tv = SAMPLES[0]
-    vals = {"t": tv}
-    if reciprocal:
-        vals["u"] = Gauss(1) / tv
-    if not cons.holds_at(_full_values(h, vals)):
         return False
-    if is_standard(h, vals) or normalizer_excess(h, vals) != 0:
-        return False
-    rep = find_crf_parabolics(h, vals)
-    return not rep.primitive
+    return _verify(h, 1) is False
 
 
 def nonprimitive_rows(max_rank: int = DEFAULT_MAX_RANK) -> list[dict]:
@@ -519,43 +555,14 @@ def nonprimitive_rows(max_rank: int = DEFAULT_MAX_RANK) -> list[dict]:
 # -- structure reports for one datum ---------------------------------------------------------
 
 
-def structure_rows_for_special(system: RootSystem) -> list[dict]:
-    t, r = system.components[0]
-    if t != "A":
-        h = special_standard_subspace(system)
-        return [_structure_row(h, "standard", standard_t0=True)]
-    F = special_su_families(system)
-    rows = [_structure_row(s, s.label, standard_t0=True) for s in F.standard]
-    if F.j_family is not None:
-        rows.append(_structure_row(F.j_family, "disc family J_t"))
-    if F.j_prime_family is not None:
-        rows.append(_structure_row(F.j_prime_family, "disc family J'_t"))
-    if F.j0_family is not None:
-        row = _structure_row(F.j0_family, "disc family J0_t")
-        row["note"] = (
-            "no fibration witness under the adapted-parabolic search; "
-            "the finite-covering verdict (normalizer 0) is reported alongside"
-        )
-        rows.append(row)
-    return rows
-
-
-def _structure_row(h: HolomorphicSubspace, label: str, standard_t0: bool = False) -> dict:
+def _structure_row(h: HolomorphicSubspace, label: str) -> dict:
     cons = check_integrability(h)
     disj = check_disjointness(h)
-    params = {p for p in h.parameters() if not p.endswith("~")}
-    vals: dict[str, Gauss] = {}
-    if params:
-        vals = {"t": SAMPLES[0]}
-        if "u" in params:
-            vals["u"] = Gauss(1) / SAMPLES[0]
-        for k, p in enumerate(sorted(params - {"t", "u"})):
-            vals[p] = SAMPLES[(k + 1) % len(SAMPLES)]
+    vals = _sample_values(h)
     std = is_standard(h, vals)
     exc = normalizer_excess(h, vals)
     rep = find_crf_parabolics(h, vals)
     sys = h.datum.system
-    t, r = sys.components[0] if sys.is_simple else ("x", sys.rank)
     return {
         "type": sys.type_str(),
         "rank": str(sys.rank),
@@ -574,38 +581,30 @@ def _structure_row(h: HolomorphicSubspace, label: str, standard_t0: bool = False
 
 
 def structure_rows_for_datum(datum: ContactDatum) -> list[dict]:
-    """Dispatch a contact datum to its classification path."""
-    sys = datum.system
-    theta = datum.theta
-    if sys.is_simple and _parallel_to_root(sys, theta, dominant=False):
-        d = sys.dominant(theta)
-        p = scale_primitive(d)
-        norms = sorted({sys.norm2(i) for i in range(len(sys.roots))})
-        if sys.is_root(p) and sys.norm2(sys.root_index(p)) == norms[-1]:
-            return structure_rows_for_special(sys)
-        if sys.components[0][0] == "G":
-            return [_structure_row(g2_short_standard_subspace(), "standard", True)]
-        R = short_root_families(sys)
-        return [
-            _structure_row(R.standard, "standard", True),
-            _structure_row(R.family, "disc family"),
-        ]
-    try:
-        cd = dual_pairs(datum)
-    except CongruenceError:
-        return [_unclassified_row(datum, "excluded multiplicity configuration")]
-    verdict = tilde_Re_type(datum, cd.paired_roots)
-    if not verdict.accepted:
-        return [_unclassified_row(datum, f"eliminated: {verdict.reason}")]
-    rj = frozenset(datum.Rprime) - cd.paired_roots
-    rj_plus = frozenset(i for i in rj if sys.positive[i])
-    try:
-        P = pair_family(datum, rj_plus)
-    except FamilyError as e:
-        return [_unclassified_row(datum, str(e))]
+    """One report row per structure that classify_datum finds for a datum."""
+    verdict = classify_datum(datum)
+    F = verdict.family
+    if verdict.route == "unclassified":
+        return [_unclassified_row(datum, verdict.reason)]
+    if isinstance(F, HolomorphicSubspace):
+        return [_structure_row(F, "standard")]
+    if isinstance(F, SpecialFamilies):
+        rows = [_structure_row(s, s.label) for s in F.standard]
+        if F.j_family is not None:
+            rows.append(_structure_row(F.j_family, "disc family J_t"))
+        if F.j_prime_family is not None:
+            rows.append(_structure_row(F.j_prime_family, "disc family J'_t"))
+        if F.j0_family is not None:
+            row = _structure_row(F.j0_family, "disc family J0_t")
+            row["note"] = (
+                "no fibration witness under the adapted-parabolic search; "
+                "the finite-covering verdict (normalizer 0) is reported alongside"
+            )
+            rows.append(row)
+        return rows
     return [
-        _structure_row(P.standard, "standard", True),
-        _structure_row(P.family, "disc family"),
+        _structure_row(F.standard, "standard"),
+        _structure_row(F.family, "disc family"),
     ]
 
 
@@ -620,10 +619,6 @@ def _unclassified_row(datum: ContactDatum, reason: str) -> dict:
 
 
 # -- report entry points ----------------------------------------------------------------------
-
-
-def report_table1() -> Report:
-    return Report("table1", tuple(table1_rows()), ("fixtures/table1.json",)).sorted()
 
 
 def report_table2(max_rank: int = DEFAULT_MAX_RANK) -> Report:

@@ -15,8 +15,9 @@ from fractions import Fraction
 from importlib import resources
 
 from . import classify
-from .contact import contact_datum
-from .crstruct import HolomorphicSubspace, SU2Line, TwistedPair
+from .contact import ContactDatum, contact_datum
+from .crstruct import HolomorphicSubspace, StructError, SU2Line, TwistedPair
+from .modules import dual_pairs
 from .painted import GraphError, PaintedGraph, flag_pair, is_good
 from .report import Report
 from .rootsys import RootSystemError, RootVector, build, format_vector, parse_type
@@ -33,11 +34,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+class UsageError(Exception):
+    """Bad input found after parsing; main reports it on one line and exits 64."""
+
+
 def _max_rank(args) -> int:
-    if getattr(args, "max_rank", None):
+    if args.max_rank is not None:
         return args.max_rank
     env = os.environ.get("CRLIE_MAX_RANK")
-    return int(env) if env else classify.DEFAULT_MAX_RANK
+    if not env:
+        return classify.DEFAULT_MAX_RANK
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"CRLIE_MAX_RANK must be an integer, got {env!r}") from None
 
 
 def load_fixture(name: str) -> Report:
@@ -45,27 +55,28 @@ def load_fixture(name: str) -> Report:
     return Report.from_json(text)
 
 
-def _diff_against(report: Report, fixture_name: str, keys: list[str],
-                  row_filter=None) -> tuple[bool, list[str]]:
+def _golden_diff(report: Report, fixture_name: str, keys: list[str], row_filter) -> int:
+    """Exit code of a diff against the fixture rows that pass row_filter,
+    projected to keys; a mismatch names each missing and extra row on
+    stderr."""
     golden = load_fixture(fixture_name)
-    grows = [r for r in golden.rows if row_filter is None or row_filter(r)]
 
     def project(rows):
         return sorted(
             tuple((k, str(r.get(k, ""))) for k in keys) for r in rows
         )
 
-    got, want = project(report.rows), project(grows)
+    got = project(report.rows)
+    want = project(r for r in golden.rows if row_filter(r))
     if got == want:
-        return True, []
-    msgs = []
+        return 0
     for row in want:
         if row not in got:
-            msgs.append(f"missing: {dict(row)}")
+            sys.stderr.write(f"golden mismatch: missing: {dict(row)}\n")
     for row in got:
         if row not in want:
-            msgs.append(f"extra: {dict(row)}")
-    return False, msgs
+            sys.stderr.write(f"golden mismatch: extra: {dict(row)}\n")
+    return MISMATCH
 
 
 def _emit(report: Report, args) -> None:
@@ -85,8 +96,7 @@ def cmd_roots(args) -> int:
             else build(args.type, args.rank)
         )
     except RootSystemError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return USAGE_ERROR
+        raise UsageError(e) from None
     rows = []
     for i, r in enumerate(system.roots):
         rows.append(
@@ -111,66 +121,38 @@ def cmd_roots(args) -> int:
 
 
 def cmd_table(args, which: int) -> int:
-    max_rank = _max_rank(args)
     if which == 1:
         lo, hi = (args.rank_range.split("-") + ["8"])[:2] if args.rank_range else ("3", "8")
+        if not (lo.isdigit() and hi.isdigit() and int(lo) >= 3):
+            raise UsageError(f"--rank-range must be LO-HI with LO >= 3, got {args.rank_range!r}")
         report = Report("table1", tuple(classify.table1_rows(range(int(lo), int(hi) + 1))),
                         (f"fixtures/table1.json",))
         keys = ["type", "rank", "mu_canon", "Ro", "R1", "g1_summands"]
-        ok, msgs = _diff_against(
-            report, "table1.json", keys,
-            row_filter=lambda r: int(lo) <= int(r["rank"]) <= int(hi) or r["type"] in "EFG",
-        )
-    elif which == 2:
-        report = classify.report_table2(max_rank)
-        keys = ["type", "rank", "theta_canon", "l_type", "groups"]
-        ok, msgs = _diff_against(
-            report, "table2.json", keys,
-            row_filter=lambda r: int(r["rank"]) <= max_rank,
-        )
+        keep = lambda r: int(lo) <= int(r["rank"]) <= int(hi) or r["type"] in "EFG"
     else:
-        report = classify.report_table3(max_rank)
+        max_rank = _max_rank(args)
+        make = classify.report_table2 if which == 2 else classify.report_table3
+        report = make(max_rank)
         keys = ["type", "rank", "theta_canon", "l_type", "groups"]
-        ok, msgs = _diff_against(
-            report, "table3.json", keys,
-            row_filter=lambda r: int(r["rank"]) <= max_rank,
-        )
+        keep = lambda r: int(r["rank"]) <= max_rank
     _emit(report.sorted(), args)
-    if not ok:
-        for m in msgs:
-            sys.stderr.write(f"golden mismatch: {m}\n")
-        return MISMATCH
-    return 0
+    return _golden_diff(report, f"table{which}.json", keys, keep)
 
 
 def cmd_classify(args) -> int:
     max_rank = _max_rank(args)
     if max_rank < 2:
-        sys.stderr.write("error: --max-rank must be at least 2\n")
-        return USAGE_ERROR
+        raise UsageError("--max-rank must be at least 2")
     report = classify.report_classify(args.what, max_rank)
     _emit(report, args)
+    if args.what == "special":
+        return 0
     if args.what == "primitive":
-        ok, msgs = _diff_against(
-            report, "primitive.json",
-            ["type", "rank", "family", "theta_canon"],
-            row_filter=lambda r: int(r["rank"]) <= max_rank,
-        )
-        if not ok:
-            for m in msgs:
-                sys.stderr.write(f"golden mismatch: {m}\n")
-            return MISMATCH
-    if args.what in ("crgraphs", "nonprimitive"):
-        ok, msgs = _diff_against(
-            report, "nonprimitive.json",
-            ["type", "rank", "graph", "cr_type", "theta_canon", "fiber"],
-            row_filter=lambda r: int(r["rank"]) <= max_rank,
-        )
-        if not ok:
-            for m in msgs:
-                sys.stderr.write(f"golden mismatch: {m}\n")
-            return MISMATCH
-    return 0
+        fixture, keys = "primitive.json", ["type", "rank", "family", "theta_canon"]
+    else:
+        fixture = "nonprimitive.json"
+        keys = ["type", "rank", "graph", "cr_type", "theta_canon", "fiber"]
+    return _golden_diff(report, fixture, keys, lambda r: int(r["rank"]) <= max_rank)
 
 
 def _parse_coeff(s: str) -> Poly:
@@ -194,8 +176,8 @@ def _parse_vector(system, s: str) -> RootVector:
     return system.vector(coords)
 
 
-def build_subspace(system, theta: RootVector, spec: dict) -> HolomorphicSubspace:
-    datum = contact_datum(system, theta)
+def build_subspace(datum: ContactDatum, spec: dict) -> HolomorphicSubspace:
+    system = datum.system
     pairs = []
     for hw, partner, coeff in spec.get("pairs", []):
         hwv = _parse_vector(system, hw)
@@ -209,11 +191,7 @@ def build_subspace(system, theta: RootVector, spec: dict) -> HolomorphicSubspace
     rj: frozenset[int] = frozenset()
     rj_spec = spec.get("rj_plus")
     if rj_spec == "positive":
-        from .modules import dual_pairs
-
-        cd = dual_pairs(datum)
-        unpaired = frozenset(datum.Rprime) - cd.paired_roots
-        rj = frozenset(i for i in unpaired if system.positive[i])
+        rj = dual_pairs(datum).rj_plus
     elif isinstance(rj_spec, list):
         rj = frozenset(system.root_index(_parse_vector(system, p)) for p in rj_spec)
     su2 = None
@@ -229,8 +207,7 @@ def cmd_check(args) -> int:
         try:
             g = PaintedGraph.parse(args.graph)
         except (GraphError, RootSystemError) as e:
-            sys.stderr.write(f"error: {e}\n")
-            return USAGE_ERROR
+            raise UsageError(e) from None
         v = is_good(g)
         row = {
             "graph": g.serialize(),
@@ -250,29 +227,26 @@ def cmd_check(args) -> int:
         rows.append(row)
         _emit(Report("check", tuple(rows)), args)
         return 0
-    if args.theta and (args.m10 or args.family):
+    if args.type and args.theta and (args.m10 or args.family):
         try:
             system = parse_type(args.type)
-            theta = _parse_vector(system, args.theta)
-        except (RootSystemError, ValueError) as e:
-            sys.stderr.write(f"error: {e}\n")
-            return USAGE_ERROR
+            datum = contact_datum(system, _parse_vector(system, args.theta))
+        except (RootSystemError, ValueError) as e:  # ContactError is a ValueError
+            raise UsageError(e) from None
         if args.family:
-            datum = contact_datum(system, theta)
             rows = classify.structure_rows_for_datum(datum)
-            _emit(Report("structures", tuple(rows)), args)
-            return 0
-        try:
-            spec = json.loads(args.m10)
-            h = build_subspace(system, theta, spec)
-        except (ValueError, KeyError, TypeError) as e:
-            sys.stderr.write(f"error: invalid --m10 spec: {e}\n")
-            return USAGE_ERROR
-        rows.append(classify._structure_row(h, "user subspace"))
+        else:
+            try:
+                h = build_subspace(datum, json.loads(args.m10))
+            except (ValueError, KeyError, TypeError) as e:
+                raise UsageError(f"invalid --m10 spec: {e}") from None
+            try:
+                rows.append(classify._structure_row(h, "user subspace"))
+            except StructError as e:
+                raise UsageError(f"invalid --m10 spec: {e}") from None
         _emit(Report("structures", tuple(rows)), args)
         return 0
-    sys.stderr.write("error: check needs --graph or --type/--theta with --m10 or --family\n")
-    return USAGE_ERROR
+    raise UsageError("check needs --graph or --type/--theta with --m10 or --family")
 
 
 def main(argv=None) -> int:
@@ -311,18 +285,21 @@ def main(argv=None) -> int:
     common(sp)
 
     args = p.parse_args(argv)
-    if args.command == "roots":
-        return cmd_roots(args)
-    if args.command == "table1":
-        return cmd_table(args, 1)
-    if args.command == "table2":
-        return cmd_table(args, 2)
-    if args.command == "table3":
-        return cmd_table(args, 3)
-    if args.command == "classify":
-        return cmd_classify(args)
-    if args.command == "check":
-        return cmd_check(args)
+    try:
+        if args.command == "roots":
+            return cmd_roots(args)
+        if args.command == "table1":
+            return cmd_table(args, 1)
+        if args.command == "table2":
+            return cmd_table(args, 2)
+        if args.command == "table3":
+            return cmd_table(args, 3)
+        if args.command == "classify":
+            return cmd_classify(args)
+        if args.command == "check":
+            return cmd_check(args)
+    except UsageError as e:
+        sys.stderr.write(f"error: {e}\n")
     return USAGE_ERROR
 
 

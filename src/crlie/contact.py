@@ -32,9 +32,6 @@ class ContactDatum:
     def ro_positive(self) -> list[int]:
         return [i for i in self.Ro.members if self.system.positive[i]]
 
-    def theta_pairing(self, i: int) -> Q:
-        return self.system.inner(self.system.roots[i], self.theta)
-
 
 def contact_datum(system: RootSystem, theta: RootVector) -> ContactDatum:
     if theta.is_zero():
@@ -64,12 +61,6 @@ class Gradation:
                 raise ContactError("non-integral grading level")
             buckets.setdefault(int(v), set()).add(i)
         self.levels = {k: frozenset(v) for k, v in buckets.items()}
-
-    def level_of(self, i: int) -> int:
-        for k, s in self.levels.items():
-            if i in s:
-                return k
-        raise KeyError(i)
 
     def level(self, k: int) -> frozenset[int]:
         return self.levels.get(k, frozenset())

@@ -468,7 +468,6 @@ def _theta_perp_cartan(datum: ContactDatum) -> list[RootVector]:
         proj = a - (sys.inner(a, theta) / tt) * theta
         if not proj.is_zero():
             basis.append(proj)
-    solver = SpanSolver([])
     keep: list[RootVector] = []
     rows: list[list[Q]] = []
     for v in basis:
@@ -604,9 +603,6 @@ class FibrationReport:
     @property
     def circular(self) -> bool:
         return any(w.fiber_dim == 1 for w in self.witnesses)
-
-    def fiber_dims(self) -> list[int]:
-        return sorted({w.fiber_dim for w in self.witnesses})
 
 
 def find_crf_parabolics(h: HolomorphicSubspace, values: Mapping[str, Gauss],

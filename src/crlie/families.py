@@ -269,7 +269,6 @@ class PairFamilies:
     datum: ContactDatum
     standard: HolomorphicSubspace
     family: HolomorphicSubspace
-    shape: str  # "d-type" (one twisted pair) or "conjugate" (pair + mirror)
 
 
 def pair_family(datum: ContactDatum, rj_plus: frozenset[int] = frozenset()) -> PairFamilies:
@@ -312,7 +311,7 @@ def pair_family(datum: ContactDatum, rj_plus: frozenset[int] = frozenset()) -> P
         std = HolomorphicSubspace(
             datum, plains=(a,), rj_plus=rj_plus, label="standard"
         )
-        return PairFamilies(datum, std, fam, "d-type")
+        return PairFamilies(datum, std, fam)
     if len(hw_pairs) == 2:
         a, b = orient(*hw_pairs[0])
         # the mirror pair leads with the module conjugate to m(a)
@@ -342,5 +341,5 @@ def pair_family(datum: ContactDatum, rj_plus: frozenset[int] = frozenset()) -> P
         std = HolomorphicSubspace(
             datum, plains=tuple(sorted(theta_pos)), rj_plus=rj_plus, label="standard"
         )
-        return PairFamilies(datum, std, fam, "conjugate")
+        return PairFamilies(datum, std, fam)
     raise FamilyError(f"unexpected number of module pairs: {len(hw_pairs)}")

@@ -38,11 +38,6 @@ def rref(rows, ncols=None):
     return m[:r], pivots
 
 
-def rank(rows) -> int:
-    reduced, pivots = rref(rows)
-    return len(pivots)
-
-
 class SpanSolver:
     """Precomputed row space of a set of vectors, for membership and solves."""
 

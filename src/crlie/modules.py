@@ -108,6 +108,12 @@ class CongruenceDatum:
     def paired_roots(self) -> frozenset[int]:
         return frozenset(i for p in self.pairs for i in p)
 
+    @property
+    def rj_plus(self) -> frozenset[int]:
+        """R_J+: the positive isotropy roots without a theta-dual partner."""
+        sys = self.datum.system
+        return frozenset(i for i in self.datum.Rprime - self.paired_roots if sys.positive[i])
+
     def partner(self, i: int) -> Optional[int]:
         for a, b in self.pairs:
             if i == a:

@@ -24,14 +24,6 @@ def group_name(t: str, r: int) -> str:
     return f"{t}{r}"
 
 
-def spin_name(t: str, r: int) -> str:
-    if t == "B":
-        return f"Spin{2 * r + 1}"
-    if t == "D":
-        return f"Spin{2 * r}"
-    return group_name(t, r)
-
-
 def system_name(system: RootSystem) -> str:
     return "x".join(group_name(t, r) for t, r in system.components)
 

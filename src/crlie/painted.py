@@ -63,12 +63,6 @@ class PaintedGraph:
     def nodes(self, color: str) -> list[int]:
         return [i for i, c in enumerate(self.colors) if c == color]
 
-    def adjacency(self) -> list[set[int]]:
-        return _adjacency(self.system)
-
-    def recolor(self, mapping: dict[str, str]) -> "PaintedGraph":
-        return PaintedGraph(self.system, tuple(mapping.get(c, c) for c in self.colors))
-
 
 _ADJ_CACHE: dict[int, list[set[int]]] = {}
 _COMP_CACHE: dict[int, list[set[int]]] = {}
@@ -212,13 +206,6 @@ def _graph_components(system: RootSystem) -> list[set[int]]:
         comps.append(comp)
     _COMP_CACHE[key] = comps
     return comps
-
-
-def theta_of_graph(g: PaintedGraph) -> RootVector:
-    v = is_admissible(g)
-    if not v.admissible:
-        raise GraphError(f"not admissible: {v.reason}")
-    return v.theta
 
 
 def _theta_for(g: PaintedGraph, shape: str, gamma_e: frozenset[int], chain) -> RootVector:

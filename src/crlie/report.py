@@ -90,13 +90,6 @@ class Report:
             return self.to_text()
         raise ValueError(f"unknown format {fmt}")
 
-    def row_multiset(self) -> dict:
-        out: dict = {}
-        for r in self.rows:
-            key = tuple(sorted((k, str(v)) for k, v in r.items()))
-            out[key] = out.get(key, 0) + 1
-        return out
-
 
 _WHAT_ORDER = {"root": 0, "simple_root": 1, "highest_root": 2, "cartan_row": 3}
 

@@ -366,9 +366,6 @@ class Subsystem:
         self.parent = parent
         self.members = frozenset(members)
 
-    def root_vectors(self) -> list[RootVector]:
-        return [self.parent.roots[i] for i in sorted(self.members)]
-
     def __len__(self):
         return len(self.members)
 
@@ -395,9 +392,6 @@ class Subsystem:
                 if k is not None and k not in self.members:
                     return False
         return True
-
-    def is_symmetric(self) -> bool:
-        return all(self.parent.neg_index[i] in self.members for i in self.members)
 
     def orthogonal_components(self) -> list[frozenset[int]]:
         """Partition into mutually orthogonal indecomposable pieces."""

@@ -1,0 +1,79 @@
+"""The contact-datum dispatcher, checked against the golden fixtures."""
+
+from fractions import Fraction as Q
+
+import pytest
+
+from crlie import classify
+from crlie import contact as ct
+from crlie import crstruct as cs
+from crlie import rootsys as rs
+from crlie.cli import load_fixture
+
+
+def _verdict(row):
+    """The verdict for a fixture row's canonical contact form; primitive.json
+    names a simple type by letter and rank, nonprimitive.json by type tag."""
+    t = row["type"]
+    s = rs.parse_type(t if t[-1].isdigit() else t + row["rank"])
+    theta = s.vector([Q(x) for x in row["theta_canon"].split(",")])
+    return classify.classify_datum(ct.contact_datum(s, theta))
+
+
+@pytest.mark.parametrize("t,r", classify.simple_types(8))
+def test_highest_root_routes_special(t, r):
+    s = rs.build(t, r)
+    for theta in (s.highest_root(), 2 * s.highest_root(), -s.highest_root()):
+        assert classify.classify_datum(ct.contact_datum(s, theta)).route == "special"
+
+
+def test_short_roots_route_by_type():
+    routes = {}
+    for tag in ("B3", "C3", "F4", "G2"):
+        s = rs.parse_type(tag)
+        short = min(range(len(s.roots)), key=s.norm2)
+        routes[tag] = classify.classify_datum(ct.contact_datum(s, s.roots[short])).route
+    assert routes == {"B3": "short-root", "C3": "short-root", "F4": "short-root",
+                      "G2": "g2-short"}
+
+
+def test_unclassified_reason():
+    s = rs.build("C4")
+    v = classify.classify_datum(ct.contact_datum(s, s.vector([1, 1, 1, 1])))
+    assert v.route == "unclassified" and v.reason.startswith("eliminated: ")
+    rows = classify.structure_rows_for_datum(ct.contact_datum(s, s.vector([1, 1, 1, 1])))
+    assert rows[0]["constraint"] == v.reason
+
+
+def _disc_family(v):
+    if v.route == "special":
+        return v.family.j0_family
+    return v.family.family
+
+
+@pytest.mark.parametrize(
+    "row", [r for r in load_fixture("primitive.json").rows if int(r["rank"]) <= 4],
+    ids=lambda r: f"{r['type']}{r['rank']}-family{r['family']}",
+)
+def test_golden_primitive_forms(row):
+    v = _verdict(row)
+    assert v.route in ("special", "short-root", "pair")
+    assert not v.rj_plus
+    assert classify._verify(_disc_family(v), 2) is True
+
+
+@pytest.mark.parametrize(
+    "row", [r for r in load_fixture("nonprimitive.json").rows if int(r["rank"]) <= 5],
+    ids=lambda r: f"{r['type']}-{r['cr_type']}",
+)
+def test_golden_nonprimitive_forms(row):
+    v = _verdict(row)
+    if row["cr_type"] == "I":
+        assert v.route == "special"
+        h = v.family.j_family
+    else:
+        assert v.route == "pair"
+        h = v.family.family
+    assert classify._verify(h, 1) is False
+    rep = cs.find_crf_parabolics(h, classify._sample_values(h))
+    assert row["fiber"] in {w.fiber_type for w in rep.witnesses}

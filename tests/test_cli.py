@@ -30,6 +30,9 @@ def test_usage_errors(capsys):
     assert run(["roots", "--type", "Q9"]) == 64
     assert run(["classify", "--what", "special", "--max-rank", "1"]) == 64
     assert run(["check"]) == 64
+    assert run(["check", "--theta=1,0,0", "--family"]) == 64
+    assert run(["table1", "--rank-range", "x-y"]) == 64
+    assert run(["table1", "--rank-range", "2-3"]) == 64
     capsys.readouterr()
 
 
@@ -110,6 +113,14 @@ def test_table1_rank_range(capsys):
     assert any(r["type"] == "E" for r in data["rows"])
 
 
+def test_module_tables_below_rank_4(capsys):
+    # F4 (rank 4) and B3 (rank 3) enter only when the bound reaches their rank
+    assert run(["table2", "--max-rank", "3", "--format", "json"]) == 0
+    assert {r["type"] for r in json.loads(capsys.readouterr().out)["rows"]} == {"B", "C", "G"}
+    assert run(["table3", "--max-rank", "2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == []
+
+
 def test_report_byte_stability(capsys):
     assert run(["table2", "--format", "json", "--max-rank", "4"]) == 0
     first = capsys.readouterr().out
@@ -143,3 +154,42 @@ def test_env_var_bound(monkeypatch, capsys):
     assert run(["classify", "--what", "crgraphs", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert all(int(r["rank"]) <= 3 for r in data["rows"])
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    return err
+
+
+def test_max_rank_zero_is_not_unset(capsys):
+    assert run(["classify", "--what", "special", "--max-rank", "0"]) == 64
+    _one_line_error(capsys)
+
+
+def test_env_max_rank_not_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("CRLIE_MAX_RANK", "abc")
+    assert run(["classify", "--what", "special"]) == 64
+    assert "CRLIE_MAX_RANK" in _one_line_error(capsys)
+
+
+def test_check_family_zero_theta(capsys):
+    assert run(["check", "--type", "A2", "--theta=0,0,0", "--family"]) == 64
+    assert "nonzero" in _one_line_error(capsys)
+
+
+def test_check_m10_non_congruent_pair(capsys):
+    # e1-e3 and e2-e4 are highest weights of two modules whose difference is
+    # not a multiple of theta
+    spec = {"pairs": [["1,0,-1,0", "0,1,0,-1", "t"]]}
+    rc = run(["check", "--type", "A3", "--theta", "1,0,0,-1", "--m10", json.dumps(spec)])
+    assert rc == 64
+    assert "non-congruent" in _one_line_error(capsys)
+
+
+def test_check_family_e6_root(capsys):
+    # every E6 root is long, so its contact form is the special one
+    rc = run(["check", "--type", "E6", "--theta=1,0,0,0,1,1,-1", "--family", "--format", "json"])
+    assert rc == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(r["family"], r["primitive"]) for r in rows] == [("standard", "no")]

@@ -21,10 +21,6 @@ def vals_for(h, tv):
     return out
 
 
-def full(h, vals):
-    return classify._full_values(h, vals)
-
-
 def test_su_family_integrability():
     F = fam.special_su_families(rs.build("A4"))
     assert cs.check_integrability(F.j_family).unconditional
@@ -92,20 +88,20 @@ def test_disjointness():
     F = fam.special_su_families(rs.build("A3"))
     d = cs.check_disjointness(F.j_family)
     assert d.excluded_abs() == ["|t| != 1"]
-    assert d.holds_at(full(F.j_family, {"t": T_HALF}))
-    assert not d.holds_at(full(F.j_family, {"t": UNIT}))
+    assert d.holds_at(cs._with_conj({"t": T_HALF}))
+    assert not d.holds_at(cs._with_conj({"t": UNIT}))
     d0 = cs.check_disjointness(F.j0_family)
     assert set(d0.excluded_abs()) == {"|t| != 1"}
-    assert not d0.holds_at(full(F.j0_family, {"t": UNIT}))
+    assert not d0.holds_at(cs._with_conj({"t": UNIT}))
     # t = 0 always disjoint for the plain families
-    assert d.holds_at(full(F.j_family, {"t": Gauss(0)}))
+    assert d.holds_at(cs._with_conj({"t": Gauss(0)}))
     # conjugate-pair families degenerate exactly on the unit circle
     b3 = rs.build("B3")
     P = fam.pair_family(ct.contact_datum(b3, b3.vector([1, 1, 1])))
     dd = cs.check_disjointness(P.family)
-    assert dd.holds_at(full(P.family, vals_for(P.family, T_HALF)))
+    assert dd.holds_at(cs._with_conj(vals_for(P.family, T_HALF)))
     unit_vals = {"t": UNIT, "u": Gauss(1) / UNIT}
-    assert not dd.holds_at(full(P.family, unit_vals))
+    assert not dd.holds_at(cs._with_conj(unit_vals))
 
 
 def test_subspace_dimension_guard():
@@ -234,7 +230,7 @@ def test_composite_rows_minimal_rank(text, cr_type, fiber):
         h, hstd = P.family, P.standard
     cons = cs.check_integrability(h)
     vals = vals_for(h, T_HALF)
-    assert cons.holds_at(full(h, vals))
+    assert cons.holds_at(cs._with_conj(vals))
     # non-standard exactly when the fiber part is twisted
     assert not cs.is_standard(h, vals)
     assert cs.normalizer_excess(h, vals) == 0
