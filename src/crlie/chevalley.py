@@ -165,23 +165,13 @@ class ConstantTable:
         return int(val)
 
 
-_TABLES: dict[int, ConstantTable] = {}
-
-
-def constants(system: RootSystem) -> ConstantTable:
-    key = id(system)
-    if key not in _TABLES:
-        _TABLES[key] = ConstantTable(system)
-    return _TABLES[key]
-
-
 def structure_const(system: RootSystem, alpha: RootVector, beta: RootVector) -> int:
     ia, ib = system.root_index(alpha), system.root_index(beta)
     if ia is None or ib is None:
         raise ChevalleyError("structure_const arguments must be roots")
     if system.sum_index(ia, ib) is None:
         raise ChevalleyError("alpha + beta is not a root")
-    return constants(system).n(ia, ib)
+    return system.constants.n(ia, ib)
 
 
 class LieElement:
@@ -274,7 +264,7 @@ class LieElement:
     def bracket(self, other: "LieElement") -> "LieElement":
         self._check(other)
         sys = self.system
-        tab = constants(sys)
+        tab = sys.constants
         e: dict[int, Poly] = {}
         h = [P_ZERO] * sys.dim
 
@@ -295,12 +285,12 @@ class LieElement:
                         add_e(k, Poly.const(Gauss(tab.n(i, j))) * ci * cj)
         if any(not x.is_zero() for x in self.h):
             for j, cj in other.e.items():
-                val = _pair_vec(sys, j, self.h)
+                val = _pair_vec(sys.roots[j].covector(), self.h)
                 if not val.is_zero():
                     add_e(j, val * cj)
         if any(not x.is_zero() for x in other.h):
             for i, ci in self.e.items():
-                val = _pair_vec(sys, i, other.h)
+                val = _pair_vec(sys.roots[i].covector(), other.h)
                 if not val.is_zero():
                     add_e(i, -(val * ci))
         return LieElement(sys, e, h)
@@ -321,7 +311,7 @@ class LieElement:
 
     def eval_functional(self, v: RootVector) -> Poly:
         """(v, H-part) via the ambient bilinear form."""
-        return _inner_vec(self.system, v, self.h)
+        return _pair_vec(v.covector(), self.h)
 
     def __repr__(self):
         from .rootsys import format_vector
@@ -351,48 +341,10 @@ def _gauge_h(system: RootSystem, h: tuple[Poly, ...]) -> tuple[Poly, ...]:
     return tuple(out)
 
 
-def _pair_vec(system: RootSystem, root_idx: int, h: tuple[Poly, ...]) -> Poly:
-    """(root, v) where v has polynomial coordinates."""
-    grow = _gram_row(system, root_idx)
+def _pair_vec(covector: tuple[Q, ...], h: tuple[Poly, ...]) -> Poly:
+    """(u, v) for u given by its covector and v with polynomial coordinates."""
     total = P_ZERO
-    for g, c in zip(grow, h):
+    for g, c in zip(covector, h):
         if g and not c.is_zero():
             total = total + c * Poly.const(Gauss(g))
     return total
-
-
-def _inner_vec(system: RootSystem, v: RootVector, h: tuple[Poly, ...]) -> Poly:
-    grow = _gram_apply(system, v.coords)
-    total = P_ZERO
-    for g, c in zip(grow, h):
-        if g and not c.is_zero():
-            total = total + c * Poly.const(Gauss(g))
-    return total
-
-
-def _gram_apply(system: RootSystem, coords) -> tuple[Q, ...]:
-    """Covector G*coords, so (u, v) = sum (G u)_k v_k."""
-    out = [Q(0)] * system.dim
-    for b in system.blocks:
-        seg = coords[b.start : b.start + b.size]
-        if b.kind == "ortho":
-            for i, x in enumerate(seg):
-                out[b.start + i] = x
-        elif b.kind == "rel":
-            m = sum(seg) / b.size
-            for i, x in enumerate(seg):
-                out[b.start + i] = x - m
-        else:
-            out[b.start] = seg[0] / 2
-    return tuple(out)
-
-
-_GRAM_ROWS: dict[tuple[int, int], tuple[Q, ...]] = {}
-
-
-def _gram_row(system: RootSystem, i: int) -> tuple[Q, ...]:
-    key = (id(system), i)
-    if key not in _GRAM_ROWS:
-        _GRAM_ROWS[key] = _gram_apply(system, system.roots[i].coords)
-    return _GRAM_ROWS[key]
-

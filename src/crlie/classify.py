@@ -17,6 +17,7 @@ from . import naming
 from .contact import ContactDatum, classify_special, contact_datum, grade_by_highest_root
 from .crstruct import (
     HolomorphicSubspace,
+    _fiber_type,
     _with_conj,
     check_disjointness,
     check_integrability,
@@ -455,7 +456,6 @@ def _crgraph_row(g: CRGraph, verify: bool) -> dict:
     system = g.graph.system
     k, q = flag_pair(g.graph)
     datum = contact_datum(system, g.theta)
-    fiber = _composite_fiber_type(datum, q)
     row = {
         "type": system.type_str(),
         "rank": str(system.rank),
@@ -466,24 +466,12 @@ def _crgraph_row(g: CRGraph, verify: bool) -> dict:
         "K_type": naming.subgroup_name(system, k, corank_drop=0),
         "Q_type": naming.subgroup_name(system, q, corank_drop=0),
         "L": _display_L(g),
-        "fiber": fiber,
+        "fiber": _fiber_type(datum, q.members),
         "base": _display_base(g),
     }
     if verify:
         row["verified"] = "yes" if _verify_composite(datum) else "no"
     return row
-
-
-def _composite_fiber_type(datum: ContactDatum, q: Subsystem) -> str:
-    from .crstruct import sphere_bundle_name
-
-    sys = datum.system
-    comps = []
-    for comp in q.orthogonal_components():
-        if comp <= datum.Ro.members:
-            continue
-        comps.append(q._classify_component(comp))
-    return sphere_bundle_name(sorted(comps))
 
 
 def _display_L(g: CRGraph) -> str:

@@ -2,7 +2,8 @@
 
 Subcommands: roots, table1, table2, table3, classify, check.
 Exit codes: 0 success (golden diffs clean), 2 classification/golden
-mismatch, 64 usage error.  CRLIE_MAX_RANK overrides the default scan bound.
+mismatch, 64 usage error.  CRLIE_MAX_RANK overrides the default scan bound
+(at most 8, the highest rank of the golden fixtures).
 """
 
 from __future__ import annotations
@@ -39,15 +40,21 @@ class UsageError(Exception):
 
 
 def _max_rank(args) -> int:
+    """--max-rank, else CRLIE_MAX_RANK, else 8; the fixtures stop at rank 8."""
+    top = classify.DEFAULT_MAX_RANK
     if args.max_rank is not None:
-        return args.max_rank
-    env = os.environ.get("CRLIE_MAX_RANK")
-    if not env:
-        return classify.DEFAULT_MAX_RANK
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"CRLIE_MAX_RANK must be an integer, got {env!r}") from None
+        source, value = "--max-rank", args.max_rank
+    else:
+        env = os.environ.get("CRLIE_MAX_RANK")
+        if not env:
+            return top
+        try:
+            source, value = "CRLIE_MAX_RANK", int(env)
+        except ValueError:
+            raise UsageError(f"CRLIE_MAX_RANK must be an integer, got {env!r}") from None
+    if value > top:
+        raise UsageError(f"{source} must be at most {top}, got {value}")
+    return value
 
 
 def load_fixture(name: str) -> Report:
@@ -266,7 +273,8 @@ def main(argv=None) -> int:
         sp = sub.add_parser(f"table{n}", help=f"reconstruct classification table {n}")
         if n == 1:
             sp.add_argument("--rank-range", default=None, help="e.g. 3-8")
-        sp.add_argument("--max-rank", type=int, default=None)
+        else:
+            sp.add_argument("--max-rank", type=int, default=None)
         common(sp)
 
     sp = sub.add_parser("classify", help="run a classification scan")

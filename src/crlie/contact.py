@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
 from .rootsys import RootSystem, RootVector, Subsystem
 
 Q = Fraction
@@ -21,7 +23,12 @@ class ContactError(ValueError):
 
 @dataclass(frozen=True)
 class ContactDatum:
-    """A homogeneous contact manifold, as root data."""
+    """A homogeneous contact manifold, as root data.
+
+    The tables derived from it (its modules, its theta-congruence classes
+    and its twist propagations) are built on first use and live as long as
+    the datum does.
+    """
 
     system: RootSystem
     theta: RootVector
@@ -31,6 +38,40 @@ class ContactDatum:
     @property
     def ro_positive(self) -> list[int]:
         return [i for i in self.Ro.members if self.system.positive[i]]
+
+    @cached_property
+    def modules(self) -> dict:
+        """The irreducible isotropy modules by highest weight, in the order
+        of modules.decompose."""
+        from .modules import decompose
+
+        return {m.highest: m for m in decompose(self)}
+
+    @cached_property
+    def congruence_classes(self) -> tuple[tuple[int, ...], ...]:
+        """R' partitioned into theta-congruence classes, roots that differ
+        by a multiple of theta, in the order of their least roots.
+
+        Two roots share a class exactly when their components transverse
+        to theta agree."""
+        sys, theta = self.system, self.theta
+        tt = sys.inner(theta, theta)
+        buckets: dict[tuple, list[int]] = {}
+        for i in sorted(self.Rprime):
+            r = sys.roots[i]
+            transverse = r - (sys.inner(r, theta) / tt) * theta
+            buckets.setdefault(transverse.canon(), []).append(i)
+        return tuple(tuple(b) for b in buckets.values())
+
+    @cached_property
+    def class_of(self) -> dict[int, tuple[int, ...]]:
+        """The theta-congruence class of each root of R'."""
+        return {i: c for c in self.congruence_classes for i in c}
+
+    @cached_property
+    def propagations(self) -> dict:
+        """crstruct._propagate's twist coefficients, by (hw, partner)."""
+        return {}
 
 
 def contact_datum(system: RootSystem, theta: RootVector) -> ContactDatum:

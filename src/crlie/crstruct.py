@@ -16,10 +16,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .chevalley import LieElement, constants
+from .chevalley import LieElement
 from .contact import ContactDatum
 from .linalg import SpanSolver
-from .modules import IrredModule, decompose, theta_congruent
+from .modules import theta_congruent
 from .rootsys import RootSystem, RootVector, Subsystem
 from .scalars import Gauss, P_ZERO, Poly, conj_var
 
@@ -59,7 +59,7 @@ class HolomorphicSubspace:
     # -- assembly -----------------------------------------------------------------
 
     def module_weights(self, hw: int) -> frozenset[int]:
-        mods = _modules_by_hw(self.datum)
+        mods = self.datum.modules
         if hw not in mods:
             raise StructError("not a module highest weight")
         return mods[hw].weights
@@ -141,19 +141,6 @@ class HolomorphicSubspace:
         return replace(self, pairs=pairs, su2=su2)
 
 
-_MODULE_CACHE: dict[tuple, dict[int, IrredModule]] = {}
-
-
-def _modules_by_hw(datum: ContactDatum) -> dict[int, IrredModule]:
-    key = (id(datum.system), datum.theta.canon())
-    if key not in _MODULE_CACHE:
-        _MODULE_CACHE[key] = {m.highest: m for m in decompose(datum)}
-    return _MODULE_CACHE[key]
-
-
-_PROP_CACHE: dict[tuple, dict[int, tuple[int, Q]]] = {}
-
-
 def _propagate(datum: ContactDatum, hw: int, partner: int) -> dict[int, tuple[int, Q]]:
     """Equivariant twist coefficients: weight w of m(hw) maps to
     (w', kappa_w) with the twisted vectors E_w + c*kappa_w E_w'.
@@ -161,17 +148,17 @@ def _propagate(datum: ContactDatum, hw: int, partner: int) -> dict[int, tuple[in
     Verified to be path independent; raises when the two modules are not
     equivalent under the stabilizer.
     """
-    key = (id(datum.system), datum.theta.canon(), hw, partner)
-    if key in _PROP_CACHE:
-        return _PROP_CACHE[key]
+    memo = datum.propagations
+    if (hw, partner) in memo:
+        return memo[(hw, partner)]
     sys = datum.system
-    mods = _modules_by_hw(datum)
+    mods = datum.modules
     if hw not in mods or partner not in mods:
         raise StructError("twisted pair components must be module highest weights")
     if theta_congruent(datum, sys.roots[hw], sys.roots[partner]) is None:
         raise StructError("twisted pair of non-congruent modules")
     shift = sys.roots[partner] - sys.roots[hw]
-    tab = constants(sys)
+    tab = sys.constants
     kappa: dict[int, tuple[int, Q]] = {}
     wp0 = sys.root_index(sys.roots[hw] + shift)
     kappa[hw] = (wp0, Q(1))
@@ -198,7 +185,7 @@ def _propagate(datum: ContactDatum, hw: int, partner: int) -> dict[int, tuple[in
                 frontier.append(w2)
     if set(kappa) != set(weights):
         raise StructError("twist propagation did not reach the whole module")
-    _PROP_CACHE[key] = kappa
+    memo[(hw, partner)] = kappa
     return kappa
 
 
@@ -371,26 +358,21 @@ def _abs_locus(f: Poly) -> Optional[str]:
 
 def check_disjointness(h: HolomorphicSubspace) -> DisjointnessResult:
     """Determinant factors whose nonvanishing gives m10 and conj(m10) disjoint."""
-    sys = h.datum.system
     basis = h.basis()
     vectors = basis + [v.conjugate() for v in basis]
-    blocks = _congruence_blocks(h.datum)
-    per_block: dict[int, list] = {}
+    class_of = h.datum.class_of
+    per_block: dict[tuple[int, ...], list] = {}
     for v in vectors:
         support = sorted(v.e)
-        bid = blocks[support[0]]
-        if any(blocks[w] != bid for w in support):
+        block = class_of[support[0]]
+        if any(class_of[w] != block for w in support):
             raise StructError("vector support crosses congruence blocks")
-        per_block.setdefault(bid, []).append(v)
+        per_block.setdefault(block, []).append(v)
     factors: dict[tuple, Poly] = {}
-    block_members: dict[int, list[int]] = {}
-    for w, bid in blocks.items():
-        block_members.setdefault(bid, []).append(w)
-    for bid, vs in per_block.items():
-        cols = sorted(block_members[bid])
-        if len(vs) != len(cols):
+    for block, vs in per_block.items():
+        if len(vs) != len(block):
             raise StructError("congruence block is not square")
-        mat = [[v.e.get(w, P_ZERO) for w in cols] for v in vs]
+        mat = [[v.e.get(w, P_ZERO) for w in block] for v in vs]
         det = _det_poly(mat)
         if det.is_zero():
             raise StructError("identically degenerate block")
@@ -398,24 +380,6 @@ def check_disjointness(h: HolomorphicSubspace) -> DisjointnessResult:
         if not det.is_constant():
             factors.setdefault(det.key(), det)
     return DisjointnessResult(tuple(sorted(factors.values(), key=lambda p: p.key())))
-
-
-def _congruence_blocks(datum: ContactDatum) -> dict[int, int]:
-    sys = datum.system
-    blocks: dict[int, int] = {}
-    nxt = 0
-    items = sorted(datum.Rprime)
-    for i in items:
-        if i in blocks:
-            continue
-        blocks[i] = nxt
-        for j in items:
-            if j != i and j not in blocks and theta_congruent(
-                datum, sys.roots[i], sys.roots[j]
-            ) is not None:
-                blocks[j] = nxt
-        nxt += 1
-    return blocks
 
 
 def _det_poly(mat: list[list[Poly]]) -> Poly:
@@ -519,13 +483,9 @@ def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> in
     wspan = SpanSolver(wrows)
 
     # candidate normalizer directions, blocked by stabilizer weight
-    blocks = _congruence_blocks(datum)
-    groups: dict[int, list[int]] = {}
-    for i, b in blocks.items():
-        groups.setdefault(b, []).append(i)
     candidates: list[list[LieElement]] = [
-        [LieElement.root_vector(sys, sys.roots[i]) for i in sorted(g)]
-        for g in groups.values()
+        [LieElement.root_vector(sys, sys.roots[i]) for i in block]
+        for block in datum.congruence_classes
     ]
     zero_block = [LieElement.cartan(sys, a) for a in sys.simple_roots]
     zero_block += [LieElement.root_vector(sys, sys.roots[i]) for i in sorted(datum.Ro.members)]
@@ -686,12 +646,9 @@ def _fiber_type(datum: ContactDatum, sym: frozenset[int]) -> str:
     sys = datum.system
     if sym == frozenset(datum.Ro.members):
         return "S1"
-    comps = []
     sub = Subsystem(sys, sym)
-    for comp in sub.orthogonal_components():
-        if comp <= datum.Ro.members:
-            continue
-        comps.append(Subsystem(sys, comp)._classify_component(comp))
+    comps = [sub._classify_component(comp) for comp in sub.orthogonal_components()
+             if not comp <= datum.Ro.members]
     return sphere_bundle_name(sorted(comps))
 
 

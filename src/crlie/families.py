@@ -20,7 +20,7 @@ from .crstruct import (
     TwistedPair,
     check_integrability,
 )
-from .modules import decompose, dual_pairs, theta_congruent
+from .modules import dual_pairs
 from .rootsys import RootSystem, RootVector
 from .scalars import Gauss, P_ZERO, Poly
 
@@ -81,11 +81,12 @@ def special_su_families(system: RootSystem) -> SpecialFamilies:
         std = HolomorphicSubspace(datum, su2=SU2Line(mu_idx, P_ZERO), label="standard")
         return SpecialFamilies(datum, mu, [std], su2, None, None, None)
 
+    # the level-1 summands and their negatives are modules of the datum
+    hw_of = {m.weights: hw for hw, m in datum.modules.items()}
     c1, c2 = grad.summands(1)
-    hw1 = _component_hw(datum, c1)
-    hw2 = _component_hw(datum, c2)
-    n1 = _component_hw(datum, frozenset(system.neg_index[i] for i in c1))
-    n2 = _component_hw(datum, frozenset(system.neg_index[i] for i in c2))
+    hw1, hw2 = hw_of[c1], hw_of[c2]
+    n1 = hw_of[frozenset(system.neg_index[i] for i in c1)]
+    n2 = hw_of[frozenset(system.neg_index[i] for i in c2)]
 
     def plain_family(a, b, label):
         return HolomorphicSubspace(
@@ -137,16 +138,6 @@ def special_su_families(system: RootSystem) -> SpecialFamilies:
                             label="standard (mixed, mirror)"),
     ]
     return SpecialFamilies(datum, mu, standard, j, jp, j0, generic)
-
-
-def _component_hw(datum: ContactDatum, comp: frozenset[int]) -> int:
-    sys = datum.system
-    tops = [
-        i for i in comp if all(sys.sum_index(i, d) is None for d in datum.ro_positive)
-    ]
-    if len(tops) != 1:
-        raise FamilyError("level component without a unique highest weight")
-    return tops[0]
 
 
 def special_standard_subspace(system: RootSystem) -> HolomorphicSubspace:
@@ -202,17 +193,15 @@ def short_root_families(system: RootSystem) -> ShortRootFamilies:
     short = next(i for i in range(len(system.roots)) if system.norm2(i) == short_norm)
     theta = system.dominant(system.roots[short])
     datum = contact_datum(system, theta)
-    mods = decompose(datum)
-    pos = [m for m in mods if system.inner(system.roots[m.highest], theta) > 0]
+    mods = datum.modules
+    pos = [m for m in mods.values() if system.inner(system.roots[m.highest], theta) > 0]
     t = Poly.var("t")
     s = Poly.var("s")
 
     def partner_of(m):
-        for m2 in mods:
-            if m2.highest != m.highest and theta_congruent(
-                datum, system.roots[m.highest], system.roots[m2.highest]
-            ) is not None:
-                return m2.highest
+        for hw in mods:
+            if hw != m.highest and hw in datum.class_of[m.highest]:
+                return hw
         raise FamilyError("unpaired module in a short-root datum")
 
     standard = HolomorphicSubspace(
@@ -280,18 +269,13 @@ def pair_family(datum: ContactDatum, rj_plus: frozenset[int] = frozenset()) -> P
     sys = datum.system
     cd = dual_pairs(datum)
     re_roots = cd.paired_roots
-    mods = {m.highest: m for m in decompose(datum)}
+    mods = datum.modules
     hw_pairs: list[tuple[int, int]] = []
     seen: set[int] = set()
     for hw, m in sorted(mods.items()):
         if hw in seen or not m.weights <= re_roots:
             continue
-        partner = next(
-            h2
-            for h2 in mods
-            if h2 != hw
-            and theta_congruent(datum, sys.roots[hw], sys.roots[h2]) is not None
-        )
+        partner = next(h2 for h2 in mods if h2 != hw and h2 in datum.class_of[hw])
         seen.update({hw, partner})
         hw_pairs.append((hw, partner))
     t = Poly.var("t")

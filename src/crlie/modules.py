@@ -84,17 +84,11 @@ def congruence_groups(datum: ContactDatum, mods: list[IrredModule] | None = None
     highest weights (the restriction to the stabilizer Cartan).
     """
     if mods is None:
-        mods = decompose(datum)
-    sys = datum.system
-    groups: list[list[IrredModule]] = []
+        mods = list(datum.modules.values())
+    groups: dict[tuple[int, ...], list[IrredModule]] = {}
     for m in mods:
-        for g in groups:
-            if theta_congruent(datum, sys.roots[g[0].highest], sys.roots[m.highest]) is not None:
-                g.append(m)
-                break
-        else:
-            groups.append([m])
-    return groups
+        groups.setdefault(datum.class_of[m.highest], []).append(m)
+    return list(groups.values())
 
 
 @dataclass(frozen=True)
@@ -126,21 +120,12 @@ class CongruenceDatum:
 def dual_pairs(datum: ContactDatum, allow_g2_short: bool = False) -> CongruenceDatum:
     """Match every isotropy root with its theta-congruent partner.
 
-    Roots are bucketed by their component transverse to theta, so two roots
-    share a bucket exactly when they differ by a multiple of theta.  Raises
-    when some root has two or more partners, which happens exactly in the
+    Partners are the roots of one theta-congruence class.  Raises when
+    some root has two or more partners, which happens exactly in the
     excluded case of a G2 contact form proportional to a short root.
     """
-    sys = datum.system
-    theta = datum.theta
-    tt = sys.inner(theta, theta)
-    buckets: dict[tuple, list[int]] = {}
-    for i in sorted(datum.Rprime):
-        r = sys.roots[i]
-        transverse = r - (sys.inner(r, theta) / tt) * theta
-        buckets.setdefault(transverse.canon(), []).append(i)
     pairs = set()
-    for group in buckets.values():
+    for group in datum.congruence_classes:
         if len(group) > 2 and not allow_g2_short:
             raise CongruenceError(
                 "a root has multiple theta-congruent partners "
@@ -170,9 +155,6 @@ class ReVerdict:
     reason: str
     re_type: str
     theta_form: str = ""
-
-
-_D_FAMILY = {"A1+A1", "A3", "B3"}
 
 
 def tilde_Re_type(datum: ContactDatum, re_roots: frozenset[int]) -> ReVerdict:

@@ -64,21 +64,6 @@ class PaintedGraph:
         return [i for i, c in enumerate(self.colors) if c == color]
 
 
-_ADJ_CACHE: dict[int, list[set[int]]] = {}
-_COMP_CACHE: dict[int, list[set[int]]] = {}
-
-
-def _adjacency(system: RootSystem) -> list[set[int]]:
-    key = id(system)
-    if key not in _ADJ_CACHE:
-        C = system.cartan_matrix()
-        n = system.rank
-        _ADJ_CACHE[key] = [
-            set(j for j in range(n) if j != i and C[i][j] != 0) for i in range(n)
-        ]
-    return _ADJ_CACHE[key]
-
-
 def _single_laced(system: RootSystem, nodes: frozenset[int]) -> bool:
     C = system.cartan_matrix()
     norms = {system.inner(system.simple_roots[i], system.simple_roots[i]) for i in nodes}
@@ -96,7 +81,7 @@ def _d_shape_chain(system: RootSystem, nodes: frozenset[int], grey: int) -> Opti
     the grey node to the fork node, or None."""
     if grey not in nodes or len(nodes) < 3 or not _single_laced(system, nodes):
         return None
-    adj = {i: set(j for j in _adjacency(system)[i] if j in nodes) for i in nodes}
+    adj = {i: set(j for j in system.adjacency[i] if j in nodes) for i in nodes}
     if not _connected(nodes, adj):
         return None
     degs = {i: len(adj[i]) for i in nodes}
@@ -155,7 +140,7 @@ class GraphVerdict:
 
 def _gamma_e_candidates(g: PaintedGraph) -> list[tuple[str, frozenset[int], Optional[list[int]]]]:
     greys = g.nodes(GREY)
-    comps = _graph_components(g.system)
+    comps = g.system.component_nodes
     if len(greys) == 2 and len(comps) == 2:
         c1 = next(c for c in comps if greys[0] in c)
         c2 = next(c for c in comps if greys[1] in c)
@@ -165,7 +150,7 @@ def _gamma_e_candidates(g: PaintedGraph) -> list[tuple[str, frozenset[int], Opti
     if len(greys) != 1 or len(comps) != 1:
         return []
     grey = greys[0]
-    adj = _adjacency(g.system)
+    adj = g.system.adjacency
     region = {grey}
     frontier = [grey]
     while frontier:
@@ -183,29 +168,6 @@ def _gamma_e_candidates(g: PaintedGraph) -> list[tuple[str, frozenset[int], Opti
             if chain is not None:
                 found.append(("d-shape", nodes, chain))
     return found
-
-
-def _graph_components(system: RootSystem) -> list[set[int]]:
-    key = id(system)
-    if key in _COMP_CACHE:
-        return _COMP_CACHE[key]
-    adj = _adjacency(system)
-    remaining = set(range(system.rank))
-    comps = []
-    while remaining:
-        seed = remaining.pop()
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            i = frontier.pop()
-            for j in adj[i]:
-                if j in remaining:
-                    remaining.discard(j)
-                    comp.add(j)
-                    frontier.append(j)
-        comps.append(comp)
-    _COMP_CACHE[key] = comps
-    return comps
 
 
 def _theta_for(g: PaintedGraph, shape: str, gamma_e: frozenset[int], chain) -> RootVector:
@@ -227,7 +189,7 @@ def _theta_for(g: PaintedGraph, shape: str, gamma_e: frozenset[int], chain) -> R
 
 def is_admissible(g: PaintedGraph) -> GraphVerdict:
     blacks = set(g.nodes(BLACK))
-    adj = _adjacency(g.system)
+    adj = g.system.adjacency
 
     def neighbor_check(gamma_e: frozenset[int]) -> bool:
         linked = set()
@@ -241,7 +203,7 @@ def is_admissible(g: PaintedGraph) -> GraphVerdict:
     if len(cands) == 1:
         shape, gamma_e, chain = cands[0]
         if shape == "split":
-            comps = _graph_components(g.system)
+            comps = g.system.component_nodes
             if any(sum(1 for i in comp if g.colors[i] == GREY) != 1 for comp in comps):
                 return GraphVerdict(False, "each factor needs exactly one grey node")
         if not neighbor_check(gamma_e):
@@ -250,7 +212,7 @@ def is_admissible(g: PaintedGraph) -> GraphVerdict:
         return GraphVerdict(True, "ok", shape, gamma_e, theta)
     # special shape: single grey node standing alone as the subgraph
     greys = g.nodes(GREY)
-    if len(greys) == 1 and len(_graph_components(g.system)) == 1:
+    if len(greys) == 1 and len(g.system.component_nodes) == 1:
         gamma_e = frozenset(greys)
         if neighbor_check(gamma_e):
             theta = _theta_for(g, "special", gamma_e, None)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .linalg import SpanSolver
@@ -70,6 +71,16 @@ class RootVector:
             self._canon = tuple(c)
         return self._canon
 
+    def covector(self) -> tuple:
+        """The ambient metric applied to this vector, so that
+        (u, v) = sum_k u.coords[k] * v.covector()[k]: the sum-zero gauge,
+        with the auxiliary E6 coordinate halved."""
+        c = self.canon()
+        for b in self.system.blocks:
+            if b.kind == "aux":
+                c = c[: b.start] + (c[b.start] / 2,) + c[b.start + 1 :]
+        return c
+
     def __add__(self, other: "RootVector") -> "RootVector":
         self._check(other)
         return RootVector(self.system, [a + b for a, b in zip(self.coords, other.coords)])
@@ -124,12 +135,16 @@ class RootSystem:
 
         roots: list[RootVector] = []
         simples: list[RootVector] = []
+        # simple-root indices of each factor; a factor's Dynkin graph is connected
+        self.component_nodes: list[frozenset[int]] = []
         for ci, (t, r) in enumerate(self.components):
             off = self.comp_blocks[ci][0].start
             for c in _component_roots(t, r):
                 roots.append(self._embed(c, off))
+            first = len(simples)
             for c in _component_simples(t, r):
                 simples.append(self._embed(c, off))
+            self.component_nodes.append(frozenset(range(first, len(simples))))
         self.roots = roots
         self.simple_roots = simples
         self.rank = len(simples)
@@ -180,18 +195,7 @@ class RootSystem:
     def inner(self, u: RootVector, v: RootVector) -> Q:
         if u.system is not self or v.system is not self:
             raise RootSystemError("vectors belong to a different system")
-        total = Q(0)
-        for b in self.blocks:
-            uu = u.coords[b.start : b.start + b.size]
-            vv = v.coords[b.start : b.start + b.size]
-            dot = sum(a * c for a, c in zip(uu, vv))
-            if b.kind == "ortho":
-                total += dot
-            elif b.kind == "rel":
-                total += dot - sum(uu) * sum(vv) / b.size
-            else:  # aux
-                total += dot / 2
-        return total
+        return sum(x * g for x, g in zip(u.coords, v.covector()) if g)
 
     def pairing(self, u: RootVector, beta: RootVector) -> Q:
         """2 (u, beta) / (beta, beta); beta must be a root."""
@@ -269,6 +273,19 @@ class RootSystem:
             )
         return self._cartan
 
+    @cached_property
+    def adjacency(self) -> list[set[int]]:
+        """Dynkin-graph neighbours of each simple node."""
+        C = self.cartan_matrix()
+        return [{j for j in range(self.rank) if j != i and C[i][j]} for i in range(self.rank)]
+
+    @cached_property
+    def constants(self):
+        """The Chevalley structure constants N(a, b), built on first use."""
+        from .chevalley import ConstantTable
+
+        return ConstantTable(self)
+
     def in_root_span(self, v: RootVector) -> bool:
         return self._simple_span.contains(v.canon())
 
@@ -299,11 +316,7 @@ class RootSystem:
     def diagram_automorphisms(self) -> list[tuple[int, ...]]:
         """Node permutations generating the Dynkin-graph symmetry group."""
         gens: list[tuple[int, ...]] = []
-        offsets = []
-        pos = 0
-        for t, r in self.components:
-            offsets.append(pos)
-            pos += r
+        offsets = [min(nodes) for nodes in self.component_nodes]
         n = self.rank
         for ci, (t, r) in enumerate(self.components):
             o = offsets[ci]

@@ -206,7 +206,7 @@ def test_criterion_8_algebra_substrate():
             j = x.bracket(y.bracket(z)) + y.bracket(z.bracket(x)) + z.bracket(x.bracket(y))
             assert j.is_zero(), tag
         # |N| = p + 1 on all composable pairs
-        tab = ch.constants(s)
+        tab = s.constants
         for i in range(len(s.roots)):
             for jdx in range(len(s.roots)):
                 if s.sum_index(i, jdx) is None:

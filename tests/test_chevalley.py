@@ -24,7 +24,7 @@ def test_root_string_examples():
 @pytest.mark.parametrize("tag", RANK_LE_4)
 def test_magnitude_and_antisymmetry(tag):
     s = rs.parse_type(tag)
-    tab = ch.constants(s)
+    tab = s.constants
     n = len(s.roots)
     for i in range(n):
         for j in range(n):

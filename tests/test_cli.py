@@ -193,3 +193,22 @@ def test_check_family_e6_root(capsys):
     assert rc == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [(r["family"], r["primitive"]) for r in rows] == [("standard", "no")]
+
+
+def test_max_rank_above_the_fixtures(capsys):
+    # the golden fixtures stop at rank 8
+    assert run(["table2", "--max-rank", "9"]) == 64
+    assert "--max-rank must be at most 8" in _one_line_error(capsys)
+
+
+def test_env_max_rank_above_the_fixtures(monkeypatch, capsys):
+    monkeypatch.setenv("CRLIE_MAX_RANK", "99")
+    assert run(["classify", "--what", "primitive"]) == 64
+    assert "CRLIE_MAX_RANK must be at most 8" in _one_line_error(capsys)
+
+
+def test_table1_has_no_max_rank(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["table1", "--max-rank", "4"])
+    assert exc.value.code == 64
+    capsys.readouterr()

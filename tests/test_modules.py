@@ -334,9 +334,7 @@ def test_twist_propagation_is_path_independent():
         mods = {m.highest: m for m in md.decompose(d)}
         assert set(kappa) == set(mods[s.root_index(s.vector(hw))].weights)
         # full edge consistency, not just the spanning tree
-        from crlie.chevalley import constants
-
-        tab = constants(s)
+        tab = s.constants
         for w, (wp, kw) in kappa.items():
             for dlt in d.Ro.members:
                 w2 = s.sum_index(w, dlt)
