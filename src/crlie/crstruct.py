@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Iterable, Mapping, Optional
 
 from .chevalley import LieElement
 from .contact import ContactDatum
-from .linalg import SpanSolver
+from .linalg import Echelon, Row, SpanSolver, nullspace, nullspace_gauss, sparse
 from .modules import theta_congruent
 from .rootsys import RootSystem, RootVector, Subsystem
 from .scalars import Gauss, P_ZERO, Poly, conj_var
@@ -401,16 +402,16 @@ def _det_poly(mat: list[list[Poly]]) -> Poly:
 # -- evaluation-based checks ---------------------------------------------------------
 
 
-def _coordinate_rows(sys: RootSystem, elements: Iterable[LieElement]):
-    """Gauss coordinate rows over (all roots, ambient Cartan coordinates)."""
+def _coordinate_rows(sys: RootSystem, elements: Iterable[LieElement]) -> list[Row]:
+    """Sparse Gauss coordinate rows over (all roots, ambient Cartan
+    coordinates): root i is column i, Cartan coordinate k column |R| + k."""
+    n = len(sys.roots)
     rows = []
     for el in elements:
-        row = [Gauss(0)] * (len(sys.roots) + sys.dim)
-        for i, c in el.e.items():
-            row[i] = c.constant()
-        canonh = [c.constant() for c in el.h]
-        for k, c in enumerate(canonh):
-            row[len(sys.roots) + k] = c
+        row = Row({i: c.constant() for i, c in el.e.items()}, n + sys.dim)
+        for k, c in enumerate(el.h):
+            if c:
+                row[n + k] = c.constant()
         rows.append(row)
     return rows
 
@@ -432,14 +433,8 @@ def _theta_perp_cartan(datum: ContactDatum) -> list[RootVector]:
         proj = a - (sys.inner(a, theta) / tt) * theta
         if not proj.is_zero():
             basis.append(proj)
-    keep: list[RootVector] = []
-    rows: list[list[Q]] = []
-    for v in basis:
-        rows2 = rows + [list(v.canon())]
-        if SpanSolver(rows2).dim() > len(keep):
-            keep.append(v)
-            rows = rows2
-    return keep
+    span = Echelon()
+    return [v for v in basis if span.add(sparse(v.canon()))]
 
 
 def evaluate_basis(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> list[LieElement]:
@@ -475,6 +470,17 @@ def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> in
     complex normalizer; the intersection is the complexified real-point
     space since both N and its conjugate are spanned by the solutions.
     """
+    nrows, conj_rows = _normalizer_rows(h, values)
+    dim_n = SpanSolver(nrows).dim()
+    dim_conj = SpanSolver(conj_rows).dim()
+    dim_sum = SpanSolver(nrows + conj_rows).dim()
+    dim_int = dim_n + dim_conj - dim_sum
+    dim_l = len(h.datum.Ro.members) + len(_theta_perp_cartan(h.datum))
+    return dim_int - dim_l
+
+
+def _normalizer_rows(h: HolomorphicSubspace, values: Mapping[str, Gauss]):
+    """Coordinate rows of a basis of the complex normalizer N and of conj(N)."""
     sys = h.datum.system
     datum = h.datum
     m01 = [v.conjugate() for v in evaluate_basis(h, values)]
@@ -497,38 +503,23 @@ def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> in
         sol_basis.extend(sols)
     nrows = _coordinate_rows(sys, sol_basis)
     conj_rows = _coordinate_rows(sys, [v.conjugate() for v in sol_basis])
-    dim_n = SpanSolver(nrows).dim()
-    dim_conj = SpanSolver(conj_rows).dim()
-    dim_sum = SpanSolver(nrows + conj_rows).dim()
-    dim_int = dim_n + dim_conj - dim_sum
-    dim_l = len(datum.Ro.members) + len(_theta_perp_cartan(datum))
-    return dim_int - dim_l
+    return nrows, conj_rows
 
 
 def _normalizer_block(sys, block: list[LieElement], wbasis, wspan) -> list[LieElement]:
     """Solve [X, W] in W for X in the span of the block candidates."""
-    from .linalg import nullspace_gauss
-
     if not block:
         return []
-    ncols = len(block)
-    constraints: list[list[Gauss]] = []
+    # one constraint row per (w, coordinate) where some [x_j, w] leaves W
+    constraints: list[dict[int, Gauss]] = []
     for w in wbasis:
-        residuals = []
-        for x in block:
-            br = x.bracket(w)
-            _, rem = wspan.remainder(_coordinate_rows(sys, [br])[0])
-            residuals.append(rem)
-        m = len(residuals[0])
-        for k in range(m):
-            if any(residuals[j][k] for j in range(ncols)):
-                constraints.append([_to_gauss(residuals[j][k]) for j in range(ncols)])
-    if not constraints:
-        kernel = [[Gauss(1) if i == j else Gauss(0) for j in range(ncols)] for i in range(ncols)]
-    else:
-        kernel = nullspace_gauss(constraints, ncols, Gauss(0), Gauss(1))
+        by_coord: dict[int, dict[int, Gauss]] = {}
+        for j, x in enumerate(block):
+            for k, r in wspan.residual(_coordinate_rows(sys, [x.bracket(w)])[0]).items():
+                by_coord.setdefault(k, {})[j] = r
+        constraints.extend(by_coord.values())
     out = []
-    for coeffs in kernel:
+    for coeffs in nullspace_gauss(constraints, len(block), Gauss(0), Gauss(1)):
         el = LieElement.zero(sys)
         for c, x in zip(coeffs, block):
             if c:
@@ -717,8 +708,6 @@ def _rotated_s1_witness(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> 
 def _central_directions(datum: ContactDatum) -> list[RootVector]:
     """Basis of the stabilizer center inside the Cartan: orthogonal to R_o
     and to theta, within the root span."""
-    from .linalg import nullspace
-
     sys = datum.system
     constraints: list[RootVector] = [datum.theta]
     constraints.extend(sys.roots[i] for i in datum.Ro.members)
@@ -757,20 +746,36 @@ def _eigen_sign(sys: RootSystem, x: LieElement, v: LieElement) -> int:
 
 
 def _cone_feasible(constraints: list[tuple[Q, Q]]) -> bool:
-    """Strict feasibility of a*u + b*v > 0 (plus v != 0) in two variables."""
-    cands: set[tuple[Q, Q]] = {(Q(0), Q(1)), (Q(0), Q(-1)), (Q(1), Q(0)), (Q(-1), Q(0))}
-    for a, b in constraints:
-        cands.update([(a, b), (-b, a), (b, -a)])
-    for _ in range(2):
-        base = list(cands)
-        for p in base:
-            for q in base:
-                cands.add((p[0] + q[0], p[1] + q[1]))
-        if len(cands) > 4000:
-            break
-    for u, v in cands:
-        if v == 0:
-            continue
-        if all(a * u + b * v > 0 for a, b in constraints):
+    """Strict feasibility of a*u + b*v > 0 (plus v != 0) in two variables.
+
+    The solutions form an open cone, which meets v != 0 as soon as it is
+    nonempty.  It is nonempty exactly when the normals (a, b) lie in an open
+    half-plane: none is zero, and either all point the same way or, sorted
+    by angle, some two cyclically consecutive ones are more than pi apart
+    (a negative cross product).  Every comparison is exact.
+    """
+    if any(not a and not b for a, b in constraints):
+        return False
+    if not constraints:
+        return True
+    normals = sorted(constraints, key=cmp_to_key(_by_angle))
+    for (a, b), (c, d) in zip(normals, normals[1:] + normals[:1]):
+        if a * d - b * c < 0:
             return True
-    return False
+    # no gap beyond pi: feasible only when all normals point the same way
+    a, b = normals[0]
+    return all(a * d - b * c == 0 and a * c + b * d > 0 for c, d in normals)
+
+
+def _by_angle(p: tuple[Q, Q], q: tuple[Q, Q]) -> int:
+    """Order nonzero vectors by angle in [0, 2*pi) from the positive u-axis."""
+    hp, hq = _upper(p), _upper(q)
+    if hp != hq:
+        return -1 if hp else 1
+    cross = p[0] * q[1] - p[1] * q[0]
+    return -1 if cross > 0 else 1 if cross < 0 else 0
+
+
+def _upper(p: tuple[Q, Q]) -> bool:
+    """Angle in [0, pi)."""
+    return p[1] > 0 or (p[1] == 0 and p[0] > 0)

@@ -1,7 +1,25 @@
-"""Tiny exact linear algebra over any exact field (Fraction or Gauss).
+"""Exact linear algebra over any exact field (Fraction or Gauss), on sparse rows.
 
-Matrices are lists of lists.  All routines are destructive-free and rely
-only on +, -, *, / and truthiness of the entries.
+A row is a dict ``{column: entry}`` that holds only the nonzero entries.
+Dense lists are accepted wherever a row is, and converted on entry; the
+normalizer rows of :mod:`crlie.crstruct` are 99% zeros, so only the dict
+form pays for what is there.  :class:`Row` is a dict that also knows its
+width, for the one view that hands back dense lists.
+
+One elimination core, :class:`Echelon`, keeps a basis of a row space in
+reduced row echelon form: each basis row has entry 1 at its pivot column
+and 0 in the pivot column of every other basis row.  That makes reducing a
+vector a single pass: subtracting ``f * row`` for the pivot column c clears
+column c and touches no other pivot column, so the multiplier for c is the
+vector's own entry there, and the columns to visit are exactly the pivot
+columns the vector has at the start.  Adding a row reduces it, makes its
+leftmost remaining column a pivot and clears that column from the older
+rows.  The RREF of a row space is unique, so the rows, pivots and kernel
+bases are the ones a dense column-by-column elimination gives.
+
+Columns below 0 are never pivots; :class:`SpanSolver` keeps there the
+combination of its input vectors that each basis row is.  Entries need
+only +, -, *, / and truthiness.
 """
 
 from __future__ import annotations
@@ -10,47 +28,105 @@ from fractions import Fraction
 from typing import Sequence
 
 
-def rref(rows, ncols=None):
-    """Reduced row echelon form.  Returns (rref_rows, pivot_columns)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    n = ncols if ncols is not None else len(m[0])
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv if x else x for x in m[r]]
-        row_r = m[r]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                row = m[i]
-                m[i] = [a - f * b if b else a for a, b in zip(row, row_r)]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+class Row(dict):
+    """A sparse row of width ``ncols``: its nonzero entries by column."""
+
+    __slots__ = ("ncols",)
+
+    def __init__(self, entries, ncols: int):
+        super().__init__(entries)
+        self.ncols = ncols
+
+
+def sparse(v) -> dict:
+    """The nonzero entries of a row given as a dict or a dense sequence."""
+    items = v.items() if isinstance(v, dict) else enumerate(v)
+    return {c: x for c, x in items if x}
+
+
+def _width(v, w: dict) -> int:
+    """Width of the dense view of v's residual w: a Row's own width, a
+    list's length, else up to w's last nonzero column."""
+    if isinstance(v, Row):
+        return v.ncols
+    if isinstance(v, dict):
+        return max([0] + [c + 1 for c in w])
+    return len(v)
+
+
+def _subtract(w: dict, f, row: dict) -> None:
+    """w -= f * row in place, keeping only nonzero entries."""
+    for j, b in row.items():
+        x = w.get(j)
+        if x is None:
+            w[j] = -(f * b)
+        else:
+            x = x - f * b
+            if x:
+                w[j] = x
+            else:
+                del w[j]
+
+
+class Echelon:
+    """Reduced row echelon basis of a row space, grown one row at a time."""
+
+    def __init__(self):
+        self.rows: dict[int, dict] = {}  # pivot column -> basis row
+
+    def residual(self, v: dict) -> dict:
+        """v minus its components along the basis rows, in one pass."""
+        w = dict(v)
+        rows = self.rows
+        for c in [c for c in v if c in rows]:
+            _subtract(w, w[c], rows[c])
+        return w
+
+    def add(self, v: dict) -> bool:
+        """Extend the basis by v; False when v adds no pivot."""
+        w = self.residual(v)
+        cols = [c for c in w if c >= 0]
+        if not cols:
+            return False
+        p = min(cols)
+        pv = w[p]
+        w = {c: x / pv for c, x in w.items()}
+        for row in self.rows.values():
+            g = row.get(p)
+            if g is not None:
+                _subtract(row, g, w)
+        self.rows[p] = w
+        return True
+
+
+def rref(rows):
+    """Reduced row echelon form: (nonzero rows as dicts in pivot order,
+    pivot columns)."""
+    ech = Echelon()
+    for r in rows:
+        ech.add(sparse(r))
+    pivots = sorted(ech.rows)
+    return [ech.rows[c] for c in pivots], pivots
 
 
 class SpanSolver:
-    """Precomputed row space of a set of vectors, for membership and solves."""
+    """Row space of a set of vectors, for membership, solves and residuals."""
 
-    def __init__(self, vectors: Sequence[Sequence]):
-        self.vectors = [list(v) for v in vectors]
-        self.n = len(self.vectors[0]) if self.vectors else 0
-        # eliminate the augmented system [v | e_i] to express residuals
-        aug = [list(v) + [Fraction(int(i == j)) for j in range(len(self.vectors))]
-               for i, v in enumerate(self.vectors)]
-        self.red, self.pivots = rref(aug, ncols=self.n) if self.vectors else ([], [])
+    def __init__(self, vectors: Sequence):
+        self.k = len(vectors)
+        self.basis = Echelon()
+        for j, v in enumerate(vectors):
+            row = sparse(v)
+            row[-1 - j] = 1  # the augmented system [V | I], kept left of column 0
+            self.basis.add(row)
+
+    def residual(self, v) -> dict:
+        """The nonzero entries of v after eliminating the pivot columns."""
+        w = self.basis.residual(sparse(v))
+        return {c: x for c, x in w.items() if c >= 0}
 
     def contains(self, v) -> bool:
-        return self.reduce(v) is not None
+        return not self.residual(v)
 
     def reduce(self, v):
         """Coefficients expressing v in the original vectors, or None."""
@@ -60,50 +136,40 @@ class SpanSolver:
         return coeffs
 
     def remainder(self, v):
-        """(coefficients, residual) after eliminating the pivot coordinates."""
-        w = list(v)
-        k = len(self.vectors)
-        coeffs = [0] * k
-        for row, c in zip(self.red, self.pivots):
-            f = w[c]
-            if f:
-                for j in range(self.n):
-                    b = row[j]
-                    if b:
-                        w[j] = w[j] - f * b
-                for j in range(k):
-                    b = row[self.n + j]
-                    if b:
-                        coeffs[j] = coeffs[j] + f * b
-        return coeffs, w
+        """(coefficients, residual) after eliminating the pivot coordinates,
+        as dense lists; the residual has the width of v (see _width)."""
+        w = self.basis.residual(sparse(v))
+        coeffs = [0] * self.k
+        residual = [0] * _width(v, w)
+        for c, x in w.items():
+            if c < 0:
+                coeffs[-1 - c] = -x
+            else:
+                residual[c] = x
+        return coeffs, residual
 
     def dim(self) -> int:
-        return len(self.pivots)
-
-
-def nullspace(rows, ncols):
-    """Basis of the right kernel of the matrix."""
-    red, pivots = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[fc]
-        basis.append(v)
-    return basis
+        return len(self.basis.rows)
 
 
 def nullspace_gauss(rows, ncols, zero, one):
-    """Right kernel over an arbitrary exact field (explicit 0 and 1)."""
-    red, pivots = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of the right kernel over an exact field with the given 0 and 1."""
+    red, pivots = rref(rows)
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
         v = [zero] * ncols
         v[fc] = one
         for row, pc in zip(red, pivots):
-            v[pc] = zero - row[fc]
+            x = row.get(fc)
+            if x:
+                v[pc] = zero - x
         basis.append(v)
     return basis
+
+
+def nullspace(rows, ncols):
+    """Basis of the right kernel of a rational matrix."""
+    return nullspace_gauss(rows, ncols, Fraction(0), Fraction(1))

@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .linalg import SpanSolver
@@ -156,20 +157,22 @@ class RootSystem:
             raise RootSystemError(f"expected {expected} roots, generated {len(roots)}")
 
         self._simple_span = SpanSolver([v.canon() for v in simples])
-        self.expansions = []
+        # simple-root expansions as int tuples, and the root of each one
+        self.expansions: list[tuple[int, ...]] = []
         for v in roots:
             coeffs = self._simple_span.reduce(v.canon())
             if coeffs is None:
                 raise RootSystemError("root outside the span of the simple basis")
-            self.expansions.append(tuple(coeffs))
-        for e in self.expansions:
-            if any(x.denominator != 1 for x in e):
+            if any(x.denominator != 1 for x in coeffs):
                 raise RootSystemError("non-integral simple-root expansion")
+            e = tuple(int(x) for x in coeffs)
             if not (all(x >= 0 for x in e) or all(x <= 0 for x in e)):
                 raise RootSystemError("mixed-sign simple-root expansion")
+            self.expansions.append(e)
+        self._by_expansion = {e: i for i, e in enumerate(self.expansions)}
+        self._sums: dict[tuple[int, int], Optional[int]] = {}  # sum_index memo
         self.positive = [all(x >= 0 for x in e) for e in self.expansions]
         self.neg_index = [self._index[(-v).canon()] for v in roots]
-        self._sum_table: dict[tuple[int, int], Optional[int]] = {}
         self._norms = [self.inner(v, v) for v in roots]
 
     # -- construction helpers -------------------------------------------------
@@ -213,14 +216,17 @@ class RootSystem:
     def norm2(self, i: int) -> Q:
         return self._norms[i]
 
-    def height(self, i: int) -> Q:
+    def height(self, i: int) -> int:
         return sum(self.expansions[i])
 
     def sum_index(self, i: int, j: int) -> Optional[int]:
-        key = (i, j)
-        if key not in self._sum_table:
-            self._sum_table[key] = self.root_index(self.roots[i] + self.roots[j])
-        return self._sum_table[key]
+        """Index of root_i + root_j, or None when the sum is not a root."""
+        try:
+            return self._sums[i, j]
+        except KeyError:
+            e = tuple(map(add, self.expansions[i], self.expansions[j]))
+            k = self._sums[i, j] = self._by_expansion.get(e)
+            return k
 
     # -- reflections and Weyl machinery ----------------------------------------
 

@@ -70,10 +70,10 @@ class Gauss:
         return self.re * self.re + self.im * self.im
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.re) or bool(self.im)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -336,3 +337,56 @@ def test_structure_rows_dispatch():
     assert len(rows) == 6  # three standard + three families
     prim = [r for r in rows if r.get("primitive") == "yes"]
     assert len(prim) == 1 and "note" in prim[0]
+
+
+def _strict_witness(constraints, u, v):
+    return v != 0 and all(a * u + b * v > 0 for a, b in constraints)
+
+
+def _seeded_search(constraints):
+    """The candidate search _cone_feasible used to run: the axes, every
+    normal and its two quarter turns, then two rounds of pairwise sums
+    (the second skipped past 4000 points).  The quarter turns of the two
+    extreme normals bound any nonempty cone and the first round adds their
+    sum, so the search is complete; it serves as the reference here."""
+    cands = {(Q(0), Q(1)), (Q(0), Q(-1)), (Q(1), Q(0)), (Q(-1), Q(0))}
+    for a, b in constraints:
+        cands.update([(a, b), (-b, a), (b, -a)])
+    seeds = set(cands)
+    for _ in range(2):
+        base = list(cands)
+        cands.update((p[0] + q[0], p[1] + q[1]) for p in base for q in base)
+        if len(cands) > 4000:
+            break
+    return seeds, any(_strict_witness(constraints, u, v) for u, v in cands)
+
+
+def test_cone_feasible_thin_cone_outside_the_seeds():
+    # a*u + b*v > 0 for both normals means -100v < u < -99v with v > 0:
+    # no axis, normal or quarter turn of a normal is a witness, only
+    # points strictly between the two boundary rays such as (-199, 2)
+    cons = [(Q(1), Q(100)), (Q(-1), Q(-99))]
+    seeds, _ = _seeded_search(cons)
+    assert not any(_strict_witness(cons, u, v) for u, v in seeds)
+    assert _strict_witness(cons, Q(-199), Q(2))
+    assert cs._cone_feasible(cons)
+
+
+def test_cone_feasible_exact_cases():
+    assert cs._cone_feasible([])
+    assert cs._cone_feasible([(Q(1), Q(0))])  # u > 0 still leaves v free
+    assert cs._cone_feasible([(Q(1), Q(0)), (Q(2), Q(0))])
+    assert not cs._cone_feasible([(Q(0), Q(0))])
+    assert not cs._cone_feasible([(Q(1), Q(2)), (Q(-1), Q(-2))])
+    assert not cs._cone_feasible([(Q(1), Q(0)), (Q(-1), Q(1)), (Q(-1), Q(-1))])
+    assert cs._cone_feasible([(Q(1), Q(0)), (Q(-1), Q(1)), (Q(1), Q(1, 1000))])
+
+
+def test_cone_feasible_matches_seeded_search():
+    rng = random.Random(7)
+    for _ in range(150):
+        k = rng.randint(0, 4)
+        lo = rng.choice([1, 3, 20])
+        cons = [(Q(rng.randint(-lo, lo), rng.randint(1, 3)),
+                 Q(rng.randint(-lo, lo), rng.randint(1, 3))) for _ in range(k)]
+        assert cs._cone_feasible(cons) == _seeded_search(cons)[1], cons

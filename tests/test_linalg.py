@@ -1,0 +1,258 @@
+"""The sparse elimination kernel against a dense reference, and the
+normalizer dimensions against sympy.
+
+The dense loops below are the column-by-column Gauss-Jordan elimination
+that ``crlie.linalg`` used before it moved to sparse rows.  The RREF of a
+row space is unique, so both must give the same rows, pivots, residuals and
+kernel bases; coefficients of a solve are unique only when the spanning
+vectors are independent, and otherwise must still reproduce the vector.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from crlie.linalg import Row, SpanSolver, nullspace, nullspace_gauss, rref
+from crlie.scalars import Gauss
+
+Q = Fraction
+
+
+# -- the dense reference ---------------------------------------------------------
+
+
+def dense_rref(rows, ncols=None):
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    n = ncols if ncols is not None else len(m[0])
+    pivots = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv if x else x for x in m[r]]
+        row_r = m[r]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], row_r)]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def dense_remainder(vectors, v):
+    """(coefficients, residual) of v against the span of vectors."""
+    n, k = len(v), len(vectors)
+    aug = [list(u) + [Q(int(i == j)) for j in range(k)] for i, u in enumerate(vectors)]
+    red, pivots = dense_rref(aug, ncols=n) if vectors else ([], [])
+    w = list(v)
+    coeffs = [0] * k
+    for row, c in zip(red, pivots):
+        f = w[c]
+        if f:
+            for j in range(n):
+                if row[j]:
+                    w[j] = w[j] - f * row[j]
+            for j in range(k):
+                if row[n + j]:
+                    coeffs[j] = coeffs[j] + f * row[n + j]
+    return coeffs, w
+
+
+def dense_nullspace(rows, ncols, zero, one):
+    red, pivots = dense_rref(rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [zero] * ncols
+        v[fc] = one
+        for row, pc in zip(red, pivots):
+            v[pc] = zero - row[fc]
+        basis.append(v)
+    return basis
+
+
+# -- seeded matrices ---------------------------------------------------------------
+
+
+def _entry(rng, field, density):
+    if rng.random() > density:
+        return Q(0) if field == "Q" else Gauss(0)
+    q = Q(rng.randint(-4, 4), rng.randint(1, 3))
+    if field == "Q":
+        return q
+    return Gauss(q, Q(rng.randint(-2, 2), rng.randint(1, 2)))
+
+
+def _matrix(rng, field, nrows, ncols, density, rank=None):
+    """Random rows; with rank, the rows past the first `rank` are
+    combinations of those, and one row is zero."""
+    rows = [[_entry(rng, field, density) for _ in range(ncols)] for _ in range(nrows)]
+    if rank is not None and nrows > rank:
+        for i in range(rank, nrows):
+            row = [x * 0 for x in rows[0]]
+            for j in range(rank):
+                f = _entry(rng, field, 0.7)
+                row = [a + f * b for a, b in zip(row, rows[j])]
+            rows[i] = row
+        rows[-1] = [x * 0 for x in rows[-1]]
+        rng.shuffle(rows)
+    return rows
+
+
+SHAPES = [
+    # (rows, columns, density, rank of the row space or None)
+    (4, 4, 0.8, None),
+    (3, 9, 0.3, None),   # wide
+    (9, 3, 0.6, None),   # tall
+    (6, 6, 0.5, 3),      # rank deficient, with a zero row
+    (8, 12, 0.2, 5),
+    (5, 7, 0.1, None),   # mostly zeros
+    (1, 5, 0.0, None),   # a zero row only
+]
+
+
+def _cases():
+    rng = random.Random(20260418)
+    for field in ("Q", "G"):
+        for shape in SHAPES:
+            for _ in range(6):
+                nrows, ncols, density, rank = shape
+                yield field, _matrix(rng, field, nrows, ncols, density, rank), rng
+
+
+def _dense(row: dict, ncols: int) -> list:
+    return [row.get(c, 0) for c in range(ncols)]
+
+
+def _as_dicts(rows):
+    return [{c: x for c, x in enumerate(r) if x} for r in rows]
+
+
+# -- the kernel against the reference ------------------------------------------------
+
+
+def test_rref_matches_dense():
+    for _, rows, _ in _cases():
+        ncols = len(rows[0])
+        want_rows, want_piv = dense_rref(rows)
+        for given in (rows, _as_dicts(rows)):
+            got_rows, got_piv = rref(given)
+            assert got_piv == want_piv
+            assert [_dense(r, ncols) for r in got_rows] == want_rows
+
+
+def test_remainder_and_reduce_match_dense():
+    for field, rows, rng in _cases():
+        ncols = len(rows[0])
+        independent = len(dense_rref(rows)[1]) == len(rows)
+        probes = [_entry_row(rng, field, ncols) for _ in range(3)]
+        probes.append(_combination(rng, field, rows))
+        for given in (rows, _as_dicts(rows), [Row(r, ncols) for r in _as_dicts(rows)]):
+            solver = SpanSolver(given)
+            assert solver.dim() == len(dense_rref(rows)[1])
+            for v in probes:
+                want_coeffs, want_res = dense_remainder(rows, v)
+                for probe in (v, Row(_as_dicts([v])[0], ncols)):
+                    coeffs, res = solver.remainder(probe)
+                    assert res == want_res
+                    assert solver.contains(probe) == (not any(want_res))
+                    reduced = solver.reduce(probe)
+                    if any(want_res):
+                        assert reduced is None
+                        continue
+                    assert reduced == coeffs
+                    if independent:
+                        assert coeffs == want_coeffs
+                    # the coefficients reproduce v in any case
+                    total = [x * 0 for x in v]
+                    for c, r in zip(coeffs, rows):
+                        total = [a + c * b for a, b in zip(total, r)]
+                    assert total == list(v)
+
+
+def _entry_row(rng, field, ncols):
+    return [_entry(rng, field, 0.5) for _ in range(ncols)]
+
+
+def _combination(rng, field, rows):
+    out = [x * 0 for x in rows[0]]
+    for r in rows:
+        f = _entry(rng, field, 0.6)
+        out = [a + f * b for a, b in zip(out, r)]
+    return out
+
+
+def test_kernels_match_dense():
+    for field, rows, _ in _cases():
+        ncols = len(rows[0])
+        zero, one = (Q(0), Q(1)) if field == "Q" else (Gauss(0), Gauss(1))
+        want = dense_nullspace(rows, ncols, zero, one)
+        for given in (rows, _as_dicts(rows)):
+            assert nullspace_gauss(given, ncols, zero, one) == want
+            if field == "Q":
+                assert nullspace(given, ncols) == want
+            # every kernel vector is annihilated by every row
+            for v in nullspace_gauss(given, ncols, zero, one):
+                for r in rows:
+                    assert not sum((a * b for a, b in zip(r, v)), zero)
+
+
+def test_empty_inputs():
+    assert rref([]) == ([], [])
+    assert nullspace([], 2) == [[Q(1), Q(0)], [Q(0), Q(1)]]
+    s = SpanSolver([])
+    assert s.dim() == 0
+    assert s.remainder([Q(1), Q(0)]) == ([], [Q(1), Q(0)])
+    assert not s.contains([Q(1), Q(0)]) and s.contains([Q(0), Q(0)])
+
+
+# -- normalizer dimensions against sympy ------------------------------------------------
+
+
+def test_normalizer_dims_match_sympy_rank():
+    """dim_n, dim_conj and dim_sum of normalizer_excess, at every call the
+    rank <= 4 primitive scan makes, against sympy's rank over QQ(I)."""
+    sympy = pytest.importorskip("sympy")
+    from crlie import classify
+    from crlie import crstruct as cs
+
+    calls = []
+    orig = classify.normalizer_excess
+
+    def record(h, vals):
+        calls.append((h, vals))
+        return orig(h, vals)
+
+    classify.normalizer_excess = record
+    try:
+        rows = classify.primitive_rows(4)
+    finally:
+        classify.normalizer_excess = orig
+    assert {(r["type"], r["rank"]) for r in rows} >= {("A", "4"), ("B", "4"), ("F", "4")}
+
+    def gauss(x):
+        return (sympy.Rational(x.re.numerator, x.re.denominator)
+                + sympy.I * sympy.Rational(x.im.numerator, x.im.denominator))
+
+    def rank(rs, ncols):
+        return sympy.Matrix([[gauss(r[c]) if c in r else 0 for c in range(ncols)]
+                             for r in rs]).rank()
+
+    assert calls
+    for h, vals in calls:
+        nrows, conj_rows = cs._normalizer_rows(h, vals)
+        ncols = len(h.datum.system.roots) + h.datum.system.dim
+        dims = [SpanSolver(r).dim() for r in (nrows, conj_rows, nrows + conj_rows)]
+        assert dims == [rank(r, ncols) for r in (nrows, conj_rows, nrows + conj_rows)]
+        dim_l = len(h.datum.Ro.members) + len(cs._theta_perp_cartan(h.datum))
+        assert cs.normalizer_excess(h, vals) == dims[0] + dims[1] - dims[2] - dim_l

@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""Digest the stdout of a fixed battery of crlie commands.
+
+Prints one line per command: the sha256 of its stdout, its exit code and
+its argv.  Two source trees write the same CLI bytes exactly when they
+print the same lines, so comparing them is one diff:
+
+    python3 tools/cli_digest.py > new.txt
+    python3 tools/cli_digest.py --src /path/to/other/checkout/src > old.txt
+    diff old.txt new.txt
+
+The battery: ``classify --what primitive|nonprimitive|special --max-rank 8``,
+``table1`` and ``table2``/``table3 --max-rank 8``, all as JSON, and
+``check --family`` on every golden contact form of rank <= 6 (both the
+source and the canonical form of each primitive row), in text and JSON.
+The commands run in one process, through ``crlie.cli.main``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CHECK_MAX_RANK = 6
+
+
+def _type_of(row: dict) -> str:
+    t = row["type"]
+    return t + row["rank"] if t.isalpha() else t
+
+
+def golden_forms(data: Path) -> list[tuple[str, str]]:
+    """(type, theta) of every distinct golden contact form of rank <= 6."""
+    out: list[tuple[str, str]] = []
+    for name, keys in (("primitive.json", ("theta_source", "theta_canon")),
+                       ("nonprimitive.json", ("theta_canon",))):
+        rows = json.loads((data / name).read_text())["rows"]
+        for row in rows:
+            if int(row["rank"]) > CHECK_MAX_RANK:
+                continue
+            for key in keys:
+                form = (_type_of(row), row[key])
+                if form not in out:
+                    out.append(form)
+    return out
+
+
+def battery(data: Path) -> list[list[str]]:
+    json_fmt = ["--format", "json"]
+    cmds = [["classify", "--what", what, "--max-rank", "8", *json_fmt]
+            for what in ("primitive", "nonprimitive", "special")]
+    cmds.append(["table1", *json_fmt])
+    cmds += [[f"table{n}", "--max-rank", "8", *json_fmt] for n in (2, 3)]
+    for t, theta in golden_forms(data):
+        for fmt in ("text", "json"):
+            cmds.append(["check", "--type", t, f"--theta={theta}", "--family", "--format", fmt])
+    return cmds
+
+
+def run(main, argv: list[str]) -> tuple[bytes, int]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return out.getvalue().encode(), code
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=str(ROOT / "src"),
+                    help="source tree to import crlie from (default: this checkout's)")
+    args = ap.parse_args()
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+    from crlie import cli
+
+    for argv in battery(src / "crlie" / "data"):
+        text, code = run(cli.main, argv)
+        print(f"{hashlib.sha256(text).hexdigest()}  {code}  {' '.join(argv)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
