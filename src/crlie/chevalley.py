@@ -3,8 +3,11 @@
 Structure-constant signs are fixed by the extraspecial-pair construction
 over the simple-root ordering of the ambient system; the magnitudes
 |N(a,b)| = p+1 are convention-independent.  Lie algebra elements are formal
-combinations of root vectors E_a and Cartan elements with coefficients in
-the Gaussian-rational polynomial ring, so every bracket is exact.
+combinations of root vectors E_a and Cartan elements whose coefficients are
+exact scalars of one of two rings: Gaussian rationals (Gauss) once the
+twists are sampled, or polynomials in the twists (Poly) where they stay
+symbolic; every bracket is exact in either.  The Cartan part is sparse in
+the canonical (sum-zero gauge) ambient coordinates of RootVector.canon().
 
 The compact real form is span_R{ i*H, E_a - E_{-a}, i(E_a + E_{-a}) } and
 conjugation is taken relative to it: conj(E_a) = -E_{-a}, conj(H) = -H
@@ -14,10 +17,10 @@ antilinearly.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .rootsys import RootSystem, RootVector
-from .scalars import Gauss, P_ZERO, Poly, as_poly
+from .scalars import Gauss, Poly, as_poly
 
 Q = Fraction
 
@@ -33,17 +36,13 @@ def root_string(system: RootSystem, alpha: RootVector, beta: RootVector) -> tupl
         raise ChevalleyError("root_string arguments must be roots")
     if ib == ia or ib == system.neg_index[ia]:
         raise ChevalleyError("root string through +/-alpha is undefined")
-    down = 0
-    v = beta - alpha
-    while system.is_root(v):
-        down += 1
-        v = v - alpha
-    up = 0
-    v = beta + alpha
-    while system.is_root(v):
-        up += 1
-        v = v + alpha
-    return down, up
+    lengths = []
+    for step in (system.neg_index[ia], ia):
+        k, j = 0, system.sum_index(ib, step)
+        while j is not None:
+            k, j = k + 1, system.sum_index(j, step)
+        lengths.append(k)
+    return lengths[0], lengths[1]
 
 
 class ConstantTable:
@@ -91,7 +90,7 @@ class ConstantTable:
         sys = self.system
         pairs = []
         for a in self._pos_order:
-            b = sys.root_index(sys.roots[k] - sys.roots[a])
+            b = sys.sum_index(k, sys.neg_index[a])
             if b is not None and sys.positive[b] and self._pos_rank[a] < self._pos_rank[b]:
                 pairs.append((a, b))
         pairs.sort(key=lambda ab: self._pos_rank[ab[0]])
@@ -175,23 +174,22 @@ def structure_const(system: RootSystem, alpha: RootVector, beta: RootVector) -> 
 
 
 class LieElement:
-    """Formal combination sum c_a E_a + H(v) with polynomial coefficients.
+    """Formal combination sum c_a E_a + H(v) with exact scalar coefficients.
 
-    The Cartan part is stored as an ambient coordinate vector v; the element
-    H(v) acts on a root vector E_b by (b, v) E_b, so the coroot H_a
-    corresponds to v = 2a/(a, a).
+    A coefficient is a Gauss or a Poly, as given; ints and Fractions become
+    Gauss.  The Cartan part is the vector v as a sparse dict {ambient
+    coordinate: coefficient} in the sum-zero gauge of RootVector.canon();
+    the element H(v) acts on a root vector E_b by (b, v) E_b, so the coroot
+    H_a corresponds to v = 2a/(a, a).
     """
 
     __slots__ = ("system", "e", "h")
 
-    def __init__(self, system: RootSystem, e: Mapping[int, Poly] | None = None,
-                 h: Iterable[Poly] | None = None):
+    def __init__(self, system: RootSystem, e: Mapping | None = None,
+                 h: Mapping | None = None):
         self.system = system
-        self.e = {i: c for i, c in (e or {}).items() if not c.is_zero()}
-        if h is None:
-            self.h = tuple([P_ZERO] * system.dim)
-        else:
-            self.h = _gauge_h(system, tuple(h))
+        self.e = {i: c for i, c in (e or {}).items() if c}
+        self.h = {k: c for k, c in (h or {}).items() if c}
 
     # -- constructors -----------------------------------------------------------
 
@@ -204,12 +202,12 @@ class LieElement:
         i = system.root_index(alpha)
         if i is None:
             raise ChevalleyError("not a root")
-        return LieElement(system, {i: as_poly(coeff)})
+        return LieElement(system, {i: _coeff(coeff)})
 
     @staticmethod
     def cartan(system: RootSystem, v: RootVector, coeff=1) -> "LieElement":
-        c = as_poly(coeff)
-        return LieElement(system, {}, [c * Poly.const(Gauss(x)) for x in v.coords])
+        c = _coeff(coeff)
+        return LieElement(system, {}, {k: c * x for k, x in enumerate(v.canon()) if x})
 
     @staticmethod
     def coroot(system: RootSystem, alpha: RootVector) -> "LieElement":
@@ -226,8 +224,10 @@ class LieElement:
         self._check(other)
         e = dict(self.e)
         for i, c in other.e.items():
-            e[i] = e.get(i, P_ZERO) + c
-        h = tuple(a + b for a, b in zip(self.h, other.h))
+            _accumulate(e, i, c)
+        h = dict(self.h)
+        for k, c in other.h.items():
+            _accumulate(h, k, c)
         return LieElement(self.system, e, h)
 
     def __sub__(self, other: "LieElement") -> "LieElement":
@@ -237,11 +237,11 @@ class LieElement:
         return self.scale(-1)
 
     def scale(self, c) -> "LieElement":
-        c = as_poly(c)
+        c = _coeff(c)
         return LieElement(
             self.system,
             {i: c * x for i, x in self.e.items()},
-            tuple(c * x for x in self.h),
+            {k: c * x for k, x in self.h.items()},
         )
 
     def _check(self, other: "LieElement"):
@@ -249,7 +249,7 @@ class LieElement:
             raise ChevalleyError("elements over different root systems")
 
     def is_zero(self) -> bool:
-        return not self.e and all(x.is_zero() for x in self.h)
+        return not self.e and not self.h
 
     def __eq__(self, other):
         if not isinstance(other, LieElement):
@@ -265,53 +265,52 @@ class LieElement:
         self._check(other)
         sys = self.system
         tab = sys.constants
-        e: dict[int, Poly] = {}
-        h = [P_ZERO] * sys.dim
-
-        def add_e(i: int, c: Poly):
-            e[i] = e.get(i, P_ZERO) + c
-
+        e: dict = {}
+        h: dict = {}
         for i, ci in self.e.items():
+            ni = sys.neg_index[i]
             for j, cj in other.e.items():
-                if j == sys.neg_index[i]:
-                    scale = Q(2) / sys.norm2(i)
+                if j == ni:
+                    # [E_a, E_-a] = H_a, the coroot 2a/(a, a)
                     prod = ci * cj
-                    for k, x in enumerate(sys.roots[i].coords):
+                    scale = Q(2) / sys.norm2(i)
+                    for k, x in enumerate(sys.roots[i].canon()):
                         if x:
-                            h[k] = h[k] + prod * Poly.const(Gauss(scale * x))
+                            _accumulate(h, k, prod * (scale * x))
                 else:
                     k = sys.sum_index(i, j)
                     if k is not None:
-                        add_e(k, Poly.const(Gauss(tab.n(i, j))) * ci * cj)
-        if any(not x.is_zero() for x in self.h):
+                        _accumulate(e, k, tab.n(i, j) * ci * cj)
+        if self.h:
             for j, cj in other.e.items():
                 val = _pair_vec(sys.roots[j].covector(), self.h)
-                if not val.is_zero():
-                    add_e(j, val * cj)
-        if any(not x.is_zero() for x in other.h):
+                if val:
+                    _accumulate(e, j, val * cj)
+        if other.h:
             for i, ci in self.e.items():
                 val = _pair_vec(sys.roots[i].covector(), other.h)
-                if not val.is_zero():
-                    add_e(i, -(val * ci))
+                if val:
+                    _accumulate(e, i, -(val * ci))
         return LieElement(sys, e, h)
 
     def conjugate(self) -> "LieElement":
         """Antilinear conjugation fixing the compact real form."""
         sys = self.system
         e = {sys.neg_index[i]: -c.conj() for i, c in self.e.items()}
-        h = tuple(-c.conj() for c in self.h)
+        h = {k: -c.conj() for k, c in self.h.items()}
         return LieElement(sys, e, h)
 
-    def subs(self, values: Mapping[str, Gauss]) -> "LieElement":
+    def eval(self, values: Mapping[str, Gauss]) -> "LieElement":
+        """Substitute Gaussian rationals for every twist: Gauss coefficients."""
         return LieElement(
             self.system,
-            {i: c.subs(values) for i, c in self.e.items()},
-            tuple(c.subs(values) for c in self.h),
+            {i: _eval(c, values) for i, c in self.e.items()},
+            {k: _eval(c, values) for k, c in self.h.items()},
         )
 
     def eval_functional(self, v: RootVector) -> Poly:
         """(v, H-part) via the ambient bilinear form."""
-        return _pair_vec(v.covector(), self.h)
+        return as_poly(_pair_vec(v.covector(), self.h))
 
     def __repr__(self):
         from .rootsys import format_vector
@@ -319,32 +318,24 @@ class LieElement:
         parts = []
         for i in sorted(self.e):
             parts.append(f"({self.e[i]})E[{format_vector(self.system.roots[i])}]")
-        if any(not x.is_zero() for x in self.h):
-            parts.append("H(" + ",".join(str(x) for x in self.h) + ")")
+        if self.h:
+            parts.append("H(" + ",".join(f"{k}:{self.h[k]}" for k in sorted(self.h)) + ")")
         return " + ".join(parts) if parts else "0"
 
 
-def _gauge_h(system: RootSystem, h: tuple[Poly, ...]) -> tuple[Poly, ...]:
-    """Project out the relation-block kernels (all-ones directions)."""
-    out = list(h)
-    for b in system.blocks:
-        if b.kind != "rel":
-            continue
-        total = P_ZERO
-        for k in range(b.start, b.start + b.size):
-            total = total + out[k]
-        if total.is_zero():
-            continue
-        mean = total.scale(Q(1, b.size))
-        for k in range(b.start, b.start + b.size):
-            out[k] = out[k] - mean
-    return tuple(out)
+def _coeff(c):
+    """A Poly stays a Poly; any other scalar becomes a Gauss."""
+    return c if isinstance(c, (Gauss, Poly)) else Gauss(c)
 
 
-def _pair_vec(covector: tuple[Q, ...], h: tuple[Poly, ...]) -> Poly:
-    """(u, v) for u given by its covector and v with polynomial coordinates."""
-    total = P_ZERO
-    for g, c in zip(covector, h):
-        if g and not c.is_zero():
-            total = total + c * Poly.const(Gauss(g))
-    return total
+def _eval(c, values: Mapping[str, Gauss]) -> Gauss:
+    return c.eval(values) if isinstance(c, Poly) else c
+
+
+def _accumulate(d: dict, k: int, c) -> None:
+    d[k] = d[k] + c if k in d else c
+
+
+def _pair_vec(covector: tuple[Q, ...], h: Mapping):
+    """(u, v) for u given by its covector and v by its sparse coordinates."""
+    return sum(c * covector[k] for k, c in h.items() if covector[k])

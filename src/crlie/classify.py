@@ -345,10 +345,9 @@ def _pair_candidates(system: RootSystem) -> list[RootVector]:
         if n not in reps:
             reps[n] = system.dominant(r)
     for a in reps.values():
-        for b in system.roots:
-            if system.inner(a, b) != 0:
-                continue
-            if system.is_root(a + b) or system.is_root(a - b):
+        ia = system.root_index(a)
+        for j, b in enumerate(system.roots):
+            if not system.strongly_orthogonal(ia, j):
                 continue
             cand = a - b
             d = system.dominant(cand)

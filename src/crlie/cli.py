@@ -168,6 +168,9 @@ def _parse_coeff(s: str) -> Poly:
         factor = factor.strip()
         if not factor:
             continue
+        if factor.split("^")[0].strip().endswith("~"):
+            # x~ takes its value from x, so a coefficient naming x~ alone is never sampled
+            raise UsageError(f"invalid --m10 coefficient {s!r}: name the twist, not its conjugate")
         if "^" in factor:
             v, e = factor.split("^")
             out = out * Poly.var(v.strip(), int(e))

@@ -185,10 +185,9 @@ def special_roots(system: RootSystem) -> list[RootVector]:
             continue
         good = True
         for j, beta in enumerate(system.roots):
-            if system.inner(alpha, beta) == 0:
-                if system.is_root(alpha + beta) or system.is_root(alpha - beta):
-                    good = False
-                    break
+            if system.inner(alpha, beta) == 0 and not system.strongly_orthogonal(i, j):
+                good = False
+                break
         ok[n] = good
         if good:
             reps[n] = system.dominant(alpha)
@@ -198,14 +197,10 @@ def special_roots(system: RootSystem) -> list[RootVector]:
 def root_subalgebra_centralizer(system: RootSystem, alpha: RootVector) -> Subsystem:
     """Roots of the centralizer of the three-dimensional subalgebra of alpha:
     beta orthogonal to alpha with alpha +- beta not a root."""
-    if not system.is_root(alpha):
+    i = system.root_index(alpha)
+    if i is None:
         raise ContactError("centralizer of a non-root")
-    members = set()
-    for i, beta in enumerate(system.roots):
-        if system.inner(alpha, beta) == 0 and not (
-            system.is_root(alpha + beta) or system.is_root(alpha - beta)
-        ):
-            members.add(i)
+    members = (j for j in range(len(system.roots)) if system.strongly_orthogonal(i, j))
     return Subsystem(system, frozenset(members))
 
 

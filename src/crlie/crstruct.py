@@ -12,7 +12,7 @@ Gaussian-rational parameter values otherwise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Mapping, Optional
@@ -22,7 +22,7 @@ from .contact import ContactDatum
 from .linalg import Echelon, Row, SpanSolver, nullspace, nullspace_gauss, sparse
 from .modules import theta_congruent
 from .rootsys import RootSystem, RootVector, Subsystem
-from .scalars import Gauss, P_ZERO, Poly, conj_var
+from .scalars import ZERO, Gauss, P_ZERO, Poly, as_poly, conj_var
 
 Q = Fraction
 
@@ -132,15 +132,6 @@ class HolomorphicSubspace:
             out |= self.su2.coeff.variables()
         return out
 
-    def subs(self, values: Mapping[str, Gauss]) -> "HolomorphicSubspace":
-        pairs = tuple(
-            TwistedPair(p.hw, p.partner, p.coeff.subs(values)) for p in self.pairs
-        )
-        su2 = None
-        if self.su2 is not None:
-            su2 = SU2Line(self.su2.root, self.su2.coeff.subs(values))
-        return replace(self, pairs=pairs, su2=su2)
-
 
 def _propagate(datum: ContactDatum, hw: int, partner: int) -> dict[int, tuple[int, Q]]:
     """Equivariant twist coefficients: weight w of m(hw) maps to
@@ -238,8 +229,8 @@ def check_integrability(h: HolomorphicSubspace) -> ConstraintSet:
         reducers[h.su2.root] = (sys.neg_index[h.su2.root], h.su2.coeff)
     gens: dict[tuple, Poly] = {}
 
-    def note(p: Poly):
-        p = p.primitive()
+    def note(p):
+        p = as_poly(p).primitive()
         if not p.is_zero():
             gens.setdefault(p.key(), p)
 
@@ -374,7 +365,7 @@ def check_disjointness(h: HolomorphicSubspace) -> DisjointnessResult:
         if len(vs) != len(block):
             raise StructError("congruence block is not square")
         mat = [[v.e.get(w, P_ZERO) for w in block] for v in vs]
-        det = _det_poly(mat)
+        det = as_poly(_det_poly(mat))
         if det.is_zero():
             raise StructError("identically degenerate block")
         det = det.primitive()
@@ -408,10 +399,9 @@ def _coordinate_rows(sys: RootSystem, elements: Iterable[LieElement]) -> list[Ro
     n = len(sys.roots)
     rows = []
     for el in elements:
-        row = Row({i: c.constant() for i, c in el.e.items()}, n + sys.dim)
-        for k, c in enumerate(el.h):
-            if c:
-                row[n + k] = c.constant()
+        row = Row(el.e, n + sys.dim)
+        for k, c in el.h.items():
+            row[n + k] = c
         rows.append(row)
     return rows
 
@@ -439,7 +429,7 @@ def _theta_perp_cartan(datum: ContactDatum) -> list[RootVector]:
 
 def evaluate_basis(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> list[LieElement]:
     vals = _with_conj(values)
-    return [v.subs(vals) for v in h.basis()]
+    return [v.eval(vals) for v in h.basis()]
 
 
 def _with_conj(values: Mapping[str, Gauss]) -> dict[str, Gauss]:
@@ -471,10 +461,9 @@ def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> in
     space since both N and its conjugate are spanned by the solutions.
     """
     nrows, conj_rows = _normalizer_rows(h, values)
-    dim_n = SpanSolver(nrows).dim()
-    dim_conj = SpanSolver(conj_rows).dim()
-    dim_sum = SpanSolver(nrows + conj_rows).dim()
-    dim_int = dim_n + dim_conj - dim_sum
+    # the solution rows are independent and conjugation keeps rank, so N
+    # and conj(N) both have dimension len(nrows)
+    dim_int = 2 * len(nrows) - SpanSolver(nrows + conj_rows).dim()
     dim_l = len(h.datum.Ro.members) + len(_theta_perp_cartan(h.datum))
     return dim_int - dim_l
 
@@ -735,9 +724,7 @@ def _eigen_sign(sys: RootSystem, x: LieElement, v: LieElement) -> int:
     if not br.e:
         return 0
     w = next(iter(v.e))
-    num = br.e.get(w, P_ZERO).constant()
-    den = v.e[w].constant()
-    ratio = num / den
+    ratio = br.e.get(w, ZERO) / v.e[w]
     # only the sign pattern matters for the cone analysis
     if ratio.is_zero():
         return 0

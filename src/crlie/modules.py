@@ -172,8 +172,7 @@ def tilde_Re_type(datum: ContactDatum, re_roots: frozenset[int]) -> ReVerdict:
     # every dual pair inside the candidate must span an orthogonal A1 pair
     for a, b in cd.pairs:
         if a in re_roots and b in re_roots:
-            ra, rb = sys.roots[a], sys.roots[b]
-            if sys.inner(ra, rb) != 0 or sys.is_root(ra + rb) or sys.is_root(ra - rb):
+            if not sys.strongly_orthogonal(a, b):
                 return ReVerdict(False, "dual pair does not span A1+A1", "?")
     # closure under R_o strings
     for i in re_roots:

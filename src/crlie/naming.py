@@ -31,12 +31,8 @@ def system_name(system: RootSystem) -> str:
 def subgroup_name(parent: RootSystem, sub: Subsystem, corank_drop: int = 0) -> str:
     """T^k times the semisimple factors of a closed subsystem."""
     comps = sub.classify() if len(sub) else []
-    span = 0
-    if len(sub):
-        from .linalg import SpanSolver
-
-        span = SpanSolver([parent.roots[i].canon() for i in sub.members]).dim()
-    torus = parent.rank - span - corank_drop
+    # orthogonal components span a direct sum, so their ranks add up
+    torus = parent.rank - sum(r for _, r in comps) - corank_drop
     parts = []
     if torus > 0:
         parts.append(f"T{torus}")

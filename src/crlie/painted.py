@@ -65,24 +65,21 @@ class PaintedGraph:
 
 
 def _single_laced(system: RootSystem, nodes: frozenset[int]) -> bool:
+    """No multiple edge joins two of the nodes: C[i][j]*C[j][i] is 0 or 1.
+
+    On a connected node set this says that all its simple roots have one
+    length, since the roots of every edge then have equal lengths."""
     C = system.cartan_matrix()
-    norms = {system.inner(system.simple_roots[i], system.simple_roots[i]) for i in nodes}
-    if len(norms) != 1:
-        return False
-    for i in nodes:
-        for j in nodes:
-            if i != j and C[i][j] * C[j][i] not in (0, 1):
-                return False
-    return True
+    return all(C[i][j] * C[j][i] in (0, 1) for i in nodes for j in nodes if i != j)
 
 
 def _d_shape_chain(system: RootSystem, nodes: frozenset[int], grey: int) -> Optional[list[int]]:
     """Check the D-shape with grey at the chain end; return the chain from
     the grey node to the fork node, or None."""
-    if grey not in nodes or len(nodes) < 3 or not _single_laced(system, nodes):
+    if grey not in nodes or len(nodes) < 3:
         return None
     adj = {i: set(j for j in system.adjacency[i] if j in nodes) for i in nodes}
-    if not _connected(nodes, adj):
+    if not _connected(nodes, adj) or not _single_laced(system, nodes):
         return None
     degs = {i: len(adj[i]) for i in nodes}
     if len(nodes) == 3:
@@ -224,10 +221,7 @@ def is_admissible(g: PaintedGraph) -> GraphVerdict:
 
 
 def white_span(g: PaintedGraph) -> Subsystem:
-    whites = [g.system.simple_roots[i] for i in g.nodes(WHITE)]
-    if not whites:
-        return Subsystem(g.system, frozenset())
-    return g.system.closed_span(whites)
+    return g.system.node_span(g.nodes(WHITE))
 
 
 def is_good(g: PaintedGraph) -> GraphVerdict:
@@ -266,10 +260,7 @@ def _cr_type(g: PaintedGraph, v: GraphVerdict) -> str:
 def is_proper(g: PaintedGraph) -> bool:
     """The flag manifold G/Q is nontrivial: white+grey nodes span less than R."""
     sys = g.system
-    gens = [sys.simple_roots[i] for i in g.nodes(WHITE) + g.nodes(GREY)]
-    if not gens:
-        return True
-    return len(sys.closed_span(gens)) < len(sys.roots)
+    return len(sys.node_span(g.nodes(WHITE) + g.nodes(GREY))) < len(sys.roots)
 
 
 def canonicalize(g: PaintedGraph) -> PaintedGraph:
@@ -334,8 +325,7 @@ def flag_pair(g: PaintedGraph) -> tuple[Subsystem, Subsystem]:
     """Root systems of K (whites only) and Q (whites and greys); K <= Q."""
     sys = g.system
     k = white_span(g)
-    q_gens = [sys.simple_roots[i] for i in g.nodes(WHITE) + g.nodes(GREY)]
-    q = sys.closed_span(q_gens) if q_gens else Subsystem(sys, frozenset())
+    q = sys.node_span(g.nodes(WHITE) + g.nodes(GREY))
     if not k.members <= q.members:
         raise GraphError("white subsystem is not contained in the grey-white one")
     return k, q

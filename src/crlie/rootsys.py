@@ -228,6 +228,28 @@ class RootSystem:
             k = self._sums[i, j] = self._by_expansion.get(e)
             return k
 
+    def strongly_orthogonal(self, i: int, j: int) -> bool:
+        """root_j is not +-root_i, and neither root_i + root_j nor
+        root_i - root_j is a root.
+
+        Such roots are orthogonal, since a positive inner product of two
+        nonproportional roots makes their difference a root and a negative
+        one their sum (Humphreys, Introduction to Lie Algebras and
+        Representation Theory, 9.4), so the test needs no inner product.
+        """
+        nj = self.neg_index[j]
+        return (i != j and i != nj and self.sum_index(i, j) is None
+                and self.sum_index(i, nj) is None)
+
+    def node_span(self, nodes: Iterable[int]) -> "Subsystem":
+        """The roots spanned by the simple roots of the given nodes: those
+        whose simple-root expansion vanishes off the nodes."""
+        nodes = set(nodes)
+        off = [k for k in range(self.rank) if k not in nodes]
+        return Subsystem(self, frozenset(
+            i for i, e in enumerate(self.expansions) if not any(e[k] for k in off)
+        ))
+
     # -- reflections and Weyl machinery ----------------------------------------
 
     def reflect(self, alpha: RootVector, v: RootVector) -> RootVector:

@@ -21,24 +21,38 @@ class Gauss:
         self.re = re if type(re) is Fraction else Fraction(re)
         self.im = im if type(im) is Fraction else Fraction(im)
 
-    def __add__(self, other: "Gauss") -> "Gauss":
-        other = _as_gauss(other)
-        return _mk(self.re + other.re, self.im + other.im)
+    # Operands other than int, Fraction and Gauss get NotImplemented, so
+    # that Gauss op Poly falls through to the Poly's reflected method.
+
+    def __add__(self, other) -> "Gauss":
+        if type(other) is Gauss:
+            return _mk(self.re + other.re, self.im + other.im)
+        if isinstance(other, (int, Fraction)):
+            return _mk(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self) -> "Gauss":
         return _mk(-self.re, -self.im)
 
-    def __sub__(self, other: "Gauss") -> "Gauss":
-        other = _as_gauss(other)
-        return _mk(self.re - other.re, self.im - other.im)
+    def __sub__(self, other) -> "Gauss":
+        if type(other) is Gauss:
+            return _mk(self.re - other.re, self.im - other.im)
+        if isinstance(other, (int, Fraction)):
+            return _mk(self.re - other, self.im)
+        return NotImplemented
 
     def __rsub__(self, other) -> "Gauss":
-        return _as_gauss(other) - self
+        if isinstance(other, (int, Fraction)):
+            return _mk(other - self.re, -self.im)
+        return NotImplemented
 
-    def __mul__(self, other: "Gauss") -> "Gauss":
-        other = _as_gauss(other)
+    def __mul__(self, other) -> "Gauss":
+        if type(other) is not Gauss:
+            if isinstance(other, (int, Fraction)):
+                return _mk(self.re * other, self.im * other)
+            return NotImplemented
         sim, oim = self.im, other.im
         if not sim and not oim:
             return _mk(self.re * other.re, sim)
@@ -176,7 +190,8 @@ class Poly:
         return as_poly(other) - self
 
     def __mul__(self, other) -> "Poly":
-        other = as_poly(other)
+        if not isinstance(other, Poly):
+            return self.scale(other)
         t: dict[Monomial, Gauss] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -230,11 +245,6 @@ class Poly:
     def is_constant(self) -> bool:
         return all(not m for m in self.terms)
 
-    def constant(self) -> Gauss:
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return self.terms.get((), ZERO)
-
     def variables(self) -> set:
         return {v for m in self.terms for v, _ in m}
 
@@ -286,7 +296,6 @@ class Poly:
 
 
 P_ZERO = Poly()
-P_ONE = Poly.const(1)
 
 
 def as_poly(x: Scalarish) -> Poly:

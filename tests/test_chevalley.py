@@ -129,3 +129,21 @@ def test_conjugate_pm_eigenspace_disjointness():
     c = x.conjugate()
     y = ch.LieElement.root_vector(b2, -a) + ch.LieElement.root_vector(b2, -b, Poly.const(t.conj()))
     assert c == y.scale(-1)
+
+
+def test_evaluated_elements_have_gauss_coefficients():
+    a2 = rs.build("A2")
+    mu = a2.highest_root()
+    t = Poly.var("t")
+    x = ch.LieElement.root_vector(a2, mu) + ch.LieElement.root_vector(a2, -mu, t)
+    y = ch.LieElement.root_vector(a2, -mu) + ch.LieElement.root_vector(a2, mu, t.conj())
+    vals = {"t": Gauss(2, 1), "t~": Gauss(2, -1)}
+    xe, ye = x.eval(vals), y.eval(vals)
+    br = xe.bracket(ye)
+    for el in (xe, ye, br):
+        assert all(type(c) is Gauss for c in [*el.e.values(), *el.h.values()])
+    assert br == x.bracket(y).eval(vals)
+    # the Cartan part is kept in the sum-zero gauge: the all-ones direction
+    # of a relation block is zero, and H_mu has the coordinates of mu
+    assert ch.LieElement.cartan(a2, a2.vector([1, 1, 1])).is_zero()
+    assert ch.LieElement.coroot(a2, mu).h == {0: Gauss(1), 2: Gauss(-1)}

@@ -212,3 +212,12 @@ def test_table1_has_no_max_rank(capsys):
         run(["table1", "--max-rank", "4"])
     assert exc.value.code == 64
     capsys.readouterr()
+
+
+def test_check_m10_conjugate_twist_only(capsys):
+    # t~ is sampled as the conjugate of t, so a coefficient naming only t~
+    # has no sample value
+    spec = {"su2": ["1,0,-1", "t~"], "plains": ["1,-1,0", "0,1,-1"]}
+    rc = run(["check", "--type", "A2", "--theta=1,0,-1", "--m10", json.dumps(spec)])
+    assert rc == 64
+    assert "t~" in _one_line_error(capsys)

@@ -200,3 +200,26 @@ def test_reflect_involution_property(i, j):
     alpha = g2.roots[i]
     v = g2.roots[j]
     assert g2.reflect(alpha, g2.reflect(alpha, v)) == v
+
+
+@pytest.mark.parametrize("tag", ["A3", "B3", "C4", "D4", "F4", "G2", "A2+A3"])
+def test_strongly_orthogonal_matches_inner_product_test(tag):
+    s = rs.parse_type(tag)
+    n = len(s.roots)
+    for i in range(n):
+        for j in range(n):
+            a, b = s.roots[i], s.roots[j]
+            expected = s.inner(a, b) == 0 and not (s.is_root(a + b) or s.is_root(a - b))
+            assert s.strongly_orthogonal(i, j) == expected, (tag, i, j)
+
+
+@pytest.mark.parametrize("tag", ["A4", "B3", "D5", "F4", "G2", "A2+A2"])
+def test_node_span_matches_closed_span(tag):
+    import itertools
+
+    s = rs.parse_type(tag)
+    for k in range(s.rank + 1):
+        for nodes in itertools.combinations(range(s.rank), k):
+            gens = [s.simple_roots[i] for i in nodes]
+            expected = s.closed_span(gens).members if gens else frozenset()
+            assert s.node_span(nodes).members == expected, (tag, nodes)

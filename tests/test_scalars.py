@@ -61,3 +61,12 @@ def test_poly_primitive_and_str():
     g = (s - t * t).scale(Gauss(3))
     assert g.primitive() == s - t * t or g.primitive() == (s - t * t).scale(-1)
     assert str(Poly.const(1) - t * Poly.var("t~")) in ("1 - t*t~", "1 - t~*t")
+
+
+def test_gauss_defers_to_poly():
+    # Gauss op Poly falls through to the Poly's reflected method
+    g, t = Gauss(1, 2), Poly.var("t")
+    for value, expected in ((g + t, t + g), (g - t, -(t - g)), (g * t, t.scale(g))):
+        assert isinstance(value, Poly) and value == expected
+    with pytest.raises(TypeError):
+        g + "t"

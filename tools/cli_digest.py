@@ -10,10 +10,13 @@ print the same lines, so comparing them is one diff:
     diff old.txt new.txt
 
 The battery: ``classify --what primitive|nonprimitive|special --max-rank 8``,
-``table1`` and ``table2``/``table3 --max-rank 8``, all as JSON, and
+``table1`` and ``table2``/``table3 --max-rank 8``, all as JSON;
 ``check --family`` on every golden contact form of rank <= 6 (both the
-source and the canonical form of each primitive row), in text and JSON.
-The commands run in one process, through ``crlie.cli.main``.
+source and the canonical form of each primitive row), in text and JSON;
+and ``check --graph`` on every painting of D5 and of A2+A2 in JSON and on
+every golden nonprimitive graph of rank <= 6 in text, so one diff also
+covers the painted-graph verdicts and the K/Q flag types.  The commands
+run in one process, through ``crlie.cli.main``.
 """
 
 from __future__ import annotations
@@ -22,12 +25,14 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECK_MAX_RANK = 6
+PAINTED_TYPES = (("D5", (5,)), ("A2+A2", (2, 2)))  # (type, rank of each factor)
 
 
 def _type_of(row: dict) -> str:
@@ -51,6 +56,24 @@ def golden_forms(data: Path) -> list[tuple[str, str]]:
     return out
 
 
+def all_paintings(type_str: str, ranks: tuple[int, ...]) -> list[str]:
+    """Every painting of the type, in the ``TYPE:c,c|c,c`` form."""
+    out = []
+    for colors in itertools.product("wbg", repeat=sum(ranks)):
+        parts, pos = [], 0
+        for r in ranks:
+            parts.append(",".join(colors[pos : pos + r]))
+            pos += r
+        out.append(f"{type_str}:" + "|".join(parts))
+    return out
+
+
+def golden_graphs(data: Path) -> list[str]:
+    """Every distinct golden nonprimitive graph of rank <= 6."""
+    rows = json.loads((data / "nonprimitive.json").read_text())["rows"]
+    return list(dict.fromkeys(r["graph"] for r in rows if int(r["rank"]) <= CHECK_MAX_RANK))
+
+
 def battery(data: Path) -> list[list[str]]:
     json_fmt = ["--format", "json"]
     cmds = [["classify", "--what", what, "--max-rank", "8", *json_fmt]
@@ -60,6 +83,9 @@ def battery(data: Path) -> list[list[str]]:
     for t, theta in golden_forms(data):
         for fmt in ("text", "json"):
             cmds.append(["check", "--type", t, f"--theta={theta}", "--family", "--format", fmt])
+    for t, ranks in PAINTED_TYPES:
+        cmds += [["check", "--graph", g, *json_fmt] for g in all_paintings(t, ranks)]
+    cmds += [["check", "--graph", g, "--format", "text"] for g in golden_graphs(data)]
     return cmds
 
 
