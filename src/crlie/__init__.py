@@ -1,6 +1,7 @@
 """Exact computational Lie theory for invariant contact and CR structures
 on compact homogeneous manifolds."""
 
+from .classify import composite_family
 from .contact import contact_datum, grade_by_highest_root, grade_by_short_root_g2
 from .crstruct import (
     HolomorphicSubspace,
@@ -25,6 +26,7 @@ __all__ = [
     "build_product",
     "check_disjointness",
     "check_integrability",
+    "composite_family",
     "contact_datum",
     "decompose",
     "dual_pairs",

@@ -1,13 +1,15 @@
 """Chevalley basis: integer structure constants, root strings, exact brackets.
 
 Structure-constant signs are fixed by the extraspecial-pair construction
-over the simple-root ordering of the ambient system; the magnitudes
-|N(a,b)| = p+1 are convention-independent.  Lie algebra elements are formal
-combinations of root vectors E_a and Cartan elements whose coefficients are
-exact scalars of one of two rings: Gaussian rationals (Gauss) once the
-twists are sampled, or polynomials in the twists (Poly) where they stay
-symbolic; every bracket is exact in either.  The Cartan part is sparse in
-the canonical (sum-zero gauge) ambient coordinates of RootVector.canon().
+over the positive roots ordered by height, ties broken by their ambient
+coordinates (RootVector.canon); the magnitudes |N(a,b)| = p+1 are
+convention-independent.  Lie algebra elements are formal combinations of
+root vectors E_a and Cartan elements whose coefficients are exact scalars
+of one of two rings: Gaussian rationals (Gauss) once the twists are
+sampled, or polynomials in the twists (Poly) where they stay symbolic;
+every bracket is exact in either.  The Cartan part is sparse in the
+simple-root coordinates of RootVector.c, and H(v) acts on E_b through the
+covector of b: (b, v) = sum_k v.c[k] (b, alpha_k).
 
 The compact real form is span_R{ i*H, E_a - E_{-a}, i(E_a + E_{-a}) } and
 conjugation is taken relative to it: conj(E_a) = -E_{-a}, conj(H) = -H
@@ -46,7 +48,9 @@ def root_string(system: RootSystem, alpha: RootVector, beta: RootVector) -> tupl
 
 
 class ConstantTable:
-    """All Chevalley constants N(a, b) for one root system."""
+    """All Chevalley constants N(a, b) for one root system, in one dict:
+    the positive pairs at construction, every other pair on its first
+    lookup."""
 
     def __init__(self, system: RootSystem):
         self.system = system
@@ -63,10 +67,12 @@ class ConstantTable:
 
     def n(self, i: int, j: int) -> int:
         """N(root_i, root_j); zero when the sum is not a root."""
-        sys = self.system
-        if sys.sum_index(i, j) is None:
-            return 0
-        return self._general(i, j)
+        try:
+            return self._n[i, j]
+        except KeyError:
+            val = self._n[i, j] = (
+                0 if self.system.sum_index(i, j) is None else self._general(i, j))
+            return val
 
     # -- construction ------------------------------------------------------------
 
@@ -150,9 +156,9 @@ class ConstantTable:
         if pi and pj:
             return self._lookup_pos(i, j)
         if not pi and not pj:
-            return -self._general(sys.neg_index[i], sys.neg_index[j])
+            return -self.n(sys.neg_index[i], sys.neg_index[j])
         if not pi:
-            return -self._general(j, i)
+            return -self.n(j, i)
         # i positive, j negative, k = i + j a root
         k = sys.sum_index(i, j)
         nj, nk = sys.neg_index[j], sys.neg_index[k]
@@ -164,23 +170,14 @@ class ConstantTable:
         return int(val)
 
 
-def structure_const(system: RootSystem, alpha: RootVector, beta: RootVector) -> int:
-    ia, ib = system.root_index(alpha), system.root_index(beta)
-    if ia is None or ib is None:
-        raise ChevalleyError("structure_const arguments must be roots")
-    if system.sum_index(ia, ib) is None:
-        raise ChevalleyError("alpha + beta is not a root")
-    return system.constants.n(ia, ib)
-
-
 class LieElement:
     """Formal combination sum c_a E_a + H(v) with exact scalar coefficients.
 
     A coefficient is a Gauss or a Poly, as given; ints and Fractions become
-    Gauss.  The Cartan part is the vector v as a sparse dict {ambient
-    coordinate: coefficient} in the sum-zero gauge of RootVector.canon();
-    the element H(v) acts on a root vector E_b by (b, v) E_b, so the coroot
-    H_a corresponds to v = 2a/(a, a).
+    Gauss.  The Cartan part is the vector v as a sparse dict {simple index:
+    coefficient} of its simple-root coordinates RootVector.c; the element
+    H(v) acts on a root vector E_b by (b, v) E_b, so the coroot H_a
+    corresponds to v = 2a/(a, a).
     """
 
     __slots__ = ("system", "e", "h")
@@ -207,16 +204,14 @@ class LieElement:
     @staticmethod
     def cartan(system: RootSystem, v: RootVector, coeff=1) -> "LieElement":
         c = _coeff(coeff)
-        return LieElement(system, {}, {k: c * x for k, x in enumerate(v.canon()) if x})
+        return LieElement(system, {}, {k: c * x for k, x in enumerate(v.c) if x})
 
     @staticmethod
     def coroot(system: RootSystem, alpha: RootVector) -> "LieElement":
         i = system.root_index(alpha)
         if i is None:
             raise ChevalleyError("coroot of a non-root")
-        scale = Q(2) / system.norm2(i)
-        vec = RootVector(system, [scale * x for x in alpha.coords])
-        return LieElement.cartan(system, vec)
+        return LieElement.cartan(system, (Q(2) / system.norm2(i)) * alpha)
 
     # -- ring operations ----------------------------------------------------------
 
@@ -274,7 +269,7 @@ class LieElement:
                     # [E_a, E_-a] = H_a, the coroot 2a/(a, a)
                     prod = ci * cj
                     scale = Q(2) / sys.norm2(i)
-                    for k, x in enumerate(sys.roots[i].canon()):
+                    for k, x in enumerate(sys.expansions[i]):
                         if x:
                             _accumulate(h, k, prod * (scale * x))
                 else:

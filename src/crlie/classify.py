@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Iterable, Optional
 
 from . import naming
@@ -351,30 +350,13 @@ def _pair_candidates(system: RootSystem) -> list[RootVector]:
                 continue
             cand = a - b
             d = system.dominant(cand)
-            key = d.canon()
-            if key in seen:
+            if d in seen:
                 continue
-            seen.add(key)
-            if _root_along(system, d) is not None:
+            seen.add(d)
+            if system.root_along(d) is not None:
                 continue
             out.append(cand)
     return out
-
-
-def _root_along(system: RootSystem, v: RootVector) -> Optional[int]:
-    """Index of the root that is a positive multiple of v, if one is.
-
-    A root of norm n along v is sqrt(n / (v, v)) * v, so only a rational
-    square root can give one."""
-    vv = system.inner(v, v)
-    for n in {system.norm2(i) for i in range(len(system.roots))}:
-        c = n / vv
-        num, den = isqrt(c.numerator), isqrt(c.denominator)
-        if num * num == c.numerator and den * den == c.denominator:
-            i = system.root_index(Q(num, den) * v)
-            if i is not None:
-                return i
-    return None
 
 
 # -- one contact datum to its verdict -------------------------------------------------------
@@ -402,7 +384,7 @@ class Verdict:
 def classify_datum(datum: ContactDatum) -> Verdict:
     """Send a contact datum down its case of the classification."""
     sys = datum.system
-    along = _root_along(sys, datum.theta) if sys.is_simple else None
+    along = sys.root_along(datum.theta) if sys.is_simple else None
     if along is not None:
         if sys.norm2(along) == max(sys.norm2(i) for i in range(len(sys.roots))):
             if sys.components[0][0] == "A":
@@ -515,7 +497,9 @@ def _display_base(g: CRGraph) -> str:
 
 
 def composite_family(g: CRGraph):
-    """The disc family attached to a good graph (types II to V)."""
+    """The disc family attached to a good CR graph of types II to V: the
+    PairFamilies of its contact form's pair route.  Raises FamilyError when
+    classify_datum sends the form down another route."""
     verdict = classify_datum(contact_datum(g.graph.system, g.theta))
     if verdict.route != "pair":
         raise FamilyError(verdict.reason or f"a {verdict.route} contact form has no pair family")

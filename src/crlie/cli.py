@@ -129,9 +129,11 @@ def cmd_roots(args) -> int:
 
 def cmd_table(args, which: int) -> int:
     if which == 1:
-        lo, hi = (args.rank_range.split("-") + ["8"])[:2] if args.rank_range else ("3", "8")
-        if not (lo.isdigit() and hi.isdigit() and int(lo) >= 3):
-            raise UsageError(f"--rank-range must be LO-HI with LO >= 3, got {args.rank_range!r}")
+        top = classify.DEFAULT_MAX_RANK
+        lo, hi = (args.rank_range.split("-") + [str(top)])[:2] if args.rank_range else ("3", str(top))
+        if not (lo.isdigit() and hi.isdigit() and 3 <= int(lo) <= int(hi) <= top):
+            raise UsageError(
+                f"--rank-range must be LO-HI with 3 <= LO <= HI <= {top}, got {args.rank_range!r}")
         report = Report("table1", tuple(classify.table1_rows(range(int(lo), int(hi) + 1))),
                         (f"fixtures/table1.json",))
         keys = ["type", "rank", "mu_canon", "Ro", "R1", "g1_summands"]
@@ -162,7 +164,9 @@ def cmd_classify(args) -> int:
     return _golden_diff(report, fixture, keys, lambda r: int(r["rank"]) <= max_rank)
 
 
-def _parse_coeff(s: str) -> Poly:
+def _parse_coeff(s) -> Poly:
+    if not isinstance(s, str):
+        raise UsageError(f"invalid --m10 coefficient {s!r}: expected a string")
     out = Poly.const(1)
     for factor in s.split("*"):
         factor = factor.strip()
@@ -181,12 +185,19 @@ def _parse_coeff(s: str) -> Poly:
     return out
 
 
-def _parse_vector(system, s: str) -> RootVector:
-    coords = [Fraction(x) for x in s.split(",")]
+def _parse_vector(system, s) -> RootVector:
+    if not isinstance(s, str):
+        raise UsageError(f"invalid vector {s!r}: expected comma-separated coordinates")
+    try:
+        coords = [Fraction(x) for x in s.split(",")]
+    except ZeroDivisionError:
+        raise UsageError(f"invalid vector {s!r}: zero denominator") from None
     return system.vector(coords)
 
 
-def build_subspace(datum: ContactDatum, spec: dict) -> HolomorphicSubspace:
+def build_subspace(datum: ContactDatum, spec) -> HolomorphicSubspace:
+    if not isinstance(spec, dict):
+        raise UsageError(f"invalid --m10 spec: expected a JSON object, got {spec!r}")
     system = datum.system
     pairs = []
     for hw, partner, coeff in spec.get("pairs", []):

@@ -60,7 +60,7 @@ class ContactDatum:
         for i in sorted(self.Rprime):
             r = sys.roots[i]
             transverse = r - (sys.inner(r, theta) / tt) * theta
-            buckets.setdefault(transverse.canon(), []).append(i)
+            buckets.setdefault(transverse.c, []).append(i)
         return tuple(tuple(b) for b in buckets.values())
 
     @cached_property
@@ -77,8 +77,6 @@ class ContactDatum:
 def contact_datum(system: RootSystem, theta: RootVector) -> ContactDatum:
     if theta.is_zero():
         raise ContactError("contact form must be nonzero")
-    if not system.in_root_span(theta):
-        raise ContactError("contact form must lie in the span of the roots")
     ortho = frozenset(
         i for i, r in enumerate(system.roots) if system.inner(r, theta) == 0
     )

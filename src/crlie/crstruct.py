@@ -15,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from math import isqrt, lcm
 from typing import Iterable, Mapping, Optional
 
 from .chevalley import LieElement
 from .contact import ContactDatum
-from .linalg import Echelon, Row, SpanSolver, nullspace, nullspace_gauss, sparse
+from .linalg import Row, SpanSolver, nullspace, nullspace_gauss
 from .modules import theta_congruent
 from .rootsys import RootSystem, RootVector, Subsystem
 from .scalars import ZERO, Gauss, P_ZERO, Poly, as_poly, conj_var
@@ -149,11 +150,8 @@ def _propagate(datum: ContactDatum, hw: int, partner: int) -> dict[int, tuple[in
         raise StructError("twisted pair components must be module highest weights")
     if theta_congruent(datum, sys.roots[hw], sys.roots[partner]) is None:
         raise StructError("twisted pair of non-congruent modules")
-    shift = sys.roots[partner] - sys.roots[hw]
     tab = sys.constants
-    kappa: dict[int, tuple[int, Q]] = {}
-    wp0 = sys.root_index(sys.roots[hw] + shift)
-    kappa[hw] = (wp0, Q(1))
+    kappa: dict[int, tuple[int, Q]] = {hw: (partner, Q(1))}
     frontier = [hw]
     weights = mods[hw].weights
     while frontier:
@@ -330,22 +328,28 @@ def _abs_locus(f: Poly) -> Optional[str]:
         by_r[d.get(b, 0)] = c
     if var is None or any(c.im != 0 for c in by_r.values()):
         return None
-    # f as a rational polynomial in r = |var|^2; report positive roots
-    exps = sorted(by_r)
-    roots = []
-    for num in range(1, 40):
-        for den in range(1, 12):
-            r = Q(num, den)
-            if sum(by_r[e].re * r**e for e in exps) == 0:
-                roots.append(r)
-        if roots:
-            break
+    # f as a polynomial in r = |var|^2 with integer coefficients; by the
+    # rational root theorem its positive roots are among the p/q with p
+    # dividing the lowest coefficient and q the leading one
+    den = lcm(*(c.re.denominator for c in by_r.values()))
+    coeffs = {e: int(c.re * den) for e, c in by_r.items()}
+    lowest, leading = coeffs[min(coeffs)], coeffs[max(coeffs)]
+    roots = sorted({
+        Q(p, q) for p in _divisors(lowest) for q in _divisors(leading)
+        if sum(c * Q(p, q) ** e for e, c in coeffs.items()) == 0
+    })
     if not roots:
         return None
-    conds = sorted({r for r in roots})
     return " and ".join(
-        f"|{var}| != 1" if r == 1 else f"|{var}|^2 != {r}" for r in conds
+        f"|{var}| != 1" if r == 1 else f"|{var}|^2 != {r}" for r in roots
     )
+
+
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of n != 0."""
+    n = abs(n)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in small if d * d != n]
 
 
 def check_disjointness(h: HolomorphicSubspace) -> DisjointnessResult:
@@ -394,12 +398,12 @@ def _det_poly(mat: list[list[Poly]]) -> Poly:
 
 
 def _coordinate_rows(sys: RootSystem, elements: Iterable[LieElement]) -> list[Row]:
-    """Sparse Gauss coordinate rows over (all roots, ambient Cartan
+    """Sparse Gauss coordinate rows over (all roots, simple-root Cartan
     coordinates): root i is column i, Cartan coordinate k column |R| + k."""
     n = len(sys.roots)
     rows = []
     for el in elements:
-        row = Row(el.e, n + sys.dim)
+        row = Row(el.e, n + sys.rank)
         for k, c in el.h.items():
             row[n + k] = c
         rows.append(row)
@@ -414,17 +418,11 @@ def _l_complex_basis(datum: ContactDatum) -> list[LieElement]:
 
 
 def _theta_perp_cartan(datum: ContactDatum) -> list[RootVector]:
-    """Rational basis of the theta-orthogonal part of the Cartan (root span)."""
+    """Rational basis of the theta-orthogonal part of the Cartan: the
+    nullspace of theta's covector."""
     sys = datum.system
-    basis = []
-    theta = datum.theta
-    tt = sys.inner(theta, theta)
-    for a in sys.simple_roots:
-        proj = a - (sys.inner(a, theta) / tt) * theta
-        if not proj.is_zero():
-            basis.append(proj)
-    span = Echelon()
-    return [v for v in basis if span.add(sparse(v.canon()))]
+    cov = [Q(x) for x in datum.theta.covector()]
+    return [RootVector(sys, v) for v in nullspace([cov], sys.rank)]
 
 
 def evaluate_basis(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> list[LieElement]:
@@ -515,10 +513,6 @@ def _normalizer_block(sys, block: list[LieElement], wbasis, wspan) -> list[LieEl
                 el = el + x.scale(c)
         out.append(el)
     return out
-
-
-def _to_gauss(x) -> Gauss:
-    return x if isinstance(x, Gauss) else Gauss(x)
 
 
 # -- parabolic fibration witnesses ------------------------------------------------------
@@ -700,17 +694,8 @@ def _central_directions(datum: ContactDatum) -> list[RootVector]:
     sys = datum.system
     constraints: list[RootVector] = [datum.theta]
     constraints.extend(sys.roots[i] for i in datum.Ro.members)
-    rows = [
-        [sys.inner(c, a) for a in sys.simple_roots] for c in constraints
-    ]
-    out = []
-    for coeffs in nullspace(rows, sys.rank):
-        v = RootVector(sys, [0] * sys.dim)
-        for c, a in zip(coeffs, sys.simple_roots):
-            if c:
-                v = v + c * a
-        out.append(v)
-    return out
+    rows = [[Q(x) for x in c.covector()] for c in constraints]
+    return [RootVector(sys, coeffs) for coeffs in nullspace(rows, sys.rank)]
 
 
 def _zeta_value(sys: RootSystem, zdirs: list[RootVector], root_idx: int) -> Q:

@@ -64,7 +64,7 @@ def theta_congruent(datum: ContactDatum, gamma: RootVector, gamma2: RootVector) 
     diff = gamma2 - gamma
     if diff.is_zero():
         return None
-    dc, tc = diff.canon(), datum.theta.canon()
+    dc, tc = diff.c, datum.theta.c
     lam = None
     for d, t in zip(dc, tc):
         if t != 0:
@@ -138,14 +138,6 @@ def dual_pairs(datum: ContactDatum, allow_g2_short: bool = False) -> CongruenceD
     return CongruenceDatum(datum, tuple(sorted(pairs)))
 
 
-def dual_pair_shape(datum: ContactDatum, pair: tuple[int, int]) -> str:
-    """Type of the rank-2 subsystem spanned by a dual pair."""
-    sys = datum.system
-    a, b = pair
-    sub = sys.closed_span([sys.roots[a], sys.roots[b]])
-    return sub.type_str()
-
-
 @dataclass(frozen=True)
 class ReVerdict:
     """Outcome of matching a candidate paired-root set against the allowed
@@ -214,70 +206,3 @@ def _theta_form(datum: ContactDatum, closure: Subsystem, comps) -> Optional[str]
     if (t, r) == ("B", 3):
         return "sum-of-three"
     return "double-weight"  # the 2*eps_1 shape, triality variants included
-
-
-@dataclass(frozen=True)
-class PartitionResult:
-    RQ: frozenset[int]
-    RP: frozenset[int]
-    RJ_plus: frozenset[int]
-    RJ_minus: frozenset[int]
-    tilde_Ro: frozenset[int]
-    Rprime_o: frozenset[int]
-    rq_closed: bool
-    rp_closed: bool
-    rp_parabolic: bool
-    orthogonal_split: bool
-
-
-def partition_sets(datum: ContactDatum, re_roots: frozenset[int]) -> PartitionResult:
-    """The R_Q / R_P partition of a candidate with its closure flags.
-
-    R_J is split into positive and negative halves by the ambient ordering,
-    which agrees with a nilradical-compatible ordering for all classified
-    configurations.
-    """
-    sys = datum.system
-    rj = frozenset(datum.Rprime) - re_roots
-    rj_plus = frozenset(i for i in rj if sys.positive[i])
-    rj_minus = rj - rj_plus
-    ro = frozenset(datum.Ro.members)
-    rq = ro | re_roots
-    rp = rq | rj_plus
-    closure = sys.closed_span([sys.roots[i] for i in re_roots]) if re_roots else Subsystem(sys, frozenset())
-    tilde_ro = frozenset(closure.members) & ro
-    rprime_o = ro - tilde_ro
-    orth = all(
-        sys.inner(sys.roots[i], sys.roots[j]) == 0
-        for i in rprime_o
-        for j in closure.members
-    )
-    return PartitionResult(
-        RQ=rq,
-        RP=rp,
-        RJ_plus=rj_plus,
-        RJ_minus=rj_minus,
-        tilde_Ro=tilde_ro,
-        Rprime_o=rprime_o,
-        rq_closed=Subsystem(sys, rq).is_closed(),
-        rp_closed=Subsystem(sys, rp).is_closed(),
-        rp_parabolic=all(
-            i in rp or sys.neg_index[i] in rp for i in range(len(sys.roots))
-        ),
-        orthogonal_split=orth,
-    )
-
-
-def s_set(datum: ContactDatum, pair: tuple[int, int], rj_plus: frozenset[int]) -> frozenset[int]:
-    """R_o together with the R_o-strings through alpha and -alpha' and R_J+."""
-    sys = datum.system
-    a, b = pair
-    ro = frozenset(datum.Ro.members)
-    out = set(ro) | set(rj_plus)
-    for seed in (a, sys.neg_index[b]):
-        out.add(seed)
-        for d in ro:
-            k = sys.sum_index(seed, d)
-            if k is not None:
-                out.add(k)
-    return frozenset(out)

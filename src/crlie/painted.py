@@ -168,20 +168,15 @@ def _gamma_e_candidates(g: PaintedGraph) -> list[tuple[str, frozenset[int], Opti
 
 
 def _theta_for(g: PaintedGraph, shape: str, gamma_e: frozenset[int], chain) -> RootVector:
-    sys = g.system
-    simple = sys.simple_roots
+    c = [0] * g.system.rank
     if shape == "split":
         g1, g2 = sorted(gamma_e)
-        return simple[g1] - simple[g2]
-    if shape == "special":
-        (grey,) = gamma_e
-        return simple[grey]
-    total = RootVector(sys, [0] * sys.dim)
-    chain_set = set(chain)
-    for i in gamma_e:
-        coeff = 2 if i in chain_set else 1
-        total = total + coeff * simple[i]
-    return total
+        c[g1], c[g2] = 1, -1
+    else:
+        chain_set = set(chain or ())
+        for i in gamma_e:
+            c[i] = 2 if i in chain_set else 1
+    return RootVector(g.system, c)
 
 
 def is_admissible(g: PaintedGraph) -> GraphVerdict:

@@ -1,11 +1,20 @@
-"""Root systems in the coordinate conventions of the classification tables.
+"""Root systems: simple-root coordinates inside, the tables' ambient
+coordinates at the edges.
 
 B/C/D/F4 live in an orthonormal basis e1..el.  A, E7, E8 and G2 use the
 relation basis: l+1 vectors summing to zero with Gram matrix
 (ei, ej) = l/(l+1) for i = j and -1/(l+1) otherwise.  E6 uses six relation
 vectors (l = 5) plus one auxiliary vector e with (e, e) = 1/2.  Coordinates
 in a relation block are only defined up to adding a multiple of
-(1, ..., 1); equality and hashing go through a sum-zero gauge.
+(1, ..., 1); the sum-zero gauge fixes them.
+
+Each relation block drops one dimension, so every ambient vector lies in
+the span of the simple roots.  A RootVector holds its simple-root
+coordinates: ints for roots, Fractions otherwise.  Inner products go
+through the Gram matrix of the simple roots and the Weyl machinery through
+the integer Cartan matrix (Humphreys, Introduction to Lie Algebras and
+Representation Theory, 10.1-10.3).  Ambient coordinates serve only
+parsing, printing and the canonical orderings.
 """
 
 from __future__ import annotations
@@ -14,7 +23,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add
+from math import gcd, lcm
+from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
 from .linalg import SpanSolver
@@ -49,67 +59,73 @@ class Block:
 
 
 class RootVector:
-    """Exact coordinate vector in the ambient basis of its system."""
+    """A vector of the root span by its simple-root coordinates c.
 
-    __slots__ = ("system", "coords", "_canon")
+    coords (= canon()) are its ambient coordinates in the sum-zero gauge,
+    derived on first use."""
 
-    def __init__(self, system: "RootSystem", coords: Sequence):
+    __slots__ = ("system", "c", "_canon", "_cov")
+
+    def __init__(self, system: "RootSystem", c: Iterable, canon: Optional[tuple] = None):
         self.system = system
-        self.coords = tuple(Q(c) for c in coords)
-        if len(self.coords) != system.dim:
-            raise RootSystemError("coordinate length does not match ambient space")
-        self._canon = None
+        self.c = tuple(c)
+        if len(self.c) != system.rank:
+            raise RootSystemError("coordinate length does not match the rank")
+        self._canon = canon
+        self._cov = None
 
     def canon(self) -> tuple:
-        """Sum-zero gauge representative, the hashable normal form."""
+        """Ambient coordinates in the sum-zero gauge, as Fractions."""
         if self._canon is None:
-            c = list(self.coords)
-            for b in self.system.blocks:
-                if b.kind == "rel":
-                    m = sum(c[b.start : b.start + b.size]) / b.size
-                    for i in range(b.start, b.start + b.size):
-                        c[i] -= m
-            self._canon = tuple(c)
+            den, rows = self.system._ambient
+            out = [0] * self.system.dim
+            for x, row in zip(self.c, rows):
+                if x:
+                    for k, y in row:
+                        out[k] += x * y
+            self._canon = tuple(Q(x, den) for x in out)
         return self._canon
 
+    coords = property(canon)
+
     def covector(self) -> tuple:
-        """The ambient metric applied to this vector, so that
-        (u, v) = sum_k u.coords[k] * v.covector()[k]: the sum-zero gauge,
-        with the auxiliary E6 coordinate halved."""
-        c = self.canon()
-        for b in self.system.blocks:
-            if b.kind == "aux":
-                c = c[: b.start] + (c[b.start] / 2,) + c[b.start + 1 :]
-        return c
+        """((v, alpha_k) for each simple root alpha_k), so that
+        (u, v) = sum_k u.c[k] * v.covector()[k]."""
+        if self._cov is None:
+            g = self.system.gram
+            self._cov = tuple(
+                sum(x * row[k] for x, row in zip(self.c, g) if x) for k in range(len(g))
+            )
+        return self._cov
 
     def __add__(self, other: "RootVector") -> "RootVector":
         self._check(other)
-        return RootVector(self.system, [a + b for a, b in zip(self.coords, other.coords)])
+        return RootVector(self.system, map(add, self.c, other.c))
 
     def __sub__(self, other: "RootVector") -> "RootVector":
         self._check(other)
-        return RootVector(self.system, [a - b for a, b in zip(self.coords, other.coords)])
+        return RootVector(self.system, map(sub, self.c, other.c))
 
     def __neg__(self) -> "RootVector":
-        return RootVector(self.system, [-a for a in self.coords])
+        return RootVector(self.system, [-x for x in self.c])
 
     def __rmul__(self, s) -> "RootVector":
-        return RootVector(self.system, [Q(s) * a for a in self.coords])
+        return RootVector(self.system, [s * x for x in self.c])
 
     def _check(self, other: "RootVector"):
         if other.system is not self.system:
             raise RootSystemError("vectors belong to different ambient spaces")
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.canon())
+        return not any(self.c)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RootVector):
             return NotImplemented
-        return self.system is other.system and self.canon() == other.canon()
+        return self.system is other.system and self.c == other.c
 
     def __hash__(self):
-        return hash((id(self.system), self.canon()))
+        return hash((id(self.system), self.c))
 
     def __repr__(self):
         return f"RootVector({format_vector(self)})"
@@ -134,57 +150,76 @@ class RootSystem:
             self.blocks.extend(blocks)
         self.dim = dim
 
-        roots: list[RootVector] = []
-        simples: list[RootVector] = []
+        ambient_roots: list[list[Q]] = []
+        ambient_simples: list[list[Q]] = []
         # simple-root indices of each factor; a factor's Dynkin graph is connected
         self.component_nodes: list[frozenset[int]] = []
         for ci, (t, r) in enumerate(self.components):
             off = self.comp_blocks[ci][0].start
-            for c in _component_roots(t, r):
-                roots.append(self._embed(c, off))
-            first = len(simples)
-            for c in _component_simples(t, r):
-                simples.append(self._embed(c, off))
-            self.component_nodes.append(frozenset(range(first, len(simples))))
-        self.roots = roots
-        self.simple_roots = simples
-        self.rank = len(simples)
-        self._index = {v.canon(): i for i, v in enumerate(roots)}
-        if len(self._index) != len(roots):
-            raise RootSystemError("duplicate roots generated")
-        expected = sum(_root_count(t, r) for t, r in self.components)
-        if len(roots) != expected:
-            raise RootSystemError(f"expected {expected} roots, generated {len(roots)}")
+            ambient_roots.extend(self._embed(c, off) for c in _component_roots(t, r))
+            first = len(ambient_simples)
+            ambient_simples.extend(self._embed(c, off) for c in _component_simples(t, r))
+            self.component_nodes.append(frozenset(range(first, len(ambient_simples))))
+        self.rank = len(ambient_simples)
+        self._simple_span = SpanSolver([self._gauge(s) for s in ambient_simples])
+        self.simple_roots = [self.vector(s) for s in ambient_simples]
+        simples = [a.canon() for a in self.simple_roots]
+        # the map to ambient coordinates: the simple roots' sparse rows,
+        # scaled to ints by one common denominator
+        den = lcm(*(x.denominator for s in simples for x in s))
+        self._ambient = (den, [[(k, int(x * den)) for k, x in enumerate(s) if x] for s in simples])
+        # the Gram matrix of the simple roots, ints wherever integral, and
+        # the Cartan matrix C[i][j] = <alpha_i | alpha_j> = 2 (a_i, a_j) / (a_j, a_j)
+        w = [Q(1, 2) if b.kind == "aux" else 1 for b in self.blocks for _ in range(b.size)]
+        g = self.gram = tuple(
+            tuple(_int_if_integral(sum(x * y * z for x, y, z in zip(u, v, w))) for v in simples)
+            for u in simples)
+        self._cartan = tuple(tuple(int(Q(2 * gij, g[j][j])) for j, gij in enumerate(row))
+                             for row in g)
 
-        self._simple_span = SpanSolver([v.canon() for v in simples])
+        self.roots = [self.vector(c) for c in ambient_roots]
+        expected = sum(_root_count(t, r) for t, r in self.components)
+        if len(self.roots) != expected:
+            raise RootSystemError(f"expected {expected} roots, generated {len(self.roots)}")
         # simple-root expansions as int tuples, and the root of each one
-        self.expansions: list[tuple[int, ...]] = []
-        for v in roots:
-            coeffs = self._simple_span.reduce(v.canon())
-            if coeffs is None:
-                raise RootSystemError("root outside the span of the simple basis")
-            if any(x.denominator != 1 for x in coeffs):
-                raise RootSystemError("non-integral simple-root expansion")
-            e = tuple(int(x) for x in coeffs)
-            if not (all(x >= 0 for x in e) or all(x <= 0 for x in e)):
-                raise RootSystemError("mixed-sign simple-root expansion")
-            self.expansions.append(e)
+        self.expansions: list[tuple[int, ...]] = [v.c for v in self.roots]
+        for e in self.expansions:
+            if any(type(x) is not int for x in e) or (min(e) < 0 < max(e)):
+                raise RootSystemError("non-integral or mixed-sign simple-root expansion")
         self._by_expansion = {e: i for i, e in enumerate(self.expansions)}
+        if len(self._by_expansion) != len(self.roots):
+            raise RootSystemError("duplicate roots generated")
         self._sums: dict[tuple[int, int], Optional[int]] = {}  # sum_index memo
         self.positive = [all(x >= 0 for x in e) for e in self.expansions]
-        self.neg_index = [self._index[(-v).canon()] for v in roots]
-        self._norms = [self.inner(v, v) for v in roots]
+        self.neg_index = [self._by_expansion[tuple(-x for x in e)] for e in self.expansions]
+        self._norms = [self.inner(v, v) for v in self.roots]
 
-    # -- construction helpers -------------------------------------------------
+    # -- ambient coordinates ------------------------------------------------------
 
-    def _embed(self, comp_coords: Sequence, offset: int) -> RootVector:
+    def _embed(self, comp_coords: Sequence, offset: int) -> list[Q]:
         c = [Q(0)] * self.dim
         for i, x in enumerate(comp_coords):
             c[offset + i] = Q(x)
-        return RootVector(self, c)
+        return c
+
+    def _gauge(self, coords: Sequence) -> tuple:
+        """Ambient coordinates in the sum-zero gauge, as Fractions."""
+        c = [Q(x) for x in coords]
+        if len(c) != self.dim:
+            raise RootSystemError("coordinate length does not match ambient space")
+        for b in self.blocks:
+            if b.kind == "rel":
+                m = sum(c[b.start : b.start + b.size]) / b.size
+                for i in range(b.start, b.start + b.size):
+                    c[i] -= m
+        return tuple(c)
 
     def vector(self, coords: Sequence) -> RootVector:
-        return RootVector(self, coords)
+        """The vector with the given ambient coordinates."""
+        canon = self._gauge(coords)
+        # never None: every ambient vector lies in the span of the simple roots
+        c = self._simple_span.reduce(canon)
+        return RootVector(self, map(_int_if_integral, c), canon)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -198,7 +233,7 @@ class RootSystem:
     def inner(self, u: RootVector, v: RootVector) -> Q:
         if u.system is not self or v.system is not self:
             raise RootSystemError("vectors belong to a different system")
-        return sum(x * g for x, g in zip(u.coords, v.covector()) if g)
+        return Q(sum(x * g for x, g in zip(u.c, v.covector()) if x))
 
     def pairing(self, u: RootVector, beta: RootVector) -> Q:
         """2 (u, beta) / (beta, beta); beta must be a root."""
@@ -208,10 +243,20 @@ class RootSystem:
         return 2 * self.inner(u, beta) / self._norms[bi]
 
     def root_index(self, v: RootVector) -> Optional[int]:
-        return self._index.get(v.canon())
+        return self._by_expansion.get(v.c)
 
     def is_root(self, v: RootVector) -> bool:
-        return v.canon() in self._index
+        return v.c in self._by_expansion
+
+    def root_along(self, v: RootVector) -> Optional[int]:
+        """Index of the root that is a positive multiple of v, if one is.
+
+        Every root's expansion is a primitive integer vector, so that root
+        is the one whose expansion is v's coordinates scaled to one."""
+        den = lcm(*(x.denominator for x in v.c))
+        ints = [int(x * den) for x in v.c]
+        g = gcd(*ints)
+        return self._by_expansion.get(tuple(x // g for x in ints)) if g else None
 
     def norm2(self, i: int) -> Q:
         return self._norms[i]
@@ -255,32 +300,30 @@ class RootSystem:
     def reflect(self, alpha: RootVector, v: RootVector) -> RootVector:
         if not self.is_root(alpha):
             raise RootSystemError("reflection axis must be a root")
-        return v - self.pairing(v, alpha) * alpha
-
-    def weyl_orbit(self, v: RootVector) -> list[RootVector]:
-        seen = {v.canon(): v}
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for a in self.simple_roots:
-                    r = self.reflect(a, w)
-                    if r.canon() not in seen:
-                        seen[r.canon()] = r
-                        nxt.append(r)
-            frontier = nxt
-        return list(seen.values())
+        return v - _int_if_integral(self.pairing(v, alpha)) * alpha
 
     def dominant(self, v: RootVector) -> RootVector:
-        """The dominant Weyl-chamber representative of the orbit of v."""
-        w = v
+        """The dominant Weyl-chamber representative of the orbit of v.
+
+        p[j] = <v | alpha_j> = sum_i c[i] C[i][j]; while some p[j] < 0, the
+        reflection in alpha_j lowers c[j] by p[j] and each p[k] by
+        p[j] C[j][k]."""
+        C = self._cartan
+        ks = range(self.rank)
+        c = list(v.c)
+        p = [sum(x * row[j] for x, row in zip(c, C) if x) for j in ks]
         while True:
-            for a in self.simple_roots:
-                if self.inner(w, a) < 0:
-                    w = self.reflect(a, w)
+            for j in ks:
+                pj = p[j]
+                if pj < 0:
+                    c[j] -= pj
+                    row = C[j]
+                    for k in ks:
+                        if row[k]:
+                            p[k] -= pj * row[k]
                     break
             else:
-                return w
+                return RootVector(self, c)
 
     def highest_root(self) -> RootVector:
         if not self.is_simple:
@@ -294,17 +337,12 @@ class RootSystem:
 
     def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
         """C[i][j] = <alpha_i | alpha_j> = 2 (a_i, a_j) / (a_j, a_j)."""
-        if not hasattr(self, "_cartan"):
-            self._cartan = tuple(
-                tuple(int(self.pairing(ai, aj)) for aj in self.simple_roots)
-                for ai in self.simple_roots
-            )
         return self._cartan
 
     @cached_property
     def adjacency(self) -> list[set[int]]:
         """Dynkin-graph neighbours of each simple node."""
-        C = self.cartan_matrix()
+        C = self._cartan
         return [{j for j in range(self.rank) if j != i and C[i][j]} for i in range(self.rank)]
 
     @cached_property
@@ -314,9 +352,6 @@ class RootSystem:
 
         return ConstantTable(self)
 
-    def in_root_span(self, v: RootVector) -> bool:
-        return self._simple_span.contains(v.canon())
-
     # -- subsystems -------------------------------------------------------------
 
     def closed_span(self, seed: Iterable[RootVector]) -> "Subsystem":
@@ -324,10 +359,8 @@ class RootSystem:
         for s in seed:
             if not self.is_root(s):
                 raise RootSystemError("closed_span seed must consist of roots")
-        span = SpanSolver([s.canon() for s in seed])
-        members = frozenset(
-            i for i, v in enumerate(self.roots) if span.contains(v.canon())
-        )
+        span = SpanSolver([[Q(x) for x in s.c] for s in seed])
+        members = frozenset(i for i, e in enumerate(self.expansions) if span.contains(e))
         return Subsystem(self, members)
 
     def subsystem(self, roots: Iterable[RootVector]) -> "Subsystem":
@@ -377,14 +410,10 @@ class RootSystem:
 
     def apply_node_map(self, perm: tuple[int, ...], v: RootVector) -> RootVector:
         """Linear extension of alpha_i -> alpha_{perm[i]} applied to v."""
-        coeffs = self._simple_span.reduce(v.canon())
-        if coeffs is None:
-            raise RootSystemError("vector outside the root span")
-        out = RootVector(self, [0] * self.dim)
-        for i, c in enumerate(coeffs):
-            if c:
-                out = out + c * self.simple_roots[perm[i]]
-        return out
+        c = [0] * self.rank
+        for i, x in enumerate(v.c):
+            c[perm[i]] = x
+        return RootVector(self, c)
 
     def canonical_form(self, v: RootVector) -> RootVector:
         """Canonical representative of v up to Weyl group, diagram symmetry,
@@ -469,8 +498,7 @@ class Subsystem:
 
     def _classify_component(self, comp: frozenset[int]) -> tuple[str, int]:
         parent = self.parent
-        vecs = [parent.roots[i].canon() for i in comp]
-        r = SpanSolver(vecs).dim()
+        r = SpanSolver([[Q(x) for x in parent.expansions[i]] for i in comp]).dim()
         n = len(comp)
         norms = sorted({parent.norm2(i) for i in comp})
         if len(norms) > 2:
@@ -690,6 +718,10 @@ def parse_type(s: str) -> RootSystem:
     return build_product(comps)
 
 
+def _int_if_integral(x):
+    return int(x) if x.denominator == 1 else x
+
+
 def _close_group(gens: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
     identity = tuple(range(n))
     group = {identity}
@@ -710,19 +742,12 @@ def _close_group(gens: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
 def scale_primitive(v: RootVector) -> RootVector:
     """Positive rescale to primitive integer gauge coordinates."""
     c = v.canon()
-    nz = [x for x in c if x != 0]
-    if not nz:
+    den = lcm(*(x.denominator for x in c))
+    g = gcd(*(int(x * den) for x in c))
+    if not g:
         return v
-    from math import gcd
-
-    den = 1
-    for x in nz:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [x * den for x in nz]
-    g = 0
-    for x in ints:
-        g = gcd(g, int(x))
-    return Q(den, g) * v
+    f = Q(den, g)
+    return RootVector(v.system, [_int_if_integral(f * x) for x in v.c], tuple(f * x for x in c))
 
 
 def _block_strings(system: RootSystem, v: RootVector) -> list[str]:
@@ -768,23 +793,25 @@ def _render_terms(terms: list[tuple[Q, str]]) -> str:
     return out
 
 
-def _best_lift(coords: list[Q]) -> list[Q]:
-    """Integer lift of a relation-block vector minimizing the L1 norm."""
+def _best_lift(coords: list[Q]) -> list:
+    """Integer lift of a relation-block vector minimizing the L1 norm.
+
+    The lifts are the shifts of the block by a multiple of (1, ..., 1) that
+    make it integral; they exist when the coordinates share one fractional
+    part, and are then k + d with d the offsets from the first coordinate.
+    Among k in [-n, n], the least (L1, max, reversed) key wins."""
     n = len(coords)
-    m = sum(coords) / n
-    base = [x - m for x in coords]
-    candidates = []
-    for k in range(-n, n + 1):
-        shift = k - base[0]
-        lifted = [x + shift for x in base]
-        if all(x.denominator == 1 for x in lifted):
-            candidates.append(lifted)
-    if not candidates:
+    d = [x - coords[0] for x in coords]
+    if any(x.denominator != 1 for x in d):
         return coords
-    candidates.sort(
-        key=lambda ls: (sum(abs(x) for x in ls), max(abs(x) for x in ls), [-x for x in ls])
-    )
-    return candidates[0]
+    d = [int(x) for x in d]
+
+    def key(k):
+        lifted = [k + x for x in d]
+        return (sum(map(abs, lifted)), max(map(abs, lifted)), [-x for x in lifted])
+
+    k = min(range(-n, n + 1), key=key)
+    return [k + x for x in d]
 
 
 def format_vector(v: RootVector) -> str:

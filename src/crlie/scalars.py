@@ -302,24 +302,3 @@ def as_poly(x: Scalarish) -> Poly:
     if isinstance(x, Poly):
         return x
     return Poly.const(_as_gauss(x))
-
-
-def gauss_str(g: Gauss) -> str:
-    """Render a Gaussian rational as ``a/b+c/d*i`` (exact wire form)."""
-    if g.im == 0:
-        return str(g.re)
-    sign = "+" if g.im >= 0 else "-"
-    return f"{g.re}{sign}{abs(g.im)}*i"
-
-
-def parse_gauss(s: str) -> Gauss:
-    """Parse the wire form produced by :func:`gauss_str`."""
-    s = s.strip().replace(" ", "")
-    if s.endswith("*i"):
-        body = s[:-2]
-        # split at the sign separating real and imaginary parts
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "+-/":
-                return Gauss(Fraction(body[:k]), Fraction(body[k:] or "1"))
-        return Gauss(0, Fraction(body or "1"))
-    return Gauss(Fraction(s))

@@ -221,3 +221,32 @@ def test_check_m10_conjugate_twist_only(capsys):
     rc = run(["check", "--type", "A2", "--theta=1,0,-1", "--m10", json.dumps(spec)])
     assert rc == 64
     assert "t~" in _one_line_error(capsys)
+
+
+def test_check_theta_zero_denominator(capsys):
+    assert run(["check", "--type", "A2", "--theta=1/0,0,-1", "--family"]) == 64
+    assert "zero denominator" in _one_line_error(capsys)
+
+
+def test_check_m10_vector_zero_denominator(capsys):
+    spec = {"plains": ["1/0,0,0"]}
+    rc = run(["check", "--type", "A2", "--theta=1,0,-1", "--m10", json.dumps(spec)])
+    assert rc == 64
+    assert "zero denominator" in _one_line_error(capsys)
+
+
+def test_check_m10_not_an_object(capsys):
+    rc = run(["check", "--type", "A2", "--theta=1,0,-1", "--m10", "[1]"])
+    assert rc == 64
+    assert "JSON object" in _one_line_error(capsys)
+
+
+def test_table1_rank_range_above_the_fixtures(capsys):
+    # the fixtures stop at rank 8, so a larger HI is refused before any build
+    assert run(["table1", "--rank-range", "3-99"]) == 64
+    assert "HI <= 8" in _one_line_error(capsys)
+
+
+def test_table1_rank_range_beyond_rank_8(capsys):
+    assert run(["table1", "--rank-range", "9-9"]) == 64
+    assert "HI <= 8" in _one_line_error(capsys)

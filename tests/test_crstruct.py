@@ -15,6 +15,10 @@ T_HALF = Gauss(Q(1, 2))
 UNIT = Gauss(Q(3, 5), Q(4, 5))  # |t| = 1
 
 
+def _to_gauss(x) -> Gauss:
+    return x if isinstance(x, Gauss) else Gauss(x)
+
+
 def vals_for(h, tv):
     out = {"t": tv}
     if "u" in h.parameters():
@@ -287,7 +291,7 @@ def _brute_normalizer_excess(h, values):
         m = len(per_w[0])
         for k in range(m):
             if any(per_w[j][k] for j in range(len(gens))):
-                constraints.append([cs._to_gauss(per_w[j][k]) for j in range(len(gens))])
+                constraints.append([_to_gauss(per_w[j][k]) for j in range(len(gens))])
     kernel = nullspace_gauss(constraints, len(gens), Gauss(0), Gauss(1))
     sols = []
     for coeffs in kernel:
@@ -390,3 +394,15 @@ def test_cone_feasible_matches_seeded_search():
         cons = [(Q(rng.randint(-lo, lo), rng.randint(1, 3)),
                  Q(rng.randint(-lo, lo), rng.randint(1, 3))) for _ in range(k)]
         assert cs._cone_feasible(cons) == _seeded_search(cons)[1], cons
+
+
+def test_abs_locus_root_outside_a_bounded_search():
+    r = Poly.var("t") * Poly.var("t~")
+    assert cs._abs_locus(r - Poly.const(41)) == "|t|^2 != 41"
+    assert cs._abs_locus(r.scale(13) - Poly.const(1)) == "|t|^2 != 1/13"
+
+
+def test_abs_locus_reports_every_root():
+    r = Poly.var("t") * Poly.var("t~")
+    f = (r - Poly.const(1)) * (r - Poly.const(2))
+    assert cs._abs_locus(f) == "|t| != 1 and |t|^2 != 2"

@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from fractions import Fraction as Q
 
 import pytest
@@ -17,6 +18,85 @@ def hw_names(groups, system):
     return sorted(
         tuple(sorted(format_vector(system.roots[m.highest]) for m in g)) for g in groups
     )
+
+
+# Helpers only these tests use: the shape of a dual pair, and the paper's
+# R_Q / R_P partition with its closure flags.
+
+
+def dual_pair_shape(datum, pair) -> str:
+    """Type of the rank-2 subsystem spanned by a dual pair."""
+    sys = datum.system
+    a, b = pair
+    return sys.closed_span([sys.roots[a], sys.roots[b]]).type_str()
+
+
+@dataclass(frozen=True)
+class PartitionResult:
+    RQ: frozenset
+    RP: frozenset
+    RJ_plus: frozenset
+    RJ_minus: frozenset
+    tilde_Ro: frozenset
+    Rprime_o: frozenset
+    rq_closed: bool
+    rp_closed: bool
+    rp_parabolic: bool
+    orthogonal_split: bool
+
+
+def partition_sets(datum, re_roots) -> PartitionResult:
+    """The R_Q / R_P partition of a candidate with its closure flags.
+
+    R_J is split into positive and negative halves by the ambient ordering,
+    which agrees with a nilradical-compatible ordering for all classified
+    configurations.
+    """
+    sys = datum.system
+    rj = frozenset(datum.Rprime) - re_roots
+    rj_plus = frozenset(i for i in rj if sys.positive[i])
+    rj_minus = rj - rj_plus
+    ro = frozenset(datum.Ro.members)
+    rq = ro | re_roots
+    rp = rq | rj_plus
+    closure = (sys.closed_span([sys.roots[i] for i in re_roots]) if re_roots
+               else rs.Subsystem(sys, frozenset()))
+    tilde_ro = frozenset(closure.members) & ro
+    rprime_o = ro - tilde_ro
+    orth = all(
+        sys.inner(sys.roots[i], sys.roots[j]) == 0
+        for i in rprime_o
+        for j in closure.members
+    )
+    return PartitionResult(
+        RQ=rq,
+        RP=rp,
+        RJ_plus=rj_plus,
+        RJ_minus=rj_minus,
+        tilde_Ro=tilde_ro,
+        Rprime_o=rprime_o,
+        rq_closed=rs.Subsystem(sys, rq).is_closed(),
+        rp_closed=rs.Subsystem(sys, rp).is_closed(),
+        rp_parabolic=all(
+            i in rp or sys.neg_index[i] in rp for i in range(len(sys.roots))
+        ),
+        orthogonal_split=orth,
+    )
+
+
+def s_set(datum, pair, rj_plus) -> frozenset:
+    """R_o together with the R_o-strings through alpha and -alpha' and R_J+."""
+    sys = datum.system
+    a, b = pair
+    ro = frozenset(datum.Ro.members)
+    out = set(ro) | set(rj_plus)
+    for seed in (a, sys.neg_index[b]):
+        out.add(seed)
+        for d in ro:
+            k = sys.sum_index(seed, d)
+            if k is not None:
+                out.add(k)
+    return frozenset(out)
 
 
 def test_decompose_b_series():
@@ -131,17 +211,17 @@ def test_dual_pair_shape():
     d = datum("D4", [2, 0, 0, 0])
     s = d.system
     pair = (s.root_index(s.vector([1, 1, 0, 0])), s.root_index(s.vector([1, -1, 0, 0])))
-    assert md.dual_pair_shape(d, pair) == "A1+A1"
+    assert dual_pair_shape(d, pair) == "A1+A1"
     # the excluded rank-2 shapes
     b2 = rs.build("B2")
     db = ct.contact_datum(b2, b2.vector([1, 1]))  # theta = e1 - (-e1+e2) + ... ad hoc
     db = ct.contact_datum(b2, b2.vector([2, -1]))
     pair = (b2.root_index(b2.vector([1, 0])), b2.root_index(b2.vector([-1, 1])))
-    assert md.dual_pair_shape(db, pair) == "B2"
+    assert dual_pair_shape(db, pair) == "B2"
     a2 = rs.build("A2")
     da = ct.contact_datum(a2, a2.vector([1, -2, 1]))
     pair = (a2.root_index(a2.vector([1, 0, -1])), a2.root_index(a2.vector([0, 1, -1])))
-    assert md.dual_pair_shape(da, pair) == "A2"
+    assert dual_pair_shape(da, pair) == "A2"
 
 
 def test_tilde_re_accepts_d_and_b3():
@@ -225,14 +305,14 @@ def test_e_series_candidates_never_close_to_e_type():
 def test_partition_sets_lemma_closures():
     d = datum("D5", [2, 0, 0, 0, 0])
     cd = md.dual_pairs(d)
-    part = md.partition_sets(d, cd.paired_roots)
+    part = partition_sets(d, cd.paired_roots)
     assert part.rq_closed and part.rp_closed and part.rp_parabolic
     assert part.orthogonal_split
     assert part.RJ_plus == frozenset() and part.RJ_minus == frozenset()
     # composite case: the type IV contact form on D5
     d = datum("D5", [0, 1, 1, 1, 1])
     cd = md.dual_pairs(d)
-    part = md.partition_sets(d, cd.paired_roots)
+    part = partition_sets(d, cd.paired_roots)
     assert part.rq_closed and part.rp_closed and part.rp_parabolic
     assert part.orthogonal_split
     assert len(part.RJ_plus) == len(part.RJ_minus) > 0
@@ -251,7 +331,7 @@ def test_partition_sets_lemma_closures():
                 assert k in part.RJ_plus or k in re or k in ro
     # S(alpha, alpha') is closed and parabolic
     pair = next(p for p in cd.pairs if s.positive[p[0]] or s.positive[p[1]])
-    sset = md.s_set(d, pair, part.RJ_plus)
+    sset = s_set(d, pair, part.RJ_plus)
     sub = rs.Subsystem(s, sset)
     assert sub.is_closed()
     assert all(i in sset or s.neg_index[i] in sset for i in range(len(s.roots)))
@@ -297,7 +377,7 @@ def test_classified_closure_properties(tag, theta):
     s = d.system
     cd = md.dual_pairs(d)
     re = cd.paired_roots
-    part = md.partition_sets(d, re)
+    part = partition_sets(d, re)
     assert part.rq_closed and part.rp_closed and part.rp_parabolic
     assert part.orthogonal_split
     ro = frozenset(d.Ro.members)

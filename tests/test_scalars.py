@@ -3,7 +3,30 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, strategies as st
 
-from crlie.scalars import Gauss, Poly, gauss_str, parse_gauss
+from crlie.scalars import Gauss, Poly
+
+
+
+def gauss_str(g: Gauss) -> str:
+    """Render a Gaussian rational as ``a/b+c/d*i`` (exact wire form)."""
+    if g.im == 0:
+        return str(g.re)
+    sign = "+" if g.im >= 0 else "-"
+    return f"{g.re}{sign}{abs(g.im)}*i"
+
+
+def parse_gauss(s: str) -> Gauss:
+    """Parse the wire form produced by gauss_str."""
+    s = s.strip().replace(" ", "")
+    if s.endswith("*i"):
+        body = s[:-2]
+        # split at the sign separating real and imaginary parts
+        for k in range(len(body) - 1, 0, -1):
+            if body[k] in "+-" and body[k - 1] not in "+-/":
+                return Gauss(Q(body[:k]), Q(body[k:] or "1"))
+        return Gauss(0, Q(body or "1"))
+    return Gauss(Q(s))
+
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 gaussians = st.builds(Gauss, rationals, rationals)
