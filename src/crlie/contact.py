@@ -77,9 +77,7 @@ class ContactDatum:
 def contact_datum(system: RootSystem, theta: RootVector) -> ContactDatum:
     if theta.is_zero():
         raise ContactError("contact form must be nonzero")
-    ortho = frozenset(
-        i for i, r in enumerate(system.roots) if system.inner(r, theta) == 0
-    )
+    ortho = system.orthogonal_roots(theta)
     rprime = frozenset(range(len(system.roots))) - ortho
     return ContactDatum(system, theta, Subsystem(system, ortho), rprime)
 
@@ -111,19 +109,6 @@ class Gradation:
 
     def max_level(self) -> int:
         return max(self.levels)
-
-    def check_bracket_compatibility(self) -> bool:
-        sys = self.system
-        lv = {}
-        for k, s in self.levels.items():
-            for i in s:
-                lv[i] = k
-        for i in lv:
-            for j in lv:
-                k = sys.sum_index(i, j)
-                if k is not None and lv[k] != lv[i] + lv[j]:
-                    return False
-        return True
 
 
 def _string_components(system: RootSystem, roots: frozenset[int], ro: frozenset[int]) -> list[frozenset[int]]:

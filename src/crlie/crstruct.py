@@ -326,13 +326,13 @@ def _abs_locus(f: Poly) -> Optional[str]:
         if d.get(b, 0) != d.get(b + "~", 0):
             return None
         by_r[d.get(b, 0)] = c
-    if var is None or any(c.im != 0 for c in by_r.values()):
+    if var is None or any(c.b for c in by_r.values()):
         return None
     # f as a polynomial in r = |var|^2 with integer coefficients; by the
     # rational root theorem its positive roots are among the p/q with p
     # dividing the lowest coefficient and q the leading one
-    den = lcm(*(c.re.denominator for c in by_r.values()))
-    coeffs = {e: int(c.re * den) for e, c in by_r.items()}
+    den = lcm(*(c.d for c in by_r.values()))
+    coeffs = {e: c.a * (den // c.d) for e, c in by_r.items()}
     lowest, leading = coeffs[min(coeffs)], coeffs[max(coeffs)]
     roots = sorted({
         Q(p, q) for p in _divisors(lowest) for q in _divisors(leading)
@@ -713,7 +713,7 @@ def _eigen_sign(sys: RootSystem, x: LieElement, v: LieElement) -> int:
     # only the sign pattern matters for the cone analysis
     if ratio.is_zero():
         return 0
-    key = ratio.re if ratio.re != 0 else ratio.im
+    key = ratio.a or ratio.b  # the denominator is positive
     return 1 if key > 0 else -1
 
 

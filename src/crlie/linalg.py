@@ -1,4 +1,5 @@
-"""Exact linear algebra over any exact field (Fraction or Gauss), on sparse rows.
+"""Exact linear algebra over any exact field, on sparse rows: Fractions, or
+Gauss values, which hold (a + b*i)/d as ints (see :mod:`crlie.scalars`).
 
 A row is a dict ``{column: entry}`` that holds only the nonzero entries.
 Dense lists are accepted wherever a row is, and converted on entry; the

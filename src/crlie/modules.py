@@ -32,9 +32,6 @@ class IrredModule:
     highest: int
     weights: frozenset[int]
 
-    def highest_weight(self) -> RootVector:
-        return self.datum.system.roots[self.highest]
-
     def __len__(self):
         return len(self.weights)
 

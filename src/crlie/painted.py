@@ -225,9 +225,7 @@ def is_good(g: PaintedGraph) -> GraphVerdict:
         return v
     sys = g.system
     span = white_span(g)
-    ortho = frozenset(
-        i for i, r in enumerate(sys.roots) if sys.inner(r, v.theta) == 0
-    )
+    ortho = sys.orthogonal_roots(v.theta)
     if span.members == ortho:
         return GraphVerdict(True, "ok", v.shape, v.gamma_e, v.theta, good=True,
                             cr_type=_cr_type(g, v))

@@ -161,13 +161,21 @@ class RootSystem:
             ambient_simples.extend(self._embed(c, off) for c in _component_simples(t, r))
             self.component_nodes.append(frozenset(range(first, len(ambient_simples))))
         self.rank = len(ambient_simples)
-        self._simple_span = SpanSolver([self._gauge(s) for s in ambient_simples])
-        self.simple_roots = [self.vector(s) for s in ambient_simples]
-        simples = [a.canon() for a in self.simple_roots]
+        simples = [self._gauge(s) for s in ambient_simples]
+        self.simple_roots = [
+            RootVector(self, [int(j == i) for j in range(self.rank)], s)
+            for i, s in enumerate(simples)
+        ]
         # the map to ambient coordinates: the simple roots' sparse rows,
         # scaled to ints by one common denominator
-        den = lcm(*(x.denominator for s in simples for x in s))
-        self._ambient = (den, [[(k, int(x * den)) for k, x in enumerate(s) if x] for s in simples])
+        self._ambient = _int_rows(simples)
+        # and its inverse on the gauge: row k holds the simple-root
+        # coordinates of the gauged unit vector e_k, which the span holds
+        span = SpanSolver(simples)
+        self._coords = _int_rows(
+            span.reduce(self._gauge([int(j == k) for j in range(self.dim)]))
+            for k in range(self.dim)
+        )
         # the Gram matrix of the simple roots, ints wherever integral, and
         # the Cartan matrix C[i][j] = <alpha_i | alpha_j> = 2 (a_i, a_j) / (a_j, a_j)
         w = [Q(1, 2) if b.kind == "aux" else 1 for b in self.blocks for _ in range(b.size)]
@@ -215,11 +223,22 @@ class RootSystem:
         return tuple(c)
 
     def vector(self, coords: Sequence) -> RootVector:
-        """The vector with the given ambient coordinates."""
-        canon = self._gauge(coords)
-        # never None: every ambient vector lies in the span of the simple roots
-        c = self._simple_span.reduce(canon)
-        return RootVector(self, map(_int_if_integral, c), canon)
+        """The vector with the given ambient coordinates.
+
+        Its simple-root coordinates are coords times the int rows of
+        _coords, over their denominator; coords are cleared to ints first."""
+        if len(coords) != self.dim:
+            raise RootSystemError("coordinate length does not match ambient space")
+        xs = [(k, x if type(x) is int else Q(x)) for k, x in enumerate(coords) if x]
+        q = lcm(*(x.denominator for _, x in xs))
+        den, rows = self._coords
+        acc = [0] * self.rank
+        for k, x in xs:
+            n = x.numerator * (q // x.denominator)
+            for j, y in rows[k]:
+                acc[j] += n * y
+        den *= q
+        return RootVector(self, [x // den if not x % den else Q(x, den) for x in acc])
 
     # -- basic queries ---------------------------------------------------------
 
@@ -234,6 +253,17 @@ class RootSystem:
         if u.system is not self or v.system is not self:
             raise RootSystemError("vectors belong to a different system")
         return Q(sum(x * g for x, g in zip(u.c, v.covector()) if x))
+
+    def orthogonal_roots(self, v: RootVector) -> frozenset[int]:
+        """Indices of the roots orthogonal to v: each root's expansion
+        paired against v's covector, cleared to ints once."""
+        if v.system is not self:
+            raise RootSystemError("vectors belong to a different system")
+        cov = v.covector()
+        den = lcm(*(x.denominator for x in cov))
+        cov = [(k, int(x * den)) for k, x in enumerate(cov) if x]
+        return frozenset(i for i, e in enumerate(self.expansions)
+                         if not sum(e[k] * y for k, y in cov))
 
     def pairing(self, u: RootVector, beta: RootVector) -> Q:
         """2 (u, beta) / (beta, beta); beta must be a root."""
@@ -363,15 +393,6 @@ class RootSystem:
         members = frozenset(i for i, e in enumerate(self.expansions) if span.contains(e))
         return Subsystem(self, members)
 
-    def subsystem(self, roots: Iterable[RootVector]) -> "Subsystem":
-        idx = set()
-        for v in roots:
-            i = self.root_index(v)
-            if i is None:
-                raise RootSystemError("subsystem member is not a root")
-            idx.add(i)
-        return Subsystem(self, frozenset(idx))
-
     # -- diagram automorphisms ---------------------------------------------------
 
     def diagram_automorphisms(self) -> list[tuple[int, ...]]:
@@ -454,14 +475,6 @@ class Subsystem:
 
     def __hash__(self):
         return hash((id(self.parent), self.members))
-
-    def is_closed(self) -> bool:
-        for i in self.members:
-            for j in self.members:
-                k = self.parent.sum_index(i, j)
-                if k is not None and k not in self.members:
-                    return False
-        return True
 
     def orthogonal_components(self) -> list[frozenset[int]]:
         """Partition into mutually orthogonal indecomposable pieces."""
@@ -716,6 +729,13 @@ def parse_type(s: str) -> RootSystem:
             raise RootSystemError(f"cannot parse type string {s!r}")
         comps.append((part[0], int(part[1:])))
     return build_product(comps)
+
+
+def _int_rows(rows: Iterable[Sequence]) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(den, sparse int rows): rational rows scaled by their common denominator."""
+    rows = list(rows)
+    den = lcm(*(x.denominator for r in rows for x in r))
+    return den, [[(k, int(x * den)) for k, x in enumerate(r) if x] for r in rows]
 
 
 def _int_if_integral(x):

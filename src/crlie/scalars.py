@@ -4,97 +4,158 @@ All quantities in the classification are rational in the chosen bases, so
 every computation runs over Q(i) extended by formal twist parameters.  A
 parameter ``x`` has a formal conjugate partner written ``x~``; conjugation
 of a polynomial swaps the two and conjugates coefficients.
+
+A Gaussian rational is the int triple (a, b, d) meaning (a + b*i)/d, with
+d > 0 and gcd(a, b, d) == 1, so that equal values have equal triples.  An
+operation works on ints and divides out one three-way gcd, which it skips
+where the invariant already holds (a shared denominator of 1, an int
+addend).  The Fraction parts ``re`` and ``im`` are derived on demand for
+printing, hashing and the sort keys of reports.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Union
 
 
 class Gauss:
-    """Gaussian rational a + b*i with exact Fraction components."""
+    """Gaussian rational (a + b*i) / d in lowest terms: a, b and d are ints
+    with d > 0 and gcd(a, b, d) == 1, so every value has one representation
+    (zero is (0, 0, 1))."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        rd, idn = re.denominator, im.denominator
+        # both parts are in lowest terms, so over the lcm of their
+        # denominators the triple is too
+        d = rd * idn // gcd(rd, idn)
+        self.a = re.numerator * (d // rd)
+        self.b = im.numerator * (d // idn)
+        self.d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # Operands other than int, Fraction and Gauss get NotImplemented, so
     # that Gauss op Poly falls through to the Poly's reflected method.
 
     def __add__(self, other) -> "Gauss":
+        d = self.d
         if type(other) is Gauss:
-            return _mk(self.re + other.re, self.im + other.im)
-        if isinstance(other, (int, Fraction)):
-            return _mk(self.re + other, self.im)
+            od = other.d
+            if d == od:
+                a, b = self.a + other.a, self.b + other.b
+                if d == 1:
+                    return _mk(a, b, 1)
+            else:
+                a, b, d = self.a * od + other.a * d, self.b * od + other.b * d, d * od
+            return _reduce(a, b, d)
+        if isinstance(other, int):
+            # gcd(a + n*d, b, d) = gcd(a, b, d) = 1
+            return _mk(self.a + other * d, self.b, d)
+        if isinstance(other, Fraction):
+            n, q = other.numerator, other.denominator
+            return _reduce(self.a * q + n * d, self.b * q, d * q)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self) -> "Gauss":
-        return _mk(-self.re, -self.im)
+        return _mk(-self.a, -self.b, self.d)
 
     def __sub__(self, other) -> "Gauss":
+        d = self.d
         if type(other) is Gauss:
-            return _mk(self.re - other.re, self.im - other.im)
-        if isinstance(other, (int, Fraction)):
-            return _mk(self.re - other, self.im)
+            od = other.d
+            if d == od:
+                a, b = self.a - other.a, self.b - other.b
+                if d == 1:
+                    return _mk(a, b, 1)
+            else:
+                a, b, d = self.a * od - other.a * d, self.b * od - other.b * d, d * od
+            return _reduce(a, b, d)
+        if isinstance(other, int):
+            # gcd(a - n*d, b, d) = gcd(a, b, d) = 1
+            return _mk(self.a - other * d, self.b, d)
+        if isinstance(other, Fraction):
+            n, q = other.numerator, other.denominator
+            return _reduce(self.a * q - n * d, self.b * q, d * q)
         return NotImplemented
 
     def __rsub__(self, other) -> "Gauss":
         if isinstance(other, (int, Fraction)):
-            return _mk(other - self.re, -self.im)
+            return (-self) + other
         return NotImplemented
 
     def __mul__(self, other) -> "Gauss":
-        if type(other) is not Gauss:
-            if isinstance(other, (int, Fraction)):
-                return _mk(self.re * other, self.im * other)
-            return NotImplemented
-        sim, oim = self.im, other.im
-        if not sim and not oim:
-            return _mk(self.re * other.re, sim)
-        return _mk(
-            self.re * other.re - sim * oim,
-            self.re * oim + sim * other.re,
-        )
+        if type(other) is Gauss:
+            a, b, oa, ob = self.a, self.b, other.a, other.b
+            if not b and not ob:
+                a, b = a * oa, 0
+            else:
+                a, b = a * oa - b * ob, a * ob + b * oa
+            d = self.d * other.d
+            if d == 1:
+                return _mk(a, b, 1)
+            return _reduce(a, b, d)
+        if isinstance(other, int):
+            # gcd(n*a, n*b, d) = gcd(n, d), since gcd(a, b, d) = 1
+            g = gcd(other, self.d)
+            n = other // g
+            return _mk(self.a * n, self.b * n, self.d // g)
+        if isinstance(other, Fraction):
+            n, q = other.numerator, other.denominator
+            return _reduce(self.a * n, self.b * n, self.d * q)
+        return NotImplemented
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "Gauss") -> "Gauss":
-        other = _as_gauss(other)
-        n = other.re * other.re + other.im * other.im
+    def __truediv__(self, other) -> "Gauss":
+        if type(other) is not Gauss:
+            other = _as_gauss(other)
+        oa, ob = other.a, other.b
+        n = oa * oa + ob * ob
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return _mk(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        # (a + b i)/d / ((oa + ob i)/od) = od (a + b i)(oa - ob i) / (d n)
+        a, b, od = self.a, self.b, other.d
+        return _reduce(od * (a * oa + b * ob), od * (b * oa - a * ob), self.d * n)
 
     def __rtruediv__(self, other) -> "Gauss":
         return _as_gauss(other) / self
 
     def conj(self) -> "Gauss":
-        return _mk(self.re, -self.im)
+        return _mk(self.a, -self.b, self.d)
 
     def abs2(self) -> Fraction:
         """Squared modulus, an exact rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.a) or bool(self.b)
 
     def __eq__(self, other) -> bool:
+        if type(other) is Gauss:
+            return self.a == other.a and self.b == other.b and self.d == other.d
         if isinstance(other, (int, Fraction)):
-            other = Gauss(other)
-        if not isinstance(other, Gauss):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            return (not self.b and self.a == other.numerator
+                    and self.d == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -103,20 +164,32 @@ class Gauss:
         return f"Gauss({self.re!r}, {self.im!r})"
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}*i"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}*i"
 
 
-def _mk(re: Fraction, im: Fraction) -> "Gauss":
-    """Internal fast constructor; components must already be Fractions."""
+def _mk(a: int, b: int, d: int) -> "Gauss":
+    """Internal fast constructor; (a, b, d) must already be in lowest terms."""
     g = Gauss.__new__(Gauss)
-    g.re = re
-    g.im = im
+    g.a = a
+    g.b = b
+    g.d = d
     return g
+
+
+def _reduce(a: int, b: int, d: int) -> "Gauss":
+    """(a + b*i) / d in lowest terms, for d > 0."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _mk(a, b, d)
 
 
 ZERO = Gauss(0)
@@ -256,6 +329,8 @@ class Poly:
         return self.divide_scalar(self.terms[lead])
 
     def key(self):
+        # Fraction (re, im), not the triple: this key sorts constraint sets
+        # and disjointness factors, so its order is printed output.
         return tuple(sorted((m, (c.re, c.im)) for m, c in self.terms.items()))
 
     def __bool__(self) -> bool:

@@ -1,10 +1,131 @@
+import operator
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from crlie.scalars import Gauss, Poly
 
+
+class RefGauss:
+    """Reference Gaussian rational: a pair of Fractions, every operation
+    written out on the parts.  Gauss must agree with it on every value,
+    every printed form and every hash."""
+
+    def __init__(self, re=0, im=0):
+        self.re, self.im = Q(re), Q(im)
+
+    @staticmethod
+    def of(x):
+        return x if isinstance(x, RefGauss) else RefGauss(x)
+
+    def __add__(self, other):
+        o = RefGauss.of(other)
+        return RefGauss(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = RefGauss.of(other)
+        return RefGauss(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        return RefGauss.of(other) - self
+
+    def __mul__(self, other):
+        o = RefGauss.of(other)
+        return RefGauss(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = RefGauss.of(other)
+        n = o.re * o.re + o.im * o.im
+        if n == 0:
+            raise ZeroDivisionError
+        return RefGauss((self.re * o.re + self.im * o.im) / n,
+                        (self.im * o.re - self.re * o.im) / n)
+
+    def __rtruediv__(self, other):
+        return RefGauss.of(other) / self
+
+    def __neg__(self):
+        return RefGauss(-self.re, -self.im)
+
+    def conj(self):
+        return RefGauss(self.re, -self.im)
+
+    def abs2(self):
+        return self.re * self.re + self.im * self.im
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Q)):
+            other = RefGauss(other)
+        if not isinstance(other, RefGauss):
+            return NotImplemented
+        return (self.re, self.im) == (other.re, other.im)
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"Gauss({self.re!r}, {self.im!r})"
+
+    def __str__(self):
+        if self.im == 0:
+            return str(self.re)
+        if self.re == 0:
+            return f"{self.im}*i"
+        sign = "+" if self.im > 0 else "-"
+        return f"{self.re}{sign}{abs(self.im)}*i"
+
+
+def same(g, ref) -> bool:
+    """g is the reference's value, in lowest terms, printed and hashed alike."""
+    if not isinstance(g, Gauss):
+        return g == ref and type(g) is type(ref)
+    a, b, d = g.a, g.b, g.d
+    return (
+        all(type(x) is int for x in (a, b, d)) and d > 0 and gcd(a, b, d) == 1
+        and (g.re, g.im) == (ref.re, ref.im)
+        and str(g) == str(ref) and repr(g) == repr(ref) and hash(g) == hash(ref)
+    )
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
+small_ints = st.integers(min_value=-10**6, max_value=10**6)
+# (operand, its reference): an int, a Fraction or a Gauss
+operands = st.one_of(
+    small_ints.map(lambda n: (n, n)),
+    rationals.map(lambda q: (q, q)),
+    st.tuples(st.one_of(rationals, small_ints), st.one_of(rationals, small_ints)).map(
+        lambda p: (Gauss(*p), RefGauss(*p))),
+)
+BINARY = (operator.add, operator.sub, operator.mul, operator.truediv, operator.eq)
+
+
+def _outcome(op, x, y):
+    try:
+        return op(x, y)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@given(operands, operands)
+def test_gauss_matches_fraction_pair_reference(left, right):
+    (x, rx), (y, ry) = left, right
+    if not isinstance(x, Gauss) and not isinstance(y, Gauss):
+        x, rx = Gauss(x), RefGauss(rx)
+    for xs, ys in (((x, rx), (y, ry)), ((y, ry), (x, rx))):
+        for op in BINARY:
+            got, want = _outcome(op, xs[0], ys[0]), _outcome(op, xs[1], ys[1])
+            assert got is want if want is ZeroDivisionError else same(got, want), op
+    g, ref = (x, rx) if isinstance(x, Gauss) else (y, ry)
+    assert same(-g, -ref) and same(g.conj(), ref.conj())
+    assert same(g.abs2(), ref.abs2())
+    assert same(Gauss(ref.re, ref.im), ref)
+    assert g.is_zero() == (ref == 0) and bool(g) == (ref != 0)
 
 
 def gauss_str(g: Gauss) -> str:
@@ -86,10 +207,13 @@ def test_poly_primitive_and_str():
     assert str(Poly.const(1) - t * Poly.var("t~")) in ("1 - t*t~", "1 - t~*t")
 
 
-def test_gauss_defers_to_poly():
+@given(operands)
+def test_gauss_defers_to_poly(operand):
     # Gauss op Poly falls through to the Poly's reflected method
-    g, t = Gauss(1, 2), Poly.var("t")
+    x, t = operand[0], Poly.var("t")
+    g = x if isinstance(x, Gauss) else Gauss(x)
     for value, expected in ((g + t, t + g), (g - t, -(t - g)), (g * t, t.scale(g))):
         assert isinstance(value, Poly) and value == expected
+    assert g == Poly.const(g) and (g == t) is False
     with pytest.raises(TypeError):
         g + "t"
