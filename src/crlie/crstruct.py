@@ -7,7 +7,10 @@ C(E_mu + c E_{-mu}).  Integrability, disjointness, standardness, the
 normalizer dimension and the parabolic fibration witnesses are all decided
 by exact linear algebra over the Gaussian-rational polynomial ring
 (symbolically where the condition is polynomial in the twists, at sampled
-Gaussian-rational parameter values otherwise).
+Gaussian-rational parameter values otherwise).  The normalizer needs no
+linear system of its own: by the invariant form of the Chevalley basis it
+is the annihilator of the brackets of l^C + m01 with its orthogonal
+complement, so its real points are counted by one rank (normalizer_excess).
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from typing import Iterable, Mapping, Optional
 
 from .chevalley import LieElement
 from .contact import ContactDatum
-from .linalg import Row, SpanSolver, nullspace, nullspace_gauss
+from .linalg import Echelon, Row, SpanSolver, nullspace, nullspace_gauss
 from .modules import theta_congruent
 from .rootsys import RootSystem, RootVector, Subsystem
-from .scalars import ZERO, Gauss, P_ZERO, Poly, as_poly, conj_var
+from .scalars import ONE, ZERO, Gauss, P_ZERO, Poly, as_poly, conj_var
 
 Q = Fraction
 
@@ -454,65 +457,37 @@ def is_standard(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> bool:
 def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> int:
     """dim over R of N_g(l^C + m01) modulo l.
 
-    Computed as dim_C of N intersect conj(N) minus dim_C l^C, where N is the
-    complex normalizer; the intersection is the complexified real-point
-    space since both N and its conjugate are spanned by the solutions.
+    With W = l^C + m01 and the invariant form <.,.> of
+    LieElement.form_row, X normalizes W exactly when <X, [w, u]> = 0 for
+    every w in W and u in the orthogonal complement W', since W = W''
+    and <[X, w], u> = <X, [w, u]>.  So the complex normalizer N is the
+    annihilator of S = [W, W'], and conj(N) that of conj(S), because
+    <conj x, conj y> = conj <x, y>.  The real points of N, complexified,
+    are N intersect conj(N), of dimension dim g - rank(S + conj(S)); the
+    excess subtracts dim_C l^C.  No property of W is used beyond its
+    being a subspace.
     """
-    nrows, conj_rows = _normalizer_rows(h, values)
-    # the solution rows are independent and conjugation keeps rank, so N
-    # and conj(N) both have dimension len(nrows)
-    dim_int = 2 * len(nrows) - SpanSolver(nrows + conj_rows).dim()
-    dim_l = len(h.datum.Ro.members) + len(_theta_perp_cartan(h.datum))
-    return dim_int - dim_l
-
-
-def _normalizer_rows(h: HolomorphicSubspace, values: Mapping[str, Gauss]):
-    """Coordinate rows of a basis of the complex normalizer N and of conj(N)."""
+    rows, conj_rows = _form_bracket_rows(h, values)
+    ech = Echelon()
+    rank = sum(ech.add(r) for r in rows + conj_rows)
     sys = h.datum.system
-    datum = h.datum
-    m01 = [v.conjugate() for v in evaluate_basis(h, values)]
-    wbasis = _l_complex_basis(datum) + m01
-    wrows = _coordinate_rows(sys, wbasis)
-    wspan = SpanSolver(wrows)
-
-    # candidate normalizer directions, blocked by stabilizer weight
-    candidates: list[list[LieElement]] = [
-        [LieElement.root_vector(sys, sys.roots[i]) for i in block]
-        for block in datum.congruence_classes
-    ]
-    zero_block = [LieElement.cartan(sys, a) for a in sys.simple_roots]
-    zero_block += [LieElement.root_vector(sys, sys.roots[i]) for i in sorted(datum.Ro.members)]
-    candidates.append(zero_block)
-
-    sol_basis: list[LieElement] = []
-    for block in candidates:
-        sols = _normalizer_block(sys, block, wbasis, wspan)
-        sol_basis.extend(sols)
-    nrows = _coordinate_rows(sys, sol_basis)
-    conj_rows = _coordinate_rows(sys, [v.conjugate() for v in sol_basis])
-    return nrows, conj_rows
+    dim_l = len(h.datum.Ro.members) + len(_theta_perp_cartan(h.datum))
+    return len(sys.roots) + sys.rank - rank - dim_l
 
 
-def _normalizer_block(sys, block: list[LieElement], wbasis, wspan) -> list[LieElement]:
-    """Solve [X, W] in W for X in the span of the block candidates."""
-    if not block:
-        return []
-    # one constraint row per (w, coordinate) where some [x_j, w] leaves W
-    constraints: list[dict[int, Gauss]] = []
-    for w in wbasis:
-        by_coord: dict[int, dict[int, Gauss]] = {}
-        for j, x in enumerate(block):
-            for k, r in wspan.residual(_coordinate_rows(sys, [x.bracket(w)])[0]).items():
-                by_coord.setdefault(k, {})[j] = r
-        constraints.extend(by_coord.values())
-    out = []
-    for coeffs in nullspace_gauss(constraints, len(block), Gauss(0), Gauss(1)):
-        el = LieElement.zero(sys)
-        for c, x in zip(coeffs, block):
-            if c:
-                el = el + x.scale(c)
-        out.append(el)
-    return out
+def _form_bracket_rows(h: HolomorphicSubspace, values: Mapping[str, Gauss]):
+    """Coordinate rows of the nonzero brackets [w, u], w in a basis of
+    W = l^C + m01 and u in a basis of its orthogonal complement, and of
+    their conjugates."""
+    sys = h.datum.system
+    n = len(sys.roots)
+    wbasis = _l_complex_basis(h.datum) + [v.conjugate() for v in evaluate_basis(h, values)]
+    # a basis of W': the kernel of the form rows of W
+    perp = [LieElement(sys, dict(enumerate(v[:n])), dict(enumerate(v[n:])))
+            for v in nullspace_gauss([w.form_row() for w in wbasis], n + sys.rank, ZERO, ONE)]
+    brackets = [b for w in wbasis for u in perp if not (b := w.bracket(u)).is_zero()]
+    return (_coordinate_rows(sys, brackets),
+            _coordinate_rows(sys, [b.conjugate() for b in brackets]))
 
 
 # -- parabolic fibration witnesses ------------------------------------------------------

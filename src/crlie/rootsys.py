@@ -511,7 +511,11 @@ class Subsystem:
 
     def _classify_component(self, comp: frozenset[int]) -> tuple[str, int]:
         parent = self.parent
-        r = SpanSolver([[Q(x) for x in parent.expansions[i]] for i in comp]).dim()
+        # the component's positive roots that are no sum of two of them form
+        # its base (Humphreys 10.1), so their count is its rank
+        pos = frozenset(i for i in comp if parent.positive[i])
+        r = sum(1 for i in pos
+                if not any(parent.sum_index(i, parent.neg_index[j]) in pos for j in pos))
         n = len(comp)
         norms = sorted({parent.norm2(i) for i in comp})
         if len(norms) > 2:

@@ -1,9 +1,11 @@
 import itertools
+from fractions import Fraction as Q
 
 import pytest
 
 from crlie import chevalley as ch
 from crlie import rootsys as rs
+from crlie.linalg import SpanSolver
 from crlie.scalars import Gauss, Poly
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D3", "D4",
@@ -158,3 +160,50 @@ def test_evaluated_elements_have_gauss_coefficients():
     # of mu = alpha_1 + alpha_2
     assert ch.LieElement.cartan(a2, a2.vector([1, 1, 1])).is_zero()
     assert ch.LieElement.coroot(a2, mu).h == {0: Gauss(1), 1: Gauss(1)}
+
+
+# -- the invariant form ------------------------------------------------------------
+
+FORM_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4",
+              "A1+A2"]
+
+
+def _form_basis(s):
+    """E_a for every root, then H(alpha_k) for every simple root: basis
+    element c has the unit coordinate row at column c."""
+    basis = [ch.LieElement.root_vector(s, r) for r in s.roots]
+    return basis + [ch.LieElement.cartan(s, a) for a in s.simple_roots]
+
+
+def _form(x, y):
+    """<x, y> from x's form row and y's coordinates."""
+    row, n = x.form_row(), len(x.system.roots)
+    coords = [*y.e.items(), *((n + k, c) for k, c in y.h.items())]
+    return sum((row[c] * v for c, v in coords if c in row), Gauss(0))
+
+
+@pytest.mark.parametrize("tag", FORM_TYPES)
+def test_invariant_form_on_basis_triples(tag):
+    s = rs.parse_type(tag)
+    basis = _form_basis(s)
+    rows = [x.form_row() for x in basis]
+    br = [[x.bracket(y) for y in basis] for x in basis]
+    br_rows = [[b.form_row() for b in bs] for bs in br]
+    for i, j, k in itertools.product(range(len(basis)), repeat=3):
+        # <[x_i, x_j], x_k> against <x_i, [x_j, x_k]>
+        lhs = br_rows[i][j].get(k, 0)
+        assert lhs == _form(basis[i], br[j][k]), (i, j, k)
+    # nondegenerate: the Gram matrix of the basis has full rank
+    assert SpanSolver(rows).dim() == len(basis)
+
+
+@pytest.mark.parametrize("tag", FORM_TYPES)
+def test_invariant_form_commutes_with_conjugation(tag):
+    s = rs.parse_type(tag)
+    basis = _form_basis(s)
+    scalars = [Gauss(Q(1, 2), 1), Gauss(-2, Q(3, 5)), Gauss(0, Q(-1, 3)), Gauss(Q(7, 4))]
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            x1 = x.scale(scalars[i % len(scalars)])
+            y1 = y.scale(scalars[(i + j + 1) % len(scalars)])
+            assert _form(x1.conjugate(), y1.conjugate()) == _form(x1, y1).conj(), (i, j)

@@ -309,7 +309,23 @@ def _brute_normalizer_excess(h, values):
     return dim_n + dim_c - dim_sum - dim_l
 
 
-def test_normalizer_blocked_solver_matches_brute_force():
+def _golden_primitive_families(max_rank):
+    """The disc family of every golden primitive form up to max_rank."""
+    from crlie.cli import load_fixture
+
+    out = []
+    for row in load_fixture("primitive.json").rows:
+        if int(row["rank"]) > max_rank:
+            continue
+        t = row["type"]
+        s = rs.parse_type(t if t[-1].isdigit() else t + row["rank"])
+        theta = s.vector([Q(x) for x in row["theta_canon"].split(",")])
+        v = classify.classify_datum(ct.contact_datum(s, theta))
+        out.append(v.family.j0_family if v.route == "special" else v.family.family)
+    return out
+
+
+def test_normalizer_excess_matches_brute_force():
     F1 = fam.special_su_families(rs.build("A1"))
     F2 = fam.special_su_families(rs.build("A2"))
     R = fam.short_root_families(rs.build("B2"))
@@ -321,9 +337,15 @@ def test_normalizer_blocked_solver_matches_brute_force():
         (F2.standard[0], {}),
         (R.family, {"t": T_HALF}),
         (R.standard, {}),
+        (fam.special_standard_subspace(rs.build("B4")), {}),
+        (fam.special_standard_subspace(rs.build("G2")), {}),
+        (fam.g2_short_standard_subspace(), {}),
     ]
+    families = _golden_primitive_families(4)
+    assert len(families) == 13
+    cases += [(h, classify._sample_values(h, j)) for h in families for j in (0, 1)]
     for h, vals in cases:
-        assert cs.normalizer_excess(h, vals) == _brute_normalizer_excess(h, vals)
+        assert cs.normalizer_excess(h, vals) == _brute_normalizer_excess(h, vals), h.label
 
 
 def test_structure_rows_dispatch():

@@ -220,9 +220,13 @@ def test_empty_inputs():
 
 
 def test_normalizer_dims_match_sympy_rank():
-    """dim_n, dim_conj and dim_sum of normalizer_excess, at every call the
-    rank <= 4 primitive scan makes, against sympy's rank over QQ(I)."""
+    """The ranks of S = [W, W'], conj(S) and their union that
+    normalizer_excess reads, at every call the rank <= 4 primitive scan
+    makes, against sympy's rank over QQ(I)."""
     sympy = pytest.importorskip("sympy")
+    from sympy import QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
     from crlie import classify
     from crlie import crstruct as cs
 
@@ -245,14 +249,15 @@ def test_normalizer_dims_match_sympy_rank():
                 + sympy.I * sympy.Rational(x.im.numerator, x.im.denominator))
 
     def rank(rs, ncols):
-        return sympy.Matrix([[gauss(r[c]) if c in r else 0 for c in range(ncols)]
-                             for r in rs]).rank()
+        entries = [[gauss(r[c]) if c in r else 0 for c in range(ncols)] for r in rs]
+        return DomainMatrix.from_list_sympy(len(rs), ncols, entries).convert_to(QQ_I).rank()
 
     assert calls
     for h, vals in calls:
-        nrows, conj_rows = cs._normalizer_rows(h, vals)
-        ncols = len(h.datum.system.roots) + h.datum.system.dim
-        dims = [SpanSolver(r).dim() for r in (nrows, conj_rows, nrows + conj_rows)]
-        assert dims == [rank(r, ncols) for r in (nrows, conj_rows, nrows + conj_rows)]
+        srows, conj_rows = cs._form_bracket_rows(h, vals)
+        system = h.datum.system
+        ncols = len(system.roots) + system.rank
+        dims = [SpanSolver(r).dim() for r in (srows, conj_rows, srows + conj_rows)]
+        assert dims == [rank(r, ncols) for r in (srows, conj_rows, srows + conj_rows)]
         dim_l = len(h.datum.Ro.members) + len(cs._theta_perp_cartan(h.datum))
-        assert cs.normalizer_excess(h, vals) == dims[0] + dims[1] - dims[2] - dim_l
+        assert cs.normalizer_excess(h, vals) == ncols - dims[2] - dim_l
