@@ -89,8 +89,11 @@ def _golden_diff(report: Report, fixture_name: str, keys: list[str], row_filter)
 def _emit(report: Report, args) -> None:
     text = report.render(args.format)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
+        try:
+            with open(args.out, "w") as f:
+                f.write(text)
+        except OSError as e:
+            raise UsageError(f"cannot write --out {args.out!r}: {e.strerror}") from None
     else:
         sys.stdout.write(text)
 

@@ -8,6 +8,12 @@ grey end node whose only neighbor is black (special case).  The induced
 contact form theta(Gamma) is the fixed combination of the subgraph's
 simple roots; a graph is good when the white nodes span exactly the roots
 orthogonal to theta(Gamma).
+
+Admissibility paints the black nodes as the subgraph's neighbors and every
+node off the subgraph and its neighbors white, so a painting that can be
+admissible is fixed by its grey node(s) and its subgraph.  The enumeration
+paints just those candidates, a few per node rather than 3^rank paintings,
+and puts each through the same is_good, is_proper and canonicalize.
 """
 
 from __future__ import annotations
@@ -288,20 +294,65 @@ class CRGraph:
     theta: RootVector
 
 
-def enumerate_cr_graphs(system: RootSystem | str, rank: int | None = None) -> list[CRGraph]:
-    """All good, proper painted graphs up to diagram symmetry.
+def _paint(system: RootSystem, greys: frozenset[int], gamma_e: frozenset[int]) -> tuple[str, ...]:
+    """The one painting with these grey nodes and this subgraph that
+    is_admissible can accept: black on the subgraph's outside neighbors,
+    white elsewhere."""
+    adj = system.adjacency
+    colors = [WHITE] * system.rank
+    for i in gamma_e:
+        for j in adj[i] - gamma_e:
+            colors[j] = BLACK
+    for i in greys:
+        colors[i] = GREY
+    return tuple(colors)
 
-    Accepts a root system, a type string like "D5" or "A2+A3", or a
-    (type_tag, rank) pair.
+
+def _candidate_paintings(system: RootSystem) -> list[tuple[str, ...]]:
+    """Every painting that is_admissible can accept, each once.
+
+    An admissible painting has one grey node on a simple system, or one per
+    factor on a two-factor product, and none on more factors; its black
+    nodes are exactly the outside neighbors of its subgraph, and every other
+    node is white.  So the grey node(s) and the subgraph fix it.  The
+    subgraph is the grey pair (split), the grey node alone (special) or a
+    D-shape with the grey node at the chain end, whose other nodes are white;
+    every such D-shape is one of the subgraph candidates of the painting that
+    is all white but the grey node.  The candidates are painted here only;
+    is_admissible still decides on each of them.
+    """
+    comps = system.component_nodes
+    found: dict[tuple[str, ...], None] = {}
+    if len(comps) == 2:
+        for g1 in comps[0]:
+            for g2 in comps[1]:
+                pair = frozenset((g1, g2))
+                found[_paint(system, pair, pair)] = None
+    elif len(comps) == 1:
+        for g in range(system.rank):
+            grey = frozenset((g,))
+            found[_paint(system, grey, grey)] = None
+            lone = PaintedGraph(system, tuple(GREY if i == g else WHITE for i in range(system.rank)))
+            for _shape, gamma_e, _chain in _gamma_e_candidates(lone):
+                found[_paint(system, grey, gamma_e)] = None
+    return list(found)
+
+
+def enumerate_cr_graphs(system: RootSystem | str, rank: int | None = None) -> list[CRGraph]:
+    """All good, proper painted graphs up to diagram symmetry, sorted by
+    their serialization.
+
+    Accepts a root system, or a type string like "D5" or "A2+A3"; with
+    ``rank`` given, the string is a bare type tag such as "D" and the system
+    is ``build(system, rank)``.  It tests the paintings of
+    _candidate_paintings only.
     """
     if isinstance(system, str):
         from .rootsys import build
 
         system = build(system, rank) if rank is not None else parse_type(system)
     out: dict[str, CRGraph] = {}
-    for colors in itertools.product((WHITE, BLACK, GREY), repeat=system.rank):
-        if GREY not in colors:
-            continue
+    for colors in _candidate_paintings(system):
         g = PaintedGraph(system, colors)
         v = is_good(g)
         if not (v.admissible and v.good):

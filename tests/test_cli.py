@@ -250,3 +250,12 @@ def test_table1_rank_range_above_the_fixtures(capsys):
 def test_table1_rank_range_beyond_rank_8(capsys):
     assert run(["table1", "--rank-range", "9-9"]) == 64
     assert "HI <= 8" in _one_line_error(capsys)
+
+
+def test_out_to_a_missing_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "x"
+    assert run(["check", "--graph", "E6:g,w,w,w,b,w", "--out", str(out)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "--out" in captured.err

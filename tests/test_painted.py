@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from crlie import classify
 from crlie import painted as pt
 from crlie import rootsys as rs
 from crlie.rootsys import format_vector
@@ -142,3 +145,63 @@ def test_good_graph_white_span_equals_orthogonal():
         sysm = g.system
         ortho = {i for i, r in enumerate(sysm.roots) if sysm.inner(r, v.theta) == 0}
         assert span.members == frozenset(ortho)
+
+
+# -- the candidate generator against the 3^rank loop -----------------------------------
+
+
+def _enumerate_by_product(system):
+    """The reference enumeration: every painting with a grey node through
+    is_good, is_proper and canonicalize."""
+    out = {}
+    for colors in itertools.product("wbg", repeat=system.rank):
+        if "g" not in colors:
+            continue
+        g = pt.PaintedGraph(system, colors)
+        v = pt.is_good(g)
+        if not (v.admissible and v.good) or not pt.is_proper(g):
+            continue
+        rep = pt.canonicalize(g)
+        vr = pt.is_good(rep)
+        out[rep.serialize()] = pt.CRGraph(rep, vr.cr_type, vr.theta)
+    return sorted(out.values(), key=lambda c: c.graph.serialize())
+
+
+def _systems(max_rank):
+    out = [rs.build(t, r) for t, r in classify.simple_types(max_rank)]
+    out += [rs.build_product([("A", p), ("A", q)]) for p, q in classify.product_types(max_rank)]
+    return out
+
+
+def test_enumeration_matches_the_product_loop():
+    systems = _systems(5) + [rs.build_product([("A", 1), ("A", 2), ("A", 2)])]
+    for system in systems:
+        got = pt.enumerate_cr_graphs(system)
+        want = _enumerate_by_product(system)
+        assert [(c.graph.serialize(), c.cr_type, c.theta) for c in got] == [
+            (c.graph.serialize(), c.cr_type, c.theta) for c in want
+        ], system.type_str()
+
+
+def test_candidates_hold_every_admissible_painting():
+    # the argument of _candidate_paintings, checked on every painting
+    for system in _systems(6):
+        cands = set(pt._candidate_paintings(system))
+        for colors in itertools.product("wbg", repeat=system.rank):
+            if pt.is_admissible(pt.PaintedGraph(system, colors)).admissible:
+                assert colors in cands, (system.type_str(), colors)
+
+
+def test_is_good_calls_track_the_output(monkeypatch):
+    calls = 0
+    is_good = pt.is_good
+
+    def counting(g):
+        nonlocal calls
+        calls += 1
+        return is_good(g)
+
+    monkeypatch.setattr(pt, "is_good", counting)
+    assert len(classify.crgraph_rows(8)) == 29
+    # the 3^rank loop made 80,431 calls here
+    assert calls < 1000
