@@ -308,10 +308,11 @@ class LieElement:
         sys = self.system
         n = len(sys.roots)
         row = {sys.neg_index[i]: c * (Q(2) / sys.norm2(i)) for i, c in self.e.items()}
-        for k, g in enumerate(sys.gram):
-            val = _pair_vec(g, self.h)
-            if val:
-                row[n + k] = val
+        if self.h:
+            for k, g in enumerate(sys.gram):
+                val = _pair_vec(g, self.h)
+                if val:
+                    row[n + k] = val
         return row
 
     def eval(self, values: Mapping[str, Gauss]) -> "LieElement":

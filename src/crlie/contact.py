@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
+from .linalg import nullspace
 from .rootsys import RootSystem, RootVector, Subsystem
 
 Q = Fraction
@@ -25,9 +27,10 @@ class ContactError(ValueError):
 class ContactDatum:
     """A homogeneous contact manifold, as root data.
 
-    The tables derived from it (its modules, its theta-congruence classes
-    and its twist propagations) are built on first use and live as long as
-    the datum does.
+    The tables derived from it (its modules, the theta-transverse weights
+    that grade g and its theta-congruence classes, the theta-orthogonal
+    Cartan and its twist propagations) are built on first use and live as
+    long as the datum does.
     """
 
     system: RootSystem
@@ -48,19 +51,57 @@ class ContactDatum:
         return {m.highest: m for m in decompose(self)}
 
     @cached_property
+    def weights(self) -> tuple[tuple[int, ...], ...]:
+        """The theta-transverse weight of each root, by root index.
+
+        The weight of a is (theta, theta) a - (a, theta) theta in
+        simple-root coordinates, scaled to ints by one positive constant:
+        theta's coordinates and covector are cleared to ints once, as in
+        RootSystem.orthogonal_roots.  The map is linear, so the weight of
+        a sum is the sum of the weights, and it is the weight of a under
+        the theta-orthogonal Cartan t' = h intersect theta-perp.  It
+        vanishes exactly on the roots parallel to theta.
+        """
+        sys = self.system
+        den = lcm(*(x.denominator for x in self.theta.c))
+        tc = [int(x * den) for x in self.theta.c]
+        cov = self.theta.covector()
+        cden = lcm(*(x.denominator for x in cov))
+        cov = [(k, int(x * cden)) for k, x in enumerate(cov) if x]
+        tt = sum(tc[k] * y for k, y in cov)
+        out = []
+        for e in sys.expansions:
+            p = sum(e[k] * y for k, y in cov)
+            out.append(tuple(tt * x - p * t for x, t in zip(e, tc)))
+        return tuple(out)
+
+    @cached_property
+    def weight_blocks(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """The roots of each weight of g, in index order.  The zero weight
+        is always a key: the Cartan lies in g_0 with the roots parallel to
+        theta."""
+        blocks: dict[tuple[int, ...], list[int]] = {(0,) * self.system.rank: []}
+        for i, w in enumerate(self.weights):
+            blocks.setdefault(w, []).append(i)
+        return {w: tuple(b) for w, b in blocks.items()}
+
+    @cached_property
+    def theta_perp_cartan(self) -> tuple[RootVector, ...]:
+        """Rational basis of t' = h intersect theta-perp: the nullspace of
+        theta's covector."""
+        cov = [Q(x) for x in self.theta.covector()]
+        return tuple(RootVector(self.system, v) for v in nullspace([cov], self.system.rank))
+
+    @cached_property
     def congruence_classes(self) -> tuple[tuple[int, ...], ...]:
         """R' partitioned into theta-congruence classes, roots that differ
         by a multiple of theta, in the order of their least roots.
 
         Two roots share a class exactly when their components transverse
-        to theta agree."""
-        sys, theta = self.system, self.theta
-        tt = sys.inner(theta, theta)
-        buckets: dict[tuple, list[int]] = {}
+        to theta agree, that is when they have the same weight."""
+        buckets: dict[tuple[int, ...], list[int]] = {}
         for i in sorted(self.Rprime):
-            r = sys.roots[i]
-            transverse = r - (sys.inner(r, theta) / tt) * theta
-            buckets.setdefault(transverse.c, []).append(i)
+            buckets.setdefault(self.weights[i], []).append(i)
         return tuple(tuple(b) for b in buckets.values())
 
     @cached_property

@@ -10,15 +10,21 @@ by exact linear algebra over the Gaussian-rational polynomial ring
 Gaussian-rational parameter values otherwise).  The normalizer needs no
 linear system of its own: by the invariant form of the Chevalley basis it
 is the annihilator of the brackets of l^C + m01 with its orthogonal
-complement, so its real points are counted by one rank (normalizer_excess).
+complement, so its real points are counted by ranks (normalizer_excess).
+The two bracket checks are graded by the theta-transverse weight of
+ContactDatum.weights: a bracket of weights sigma and tau lies in the
+weight space of sigma + tau, so integrability skips the pairs whose sum is
+no weight of g, and the normalizer ranks its brackets one weight block at
+a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from math import isqrt, lcm
+from operator import add
 from typing import Iterable, Mapping, Optional
 
 from .chevalley import LieElement
@@ -83,6 +89,11 @@ class HolomorphicSubspace:
         return out
 
     def basis(self) -> list[LieElement]:
+        return list(self._basis)
+
+    @cached_property
+    def _basis(self) -> tuple[LieElement, ...]:
+        """The basis of m10, built on first use and kept with the subspace."""
         sys = self.datum.system
         out: list[LieElement] = []
         for pair in self.pairs:
@@ -102,7 +113,7 @@ class HolomorphicSubspace:
             raise StructError(
                 f"subspace dimension {len(out)} is not half of |R'| = {len(self.datum.Rprime)}"
             )
-        return out
+        return tuple(out)
 
     def roles(self) -> dict[int, str]:
         """Role of every isotropy root in the reduction scheme."""
@@ -236,8 +247,15 @@ def check_integrability(h: HolomorphicSubspace) -> ConstraintSet:
             gens.setdefault(p.key(), p)
 
     ro = frozenset(h.datum.Ro.members)
+    # [g_sigma, g_tau] lies in g_(sigma + tau), which is 0 unless the sum
+    # is a weight of g
+    weights = [_weight(h.datum, v) for v in basis]
+    blocks = h.datum.weight_blocks
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
+            wa, wb = weights[a], weights[b]
+            if wa is not None and wb is not None and tuple(map(add, wa, wb)) not in blocks:
+                continue
             br = basis[a].bracket(basis[b])
             res = dict(br.e)
             for w in list(res):
@@ -416,16 +434,17 @@ def _coordinate_rows(sys: RootSystem, elements: Iterable[LieElement]) -> list[Ro
 def _l_complex_basis(datum: ContactDatum) -> list[LieElement]:
     sys = datum.system
     out = [LieElement.root_vector(sys, sys.roots[i]) for i in sorted(datum.Ro.members)]
-    out.extend(LieElement.cartan(sys, v) for v in _theta_perp_cartan(datum))
+    out.extend(LieElement.cartan(sys, v) for v in datum.theta_perp_cartan)
     return out
 
 
-def _theta_perp_cartan(datum: ContactDatum) -> list[RootVector]:
-    """Rational basis of the theta-orthogonal part of the Cartan: the
-    nullspace of theta's covector."""
-    sys = datum.system
-    cov = [Q(x) for x in datum.theta.covector()]
-    return [RootVector(sys, v) for v in nullspace([cov], sys.rank)]
+def _weight(datum: ContactDatum, el: LieElement) -> Optional[tuple[int, ...]]:
+    """The theta-transverse weight of a homogeneous element (the Cartan
+    has weight 0), None for an inhomogeneous one."""
+    ws = {datum.weights[i] for i in el.e}
+    if el.h:
+        ws.add((0,) * datum.system.rank)
+    return ws.pop() if len(ws) == 1 else None
 
 
 def evaluate_basis(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> list[LieElement]:
@@ -465,29 +484,84 @@ def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> in
     <conj x, conj y> = conj <x, y>.  The real points of N, complexified,
     are N intersect conj(N), of dimension dim g - rank(S + conj(S)); the
     excess subtracts dim_C l^C.  No property of W is used beyond its
-    being a subspace.
+    being a subspace spanned by homogeneous elements.
+
+    Everything is graded by the theta-transverse weight of
+    ContactDatum.weights: g = sum of the g_tau, the form pairs g_tau only
+    with g_-tau and conj maps g_tau onto g_-tau.  So W' is the sum of the
+    W'_tau, the kernels inside g_tau of the form rows of W_-tau;
+    [W_sigma, W'_tau] lies in g_(sigma + tau); and S + conj(S) is the sum
+    over rho of the blocks S_rho + conj(S_-rho).  The block of -rho is the
+    conjugate of the block of rho, so one block of each pair is ranked and
+    counted twice.  A bracket into rho is skipped once its block is full,
+    since neither it nor its conjugate could add a pivot.
     """
-    rows, conj_rows = _form_bracket_rows(h, values)
-    ech = Echelon()
-    rank = sum(ech.add(r) for r in rows + conj_rows)
-    sys = h.datum.system
-    dim_l = len(h.datum.Ro.members) + len(_theta_perp_cartan(h.datum))
-    return len(sys.roots) + sys.rank - rank - dim_l
-
-
-def _form_bracket_rows(h: HolomorphicSubspace, values: Mapping[str, Gauss]):
-    """Coordinate rows of the nonzero brackets [w, u], w in a basis of
-    W = l^C + m01 and u in a basis of its orthogonal complement, and of
-    their conjugates."""
-    sys = h.datum.system
+    datum = h.datum
+    sys = datum.system
     n = len(sys.roots)
-    wbasis = _l_complex_basis(h.datum) + [v.conjugate() for v in evaluate_basis(h, values)]
-    # a basis of W': the kernel of the form rows of W
-    perp = [LieElement(sys, dict(enumerate(v[:n])), dict(enumerate(v[n:])))
-            for v in nullspace_gauss([w.form_row() for w in wbasis], n + sys.rank, ZERO, ONE)]
-    brackets = [b for w in wbasis for u in perp if not (b := w.bracket(u)).is_zero()]
-    return (_coordinate_rows(sys, brackets),
-            _coordinate_rows(sys, [b.conjugate() for b in brackets]))
+    zero = (0,) * sys.rank
+    wblocks: dict[tuple[int, ...], list[LieElement]] = {}
+    for w in _l_complex_basis(datum) + [v.conjugate() for v in evaluate_basis(h, values)]:
+        tau = _weight(datum, w)
+        if tau is None:
+            raise StructError("l^C + m01 has an element of mixed theta-transverse weight")
+        wblocks.setdefault(tau, []).append(w)
+    dims: dict[tuple[int, ...], int] = {}
+    perp: dict[tuple[int, ...], list[LieElement]] = {}
+    for tau, roots in datum.weight_blocks.items():
+        cols = list(roots) + ([n + k for k in range(sys.rank)] if tau == zero else [])
+        dims[tau] = len(cols)
+        at = {c: j for j, c in enumerate(cols)}
+        rows = [{at[c]: x for c, x in w.form_row().items()} for w in wblocks.get(_neg(tau), ())]
+        kernel = nullspace_gauss(rows, len(cols), ZERO, ONE)
+        if kernel:
+            perp[tau] = [_element(sys, {cols[j]: x for j, x in enumerate(v) if x})
+                         for v in kernel]
+    blocks: dict[tuple[int, ...], Echelon] = {}
+    for sigma, ws in wblocks.items():
+        for tau, us in perp.items():
+            rho = tuple(map(add, sigma, tau))
+            if rho in dims:
+                _bracket_into(sys, blocks, dims, rho, ((w, u) for w in ws for u in us))
+    # the block of -rho is the conjugate of the block of rho: same rank
+    rank = sum(len(ech.rows) * (1 if tau == zero else 2) for tau, ech in blocks.items())
+    dim_l = len(datum.Ro.members) + len(datum.theta_perp_cartan)
+    return n + sys.rank - rank - dim_l
+
+
+def _bracket_into(sys: RootSystem, blocks: dict, dims: dict, rho: tuple, pairs) -> None:
+    """Rank the brackets [w, u] of weight rho, until their block is full.
+
+    The blocks rho and -rho hold S_rho + conj(S_-rho) and its conjugate,
+    so only the one of the larger weight is kept: a bracket enters it as
+    itself when rho is the larger weight, as its conjugate when -rho is,
+    and as both when rho = 0."""
+    n = len(sys.roots)
+    nrho = _neg(rho)
+    key = max(rho, nrho)
+    ech = blocks.setdefault(key, Echelon())
+    for w, u in pairs:
+        if len(ech.rows) == dims[key]:
+            return
+        b = w.bracket(u)
+        if b.is_zero():
+            continue
+        row = _coordinate_rows(sys, [b])[0]
+        if rho >= nrho:
+            ech.add(row)
+        if rho <= nrho:
+            ech.add({sys.neg_index[c] if c < n else c: -x.conj() for c, x in row.items()})
+
+
+def _neg(tau: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-x for x in tau)
+
+
+def _element(sys: RootSystem, row: Mapping) -> LieElement:
+    """The element with the given coordinate row (see _coordinate_rows)."""
+    n = len(sys.roots)
+    return LieElement(sys, {c: x for c, x in row.items() if c < n},
+                      {c - n: x for c, x in row.items() if c >= n})
 
 
 # -- parabolic fibration witnesses ------------------------------------------------------

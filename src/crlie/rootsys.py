@@ -27,7 +27,7 @@ from math import gcd, lcm
 from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
-from .linalg import SpanSolver
+from .linalg import SpanSolver, nullspace
 
 Q = Fraction
 
@@ -385,12 +385,20 @@ class RootSystem:
     # -- subsystems -------------------------------------------------------------
 
     def closed_span(self, seed: Iterable[RootVector]) -> "Subsystem":
+        """The roots in the linear span of the seed roots.
+
+        The form is positive definite, so the span is the orthogonal
+        complement of its orthogonal complement: a root lies in it exactly
+        when it is orthogonal to a basis of the vectors orthogonal to every
+        seed root, the nullspace of the seed covectors."""
         seed = list(seed)
         for s in seed:
             if not self.is_root(s):
                 raise RootSystemError("closed_span seed must consist of roots")
-        span = SpanSolver([[Q(x) for x in s.c] for s in seed])
-        members = frozenset(i for i, e in enumerate(self.expansions) if span.contains(e))
+        perp = nullspace([[Q(x) for x in s.covector()] for s in seed], self.rank)
+        members = frozenset(range(len(self.roots)))
+        for v in perp:
+            members &= self.orthogonal_roots(RootVector(self, v))
         return Subsystem(self, members)
 
     # -- diagram automorphisms ---------------------------------------------------

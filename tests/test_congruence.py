@@ -2,11 +2,15 @@
 
 The reference groups R' by pairwise theta_congruent tests, the quadratic
 algorithm the partition replaced; congruence_groups and dual_pairs are
-checked against references built on it.
+checked against references built on it.  The integer theta-transverse
+weights that the partition is read from are checked against the rational
+transverse projection.
 """
 
 import json
+from fractions import Fraction as Q
 from importlib import resources
+from operator import add
 
 import pytest
 
@@ -17,12 +21,12 @@ from crlie.rootsys import parse_type
 MAX_RANK = 5
 
 
-def _golden_forms() -> list[tuple[str, str]]:
+def _golden_forms(max_rank: int) -> list[tuple[str, str]]:
     forms = set()
     for name in ("primitive.json", "nonprimitive.json", "table2.json", "table3.json"):
         rows = json.loads(resources.files("crlie.data").joinpath(name).read_text())["rows"]
         for row in rows:
-            if int(row["rank"]) > MAX_RANK:
+            if int(row["rank"]) > max_rank:
                 continue
             t = row["type"]
             tag = t if any(c.isdigit() for c in t) else t + row["rank"]
@@ -71,7 +75,7 @@ def _reference_pairs(classes, allow_g2_short: bool):
     return tuple(sorted(pairs))
 
 
-FORMS = _golden_forms()
+FORMS = _golden_forms(MAX_RANK)
 
 
 @pytest.mark.parametrize("tag,theta", FORMS)
@@ -90,3 +94,33 @@ def test_partition_matches_pairwise_oracle(tag, theta):
                 dual_pairs(datum, allow_g2_short=allow)
         else:
             assert dual_pairs(datum, allow_g2_short=allow).pairs == want
+
+
+@pytest.mark.parametrize("tag,theta", _golden_forms(6))
+def test_weights_grade_the_roots(tag, theta):
+    """ContactDatum.weights is additive on root sums, odd, zero exactly on
+    the roots parallel to theta, and a positive multiple of the transverse
+    projection a - (a, theta)/(theta, theta) theta."""
+    system = parse_type(tag)
+    datum = contact_datum(system, system.vector(theta.split(",")))
+    w, n, t = datum.weights, len(system.roots), datum.theta
+    zero = (0,) * system.rank
+    for i in range(n):
+        assert w[system.neg_index[i]] == tuple(-x for x in w[i])
+        for j in range(n):
+            k = system.sum_index(i, j)
+            if k is not None:
+                assert w[k] == tuple(map(add, w[i], w[j])), (i, j)
+    parallel = {i for i, r in enumerate(system.roots)
+                if all(x * y == u * v for x, v in zip(r.c, t.c) for u, y in zip(r.c, t.c))}
+    assert {i for i in range(n) if w[i] == zero} == parallel
+    tt = system.inner(t, t)
+    scale = None
+    for i, r in enumerate(system.roots):
+        proj = (r - (system.inner(r, t) / tt) * t).c
+        for x, y in zip(w[i], proj):
+            if y:
+                scale = scale or Q(x) / y
+                assert scale > 0 and x == scale * y
+            else:
+                assert x == 0

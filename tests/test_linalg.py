@@ -220,9 +220,10 @@ def test_empty_inputs():
 
 
 def test_normalizer_dims_match_sympy_rank():
-    """The ranks of S = [W, W'], conj(S) and their union that
-    normalizer_excess reads, at every call the rank <= 4 primitive scan
-    makes, against sympy's rank over QQ(I)."""
+    """The ranks of S = [W, W'], conj(S) and their union, built ungraded
+    over the whole algebra, at every call the rank <= 4 primitive scan
+    makes, against sympy's rank over QQ(I); the graded normalizer_excess
+    must read the same rank of S + conj(S)."""
     sympy = pytest.importorskip("sympy")
     from sympy import QQ_I
     from sympy.polys.matrices import DomainMatrix
@@ -254,10 +255,28 @@ def test_normalizer_dims_match_sympy_rank():
 
     assert calls
     for h, vals in calls:
-        srows, conj_rows = cs._form_bracket_rows(h, vals)
+        srows, conj_rows = _form_bracket_rows(h, vals)
         system = h.datum.system
         ncols = len(system.roots) + system.rank
         dims = [SpanSolver(r).dim() for r in (srows, conj_rows, srows + conj_rows)]
         assert dims == [rank(r, ncols) for r in (srows, conj_rows, srows + conj_rows)]
-        dim_l = len(h.datum.Ro.members) + len(cs._theta_perp_cartan(h.datum))
+        dim_l = len(h.datum.Ro.members) + len(h.datum.theta_perp_cartan)
         assert cs.normalizer_excess(h, vals) == ncols - dims[2] - dim_l
+
+
+def _form_bracket_rows(h, vals):
+    """Coordinate rows of every nonzero bracket [w, u], w in a basis of
+    W = l^C + m01 and u in a basis of its orthogonal complement in the
+    whole algebra, and of their conjugates: S and conj S, ungraded."""
+    from crlie import crstruct as cs
+    from crlie.chevalley import LieElement
+    from crlie.scalars import ONE, ZERO
+
+    system = h.datum.system
+    n = len(system.roots)
+    wbasis = cs._l_complex_basis(h.datum) + [v.conjugate() for v in cs.evaluate_basis(h, vals)]
+    perp = [LieElement(system, dict(enumerate(v[:n])), dict(enumerate(v[n:])))
+            for v in nullspace_gauss([w.form_row() for w in wbasis], n + system.rank, ZERO, ONE)]
+    brackets = [b for w in wbasis for u in perp if not (b := w.bracket(u)).is_zero()]
+    return (cs._coordinate_rows(system, brackets),
+            cs._coordinate_rows(system, [b.conjugate() for b in brackets]))

@@ -158,6 +158,27 @@ def test_closed_span():
     assert len(full) == len(a4.roots)
 
 
+def _closed_span_by_solver(sys, seed):
+    """Reference for closed_span: span membership of each root's
+    expansion, tested by a Fraction SpanSolver on the seed expansions."""
+    from crlie.linalg import SpanSolver
+
+    span = SpanSolver([[Q(x) for x in s.c] for s in seed])
+    return frozenset(i for i, e in enumerate(sys.expansions) if span.contains(e))
+
+
+@pytest.mark.parametrize("tag", ["A5", "B4", "C4", "D5", "E6", "E7", "E8", "F4", "G2",
+                                 "A2+B3", "A1+A1+G2"])
+def test_closed_span_matches_span_solver(tag):
+    import random
+
+    s = rs.parse_type(tag)
+    rng = random.Random(tag)
+    seeds = [[]] + [rng.sample(s.roots, rng.randint(1, s.rank + 1)) for _ in range(12)]
+    for seed in seeds:
+        assert s.closed_span(seed).members == _closed_span_by_solver(s, seed), (tag, seed)
+
+
 def test_subsystem_classification():
     f4 = rs.build("F4")
     longs = frozenset(i for i in range(48) if f4.norm2(i) == 2)
