@@ -270,7 +270,7 @@ def canonicalize(g: PaintedGraph) -> PaintedGraph:
     reproduces the reference presentation of each family.
     """
     best = None
-    for perm in g.system.diagram_automorphisms():
+    for perm in g.system.diagram_automorphisms:
         colors = [None] * len(g.colors)
         for i, c in enumerate(g.colors):
             colors[perm[i]] = c

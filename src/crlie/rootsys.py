@@ -1,6 +1,10 @@
 """Root systems: simple-root coordinates inside, the tables' ambient
 coordinates at the edges.
 
+The roots come from the integer Cartan matrix by alpha-strings, layer by
+height (Humphreys, Introduction to Lie Algebras and Representation Theory,
+9.4 and 10.1).  Ambient rows are kept only for the simple roots.
+
 B/C/D/F4 live in an orthonormal basis e1..el.  A, E7, E8 and G2 use the
 relation basis: l+1 vectors summing to zero with Gram matrix
 (ei, ej) = l/(l+1) for i = j and -1/(l+1) otherwise.  E6 uses six relation
@@ -12,14 +16,12 @@ Each relation block drops one dimension, so every ambient vector lies in
 the span of the simple roots.  A RootVector holds its simple-root
 coordinates: ints for roots, Fractions otherwise.  Inner products go
 through the Gram matrix of the simple roots and the Weyl machinery through
-the integer Cartan matrix (Humphreys, Introduction to Lie Algebras and
-Representation Theory, 10.1-10.3).  Ambient coordinates serve only
-parsing, printing and the canonical orderings.
+the integer Cartan matrix (Humphreys 10.1-10.3).  Ambient coordinates
+serve only parsing, printing and the canonical orderings.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -32,17 +34,6 @@ from .linalg import SpanSolver, nullspace
 Q = Fraction
 
 VALID_TYPES = ("A", "B", "C", "D", "E", "F", "G")
-
-# (type, rank) -> number of roots, for the build-time sanity check
-ROOT_COUNTS = {
-    "A": lambda l: l * (l + 1),
-    "B": lambda l: 2 * l * l,
-    "C": lambda l: 2 * l * l,
-    "D": lambda l: 2 * l * (l - 1),
-    "E": {6: 72, 7: 126, 8: 240},
-    "F": {4: 48},
-    "G": {2: 12},
-}
 
 
 class RootSystemError(ValueError):
@@ -136,8 +127,6 @@ class RootSystem:
 
     def __init__(self, components: Sequence[tuple[str, int]]):
         self.components = tuple((t, int(r)) for t, r in components)
-        for t, r in self.components:
-            _validate(t, r)
         self.blocks: list[Block] = []
         self.comp_blocks: list[list[Block]] = []
         dim = 0
@@ -150,13 +139,11 @@ class RootSystem:
             self.blocks.extend(blocks)
         self.dim = dim
 
-        ambient_roots: list[list[Q]] = []
         ambient_simples: list[list[Q]] = []
         # simple-root indices of each factor; a factor's Dynkin graph is connected
         self.component_nodes: list[frozenset[int]] = []
         for ci, (t, r) in enumerate(self.components):
             off = self.comp_blocks[ci][0].start
-            ambient_roots.extend(self._embed(c, off) for c in _component_roots(t, r))
             first = len(ambient_simples)
             ambient_simples.extend(self._embed(c, off) for c in _component_simples(t, r))
             self.component_nodes.append(frozenset(range(first, len(ambient_simples))))
@@ -185,18 +172,10 @@ class RootSystem:
         self._cartan = tuple(tuple(int(Q(2 * gij, g[j][j])) for j, gij in enumerate(row))
                              for row in g)
 
-        self.roots = [self.vector(c) for c in ambient_roots]
-        expected = sum(_root_count(t, r) for t, r in self.components)
-        if len(self.roots) != expected:
-            raise RootSystemError(f"expected {expected} roots, generated {len(self.roots)}")
         # simple-root expansions as int tuples, and the root of each one
-        self.expansions: list[tuple[int, ...]] = [v.c for v in self.roots]
-        for e in self.expansions:
-            if any(type(x) is not int for x in e) or (min(e) < 0 < max(e)):
-                raise RootSystemError("non-integral or mixed-sign simple-root expansion")
+        self.expansions: list[tuple[int, ...]] = _root_expansions(self._cartan)
+        self.roots = [RootVector(self, e) for e in self.expansions]
         self._by_expansion = {e: i for i, e in enumerate(self.expansions)}
-        if len(self._by_expansion) != len(self.roots):
-            raise RootSystemError("duplicate roots generated")
         self._sums: dict[tuple[int, int], Optional[int]] = {}  # sum_index memo
         self.positive = [all(x >= 0 for x in e) for e in self.expansions]
         self.neg_index = [self._by_expansion[tuple(-x for x in e)] for e in self.expansions]
@@ -403,39 +382,29 @@ class RootSystem:
 
     # -- diagram automorphisms ---------------------------------------------------
 
+    @cached_property
     def diagram_automorphisms(self) -> list[tuple[int, ...]]:
-        """Node permutations generating the Dynkin-graph symmetry group."""
-        gens: list[tuple[int, ...]] = []
-        offsets = [min(nodes) for nodes in self.component_nodes]
+        """The Dynkin-graph symmetries: every node permutation p with
+        C[p[i]][p[j]] == C[i][j], found by backtracking in lexicographic order."""
+        C = self._cartan
         n = self.rank
-        for ci, (t, r) in enumerate(self.components):
-            o = offsets[ci]
-            perm = list(range(n))
-            if t == "A" and r >= 2:
-                for i in range(r):
-                    perm[o + i] = o + (r - 1 - i)
-                gens.append(tuple(perm))
-            elif t == "D" and r >= 3:
-                perm[o + r - 2], perm[o + r - 1] = perm[o + r - 1], perm[o + r - 2]
-                gens.append(tuple(perm))
-                if r == 4:
-                    tri = list(range(n))
-                    tri[o + 0], tri[o + 2], tri[o + 3] = o + 2, o + 3, o + 0
-                    gens.append(tuple(tri))
-            elif t == "E" and r == 6:
-                perm[o + 0], perm[o + 4] = o + 4, o + 0
-                perm[o + 1], perm[o + 3] = o + 3, o + 1
-                gens.append(tuple(perm))
-        for ci in range(len(self.components)):
-            for cj in range(ci + 1, len(self.components)):
-                if self.components[ci] == self.components[cj]:
-                    r = self.components[ci][1]
-                    perm = list(range(n))
-                    for k in range(r):
-                        perm[offsets[ci] + k] = offsets[cj] + k
-                        perm[offsets[cj] + k] = offsets[ci] + k
-                    gens.append(tuple(perm))
-        return _close_group(gens, n)
+        out: list[tuple[int, ...]] = []
+        p: list[int] = []
+
+        def extend():
+            i = len(p)
+            if i == n:
+                out.append(tuple(p))
+                return
+            for k in range(n):
+                if k not in p and all(C[k][p[j]] == C[i][j] and C[p[j]][k] == C[j][i]
+                                      for j in range(i)):
+                    p.append(k)
+                    extend()
+                    p.pop()
+
+        extend()
+        return out
 
     def apply_node_map(self, perm: tuple[int, ...], v: RootVector) -> RootVector:
         """Linear extension of alpha_i -> alpha_{perm[i]} applied to v."""
@@ -450,7 +419,7 @@ class RootSystem:
         best = None
         for w in (v, -v):
             d = self.dominant(w)
-            for perm in self.diagram_automorphisms():
+            for perm in self.diagram_automorphisms:
                 cand = scale_primitive(self.dominant(self.apply_node_map(perm, d)))
                 key = cand.canon()
                 if best is None or key > best[0]:
@@ -558,43 +527,21 @@ class Subsystem:
 # -- component data -------------------------------------------------------------
 
 
-def _validate(t: str, r: int):
-    if t == "A" and r >= 1:
-        return
-    if t == "B" and r >= 1:
-        return
-    if t == "C" and r >= 2:
-        return
-    if t == "D" and r >= 3:
-        return
-    if t == "E" and r in (6, 7, 8):
-        return
-    if t == "F" and r == 4:
-        return
-    if t == "G" and r == 2:
-        return
-    raise RootSystemError(f"invalid type/rank combination {t}{r}")
-
-
-def _root_count(t: str, r: int) -> int:
-    c = ROOT_COUNTS[t]
-    return c[r] if isinstance(c, dict) else c(r)
-
-
 def _block_layout(t: str, r: int) -> list[tuple[str, int]]:
-    if t in ("B", "C", "D", "F"):
-        return [("ortho", r)]
-    if t == "A":
+    """The ambient blocks of a factor of type t and rank r; the one check
+    that the combination is valid."""
+    if t == "A" and r >= 1:
         return [("rel", r + 1)]
-    if t == "G":
+    if ((t == "B" and r >= 1) or (t == "C" and r >= 2) or (t == "D" and r >= 3)
+            or (t, r) == ("F", 4)):
+        return [("ortho", r)]
+    if (t, r) == ("G", 2):
         return [("rel", 3)]
-    if t == "E" and r == 6:
+    if (t, r) == ("E", 6):
         return [("rel", 6), ("aux", 1)]
-    if t == "E" and r == 7:
-        return [("rel", 8)]
-    if t == "E" and r == 8:
-        return [("rel", 9)]
-    raise RootSystemError(f"invalid type {t}{r}")
+    if t == "E" and r in (7, 8):
+        return [("rel", r + 1)]
+    raise RootSystemError(f"invalid type/rank combination {t}{r}")
 
 
 def _unit(n: int, *pairs) -> list[Q]:
@@ -602,71 +549,6 @@ def _unit(n: int, *pairs) -> list[Q]:
     for i, val in pairs:
         v[i] = Q(val)
     return v
-
-
-def _component_roots(t: str, r: int) -> list[list[Q]]:
-    out: list[list[Q]] = []
-    if t == "A":
-        n = r + 1
-        for i, j in itertools.permutations(range(n), 2):
-            out.append(_unit(n, (i, 1), (j, -1)))
-    elif t in ("B", "C", "D"):
-        for i, j in itertools.combinations(range(r), 2):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    out.append(_unit(r, (i, si), (j, sj)))
-        if t == "B":
-            for i in range(r):
-                for s in (1, -1):
-                    out.append(_unit(r, (i, s)))
-        elif t == "C":
-            for i in range(r):
-                for s in (2, -2):
-                    out.append(_unit(r, (i, s)))
-    elif t == "G":
-        for i, j in itertools.permutations(range(3), 2):
-            out.append(_unit(3, (i, 1), (j, -1)))
-        for i in range(3):
-            for s in (1, -1):
-                out.append(_unit(3, (i, s)))
-    elif t == "F":
-        for i, j in itertools.combinations(range(4), 2):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    out.append(_unit(4, (i, si), (j, sj)))
-        for i in range(4):
-            for s in (1, -1):
-                out.append(_unit(4, (i, s)))
-        for signs in itertools.product((Q(1, 2), Q(-1, 2)), repeat=4):
-            out.append(list(signs))
-    elif t == "E" and r == 6:
-        for i, j in itertools.permutations(range(6), 2):
-            out.append(_unit(7, (i, 1), (j, -1)))
-        out.append(_unit(7, (6, 2)))
-        out.append(_unit(7, (6, -2)))
-        for i, j, k in itertools.combinations(range(6), 3):
-            for s in (1, -1):
-                out.append(_unit(7, (i, 1), (j, 1), (k, 1), (6, s)))
-    elif t == "E" and r == 7:
-        for i, j in itertools.permutations(range(8), 2):
-            out.append(_unit(8, (i, 1), (j, -1)))
-        seen = set()
-        for quad in itertools.combinations(range(8), 4):
-            comp = tuple(sorted(set(range(8)) - set(quad)))
-            if comp in seen:
-                continue
-            seen.add(quad)
-            out.append(_unit(8, *[(i, 1) for i in quad]))
-            out.append(_unit(8, *[(i, 1) for i in comp]))
-    elif t == "E" and r == 8:
-        for i, j in itertools.permutations(range(9), 2):
-            out.append(_unit(9, (i, 1), (j, -1)))
-        for tri in itertools.combinations(range(9), 3):
-            out.append(_unit(9, *[(i, 1) for i in tri]))
-            out.append(_unit(9, *[(i, -1) for i in tri]))
-    else:
-        raise RootSystemError(f"invalid type {t}{r}")
-    return out
 
 
 def _component_simples(t: str, r: int) -> list[list[Q]]:
@@ -708,6 +590,37 @@ def _component_simples(t: str, r: int) -> list[list[Q]]:
         out.append(_unit(9, (5, 1), (6, 1), (7, 1)))
         return out
     raise RootSystemError(f"invalid type {t}{r}")
+
+
+def _root_expansions(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Simple-root expansions of the roots of a Cartan matrix: the positive
+    roots layer by height, then their negatives in the same order.
+
+    A positive root b of height h + 1 is c + alpha_i for some positive root c
+    of height h (Humphreys 10.2), and c + alpha_i is a root exactly when
+    p > <c | alpha_i>, with c - p alpha_i the bottom of c's alpha_i-string
+    (Humphreys 9.4).  On a block-diagonal matrix no string crosses blocks,
+    so the roots are the union of the factors' roots."""
+    n = len(cartan)
+    layer = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    positive = list(layer)
+    seen = set(layer)
+    while layer:
+        above = set()
+        for c in layer:
+            for i in range(n):
+                p, down = 0, list(c)
+                while True:
+                    down[i] -= 1
+                    if tuple(down) not in seen:
+                        break
+                    p += 1
+                if p > sum(x * cartan[j][i] for j, x in enumerate(c) if x):
+                    above.add(c[:i] + (c[i] + 1,) + c[i + 1:])
+        layer = sorted(above)
+        positive += layer
+        seen.update(layer)
+    return positive + [tuple(-x for x in e) for e in positive]
 
 
 # -- build API --------------------------------------------------------------------
@@ -752,20 +665,6 @@ def _int_rows(rows: Iterable[Sequence]) -> tuple[int, list[list[tuple[int, int]]
 
 def _int_if_integral(x):
     return int(x) if x.denominator == 1 else x
-
-
-def _close_group(gens: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    identity = tuple(range(n))
-    group = {identity}
-    frontier = [identity]
-    while frontier:
-        g = frontier.pop()
-        for h in gens:
-            comp = tuple(h[g[i]] for i in range(n))
-            if comp not in group:
-                group.add(comp)
-                frontier.append(comp)
-    return sorted(group)
 
 
 # -- display ----------------------------------------------------------------------

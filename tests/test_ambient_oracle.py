@@ -67,7 +67,7 @@ class Ambient:
         if ds not in self._canonical:
             best = None
             for d in ds:
-                for perm in self.system.diagram_automorphisms():
+                for perm in self.system.diagram_automorphisms:
                     mapped = [Q(0)] * len(v)
                     for i, c in enumerate(self.span.reduce(d)):
                         mapped = [x + c * y for x, y in zip(mapped, self.simples[perm[i]])]

@@ -16,7 +16,7 @@ def test_root_string_examples():
     a2 = rs.build("A2")
     assert ch.root_string(a2, a2.vector([1, -1, 0]), a2.vector([0, 1, -1])) == (0, 1)
     prod = rs.build_product([("A", 1), ("A", 1)])
-    assert ch.root_string(prod, prod.roots[0], prod.roots[2]) == (0, 0)
+    assert ch.root_string(prod, prod.simple_roots[0], prod.simple_roots[1]) == (0, 0)
     g2 = rs.build("G2")
     assert ch.root_string(g2, g2.vector([0, -1, 0]), g2.vector([0, 1, -1])) == (0, 3)
     with pytest.raises(ch.ChevalleyError):

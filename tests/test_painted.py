@@ -107,7 +107,7 @@ def test_canonicalization_idempotent_and_triality():
     assert c1.serialize() == "D5:b,w,w,w,g"
     # D4 triality: node permutations form a group of order 6 x 2
     d4 = rs.build("D4")
-    autos = d4.diagram_automorphisms()
+    autos = d4.diagram_automorphisms
     assert len(autos) == 6
 
 

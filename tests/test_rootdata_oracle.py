@@ -1,16 +1,19 @@
 """Root data of every simple type of rank <= 8 against sympy.liealgebras.
 
-sympy's Cartan matrices and root counts come from its own tables, not from
-the ambient root formulas that rootsys builds from, so they are an
-independent check.  Its node numbering differs from ours (F4 is reversed,
-E6-E8 are renumbered), so the Cartan matrices are compared up to a
-relabelling of nodes that preserves the Dynkin graph.
+The test checks three things against sympy's own tables: the Cartan
+matrix, the root count and the highest root.  rootsys generates its roots
+from its Cartan matrix, which it takes from the ambient simple roots, so a
+wrong simple root shows as a Cartan-matrix mismatch here.  sympy's node
+numbering differs from ours (F4 is reversed, E6-E8 are renumbered), so the
+Cartan matrices are compared up to a relabelling of nodes that preserves
+the Dynkin graph.
 
-The highest root is taken from the positive roots that alpha-strings
-generate from sympy's Cartan matrix, not from sympy's positive_roots():
-in sympy 1.14 that list holds duplicates for E6-E8 and vectors that are
-not roots for F4 and G2 (F4's simple_root(3) does not match its own
-Cartan matrix), and its root of greatest height is wrong for F4 and E7.
+The highest root is taken from the positive roots that this file's own
+alpha-string generator, the reference run, finds on sympy's Cartan matrix,
+not from sympy's positive_roots(): in sympy 1.14 that list holds
+duplicates for E6-E8 and vectors that are not roots for F4 and G2 (F4's
+simple_root(3) does not match its own Cartan matrix), and its root of
+greatest height is wrong for F4 and E7.
 """
 
 import pytest

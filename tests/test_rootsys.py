@@ -1,8 +1,11 @@
+import itertools
+import math
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crlie import classify
 from crlie import rootsys as rs
 
 ALL_SIMPLE = ["A1", "A2", "A5", "B2", "B3", "B5", "C3", "C4", "D3", "D4", "D5",
@@ -49,6 +52,12 @@ def test_invalid_types_raise():
         rs.build("F", 5)
     with pytest.raises(rs.RootSystemError):
         rs.parse_type("H4")
+    for tag in ("A0", "C1", "D2", "E5", "E9", "F5", "G3"):
+        with pytest.raises(rs.RootSystemError, match=f"^invalid type/rank combination {tag}$"):
+            rs.parse_type(tag)
+    # the first bad factor is the one named
+    with pytest.raises(rs.RootSystemError, match="combination D2$"):
+        rs.parse_type("A2+D2+E5")
 
 
 def test_relation_basis_inner_products():
@@ -208,6 +217,47 @@ def test_dominant_and_canonical_form():
     forms = [d4.vector([2, 0, 0, 0]), d4.vector([1, 1, 1, 1]), d4.vector([1, 1, 1, -1])]
     canon = {d4.canonical_form(f).canon() for f in forms}
     assert len(canon) == 1
+
+
+# the isomorphic low-rank duplicates, by their scan-order name
+_ISOMORPHIC = {("B", 1): ("A", 1), ("C", 2): ("B", 2), ("D", 3): ("A", 3)}
+
+
+def _automorphism_order(components) -> int:
+    """|Aut| of a Dynkin diagram: the factors' own symmetries times the
+    permutations of isomorphic factors."""
+    components = [_ISOMORPHIC.get(c, c) for c in components]
+    order = 1
+    for t, r in components:
+        if (t == "A" and r >= 2) or (t == "D" and r >= 5) or (t, r) == ("E", 6):
+            order *= 2
+        elif (t, r) == ("D", 4):
+            order *= 6
+    for c in set(components):
+        order *= math.factorial(components.count(c))
+    return order
+
+
+_SIMPLE_8 = classify.simple_types(8) + [("D", 3)]
+_AUTOMORPHISM_CASES = (
+    [[c] for c in _SIMPLE_8]
+    + [list(p) for p in itertools.combinations_with_replacement(_SIMPLE_8, 2)
+       if p[0][1] + p[1][1] <= 8]
+    + [[("A", 1)] * 3, [("A", 2)] * 3, [("D", 4), ("A", 1), ("A", 1)], [("B", 2), ("C", 2)]]
+)
+
+
+def test_diagram_automorphisms_from_the_cartan_matrix():
+    for comps in _AUTOMORPHISM_CASES:
+        s = rs.build_product(comps)
+        C = s.cartan_matrix()
+        autos = s.diagram_automorphisms
+        n = s.rank
+        assert all(C[p[i]][p[j]] == C[i][j] for p in autos for i in range(n) for j in range(n))
+        assert autos == sorted(set(autos)) and autos[0] == tuple(range(n))
+        group = set(autos)
+        assert all(tuple(p[q[i]] for i in range(n)) in group for p in autos for q in autos)
+        assert len(autos) == _automorphism_order(comps), comps
 
 
 def test_product_systems():

@@ -9,7 +9,9 @@ print the same lines, so comparing them is one diff:
     python3 tools/cli_digest.py --src /path/to/other/checkout/src > old.txt
     diff old.txt new.txt
 
-The battery: ``classify --what primitive|nonprimitive|special --max-rank 8``,
+The battery: ``roots --type T`` on the 31 simple types of rank <= 8 and on
+``A1+A1`` and ``A2+G2``, the one command that prints every root;
+``classify --what primitive|nonprimitive|special --max-rank 8``,
 ``table1`` and ``table2``/``table3 --max-rank 8``, all as JSON;
 ``check --family`` on every golden contact form of rank <= 6 (both the
 source and the canonical form of each primitive row), in text and JSON;
@@ -33,6 +35,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CHECK_MAX_RANK = 6
 PAINTED_TYPES = (("D5", (5,)), ("A2+A2", (2, 2)))  # (type, rank of each factor)
+# the simple types of rank <= 8 in scan order, then two products
+ROOT_TYPES = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)]
+              + [f"C{r}" for r in range(3, 9)] + [f"D{r}" for r in range(4, 9)]
+              + ["E6", "E7", "E8", "F4", "G2", "A1+A1", "A2+G2"])
 
 
 def _type_of(row: dict) -> str:
@@ -76,8 +82,9 @@ def golden_graphs(data: Path) -> list[str]:
 
 def battery(data: Path) -> list[list[str]]:
     json_fmt = ["--format", "json"]
-    cmds = [["classify", "--what", what, "--max-rank", "8", *json_fmt]
-            for what in ("primitive", "nonprimitive", "special")]
+    cmds = [["roots", "--type", t, *json_fmt] for t in ROOT_TYPES]
+    cmds += [["classify", "--what", what, "--max-rank", "8", *json_fmt]
+             for what in ("primitive", "nonprimitive", "special")]
     cmds.append(["table1", *json_fmt])
     cmds += [[f"table{n}", "--max-rank", "8", *json_fmt] for n in (2, 3)]
     for t, theta in golden_forms(data):
