@@ -569,7 +569,6 @@ def _element(sys: RootSystem, row: Mapping) -> LieElement:
 
 @dataclass(frozen=True)
 class ParabolicWitness:
-    kind: str  # "root-subset" or "twisted-borel"
     sym_roots: frozenset[int]
     fiber_dim: int
     fiber_type: str
@@ -588,27 +587,34 @@ class FibrationReport:
         return any(w.fiber_dim == 1 for w in self.witnesses)
 
 
-def find_crf_parabolics(h: HolomorphicSubspace, values: Mapping[str, Gauss],
-                        max_witnesses: int = 64) -> FibrationReport:
+def find_crf_parabolics(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> FibrationReport:
     """Proper parabolic subalgebras containing l^C + m10.
 
-    Searches the parabolic subsets of R adapted to the standard Cartan, and
-    for subspaces with a twisted rank-one part also the parabolic reductions
-    adapted to the rotated Cartan through that line (S^1 fibers).
+    The support S of l^C + m10 (R_o and the roots of the evaluated m10)
+    meets every pair {a, -a}: l^C holds R_o, and m10 + m01 = m^C with
+    m01 = conj(m10) supported on -S.  A closed root set P with
+    P u -P = R is parabolic (Bourbaki, Lie VI 1.7, Prop. 20), and every
+    parabolic is closed, so the additive closure of S is the least
+    parabolic containing S: the one root-subset witness when it is proper,
+    none when it is R.  A pair that the closure leaves undecided means m10
+    is not complementary to its conjugate at these values; that raises.
+
+    For subspaces with a twisted rank-one part, the parabolic reduction
+    adapted to the rotated Cartan through that line (S^1 fibers) is added.
     """
     sys = h.datum.system
     datum = h.datum
-    basis = evaluate_basis(h, values)
     support = set(datum.Ro.members)
-    for v in basis:
+    for v in evaluate_basis(h, values):
         support.update(v.e.keys())
+    p = _additive_closure(sys, frozenset(support))
+    if any(i not in p and sys.neg_index[i] not in p for i in range(len(sys.roots))):
+        raise StructError("m10 and its conjugate do not span m at these values")
     witnesses: list[ParabolicWitness] = []
-    for p in _parabolic_subsets(sys, frozenset(support), max_witnesses):
+    if len(p) < len(sys.roots):
         sym = frozenset(i for i in p if sys.neg_index[i] in p)
         fiber_dim = len(sym) - len(datum.Ro.members) + 1
-        witnesses.append(
-            ParabolicWitness("root-subset", sym, fiber_dim, _fiber_type(datum, sym))
-        )
+        witnesses.append(ParabolicWitness(sym, fiber_dim, _fiber_type(datum, sym)))
     s1 = _rotated_s1_witness(h, values)
     if s1 is not None:
         witnesses.append(s1)
@@ -616,52 +622,23 @@ def find_crf_parabolics(h: HolomorphicSubspace, values: Mapping[str, Gauss],
     return FibrationReport(tuple(witnesses))
 
 
-def _additive_closure(sys: RootSystem, seed: frozenset[int]) -> Optional[frozenset[int]]:
+def _additive_closure(sys: RootSystem, seed: frozenset[int]) -> frozenset[int]:
+    """The least set of roots containing seed and closed under root sums.
+
+    Each root is paired once with every root popped before it and with
+    itself, so every pair of the closure is looked up exactly once."""
     out = set(seed)
     frontier = list(seed)
+    popped: list[int] = []
     while frontier:
         i = frontier.pop()
-        for j in list(out):
+        popped.append(i)
+        for j in popped:
             k = sys.sum_index(i, j)
             if k is not None and k not in out:
                 out.add(k)
                 frontier.append(k)
     return frozenset(out)
-
-
-def _parabolic_subsets(sys: RootSystem, support: frozenset[int], cap: int) -> list[frozenset[int]]:
-    """Proper closed P with P u -P = R containing the support.
-
-    Branches over the root pairs not yet represented in the additive
-    closure; parabolics that merely symmetrize an already decided pair are
-    reached only when closure forces them.
-    """
-    n = len(sys.roots)
-    base = _additive_closure(sys, support)
-    if len(base) == n:
-        return []
-    results: set[frozenset[int]] = set()
-    seen: set[frozenset[int]] = set()
-
-    def undecided(p: frozenset[int]) -> Optional[int]:
-        for i in range(n):
-            if i not in p and sys.neg_index[i] not in p:
-                return i
-        return None
-
-    def recurse(p: frozenset[int]):
-        if len(results) >= cap or p in seen or len(p) == n:
-            return
-        seen.add(p)
-        i = undecided(p)
-        if i is None:
-            results.add(p)
-            return
-        for choice in ({i}, {sys.neg_index[i]}, {i, sys.neg_index[i]}):
-            recurse(_additive_closure(sys, p | choice))
-
-    recurse(base)
-    return sorted(results, key=sorted)
 
 
 def _fiber_type(datum: ContactDatum, sym: frozenset[int]) -> str:
@@ -734,7 +711,7 @@ def _rotated_s1_witness(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> 
     # strict feasibility of f = (u, v) with v entering through the su2 block
     if not _cone_feasible(constraints):
         return None
-    return ParabolicWitness("twisted-borel", frozenset(datum.Ro.members), 1, "S1")
+    return ParabolicWitness(frozenset(datum.Ro.members), 1, "S1")
 
 
 def _central_directions(datum: ContactDatum) -> list[RootVector]:

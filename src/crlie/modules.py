@@ -105,34 +105,21 @@ class CongruenceDatum:
         sys = self.datum.system
         return frozenset(i for i in self.datum.Rprime - self.paired_roots if sys.positive[i])
 
-    def partner(self, i: int) -> Optional[int]:
-        for a, b in self.pairs:
-            if i == a:
-                return b
-            if i == b:
-                return a
-        return None
 
-
-def dual_pairs(datum: ContactDatum, allow_g2_short: bool = False) -> CongruenceDatum:
+def dual_pairs(datum: ContactDatum) -> CongruenceDatum:
     """Match every isotropy root with its theta-congruent partner.
 
     Partners are the roots of one theta-congruence class.  Raises when
     some root has two or more partners, which happens exactly in the
     excluded case of a G2 contact form proportional to a short root.
     """
-    pairs = set()
-    for group in datum.congruence_classes:
-        if len(group) > 2 and not allow_g2_short:
-            raise CongruenceError(
-                "a root has multiple theta-congruent partners "
-                "(excluded short-root G2 configuration)"
-            )
-        for a, b in zip(group, group[1:]):
-            pairs.add((a, b))
-        if len(group) > 2:
-            pairs.add((group[0], group[-1]))
-    return CongruenceDatum(datum, tuple(sorted(pairs)))
+    classes = datum.congruence_classes
+    if any(len(group) > 2 for group in classes):
+        raise CongruenceError(
+            "a root has multiple theta-congruent partners "
+            "(excluded short-root G2 configuration)"
+        )
+    return CongruenceDatum(datum, tuple(sorted(g for g in classes if len(g) == 2)))
 
 
 @dataclass(frozen=True)

@@ -64,14 +64,12 @@ def _pairwise_groups(datum) -> list[list[int]]:
     return groups
 
 
-def _reference_pairs(classes, allow_g2_short: bool):
+def _reference_pairs(classes):
     pairs = set()
     for cls in classes:
-        if len(cls) > 2 and not allow_g2_short:
+        if len(cls) > 2:
             return None  # dual_pairs must raise
         pairs.update(zip(cls, cls[1:]))
-        if len(cls) > 2:
-            pairs.add((cls[0], cls[-1]))
     return tuple(sorted(pairs))
 
 
@@ -87,13 +85,12 @@ def test_partition_matches_pairwise_oracle(tag, theta):
     assert all(datum.class_of[i] == c for c in classes for i in c)
     got = [[m.highest for m in g] for g in congruence_groups(datum)]
     assert got == _pairwise_groups(datum)
-    for allow in (False, True):
-        want = _reference_pairs(classes, allow)
-        if want is None:
-            with pytest.raises(CongruenceError):
-                dual_pairs(datum, allow_g2_short=allow)
-        else:
-            assert dual_pairs(datum, allow_g2_short=allow).pairs == want
+    want = _reference_pairs(classes)
+    if want is None:
+        with pytest.raises(CongruenceError):
+            dual_pairs(datum)
+    else:
+        assert dual_pairs(datum).pairs == want
 
 
 @pytest.mark.parametrize("tag,theta", _golden_forms(6))

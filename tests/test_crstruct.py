@@ -212,6 +212,90 @@ def test_fibration_witnesses_short_root_and_pairs():
     assert cs.find_crf_parabolics(P3.family, vals_for(P3.family, T_HALF)).primitive
 
 
+def test_fibration_witness_rejects_non_complementary_m10():
+    # m10 = C E_a + C E_-a is its own conjugate, so neither b nor -b lies in
+    # the support: no parabolic is least, and the search must not pick one
+    s = rs.parse_type("A1+A1")
+    datum = ct.contact_datum(s, s.vector([1, -1, -1, 1]))  # a - b
+    a = s.root_index(s.vector([1, -1, 0, 0]))
+    h = cs.HolomorphicSubspace(datum, plains=(a, s.neg_index[a]))
+    with pytest.raises(cs.StructError):
+        cs.find_crf_parabolics(h, {})
+
+
+def _reference_closure(sysm, roots):
+    out = set(roots)
+    while True:
+        sums = {sysm.sum_index(i, j) for i in out for j in out} - {None}
+        if sums <= out:
+            return frozenset(out)
+        out |= sums
+
+
+def _reference_parabolics(sysm, support):
+    """Every proper closed P with P u -P = R containing the support, found
+    by branching over the pairs {a, -a} that P does not yet meet."""
+    n = len(sysm.roots)
+    found, seen = set(), set()
+
+    def branch(p):
+        if p in seen or len(p) == n:
+            return
+        seen.add(p)
+        i = next((i for i in range(n) if i not in p and sysm.neg_index[i] not in p), None)
+        if i is None:
+            found.add(p)
+            return
+        for choice in ({i}, {sysm.neg_index[i]}, {i, sysm.neg_index[i]}):
+            branch(_reference_closure(sysm, p | choice))
+
+    branch(_reference_closure(sysm, support))
+    return found
+
+
+def _golden_forms(max_rank):
+    from crlie.cli import load_fixture
+
+    forms = []
+    for name, keys in (("primitive.json", ("theta_source", "theta_canon")),
+                       ("nonprimitive.json", ("theta_canon",))):
+        for row in load_fixture(name).rows:
+            if int(row["rank"]) <= max_rank:
+                t = row["type"]
+                t = t if t[-1].isdigit() else t + row["rank"]
+                forms += [(t, row[k]) for k in keys if (t, row[k]) not in forms]
+    return forms
+
+
+def test_fibration_witness_matches_branch_search(monkeypatch):
+    calls = []
+    real = classify.find_crf_parabolics
+
+    def spy(h, values):
+        calls.append((h, dict(values)))
+        return real(h, values)
+
+    monkeypatch.setattr(classify, "find_crf_parabolics", spy)
+    for t, theta in _golden_forms(5):
+        s = rs.parse_type(t)
+        classify.structure_rows_for_datum(ct.contact_datum(s, s.vector(theta.split(","))))
+    assert len(calls) > 100
+    for h, values in calls:
+        sysm, datum = h.datum.system, h.datum
+        support = set(datum.Ro.members)
+        for v in cs.evaluate_basis(h, values):
+            support.update(v.e)
+        want = []
+        for p in _reference_parabolics(sysm, frozenset(support)):
+            sym = frozenset(i for i in p if sysm.neg_index[i] in p)
+            fiber_dim = len(sym) - len(datum.Ro.members) + 1
+            want.append(cs.ParabolicWitness(sym, fiber_dim, cs._fiber_type(datum, sym)))
+        s1 = cs._rotated_s1_witness(h, values)
+        want += [s1] if s1 is not None else []
+        want.sort(key=lambda w: (w.fiber_dim, sorted(w.sym_roots)))
+        assert real(h, values).witnesses == tuple(want), h.label
+
+
 COMPOSITE_GRAPHS = [
     ("A2:g,b", "I", "SO3 = S(S2)"),
     ("A1+A2:g|g,b", "II", "SO4/SO2 = S(S3)"),

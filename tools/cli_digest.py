@@ -17,8 +17,11 @@ The battery: ``roots --type T`` on the 31 simple types of rank <= 8 and on
 source and the canonical form of each primitive row), in text and JSON;
 and ``check --graph`` on every painting of D5 and of A2+A2 in JSON and on
 every golden nonprimitive graph of rank <= 6 in text, so one diff also
-covers the painted-graph verdicts and the K/Q flag types.  The commands
-run in one process, through ``crlie.cli.main``.
+covers the painted-graph verdicts and the K/Q flag types; and
+``check --m10`` on the README's A4 user subspace and on an A1+A1 subspace
+that is its own conjugate (exit 64), in text and JSON, so the
+user-subspace path is diffed too.  The commands run in one process,
+through ``crlie.cli.main``.
 """
 
 from __future__ import annotations
@@ -39,6 +42,13 @@ PAINTED_TYPES = (("D5", (5,)), ("A2+A2", (2, 2)))  # (type, rank of each factor)
 ROOT_TYPES = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)]
               + [f"C{r}" for r in range(3, 9)] + [f"D{r}" for r in range(4, 9)]
               + ["E6", "E7", "E8", "F4", "G2", "A1+A1", "A2+G2"])
+# (type, theta, --m10 spec): the README example, then a degenerate spec
+M10_CHECKS = (
+    ("A4", "1,0,0,0,-1", {"pairs": [["1,0,0,-1,0", "0,0,0,-1,1", "s"],
+                                    ["0,1,0,0,-1", "-1,1,0,0,0", "s"]],
+                          "su2": ["1,0,0,0,-1", "t"]}),
+    ("A1+A1", "1,-1,-1,1", {"plains": ["1,-1,0,0", "-1,1,0,0"]}),
+)
 
 
 def _type_of(row: dict) -> str:
@@ -93,6 +103,8 @@ def battery(data: Path) -> list[list[str]]:
     for t, ranks in PAINTED_TYPES:
         cmds += [["check", "--graph", g, *json_fmt] for g in all_paintings(t, ranks)]
     cmds += [["check", "--graph", g, "--format", "text"] for g in golden_graphs(data)]
+    cmds += [["check", "--type", t, f"--theta={theta}", "--m10", json.dumps(spec), "--format", fmt]
+             for t, theta, spec in M10_CHECKS for fmt in ("text", "json")]
     return cmds
 
 
