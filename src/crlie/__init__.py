@@ -1,7 +1,7 @@
 """Exact computational Lie theory for invariant contact and CR structures
 on compact homogeneous manifolds."""
 
-from .classify import composite_family
+from .classify import classify_datum
 from .contact import contact_datum, grade_by_highest_root, grade_by_short_root_g2
 from .crstruct import (
     HolomorphicSubspace,
@@ -26,7 +26,7 @@ __all__ = [
     "build_product",
     "check_disjointness",
     "check_integrability",
-    "composite_family",
+    "classify_datum",
     "contact_datum",
     "decompose",
     "dual_pairs",

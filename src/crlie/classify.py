@@ -4,6 +4,11 @@ Every pipeline recomputes its result from first principles (root systems,
 module decompositions, integrability and fibration checks at sampled
 Gaussian-rational twists) and emits canonically sorted report rows that are
 diffed against the golden fixtures.
+
+classify_datum is the one path from a contact datum to its structures: it
+picks the case of the classification and returns that case's Families
+record.  The primitive scan, the CR-graph verification and the structure
+reports of ``check --family`` all read their subspaces from that record.
 """
 
 from __future__ import annotations
@@ -13,7 +18,13 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import naming
-from .contact import ContactDatum, classify_special, contact_datum, grade_by_highest_root
+from .contact import (
+    ContactDatum,
+    classify_special,
+    contact_datum,
+    grade_by_highest_root,
+    grade_by_short_root_g2,
+)
 from .crstruct import (
     HolomorphicSubspace,
     _fiber_type,
@@ -25,13 +36,12 @@ from .crstruct import (
     normalizer_excess,
 )
 from .families import (
+    Families,
     FamilyError,
-    SpecialFamilies,
     pair_family,
     short_root_families,
     special_su_families,
-    special_standard_subspace,
-    g2_short_standard_subspace,
+    standard_family,
 )
 from .modules import CongruenceError, congruence_groups, dual_pairs, tilde_Re_type
 from .painted import CRGraph, enumerate_cr_graphs, flag_pair
@@ -274,76 +284,75 @@ def primitive_rows(max_rank: int = DEFAULT_MAX_RANK) -> list[dict]:
 
 
 def _primitive_rows_for(system: RootSystem, ttag, rank) -> list[dict]:
+    """The primitive families of one system: each candidate contact form
+    goes through classify_datum, and a row is emitted where the route's
+    primitive disc family verifies."""
     rows = []
-
-    def emit(family: int, theta: RootVector, h: HolomorphicSubspace, kname: str):
-        if _verify(h, 2) is not True:
-            return
+    for theta in _primitive_candidates(system):
+        verdict = classify_datum(contact_datum(system, theta))
+        F = verdict.families
+        if F is None or F.primitive is None or _verify(F.primitive, 2) is not True:
+            continue
         tcanon = system.canonical_form(theta)
+        family = _family_id(verdict)
         rows.append(
             {
                 "type": str(ttag),
                 "rank": str(rank),
                 "family": str(family),
                 "G": naming.system_name(system),
-                "K": kname,
+                "K": naming.subgroup_name(system, F.datum.Ro, corank_drop=0),
                 "theta": format_vector(tcanon),
                 "theta_canon": canon_str(tcanon),
                 "N": _cross_name(family, rank),
             }
         )
-
-    t = str(ttag)
-    # special path: only the A series carries a primitive (doubly twisted) family
-    if t == "A" and rank >= 2:
-        F = special_su_families(system)
-        kname = naming.subgroup_name(system, F.datum.Ro, corank_drop=0)
-        emit(6, F.mu, F.j0_family, kname)
-    # short-root path
-    if t in ("B", "C", "F"):
-        R = short_root_families(system)
-        fam_id = {"B": 4, "C": 7, "F": 3}[t]
-        kname = naming.subgroup_name(system, R.datum.Ro, corank_drop=0)
-        emit(fam_id, R.datum.theta, R.family, kname)
-    # paired-root path: orthogonal pairs with theta parallel to no root;
-    # a one-sided block (R_J+) rules out primitivity
-    seen_thetas: set[str] = set()
-    for cand in _pair_candidates(system):
-        key = canon_str(system.canonical_form(cand))
-        if key in seen_thetas:
-            continue
-        seen_thetas.add(key)
-        datum = contact_datum(system, cand)
-        verdict = classify_datum(datum)
-        if verdict.route != "pair" or verdict.rj_plus:
-            continue
-        kname = naming.subgroup_name(system, datum.Ro, corank_drop=0)
-        emit(_pair_family_id(verdict.re_type), cand, verdict.family.family, kname)
     return rows
 
 
-def _pair_family_id(re_type: str) -> int:
-    if re_type == "A1+A1":
-        return 1
-    if re_type == "B3":
-        return 2
-    return 5  # D series (including A3 = D3 and the triality forms)
+def _family_id(verdict: Verdict) -> int:
+    """The number of the primitive family a verdict's route carries."""
+    if verdict.route == "special":
+        return 6  # the doubly twisted family of the A series
+    if verdict.route == "short-root":
+        return {"B": 4, "C": 7, "F": 3}[verdict.families.datum.system.components[0][0]]
+    # the pair route: the D series includes A3 = D3 and the triality forms
+    return {"A1+A1": 1, "B3": 2}.get(verdict.re_type, 5)
 
 
-def _pair_candidates(system: RootSystem) -> list[RootVector]:
-    """Orthogonal root pairs spanning A1+A1, as contact forms a - a'.
+def _primitive_candidates(system: RootSystem):
+    """The dominant root of each length of a simple system, then the pair
+    candidates, one per canonical form."""
+    reps = _length_representatives(system)
+    if system.is_simple:
+        yield from reps
+    seen: set[str] = set()
+    for cand in _pair_candidates(system, reps):
+        key = canon_str(system.canonical_form(cand))
+        if key not in seen:
+            seen.add(key)
+            yield cand
 
-    The first member is normalized to the dominant representative of its
-    length class, which is exhaustive up to the Weyl action.
-    """
-    out = []
-    seen = set()
+
+def _length_representatives(system: RootSystem) -> list[RootVector]:
+    """The dominant root of each length class, in order of first appearance."""
     reps: dict = {}
     for i, r in enumerate(system.roots):
         n = system.norm2(i)
         if n not in reps:
             reps[n] = system.dominant(r)
-    for a in reps.values():
+    return list(reps.values())
+
+
+def _pair_candidates(system: RootSystem, reps: list[RootVector]) -> list[RootVector]:
+    """Orthogonal root pairs spanning A1+A1, as contact forms a - a'.
+
+    The first member is one of reps, the dominant representative of each
+    length class, which is exhaustive up to the Weyl action.
+    """
+    out = []
+    seen = set()
+    for a in reps:
         ia = system.root_index(a)
         for j, b in enumerate(system.roots):
             if not system.strongly_orthogonal(ia, j):
@@ -368,30 +377,31 @@ class Verdict:
 
     route is "special" (theta along a long root), "g2-short", "short-root",
     "pair" (theta along no root) or "unclassified", with the reason in
-    ``reason``.  family is the route's family object: SpecialFamilies of an
-    A-type system, the standard subspace of another special or g2-short
-    datum, ShortRootFamilies or PairFamilies.  The pair route also sets the
+    ``reason``.  families is the route's Families record (None when
+    unclassified): every consumer, the scans and the structure reports
+    alike, reads its structures from there.  The pair route also sets the
     type of the paired-root closure and R_J+, the positive one-sided block.
     """
 
     route: str
-    family: object = None
+    families: Optional[Families] = None
     reason: str = ""
     re_type: str = ""
     rj_plus: frozenset[int] = frozenset()
 
 
 def classify_datum(datum: ContactDatum) -> Verdict:
-    """Send a contact datum down its case of the classification."""
+    """Send a contact datum down its case of the classification: the one
+    path from a contact datum to its structures."""
     sys = datum.system
     along = sys.root_along(datum.theta) if sys.is_simple else None
     if along is not None:
         if sys.norm2(along) == max(sys.norm2(i) for i in range(len(sys.roots))):
             if sys.components[0][0] == "A":
                 return Verdict("special", special_su_families(sys))
-            return Verdict("special", special_standard_subspace(sys))
+            return Verdict("special", standard_family(grade_by_highest_root(sys), (1,)))
         if sys.components[0][0] == "G":
-            return Verdict("g2-short", g2_short_standard_subspace())
+            return Verdict("g2-short", standard_family(grade_by_short_root_g2(sys), (1, 3)))
         return Verdict("short-root", short_root_families(sys))
     try:
         cd = dual_pairs(datum)
@@ -402,10 +412,10 @@ def classify_datum(datum: ContactDatum) -> Verdict:
         return Verdict("unclassified", reason=f"eliminated: {shape.reason}",
                        re_type=shape.re_type, rj_plus=cd.rj_plus)
     try:
-        P = pair_family(datum, cd.rj_plus)
+        F = pair_family(datum, cd.rj_plus)
     except FamilyError as e:
         return Verdict("unclassified", reason=str(e), re_type=shape.re_type, rj_plus=cd.rj_plus)
-    return Verdict("pair", P, re_type=shape.re_type, rj_plus=cd.rj_plus)
+    return Verdict("pair", F, re_type=shape.re_type, rj_plus=cd.rj_plus)
 
 
 # -- the CR-graph (non-primitive) scan ------------------------------------------------------
@@ -496,27 +506,11 @@ def _display_base(g: CRGraph) -> str:
     return "?"
 
 
-def composite_family(g: CRGraph):
-    """The disc family attached to a good CR graph of types II to V: the
-    PairFamilies of its contact form's pair route.  Raises FamilyError when
-    classify_datum sends the form down another route."""
-    verdict = classify_datum(contact_datum(g.graph.system, g.theta))
-    if verdict.route != "pair":
-        raise FamilyError(verdict.reason or f"a {verdict.route} contact form has no pair family")
-    return verdict.family
-
-
 def _verify_composite(datum: ContactDatum) -> bool:
-    """Type I carries the twisted line of its special route, types II to V
-    the disc family of their pair route; it must verify as non-primitive."""
-    verdict = classify_datum(datum)
-    if verdict.route == "pair":
-        h = verdict.family.family
-    elif isinstance(verdict.family, SpecialFamilies) and verdict.family.j_family is not None:
-        h = verdict.family.j_family
-    else:
-        return False
-    return _verify(h, 1) is False
+    """The route's fibered disc family (the twisted line of type I, the
+    pair family of types II to V) must verify as non-primitive."""
+    F = classify_datum(datum).families
+    return F is not None and F.fibered is not None and _verify(F.fibered, 1) is False
 
 
 def nonprimitive_rows(max_rank: int = DEFAULT_MAX_RANK) -> list[dict]:
@@ -554,29 +548,16 @@ def _structure_row(h: HolomorphicSubspace, label: str) -> dict:
 def structure_rows_for_datum(datum: ContactDatum) -> list[dict]:
     """One report row per structure that classify_datum finds for a datum."""
     verdict = classify_datum(datum)
-    F = verdict.family
-    if verdict.route == "unclassified":
+    if verdict.families is None:
         return [_unclassified_row(datum, verdict.reason)]
-    if isinstance(F, HolomorphicSubspace):
-        return [_structure_row(F, "standard")]
-    if isinstance(F, SpecialFamilies):
-        rows = [_structure_row(s, s.label) for s in F.standard]
-        if F.j_family is not None:
-            rows.append(_structure_row(F.j_family, "disc family J_t"))
-        if F.j_prime_family is not None:
-            rows.append(_structure_row(F.j_prime_family, "disc family J'_t"))
-        if F.j0_family is not None:
-            row = _structure_row(F.j0_family, "disc family J0_t")
+    rows = [_structure_row(h, h.label) for h in verdict.families.structures]
+    for row in rows:
+        if row["family"] == "disc family J0_t":
             row["note"] = (
                 "no fibration witness under the adapted-parabolic search; "
                 "the finite-covering verdict (normalizer 0) is reported alongside"
             )
-            rows.append(row)
-        return rows
-    return [
-        _structure_row(F.standard, "standard"),
-        _structure_row(F.family, "disc family"),
-    ]
+    return rows
 
 
 def _unclassified_row(datum: ContactDatum, reason: str) -> dict:

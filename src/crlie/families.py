@@ -1,4 +1,10 @@
-"""Constructors for the classified holomorphic-subspace families.
+"""The classified holomorphic-subspace families, one Families record per
+contact datum.
+
+Each route of classify.classify_datum has one constructor here, and every
+constructor returns a Families record: the structures in report order,
+each labelled with its report row's family name, plus the disc family the
+primitive scan verifies and the one a CR graph's verification checks.
 
 Twist charts are unit-normalized: the highest-weight pair coefficients are
 multiplied by fixed signs (computed once from the structure constants) so
@@ -10,10 +16,9 @@ have modulus one, so disc parameterizations are unaffected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .contact import ContactDatum, contact_datum, grade_by_highest_root, grade_by_short_root_g2
+from .contact import ContactDatum, Gradation, contact_datum, grade_by_highest_root
 from .crstruct import (
     HolomorphicSubspace,
     SU2Line,
@@ -21,14 +26,31 @@ from .crstruct import (
     check_integrability,
 )
 from .modules import dual_pairs
-from .rootsys import RootSystem, RootVector
+from .rootsys import RootSystem
 from .scalars import Gauss, P_ZERO, Poly
-
-Q = Fraction
 
 
 class FamilyError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class Families:
+    """The invariant structures found on one contact datum.
+
+    structures holds the subspaces in report order, each labelled with its
+    report row's family name.  primitive is the disc family the primitive
+    scan verifies and fibered the one a CR graph's verification checks;
+    either is None where that check does not apply.  chart is the
+    two-parameter chart whose constraint takes the form t = s^2 or
+    s = t^2, where there is one.
+    """
+
+    datum: ContactDatum
+    structures: tuple[HolomorphicSubspace, ...]
+    primitive: Optional[HolomorphicSubspace] = None
+    fibered: Optional[HolomorphicSubspace] = None
+    chart: Optional[HolomorphicSubspace] = None
 
 
 def _unit_from_binomial(g: Poly, lead_var: str) -> Gauss:
@@ -48,25 +70,13 @@ def _unit_from_binomial(g: Poly, lead_var: str) -> Gauss:
     return u
 
 
-# -- special contact manifolds (theta parallel to the highest root) ---------------------
+# -- special contact manifolds (theta parallel to a root) -------------------------------
 
 
-@dataclass(frozen=True)
-class SpecialFamilies:
-    """The classified structures of a special contact manifold of type A."""
-
-    datum: ContactDatum
-    mu: RootVector
-    standard: list[HolomorphicSubspace]
-    j_family: Optional[HolomorphicSubspace]  # plain twisted-line family
-    j_prime_family: Optional[HolomorphicSubspace]
-    j0_family: Optional[HolomorphicSubspace]  # the doubly twisted family
-    generic_two_param: Optional[HolomorphicSubspace]  # constraint t = s^2
-
-
-def special_su_families(system: RootSystem) -> SpecialFamilies:
+def special_su_families(system: RootSystem) -> Families:
     """Invariant CR structures on the special contact manifold of an A-type
-    group: one rank-one twisted line plus the two half-level components."""
+    group: one rank-one twisted line plus the two half-level components.
+    The twisted line J_t fibers; the doubly twisted J0_t is primitive."""
     if system.components[0][0] != "A" or not system.is_simple:
         raise FamilyError("the twisted special families live on A-type systems")
     grad = grade_by_highest_root(system)
@@ -77,9 +87,9 @@ def special_su_families(system: RootSystem) -> SpecialFamilies:
     s = Poly.var("s")
 
     if system.rank == 1:
-        su2 = HolomorphicSubspace(datum, su2=SU2Line(mu_idx, t), label="disc family")
         std = HolomorphicSubspace(datum, su2=SU2Line(mu_idx, P_ZERO), label="standard")
-        return SpecialFamilies(datum, mu, [std], su2, None, None, None)
+        su2 = HolomorphicSubspace(datum, su2=SU2Line(mu_idx, t), label="disc family J_t")
+        return Families(datum, (std, su2), fibered=su2)
 
     # the level-1 summands and their negatives are modules of the datum
     hw_of = {m.weights: hw for hw, m in datum.modules.items()}
@@ -93,8 +103,8 @@ def special_su_families(system: RootSystem) -> SpecialFamilies:
             datum, plains=(a, b), su2=SU2Line(mu_idx, t), label=label
         )
 
-    j = plain_family(hw1, n2, "twisted line + split halves")
-    jp = plain_family(hw2, n1, "twisted line + split halves (mirror)")
+    j = plain_family(hw1, n2, "disc family J_t")
+    jp = plain_family(hw2, n1, "disc family J'_t")
 
     # unit-normalize the doubly twisted chart so that t = s^2
     raw = HolomorphicSubspace(
@@ -117,75 +127,50 @@ def special_su_families(system: RootSystem) -> SpecialFamilies:
     u4 = Gauss(1)
     if su_rel is not None:
         u4 = _unit_from_binomial(su_rel, "t")
-    generic = HolomorphicSubspace(
+    chart = HolomorphicSubspace(
         datum,
         pairs=(TwistedPair(hw1, n2, s), TwistedPair(hw2, n1, s.scale(u3))),
         su2=SU2Line(mu_idx, t.scale(u4)),
-        label="doubly twisted, two-parameter chart",
+        label="two-parameter chart",
     )
     j0 = HolomorphicSubspace(
         datum,
         pairs=(TwistedPair(hw1, n2, t), TwistedPair(hw2, n1, t.scale(u3))),
         su2=SU2Line(mu_idx, (t * t).scale(u4)),
-        label="doubly twisted family",
+        label="disc family J0_t",
     )
-    standard = [
+    standard = (
         HolomorphicSubspace(datum, plains=(hw1, hw2), su2=SU2Line(mu_idx, P_ZERO),
                             label="standard (nilradical)"),
         HolomorphicSubspace(datum, plains=(hw1, n2), su2=SU2Line(mu_idx, P_ZERO),
                             label="standard (mixed)"),
         HolomorphicSubspace(datum, plains=(hw2, n1), su2=SU2Line(mu_idx, P_ZERO),
                             label="standard (mixed, mirror)"),
-    ]
-    return SpecialFamilies(datum, mu, standard, j, jp, j0, generic)
+    )
+    return Families(datum, standard + (j, jp, j0), primitive=j0, fibered=j, chart=chart)
 
 
-def special_standard_subspace(system: RootSystem) -> HolomorphicSubspace:
-    """The unique standard structure of a non-A special contact manifold:
-    the positive levels of the highest-root gradation."""
-    grad = grade_by_highest_root(system)
-    mu = grad.center
-    datum = contact_datum(system, mu)
-    rj = frozenset(grad.level(1))
-    return HolomorphicSubspace(
+def standard_family(grad: Gradation, levels: tuple[int, ...]) -> Families:
+    """The unique structure of a non-A special contact manifold (levels 1
+    of the highest-root gradation) or of the short-root G2 one (levels 1
+    and 3 of its seven-level gradation): the positive levels, standard."""
+    system = grad.system
+    datum = contact_datum(system, grad.center)
+    h = HolomorphicSubspace(
         datum,
-        rj_plus=rj,
-        su2=SU2Line(system.root_index(mu), P_ZERO),
+        rj_plus=frozenset().union(*(grad.level(k) for k in levels)),
+        su2=SU2Line(system.root_index(grad.center), P_ZERO),
         label="standard",
     )
-
-
-def g2_short_standard_subspace() -> HolomorphicSubspace:
-    """The unique structure of the short-root G2 contact manifold:
-    positive levels of the seven-level gradation."""
-    from .rootsys import build
-
-    system = build("G2")
-    grad = grade_by_short_root_g2(system)
-    nu = grad.center
-    datum = contact_datum(system, nu)
-    rj = frozenset(grad.level(1) | grad.level(3))
-    return HolomorphicSubspace(
-        datum,
-        rj_plus=rj,
-        su2=SU2Line(system.root_index(nu), P_ZERO),
-        label="standard",
-    )
+    return Families(datum, (h,))
 
 
 # -- short-root families (SO_{2n+1}, Sp_n, F4) -------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShortRootFamilies:
-    datum: ContactDatum
-    standard: HolomorphicSubspace
-    family: HolomorphicSubspace  # one-parameter disc family
-    generic_two_param: Optional[HolomorphicSubspace]  # constraint s = t^2
-
-
-def short_root_families(system: RootSystem) -> ShortRootFamilies:
-    """Disc families on the non-special short-root contact manifolds."""
+def short_root_families(system: RootSystem) -> Families:
+    """Disc families on the non-special short-root contact manifolds; the
+    disc family is primitive."""
     (ttag, rank) = system.components[0]
     if ttag not in ("B", "C", "F") or not system.is_simple:
         raise FamilyError("short-root families exist for B, C and F4 only")
@@ -213,7 +198,7 @@ def short_root_families(system: RootSystem) -> ShortRootFamilies:
             pairs=(TwistedPair(pos[0].highest, partner_of(pos[0]), t),),
             label="disc family",
         )
-        return ShortRootFamilies(datum, standard, fam, None)
+        return Families(datum, (standard, fam), primitive=fam)
     if len(pos) != 2:
         raise FamilyError("unexpected module structure for a short-root datum")
     # the long pair carries s, the short pair t; normalize so that s = t^2
@@ -231,7 +216,7 @@ def short_root_families(system: RootSystem) -> ShortRootFamilies:
     if len(cs.generators) != 1:
         raise FamilyError(f"unexpected constraint structure {cs}")
     u = _unit_from_binomial(cs.generators[0], "s")
-    generic = HolomorphicSubspace(
+    chart = HolomorphicSubspace(
         datum,
         pairs=(
             TwistedPair(long_m.highest, partner_of(long_m), s.scale(u)),
@@ -247,25 +232,21 @@ def short_root_families(system: RootSystem) -> ShortRootFamilies:
         ),
         label="disc family",
     )
-    return ShortRootFamilies(datum, standard, fam, generic)
+    return Families(datum, (standard, fam), primitive=fam, chart=chart)
 
 
 # -- twisted pair families for theta not parallel to a root ------------------------------
 
 
-@dataclass(frozen=True)
-class PairFamilies:
-    datum: ContactDatum
-    standard: HolomorphicSubspace
-    family: HolomorphicSubspace
-
-
-def pair_family(datum: ContactDatum, rj_plus: frozenset[int] = frozenset()) -> PairFamilies:
-    """The disc family of a candidate with paired isotropy roots.
+def pair_family(datum: ContactDatum, rj_plus: frozenset[int] = frozenset()) -> Families:
+    """The standard structure and the disc family of a candidate with
+    paired isotropy roots.
 
     For a D-type candidate the subspace is one twisted pair plus the
     one-sided block; for the split and B3 shapes the mirrored pair enters
-    with the reciprocal coefficient (chart: t * u = 1)."""
+    with the reciprocal coefficient (chart: t * u = 1).  The disc family
+    fibers when it verifies as non-primitive; a one-sided block (R_J+)
+    rules out primitivity."""
     sys = datum.system
     cd = dual_pairs(datum)
     re_roots = cd.paired_roots
@@ -289,14 +270,9 @@ def pair_family(datum: ContactDatum, rj_plus: frozenset[int] = frozenset()) -> P
 
     if len(hw_pairs) == 1:
         a, b = orient(*hw_pairs[0])
-        fam = HolomorphicSubspace(
-            datum, pairs=(TwistedPair(a, b, t),), rj_plus=rj_plus, label="disc family"
-        )
-        std = HolomorphicSubspace(
-            datum, plains=(a,), rj_plus=rj_plus, label="standard"
-        )
-        return PairFamilies(datum, std, fam)
-    if len(hw_pairs) == 2:
+        pairs = (TwistedPair(a, b, t),)
+        plains = (a,)
+    elif len(hw_pairs) == 2:
         a, b = orient(*hw_pairs[0])
         # the mirror pair leads with the module conjugate to m(a)
         (a2_raw, b2_raw) = hw_pairs[1]
@@ -311,19 +287,14 @@ def pair_family(datum: ContactDatum, rj_plus: frozenset[int] = frozenset()) -> P
         if len(cs.generators) != 1:
             raise FamilyError(f"unexpected constraint structure {cs}")
         unit = _unit_from_binomial(cs.generators[0], "u")
-        fam = HolomorphicSubspace(
-            datum,
-            pairs=(TwistedPair(a, b, t), TwistedPair(a2, b2, u.scale(unit))),
-            rj_plus=rj_plus,
-            label="disc family (reciprocal chart)",
-        )
-        theta_pos = [
+        pairs = (TwistedPair(a, b, t), TwistedPair(a2, b2, u.scale(unit)))
+        plains = tuple(sorted(
             hw
             for hw, m in mods.items()
             if m.weights <= re_roots and sys.inner(sys.roots[hw], datum.theta) > 0
-        ]
-        std = HolomorphicSubspace(
-            datum, plains=tuple(sorted(theta_pos)), rj_plus=rj_plus, label="standard"
-        )
-        return PairFamilies(datum, std, fam)
-    raise FamilyError(f"unexpected number of module pairs: {len(hw_pairs)}")
+        ))
+    else:
+        raise FamilyError(f"unexpected number of module pairs: {len(hw_pairs)}")
+    fam = HolomorphicSubspace(datum, pairs=pairs, rj_plus=rj_plus, label="disc family")
+    std = HolomorphicSubspace(datum, plains=plains, rj_plus=rj_plus, label="standard")
+    return Families(datum, (std, fam), primitive=None if rj_plus else fam, fibered=fam)

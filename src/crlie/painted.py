@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .rootsys import RootSystem, RootVector, Subsystem, parse_type
@@ -136,9 +137,25 @@ class GraphVerdict:
     gamma_e: frozenset[int] = frozenset()
     theta: Optional[RootVector] = None
     good: Optional[bool] = None
-    witness: Optional[RootVector] = None
-    violations: tuple[RootVector, ...] = ()
+    missing: frozenset[int] = frozenset()  # orthogonal roots off the white span
     cr_type: Optional[str] = None
+
+    @cached_property
+    def violations(self) -> tuple[RootVector, ...]:
+        """The missing roots, positive first, then by height and ambient
+        coordinates; sorted on first read, which the enumeration never does."""
+        if not self.missing:
+            return ()
+        sys = self.theta.system
+        missing = sorted(
+            self.missing,
+            key=lambda i: (not sys.positive[i], sys.height(i), sys.roots[i].canon()),
+        )
+        return tuple(sys.roots[i] for i in missing)
+
+    @property
+    def witness(self) -> Optional[RootVector]:
+        return self.violations[0] if self.violations else None
 
 
 def _gamma_e_candidates(g: PaintedGraph) -> list[tuple[str, frozenset[int], Optional[list[int]]]]:
@@ -235,15 +252,9 @@ def is_good(g: PaintedGraph) -> GraphVerdict:
     if span.members == ortho:
         return GraphVerdict(True, "ok", v.shape, v.gamma_e, v.theta, good=True,
                             cr_type=_cr_type(g, v))
-    missing = sorted(
-        ortho - span.members,
-        key=lambda i: (not sys.positive[i], sys.height(i), sys.roots[i].canon()),
-    )
-    violations = tuple(sys.roots[i] for i in missing)
-    witness = violations[0] if violations else None
     return GraphVerdict(True, "white span differs from the orthogonal roots",
                         v.shape, v.gamma_e, v.theta, good=False,
-                        witness=witness, violations=violations)
+                        missing=ortho - span.members)
 
 
 def _cr_type(g: PaintedGraph, v: GraphVerdict) -> str:

@@ -163,12 +163,17 @@ class RootSystem:
             span.reduce(self._gauge([int(j == k) for j in range(self.dim)]))
             for k in range(self.dim)
         )
-        # the Gram matrix of the simple roots, ints wherever integral, and
-        # the Cartan matrix C[i][j] = <alpha_i | alpha_j> = 2 (a_i, a_j) / (a_j, a_j)
-        w = [Q(1, 2) if b.kind == "aux" else 1 for b in self.blocks for _ in range(b.size)]
+        # the Gram matrix of the simple roots, ints wherever integral, from
+        # the sparse int rows at twice the metric (the aux vector has
+        # (e, e) = 1/2), and the Cartan matrix
+        # C[i][j] = <alpha_i | alpha_j> = 2 (a_i, a_j) / (a_j, a_j)
+        den, rows = self._ambient
+        w2 = [1 if b.kind == "aux" else 2 for b in self.blocks for _ in range(b.size)]
+        cols = [dict(r) for r in rows]
         g = self.gram = tuple(
-            tuple(_int_if_integral(sum(x * y * z for x, y, z in zip(u, v, w))) for v in simples)
-            for u in simples)
+            tuple(_int_if_integral(Q(sum(w2[k] * x * v.get(k, 0) for k, x in u), 2 * den * den))
+                  for v in cols)
+            for u in rows)
         self._cartan = tuple(tuple(int(Q(2 * gij, g[j][j])) for j, gij in enumerate(row))
                              for row in g)
 

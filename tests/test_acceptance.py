@@ -18,7 +18,7 @@ from crlie import families as fam
 from crlie import modules as md
 from crlie import rootsys as rs
 from crlie.cli import load_fixture
-from crlie.painted import CRGraph, PaintedGraph, is_good
+from crlie.painted import PaintedGraph, is_good
 from crlie.rootsys import format_vector
 from crlie.scalars import Gauss
 
@@ -94,50 +94,55 @@ def test_criterion_4_cr_graph_scan():
 def test_criterion_5_integrability_constraints():
     t0 = time.time()
     F = fam.special_su_families(rs.build("A4"))
-    assert cs.check_integrability(F.j_family).unconditional
-    assert cs.check_integrability(F.j_prime_family).unconditional
-    gen = cs.check_integrability(F.generic_two_param)
+    assert cs.check_integrability(F.fibered).unconditional
+    assert cs.check_integrability(_named(F, "disc family J'_t")).unconditional
+    gen = cs.check_integrability(F.chart)
     assert str(gen) == "t = s^2"
     for tv in SAMPLES:
         vals = {"s": tv, "t": tv * tv, "s~": tv.conj(), "t~": (tv * tv).conj()}
         assert gen.holds_at(vals)
     for tag in ("C3", "C4", "F4"):
         R = fam.short_root_families(rs.build(tag))
-        gen = cs.check_integrability(R.generic_two_param)
+        gen = cs.check_integrability(R.chart)
         assert str(gen) == "s = t^2", tag
         for tv in SAMPLES:
             vals = {"t": tv, "s": tv * tv, "t~": tv.conj(), "s~": (tv * tv).conj()}
             assert gen.holds_at(vals)
-        assert cs.check_integrability(R.family).unconditional
+        assert cs.check_integrability(R.primitive).unconditional
     elapsed = time.time() - t0
     assert elapsed < 30.0
     print(f"\nACCEPTANCE 5 (integrability charts: unconditional / t = s^2 / s = t^2, {elapsed:.1f}s): PASS")
 
 
+def _named(F, label):
+    """The structure of a Families record with this report label."""
+    return next(h for h in F.structures if h.label == label)
+
+
 def _family_battery():
     out = []
     F1 = fam.special_su_families(rs.build("A1"))
-    out.append(("SU2", F1.j_family, F1.standard[0]))
+    out.append(("SU2", F1.fibered, F1.structures[0]))
     F = fam.special_su_families(rs.build("A3"))
-    out.append(("A3 twisted line", F.j_family, F.standard[1]))
-    out.append(("A3 doubly twisted", F.j0_family, F.standard[0]))
+    out.append(("A3 twisted line", F.fibered, F.structures[1]))
+    out.append(("A3 doubly twisted", F.primitive, F.structures[0]))
     for tag in ("B3", "C3", "F4"):
         R = fam.short_root_families(rs.build(tag))
-        out.append((f"{tag} short", R.family, R.standard))
+        out.append((f"{tag} short", R.primitive, R.structures[0]))
     d5 = rs.build("D5")
     P = fam.pair_family(ct.contact_datum(d5, d5.vector([1, 0, 0, 0, 0])))
-    out.append(("D5 pair", P.family, P.standard))
+    out.append(("D5 pair", P.primitive, P.structures[0]))
     b3 = rs.build("B3")
     P = fam.pair_family(ct.contact_datum(b3, b3.vector([1, 1, 1])))
-    out.append(("B3 pair", P.family, P.standard))
+    out.append(("B3 pair", P.primitive, P.structures[0]))
     prod = rs.build_product([("A", 1), ("A", 1)])
     P = fam.pair_family(ct.contact_datum(prod, prod.vector([1, -1, -1, 1])))
-    out.append(("split pair", P.family, P.standard))
+    out.append(("split pair", P.primitive, P.structures[0]))
     for text in ("A1+A2:g|g,b", "A4:w,g,w,b", "D5:b,w,w,w,g", "E6:g,w,w,w,b,w"):
         g = PaintedGraph.parse(text)
         v = is_good(g)
-        P = classify.composite_family(CRGraph(g, v.cr_type, v.theta))
-        out.append((f"composite {v.cr_type}", P.family, P.standard))
+        P = classify.classify_datum(ct.contact_datum(g.system, v.theta)).families
+        out.append((f"composite {v.cr_type}", P.fibered, P.structures[0]))
     return out
 
 

@@ -5,7 +5,8 @@ Each reference is the ambient implementation the integer one replaced: it
 reflects gauge-fixed ambient vectors through the ambient metric, reduces
 through a span solve for the diagram automorphisms, and finds the root
 along a vector by trying a rational square root per root length.  The
-goldens print ambient coordinates, so each comparison is on canon().
+goldens print ambient coordinates, so each comparison is on canon().  The
+Gram matrix of the simple roots is checked against the ambient metric too.
 
 The references memoize: every vector on a reflection path has the path's
 dominant end, and the canonical form of v depends only on the dominant
@@ -113,6 +114,7 @@ def oracle_vectors(system):
 def test_weyl_machinery_matches_ambient_reference(tag):
     s = rs.parse_type(tag)
     ref = Ambient(s)
+    assert s.gram == tuple(tuple(ref.inner(u, v) for v in ref.simples) for u in ref.simples)
     for v in oracle_vectors(s):
         amb = v.canon()
         assert s.dominant(v).canon() == ref.dominant(amb), (tag, amb)

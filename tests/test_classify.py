@@ -37,18 +37,28 @@ def test_short_roots_route_by_type():
                       "G2": "g2-short"}
 
 
+@pytest.mark.parametrize("t,r", classify.simple_types(8))
+def test_root_route_table(t, r):
+    # the dominant root of each length: a primitive disc family exactly on
+    # the long roots of A_n (n >= 2) and the short roots of B, C and F4, a
+    # fibered one exactly on the long roots of A_n
+    s = rs.build(t, r)
+    top = max(s.norm2(i) for i in range(len(s.roots)))
+    reps = {s.norm2(i): s.dominant(s.roots[i]) for i in range(len(s.roots))}
+    assert len(reps) == (2 if t in "BCFG" else 1)
+    for norm, theta in reps.items():
+        F = classify.classify_datum(ct.contact_datum(s, theta)).families
+        long = norm == top
+        assert (F.primitive is not None) == ((t == "A" and r >= 2) if long else t in "BCF")
+        assert (F.fibered is not None) == (long and t == "A")
+
+
 def test_unclassified_reason():
     s = rs.build("C4")
     v = classify.classify_datum(ct.contact_datum(s, s.vector([1, 1, 1, 1])))
     assert v.route == "unclassified" and v.reason.startswith("eliminated: ")
     rows = classify.structure_rows_for_datum(ct.contact_datum(s, s.vector([1, 1, 1, 1])))
     assert rows[0]["constraint"] == v.reason
-
-
-def _disc_family(v):
-    if v.route == "special":
-        return v.family.j0_family
-    return v.family.family
 
 
 @pytest.mark.parametrize(
@@ -59,7 +69,7 @@ def test_golden_primitive_forms(row):
     v = _verdict(row)
     assert v.route in ("special", "short-root", "pair")
     assert not v.rj_plus
-    assert classify._verify(_disc_family(v), 2) is True
+    assert classify._verify(v.families.primitive, 2) is True
 
 
 @pytest.mark.parametrize(
@@ -70,10 +80,9 @@ def test_golden_nonprimitive_forms(row):
     v = _verdict(row)
     if row["cr_type"] == "I":
         assert v.route == "special"
-        h = v.family.j_family
     else:
         assert v.route == "pair"
-        h = v.family.family
+    h = v.families.fibered
     assert classify._verify(h, 1) is False
     rep = cs.find_crf_parabolics(h, classify._sample_values(h))
     assert row["fiber"] in {w.fiber_type for w in rep.witnesses}

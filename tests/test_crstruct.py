@@ -8,7 +8,7 @@ from crlie import contact as ct
 from crlie import crstruct as cs
 from crlie import families as fam
 from crlie import rootsys as rs
-from crlie.painted import CRGraph, PaintedGraph, is_good
+from crlie.painted import PaintedGraph, is_good
 from crlie.scalars import P_ZERO, Gauss, Poly, as_poly
 
 T_HALF = Gauss(Q(1, 2))
@@ -17,6 +17,26 @@ UNIT = Gauss(Q(3, 5), Q(4, 5))  # |t| = 1
 
 def _to_gauss(x) -> Gauss:
     return x if isinstance(x, Gauss) else Gauss(x)
+
+
+def _named(F, label):
+    """The structure of a Families record with this report label."""
+    return next(h for h in F.structures if h.label == label)
+
+
+def _routed(s, theta):
+    """The Families record classify_datum finds for theta on s."""
+    return classify.classify_datum(ct.contact_datum(s, theta)).families
+
+
+def _special_standard(tag):
+    s = rs.build(tag)
+    return _routed(s, s.highest_root()).structures[0]
+
+
+def _g2_short_standard():
+    s = rs.build("G2")
+    return _routed(s, s.roots[min(range(len(s.roots)), key=s.norm2)]).structures[0]
 
 
 def vals_for(h, tv):
@@ -28,28 +48,28 @@ def vals_for(h, tv):
 
 def test_su_family_integrability():
     F = fam.special_su_families(rs.build("A4"))
-    assert cs.check_integrability(F.j_family).unconditional
-    assert cs.check_integrability(F.j_prime_family).unconditional
-    assert cs.check_integrability(F.j0_family).unconditional
-    gen = cs.check_integrability(F.generic_two_param)
+    assert cs.check_integrability(F.fibered).unconditional
+    assert cs.check_integrability(_named(F, "disc family J'_t")).unconditional
+    assert cs.check_integrability(F.primitive).unconditional
+    gen = cs.check_integrability(F.chart)
     assert str(gen) == "t = s^2"
-    for std in F.standard:
+    for std in F.structures[:3]:
         assert cs.check_integrability(std).unconditional
 
 
 def test_short_root_family_integrability():
     for tag in ("C3", "C5", "F4"):
         R = fam.short_root_families(rs.build(tag))
-        assert str(cs.check_integrability(R.generic_two_param)) == "s = t^2"
-        assert cs.check_integrability(R.family).unconditional
+        assert str(cs.check_integrability(R.chart)) == "s = t^2"
+        assert cs.check_integrability(R.primitive).unconditional
     R = fam.short_root_families(rs.build("B4"))
-    assert R.generic_two_param is None
-    assert cs.check_integrability(R.family).unconditional
+    assert R.chart is None
+    assert cs.check_integrability(R.primitive).unconditional
 
 
 def test_constraints_hold_at_sample_points():
     F = fam.special_su_families(rs.build("A3"))
-    gen = cs.check_integrability(F.generic_two_param)
+    gen = cs.check_integrability(F.chart)
     for tv in classify.SAMPLES:
         good = {"t": tv * tv, "s": tv, "t~": (tv * tv).conj(), "s~": tv.conj()}
         bad = {"t": tv, "s": tv, "t~": tv.conj(), "s~": tv.conj()}
@@ -57,7 +77,7 @@ def test_constraints_hold_at_sample_points():
         if tv * tv != tv:
             assert not gen.holds_at(bad)
     R = fam.short_root_families(rs.build("C3"))
-    gen = cs.check_integrability(R.generic_two_param)
+    gen = cs.check_integrability(R.chart)
     for tv in classify.SAMPLES:
         good = {"s": tv * tv, "t": tv, "s~": (tv * tv).conj(), "t~": tv.conj()}
         assert gen.holds_at(good)
@@ -66,11 +86,11 @@ def test_constraints_hold_at_sample_points():
 def test_reciprocal_charts():
     b3 = rs.build("B3")
     P = fam.pair_family(ct.contact_datum(b3, b3.vector([1, 1, 1])))
-    gen = cs.check_integrability(P.family)
+    gen = cs.check_integrability(P.primitive)
     assert str(gen) == "1 = t*u"
     prod = rs.build_product([("A", 1), ("A", 1)])
     P2 = fam.pair_family(ct.contact_datum(prod, prod.vector([1, -1, -1, 1])))
-    assert str(cs.check_integrability(P2.family)) == "1 = t*u"
+    assert str(cs.check_integrability(P2.primitive)) == "1 = t*u"
     # sampled verification of the reciprocal locus
     for tv in classify.SAMPLES:
         vals = {"t": tv, "u": Gauss(1) / tv}
@@ -83,7 +103,7 @@ def test_reciprocal_charts():
     # the one-pair shape is unconditional at every sample
     d5 = rs.build("D5")
     PD = fam.pair_family(ct.contact_datum(d5, d5.vector([1, 0, 0, 0, 0])))
-    genD = cs.check_integrability(PD.family)
+    genD = cs.check_integrability(PD.primitive)
     assert genD.unconditional
     for tv in classify.SAMPLES:
         assert genD.holds_at({"t": tv, "t~": tv.conj()})
@@ -91,11 +111,11 @@ def test_reciprocal_charts():
 
 def test_disjointness():
     F = fam.special_su_families(rs.build("A3"))
-    d = cs.check_disjointness(F.j_family)
+    d = cs.check_disjointness(F.fibered)
     assert d.excluded_abs() == ["|t| != 1"]
     assert d.holds_at(cs._with_conj({"t": T_HALF}))
     assert not d.holds_at(cs._with_conj({"t": UNIT}))
-    d0 = cs.check_disjointness(F.j0_family)
+    d0 = cs.check_disjointness(F.primitive)
     assert set(d0.excluded_abs()) == {"|t| != 1"}
     assert not d0.holds_at(cs._with_conj({"t": UNIT}))
     # t = 0 always disjoint for the plain families
@@ -103,8 +123,8 @@ def test_disjointness():
     # conjugate-pair families degenerate exactly on the unit circle
     b3 = rs.build("B3")
     P = fam.pair_family(ct.contact_datum(b3, b3.vector([1, 1, 1])))
-    dd = cs.check_disjointness(P.family)
-    assert dd.holds_at(cs._with_conj(vals_for(P.family, T_HALF)))
+    dd = cs.check_disjointness(P.primitive)
+    assert dd.holds_at(cs._with_conj(vals_for(P.primitive, T_HALF)))
     unit_vals = {"t": UNIT, "u": Gauss(1) / UNIT}
     assert not dd.holds_at(cs._with_conj(unit_vals))
 
@@ -121,14 +141,14 @@ def test_subspace_dimension_guard():
 def test_standard_normalizer_dichotomy_families():
     runs = []
     F = fam.special_su_families(rs.build("A3"))
-    runs += [(F.j_family, False), (F.j_prime_family, False), (F.j0_family, False)]
-    runs += [(s, True) for s in F.standard]
+    runs += [(F.fibered, False), (_named(F, "disc family J'_t"), False), (F.primitive, False)]
+    runs += [(s, True) for s in F.structures[:3]]
     for tag in ("B3", "C3", "F4"):
         R = fam.short_root_families(rs.build(tag))
-        runs += [(R.family, False), (R.standard, True)]
+        runs += [(R.primitive, False), (R.structures[0], True)]
     d5 = rs.build("D5")
     P = fam.pair_family(ct.contact_datum(d5, d5.vector([1, 0, 0, 0, 0])))
-    runs += [(P.family, False), (P.standard, True)]
+    runs += [(P.primitive, False), (P.structures[0], True)]
     for h, expect_std in runs:
         vals = {} if expect_std and not h.parameters() else vals_for(h, T_HALF)
         assert cs.is_standard(h, vals) is expect_std
@@ -137,18 +157,18 @@ def test_standard_normalizer_dichotomy_families():
 
 def _integrable_battery():
     F = fam.special_su_families(rs.build("A3"))
-    out = [F.j_family, F.j_prime_family, F.j0_family, F.standard[0]]
+    out = [F.fibered, _named(F, "disc family J'_t"), F.primitive, F.structures[0]]
     for tag in ("B3", "C3", "F4"):
         R = fam.short_root_families(rs.build(tag))
-        out += [R.family, R.standard]
+        out += [R.primitive, R.structures[0]]
     d5 = rs.build("D5")
     P = fam.pair_family(ct.contact_datum(d5, d5.vector([1, 0, 0, 0, 0])))
-    out += [P.family, P.standard]
+    out += [P.primitive, P.structures[0]]
     b3 = rs.build("B3")
-    out.append(fam.pair_family(ct.contact_datum(b3, b3.vector([1, 1, 1]))).family)
+    out.append(fam.pair_family(ct.contact_datum(b3, b3.vector([1, 1, 1]))).primitive)
     g = PaintedGraph.parse("D5:b,w,w,w,g")
     v = is_good(g)
-    out.append(classify.composite_family(CRGraph(g, v.cr_type, v.theta)).family)
+    out.append(_routed(g.system, v.theta).fibered)
     return out
 
 
@@ -184,32 +204,32 @@ def test_m10_plus_conjugate_spans_at_samples():
 
 def test_fibration_witnesses_special():
     F1 = fam.special_su_families(rs.build("A1"))
-    rep = cs.find_crf_parabolics(F1.j_family, {"t": T_HALF})
+    rep = cs.find_crf_parabolics(F1.fibered, {"t": T_HALF})
     assert not rep.primitive and rep.circular
     F = fam.special_su_families(rs.build("A4"))
-    rep = cs.find_crf_parabolics(F.j_family, {"t": T_HALF})
+    rep = cs.find_crf_parabolics(F.fibered, {"t": T_HALF})
     kinds = {(w.fiber_dim, w.fiber_type) for w in rep.witnesses}
     assert (3, "SO3 = S(S2)") in kinds  # Wolf-space reduction
     assert (1, "S1") in kinds  # twisted-circle reduction
-    rep0 = cs.find_crf_parabolics(F.j0_family, {"t": T_HALF})
+    rep0 = cs.find_crf_parabolics(F.primitive, {"t": T_HALF})
     assert rep0.primitive and not rep0.circular
-    reps = cs.find_crf_parabolics(F.standard[0], {})
+    reps = cs.find_crf_parabolics(F.structures[0], {})
     assert reps.circular and not reps.primitive
 
 
 def test_fibration_witnesses_short_root_and_pairs():
     for tag in ("B3", "C3", "F4"):
         R = fam.short_root_families(rs.build(tag))
-        rep = cs.find_crf_parabolics(R.family, {"t": T_HALF})
+        rep = cs.find_crf_parabolics(R.primitive, {"t": T_HALF})
         assert rep.primitive, tag
-        rep = cs.find_crf_parabolics(R.standard, {})
+        rep = cs.find_crf_parabolics(R.structures[0], {})
         assert rep.circular
     d5 = rs.build("D5")
     P = fam.pair_family(ct.contact_datum(d5, d5.vector([1, 0, 0, 0, 0])))
-    assert cs.find_crf_parabolics(P.family, {"t": T_HALF}).primitive
+    assert cs.find_crf_parabolics(P.primitive, {"t": T_HALF}).primitive
     b3 = rs.build("B3")
     P3 = fam.pair_family(ct.contact_datum(b3, b3.vector([1, 1, 1])))
-    assert cs.find_crf_parabolics(P3.family, vals_for(P3.family, T_HALF)).primitive
+    assert cs.find_crf_parabolics(P3.primitive, vals_for(P3.primitive, T_HALF)).primitive
 
 
 def test_fibration_witness_rejects_non_complementary_m10():
@@ -310,13 +330,12 @@ def test_composite_rows_minimal_rank(text, cr_type, fiber):
     g = PaintedGraph.parse(text)
     v = is_good(g)
     assert v.good and v.cr_type == cr_type
-    cr = CRGraph(g, v.cr_type, v.theta)
     if cr_type == "I":
         F = fam.special_su_families(g.system)
-        h, hstd = F.j_family, F.standard[1]
+        h, hstd = F.fibered, F.structures[1]
     else:
-        P = classify.composite_family(cr)
-        h, hstd = P.family, P.standard
+        P = _routed(g.system, v.theta)
+        h, hstd = P.fibered, P.structures[0]
     cons = cs.check_integrability(h)
     vals = vals_for(h, T_HALF)
     assert cons.holds_at(cs._with_conj(vals))
@@ -335,14 +354,14 @@ def test_composite_rows_minimal_rank(text, cr_type, fiber):
 def test_non_a_special_standard():
     # the unique structure of a non-A special contact manifold
     for tag in ("B3", "C3", "G2", "F4", "D4"):
-        h = fam.special_standard_subspace(rs.build(tag))
+        h = _special_standard(tag)
         assert cs.check_integrability(h).unconditional, tag
         assert cs.is_standard(h, {}), tag
         assert cs.normalizer_excess(h, {}) == 1, tag
 
 
 def test_g2_short_standard():
-    h = fam.g2_short_standard_subspace()
+    h = _g2_short_standard()
     assert cs.check_integrability(h).unconditional
     assert cs.is_standard(h, {})
     assert cs.normalizer_excess(h, {}) == 1
@@ -405,7 +424,7 @@ def _golden_primitive_families(max_rank):
         s = rs.parse_type(t if t[-1].isdigit() else t + row["rank"])
         theta = s.vector([Q(x) for x in row["theta_canon"].split(",")])
         v = classify.classify_datum(ct.contact_datum(s, theta))
-        out.append(v.family.j0_family if v.route == "special" else v.family.family)
+        out.append(v.families.primitive)
     return out
 
 
@@ -414,16 +433,16 @@ def test_normalizer_excess_matches_brute_force():
     F2 = fam.special_su_families(rs.build("A2"))
     R = fam.short_root_families(rs.build("B2"))
     cases = [
-        (F1.j_family, {"t": T_HALF}),
-        (F1.standard[0], {}),
-        (F2.j_family, {"t": T_HALF}),
-        (F2.j0_family, {"t": T_HALF}),
-        (F2.standard[0], {}),
-        (R.family, {"t": T_HALF}),
-        (R.standard, {}),
-        (fam.special_standard_subspace(rs.build("B4")), {}),
-        (fam.special_standard_subspace(rs.build("G2")), {}),
-        (fam.g2_short_standard_subspace(), {}),
+        (F1.fibered, {"t": T_HALF}),
+        (F1.structures[0], {}),
+        (F2.fibered, {"t": T_HALF}),
+        (F2.primitive, {"t": T_HALF}),
+        (F2.structures[0], {}),
+        (R.primitive, {"t": T_HALF}),
+        (R.structures[0], {}),
+        (_special_standard("B4"), {}),
+        (_special_standard("G2"), {}),
+        (_g2_short_standard(), {}),
     ]
     families = _golden_primitive_families(4)
     assert len(families) == 13
@@ -433,8 +452,8 @@ def test_normalizer_excess_matches_brute_force():
     # l^C + m01 is not l-stable here, so the excess is negative: the graded
     # solver must still return the integer the full-algebra solve gives
     a5 = rs.build("A5")
-    F = classify.classify_datum(ct.contact_datum(a5, a5.vector([1, -1, 1, 0, 0, -1]))).family
-    for h, want in ((F.family, -2), (F.standard, -1)):
+    F = _routed(a5, a5.vector([1, -1, 1, 0, 0, -1]))
+    for h, want in ((F.fibered, -2), (F.structures[0], -1)):
         vals = classify._sample_values(h)
         assert cs.normalizer_excess(h, vals) == _brute_normalizer_excess(h, vals) == want
 
@@ -480,11 +499,11 @@ def _full_pair_integrability(h):
 
 def test_integrability_matches_full_pair_reference():
     cases = _golden_primitive_families(5)
-    cases += [fam.special_standard_subspace(rs.build("B4")),
-              fam.special_standard_subspace(rs.build("G2")),
-              fam.g2_short_standard_subspace(),
-              fam.special_su_families(rs.build("A4")).generic_two_param,
-              fam.short_root_families(rs.build("C3")).generic_two_param]
+    cases += [_special_standard("B4"),
+              _special_standard("G2"),
+              _g2_short_standard(),
+              fam.special_su_families(rs.build("A4")).chart,
+              fam.short_root_families(rs.build("C3")).chart]
     for h in cases:
         assert cs.check_integrability(h).generators == _full_pair_integrability(h), h.label
 

@@ -59,7 +59,7 @@ def test_dropped_system_is_freed():
     assert not LieElement.root_vector(system, a).bracket(LieElement.root_vector(system, b)).is_zero()
     assert is_good(PaintedGraph(system, ("g", "b", "w"))).admissible
     family = special_su_families(system)
-    assert normalizer_excess(family.j_family, {"t": Gauss(Fraction(1, 2))}) == 0
+    assert normalizer_excess(family.fibered, {"t": Gauss(Fraction(1, 2))}) == 0
     ref = weakref.ref(system)
     del system, a, b, family
     gc.collect()
