@@ -105,56 +105,30 @@ class ConstantTable:
     def _derive(self, a: int, b: int, k: int, x: int, y: int) -> int:
         """Constant for the special pair (x, y) from the extraspecial (a, b).
 
-        Jacobi identity for (E_{-a}, E_x, E_y), using x + y = a + b = root_k.
+        Jacobi identity for (E_{-a}, E_x, E_y), using x + y = a + b = root_k;
+        every constant it reads belongs to a root of smaller height.
         """
         sys = self.system
         na = sys.neg_index[a]
-        lhs_c = self._mixed(na, k)
+        lhs_c = self.n(na, k)
         assert lhs_c != 0
         total = 0
         xa = sys.sum_index(na, x)
         if xa is not None:
-            total += self._mixed(na, x) * self._lookup_pos(xa, y)
+            total += self.n(na, x) * self.n(xa, y)
         ya = sys.sum_index(na, y)
         if ya is not None:
-            total += self._mixed(na, y) * self._lookup_pos(x, ya)
+            total += self.n(na, y) * self.n(x, ya)
         val, rem = divmod(total, lhs_c)
         assert rem == 0, "non-integral derived structure constant"
         return val
-
-    def _lookup_pos(self, i: int, j: int) -> int:
-        """Constant for two positive roots with a root sum (already computed)."""
-        if self.system.sum_index(i, j) is None:
-            return 0
-        return self._n[(i, j)]
-
-    def _mixed(self, ni: int, j: int) -> int:
-        """N(-a, x) for positive a, x via the cyclic identity.
-
-        With d = x - a a root: N(-a, x) = |d|^2/|x|^2 * N(a, d) when d > 0,
-        and |d|^2/|a|^2 * N(x, -d) when d < 0.
-        """
-        sys = self.system
-        a = sys.neg_index[ni]
-        d = sys.sum_index(ni, j)
-        if d is None:
-            return 0
-        ratio_num = sys.norm2(d)
-        if sys.positive[d]:
-            val = Q(ratio_num, sys.norm2(j)) * self._lookup_pos(a, d)
-        else:
-            e = sys.neg_index[d]
-            val = Q(ratio_num, sys.norm2(a)) * self._lookup_pos(j, e)
-        assert val.denominator == 1
-        return int(val)
 
     def _general(self, i: int, j: int) -> int:
         """Reduce arbitrary signs to positive pairs via the cyclic identity
         N(x, y)/|z|^2 = N(y, z)/|x|^2 = N(z, x)/|y|^2 for x + y + z = 0."""
         sys = self.system
         pi, pj = sys.positive[i], sys.positive[j]
-        if pi and pj:
-            return self._lookup_pos(i, j)
+        assert not (pi and pj), "positive pair with a root sum missing from the table"
         if not pi and not pj:
             return -self.n(sys.neg_index[i], sys.neg_index[j])
         if not pi:
@@ -163,9 +137,9 @@ class ConstantTable:
         k = sys.sum_index(i, j)
         nj, nk = sys.neg_index[j], sys.neg_index[k]
         if sys.positive[k]:
-            val = -Q(sys.norm2(k), sys.norm2(i)) * self._lookup_pos(nj, k)
+            val = -Q(sys.norm2(k), sys.norm2(i)) * self.n(nj, k)
         else:
-            val = -Q(sys.norm2(k), sys.norm2(j)) * self._lookup_pos(i, nk)
+            val = -Q(sys.norm2(k), sys.norm2(j)) * self.n(i, nk)
         assert val.denominator == 1
         return int(val)
 

@@ -23,7 +23,6 @@ from .contact import (
     classify_special,
     contact_datum,
     grade_by_highest_root,
-    grade_by_short_root_g2,
 )
 from .crstruct import (
     HolomorphicSubspace,
@@ -41,7 +40,6 @@ from .families import (
     pair_family,
     short_root_families,
     special_su_families,
-    standard_family,
 )
 from .modules import CongruenceError, congruence_groups, dual_pairs, tilde_Re_type
 from .painted import CRGraph, enumerate_cr_graphs, flag_pair
@@ -397,12 +395,9 @@ def classify_datum(datum: ContactDatum) -> Verdict:
     along = sys.root_along(datum.theta) if sys.is_simple else None
     if along is not None:
         if sys.norm2(along) == max(sys.norm2(i) for i in range(len(sys.roots))):
-            if sys.components[0][0] == "A":
-                return Verdict("special", special_su_families(sys))
-            return Verdict("special", standard_family(grade_by_highest_root(sys), (1,)))
-        if sys.components[0][0] == "G":
-            return Verdict("g2-short", standard_family(grade_by_short_root_g2(sys), (1, 3)))
-        return Verdict("short-root", short_root_families(sys))
+            return Verdict("special", special_su_families(sys))
+        route = "g2-short" if sys.components[0][0] == "G" else "short-root"
+        return Verdict(route, short_root_families(sys))
     try:
         cd = dual_pairs(datum)
     except CongruenceError:

@@ -198,31 +198,34 @@ def _parse_vector(system, s) -> RootVector:
     return system.vector(coords)
 
 
+def _root_index(system, s) -> int:
+    """The index of the root an --m10 vector names."""
+    i = system.root_index(_parse_vector(system, s))
+    if i is None:
+        raise UsageError(f"invalid --m10 spec: vector {s!r} is not a root")
+    return i
+
+
 def build_subspace(datum: ContactDatum, spec) -> HolomorphicSubspace:
     if not isinstance(spec, dict):
         raise UsageError(f"invalid --m10 spec: expected a JSON object, got {spec!r}")
     system = datum.system
-    pairs = []
-    for hw, partner, coeff in spec.get("pairs", []):
-        hwv = _parse_vector(system, hw)
-        pv = _parse_vector(system, partner)
-        pairs.append(
-            TwistedPair(system.root_index(hwv), system.root_index(pv), _parse_coeff(coeff))
-        )
-    plains = tuple(
-        system.root_index(_parse_vector(system, p)) for p in spec.get("plains", [])
+    pairs = tuple(
+        TwistedPair(_root_index(system, hw), _root_index(system, partner), _parse_coeff(coeff))
+        for hw, partner, coeff in spec.get("pairs", [])
     )
+    plains = tuple(_root_index(system, p) for p in spec.get("plains", []))
     rj: frozenset[int] = frozenset()
     rj_spec = spec.get("rj_plus")
     if rj_spec == "positive":
         rj = dual_pairs(datum).rj_plus
     elif isinstance(rj_spec, list):
-        rj = frozenset(system.root_index(_parse_vector(system, p)) for p in rj_spec)
+        rj = frozenset(_root_index(system, p) for p in rj_spec)
     su2 = None
     if "su2" in spec:
         mu, coeff = spec["su2"]
-        su2 = SU2Line(system.root_index(_parse_vector(system, mu)), _parse_coeff(coeff))
-    return HolomorphicSubspace(datum, tuple(pairs), plains, rj, su2)
+        su2 = SU2Line(_root_index(system, mu), _parse_coeff(coeff))
+    return HolomorphicSubspace(datum, pairs, plains, rj, su2)
 
 
 def cmd_check(args) -> int:

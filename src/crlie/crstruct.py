@@ -3,11 +3,14 @@
 A holomorphic subspace is assembled from twisted module pairs
 (highest-weight vector E_a + c E_b for congruent a, b), whole modules,
 a one-sided nilpotent block, and optionally a twisted rank-one line
-C(E_mu + c E_{-mu}).  Integrability, disjointness, standardness, the
-normalizer dimension and the parabolic fibration witnesses are all decided
-by exact linear algebra over the Gaussian-rational polynomial ring
-(symbolically where the condition is polynomial in the twists, at sampled
-Gaussian-rational parameter values otherwise).  The normalizer needs no
+C(E_mu + c E_{-mu}).  Each part contributes lines to one map,
+HolomorphicSubspace.lines: root w maps to (w', c) for the basis vector
+E_w + c E_w', or to None for E_w alone.  Integrability, disjointness,
+standardness, the normalizer dimension and the parabolic fibration
+witnesses are all decided by exact linear algebra over the
+Gaussian-rational polynomial ring (symbolically where the condition is
+polynomial in the twists, at sampled Gaussian-rational parameter values
+otherwise).  The normalizer needs no
 linear system of its own: by the invariant form of the Chevalley basis it
 is the annihilator of the brackets of l^C + m01 with its orthogonal
 complement, so its real points are counted by ranks (normalizer_excess).
@@ -60,6 +63,10 @@ class SU2Line:
 
 @dataclass(frozen=True)
 class HolomorphicSubspace:
+    """A candidate m10: twisted pairs, plain modules, the one-sided block
+    R_J+ and an optional su2 line.  The basis, the twist parameters and the
+    reduction modulo m10 in check_integrability all read one map, lines."""
+
     datum: ContactDatum
     pairs: tuple[TwistedPair, ...] = ()
     plains: tuple[int, ...] = ()
@@ -67,85 +74,47 @@ class HolomorphicSubspace:
     su2: Optional[SU2Line] = None
     label: str = ""
 
-    # -- assembly -----------------------------------------------------------------
+    @cached_property
+    def lines(self) -> dict[int, Optional[tuple[int, Poly]]]:
+        """The lines of m10 in basis order: root w maps to (w', c) when
+        E_w + c E_w' is a basis vector and to None when E_w alone is.
 
-    def module_weights(self, hw: int) -> frozenset[int]:
-        mods = self.datum.modules
-        if hw not in mods:
-            raise StructError("not a module highest weight")
-        return mods[hw].weights
-
-    def pair_vectors(self, pair: TwistedPair) -> list[LieElement]:
-        """Propagated basis of the twisted module, with well-definedness check."""
-        sys = self.datum.system
-        kappa = _propagate(self.datum, pair.hw, pair.partner)
-        out = []
-        for w in sorted(kappa):
-            wp, k = kappa[w]
-            vec = LieElement.root_vector(sys, sys.roots[w]) + LieElement.root_vector(
-                sys, sys.roots[wp], pair.coeff.scale(k)
+        Raises when a pair does not propagate or a plain is no module, then
+        when the dimension is not half of |R'|, then when a root lies on
+        two lines."""
+        datum = self.datum
+        lines: list[tuple[int, Optional[tuple[int, Poly]]]] = []
+        for pair in self.pairs:
+            kappa = _propagate(datum, pair.hw, pair.partner)
+            lines += [(w, (wp, pair.coeff.scale(k))) for w, (wp, k) in sorted(kappa.items())]
+        for hw in self.plains:
+            if hw not in datum.modules:
+                raise StructError("not a module highest weight")
+            lines += [(w, None) for w in sorted(datum.modules[hw].weights)]
+        lines += [(r, None) for r in sorted(self.rj_plus)]
+        if self.su2 is not None:
+            lines.append((self.su2.root, (datum.system.neg_index[self.su2.root], self.su2.coeff)))
+        if 2 * len(lines) != len(datum.Rprime):
+            raise StructError(
+                f"subspace dimension {len(lines)} is not half of |R'| = {len(datum.Rprime)}"
             )
-            out.append(vec)
-        return out
+        roots = [w for w, _ in lines] + [line[0] for _, line in lines if line is not None]
+        if len(set(roots)) != len(roots):
+            raise StructError("a root carries two roles in the subspace")
+        return dict(lines)
 
     def basis(self) -> list[LieElement]:
         return list(self._basis)
 
     @cached_property
     def _basis(self) -> tuple[LieElement, ...]:
-        """The basis of m10, built on first use and kept with the subspace."""
+        """The basis of m10, one vector per line, kept with the subspace."""
         sys = self.datum.system
-        out: list[LieElement] = []
-        for pair in self.pairs:
-            out.extend(self.pair_vectors(pair))
-        for hw in self.plains:
-            for w in sorted(self.module_weights(hw)):
-                out.append(LieElement.root_vector(sys, sys.roots[w]))
-        for r in sorted(self.rj_plus):
-            out.append(LieElement.root_vector(sys, sys.roots[r]))
-        if self.su2 is not None:
-            mu = self.su2.root
-            out.append(
-                LieElement.root_vector(sys, sys.roots[mu])
-                + LieElement.root_vector(sys, sys.roots[sys.neg_index[mu]], self.su2.coeff)
-            )
-        if 2 * len(out) != len(self.datum.Rprime):
-            raise StructError(
-                f"subspace dimension {len(out)} is not half of |R'| = {len(self.datum.Rprime)}"
-            )
-        return tuple(out)
-
-    def roles(self) -> dict[int, str]:
-        """Role of every isotropy root in the reduction scheme."""
-        roles: dict[int, str] = {}
-
-        def put(i: int, role: str):
-            if i in roles:
-                raise StructError("a root carries two roles in the subspace")
-            roles[i] = role
-
-        for pair in self.pairs:
-            kappa = _propagate(self.datum, pair.hw, pair.partner)
-            for w, (wp, _) in kappa.items():
-                put(w, "pair_first")
-                put(wp, "pair_second")
-        for hw in self.plains:
-            for w in self.module_weights(hw):
-                put(w, "plain")
-        for r in self.rj_plus:
-            put(r, "rj")
-        if self.su2 is not None:
-            put(self.su2.root, "su2_first")
-            put(self.datum.system.neg_index[self.su2.root], "su2_second")
-        return roles
+        return tuple(LieElement(sys, {w: ONE} if line is None else {w: ONE, line[0]: line[1]})
+                     for w, line in self.lines.items())
 
     def parameters(self) -> set[str]:
-        out = set()
-        for p in self.pairs:
-            out |= p.coeff.variables()
-        if self.su2 is not None:
-            out |= self.su2.coeff.variables()
-        return out
+        return set().union(*(line[1].variables() for line in self.lines.values() if line))
 
 
 def _propagate(datum: ContactDatum, hw: int, partner: int) -> dict[int, tuple[int, Q]]:
@@ -229,16 +198,8 @@ def render_constraint(g: Poly) -> str:
 
 def check_integrability(h: HolomorphicSubspace) -> ConstraintSet:
     """Conditions on the twists for [m10, m10] to lie in m10 + l^C."""
-    sys = h.datum.system
     basis = h.basis()
-    roles = h.roles()
-    reducers: dict[int, tuple[int, Poly]] = {}
-    for pair in h.pairs:
-        kappa = _propagate(h.datum, pair.hw, pair.partner)
-        for w, (wp, k) in kappa.items():
-            reducers[w] = (wp, pair.coeff.scale(k))
-    if h.su2 is not None:
-        reducers[h.su2.root] = (sys.neg_index[h.su2.root], h.su2.coeff)
+    lines = h.lines
     gens: dict[tuple, Poly] = {}
 
     def note(p):
@@ -258,14 +219,12 @@ def check_integrability(h: HolomorphicSubspace) -> ConstraintSet:
                 continue
             br = basis[a].bracket(basis[b])
             res = dict(br.e)
-            for w in list(res):
-                role = roles.get(w)
-                if role in ("pair_first", "su2_first"):
-                    c = res.pop(w)
-                    wp, twist = reducers[w]
+            # reduce modulo m10: E_w + c E_w' leaves -c times E_w's coefficient on w'
+            for w in [w for w in res if w in lines]:
+                c = res.pop(w)
+                if lines[w] is not None:
+                    wp, twist = lines[w]
                     res[wp] = res.get(wp, P_ZERO) - c * twist
-                elif role in ("plain", "rj"):
-                    res.pop(w)
             for w, c in res.items():
                 if c.is_zero() or w in ro:
                     continue

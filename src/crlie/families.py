@@ -1,8 +1,10 @@
 """The classified holomorphic-subspace families, one Families record per
 contact datum.
 
-Each route of classify.classify_datum has one constructor here, and every
-constructor returns a Families record: the structures in report order,
+Each route of classify.classify_datum calls one constructor here: the
+special route special_su_families, the g2-short and short-root routes
+short_root_families, the pair route pair_family.  Every constructor
+returns a Families record: the structures in report order,
 each labelled with its report row's family name, plus the disc family the
 primitive scan verifies and the one a CR graph's verification checks.
 
@@ -18,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .contact import ContactDatum, Gradation, contact_datum, grade_by_highest_root
+from .contact import (ContactDatum, Gradation, contact_datum, grade_by_highest_root,
+                      grade_by_short_root_g2)
 from .crstruct import (
     HolomorphicSubspace,
     SU2Line,
@@ -74,12 +77,15 @@ def _unit_from_binomial(g: Poly, lead_var: str) -> Gauss:
 
 
 def special_su_families(system: RootSystem) -> Families:
-    """Invariant CR structures on the special contact manifold of an A-type
-    group: one rank-one twisted line plus the two half-level components.
-    The twisted line J_t fibers; the doubly twisted J0_t is primitive."""
-    if system.components[0][0] != "A" or not system.is_simple:
-        raise FamilyError("the twisted special families live on A-type systems")
+    """Invariant CR structures on the special contact manifold of a simple
+    group.  Off type A there is one, the standard structure.  On an A-type
+    group: one rank-one twisted line plus the two half-level components;
+    the twisted line J_t fibers, the doubly twisted J0_t is primitive."""
+    if not system.is_simple:
+        raise FamilyError("the special families live on simple systems")
     grad = grade_by_highest_root(system)
+    if system.components[0][0] != "A":
+        return _standard_family(grad, (1,))
     mu = grad.center
     datum = contact_datum(system, mu)
     mu_idx = system.root_index(mu)
@@ -150,7 +156,7 @@ def special_su_families(system: RootSystem) -> Families:
     return Families(datum, standard + (j, jp, j0), primitive=j0, fibered=j, chart=chart)
 
 
-def standard_family(grad: Gradation, levels: tuple[int, ...]) -> Families:
+def _standard_family(grad: Gradation, levels: tuple[int, ...]) -> Families:
     """The unique structure of a non-A special contact manifold (levels 1
     of the highest-root gradation) or of the short-root G2 one (levels 1
     and 3 of its seven-level gradation): the positive levels, standard."""
@@ -169,11 +175,14 @@ def standard_family(grad: Gradation, levels: tuple[int, ...]) -> Families:
 
 
 def short_root_families(system: RootSystem) -> Families:
-    """Disc families on the non-special short-root contact manifolds; the
-    disc family is primitive."""
+    """Structures on the non-special short-root contact manifolds: on B, C
+    and F4 the standard structure and a primitive disc family, on G2 the
+    standard structure alone."""
     (ttag, rank) = system.components[0]
-    if ttag not in ("B", "C", "F") or not system.is_simple:
-        raise FamilyError("short-root families exist for B, C and F4 only")
+    if ttag not in ("B", "C", "F", "G") or not system.is_simple:
+        raise FamilyError("short-root families exist for B, C, F4 and G2 only")
+    if ttag == "G":
+        return _standard_family(grade_by_short_root_g2(system), (1, 3))
     short_norm = min(system.norm2(i) for i in range(len(system.roots)))
     short = next(i for i in range(len(system.roots)) if system.norm2(i) == short_norm)
     theta = system.dominant(system.roots[short])

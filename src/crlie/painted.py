@@ -349,19 +349,11 @@ def _candidate_paintings(system: RootSystem) -> list[tuple[str, ...]]:
     return list(found)
 
 
-def enumerate_cr_graphs(system: RootSystem | str, rank: int | None = None) -> list[CRGraph]:
-    """All good, proper painted graphs up to diagram symmetry, sorted by
-    their serialization.
-
-    Accepts a root system, or a type string like "D5" or "A2+A3"; with
-    ``rank`` given, the string is a bare type tag such as "D" and the system
-    is ``build(system, rank)``.  It tests the paintings of
+def enumerate_cr_graphs(system: RootSystem) -> list[CRGraph]:
+    """All good, proper painted graphs of a root system up to diagram
+    symmetry, sorted by their serialization.  It tests the paintings of
     _candidate_paintings only.
     """
-    if isinstance(system, str):
-        from .rootsys import build
-
-        system = build(system, rank) if rank is not None else parse_type(system)
     out: dict[str, CRGraph] = {}
     for colors in _candidate_paintings(system):
         g = PaintedGraph(system, colors)

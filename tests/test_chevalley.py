@@ -5,6 +5,7 @@ import pytest
 
 from crlie import chevalley as ch
 from crlie import rootsys as rs
+from crlie.classify import simple_types
 from crlie.linalg import SpanSolver
 from crlie.scalars import Gauss, Poly
 
@@ -207,3 +208,116 @@ def test_invariant_form_commutes_with_conjugation(tag):
             x1 = x.scale(scalars[i % len(scalars)])
             y1 = y.scale(scalars[(i + j + 1) % len(scalars)])
             assert _form(x1.conjugate(), y1.conjugate()) == _form(x1, y1).conj(), (i, j)
+
+
+class _ReferenceTable:
+    """The constant table as it stood before the lookups went through n:
+    its own N(-a, x) by the cyclic identity (_mixed) and its own lookup of
+    positive pairs (_lookup_pos)."""
+
+    def __init__(self, system):
+        self.system = system
+        self._n = {}
+        self._pos_order = sorted(
+            (i for i in range(len(system.roots)) if system.positive[i]),
+            key=lambda i: (system.height(i), system.roots[i].canon()),
+        )
+        self._pos_rank = {i: k for k, i in enumerate(self._pos_order)}
+        sys = system
+        for k in self._pos_order:
+            if sys.height(k) < 2:
+                continue
+            pairs = []
+            for a in self._pos_order:
+                b = sys.sum_index(k, sys.neg_index[a])
+                if b is not None and sys.positive[b] and self._pos_rank[a] < self._pos_rank[b]:
+                    pairs.append((a, b))
+            pairs.sort(key=lambda ab: self._pos_rank[ab[0]])
+            a, b = pairs[0]
+            p, _ = ch.root_string(sys, sys.roots[a], sys.roots[b])
+            self._n[(a, b)] = p + 1
+            self._n[(b, a)] = -(p + 1)
+            for x, y in pairs[1:]:
+                val = self._derive(a, b, k, x, y)
+                self._n[(x, y)] = val
+                self._n[(y, x)] = -val
+
+    def n(self, i, j):
+        try:
+            return self._n[i, j]
+        except KeyError:
+            val = self._n[i, j] = (
+                0 if self.system.sum_index(i, j) is None else self._general(i, j))
+            return val
+
+    def _derive(self, a, b, k, x, y):
+        sys = self.system
+        na = sys.neg_index[a]
+        lhs_c = self._mixed(na, k)
+        total = 0
+        xa = sys.sum_index(na, x)
+        if xa is not None:
+            total += self._mixed(na, x) * self._lookup_pos(xa, y)
+        ya = sys.sum_index(na, y)
+        if ya is not None:
+            total += self._mixed(na, y) * self._lookup_pos(x, ya)
+        val, rem = divmod(total, lhs_c)
+        assert rem == 0
+        return val
+
+    def _lookup_pos(self, i, j):
+        if self.system.sum_index(i, j) is None:
+            return 0
+        return self._n[(i, j)]
+
+    def _mixed(self, ni, j):
+        sys = self.system
+        a = sys.neg_index[ni]
+        d = sys.sum_index(ni, j)
+        if d is None:
+            return 0
+        if sys.positive[d]:
+            val = Q(sys.norm2(d), sys.norm2(j)) * self._lookup_pos(a, d)
+        else:
+            val = Q(sys.norm2(d), sys.norm2(a)) * self._lookup_pos(j, sys.neg_index[d])
+        assert val.denominator == 1
+        return int(val)
+
+    def _general(self, i, j):
+        sys = self.system
+        pi, pj = sys.positive[i], sys.positive[j]
+        if pi and pj:
+            return self._lookup_pos(i, j)
+        if not pi and not pj:
+            return -self.n(sys.neg_index[i], sys.neg_index[j])
+        if not pi:
+            return -self.n(j, i)
+        k = sys.sum_index(i, j)
+        nj, nk = sys.neg_index[j], sys.neg_index[k]
+        if sys.positive[k]:
+            val = -Q(sys.norm2(k), sys.norm2(i)) * self._lookup_pos(nj, k)
+        else:
+            val = -Q(sys.norm2(k), sys.norm2(j)) * self._lookup_pos(i, nk)
+        assert val.denominator == 1
+        return int(val)
+
+
+@pytest.mark.parametrize("t,r", simple_types(8) + [("D", 3)])
+def test_constants_match_reference_table(t, r):
+    s = rs.build(t, r)
+    ref = _ReferenceTable(s)
+    n = len(s.roots)
+    got = [[s.constants.n(i, j) for j in range(n)] for i in range(n)]
+    want = [[ref.n(i, j) for j in range(n)] for i in range(n)]
+    assert got == want
+    assert all(type(x) is int for row in got for x in row)
+
+
+def test_missing_positive_pair_raises():
+    s = rs.build("A3")
+    tab = ch.ConstantTable(s)
+    i, j = next((i, j) for i in range(len(s.roots)) for j in range(len(s.roots))
+                if s.positive[i] and s.positive[j] and s.sum_index(i, j) is not None)
+    del tab._n[i, j]
+    with pytest.raises(AssertionError):
+        tab.n(i, j)

@@ -235,6 +235,33 @@ def test_check_m10_vector_zero_denominator(capsys):
     assert "zero denominator" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("spec,bad", [
+    ({"rj_plus": ["1,1,-2"]}, "1,1,-2"),
+    ({"su2": ["1,1,-2", "t"]}, "1,1,-2"),
+    ({"rj_plus": ["0,0,0"]}, "0,0,0"),
+    ({"plains": ["1,1,-2"]}, "1,1,-2"),
+    ({"pairs": [["1,0,-1", "1,1,-2", "t"]]}, "1,1,-2"),
+])
+def test_check_m10_vector_not_a_root(spec, bad, capsys):
+    rc = run(["check", "--type", "A2", "--theta=1,0,-1", "--m10", json.dumps(spec)])
+    assert rc == 64
+    err = _one_line_error(capsys)
+    assert f"vector {bad!r} is not a root" in err
+
+
+def test_check_m10_error_order(capsys):
+    # the dimension check comes before the check that no root lies on two
+    # lines: -1,0,1 is both in R_J+ and the second root of the su2 line
+    spec = {"su2": ["1,0,-1", "t"], "rj_plus": ["-1,0,1"]}
+    rc = run(["check", "--type", "A2", "--theta=1,0,-1", "--m10", json.dumps(spec)])
+    assert rc == 64
+    assert "subspace dimension 2 is not half of |R'| = 6" in _one_line_error(capsys)
+    spec["rj_plus"].append("1,-1,0")
+    rc = run(["check", "--type", "A2", "--theta=1,0,-1", "--m10", json.dumps(spec)])
+    assert rc == 64
+    assert "a root carries two roles in the subspace" in _one_line_error(capsys)
+
+
 def test_check_m10_not_an_object(capsys):
     rc = run(["check", "--type", "A2", "--theta=1,0,-1", "--m10", "[1]"])
     assert rc == 64

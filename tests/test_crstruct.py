@@ -367,8 +367,7 @@ def test_g2_short_standard():
     assert cs.normalizer_excess(h, {}) == 1
     # m10 = levels 1, 2, 3 of the seven-level gradation
     g = ct.grade_by_short_root_g2(rs.build("G2"))
-    roles = h.roles()
-    assert {i for i, r in roles.items() if r in ("rj", "su2_first")} == set(
+    assert set(h.lines) == set(
         g.level(1) | g.level(2) | g.level(3)
     )
 
@@ -458,18 +457,103 @@ def test_normalizer_excess_matches_brute_force():
         assert cs.normalizer_excess(h, vals) == _brute_normalizer_excess(h, vals) == want
 
 
-def _full_pair_integrability(h):
-    """Reference for check_integrability: every pair of basis elements is
-    bracketed, with no weight test."""
+def _reference_roles(h):
+    """The role of every root of m10 and the reducer of every twisted
+    first root, derived part by part from the subspace's fields."""
     sysm = h.datum.system
-    basis = h.basis()
-    roles = h.roles()
+    roles = {}
+
+    def put(i, role):
+        if i in roles:
+            raise cs.StructError("a root carries two roles in the subspace")
+        roles[i] = role
+
     reducers = {}
     for pair in h.pairs:
         for w, (wp, k) in cs._propagate(h.datum, pair.hw, pair.partner).items():
+            put(w, "pair_first")
+            put(wp, "pair_second")
             reducers[w] = (wp, pair.coeff.scale(k))
+    for hw in h.plains:
+        for w in h.datum.modules[hw].weights:
+            put(w, "plain")
+    for r in h.rj_plus:
+        put(r, "rj")
     if h.su2 is not None:
+        put(h.su2.root, "su2_first")
+        put(sysm.neg_index[h.su2.root], "su2_second")
         reducers[h.su2.root] = (sysm.neg_index[h.su2.root], h.su2.coeff)
+    return roles, reducers
+
+
+def _reference_basis(h):
+    """m10's basis in part order: the twisted pairs' propagated vectors,
+    the plain modules, R_J+, then the su2 line."""
+    from crlie.chevalley import LieElement
+
+    sysm = h.datum.system
+    out = []
+    for pair in h.pairs:
+        kappa = cs._propagate(h.datum, pair.hw, pair.partner)
+        for w in sorted(kappa):
+            wp, k = kappa[w]
+            out.append(LieElement.root_vector(sysm, sysm.roots[w])
+                       + LieElement.root_vector(sysm, sysm.roots[wp], pair.coeff.scale(k)))
+    for hw in h.plains:
+        out += [LieElement.root_vector(sysm, sysm.roots[w])
+                for w in sorted(h.datum.modules[hw].weights)]
+    out += [LieElement.root_vector(sysm, sysm.roots[r]) for r in sorted(h.rj_plus)]
+    if h.su2 is not None:
+        mu = h.su2.root
+        out.append(LieElement.root_vector(sysm, sysm.roots[mu])
+                   + LieElement.root_vector(sysm, sysm.roots[sysm.neg_index[mu]], h.su2.coeff))
+    return out
+
+
+def _golden_form_structures(max_rank):
+    """Every structure classify_datum builds on the golden contact forms
+    up to max_rank, charts included."""
+    from crlie.cli import load_fixture
+
+    out = []
+    for name, keys in (("primitive.json", ("theta_source", "theta_canon")),
+                       ("nonprimitive.json", ("theta_canon",))):
+        for row in load_fixture(name).rows:
+            if int(row["rank"]) > max_rank:
+                continue
+            t = row["type"]
+            s = rs.parse_type(t + row["rank"] if t.isalpha() else t)
+            for key in keys:
+                theta = s.vector([Q(x) for x in row[key].split(",")])
+                F = classify.classify_datum(ct.contact_datum(s, theta)).families
+                if F is not None:
+                    out += [h for h in F.structures + (F.chart,) if h is not None]
+    return out
+
+
+def test_lines_match_reference_roles():
+    from crlie.cli import build_subspace
+
+    a4 = rs.build("A4")
+    readme = build_subspace(ct.contact_datum(a4, a4.vector([1, 0, 0, 0, -1])), {
+        "pairs": [["1,0,0,-1,0", "0,0,0,-1,1", "s"], ["0,1,0,0,-1", "-1,1,0,0,0", "s"]],
+        "su2": ["1,0,0,0,-1", "t"],
+    })
+    cases = _golden_form_structures(5) + [readme]
+    assert len(cases) > 100
+    for h in cases:
+        roles, reducers = _reference_roles(h)
+        want = {w: reducers.get(w) for w, r in roles.items() if not r.endswith("_second")}
+        assert h.lines == want, h.label
+        # one basis vector per line, in the order of the lines
+        assert h.basis() == _reference_basis(h), h.label
+
+
+def _full_pair_integrability(h):
+    """Reference for check_integrability: every pair of basis elements is
+    bracketed, with no weight test."""
+    basis = h.basis()
+    roles, reducers = _reference_roles(h)
     gens = {}
 
     def note(p):

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Digest the stdout of a fixed battery of crlie commands.
 
-Prints one line per command: the sha256 of its stdout, its exit code and
-its argv.  Two source trees write the same CLI bytes exactly when they
-print the same lines, so comparing them is one diff:
+Prints one line per command: the sha256 of its stdout, its exit code
+(``raised:<type>`` when the command raises) and its argv.  Two source
+trees write the same CLI bytes exactly when they print the same lines, so
+comparing them is one diff:
 
     python3 tools/cli_digest.py > new.txt
     python3 tools/cli_digest.py --src /path/to/other/checkout/src > old.txt
@@ -108,13 +109,15 @@ def battery(data: Path) -> list[list[str]]:
     return cmds
 
 
-def run(main, argv: list[str]) -> tuple[bytes, int]:
+def run(main, argv: list[str]) -> tuple[bytes, int | str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)
         except SystemExit as e:
             code = e.code
+        except Exception as e:  # one raising command must not end the battery
+            code = f"raised:{type(e).__name__}"
     return out.getvalue().encode(), code
 
 
