@@ -206,9 +206,16 @@ def _root_index(system, s) -> int:
     return i
 
 
+M10_KEYS = ("pairs", "plains", "rj_plus", "su2")
+
+
 def build_subspace(datum: ContactDatum, spec) -> HolomorphicSubspace:
     if not isinstance(spec, dict):
         raise UsageError(f"invalid --m10 spec: expected a JSON object, got {spec!r}")
+    for key in spec:
+        if key not in M10_KEYS:
+            raise UsageError(f"invalid --m10 spec: unknown key {key!r}, "
+                             f"expected one of {', '.join(M10_KEYS)}")
     system = datum.system
     pairs = tuple(
         TwistedPair(_root_index(system, hw), _root_index(system, partner), _parse_coeff(coeff))
@@ -221,6 +228,9 @@ def build_subspace(datum: ContactDatum, spec) -> HolomorphicSubspace:
         rj = dual_pairs(datum).rj_plus
     elif isinstance(rj_spec, list):
         rj = frozenset(_root_index(system, p) for p in rj_spec)
+    elif "rj_plus" in spec:
+        raise UsageError(f'invalid --m10 spec: rj_plus must be "positive" or a list of roots, '
+                         f"got {rj_spec!r}")
     su2 = None
     if "su2" in spec:
         mu, coeff = spec["su2"]

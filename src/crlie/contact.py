@@ -43,6 +43,21 @@ class ContactDatum:
         return [i for i in self.Ro.members if self.system.positive[i]]
 
     @cached_property
+    def ro_generators(self) -> tuple[int, ...]:
+        """The simple roots of R_o, then their negatives: the E_d that
+        generate the semisimple part of l^C.
+
+        R_o's positive roots are those of R in it, and its simple roots are
+        the positive ones that are no sum of two positive ones (Humphreys
+        10.1)."""
+        sys = self.system
+        pos = self.ro_positive
+        pos_set = frozenset(pos)
+        simple = [i for i in sorted(pos)
+                  if not any(sys.sum_index(i, sys.neg_index[j]) in pos_set for j in pos)]
+        return tuple(simple) + tuple(sys.neg_index[i] for i in simple)
+
+    @cached_property
     def modules(self) -> dict:
         """The irreducible isotropy modules by highest weight, in the order
         of modules.decompose."""

@@ -17,8 +17,9 @@ complement, so its real points are counted by ranks (normalizer_excess).
 The two bracket checks are graded by the theta-transverse weight of
 ContactDatum.weights: a bracket of weights sigma and tau lies in the
 weight space of sigma + tau, so integrability skips the pairs whose sum is
-no weight of g, and the normalizer ranks its brackets one weight block at
-a time.
+no weight of g or a block that reduction modulo m10 + l^C empties, and the
+normalizer ranks its brackets one weight block at a time, each up to a
+bound that l-equivariance tightens (HolomorphicSubspace.l_stable).
 """
 
 from __future__ import annotations
@@ -116,6 +117,55 @@ class HolomorphicSubspace:
     def parameters(self) -> set[str]:
         return set().union(*(line[1].variables() for line in self.lines.values() if line))
 
+    @cached_property
+    def l_stable(self) -> bool:
+        """True when [E_d, m10] lies in m10 for every d of
+        ContactDatum.ro_generators, decided from the lines and the
+        structure constants alone, with the twists symbolic.
+
+        Those E_d generate the semisimple part of l^C, and t' acts on each
+        line by one scalar when its two roots share a theta-transverse
+        weight, which is checked too.  Then [l^C, m10] lies in m10, and since
+        conj fixes l^C, l^C normalizes W = l^C + m01 and lies in N and in
+        conj(N) (normalizer_excess).  False says only that this certificate
+        does not hold."""
+        datum = self.datum
+        sys = datum.system
+        n = sys.constants.n
+        lines = self.lines
+        second = {line[0]: w for w, line in lines.items() if line}
+        if any(datum.weights[w] != datum.weights[wp] for wp, w in second.items()):
+            return False
+        for d in datum.ro_generators:
+            nd = sys.neg_index[d]
+            for w, line in lines.items():
+                # [E_d, E_w + c E_w'] = N(d, w) E_(d+w) + c N(d, w') E_(d+w')
+                image: dict[int, object] = {}
+                for r, c in ((w, 1),) + ((line,) if line else ()):
+                    if r == nd:
+                        return False  # [E_d, E_-d] is a Cartan element
+                    k = sys.sum_index(d, r)
+                    if k is not None and c:
+                        image[k] = c * n(d, r)
+                if not _in_lines(lines, second, image):
+                    return False
+        return True
+
+
+def _in_lines(lines: Mapping, second: Mapping[int, int], image: Mapping) -> bool:
+    """Whether sum x E_r over image lies in the span of the lines: the
+    coefficient of a line's first root w fixes the line's multiple, so
+    E_w + c E_w' asks for c times it on w', and a root on no line for 0.
+    second maps each w' to its w."""
+    for r, x in image.items():
+        if r in lines:
+            line = lines[r]
+            if line is not None and image.get(line[0], 0) != line[1] * x:
+                return False
+        elif second.get(r) not in image:
+            return False
+    return True
+
 
 def _propagate(datum: ContactDatum, hw: int, partner: int) -> dict[int, tuple[int, Q]]:
     """Equivariant twist coefficients: weight w of m(hw) maps to
@@ -197,7 +247,15 @@ def render_constraint(g: Poly) -> str:
 
 
 def check_integrability(h: HolomorphicSubspace) -> ConstraintSet:
-    """Conditions on the twists for [m10, m10] to lie in m10 + l^C."""
+    """Conditions on the twists for [m10, m10] to lie in m10 + l^C.
+
+    Each bracket of basis vectors is reduced modulo m10 + l^C, and every
+    coefficient left, with the bracket's theta-component, is a condition.
+    A pair of homogeneous vectors is skipped when its weight sum names no
+    live block: a sum that is no weight of g leaves nothing, and neither
+    does an absorbed block, one of nonzero weight whose roots all lie in
+    R_o or on lone lines E_w, since a bracket into it has no Cartan part
+    and reduces to 0."""
     basis = h.basis()
     lines = h.lines
     gens: dict[tuple, Poly] = {}
@@ -208,14 +266,16 @@ def check_integrability(h: HolomorphicSubspace) -> ConstraintSet:
             gens.setdefault(p.key(), p)
 
     ro = frozenset(h.datum.Ro.members)
-    # [g_sigma, g_tau] lies in g_(sigma + tau), which is 0 unless the sum
-    # is a weight of g
+    # the live blocks: g_0, and every other weight of g with a root off R_o
+    # and off the lone lines
+    zero = (0,) * h.datum.system.rank
+    live = {rho for rho, roots in h.datum.weight_blocks.items()
+            if rho == zero or any(r not in ro and lines.get(r, 0) is not None for r in roots)}
     weights = [_weight(h.datum, v) for v in basis]
-    blocks = h.datum.weight_blocks
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
             wa, wb = weights[a], weights[b]
-            if wa is not None and wb is not None and tuple(map(add, wa, wb)) not in blocks:
+            if wa is not None and wb is not None and tuple(map(add, wa, wb)) not in live:
                 continue
             br = basis[a].bracket(basis[b])
             res = dict(br.e)
@@ -442,8 +502,8 @@ def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> in
     annihilator of S = [W, W'], and conj(N) that of conj(S), because
     <conj x, conj y> = conj <x, y>.  The real points of N, complexified,
     are N intersect conj(N), of dimension dim g - rank(S + conj(S)); the
-    excess subtracts dim_C l^C.  No property of W is used beyond its
-    being a subspace spanned by homogeneous elements.
+    excess subtracts dim_C l^C.  The count uses no property of W beyond
+    its being a subspace spanned by homogeneous elements.
 
     Everything is graded by the theta-transverse weight of
     ContactDatum.weights: g = sum of the g_tau, the form pairs g_tau only
@@ -452,8 +512,16 @@ def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> in
     [W_sigma, W'_tau] lies in g_(sigma + tau); and S + conj(S) is the sum
     over rho of the blocks S_rho + conj(S_-rho).  The block of -rho is the
     conjugate of the block of rho, so one block of each pair is ranked and
-    counted twice.  A bracket into rho is skipped once its block is full,
-    since neither it nor its conjugate could add a pivot.
+    counted twice.
+
+    A bracket into rho is skipped once its block reaches a bound that no
+    rank can pass: dim g_rho in general.  When HolomorphicSubspace.l_stable
+    certifies that l^C lies in N and in conj(N), l^C annihilates
+    S + conj(S); since the form pairs g_rho perfectly with g_-rho, the
+    block's rank is then at most dim g_rho - dim(l^C in g_-rho), that is
+    dim g_rho less the roots of R_o of weight -rho and, for rho = 0, less
+    dim t'.  Without the certificate the bound stays dim g_rho, so a
+    W that is not l-stable still gets its exact (possibly negative) excess.
     """
     datum = h.datum
     sys = datum.system
@@ -465,31 +533,37 @@ def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> in
         if tau is None:
             raise StructError("l^C + m01 has an element of mixed theta-transverse weight")
         wblocks.setdefault(tau, []).append(w)
-    dims: dict[tuple[int, ...], int] = {}
+    caps: dict[tuple[int, ...], int] = {}  # rank bounds, dim g_tau at first
     perp: dict[tuple[int, ...], list[LieElement]] = {}
     for tau, roots in datum.weight_blocks.items():
         cols = list(roots) + ([n + k for k in range(sys.rank)] if tau == zero else [])
-        dims[tau] = len(cols)
+        caps[tau] = len(cols)
         at = {c: j for j, c in enumerate(cols)}
         rows = [{at[c]: x for c, x in w.form_row().items()} for w in wblocks.get(_neg(tau), ())]
         kernel = nullspace_gauss(rows, len(cols), ZERO, ONE)
         if kernel:
             perp[tau] = [_element(sys, {cols[j]: x for j, x in enumerate(v) if x})
                          for v in kernel]
+    # the l-bound; as R_o = -R_o, its roots of weight rho count those of -rho
+    if h.l_stable:
+        for d in datum.Ro.members:
+            caps[datum.weights[d]] -= 1
+        caps[zero] -= len(datum.theta_perp_cartan)
     blocks: dict[tuple[int, ...], Echelon] = {}
     for sigma, ws in wblocks.items():
         for tau, us in perp.items():
             rho = tuple(map(add, sigma, tau))
-            if rho in dims:
-                _bracket_into(sys, blocks, dims, rho, ((w, u) for w in ws for u in us))
+            if rho in caps:
+                _bracket_into(sys, blocks, caps, rho, ((w, u) for w in ws for u in us))
     # the block of -rho is the conjugate of the block of rho: same rank
     rank = sum(len(ech.rows) * (1 if tau == zero else 2) for tau, ech in blocks.items())
     dim_l = len(datum.Ro.members) + len(datum.theta_perp_cartan)
     return n + sys.rank - rank - dim_l
 
 
-def _bracket_into(sys: RootSystem, blocks: dict, dims: dict, rho: tuple, pairs) -> None:
-    """Rank the brackets [w, u] of weight rho, until their block is full.
+def _bracket_into(sys: RootSystem, blocks: dict, caps: dict, rho: tuple, pairs) -> None:
+    """Rank the brackets [w, u] of weight rho, until their block reaches
+    its bound in caps, which no rank can pass.
 
     The blocks rho and -rho hold S_rho + conj(S_-rho) and its conjugate,
     so only the one of the larger weight is kept: a bracket enters it as
@@ -500,7 +574,7 @@ def _bracket_into(sys: RootSystem, blocks: dict, dims: dict, rho: tuple, pairs) 
     key = max(rho, nrho)
     ech = blocks.setdefault(key, Echelon())
     for w, u in pairs:
-        if len(ech.rows) == dims[key]:
+        if len(ech.rows) == caps[key]:
             return
         b = w.bracket(u)
         if b.is_zero():

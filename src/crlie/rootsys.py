@@ -156,13 +156,6 @@ class RootSystem:
         # the map to ambient coordinates: the simple roots' sparse rows,
         # scaled to ints by one common denominator
         self._ambient = _int_rows(simples)
-        # and its inverse on the gauge: row k holds the simple-root
-        # coordinates of the gauged unit vector e_k, which the span holds
-        span = SpanSolver(simples)
-        self._coords = _int_rows(
-            span.reduce(self._gauge([int(j == k) for j in range(self.dim)]))
-            for k in range(self.dim)
-        )
         # the Gram matrix of the simple roots, ints wherever integral, from
         # the sparse int rows at twice the metric (the aux vector has
         # (e, e) = 1/2), and the Cartan matrix
@@ -184,9 +177,29 @@ class RootSystem:
         self._sums: dict[tuple[int, int], Optional[int]] = {}  # sum_index memo
         self.positive = [all(x >= 0 for x in e) for e in self.expansions]
         self.neg_index = [self._by_expansion[tuple(-x for x in e)] for e in self.expansions]
-        self._norms = [self.inner(v, v) for v in self.roots]
+        # squared lengths e G e over the Gram matrix cleared to ints once,
+        # one Fraction per length
+        gden = lcm(*(x.denominator for row in g for x in row))
+        gi = [[int(x * gden) for x in row] for row in g]
+        ints = []
+        for e in self.expansions:
+            nz = [(k, x) for k, x in enumerate(e) if x]
+            ints.append(sum(x * y * gi[k][j] for k, x in nz for j, y in nz))
+        lengths = {v: Q(v, gden) for v in set(ints)}
+        self._norms = [lengths[v] for v in ints]
 
     # -- ambient coordinates ------------------------------------------------------
+
+    @cached_property
+    def _coords(self) -> tuple[int, list[list[tuple[int, int]]]]:
+        """The inverse of _ambient on the gauge, built on first use: row k
+        holds the simple-root coordinates of the gauged unit vector e_k,
+        which the span of the simple roots holds."""
+        span = SpanSolver([r.canon() for r in self.simple_roots])
+        return _int_rows(
+            span.reduce(self._gauge([int(j == k) for j in range(self.dim)]))
+            for k in range(self.dim)
+        )
 
     def _embed(self, comp_coords: Sequence, offset: int) -> list[Q]:
         c = [Q(0)] * self.dim

@@ -262,6 +262,20 @@ def test_check_m10_error_order(capsys):
     assert "a root carries two roles in the subspace" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("spec,named", [
+    ({"rj_plus": "postive", "su2": ["1,0,-1", "t"]}, "'postive'"),
+    ({"rj_plus": 3, "su2": ["1,0,-1", "t"]}, "got 3"),
+    ({"plain": ["1,-1,0", "0,1,-1"], "su2": ["1,0,-1", "t"]}, "unknown key 'plain'"),
+    ({"su2": ["1,0,-1", "t"], "Pairs": []}, "unknown key 'Pairs'"),
+])
+def test_check_m10_bad_spec_part(spec, named, capsys):
+    # a misspelt key or rj_plus value is named, not dropped
+    rc = run(["check", "--type", "A2", "--theta=1,0,-1", "--m10", json.dumps(spec)])
+    assert rc == 64
+    err = _one_line_error(capsys)
+    assert named in err and "invalid --m10 spec" in err
+
+
 def test_check_m10_not_an_object(capsys):
     rc = run(["check", "--type", "A2", "--theta=1,0,-1", "--m10", "[1]"])
     assert rc == 64

@@ -592,6 +592,167 @@ def test_integrability_matches_full_pair_reference():
         assert cs.check_integrability(h).generators == _full_pair_integrability(h), h.label
 
 
+def _dims_stop_normalizer_excess(h, values):
+    """Reference for the l-bound stop: normalizer_excess with every block
+    stopped only at its full rank dim g_rho, whatever l_stable says."""
+    from crlie.linalg import Echelon, nullspace_gauss
+    from crlie.scalars import ONE, ZERO
+
+    datum = h.datum
+    sysm = datum.system
+    n = len(sysm.roots)
+    zero = (0,) * sysm.rank
+    wblocks = {}
+    for w in cs._l_complex_basis(datum) + [v.conjugate() for v in cs.evaluate_basis(h, values)]:
+        wblocks.setdefault(cs._weight(datum, w), []).append(w)
+    dims, perp = {}, {}
+    for tau, roots in datum.weight_blocks.items():
+        cols = list(roots) + ([n + k for k in range(sysm.rank)] if tau == zero else [])
+        dims[tau] = len(cols)
+        at = {c: j for j, c in enumerate(cols)}
+        rows = [{at[c]: x for c, x in w.form_row().items()} for w in wblocks.get(cs._neg(tau), ())]
+        perp[tau] = [cs._element(sysm, {cols[j]: x for j, x in enumerate(v) if x})
+                     for v in nullspace_gauss(rows, len(cols), ZERO, ONE)]
+    blocks = {}
+    for sigma, ws in wblocks.items():
+        for tau, us in perp.items():
+            rho = tuple(a + b for a, b in zip(sigma, tau))
+            if rho not in dims:
+                continue
+            nrho = cs._neg(rho)
+            ech = blocks.setdefault(max(rho, nrho), Echelon())
+            for w in ws:
+                for u in us:
+                    if len(ech.rows) == dims[max(rho, nrho)]:
+                        break
+                    row = cs._coordinate_rows(sysm, [w.bracket(u)])[0]
+                    if rho >= nrho:
+                        ech.add(row)
+                    if rho <= nrho:
+                        ech.add({sysm.neg_index[c] if c < n else c: -x.conj()
+                                 for c, x in row.items()})
+    rank = sum(len(e.rows) * (1 if tau == zero else 2) for tau, e in blocks.items())
+    return n + sysm.rank - rank - len(datum.Ro.members) - len(datum.theta_perp_cartan)
+
+
+def _weight_pair_integrability(h):
+    """Reference for the absorbed-block skip: check_integrability skipping
+    only the pairs whose weight sum is no weight of g."""
+    basis = h.basis()
+    lines = h.lines
+    gens = {}
+
+    def note(p):
+        p = as_poly(p).primitive()
+        if not p.is_zero():
+            gens.setdefault(p.key(), p)
+
+    ro = frozenset(h.datum.Ro.members)
+    weights = [cs._weight(h.datum, v) for v in basis]
+    for a in range(len(basis)):
+        for b in range(a + 1, len(basis)):
+            wa, wb = weights[a], weights[b]
+            if (wa is not None and wb is not None
+                    and tuple(x + y for x, y in zip(wa, wb)) not in h.datum.weight_blocks):
+                continue
+            br = basis[a].bracket(basis[b])
+            res = dict(br.e)
+            for w in [w for w in res if w in lines]:
+                c = res.pop(w)
+                if lines[w] is not None:
+                    wp, twist = lines[w]
+                    res[wp] = res.get(wp, P_ZERO) - c * twist
+            for w, c in res.items():
+                if not c.is_zero() and w not in ro:
+                    note(c)
+            note(br.eval_functional(h.datum.theta))
+    return tuple(cs._minimize(sorted(gens.values(), key=lambda p: p.key())))
+
+
+def _sum_forms(tag, dominant):
+    """Every nonzero contact form a + b and a - b for roots a, b of the
+    type: the dominant representative of each class over all roots when
+    dominant, otherwise the unreduced forms with a and b positive."""
+    sysm = rs.parse_type(tag)
+    n = len(sysm.roots)
+    idx = range(n) if dominant else [i for i in range(n) if sysm.positive[i]]
+    out = {}
+    for i in idx:
+        for j in idx:
+            for theta in (sysm.roots[i] + sysm.roots[j], sysm.roots[i] - sysm.roots[j]):
+                if not theta.is_zero():
+                    theta = sysm.dominant(theta) if dominant else theta
+                    out.setdefault(theta.c, theta)
+    return sysm, list(out.values())
+
+
+SUM_FORM_TYPES = [(t, True) for t in ("A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4",
+                                      "D4", "D5", "G2", "F4", "A1+A1", "A2+A2")]
+SUM_FORM_TYPES += [(t, False) for t in ("A3", "A4", "A5", "B3", "C3", "D4")]
+
+
+@pytest.mark.parametrize("tag,dominant", SUM_FORM_TYPES)
+def test_pruned_brackets_match_unpruned_references(tag, dominant):
+    # the l-bound stop and the absorbed-block skip change no result; the
+    # certificate is true where it is given, and a negative excess, which
+    # an l-stable W cannot have, comes only without it
+    from crlie.chevalley import LieElement
+    from crlie.linalg import SpanSolver
+
+    sysm, forms = _sum_forms(tag, dominant)
+    stable = unstable = 0
+    for theta in forms:
+        F = classify.classify_datum(ct.contact_datum(sysm, theta)).families
+        for h in F.structures if F is not None else ():
+            assert cs.check_integrability(h).generators == _weight_pair_integrability(h), h.label
+            for j in (0, 1):
+                vals = classify._sample_values(h, j)
+                exc = cs.normalizer_excess(h, vals)
+                assert exc == _dims_stop_normalizer_excess(h, vals), (h.label, theta.c)
+                assert exc >= 0 or not h.l_stable, (h.label, theta.c)
+            if not h.l_stable:
+                unstable += 1
+                continue
+            stable += 1
+            basis = cs.evaluate_basis(h, classify._sample_values(h))
+            solver = SpanSolver(cs._coordinate_rows(sysm, basis))
+            for d in h.datum.Ro.members:
+                ed = LieElement.root_vector(sysm, sysm.roots[d])
+                for v in basis:
+                    assert solver.contains(cs._coordinate_rows(sysm, [ed.bracket(v)])[0]), h.label
+    # no a +- b form of A2+A2 is classified, so it has no structures
+    assert stable > 0 or tag == "A2+A2"
+
+
+def test_negative_excess_has_no_l_certificate():
+    a5 = rs.build("A5")
+    F = _routed(a5, a5.vector([1, -1, 1, 0, 0, -1]))
+    for h, want in ((F.fibered, -2), (F.structures[0], -1)):
+        assert not h.l_stable
+        assert cs.normalizer_excess(h, classify._sample_values(h)) == want
+
+
+def test_ro_generators_are_the_simple_roots_of_ro():
+    from crlie.linalg import SpanSolver
+
+    for tag, theta in (("A5", [1, -1, 1, 0, 0, -1]), ("D5", [1, 0, 0, 0, 0]), ("F4", [1, 0, 0, 0]),
+                       ("G2", [1, 0, -1])):
+        sysm = rs.build(tag)
+        datum = ct.contact_datum(sysm, sysm.vector(theta))
+        gens = datum.ro_generators
+        simple = gens[:len(gens) // 2]
+        assert gens[len(gens) // 2:] == tuple(sysm.neg_index[i] for i in simple)
+        # a base: independent, as many as R_o's rank, and every positive
+        # root of R_o a nonnegative int combination of them
+        span = SpanSolver([[Q(x) for x in sysm.expansions[i]] for i in simple])
+        assert span.dim() == len(simple) > 0
+        assert SpanSolver([[Q(x) for x in sysm.expansions[i]] for i in datum.Ro.members]).dim() \
+            == len(simple)
+        for i in datum.ro_positive:
+            coeffs = span.reduce([Q(x) for x in sysm.expansions[i]])
+            assert all(c >= 0 and c.denominator == 1 for c in coeffs), (tag, i)
+
+
 def test_structure_rows_dispatch():
     b4 = rs.build("B4")
     rows = classify.structure_rows_for_datum(ct.contact_datum(b4, b4.vector([1, 0, 0, 0])))

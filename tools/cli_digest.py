@@ -21,7 +21,11 @@ every golden nonprimitive graph of rank <= 6 in text, so one diff also
 covers the painted-graph verdicts and the K/Q flag types; and
 ``check --m10`` on the README's A4 user subspace and on an A1+A1 subspace
 that is its own conjugate (exit 64), in text and JSON, so the
-user-subspace path is diffed too.  The commands run in one process,
+user-subspace path is diffed too; last, ``check --family`` in text on
+every unreduced form a + b and a - b with a and b positive roots of A3-A5,
+B3, C3 and D4.  Those include A5 ``1,-1,1,0,0,-1`` with its negative
+normalizer excesses, so the forms on which l^C + m01 is not l-stable, and
+no l-bound may apply, are diffed too.  The commands run in one process,
 through ``crlie.cli.main``.
 """
 
@@ -43,6 +47,8 @@ PAINTED_TYPES = (("D5", (5,)), ("A2+A2", (2, 2)))  # (type, rank of each factor)
 ROOT_TYPES = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)]
               + [f"C{r}" for r in range(3, 9)] + [f"D{r}" for r in range(4, 9)]
               + ["E6", "E7", "E8", "F4", "G2", "A1+A1", "A2+G2"])
+# types whose unreduced forms a +- b (a, b positive roots) are checked
+SUM_FORM_TYPES = ("A3", "A4", "A5", "B3", "C3", "D4")
 # (type, theta, --m10 spec): the README example, then a degenerate spec
 M10_CHECKS = (
     ("A4", "1,0,0,0,-1", {"pairs": [["1,0,0,-1,0", "0,0,0,-1,1", "s"],
@@ -73,6 +79,19 @@ def golden_forms(data: Path) -> list[tuple[str, str]]:
     return out
 
 
+def sum_forms(rootsys) -> list[tuple[str, str]]:
+    """(type, theta) of every nonzero a + b and a - b with a and b positive
+    roots of the SUM_FORM_TYPES, in ambient coordinates, sorted per type."""
+    out: list[tuple[str, str]] = []
+    for t in SUM_FORM_TYPES:
+        s = rootsys.parse_type(t)
+        pos = [r.canon() for i, r in enumerate(s.roots) if s.positive[i]]
+        thetas = {tuple(x + sgn * y for x, y in zip(a, b))
+                  for a in pos for b in pos for sgn in (1, -1)}
+        out += [(t, ",".join(map(str, th))) for th in sorted(thetas) if any(th)]
+    return out
+
+
 def all_paintings(type_str: str, ranks: tuple[int, ...]) -> list[str]:
     """Every painting of the type, in the ``TYPE:c,c|c,c`` form."""
     out = []
@@ -91,7 +110,7 @@ def golden_graphs(data: Path) -> list[str]:
     return list(dict.fromkeys(r["graph"] for r in rows if int(r["rank"]) <= CHECK_MAX_RANK))
 
 
-def battery(data: Path) -> list[list[str]]:
+def battery(data: Path, rootsys) -> list[list[str]]:
     json_fmt = ["--format", "json"]
     cmds = [["roots", "--type", t, *json_fmt] for t in ROOT_TYPES]
     cmds += [["classify", "--what", what, "--max-rank", "8", *json_fmt]
@@ -106,6 +125,8 @@ def battery(data: Path) -> list[list[str]]:
     cmds += [["check", "--graph", g, "--format", "text"] for g in golden_graphs(data)]
     cmds += [["check", "--type", t, f"--theta={theta}", "--m10", json.dumps(spec), "--format", fmt]
              for t, theta, spec in M10_CHECKS for fmt in ("text", "json")]
+    cmds += [["check", "--type", t, f"--theta={theta}", "--family", "--format", "text"]
+             for t, theta in sum_forms(rootsys)]
     return cmds
 
 
@@ -128,9 +149,9 @@ def main() -> int:
     args = ap.parse_args()
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
-    from crlie import cli
+    from crlie import cli, rootsys
 
-    for argv in battery(src / "crlie" / "data"):
+    for argv in battery(src / "crlie" / "data", rootsys):
         text, code = run(cli.main, argv)
         print(f"{hashlib.sha256(text).hexdigest()}  {code}  {' '.join(argv)}", flush=True)
     return 0
