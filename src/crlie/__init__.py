@@ -2,7 +2,7 @@
 on compact homogeneous manifolds."""
 
 from .classify import classify_datum
-from .contact import contact_datum, grade_by_highest_root, grade_by_short_root_g2
+from .contact import contact_datum, grade_by_highest_root
 from .crstruct import (
     HolomorphicSubspace,
     check_disjointness,
@@ -33,7 +33,6 @@ __all__ = [
     "enumerate_cr_graphs",
     "find_crf_parabolics",
     "grade_by_highest_root",
-    "grade_by_short_root_g2",
     "is_good",
     "is_standard",
     "normalizer_excess",

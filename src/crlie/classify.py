@@ -37,6 +37,7 @@ from .crstruct import (
 from .families import (
     Families,
     FamilyError,
+    _positive,
     pair_family,
     short_root_families,
     special_su_families,
@@ -47,7 +48,6 @@ from .report import Report
 from .rootsys import (
     RootSystem,
     RootVector,
-    Subsystem,
     build,
     build_product,
     format_vector,
@@ -108,20 +108,24 @@ def table1_rows(ranks: Iterable[int] = range(3, 9)) -> list[dict]:
     cells += [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
     for t, r in cells:
         system = build(t, r)
-        grad = grade_by_highest_root(system)
-        mu = grad.center
+        datum = grade_by_highest_root(system)
+        mu = datum.theta
+        top = system.root_index(mu)
+        # level 1: the theta-positive modules but mu's, which is mu alone
+        summands = [hw for hw in _positive(datum) if hw != top]
+        level1 = frozenset().union(*(datum.modules[hw].weights for hw in summands))
         rows.append(
             {
                 "type": t,
                 "rank": str(r),
                 "mu": format_vector(mu),
                 "mu_canon": canon_str(mu),
-                "Ro": root_set_str(system, grad.level(0)),
-                "Ro_display": root_set_display(system, grad.level(0)),
-                "Ro_type": Subsystem(system, grad.level(0)).type_str(),
-                "R1": root_set_str(system, grad.level(1)),
-                "R1_display": root_set_display(system, grad.level(1)),
-                "g1_summands": str(len(grad.summands(1))),
+                "Ro": root_set_str(system, datum.Ro.members),
+                "Ro_display": root_set_display(system, datum.Ro.members),
+                "Ro_type": datum.Ro.type_str(),
+                "R1": root_set_str(system, level1),
+                "R1_display": root_set_display(system, level1),
+                "g1_summands": str(len(summands)),
             }
         )
     return rows

@@ -1,4 +1,4 @@
-"""Contact elements, centralizer decompositions and ad-eigenspace gradations.
+"""Contact elements, centralizer decompositions and special contact manifolds.
 
 A contact element is encoded by its dual form on the Cartan subalgebra: a
 nonzero vector theta in the rational span of the roots.  The centralizer
@@ -138,77 +138,15 @@ def contact_datum(system: RootSystem, theta: RootVector) -> ContactDatum:
     return ContactDatum(system, theta, Subsystem(system, ortho), rprime)
 
 
-class Gradation:
-    """Integer eigenspace decomposition of the root set by a grading vector."""
-
-    def __init__(self, system: RootSystem, center: RootVector):
-        self.system = system
-        self.center = center
-        self.levels: dict[int, frozenset[int]] = {}
-        buckets: dict[int, set[int]] = {}
-        for i, r in enumerate(system.roots):
-            v = system.pairing(r, center) if system.is_root(center) else None
-            if v is None:
-                raise ContactError("grading center must be a root")
-            if v.denominator != 1:
-                raise ContactError("non-integral grading level")
-            buckets.setdefault(int(v), set()).add(i)
-        self.levels = {k: frozenset(v) for k, v in buckets.items()}
-
-    def level(self, k: int) -> frozenset[int]:
-        return self.levels.get(k, frozenset())
-
-    def summands(self, k: int) -> list[frozenset[int]]:
-        """Irreducible pieces of level k under the level-0 root strings."""
-        ro = self.level(0)
-        return _string_components(self.system, self.level(k), ro)
-
-    def max_level(self) -> int:
-        return max(self.levels)
-
-
-def _string_components(system: RootSystem, roots: frozenset[int], ro: frozenset[int]) -> list[frozenset[int]]:
-    remaining = set(roots)
-    comps = []
-    while remaining:
-        seed = remaining.pop()
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            i = frontier.pop()
-            for d in ro:
-                j = system.sum_index(i, d)
-                if j is not None and j in remaining:
-                    remaining.discard(j)
-                    comp.add(j)
-                    frontier.append(j)
-        comps.append(frozenset(comp))
-    return sorted(comps, key=lambda c: sorted(system.roots[i].canon() for i in c))
-
-
-def grade_by_highest_root(system: RootSystem) -> Gradation:
-    """The five-level gradation by the highest root."""
+def grade_by_highest_root(system: RootSystem) -> ContactDatum:
+    """The contact datum of the highest root mu, which grades g in five
+    levels by the pairing with mu: level 0 is R_o, level 2 is mu alone and
+    level 1 is the rest of the theta-positive part of R'.  The level-1
+    summands are the modules of the datum whose highest weight is at
+    level 1."""
     if not system.is_simple:
         raise ContactError("highest-root gradation needs a simple system")
-    g = Gradation(system, system.highest_root())
-    if g.max_level() != 2:
-        raise ContactError("unexpected gradation depth")
-    return g
-
-
-def grade_by_short_root_g2(system: RootSystem) -> Gradation:
-    """The seven-level gradation of G2 by the dominant short root."""
-    if system.components != (("G", 2),):
-        raise ContactError("short-root gradation is specific to G2")
-    short = min(
-        (i for i in range(len(system.roots))),
-        key=lambda i: (system.norm2(i),),
-    )
-    nu = system.dominant(system.roots[short])
-    g = Gradation(system, nu)
-    if g.max_level() != 3:
-        raise ContactError("unexpected G2 gradation depth")
-    return g
+    return contact_datum(system, system.highest_root())
 
 
 def special_roots(system: RootSystem) -> list[RootVector]:

@@ -553,17 +553,22 @@ def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> in
     for sigma, ws in wblocks.items():
         for tau, us in perp.items():
             rho = tuple(map(add, sigma, tau))
-            if rho in caps:
-                _bracket_into(sys, blocks, caps, rho, ((w, u) for w in ws for u in us))
+            if rho not in caps:
+                continue
+            # the blocks rho and -rho are kept as one, under the larger weight
+            key = max(rho, _neg(rho))
+            ech = blocks.setdefault(key, Echelon())
+            if len(ech.rows) < caps[key]:
+                _bracket_into(sys, ech, caps[key], rho, ((w, u) for w in ws for u in us))
     # the block of -rho is the conjugate of the block of rho: same rank
     rank = sum(len(ech.rows) * (1 if tau == zero else 2) for tau, ech in blocks.items())
     dim_l = len(datum.Ro.members) + len(datum.theta_perp_cartan)
     return n + sys.rank - rank - dim_l
 
 
-def _bracket_into(sys: RootSystem, blocks: dict, caps: dict, rho: tuple, pairs) -> None:
-    """Rank the brackets [w, u] of weight rho, until their block reaches
-    its bound in caps, which no rank can pass.
+def _bracket_into(sys: RootSystem, ech: Echelon, cap: int, rho: tuple, pairs) -> None:
+    """Rank the brackets [w, u] of weight rho into ech, the block of
+    max(rho, -rho), until it reaches cap, which no rank can pass.
 
     The blocks rho and -rho hold S_rho + conj(S_-rho) and its conjugate,
     so only the one of the larger weight is kept: a bracket enters it as
@@ -571,10 +576,8 @@ def _bracket_into(sys: RootSystem, blocks: dict, caps: dict, rho: tuple, pairs) 
     and as both when rho = 0."""
     n = len(sys.roots)
     nrho = _neg(rho)
-    key = max(rho, nrho)
-    ech = blocks.setdefault(key, Echelon())
     for w, u in pairs:
-        if len(ech.rows) == caps[key]:
+        if len(ech.rows) == cap:
             return
         b = w.bracket(u)
         if b.is_zero():

@@ -8,11 +8,18 @@ returns a Families record: the structures in report order,
 each labelled with its report row's family name, plus the disc family the
 primitive scan verifies and the one a CR graph's verification checks.
 
+All three read the datum's modules (ContactDatum.modules) through the
+same helpers: _positive lists the theta-positive highest weights and
+_partner gives a highest weight's theta-congruent partner, so a twisted
+pair is (hw, _partner(hw)); _standard_family builds the one standard
+structure of a non-A special datum and of G2's short-root datum.
+
 Twist charts are unit-normalized: the highest-weight pair coefficients are
 multiplied by fixed signs (computed once from the structure constants) so
 that the integrability constraints take the reference forms, e.g. s = t^2
 for the two-parameter symplectic and F4 families.  The normalizing units
-have modulus one, so disc parameterizations are unaffected.
+have modulus one, so disc parameterizations are unaffected; _chart_unit
+reads each unit off a raw chart's constraint.
 """
 
 from __future__ import annotations
@@ -20,8 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .contact import (ContactDatum, Gradation, contact_datum, grade_by_highest_root,
-                      grade_by_short_root_g2)
+from .contact import ContactDatum, contact_datum, grade_by_highest_root
 from .crstruct import (
     HolomorphicSubspace,
     SU2Line,
@@ -73,6 +79,40 @@ def _unit_from_binomial(g: Poly, lead_var: str) -> Gauss:
     return u
 
 
+def _chart_unit(raw: HolomorphicSubspace, var: str, ignore: Optional[str] = None) -> Gauss:
+    """The unit that brings the integrability constraint of a raw chart to
+    its reference form (_unit_from_binomial, led by var).  Constraints in
+    the variable ignore are set aside; exactly one must be left."""
+    cs = check_integrability(raw)
+    gens = [g for g in cs.generators if ignore not in g.variables()]
+    if len(gens) != 1:
+        raise FamilyError(f"unexpected constraint structure {cs}")
+    return _unit_from_binomial(gens[0], var)
+
+
+def _positive(datum: ContactDatum) -> list[int]:
+    """The theta-positive highest weights, in module order.  R_o is
+    orthogonal to theta, so all weights of a module pair alike with it."""
+    sys = datum.system
+    return [hw for hw in datum.modules if sys.inner(sys.roots[hw], datum.theta) > 0]
+
+
+def _partner(datum: ContactDatum, hw: int) -> Optional[int]:
+    """The other highest weight in hw's theta-congruence class, if any."""
+    return next((h for h in datum.class_of[hw] if h != hw and h in datum.modules), None)
+
+
+def _standard_family(datum: ContactDatum) -> Families:
+    """The unique structure of a non-A special contact manifold or of the
+    short-root G2 one: the theta-positive part of R', standard, with a
+    zero su2 line on theta's root."""
+    top = datum.system.root_along(datum.theta)
+    upper = frozenset().union(*(datum.modules[hw].weights for hw in _positive(datum)))
+    h = HolomorphicSubspace(datum, rj_plus=upper - {top}, su2=SU2Line(top, P_ZERO),
+                            label="standard")
+    return Families(datum, (h,))
+
+
 # -- special contact manifolds (theta parallel to a root) -------------------------------
 
 
@@ -83,12 +123,10 @@ def special_su_families(system: RootSystem) -> Families:
     the twisted line J_t fibers, the doubly twisted J0_t is primitive."""
     if not system.is_simple:
         raise FamilyError("the special families live on simple systems")
-    grad = grade_by_highest_root(system)
+    datum = grade_by_highest_root(system)
     if system.components[0][0] != "A":
-        return _standard_family(grad, (1,))
-    mu = grad.center
-    datum = contact_datum(system, mu)
-    mu_idx = system.root_index(mu)
+        return _standard_family(datum)
+    mu_idx = system.root_index(datum.theta)
     t = Poly.var("t")
     s = Poly.var("s")
 
@@ -97,78 +135,32 @@ def special_su_families(system: RootSystem) -> Families:
         su2 = HolomorphicSubspace(datum, su2=SU2Line(mu_idx, t), label="disc family J_t")
         return Families(datum, (std, su2), fibered=su2)
 
-    # the level-1 summands and their negatives are modules of the datum
-    hw_of = {m.weights: hw for hw, m in datum.modules.items()}
-    c1, c2 = grad.summands(1)
-    hw1, hw2 = hw_of[c1], hw_of[c2]
-    n1 = hw_of[frozenset(system.neg_index[i] for i in c1)]
-    n2 = hw_of[frozenset(system.neg_index[i] for i in c2)]
+    # the two level-1 modules; each one's partner leads the negative of the other
+    hw1, hw2 = (hw for hw in _positive(datum) if hw != mu_idx)
+    n2, n1 = _partner(datum, hw1), _partner(datum, hw2)
 
-    def plain_family(a, b, label):
+    def plain(a, b, c, label):
+        return HolomorphicSubspace(datum, plains=(a, b), su2=SU2Line(mu_idx, c), label=label)
+
+    def twisted(c1, c2, c_mu, label=""):
         return HolomorphicSubspace(
-            datum, plains=(a, b), su2=SU2Line(mu_idx, t), label=label
+            datum, pairs=(TwistedPair(hw1, n2, c1), TwistedPair(hw2, n1, c2)),
+            su2=SU2Line(mu_idx, c_mu), label=label,
         )
 
-    j = plain_family(hw1, n2, "disc family J_t")
-    jp = plain_family(hw2, n1, "disc family J'_t")
-
     # unit-normalize the doubly twisted chart so that t = s^2
-    raw = HolomorphicSubspace(
-        datum,
-        pairs=(TwistedPair(hw1, n2, s), TwistedPair(hw2, n1, Poly.var("s2"))),
-        su2=SU2Line(mu_idx, t),
-    )
-    cs = check_integrability(raw)
-    pair_rel = next((g for g in cs.generators if "s2" in g.variables() and "t" not in g.variables()), None)
-    u3 = Gauss(1)
-    if pair_rel is not None:
-        u3 = _unit_from_binomial(pair_rel, "s2")
-    step = HolomorphicSubspace(
-        datum,
-        pairs=(TwistedPair(hw1, n2, s), TwistedPair(hw2, n1, s.scale(u3))),
-        su2=SU2Line(mu_idx, t),
-    )
-    cs2 = check_integrability(step)
-    su_rel = next((g for g in cs2.generators if "t" in g.variables()), None)
-    u4 = Gauss(1)
-    if su_rel is not None:
-        u4 = _unit_from_binomial(su_rel, "t")
-    chart = HolomorphicSubspace(
-        datum,
-        pairs=(TwistedPair(hw1, n2, s), TwistedPair(hw2, n1, s.scale(u3))),
-        su2=SU2Line(mu_idx, t.scale(u4)),
-        label="two-parameter chart",
-    )
-    j0 = HolomorphicSubspace(
-        datum,
-        pairs=(TwistedPair(hw1, n2, t), TwistedPair(hw2, n1, t.scale(u3))),
-        su2=SU2Line(mu_idx, (t * t).scale(u4)),
-        label="disc family J0_t",
-    )
+    u3 = _chart_unit(twisted(s, Poly.var("s2"), t), "s2", ignore="t")
+    u4 = _chart_unit(twisted(s, s.scale(u3), t), "t")
+    chart = twisted(s, s.scale(u3), t.scale(u4), "two-parameter chart")
+    j0 = twisted(t, t.scale(u3), (t * t).scale(u4), "disc family J0_t")
+    j = plain(hw1, n2, t, "disc family J_t")
+    jp = plain(hw2, n1, t, "disc family J'_t")
     standard = (
-        HolomorphicSubspace(datum, plains=(hw1, hw2), su2=SU2Line(mu_idx, P_ZERO),
-                            label="standard (nilradical)"),
-        HolomorphicSubspace(datum, plains=(hw1, n2), su2=SU2Line(mu_idx, P_ZERO),
-                            label="standard (mixed)"),
-        HolomorphicSubspace(datum, plains=(hw2, n1), su2=SU2Line(mu_idx, P_ZERO),
-                            label="standard (mixed, mirror)"),
+        plain(hw1, hw2, P_ZERO, "standard (nilradical)"),
+        plain(hw1, n2, P_ZERO, "standard (mixed)"),
+        plain(hw2, n1, P_ZERO, "standard (mixed, mirror)"),
     )
     return Families(datum, standard + (j, jp, j0), primitive=j0, fibered=j, chart=chart)
-
-
-def _standard_family(grad: Gradation, levels: tuple[int, ...]) -> Families:
-    """The unique structure of a non-A special contact manifold (levels 1
-    of the highest-root gradation) or of the short-root G2 one (levels 1
-    and 3 of its seven-level gradation): the positive levels, standard."""
-    system = grad.system
-    datum = contact_datum(system, grad.center)
-    h = HolomorphicSubspace(
-        datum,
-        rj_plus=frozenset().union(*(grad.level(k) for k in levels)),
-        su2=SU2Line(system.root_index(grad.center), P_ZERO),
-        label="standard",
-    )
-    return Families(datum, (h,))
 
 
 # -- short-root families (SO_{2n+1}, Sp_n, F4) -------------------------------------------
@@ -181,66 +173,40 @@ def short_root_families(system: RootSystem) -> Families:
     (ttag, rank) = system.components[0]
     if ttag not in ("B", "C", "F", "G") or not system.is_simple:
         raise FamilyError("short-root families exist for B, C, F4 and G2 only")
-    if ttag == "G":
-        return _standard_family(grade_by_short_root_g2(system), (1, 3))
     short_norm = min(system.norm2(i) for i in range(len(system.roots)))
     short = next(i for i in range(len(system.roots)) if system.norm2(i) == short_norm)
-    theta = system.dominant(system.roots[short])
-    datum = contact_datum(system, theta)
-    mods = datum.modules
-    pos = [m for m in mods.values() if system.inner(system.roots[m.highest], theta) > 0]
+    datum = contact_datum(system, system.dominant(system.roots[short]))
+    if ttag == "G":
+        return _standard_family(datum)
+    pos = _positive(datum)
+    partner = {hw: _partner(datum, hw) for hw in pos}
+    if None in partner.values():
+        raise FamilyError("unpaired module in a short-root datum")
     t = Poly.var("t")
     s = Poly.var("s")
 
-    def partner_of(m):
-        for hw in mods:
-            if hw != m.highest and hw in datum.class_of[m.highest]:
-                return hw
-        raise FamilyError("unpaired module in a short-root datum")
-
-    standard = HolomorphicSubspace(
-        datum, plains=tuple(m.highest for m in pos), label="standard"
-    )
+    standard = HolomorphicSubspace(datum, plains=tuple(pos), label="standard")
     if len(pos) == 1:
         fam = HolomorphicSubspace(
-            datum,
-            pairs=(TwistedPair(pos[0].highest, partner_of(pos[0]), t),),
-            label="disc family",
+            datum, pairs=(TwistedPair(pos[0], partner[pos[0]], t),), label="disc family"
         )
         return Families(datum, (standard, fam), primitive=fam)
     if len(pos) != 2:
         raise FamilyError("unexpected module structure for a short-root datum")
     # the long pair carries s, the short pair t; normalize so that s = t^2
-    long_m, short_m = sorted(
-        pos, key=lambda m: -system.norm2(m.highest)
-    )
-    raw = HolomorphicSubspace(
-        datum,
-        pairs=(
-            TwistedPair(long_m.highest, partner_of(long_m), s),
-            TwistedPair(short_m.highest, partner_of(short_m), t),
-        ),
-    )
-    cs = check_integrability(raw)
-    if len(cs.generators) != 1:
-        raise FamilyError(f"unexpected constraint structure {cs}")
-    u = _unit_from_binomial(cs.generators[0], "s")
-    chart = HolomorphicSubspace(
-        datum,
-        pairs=(
-            TwistedPair(long_m.highest, partner_of(long_m), s.scale(u)),
-            TwistedPair(short_m.highest, partner_of(short_m), t),
-        ),
-        label="two-parameter chart",
-    )
-    fam = HolomorphicSubspace(
-        datum,
-        pairs=(
-            TwistedPair(long_m.highest, partner_of(long_m), (t * t).scale(u)),
-            TwistedPair(short_m.highest, partner_of(short_m), t),
-        ),
-        label="disc family",
-    )
+    long_hw, short_hw = sorted(pos, key=lambda hw: -system.norm2(hw))
+
+    def twisted(c_long, label=""):
+        return HolomorphicSubspace(
+            datum,
+            pairs=(TwistedPair(long_hw, partner[long_hw], c_long),
+                   TwistedPair(short_hw, partner[short_hw], t)),
+            label=label,
+        )
+
+    u = _chart_unit(twisted(s), "s")
+    chart = twisted(s.scale(u), "two-parameter chart")
+    fam = twisted((t * t).scale(u), "disc family")
     return Families(datum, (standard, fam), primitive=fam, chart=chart)
 
 
@@ -256,54 +222,23 @@ def pair_family(datum: ContactDatum, rj_plus: frozenset[int] = frozenset()) -> F
     with the reciprocal coefficient (chart: t * u = 1).  The disc family
     fibers when it verifies as non-primitive; a one-sided block (R_J+)
     rules out primitivity."""
-    sys = datum.system
-    cd = dual_pairs(datum)
-    re_roots = cd.paired_roots
-    mods = datum.modules
-    hw_pairs: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    for hw, m in sorted(mods.items()):
-        if hw in seen or not m.weights <= re_roots:
-            continue
-        partner = next(h2 for h2 in mods if h2 != hw and h2 in datum.class_of[hw])
-        seen.update({hw, partner})
-        hw_pairs.append((hw, partner))
+    re_roots = dual_pairs(datum).paired_roots
+    tops = [hw for hw in _positive(datum) if datum.modules[hw].weights <= re_roots]
     t = Poly.var("t")
     u = Poly.var("u")
-
-    def orient(a: int, b: int) -> tuple[int, int]:
-        """Put the theta-positive highest weight first."""
-        if sys.inner(sys.roots[a], datum.theta) > 0:
-            return a, b
-        return b, a
-
-    if len(hw_pairs) == 1:
-        a, b = orient(*hw_pairs[0])
-        pairs = (TwistedPair(a, b, t),)
-        plains = (a,)
-    elif len(hw_pairs) == 2:
-        a, b = orient(*hw_pairs[0])
-        # the mirror pair leads with the module conjugate to m(a)
-        (a2_raw, b2_raw) = hw_pairs[1]
-        neg_weights = frozenset(sys.neg_index[i] for i in mods[a].weights)
-        a2, b2 = (a2_raw, b2_raw) if mods[a2_raw].weights == neg_weights else (b2_raw, a2_raw)
-        raw = HolomorphicSubspace(
-            datum,
-            pairs=(TwistedPair(a, b, t), TwistedPair(a2, b2, u)),
-            rj_plus=rj_plus,
-        )
-        cs = check_integrability(raw)
-        if len(cs.generators) != 1:
-            raise FamilyError(f"unexpected constraint structure {cs}")
-        unit = _unit_from_binomial(cs.generators[0], "u")
-        pairs = (TwistedPair(a, b, t), TwistedPair(a2, b2, u.scale(unit)))
-        plains = tuple(sorted(
-            hw
-            for hw, m in mods.items()
-            if m.weights <= re_roots and sys.inner(sys.roots[hw], datum.theta) > 0
-        ))
+    if len(tops) == 1:
+        (a,) = tops
+        pairs = (TwistedPair(a, _partner(datum, a), t),)
+    elif len(tops) == 2:
+        # the mirror pair leads with its theta-negative module
+        a, a2 = tops
+        first = TwistedPair(a, _partner(datum, a), t)
+        b2 = _partner(datum, a2)
+        raw = HolomorphicSubspace(datum, pairs=(first, TwistedPair(b2, a2, u)), rj_plus=rj_plus)
+        pairs = (first, TwistedPair(b2, a2, u.scale(_chart_unit(raw, "u"))))
     else:
-        raise FamilyError(f"unexpected number of module pairs: {len(hw_pairs)}")
+        raise FamilyError(f"unexpected number of module pairs: {len(tops)}")
     fam = HolomorphicSubspace(datum, pairs=pairs, rj_plus=rj_plus, label="disc family")
-    std = HolomorphicSubspace(datum, plains=plains, rj_plus=rj_plus, label="standard")
+    std = HolomorphicSubspace(datum, plains=tuple(sorted(tops)), rj_plus=rj_plus,
+                              label="standard")
     return Families(datum, (std, fam), primitive=None if rj_plus else fam, fibered=fam)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .contact import ContactDatum, _string_components
+from .contact import ContactDatum
 from .rootsys import RootVector, Subsystem
 
 Q = Fraction
@@ -28,7 +28,6 @@ class CongruenceError(ValueError):
 class IrredModule:
     """Irreducible centralizer module spanned by root vectors."""
 
-    datum: ContactDatum
     highest: int
     weights: frozenset[int]
 
@@ -37,21 +36,38 @@ class IrredModule:
 
 
 def decompose(datum: ContactDatum) -> list[IrredModule]:
-    """Partition R' into R_o-string components, tagged by highest weight."""
+    """Partition R' into the irreducible R_o-modules, in the order of their
+    highest weights' ambient coordinates.
+
+    Only ContactDatum.ro_generators, the simple roots of R_o and their
+    negatives, are walked.  A highest weight is a root of R' that no
+    simple raising step moves: the simple E_d generate the positive part
+    of R_o, so they kill its root vector exactly when every positive root
+    of R_o does.  An irreducible module is spanned from its highest
+    weight by the simple lowering operators, and each root space is a
+    line, so every step of that chain is a root: the simple lowering
+    strings from the highest weight reach the whole module, and every
+    root of R' lies below some highest weight, so the modules cover R'
+    and overlap only where one would have two highest weights."""
     sys = datum.system
-    ro = frozenset(datum.Ro.members)
+    gens = datum.ro_generators
+    raising, lowering = gens[: len(gens) // 2], gens[len(gens) // 2 :]
     out = []
-    for comp in _string_components(sys, datum.Rprime, ro):
-        tops = [
-            i
-            for i in comp
-            if all(sys.sum_index(i, d) is None for d in datum.ro_positive)
-        ]
-        if len(tops) != 1:
-            raise CongruenceError(
-                f"module without a unique highest weight (candidates {len(tops)})"
-            )
-        out.append(IrredModule(datum, tops[0], comp))
+    for hw in datum.Rprime:
+        if any(sys.sum_index(hw, d) is not None for d in raising):
+            continue
+        weights = {hw}
+        frontier = [hw]
+        while frontier:
+            i = frontier.pop()
+            for d in lowering:
+                j = sys.sum_index(i, d)
+                if j is not None and j not in weights:
+                    weights.add(j)
+                    frontier.append(j)
+        out.append(IrredModule(hw, frozenset(weights)))
+    if sum(map(len, out)) != len(datum.Rprime):
+        raise CongruenceError("module without a unique highest weight")
     return sorted(out, key=lambda m: sys.roots[m.highest].canon())
 
 
@@ -74,16 +90,14 @@ def theta_congruent(datum: ContactDatum, gamma: RootVector, gamma2: RootVector) 
     return None
 
 
-def congruence_groups(datum: ContactDatum, mods: list[IrredModule] | None = None) -> list[list[IrredModule]]:
+def congruence_groups(datum: ContactDatum) -> list[list[IrredModule]]:
     """Modules grouped into stabilizer-equivalence classes.
 
     Equivalence of irreducible modules is decided by theta-congruence of the
     highest weights (the restriction to the stabilizer Cartan).
     """
-    if mods is None:
-        mods = list(datum.modules.values())
     groups: dict[tuple[int, ...], list[IrredModule]] = {}
-    for m in mods:
+    for m in datum.modules.values():
         groups.setdefault(datum.class_of[m.highest], []).append(m)
     return list(groups.values())
 

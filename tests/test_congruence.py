@@ -4,7 +4,8 @@ The reference groups R' by pairwise theta_congruent tests, the quadratic
 algorithm the partition replaced; congruence_groups and dual_pairs are
 checked against references built on it.  The integer theta-transverse
 weights that the partition is read from are checked against the rational
-transverse projection.
+transverse projection.  decompose, which walks only the simple roots of
+R_o, is checked against the string components under all of R_o.
 """
 
 import json
@@ -14,6 +15,7 @@ from operator import add
 
 import pytest
 
+from crlie.classify import simple_types
 from crlie.contact import contact_datum
 from crlie.modules import CongruenceError, congruence_groups, decompose, dual_pairs, theta_congruent
 from crlie.rootsys import parse_type
@@ -121,3 +123,52 @@ def test_weights_grade_the_roots(tag, theta):
                 assert scale > 0 and x == scale * y
             else:
                 assert x == 0
+
+
+def _decompose_reference(datum) -> list[tuple[int, frozenset[int]]]:
+    """(highest weight, weights) of each module: the components of R' under
+    the strings of every root of R_o, each with the one root that no
+    positive root of R_o raises, ordered by that root's coordinates."""
+    sys = datum.system
+    remaining = set(datum.Rprime)
+    out = []
+    while remaining:
+        comp = {remaining.pop()}
+        frontier = list(comp)
+        while frontier:
+            i = frontier.pop()
+            for d in datum.Ro.members:
+                j = sys.sum_index(i, d)
+                if j in remaining:
+                    remaining.discard(j)
+                    comp.add(j)
+                    frontier.append(j)
+        (top,) = [i for i in comp if all(sys.sum_index(i, d) is None for d in datum.ro_positive)]
+        out.append((top, frozenset(comp)))
+    return sorted(out, key=lambda m: sys.roots[m[0]].canon())
+
+
+def _dominant_sum_forms(tag: str) -> list:
+    """The dominant classes of a + b and a - b, a and b roots: a runs over
+    the dominant root of each length, which the Weyl group makes enough."""
+    system = parse_type(tag)
+    reps = {system.norm2(i): system.dominant(r) for i, r in enumerate(system.roots)}
+    forms = {system.dominant(a + sgn * b) for a in reps.values() for b in system.roots
+             for sgn in (1, -1)}
+    return sorted((f for f in forms if not f.is_zero()), key=lambda f: f.c)
+
+
+@pytest.mark.parametrize("tag,theta", _golden_forms(8))
+def test_decompose_matches_reference_on_goldens(tag, theta):
+    system = parse_type(tag)
+    datum = contact_datum(system, system.vector(theta.split(",")))
+    assert [(m.highest, m.weights) for m in decompose(datum)] == _decompose_reference(datum)
+
+
+@pytest.mark.parametrize("tag", [f"{t}{r}" for t, r in simple_types(6)])
+def test_decompose_matches_reference_on_dominant_sums(tag):
+    system = parse_type(tag)
+    for theta in _dominant_sum_forms(tag):
+        datum = contact_datum(system, theta)
+        got = [(m.highest, m.weights) for m in decompose(datum)]
+        assert got == _decompose_reference(datum), theta.canon()

@@ -3,19 +3,37 @@ from fractions import Fraction as Q
 import pytest
 
 from crlie import contact as ct
+from crlie import families as fam
 from crlie import rootsys as rs
 from crlie.rootsys import format_vector
 
 
-def bracket_compatible(g) -> bool:
+def levels(d) -> dict[int, frozenset[int]]:
+    """The roots of a datum by level: level k holds the roots that pair k
+    with theta, 2 (r, theta) / (theta, theta)."""
+    s = d.system
+    out: dict[int, set[int]] = {}
+    for i, r in enumerate(s.roots):
+        v = s.pairing(r, d.theta)
+        assert v.denominator == 1
+        out.setdefault(int(v), set()).add(i)
+    return {k: frozenset(v) for k, v in out.items()}
+
+
+def bracket_compatible(s, lv) -> bool:
     """Levels add: the sum of roots at levels k and l, if a root, is at k + l."""
-    lv = {i: k for k, members in g.levels.items() for i in members}
-    for i in lv:
-        for j in lv:
-            k = g.system.sum_index(i, j)
-            if k is not None and lv[k] != lv[i] + lv[j]:
+    level_of = {i: k for k, members in lv.items() for i in members}
+    for i in level_of:
+        for j in level_of:
+            k = s.sum_index(i, j)
+            if k is not None and level_of[k] != level_of[i] + level_of[j]:
                 return False
     return True
+
+
+def level_one_summands(d, lv) -> list[frozenset[int]]:
+    """The modules of the datum whose highest weight is at level 1."""
+    return [m.weights for hw, m in d.modules.items() if hw in lv[1]]
 
 
 def test_contact_datum_validation():
@@ -64,26 +82,29 @@ GRADATION_TABLE = {
 @pytest.mark.parametrize("tag", sorted(GRADATION_TABLE))
 def test_highest_root_gradation(tag):
     s = rs.parse_type(tag)
-    g = ct.grade_by_highest_root(s)
+    d = ct.grade_by_highest_root(s)
+    assert d.theta == s.highest_root()
+    lv = levels(d)
     ro_type, r1, summands = GRADATION_TABLE[tag]
-    sub = rs.Subsystem(s, g.level(0))
-    assert sub.type_str() == ro_type
-    assert len(g.level(1)) == r1
-    assert len(g.level(2)) == 1
-    assert len(g.summands(1)) == summands
-    assert bracket_compatible(g)
+    assert lv[0] == d.Ro.members
+    assert rs.Subsystem(s, lv[0]).type_str() == ro_type
+    assert len(lv[1]) == r1
+    assert len(lv[2]) == 1
+    assert len(level_one_summands(d, lv)) == summands
+    assert frozenset().union(*level_one_summands(d, lv)) == lv[1]
+    assert bracket_compatible(s, lv)
     # conjugation symmetry of levels
-    for k in g.levels:
-        assert g.level(-k) == frozenset(s.neg_index[i] for i in g.level(k))
+    for k in lv:
+        assert lv[-k] == frozenset(s.neg_index[i] for i in lv[k])
 
 
 def test_a_type_half_level_relations():
     # the two level-one pieces: [g1_i, g1_i] = 0 and [g1_1, g1_2] = g2
     for tag in ("A3", "A4", "A5"):
         s = rs.parse_type(tag)
-        g = ct.grade_by_highest_root(s)
-        c1, c2 = g.summands(1)
-        mu_idx = s.root_index(g.center)
+        d = ct.grade_by_highest_root(s)
+        c1, c2 = level_one_summands(d, levels(d))
+        mu_idx = s.root_index(d.theta)
         for comp in (c1, c2):
             for i in comp:
                 for j in comp:
@@ -97,18 +118,19 @@ def test_a_type_half_level_relations():
 
 
 def test_g2_short_root_gradation():
+    # the datum of G2's short-root route, graded by its dominant short root
     g2 = rs.build("G2")
-    g = ct.grade_by_short_root_g2(g2)
-    assert format_vector(g.center) == "e1"
-    dims = {k: len(v) for k, v in g.levels.items()}
+    d = fam.short_root_families(g2).datum
+    assert format_vector(d.theta) == "e1"
+    lv = levels(d)
+    dims = {k: len(v) for k, v in lv.items()}
     assert dims == {-3: 2, -2: 1, -1: 2, 0: 2, 1: 2, 2: 1, 3: 2}
-    assert bracket_compatible(g)
+    assert bracket_compatible(g2, lv)
     # level-0 strings form the A1 part
-    assert rs.Subsystem(g2, g.level(0)).type_str() == "A1"
+    assert lv[0] == d.Ro.members
+    assert rs.Subsystem(g2, lv[0]).type_str() == "A1"
     # total dimension check: 12 roots + 2 Cartan = dim G2
     assert sum(dims.values()) + 2 == 14
-    with pytest.raises(ct.ContactError):
-        ct.grade_by_short_root_g2(rs.build("B2"))
 
 
 @pytest.mark.parametrize("tag", ["A2", "A4", "B3", "B4", "C3", "C4", "D4", "D5",

@@ -365,11 +365,11 @@ def test_g2_short_standard():
     assert cs.check_integrability(h).unconditional
     assert cs.is_standard(h, {})
     assert cs.normalizer_excess(h, {}) == 1
-    # m10 = levels 1, 2, 3 of the seven-level gradation
-    g = ct.grade_by_short_root_g2(rs.build("G2"))
-    assert set(h.lines) == set(
-        g.level(1) | g.level(2) | g.level(3)
-    )
+    # m10 = levels 1, 2, 3 of the seven-level gradation: the roots that
+    # pair 1, 2 or 3 with theta
+    d = h.datum
+    assert set(h.lines) == {i for i, r in enumerate(d.system.roots)
+                            if d.system.pairing(r, d.theta) in (1, 2, 3)}
 
 
 def _brute_normalizer_excess(h, values):

@@ -23,10 +23,13 @@ covers the painted-graph verdicts and the K/Q flag types; and
 that is its own conjugate (exit 64), in text and JSON, so the
 user-subspace path is diffed too; last, ``check --family`` in text on
 every unreduced form a + b and a - b with a and b positive roots of A3-A5,
-B3, C3 and D4.  Those include A5 ``1,-1,1,0,0,-1`` with its negative
-normalizer excesses, so the forms on which l^C + m01 is not l-stable, and
-no l-bound may apply, are diffed too.  The commands run in one process,
-through ``crlie.cli.main``.
+B3, C3, D4 and A2+A2.  Those include A5 ``1,-1,1,0,0,-1`` with its
+negative normalizer excesses, so the forms on which l^C + m01 is not
+l-stable, and no l-bound may apply, are diffed too; the A2+A2 forms
+include rows where pair_family raises FamilyError.  Then ``check --family`` in text
+and JSON on the dominant root of each length of the 31 simple types, so
+the special and short-root routes are diffed up to rank 8.  The commands
+run in one process, through ``crlie.cli.main``.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ ROOT_TYPES = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)]
               + [f"C{r}" for r in range(3, 9)] + [f"D{r}" for r in range(4, 9)]
               + ["E6", "E7", "E8", "F4", "G2", "A1+A1", "A2+G2"])
 # types whose unreduced forms a +- b (a, b positive roots) are checked
-SUM_FORM_TYPES = ("A3", "A4", "A5", "B3", "C3", "D4")
+SUM_FORM_TYPES = ("A3", "A4", "A5", "B3", "C3", "D4", "A2+A2")
+SIMPLE_TYPES = ROOT_TYPES[:31]
 # (type, theta, --m10 spec): the README example, then a degenerate spec
 M10_CHECKS = (
     ("A4", "1,0,0,0,-1", {"pairs": [["1,0,0,-1,0", "0,0,0,-1,1", "s"],
@@ -92,6 +96,19 @@ def sum_forms(rootsys) -> list[tuple[str, str]]:
     return out
 
 
+def root_forms(rootsys) -> list[tuple[str, str]]:
+    """(type, theta) of the dominant root of each length of the
+    SIMPLE_TYPES, in ambient coordinates, in the order of first appearance."""
+    out: list[tuple[str, str]] = []
+    for t in SIMPLE_TYPES:
+        s = rootsys.parse_type(t)
+        firsts: dict = {}
+        for i, r in enumerate(s.roots):
+            firsts.setdefault(s.norm2(i), r)
+        out += [(t, ",".join(map(str, s.dominant(r).canon()))) for r in firsts.values()]
+    return out
+
+
 def all_paintings(type_str: str, ranks: tuple[int, ...]) -> list[str]:
     """Every painting of the type, in the ``TYPE:c,c|c,c`` form."""
     out = []
@@ -127,6 +144,8 @@ def battery(data: Path, rootsys) -> list[list[str]]:
              for t, theta, spec in M10_CHECKS for fmt in ("text", "json")]
     cmds += [["check", "--type", t, f"--theta={theta}", "--family", "--format", "text"]
              for t, theta in sum_forms(rootsys)]
+    cmds += [["check", "--type", t, f"--theta={theta}", "--family", "--format", fmt]
+             for t, theta in root_forms(rootsys) for fmt in ("text", "json")]
     return cmds
 
 
