@@ -398,10 +398,11 @@ def classify_datum(datum: ContactDatum) -> Verdict:
     sys = datum.system
     along = sys.root_along(datum.theta) if sys.is_simple else None
     if along is not None:
+        root_datum = contact_datum(sys, sys.dominant(sys.roots[along]))
         if sys.norm2(along) == max(sys.norm2(i) for i in range(len(sys.roots))):
-            return Verdict("special", special_su_families(sys))
+            return Verdict("special", special_su_families(root_datum))
         route = "g2-short" if sys.components[0][0] == "G" else "short-root"
-        return Verdict(route, short_root_families(sys))
+        return Verdict(route, short_root_families(root_datum))
     try:
         cd = dual_pairs(datum)
     except CongruenceError:

@@ -5,12 +5,12 @@ A holomorphic subspace is assembled from twisted module pairs
 a one-sided nilpotent block, and optionally a twisted rank-one line
 C(E_mu + c E_{-mu}).  Each part contributes lines to one map,
 HolomorphicSubspace.lines: root w maps to (w', c) for the basis vector
-E_w + c E_w', or to None for E_w alone.  Integrability, disjointness,
-standardness, the normalizer dimension and the parabolic fibration
-witnesses are all decided by exact linear algebra over the
-Gaussian-rational polynomial ring (symbolically where the condition is
-polynomial in the twists, at sampled Gaussian-rational parameter values
-otherwise).  The normalizer needs no
+E_w + c E_w', or to None for E_w alone.  Standardness is read off the
+lines (is_standard).  Integrability, disjointness, the normalizer
+dimension and the parabolic fibration witnesses are decided by exact
+linear algebra over the Gaussian-rational polynomial ring (symbolically
+where the condition is polynomial in the twists, at sampled
+Gaussian-rational parameter values otherwise).  The normalizer needs no
 linear system of its own: by the invariant form of the Chevalley basis it
 is the annihilator of the brackets of l^C + m01 with its orthogonal
 complement, so its real points are counted by ranks (normalizer_excess).
@@ -26,14 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from math import isqrt, lcm
 from operator import add
 from typing import Iterable, Mapping, Optional
 
 from .chevalley import LieElement
 from .contact import ContactDatum
-from .linalg import Echelon, Row, SpanSolver, nullspace, nullspace_gauss
+from .linalg import Echelon, Row, nullspace, nullspace_gauss
 from .modules import theta_congruent
 from .rootsys import RootSystem, RootVector, Subsystem
 from .scalars import ONE, ZERO, Gauss, P_ZERO, Poly, as_poly, conj_var
@@ -479,17 +479,19 @@ def _with_conj(values: Mapping[str, Gauss]) -> dict[str, Gauss]:
 
 
 def is_standard(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> bool:
-    """Ad_Z-invariance of the evaluated subspace."""
+    """Ad_Z-invariance of the subspace evaluated at values, read off its
+    lines (HolomorphicSubspace.lines).
+
+    ad_Z scales E_w by (w, theta), and no root lies on two lines, so the
+    image of E_w + c E_w' lies in the subspace exactly when it is a multiple
+    of that vector: when (w, theta) = (w', theta) or c is 0 at values."""
     sys = h.datum.system
-    basis = evaluate_basis(h, values)
-    hz = LieElement.cartan(sys, h.datum.theta)
-    rows = _coordinate_rows(sys, basis)
-    solver = SpanSolver(rows)
-    for v in basis:
-        img = hz.bracket(v)
-        if not solver.contains(_coordinate_rows(sys, [img])[0]):
-            return False
-    return True
+    theta = h.datum.theta
+    vals = _with_conj(values)
+    return all(line is None
+               or sys.inner(sys.roots[w], theta) == sys.inner(sys.roots[line[0]], theta)
+               or line[1].eval(vals).is_zero()
+               for w, line in h.lines.items())
 
 
 def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> int:
@@ -783,33 +785,15 @@ def _cone_feasible(constraints: list[tuple[Q, Q]]) -> bool:
     """Strict feasibility of a*u + b*v > 0 (plus v != 0) in two variables.
 
     The solutions form an open cone, which meets v != 0 as soon as it is
-    nonempty.  It is nonempty exactly when the normals (a, b) lie in an open
-    half-plane: none is zero, and either all point the same way or, sorted
-    by angle, some two cyclically consecutive ones are more than pi apart
-    (a negative cross product).  Every comparison is exact.
+    nonempty, and then meets u = 1 or u = -1 after scaling.  Fourier-Motzkin
+    elimination of v decides each: a constraint with b > 0 bounds v below,
+    one with b < 0 above, each by -(a/b)u, and one with b = 0 asks a*u > 0.
+    Every comparison is exact.
     """
-    if any(not a and not b for a, b in constraints):
-        return False
-    if not constraints:
-        return True
-    normals = sorted(constraints, key=cmp_to_key(_by_angle))
-    for (a, b), (c, d) in zip(normals, normals[1:] + normals[:1]):
-        if a * d - b * c < 0:
+    for u in (1, -1):
+        lower = [-a * u / b for a, b in constraints if b > 0]
+        upper = [-a * u / b for a, b in constraints if b < 0]
+        if (all(a * u > 0 for a, b in constraints if b == 0)
+                and (not lower or not upper or max(lower) < min(upper))):
             return True
-    # no gap beyond pi: feasible only when all normals point the same way
-    a, b = normals[0]
-    return all(a * d - b * c == 0 and a * c + b * d > 0 for c, d in normals)
-
-
-def _by_angle(p: tuple[Q, Q], q: tuple[Q, Q]) -> int:
-    """Order nonzero vectors by angle in [0, 2*pi) from the positive u-axis."""
-    hp, hq = _upper(p), _upper(q)
-    if hp != hq:
-        return -1 if hp else 1
-    cross = p[0] * q[1] - p[1] * q[0]
-    return -1 if cross > 0 else 1 if cross < 0 else 0
-
-
-def _upper(p: tuple[Q, Q]) -> bool:
-    """Angle in [0, pi)."""
-    return p[1] > 0 or (p[1] == 0 and p[0] > 0)
+    return False

@@ -4,7 +4,9 @@ contact datum.
 Each route of classify.classify_datum calls one constructor here: the
 special route special_su_families, the g2-short and short-root routes
 short_root_families, the pair route pair_family.  Every constructor
-returns a Families record: the structures in report order,
+takes the datum classify_datum routed (the special and short-root routes
+conjugate theta to its dominant root first) and returns a Families
+record: the structures in report order,
 each labelled with its report row's family name, plus the disc family the
 primitive scan verifies and the one a CR graph's verification checks.
 
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .contact import ContactDatum, contact_datum, grade_by_highest_root
+from .contact import ContactDatum
 from .crstruct import (
     HolomorphicSubspace,
     SU2Line,
@@ -35,7 +37,6 @@ from .crstruct import (
     check_integrability,
 )
 from .modules import dual_pairs
-from .rootsys import RootSystem
 from .scalars import Gauss, P_ZERO, Poly
 
 
@@ -116,14 +117,13 @@ def _standard_family(datum: ContactDatum) -> Families:
 # -- special contact manifolds (theta parallel to a root) -------------------------------
 
 
-def special_su_families(system: RootSystem) -> Families:
+def special_su_families(datum: ContactDatum) -> Families:
     """Invariant CR structures on the special contact manifold of a simple
-    group.  Off type A there is one, the standard structure.  On an A-type
-    group: one rank-one twisted line plus the two half-level components;
-    the twisted line J_t fibers, the doubly twisted J0_t is primitive."""
-    if not system.is_simple:
-        raise FamilyError("the special families live on simple systems")
-    datum = grade_by_highest_root(system)
+    group, given by the datum of its highest root.  Off type A there is
+    one, the standard structure.  On an A-type group: one rank-one twisted
+    line plus the two half-level components; the twisted line J_t fibers,
+    the doubly twisted J0_t is primitive."""
+    system = datum.system
     if system.components[0][0] != "A":
         return _standard_family(datum)
     mu_idx = system.root_index(datum.theta)
@@ -166,17 +166,13 @@ def special_su_families(system: RootSystem) -> Families:
 # -- short-root families (SO_{2n+1}, Sp_n, F4) -------------------------------------------
 
 
-def short_root_families(system: RootSystem) -> Families:
-    """Structures on the non-special short-root contact manifolds: on B, C
-    and F4 the standard structure and a primitive disc family, on G2 the
-    standard structure alone."""
-    (ttag, rank) = system.components[0]
-    if ttag not in ("B", "C", "F", "G") or not system.is_simple:
-        raise FamilyError("short-root families exist for B, C, F4 and G2 only")
-    short_norm = min(system.norm2(i) for i in range(len(system.roots)))
-    short = next(i for i in range(len(system.roots)) if system.norm2(i) == short_norm)
-    datum = contact_datum(system, system.dominant(system.roots[short]))
-    if ttag == "G":
+def short_root_families(datum: ContactDatum) -> Families:
+    """Structures on the non-special short-root contact manifolds, given by
+    the datum of the dominant short root: on B, C and F4 the standard
+    structure and a primitive disc family, on G2 the standard structure
+    alone."""
+    system = datum.system
+    if system.components[0][0] == "G":
         return _standard_family(datum)
     pos = _positive(datum)
     partner = {hw: _partner(datum, hw) for hw in pos}

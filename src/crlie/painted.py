@@ -9,6 +9,10 @@ contact form theta(Gamma) is the fixed combination of the subgraph's
 simple roots; a graph is good when the white nodes span exactly the roots
 orthogonal to theta(Gamma).
 
+The Dynkin diagram is a tree, so the D-shapes are read off it directly:
+the path from the grey node to a fork in its white region, plus two more
+neighbors of the fork (_gamma_e_candidates).
+
 Admissibility paints the black nodes as the subgraph's neighbors and every
 node off the subgraph and its neighbors white, so a painting that can be
 admissible is fixed by its grey node(s) and its subgraph.  The enumeration
@@ -80,55 +84,6 @@ def _single_laced(system: RootSystem, nodes: frozenset[int]) -> bool:
     return all(C[i][j] * C[j][i] in (0, 1) for i in nodes for j in nodes if i != j)
 
 
-def _d_shape_chain(system: RootSystem, nodes: frozenset[int], grey: int) -> Optional[list[int]]:
-    """Check the D-shape with grey at the chain end; return the chain from
-    the grey node to the fork node, or None."""
-    if grey not in nodes or len(nodes) < 3:
-        return None
-    adj = {i: set(j for j in system.adjacency[i] if j in nodes) for i in nodes}
-    if not _connected(nodes, adj) or not _single_laced(system, nodes):
-        return None
-    degs = {i: len(adj[i]) for i in nodes}
-    if len(nodes) == 3:
-        # D3 = A3 rendered as a path with the grey node in the middle
-        if sorted(degs.values()) != [1, 1, 2] or degs[grey] != 2:
-            return None
-        return [grey]
-    deg3 = [i for i in nodes if degs[i] == 3]
-    if len(deg3) != 1 or sorted(degs.values()).count(1) != 3:
-        return None
-    fork = deg3[0]
-    if degs[grey] != 1:
-        return None
-    chain = [grey]
-    prev = None
-    cur = grey
-    while cur != fork:
-        nxt = [j for j in adj[cur] if j != prev]
-        if len(nxt) != 1:
-            return None
-        prev, cur = cur, nxt[0]
-        chain.append(cur)
-    if len(chain) != len(nodes) - 2:
-        return None
-    return chain
-
-
-def _connected(nodes: frozenset[int], adj: dict[int, set[int]]) -> bool:
-    nodes = set(nodes)
-    if not nodes:
-        return True
-    seen = {next(iter(nodes))}
-    frontier = list(seen)
-    while frontier:
-        i = frontier.pop()
-        for j in adj[i]:
-            if j not in seen:
-                seen.add(j)
-                frontier.append(j)
-    return seen == nodes
-
-
 @dataclass(frozen=True)
 class GraphVerdict:
     admissible: bool
@@ -159,6 +114,13 @@ class GraphVerdict:
 
 
 def _gamma_e_candidates(g: PaintedGraph) -> list[tuple[str, frozenset[int], Optional[list[int]]]]:
+    """The split subgraph of a grey pair, or the D-shapes of a lone grey
+    node, each with its chain.
+
+    The Dynkin diagram is a tree, so a D-shape whose other nodes are white
+    is read off it: the path from the grey node to a fork f in its white
+    region (the chain), plus two more region neighbors of f, simply laced.
+    With f the grey node itself this is D3 = A3, chain [grey]."""
     greys = g.nodes(GREY)
     comps = g.system.component_nodes
     if len(greys) == 2 and len(comps) == 2:
@@ -171,21 +133,26 @@ def _gamma_e_candidates(g: PaintedGraph) -> list[tuple[str, frozenset[int], Opti
         return []
     grey = greys[0]
     adj = g.system.adjacency
-    region = {grey}
+    # the white region around the grey node, a subtree of the Dynkin tree;
+    # parent[j] is the next node from j toward the grey node
+    parent: dict[int, Optional[int]] = {grey: None}
     frontier = [grey]
     while frontier:
         i = frontier.pop()
         for j in adj[i]:
-            if j not in region and g.colors[j] == WHITE:
-                region.add(j)
+            if j not in parent and g.colors[j] == WHITE:
+                parent[j] = i
                 frontier.append(j)
     found = []
-    others = sorted(region - {grey})
-    for size in range(2, len(region) + 1):
-        for extra in itertools.combinations(others, size):
-            nodes = frozenset({grey, *extra})
-            chain = _d_shape_chain(g.system, nodes, grey)
-            if chain is not None:
+    for fork in parent:
+        chain = [fork]
+        while parent[chain[-1]] is not None:
+            chain.append(parent[chain[-1]])
+        chain.reverse()
+        arms = [j for j in adj[fork] if j in parent and j != parent[fork]]
+        for pair in itertools.combinations(arms, 2):
+            nodes = frozenset((*chain, *pair))
+            if _single_laced(g.system, nodes):
                 found.append(("d-shape", nodes, chain))
     return found
 

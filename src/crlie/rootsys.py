@@ -748,8 +748,9 @@ def _best_lift(coords: list[Q]) -> list:
     The lifts are the shifts of the block by a multiple of (1, ..., 1) that
     make it integral; they exist when the coordinates share one fractional
     part, and are then k + d with d the offsets from the first coordinate.
-    Among k in [-n, n], the least (L1, max, reversed) key wins."""
-    n = len(coords)
+    Off [-max(d), -min(d)] every entry of k + d has one sign and the L1
+    norm falls toward that window, so every L1 minimizer lies in it; there
+    the least (L1, max, reversed) key wins."""
     d = [x - coords[0] for x in coords]
     if any(x.denominator != 1 for x in d):
         return coords
@@ -759,7 +760,7 @@ def _best_lift(coords: list[Q]) -> list:
         lifted = [k + x for x in d]
         return (sum(map(abs, lifted)), max(map(abs, lifted)), [-x for x in lifted])
 
-    k = min(range(-n, n + 1), key=key)
+    k = min(range(-max(d), 1 - min(d)), key=key)
     return [k + x for x in d]
 
 

@@ -25,6 +25,18 @@ from crlie.scalars import Gauss
 SAMPLES = classify.SAMPLES
 
 
+def _special(s):
+    """The special route's Families of s, on the highest root's datum."""
+    return fam.special_su_families(ct.grade_by_highest_root(s))
+
+
+def _short_root(s):
+    """The short-root route's Families of s, on the dominant short root's
+    datum."""
+    short = min(range(len(s.roots)), key=s.norm2)
+    return fam.short_root_families(ct.contact_datum(s, s.dominant(s.roots[short])))
+
+
 def project(rows, keys):
     return sorted(tuple((k, str(r.get(k, ""))) for k in keys) for r in rows)
 
@@ -93,7 +105,7 @@ def test_criterion_4_cr_graph_scan():
 
 def test_criterion_5_integrability_constraints():
     t0 = time.time()
-    F = fam.special_su_families(rs.build("A4"))
+    F = _special(rs.build("A4"))
     assert cs.check_integrability(F.fibered).unconditional
     assert cs.check_integrability(_named(F, "disc family J'_t")).unconditional
     gen = cs.check_integrability(F.chart)
@@ -102,7 +114,7 @@ def test_criterion_5_integrability_constraints():
         vals = {"s": tv, "t": tv * tv, "s~": tv.conj(), "t~": (tv * tv).conj()}
         assert gen.holds_at(vals)
     for tag in ("C3", "C4", "F4"):
-        R = fam.short_root_families(rs.build(tag))
+        R = _short_root(rs.build(tag))
         gen = cs.check_integrability(R.chart)
         assert str(gen) == "s = t^2", tag
         for tv in SAMPLES:
@@ -121,13 +133,13 @@ def _named(F, label):
 
 def _family_battery():
     out = []
-    F1 = fam.special_su_families(rs.build("A1"))
+    F1 = _special(rs.build("A1"))
     out.append(("SU2", F1.fibered, F1.structures[0]))
-    F = fam.special_su_families(rs.build("A3"))
+    F = _special(rs.build("A3"))
     out.append(("A3 twisted line", F.fibered, F.structures[1]))
     out.append(("A3 doubly twisted", F.primitive, F.structures[0]))
     for tag in ("B3", "C3", "F4"):
-        R = fam.short_root_families(rs.build(tag))
+        R = _short_root(rs.build(tag))
         out.append((f"{tag} short", R.primitive, R.structures[0]))
     d5 = rs.build("D5")
     P = fam.pair_family(ct.contact_datum(d5, d5.vector([1, 0, 0, 0, 0])))

@@ -18,6 +18,8 @@ KEPT_METHODS = {
     "chevalley.LieElement.coroot",
     # perfbench/workloads.py draws Weyl-conjugate contact forms with it
     "rootsys.RootSystem.reflect",
+    # traced by perfbench/spans.py, resolved by tests/test_trace_targets.py
+    "linalg.SpanSolver.contains",
 }
 
 

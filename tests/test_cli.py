@@ -195,6 +195,15 @@ def test_check_family_e6_root(capsys):
     assert [(r["family"], r["primitive"]) for r in rows] == [("standard", "no")]
 
 
+@pytest.mark.parametrize("theta,printed", [("4,0,0", "4e1"), ("-7,0,0", "-7e1")])
+def test_check_family_prints_the_least_lift(theta, printed, capsys):
+    # the L1-least lifts 4e1 and -7e1 shift the relation block by k = 4 and -7
+    rc = run(["check", "--type", "A2", f"--theta={theta}", "--family", "--format", "json"])
+    assert rc == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["theta"] for r in rows] == [printed]
+
+
 def test_max_rank_above_the_fixtures(capsys):
     # the golden fixtures stop at rank 8
     assert run(["table2", "--max-rank", "9"]) == 64

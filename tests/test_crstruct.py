@@ -15,6 +15,18 @@ T_HALF = Gauss(Q(1, 2))
 UNIT = Gauss(Q(3, 5), Q(4, 5))  # |t| = 1
 
 
+def _special(s):
+    """The special route's Families of s, on the highest root's datum."""
+    return fam.special_su_families(ct.grade_by_highest_root(s))
+
+
+def _short_root(s):
+    """The short-root route's Families of s, on the dominant short root's
+    datum."""
+    short = min(range(len(s.roots)), key=s.norm2)
+    return fam.short_root_families(ct.contact_datum(s, s.dominant(s.roots[short])))
+
+
 def _to_gauss(x) -> Gauss:
     return x if isinstance(x, Gauss) else Gauss(x)
 
@@ -47,7 +59,7 @@ def vals_for(h, tv):
 
 
 def test_su_family_integrability():
-    F = fam.special_su_families(rs.build("A4"))
+    F = _special(rs.build("A4"))
     assert cs.check_integrability(F.fibered).unconditional
     assert cs.check_integrability(_named(F, "disc family J'_t")).unconditional
     assert cs.check_integrability(F.primitive).unconditional
@@ -59,16 +71,16 @@ def test_su_family_integrability():
 
 def test_short_root_family_integrability():
     for tag in ("C3", "C5", "F4"):
-        R = fam.short_root_families(rs.build(tag))
+        R = _short_root(rs.build(tag))
         assert str(cs.check_integrability(R.chart)) == "s = t^2"
         assert cs.check_integrability(R.primitive).unconditional
-    R = fam.short_root_families(rs.build("B4"))
+    R = _short_root(rs.build("B4"))
     assert R.chart is None
     assert cs.check_integrability(R.primitive).unconditional
 
 
 def test_constraints_hold_at_sample_points():
-    F = fam.special_su_families(rs.build("A3"))
+    F = _special(rs.build("A3"))
     gen = cs.check_integrability(F.chart)
     for tv in classify.SAMPLES:
         good = {"t": tv * tv, "s": tv, "t~": (tv * tv).conj(), "s~": tv.conj()}
@@ -76,7 +88,7 @@ def test_constraints_hold_at_sample_points():
         assert gen.holds_at(good)
         if tv * tv != tv:
             assert not gen.holds_at(bad)
-    R = fam.short_root_families(rs.build("C3"))
+    R = _short_root(rs.build("C3"))
     gen = cs.check_integrability(R.chart)
     for tv in classify.SAMPLES:
         good = {"s": tv * tv, "t": tv, "s~": (tv * tv).conj(), "t~": tv.conj()}
@@ -110,7 +122,7 @@ def test_reciprocal_charts():
 
 
 def test_disjointness():
-    F = fam.special_su_families(rs.build("A3"))
+    F = _special(rs.build("A3"))
     d = cs.check_disjointness(F.fibered)
     assert d.excluded_abs() == ["|t| != 1"]
     assert d.holds_at(cs._with_conj({"t": T_HALF}))
@@ -140,11 +152,11 @@ def test_subspace_dimension_guard():
 
 def test_standard_normalizer_dichotomy_families():
     runs = []
-    F = fam.special_su_families(rs.build("A3"))
+    F = _special(rs.build("A3"))
     runs += [(F.fibered, False), (_named(F, "disc family J'_t"), False), (F.primitive, False)]
     runs += [(s, True) for s in F.structures[:3]]
     for tag in ("B3", "C3", "F4"):
-        R = fam.short_root_families(rs.build(tag))
+        R = _short_root(rs.build(tag))
         runs += [(R.primitive, False), (R.structures[0], True)]
     d5 = rs.build("D5")
     P = fam.pair_family(ct.contact_datum(d5, d5.vector([1, 0, 0, 0, 0])))
@@ -156,10 +168,10 @@ def test_standard_normalizer_dichotomy_families():
 
 
 def _integrable_battery():
-    F = fam.special_su_families(rs.build("A3"))
+    F = _special(rs.build("A3"))
     out = [F.fibered, _named(F, "disc family J'_t"), F.primitive, F.structures[0]]
     for tag in ("B3", "C3", "F4"):
-        R = fam.short_root_families(rs.build(tag))
+        R = _short_root(rs.build(tag))
         out += [R.primitive, R.structures[0]]
     d5 = rs.build("D5")
     P = fam.pair_family(ct.contact_datum(d5, d5.vector([1, 0, 0, 0, 0])))
@@ -203,10 +215,10 @@ def test_m10_plus_conjugate_spans_at_samples():
 
 
 def test_fibration_witnesses_special():
-    F1 = fam.special_su_families(rs.build("A1"))
+    F1 = _special(rs.build("A1"))
     rep = cs.find_crf_parabolics(F1.fibered, {"t": T_HALF})
     assert not rep.primitive and rep.circular
-    F = fam.special_su_families(rs.build("A4"))
+    F = _special(rs.build("A4"))
     rep = cs.find_crf_parabolics(F.fibered, {"t": T_HALF})
     kinds = {(w.fiber_dim, w.fiber_type) for w in rep.witnesses}
     assert (3, "SO3 = S(S2)") in kinds  # Wolf-space reduction
@@ -219,7 +231,7 @@ def test_fibration_witnesses_special():
 
 def test_fibration_witnesses_short_root_and_pairs():
     for tag in ("B3", "C3", "F4"):
-        R = fam.short_root_families(rs.build(tag))
+        R = _short_root(rs.build(tag))
         rep = cs.find_crf_parabolics(R.primitive, {"t": T_HALF})
         assert rep.primitive, tag
         rep = cs.find_crf_parabolics(R.structures[0], {})
@@ -331,7 +343,7 @@ def test_composite_rows_minimal_rank(text, cr_type, fiber):
     v = is_good(g)
     assert v.good and v.cr_type == cr_type
     if cr_type == "I":
-        F = fam.special_su_families(g.system)
+        F = _special(g.system)
         h, hstd = F.fibered, F.structures[1]
     else:
         P = _routed(g.system, v.theta)
@@ -428,9 +440,9 @@ def _golden_primitive_families(max_rank):
 
 
 def test_normalizer_excess_matches_brute_force():
-    F1 = fam.special_su_families(rs.build("A1"))
-    F2 = fam.special_su_families(rs.build("A2"))
-    R = fam.short_root_families(rs.build("B2"))
+    F1 = _special(rs.build("A1"))
+    F2 = _special(rs.build("A2"))
+    R = _short_root(rs.build("B2"))
     cases = [
         (F1.fibered, {"t": T_HALF}),
         (F1.structures[0], {}),
@@ -531,15 +543,19 @@ def _golden_form_structures(max_rank):
     return out
 
 
-def test_lines_match_reference_roles():
+def _readme_subspace():
+    """The README's A4 --m10 user subspace."""
     from crlie.cli import build_subspace
 
     a4 = rs.build("A4")
-    readme = build_subspace(ct.contact_datum(a4, a4.vector([1, 0, 0, 0, -1])), {
+    return build_subspace(ct.contact_datum(a4, a4.vector([1, 0, 0, 0, -1])), {
         "pairs": [["1,0,0,-1,0", "0,0,0,-1,1", "s"], ["0,1,0,0,-1", "-1,1,0,0,0", "s"]],
         "su2": ["1,0,0,0,-1", "t"],
     })
-    cases = _golden_form_structures(5) + [readme]
+
+
+def test_lines_match_reference_roles():
+    cases = _golden_form_structures(5) + [_readme_subspace()]
     assert len(cases) > 100
     for h in cases:
         roles, reducers = _reference_roles(h)
@@ -547,6 +563,29 @@ def test_lines_match_reference_roles():
         assert h.lines == want, h.label
         # one basis vector per line, in the order of the lines
         assert h.basis() == _reference_basis(h), h.label
+
+
+def _standard_by_span(h, values):
+    """Reference for is_standard: ad_Z-invariance of the evaluated subspace
+    by a span solve over its basis."""
+    from crlie.chevalley import LieElement
+    from crlie.linalg import SpanSolver
+
+    sysm = h.datum.system
+    basis = cs.evaluate_basis(h, values)
+    hz = LieElement.cartan(sysm, h.datum.theta)
+    solver = SpanSolver(cs._coordinate_rows(sysm, basis))
+    return all(solver.contains(cs._coordinate_rows(sysm, [hz.bracket(v)])[0]) for v in basis)
+
+
+def test_is_standard_matches_span_reference():
+    verdicts = []
+    for h in _golden_form_structures(5) + [_readme_subspace()]:
+        for j in (0, 1):
+            vals = classify._sample_values(h, j)
+            verdicts.append(cs.is_standard(h, vals))
+            assert verdicts[-1] == _standard_by_span(h, vals), (h.label, j)
+    assert len(verdicts) > 200 and True in verdicts and False in verdicts
 
 
 def _full_pair_integrability(h):
@@ -586,8 +625,8 @@ def test_integrability_matches_full_pair_reference():
     cases += [_special_standard("B4"),
               _special_standard("G2"),
               _g2_short_standard(),
-              fam.special_su_families(rs.build("A4")).chart,
-              fam.short_root_families(rs.build("C3")).chart]
+              _special(rs.build("A4")).chart,
+              _short_root(rs.build("C3")).chart]
     for h in cases:
         assert cs.check_integrability(h).generators == _full_pair_integrability(h), h.label
 

@@ -48,6 +48,7 @@ def test_only_the_system_cache_grows():
 def test_dropped_system_is_freed():
     from crlie.chevalley import LieElement
     from crlie.crstruct import normalizer_excess
+    from crlie.contact import grade_by_highest_root
     from crlie.families import special_su_families
     from crlie.painted import PaintedGraph, is_good
     from crlie.rootsys import RootSystem
@@ -58,7 +59,7 @@ def test_dropped_system_is_freed():
     a, b = system.simple_roots[:2]
     assert not LieElement.root_vector(system, a).bracket(LieElement.root_vector(system, b)).is_zero()
     assert is_good(PaintedGraph(system, ("g", "b", "w"))).admissible
-    family = special_su_families(system)
+    family = special_su_families(grade_by_highest_root(system))
     assert normalizer_excess(family.fibered, {"t": Gauss(Fraction(1, 2))}) == 0
     ref = weakref.ref(system)
     del system, a, b, family

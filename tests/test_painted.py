@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -205,3 +206,56 @@ def test_is_good_calls_track_the_output(monkeypatch):
     assert len(classify.crgraph_rows(8)) == 29
     # the 3^rank loop made 80,431 calls here
     assert calls < 1000
+
+
+# -- the D-shapes against their definition ----------------------------------------------
+
+
+def _d_shapes_by_definition(system, grey):
+    """(nodes, chain) of every D-shape with the grey node at its chain end,
+    from the definition over node subsets: the induced graph is the Dynkin
+    diagram of D_n, n >= 3 (D3 = A3 with the grey node in the middle), its
+    roots are simply laced, and the chain runs from the grey node to the
+    fork, the one node of the largest degree, through n - 2 nodes."""
+    C = system.cartan_matrix()
+    others = [i for i in range(system.rank) if i != grey]
+    out = []
+    for size in range(2, system.rank):
+        for extra in itertools.combinations(others, size):
+            nodes = {grey, *extra}
+            n = len(nodes)
+            adj = {i: system.adjacency[i] & nodes for i in nodes}
+            degrees = sorted(len(a) for a in adj.values())
+            shape = [1, 1, 2] if n == 3 else [1, 1, 1] + [2] * (n - 4) + [3]
+            if degrees != shape or any(C[i][j] * C[j][i] > 1 for i in nodes for j in adj[i]):
+                continue
+            # n - 1 edges and the degrees of D_n: a tree exactly when connected
+            path = {grey: [grey]}
+            frontier = [grey]
+            while frontier:
+                i = frontier.pop()
+                for j in adj[i] - set(path):
+                    path[j] = path[i] + [j]
+                    frontier.append(j)
+            if len(path) != n:
+                continue
+            fork = max(nodes, key=lambda i: len(adj[i]))
+            if len(path[fork]) == n - 2:
+                out.append((frozenset(nodes), path[fork]))
+    return out
+
+
+def test_d_shapes_match_their_definition():
+    shapes = 0
+    for t, r in classify.simple_types(8):
+        system = rs.build(t, r)
+        for grey in range(r):
+            lone = pt.PaintedGraph(system, tuple("g" if i == grey else "w" for i in range(r)))
+            cands = pt._gamma_e_candidates(lone)
+            assert all(shape == "d-shape" for shape, _, _ in cands)
+            got = Counter((nodes, tuple(chain)) for _, nodes, chain in cands)
+            want = Counter((nodes, tuple(chain))
+                           for nodes, chain in _d_shapes_by_definition(system, grey))
+            assert got == want, (system.type_str(), grey)
+            shapes += len(cands)
+    assert shapes > 100

@@ -28,8 +28,10 @@ negative normalizer excesses, so the forms on which l^C + m01 is not
 l-stable, and no l-bound may apply, are diffed too; the A2+A2 forms
 include rows where pair_family raises FamilyError.  Then ``check --family`` in text
 and JSON on the dominant root of each length of the 31 simple types, so
-the special and short-root routes are diffed up to rank 8.  The commands
-run in one process, through ``crlie.cli.main``.
+the special and short-root routes are diffed up to rank 8.  Last,
+``check --graph`` in JSON on every painting of E6, so the D-shapes at an
+E-type fork are diffed too.  The commands run in one process, through
+``crlie.cli.main``.
 """
 
 from __future__ import annotations
@@ -146,6 +148,7 @@ def battery(data: Path, rootsys) -> list[list[str]]:
              for t, theta in sum_forms(rootsys)]
     cmds += [["check", "--type", t, f"--theta={theta}", "--family", "--format", fmt]
              for t, theta in root_forms(rootsys) for fmt in ("text", "json")]
+    cmds += [["check", "--graph", g, *json_fmt] for g in all_paintings("E6", (6,))]
     return cmds
 
 
