@@ -11,7 +11,7 @@ from .crstruct import (
     is_standard,
     normalizer_excess,
 )
-from .modules import decompose, dual_pairs, theta_congruent
+from .modules import decompose, dual_pairs
 from .painted import PaintedGraph, enumerate_cr_graphs, is_good
 from .rootsys import RootSystem, RootVector, build, build_product, parse_type
 
@@ -37,5 +37,4 @@ __all__ = [
     "is_standard",
     "normalizer_excess",
     "parse_type",
-    "theta_congruent",
 ]

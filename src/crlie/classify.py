@@ -7,13 +7,14 @@ diffed against the golden fixtures.
 
 classify_datum is the one path from a contact datum to its structures: it
 picks the case of the classification and returns that case's Families
-record.  The primitive scan, the CR-graph verification and the structure
-reports of ``check --family`` all read their subspaces from that record.
+record, which names the route, the paper's number of the primitive
+family and, for an unclassified datum, the reason.  The primitive scan,
+the CR-graph verification and the structure reports of ``check --family``
+all read their subspaces and numbers from that record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -42,7 +43,7 @@ from .families import (
     short_root_families,
     special_su_families,
 )
-from .modules import CongruenceError, congruence_groups, dual_pairs, tilde_Re_type
+from .modules import congruence_groups
 from .painted import CRGraph, enumerate_cr_graphs, flag_pair
 from .report import Report
 from .rootsys import (
@@ -291,35 +292,23 @@ def _primitive_rows_for(system: RootSystem, ttag, rank) -> list[dict]:
     primitive disc family verifies."""
     rows = []
     for theta in _primitive_candidates(system):
-        verdict = classify_datum(contact_datum(system, theta))
-        F = verdict.families
-        if F is None or F.primitive is None or _verify(F.primitive, 2) is not True:
+        F = classify_datum(contact_datum(system, theta))
+        if F.primitive is None or _verify(F.primitive, 2) is not True:
             continue
         tcanon = system.canonical_form(theta)
-        family = _family_id(verdict)
         rows.append(
             {
                 "type": str(ttag),
                 "rank": str(rank),
-                "family": str(family),
+                "family": str(F.family),
                 "G": naming.system_name(system),
                 "K": naming.subgroup_name(system, F.datum.Ro, corank_drop=0),
                 "theta": format_vector(tcanon),
                 "theta_canon": canon_str(tcanon),
-                "N": _cross_name(family, rank),
+                "N": _cross_name(F.family, rank),
             }
         )
     return rows
-
-
-def _family_id(verdict: Verdict) -> int:
-    """The number of the primitive family a verdict's route carries."""
-    if verdict.route == "special":
-        return 6  # the doubly twisted family of the A series
-    if verdict.route == "short-root":
-        return {"B": 4, "C": 7, "F": 3}[verdict.families.datum.system.components[0][0]]
-    # the pair route: the D series includes A3 = D3 and the triality forms
-    return {"A1+A1": 1, "B3": 2}.get(verdict.re_type, 5)
 
 
 def _primitive_candidates(system: RootSystem):
@@ -373,49 +362,22 @@ def _pair_candidates(system: RootSystem, reps: list[RootVector]) -> list[RootVec
 # -- one contact datum to its verdict -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Where classify_datum sent a contact datum, and what it found there.
-
-    route is "special" (theta along a long root), "g2-short", "short-root",
-    "pair" (theta along no root) or "unclassified", with the reason in
-    ``reason``.  families is the route's Families record (None when
-    unclassified): every consumer, the scans and the structure reports
-    alike, reads its structures from there.  The pair route also sets the
-    type of the paired-root closure and R_J+, the positive one-sided block.
-    """
-
-    route: str
-    families: Optional[Families] = None
-    reason: str = ""
-    re_type: str = ""
-    rj_plus: frozenset[int] = frozenset()
-
-
-def classify_datum(datum: ContactDatum) -> Verdict:
-    """Send a contact datum down its case of the classification: the one
-    path from a contact datum to its structures."""
+def classify_datum(datum: ContactDatum) -> Families:
+    """Send a contact datum down its case of the classification and
+    return that route's Families record: the one path from a contact
+    datum to its structures.  A datum the pair route cannot classify
+    gets an unclassified record with the reason."""
     sys = datum.system
     along = sys.root_along(datum.theta) if sys.is_simple else None
     if along is not None:
         root_datum = contact_datum(sys, sys.dominant(sys.roots[along]))
         if sys.norm2(along) == max(sys.norm2(i) for i in range(len(sys.roots))):
-            return Verdict("special", special_su_families(root_datum))
-        route = "g2-short" if sys.components[0][0] == "G" else "short-root"
-        return Verdict(route, short_root_families(root_datum))
+            return special_su_families(root_datum)
+        return short_root_families(root_datum)
     try:
-        cd = dual_pairs(datum)
-    except CongruenceError:
-        return Verdict("unclassified", reason="excluded multiplicity configuration")
-    shape = tilde_Re_type(datum, cd.paired_roots)
-    if not shape.accepted:
-        return Verdict("unclassified", reason=f"eliminated: {shape.reason}",
-                       re_type=shape.re_type, rj_plus=cd.rj_plus)
-    try:
-        F = pair_family(datum, cd.rj_plus)
+        return pair_family(datum)
     except FamilyError as e:
-        return Verdict("unclassified", reason=str(e), re_type=shape.re_type, rj_plus=cd.rj_plus)
-    return Verdict("pair", F, re_type=shape.re_type, rj_plus=cd.rj_plus)
+        return Families(datum, "unclassified", reason=str(e))
 
 
 # -- the CR-graph (non-primitive) scan ------------------------------------------------------
@@ -509,8 +471,8 @@ def _display_base(g: CRGraph) -> str:
 def _verify_composite(datum: ContactDatum) -> bool:
     """The route's fibered disc family (the twisted line of type I, the
     pair family of types II to V) must verify as non-primitive."""
-    F = classify_datum(datum).families
-    return F is not None and F.fibered is not None and _verify(F.fibered, 1) is False
+    h = classify_datum(datum).fibered
+    return h is not None and _verify(h, 1) is False
 
 
 def nonprimitive_rows(max_rank: int = DEFAULT_MAX_RANK) -> list[dict]:
@@ -547,10 +509,10 @@ def _structure_row(h: HolomorphicSubspace, label: str) -> dict:
 
 def structure_rows_for_datum(datum: ContactDatum) -> list[dict]:
     """One report row per structure that classify_datum finds for a datum."""
-    verdict = classify_datum(datum)
-    if verdict.families is None:
-        return [_unclassified_row(datum, verdict.reason)]
-    rows = [_structure_row(h, h.label) for h in verdict.families.structures]
+    F = classify_datum(datum)
+    if F.route == "unclassified":
+        return [_unclassified_row(datum, F.reason)]
+    rows = [_structure_row(h, h.label) for h in F.structures]
     for row in rows:
         if row["family"] == "disc family J0_t":
             row["note"] = (

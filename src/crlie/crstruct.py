@@ -34,7 +34,6 @@ from typing import Iterable, Mapping, Optional
 from .chevalley import LieElement
 from .contact import ContactDatum
 from .linalg import Echelon, Row, nullspace, nullspace_gauss
-from .modules import theta_congruent
 from .rootsys import RootSystem, RootVector, Subsystem
 from .scalars import ONE, ZERO, Gauss, P_ZERO, Poly, as_poly, conj_var
 
@@ -181,7 +180,9 @@ def _propagate(datum: ContactDatum, hw: int, partner: int) -> dict[int, tuple[in
     mods = datum.modules
     if hw not in mods or partner not in mods:
         raise StructError("twisted pair components must be module highest weights")
-    if theta_congruent(datum, sys.roots[hw], sys.roots[partner]) is None:
+    # congruent: distinct roots of one theta-transverse weight, which differ
+    # by a nonzero multiple of theta
+    if hw == partner or datum.weights[hw] != datum.weights[partner]:
         raise StructError("twisted pair of non-congruent modules")
     tab = sys.constants
     kappa: dict[int, tuple[int, Q]] = {hw: (partner, Q(1))}

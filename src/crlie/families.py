@@ -6,9 +6,12 @@ special route special_su_families, the g2-short and short-root routes
 short_root_families, the pair route pair_family.  Every constructor
 takes the datum classify_datum routed (the special and short-root routes
 conjugate theta to its dominant root first) and returns a Families
-record: the structures in report order,
-each labelled with its report row's family name, plus the disc family the
-primitive scan verifies and the one a CR graph's verification checks.
+record: the route, the structures in report order, each labelled with
+its report row's family name, the disc family the primitive scan
+verifies with the paper's number of its family, and the one a CR graph's
+verification checks.  pair_family runs the whole pair route, from the
+dual pairs and the shape of their closure to R_J+, and raises
+FamilyError where the route classifies nothing.
 
 All three read the datum's modules (ContactDatum.modules) through the
 same helpers: _positive lists the theta-positive highest weights and
@@ -21,7 +24,7 @@ multiplied by fixed signs (computed once from the structure constants) so
 that the integrability constraints take the reference forms, e.g. s = t^2
 for the two-parameter symplectic and F4 families.  The normalizing units
 have modulus one, so disc parameterizations are unaffected; _chart_unit
-reads each unit off a raw chart's constraint.
+reads each unit off a constraint of a raw chart.
 """
 
 from __future__ import annotations
@@ -31,12 +34,13 @@ from typing import Optional
 
 from .contact import ContactDatum
 from .crstruct import (
+    ConstraintSet,
     HolomorphicSubspace,
     SU2Line,
     TwistedPair,
     check_integrability,
 )
-from .modules import dual_pairs
+from .modules import CongruenceError, dual_pairs, tilde_Re_type
 from .scalars import Gauss, P_ZERO, Poly
 
 
@@ -46,21 +50,28 @@ class FamilyError(ValueError):
 
 @dataclass(frozen=True)
 class Families:
-    """The invariant structures found on one contact datum.
+    """Where classify_datum sent a contact datum, and the invariant
+    structures found there.
 
-    structures holds the subspaces in report order, each labelled with its
-    report row's family name.  primitive is the disc family the primitive
-    scan verifies and fibered the one a CR graph's verification checks;
-    either is None where that check does not apply.  chart is the
-    two-parameter chart whose constraint takes the form t = s^2 or
+    route is "special" (theta along a long root), "g2-short",
+    "short-root", "pair" (theta along no root) or "unclassified", with the
+    reason in ``reason``.  structures holds the subspaces in report order,
+    each labelled with its report row's family name.  primitive is the
+    disc family the primitive scan verifies, family the paper's number of
+    its primitive family, and fibered the disc family a CR graph's
+    verification checks; each is None where it does not apply.  chart is
+    the two-parameter chart whose constraint takes the form t = s^2 or
     s = t^2, where there is one.
     """
 
     datum: ContactDatum
-    structures: tuple[HolomorphicSubspace, ...]
+    route: str
+    structures: tuple[HolomorphicSubspace, ...] = ()
+    family: Optional[int] = None
     primitive: Optional[HolomorphicSubspace] = None
     fibered: Optional[HolomorphicSubspace] = None
     chart: Optional[HolomorphicSubspace] = None
+    reason: str = ""
 
 
 def _unit_from_binomial(g: Poly, lead_var: str) -> Gauss:
@@ -80,12 +91,11 @@ def _unit_from_binomial(g: Poly, lead_var: str) -> Gauss:
     return u
 
 
-def _chart_unit(raw: HolomorphicSubspace, var: str, ignore: Optional[str] = None) -> Gauss:
-    """The unit that brings the integrability constraint of a raw chart to
-    its reference form (_unit_from_binomial, led by var).  Constraints in
-    the variable ignore are set aside; exactly one must be left."""
-    cs = check_integrability(raw)
-    gens = [g for g in cs.generators if ignore not in g.variables()]
+def _chart_unit(cs: ConstraintSet, var: str, among: Optional[set[str]] = None) -> Gauss:
+    """The unit that brings an integrability constraint of a raw chart to
+    its reference form (_unit_from_binomial, led by var): the one
+    constraint whose variables are exactly among, or the only one."""
+    gens = [g for g in cs.generators if among is None or g.variables() == among]
     if len(gens) != 1:
         raise FamilyError(f"unexpected constraint structure {cs}")
     return _unit_from_binomial(gens[0], var)
@@ -103,7 +113,7 @@ def _partner(datum: ContactDatum, hw: int) -> Optional[int]:
     return next((h for h in datum.class_of[hw] if h != hw and h in datum.modules), None)
 
 
-def _standard_family(datum: ContactDatum) -> Families:
+def _standard_family(datum: ContactDatum, route: str) -> Families:
     """The unique structure of a non-A special contact manifold or of the
     short-root G2 one: the theta-positive part of R', standard, with a
     zero su2 line on theta's root."""
@@ -111,7 +121,7 @@ def _standard_family(datum: ContactDatum) -> Families:
     upper = frozenset().union(*(datum.modules[hw].weights for hw in _positive(datum)))
     h = HolomorphicSubspace(datum, rj_plus=upper - {top}, su2=SU2Line(top, P_ZERO),
                             label="standard")
-    return Families(datum, (h,))
+    return Families(datum, route, (h,))
 
 
 # -- special contact manifolds (theta parallel to a root) -------------------------------
@@ -125,7 +135,7 @@ def special_su_families(datum: ContactDatum) -> Families:
     the doubly twisted J0_t is primitive."""
     system = datum.system
     if system.components[0][0] != "A":
-        return _standard_family(datum)
+        return _standard_family(datum, "special")
     mu_idx = system.root_index(datum.theta)
     t = Poly.var("t")
     s = Poly.var("s")
@@ -133,7 +143,7 @@ def special_su_families(datum: ContactDatum) -> Families:
     if system.rank == 1:
         std = HolomorphicSubspace(datum, su2=SU2Line(mu_idx, P_ZERO), label="standard")
         su2 = HolomorphicSubspace(datum, su2=SU2Line(mu_idx, t), label="disc family J_t")
-        return Families(datum, (std, su2), fibered=su2)
+        return Families(datum, "special", (std, su2), fibered=su2)
 
     # the two level-1 modules; each one's partner leads the negative of the other
     hw1, hw2 = (hw for hw in _positive(datum) if hw != mu_idx)
@@ -148,9 +158,10 @@ def special_su_families(datum: ContactDatum) -> Families:
             su2=SU2Line(mu_idx, c_mu), label=label,
         )
 
-    # unit-normalize the doubly twisted chart so that t = s^2
-    u3 = _chart_unit(twisted(s, Poly.var("s2"), t), "s2", ignore="t")
-    u4 = _chart_unit(twisted(s, s.scale(u3), t), "t")
+    # unit-normalize the doubly twisted chart so that s2 = s and t = s^2
+    raw = check_integrability(twisted(s, Poly.var("s2"), t))
+    u3 = _chart_unit(raw, "s2", among={"s", "s2"})
+    u4 = _chart_unit(raw, "t", among={"s", "t"})
     chart = twisted(s, s.scale(u3), t.scale(u4), "two-parameter chart")
     j0 = twisted(t, t.scale(u3), (t * t).scale(u4), "disc family J0_t")
     j = plain(hw1, n2, t, "disc family J_t")
@@ -160,7 +171,9 @@ def special_su_families(datum: ContactDatum) -> Families:
         plain(hw1, n2, P_ZERO, "standard (mixed)"),
         plain(hw2, n1, P_ZERO, "standard (mixed, mirror)"),
     )
-    return Families(datum, standard + (j, jp, j0), primitive=j0, fibered=j, chart=chart)
+    # the doubly twisted family of the A series
+    return Families(datum, "special", standard + (j, jp, j0), family=6, primitive=j0,
+                    fibered=j, chart=chart)
 
 
 # -- short-root families (SO_{2n+1}, Sp_n, F4) -------------------------------------------
@@ -172,8 +185,10 @@ def short_root_families(datum: ContactDatum) -> Families:
     structure and a primitive disc family, on G2 the standard structure
     alone."""
     system = datum.system
-    if system.components[0][0] == "G":
-        return _standard_family(datum)
+    kind = system.components[0][0]
+    if kind == "G":
+        return _standard_family(datum, "g2-short")
+    family = {"B": 4, "C": 7, "F": 3}[kind]
     pos = _positive(datum)
     partner = {hw: _partner(datum, hw) for hw in pos}
     if None in partner.values():
@@ -186,7 +201,7 @@ def short_root_families(datum: ContactDatum) -> Families:
         fam = HolomorphicSubspace(
             datum, pairs=(TwistedPair(pos[0], partner[pos[0]], t),), label="disc family"
         )
-        return Families(datum, (standard, fam), primitive=fam)
+        return Families(datum, "short-root", (standard, fam), family=family, primitive=fam)
     if len(pos) != 2:
         raise FamilyError("unexpected module structure for a short-root datum")
     # the long pair carries s, the short pair t; normalize so that s = t^2
@@ -200,25 +215,39 @@ def short_root_families(datum: ContactDatum) -> Families:
             label=label,
         )
 
-    u = _chart_unit(twisted(s), "s")
+    u = _chart_unit(check_integrability(twisted(s)), "s")
     chart = twisted(s.scale(u), "two-parameter chart")
     fam = twisted((t * t).scale(u), "disc family")
-    return Families(datum, (standard, fam), primitive=fam, chart=chart)
+    return Families(datum, "short-root", (standard, fam), family=family, primitive=fam,
+                    chart=chart)
 
 
 # -- twisted pair families for theta not parallel to a root ------------------------------
 
 
-def pair_family(datum: ContactDatum, rj_plus: frozenset[int] = frozenset()) -> Families:
-    """The standard structure and the disc family of a candidate with
-    paired isotropy roots.
+def pair_family(datum: ContactDatum) -> Families:
+    """The pair route: the standard structure and the disc family of a
+    candidate with paired isotropy roots.
 
-    For a D-type candidate the subspace is one twisted pair plus the
-    one-sided block; for the split and B3 shapes the mirrored pair enters
-    with the reciprocal coefficient (chart: t * u = 1).  The disc family
-    fibers when it verifies as non-primitive; a one-sided block (R_J+)
-    rules out primitivity."""
-    re_roots = dual_pairs(datum).paired_roots
+    The dual pairs must exist (a CongruenceError is the excluded
+    multiplicity configuration) and their closure must take an accepted
+    shape (modules.tilde_Re_type); FamilyError says which test failed.
+    For a D-type candidate the subspace is one twisted pair plus R_J+, the
+    positive one-sided block; for the split and B3 shapes the mirrored
+    pair enters with the reciprocal coefficient (chart: t * u = 1).  The
+    disc family fibers when it verifies as non-primitive; a nonempty R_J+
+    rules out primitivity.  The primitive family is the paper's 1 on
+    A1+A1, 2 on B3 and 5 on the D series, which includes A3 = D3 and the
+    triality forms."""
+    try:
+        cd = dual_pairs(datum)
+    except CongruenceError:
+        raise FamilyError("excluded multiplicity configuration") from None
+    re_roots = cd.paired_roots
+    shape = tilde_Re_type(datum, re_roots)
+    if not shape.accepted:
+        raise FamilyError(f"eliminated: {shape.reason}")
+    rj_plus = cd.rj_plus
     tops = [hw for hw in _positive(datum) if datum.modules[hw].weights <= re_roots]
     t = Poly.var("t")
     u = Poly.var("u")
@@ -231,10 +260,13 @@ def pair_family(datum: ContactDatum, rj_plus: frozenset[int] = frozenset()) -> F
         first = TwistedPair(a, _partner(datum, a), t)
         b2 = _partner(datum, a2)
         raw = HolomorphicSubspace(datum, pairs=(first, TwistedPair(b2, a2, u)), rj_plus=rj_plus)
-        pairs = (first, TwistedPair(b2, a2, u.scale(_chart_unit(raw, "u"))))
+        pairs = (first, TwistedPair(b2, a2, u.scale(_chart_unit(check_integrability(raw), "u"))))
     else:
         raise FamilyError(f"unexpected number of module pairs: {len(tops)}")
     fam = HolomorphicSubspace(datum, pairs=pairs, rj_plus=rj_plus, label="disc family")
     std = HolomorphicSubspace(datum, plains=tuple(sorted(tops)), rj_plus=rj_plus,
                               label="standard")
-    return Families(datum, (std, fam), primitive=None if rj_plus else fam, fibered=fam)
+    if rj_plus:
+        return Families(datum, "pair", (std, fam), fibered=fam)
+    family = {"A1+A1": 1, "B3": 2}.get(shape.re_type, 5)
+    return Families(datum, "pair", (std, fam), family=family, primitive=fam, fibered=fam)

@@ -11,13 +11,10 @@ generated by the paired roots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .contact import ContactDatum
-from .rootsys import RootVector, Subsystem
-
-Q = Fraction
+from .rootsys import Subsystem
 
 
 class CongruenceError(ValueError):
@@ -69,25 +66,6 @@ def decompose(datum: ContactDatum) -> list[IrredModule]:
     if sum(map(len, out)) != len(datum.Rprime):
         raise CongruenceError("module without a unique highest weight")
     return sorted(out, key=lambda m: sys.roots[m.highest].canon())
-
-
-def theta_congruent(datum: ContactDatum, gamma: RootVector, gamma2: RootVector) -> Optional[Q]:
-    """The nonzero lambda with gamma2 = gamma + lambda*theta, if it exists."""
-    sys = datum.system
-    diff = gamma2 - gamma
-    if diff.is_zero():
-        return None
-    dc, tc = diff.c, datum.theta.c
-    lam = None
-    for d, t in zip(dc, tc):
-        if t != 0:
-            lam = d / t
-            break
-    if lam is None or lam == 0:
-        return None
-    if all(d == lam * t for d, t in zip(dc, tc)):
-        return lam
-    return None
 
 
 def congruence_groups(datum: ContactDatum) -> list[list[IrredModule]]:

@@ -153,7 +153,7 @@ def _family_battery():
     for text in ("A1+A2:g|g,b", "A4:w,g,w,b", "D5:b,w,w,w,g", "E6:g,w,w,w,b,w"):
         g = PaintedGraph.parse(text)
         v = is_good(g)
-        P = classify.classify_datum(ct.contact_datum(g.system, v.theta)).families
+        P = classify.classify_datum(ct.contact_datum(g.system, v.theta))
         out.append((f"composite {v.cr_type}", P.fibered, P.structures[0]))
     return out
 

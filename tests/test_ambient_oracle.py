@@ -16,7 +16,7 @@ of the ~10^4 test vectors in Fractions from scratch.
 
 import json
 from fractions import Fraction as Q
-from math import gcd, isqrt
+from math import ceil, gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -124,12 +124,18 @@ def test_weyl_machinery_matches_ambient_reference(tag):
 
 def best_lift_reference(coords):
     """Integer lift of a relation-block vector minimizing the L1 norm,
-    chosen by sorting every candidate lift on Fraction keys."""
+    chosen by sorting every candidate lift on Fraction keys.
+
+    A lift base + c has the least L1 norm only for c between the least and
+    the largest -base_i, so |c| <= max |base| and its first entry
+    k = base[0] + c has |k| <= 2 max |base|: the window of k holds every
+    L1 minimiser."""
     n = len(coords)
     m = sum(coords) / n
     base = [x - m for x in coords]
+    bound = n + ceil(2 * max(abs(x) for x in base))
     candidates = []
-    for k in range(-n, n + 1):
+    for k in range(-bound, bound + 1):
         shift = k - base[0]
         lifted = [x + shift for x in base]
         if all(x.denominator == 1 for x in lifted):
@@ -168,3 +174,6 @@ def test_best_lift_matches_reference():
                 assert rs._best_lift(block) == best_lift_reference(block), (s.type_str(), block)
                 blocks += 1
     assert blocks > 800
+    # least lifts outside [-n, n]: 4e1 and -7e1 of A2
+    for block in ([Q(4), Q(0), Q(0)], [Q(-7), Q(0), Q(0)]):
+        assert rs._best_lift(block) == best_lift_reference(block) == block

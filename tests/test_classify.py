@@ -9,15 +9,20 @@ from crlie import contact as ct
 from crlie import crstruct as cs
 from crlie import rootsys as rs
 from crlie.cli import load_fixture
+from crlie.modules import dual_pairs
+
+
+def _datum(row, key="theta_canon"):
+    """The contact datum of a fixture row's form; primitive.json names a
+    simple type by letter and rank, nonprimitive.json by type tag."""
+    t = row["type"]
+    s = rs.parse_type(t if t[-1].isdigit() else t + row["rank"])
+    return ct.contact_datum(s, s.vector([Q(x) for x in row[key].split(",")]))
 
 
 def _verdict(row):
-    """The verdict for a fixture row's canonical contact form; primitive.json
-    names a simple type by letter and rank, nonprimitive.json by type tag."""
-    t = row["type"]
-    s = rs.parse_type(t if t[-1].isdigit() else t + row["rank"])
-    theta = s.vector([Q(x) for x in row["theta_canon"].split(",")])
-    return classify.classify_datum(ct.contact_datum(s, theta))
+    """The Families record for a fixture row's canonical contact form."""
+    return classify.classify_datum(_datum(row))
 
 
 @pytest.mark.parametrize("t,r", classify.simple_types(8))
@@ -47,7 +52,7 @@ def test_root_route_table(t, r):
     reps = {s.norm2(i): s.dominant(s.roots[i]) for i in range(len(s.roots))}
     assert len(reps) == (2 if t in "BCFG" else 1)
     for norm, theta in reps.items():
-        F = classify.classify_datum(ct.contact_datum(s, theta)).families
+        F = classify.classify_datum(ct.contact_datum(s, theta))
         long = norm == top
         assert (F.primitive is not None) == ((t == "A" and r >= 2) if long else t in "BCF")
         assert (F.fibered is not None) == (long and t == "A")
@@ -68,8 +73,20 @@ def test_unclassified_reason():
 def test_golden_primitive_forms(row):
     v = _verdict(row)
     assert v.route in ("special", "short-root", "pair")
-    assert not v.rj_plus
-    assert classify._verify(v.families.primitive, 2) is True
+    assert not dual_pairs(_datum(row)).rj_plus
+    assert classify._verify(v.primitive, 2) is True
+
+
+@pytest.mark.parametrize(
+    "row", load_fixture("primitive.json").rows,
+    ids=lambda r: f"{r['type']}{r['rank']}-family{r['family']}",
+)
+def test_golden_primitive_family_numbers(row):
+    # the record numbers the primitive family, on the source and canonical forms
+    for key in ("theta_source", "theta_canon"):
+        F = classify.classify_datum(_datum(row, key))
+        assert F.route != "unclassified", (key, F.reason)
+        assert F.family == int(row["family"]), key
 
 
 @pytest.mark.parametrize(
@@ -82,7 +99,7 @@ def test_golden_nonprimitive_forms(row):
         assert v.route == "special"
     else:
         assert v.route == "pair"
-    h = v.families.fibered
+    h = v.fibered
     assert classify._verify(h, 1) is False
     rep = cs.find_crf_parabolics(h, classify._sample_values(h))
     assert row["fiber"] in {w.fiber_type for w in rep.witnesses}

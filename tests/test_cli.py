@@ -187,6 +187,14 @@ def test_check_m10_non_congruent_pair(capsys):
     assert "non-congruent" in _one_line_error(capsys)
 
 
+def test_check_m10_pair_into_itself(capsys):
+    # a module twisted into itself differs from its partner by 0 times theta
+    spec = {"pairs": [["1,0,-1,0", "1,0,-1,0", "t"]]}
+    rc = run(["check", "--type", "A3", "--theta", "1,0,0,-1", "--m10", json.dumps(spec)])
+    assert rc == 64
+    assert "non-congruent" in _one_line_error(capsys)
+
+
 def test_check_family_e6_root(capsys):
     # every E6 root is long, so its contact form is the special one
     rc = run(["check", "--type", "E6", "--theta=1,0,0,0,1,1,-1", "--family", "--format", "json"])

@@ -1,7 +1,8 @@
 """The datum's theta-congruence partition against the pairwise oracle.
 
 The reference groups R' by pairwise theta_congruent tests, the quadratic
-algorithm the partition replaced; congruence_groups and dual_pairs are
+algorithm the partition replaced (kept here as the definition of
+theta-congruence, which tests/test_modules.py also imports); congruence_groups and dual_pairs are
 checked against references built on it.  The integer theta-transverse
 weights that the partition is read from are checked against the rational
 transverse projection.  decompose, which walks only the simple roots of
@@ -17,10 +18,28 @@ import pytest
 
 from crlie.classify import simple_types
 from crlie.contact import contact_datum
-from crlie.modules import CongruenceError, congruence_groups, decompose, dual_pairs, theta_congruent
+from crlie.modules import CongruenceError, congruence_groups, decompose, dual_pairs
 from crlie.rootsys import parse_type
 
 MAX_RANK = 5
+
+
+def theta_congruent(datum, gamma, gamma2):
+    """The nonzero lambda with gamma2 = gamma + lambda*theta, if it exists."""
+    diff = gamma2 - gamma
+    if diff.is_zero():
+        return None
+    dc, tc = diff.c, datum.theta.c
+    lam = None
+    for d, t in zip(dc, tc):
+        if t != 0:
+            lam = d / t
+            break
+    if lam is None or lam == 0:
+        return None
+    if all(d == lam * t for d, t in zip(dc, tc)):
+        return lam
+    return None
 
 
 def _golden_forms(max_rank: int) -> list[tuple[str, str]]:

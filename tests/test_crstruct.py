@@ -27,6 +27,41 @@ def _short_root(s):
     return fam.short_root_families(ct.contact_datum(s, s.dominant(s.roots[short])))
 
 
+def _two_run_units(datum):
+    """The A-type special chart units read from two raw charts: u3 from
+    the one constraint free of t on the chart (s, s2, t), then u4 from
+    the only constraint of a second chart (s, u3 s, t)."""
+    system = datum.system
+    mu = system.root_index(datum.theta)
+    hw1, hw2 = (hw for hw in fam._positive(datum) if hw != mu)
+    n2, n1 = fam._partner(datum, hw1), fam._partner(datum, hw2)
+    s, t = Poly.var("s"), Poly.var("t")
+
+    def unit(c2, var, ignore=None):
+        raw = cs.HolomorphicSubspace(
+            datum, pairs=(cs.TwistedPair(hw1, n2, s), cs.TwistedPair(hw2, n1, c2)),
+            su2=cs.SU2Line(mu, t))
+        gens = [g for g in cs.check_integrability(raw).generators if ignore not in g.variables()]
+        assert len(gens) == 1, gens
+        return fam._unit_from_binomial(gens[0], var)
+
+    u3 = unit(Poly.var("s2"), "s2", ignore="t")
+    return u3, unit(s.scale(u3), "t")
+
+
+@pytest.mark.parametrize("r", range(2, 13))
+def test_special_chart_units_match_two_run_reading(r):
+    # the special route reads u3 and u4 off one raw chart
+    datum = ct.grade_by_highest_root(rs.build("A", r))
+    u3, u4 = _two_run_units(datum)
+    F = fam.special_su_families(datum)
+    s, t = Poly.var("s"), Poly.var("t")
+    assert F.chart.pairs[1].coeff == s.scale(u3)
+    assert F.chart.su2.coeff == t.scale(u4)
+    assert F.primitive.pairs[1].coeff == t.scale(u3)
+    assert F.primitive.su2.coeff == (t * t).scale(u4)
+
+
 def _to_gauss(x) -> Gauss:
     return x if isinstance(x, Gauss) else Gauss(x)
 
@@ -38,7 +73,7 @@ def _named(F, label):
 
 def _routed(s, theta):
     """The Families record classify_datum finds for theta on s."""
-    return classify.classify_datum(ct.contact_datum(s, theta)).families
+    return classify.classify_datum(ct.contact_datum(s, theta))
 
 
 def _special_standard(tag):
@@ -435,7 +470,7 @@ def _golden_primitive_families(max_rank):
         s = rs.parse_type(t if t[-1].isdigit() else t + row["rank"])
         theta = s.vector([Q(x) for x in row["theta_canon"].split(",")])
         v = classify.classify_datum(ct.contact_datum(s, theta))
-        out.append(v.families.primitive)
+        out.append(v.primitive)
     return out
 
 
@@ -537,9 +572,8 @@ def _golden_form_structures(max_rank):
             s = rs.parse_type(t + row["rank"] if t.isalpha() else t)
             for key in keys:
                 theta = s.vector([Q(x) for x in row[key].split(",")])
-                F = classify.classify_datum(ct.contact_datum(s, theta)).families
-                if F is not None:
-                    out += [h for h in F.structures + (F.chart,) if h is not None]
+                F = classify.classify_datum(ct.contact_datum(s, theta))
+                out += [h for h in F.structures + (F.chart,) if h is not None]
     return out
 
 
@@ -741,8 +775,8 @@ def test_pruned_brackets_match_unpruned_references(tag, dominant):
     sysm, forms = _sum_forms(tag, dominant)
     stable = unstable = 0
     for theta in forms:
-        F = classify.classify_datum(ct.contact_datum(sysm, theta)).families
-        for h in F.structures if F is not None else ():
+        F = classify.classify_datum(ct.contact_datum(sysm, theta))
+        for h in F.structures:
             assert cs.check_integrability(h).generators == _weight_pair_integrability(h), h.label
             for j in (0, 1):
                 vals = classify._sample_values(h, j)

@@ -7,6 +7,7 @@ from crlie import contact as ct
 from crlie import modules as md
 from crlie import rootsys as rs
 from crlie.rootsys import format_vector
+from test_congruence import theta_congruent
 
 
 def datum(tag, theta):
@@ -148,12 +149,12 @@ def test_g2_multiplicity_four():
 def test_theta_congruent():
     d = datum("B4", [1, 0, 0, 0])
     s = d.system
-    lam = md.theta_congruent(d, s.vector([1, 1, 0, 0]), s.vector([-1, 1, 0, 0]))
+    lam = theta_congruent(d, s.vector([1, 1, 0, 0]), s.vector([-1, 1, 0, 0]))
     assert lam == -2
-    assert md.theta_congruent(d, s.vector([1, 1, 0, 0]), s.vector([1, 1, 0, 0])) is None
-    assert md.theta_congruent(d, s.vector([1, 1, 0, 0]), s.vector([1, 0, 1, 0])) is None
+    assert theta_congruent(d, s.vector([1, 1, 0, 0]), s.vector([1, 1, 0, 0])) is None
+    assert theta_congruent(d, s.vector([1, 1, 0, 0]), s.vector([1, 0, 1, 0])) is None
     dc = datum("C4", [1, 1, 0, 0])
-    lam = md.theta_congruent(dc, dc.system.vector([2, 0, 0, 0]), dc.system.vector([0, -2, 0, 0]))
+    lam = theta_congruent(dc, dc.system.vector([2, 0, 0, 0]), dc.system.vector([0, -2, 0, 0]))
     assert lam == -2
 
 
@@ -265,7 +266,7 @@ def test_tilde_re_rejects_f4():
     s = d.system
     half = s.vector([Q(1, 2), Q(1, 2), Q(1, 2), Q(1, 2)])
     partner = s.vector([Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(1, 2)])
-    assert md.theta_congruent(d, half, partner) is not None
+    assert theta_congruent(d, half, partner) is not None
     assert s.inner(half, partner) != 0
 
 

@@ -30,7 +30,10 @@ include rows where pair_family raises FamilyError.  Then ``check --family`` in t
 and JSON on the dominant root of each length of the 31 simple types, so
 the special and short-root routes are diffed up to rank 8.  Last,
 ``check --graph`` in JSON on every painting of E6, so the D-shapes at an
-E-type fork are diffed too.  The commands run in one process, through
+E-type fork are diffed too.  After them, ``check --family`` in text on
+every a + b and a - b of B2 and G2, so the special, short-root and
+g2-short routes and the rejected shapes of the two-length rank-2 systems
+are diffed.  The commands run in one process, through
 ``crlie.cli.main``.
 """
 
@@ -54,6 +57,7 @@ ROOT_TYPES = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)]
               + ["E6", "E7", "E8", "F4", "G2", "A1+A1", "A2+G2"])
 # types whose unreduced forms a +- b (a, b positive roots) are checked
 SUM_FORM_TYPES = ("A3", "A4", "A5", "B3", "C3", "D4", "A2+A2")
+RANK2_SUM_FORM_TYPES = ("B2", "G2")
 SIMPLE_TYPES = ROOT_TYPES[:31]
 # (type, theta, --m10 spec): the README example, then a degenerate spec
 M10_CHECKS = (
@@ -85,11 +89,11 @@ def golden_forms(data: Path) -> list[tuple[str, str]]:
     return out
 
 
-def sum_forms(rootsys) -> list[tuple[str, str]]:
+def sum_forms(rootsys, types=SUM_FORM_TYPES) -> list[tuple[str, str]]:
     """(type, theta) of every nonzero a + b and a - b with a and b positive
-    roots of the SUM_FORM_TYPES, in ambient coordinates, sorted per type."""
+    roots of the types, in ambient coordinates, sorted per type."""
     out: list[tuple[str, str]] = []
-    for t in SUM_FORM_TYPES:
+    for t in types:
         s = rootsys.parse_type(t)
         pos = [r.canon() for i, r in enumerate(s.roots) if s.positive[i]]
         thetas = {tuple(x + sgn * y for x, y in zip(a, b))
@@ -149,6 +153,8 @@ def battery(data: Path, rootsys) -> list[list[str]]:
     cmds += [["check", "--type", t, f"--theta={theta}", "--family", "--format", fmt]
              for t, theta in root_forms(rootsys) for fmt in ("text", "json")]
     cmds += [["check", "--graph", g, *json_fmt] for g in all_paintings("E6", (6,))]
+    cmds += [["check", "--type", t, f"--theta={theta}", "--family", "--format", "text"]
+             for t, theta in sum_forms(rootsys, RANK2_SUM_FORM_TYPES)]
     return cmds
 
 
