@@ -269,26 +269,6 @@ class LieElement:
         h = {k: -c.conj() for k, c in self.h.items()}
         return LieElement(sys, e, h)
 
-    def form_row(self) -> dict:
-        """The sparse covector of <self, .> for the invariant form, on the
-        coordinate columns: root i is column i, simple-root Cartan
-        coordinate k column |R| + k.
-
-        <E_a, E_-a> = 2/(a, a) and <H(u), H(v)> = (u, v); every other pair
-        of basis elements pairs to 0.  With [E_a, E_-a] = H(2a/(a, a)) and
-        the cyclic identity of the constants this form is invariant,
-        <[x, y], z> = <x, [y, z]>, and nondegenerate.
-        """
-        sys = self.system
-        n = len(sys.roots)
-        row = {sys.neg_index[i]: c * (Q(2) / sys.norm2(i)) for i, c in self.e.items()}
-        if self.h:
-            for k, g in enumerate(sys.gram):
-                val = _pair_vec(g, self.h)
-                if val:
-                    row[n + k] = val
-        return row
-
     def eval(self, values: Mapping[str, Gauss]) -> "LieElement":
         """Substitute Gaussian rationals for every twist: Gauss coefficients."""
         return LieElement(

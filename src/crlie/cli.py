@@ -9,6 +9,7 @@ mismatch, 64 usage error.  CRLIE_MAX_RANK overrides the default scan bound
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -286,7 +287,9 @@ def cmd_check(args) -> int:
     raise UsageError("check needs --graph or --type/--theta with --m10 or --family")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser, built on first use and reused by every main call."""
     p = _Parser(prog="crlie", description="invariant contact and CR structure classification")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -321,8 +324,11 @@ def main(argv=None) -> int:
     sp.add_argument("--family", action="store_true",
                     help="classify all structures for the given contact form")
     common(sp)
+    return p
 
-    args = p.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "roots":
             return cmd_roots(args)

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
+from .chevalley import LieElement
 from .linalg import nullspace
 from .rootsys import RootSystem, RootVector, Subsystem
 
@@ -29,8 +30,8 @@ class ContactDatum:
 
     The tables derived from it (its modules, the theta-transverse weights
     that grade g and its theta-congruence classes, the theta-orthogonal
-    Cartan and its twist propagations) are built on first use and live as
-    long as the datum does.
+    Cartan, a basis of l^C and its twist propagations) are built on first
+    use and live as long as the datum does.
     """
 
     system: RootSystem
@@ -91,14 +92,37 @@ class ContactDatum:
         return tuple(out)
 
     @cached_property
-    def weight_blocks(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """The roots of each weight of g, in index order.  The zero weight
-        is always a key: the Cartan lies in g_0 with the roots parallel to
-        theta."""
-        blocks: dict[tuple[int, ...], list[int]] = {(0,) * self.system.rank: []}
-        for i, w in enumerate(self.weights):
+    def weight_codes(self) -> tuple[int, ...]:
+        """The weight of each root coded as one int, sum_k w_k B^k with
+        B > 4 max |w_k|.  The code is linear, and injective on the int
+        vectors with entries of size at most 2 max |w_k|, whose differences
+        stay below B in every entry: so it tells apart the weights of g and
+        the sums of two of them."""
+        base = 4 * max(abs(x) for w in self.weights for x in w) + 1
+        return tuple(sum(x * base**k for k, x in enumerate(w)) for w in self.weights)
+
+    @cached_property
+    def weight_blocks(self) -> dict[int, tuple[int, ...]]:
+        """The roots of each weight of g, in index order, by weight code.
+        The zero weight is always a key: the Cartan lies in g_0 with the
+        roots parallel to theta."""
+        blocks: dict[int, list[int]] = {0: []}
+        for i, w in enumerate(self.weight_codes):
             blocks.setdefault(w, []).append(i)
         return {w: tuple(b) for w, b in blocks.items()}
+
+    @cached_property
+    def l_complex(self) -> dict[int, tuple[LieElement, ...]]:
+        """A basis of l^C by weight code: E_d for each root d of R_o, in index
+        order, then H(v) for the basis v of t' (theta_perp_cartan), of
+        weight 0."""
+        sys = self.system
+        out: dict[int, list[LieElement]] = {}
+        for d in sorted(self.Ro.members):
+            e_d = LieElement.root_vector(sys, sys.roots[d])
+            out.setdefault(self.weight_codes[d], []).append(e_d)
+        out.setdefault(0, []).extend(LieElement.cartan(sys, v) for v in self.theta_perp_cartan)
+        return {tau: tuple(els) for tau, els in out.items()}
 
     @cached_property
     def theta_perp_cartan(self) -> tuple[RootVector, ...]:

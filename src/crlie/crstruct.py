@@ -13,7 +13,9 @@ where the condition is polynomial in the twists, at sampled
 Gaussian-rational parameter values otherwise).  The normalizer needs no
 linear system of its own: by the invariant form of the Chevalley basis it
 is the annihilator of the brackets of l^C + m01 with its orthogonal
-complement, so its real points are counted by ranks (normalizer_excess).
+complement, so its real points are counted by ranks (normalizer_excess);
+both spaces are read off the lines, since the form rows of l^C + m01 have
+disjoint supports once every line root lies in R'.
 The two bracket checks are graded by the theta-transverse weight of
 ContactDatum.weights: a bracket of weights sigma and tau lies in the
 weight space of sigma + tau, so integrability skips the pairs whose sum is
@@ -28,13 +30,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
-from operator import add
 from typing import Iterable, Mapping, Optional
 
 from .chevalley import LieElement
 from .contact import ContactDatum
-from .linalg import Echelon, Row, nullspace, nullspace_gauss
-from .rootsys import RootSystem, RootVector, Subsystem
+from .linalg import Echelon, Row, nullspace
+from .rootsys import RootSystem, RootVector, Subsystem, format_vector
 from .scalars import ONE, ZERO, Gauss, P_ZERO, Poly, as_poly, conj_var
 
 Q = Fraction
@@ -81,7 +82,8 @@ class HolomorphicSubspace:
 
         Raises when a pair does not propagate or a plain is no module, then
         when the dimension is not half of |R'|, then when a root lies on
-        two lines."""
+        two lines, then when a root lies in R_o: m10 lies in m^C, the span
+        of the E_r for r in R'."""
         datum = self.datum
         lines: list[tuple[int, Optional[tuple[int, Poly]]]] = []
         for pair in self.pairs:
@@ -101,6 +103,10 @@ class HolomorphicSubspace:
         roots = [w for w, _ in lines] + [line[0] for _, line in lines if line is not None]
         if len(set(roots)) != len(roots):
             raise StructError("a root carries two roles in the subspace")
+        for r in roots:
+            if r not in datum.Rprime:
+                raise StructError(f"root {format_vector(datum.system.roots[r])} lies in R_o, "
+                                  "but m10 lies in m^C, spanned by R'")
         return dict(lines)
 
     def basis(self) -> list[LieElement]:
@@ -269,14 +275,16 @@ def check_integrability(h: HolomorphicSubspace) -> ConstraintSet:
     ro = frozenset(h.datum.Ro.members)
     # the live blocks: g_0, and every other weight of g with a root off R_o
     # and off the lone lines
-    zero = (0,) * h.datum.system.rank
     live = {rho for rho, roots in h.datum.weight_blocks.items()
-            if rho == zero or any(r not in ro and lines.get(r, 0) is not None for r in roots)}
-    weights = [_weight(h.datum, v) for v in basis]
+            if rho == 0 or any(r not in ro and lines.get(r, 0) is not None for r in roots)}
+    # the weight code of each basis vector, None for a line across two weights
+    wt = h.datum.weight_codes
+    weights = [wt[w] if line is None or wt[line[0]] == wt[w] else None
+               for w, line in lines.items()]
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
             wa, wb = weights[a], weights[b]
-            if wa is not None and wb is not None and tuple(map(add, wa, wb)) not in live:
+            if wa is not None and wb is not None and wa + wb not in live:
                 continue
             br = basis[a].bracket(basis[b])
             res = dict(br.e)
@@ -451,22 +459,6 @@ def _coordinate_rows(sys: RootSystem, elements: Iterable[LieElement]) -> list[Ro
     return rows
 
 
-def _l_complex_basis(datum: ContactDatum) -> list[LieElement]:
-    sys = datum.system
-    out = [LieElement.root_vector(sys, sys.roots[i]) for i in sorted(datum.Ro.members)]
-    out.extend(LieElement.cartan(sys, v) for v in datum.theta_perp_cartan)
-    return out
-
-
-def _weight(datum: ContactDatum, el: LieElement) -> Optional[tuple[int, ...]]:
-    """The theta-transverse weight of a homogeneous element (the Cartan
-    has weight 0), None for an inhomogeneous one."""
-    ws = {datum.weights[i] for i in el.e}
-    if el.h:
-        ws.add((0,) * datum.system.rank)
-    return ws.pop() if len(ws) == 1 else None
-
-
 def evaluate_basis(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> list[LieElement]:
     vals = _with_conj(values)
     return [v.eval(vals) for v in h.basis()]
@@ -498,24 +490,23 @@ def is_standard(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> bool:
 def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> int:
     """dim over R of N_g(l^C + m01) modulo l.
 
-    With W = l^C + m01 and the invariant form <.,.> of
-    LieElement.form_row, X normalizes W exactly when <X, [w, u]> = 0 for
-    every w in W and u in the orthogonal complement W', since W = W''
+    With W = l^C + m01 and the invariant form <.,.> of the Chevalley
+    basis (<E_a, E_-a> = 2/(a, a), <H(u), H(v)> = (u, v), every other
+    pair of basis elements 0), X normalizes W exactly when <X, [w, u]> = 0
+    for every w in W and u in the orthogonal complement W', since W = W''
     and <[X, w], u> = <X, [w, u]>.  So the complex normalizer N is the
     annihilator of S = [W, W'], and conj(N) that of conj(S), because
     <conj x, conj y> = conj <x, y>.  The real points of N, complexified,
     are N intersect conj(N), of dimension dim g - rank(S + conj(S)); the
-    excess subtracts dim_C l^C.  The count uses no property of W beyond
-    its being a subspace spanned by homogeneous elements.
+    excess subtracts dim_C l^C.  W and W' are read off the lines
+    (_graded_w_and_perp), no linear system solved.
 
     Everything is graded by the theta-transverse weight of
-    ContactDatum.weights: g = sum of the g_tau, the form pairs g_tau only
-    with g_-tau and conj maps g_tau onto g_-tau.  So W' is the sum of the
-    W'_tau, the kernels inside g_tau of the form rows of W_-tau;
-    [W_sigma, W'_tau] lies in g_(sigma + tau); and S + conj(S) is the sum
-    over rho of the blocks S_rho + conj(S_-rho).  The block of -rho is the
-    conjugate of the block of rho, so one block of each pair is ranked and
-    counted twice.
+    ContactDatum.weights: the form pairs g_tau only with g_-tau and conj
+    maps g_tau onto g_-tau, so [W_sigma, W'_tau] lies in g_(sigma + tau),
+    and S + conj(S) is the sum over rho of the blocks S_rho + conj(S_-rho).
+    The block of -rho is the conjugate of the block of rho, so one block
+    of each pair is ranked and counted twice.
 
     A bracket into rho is skipped once its block reaches a bound that no
     rank can pass: dim g_rho in general.  When HolomorphicSubspace.l_stable
@@ -528,57 +519,83 @@ def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> in
     """
     datum = h.datum
     sys = datum.system
-    n = len(sys.roots)
-    zero = (0,) * sys.rank
-    wblocks: dict[tuple[int, ...], list[LieElement]] = {}
-    for w in _l_complex_basis(datum) + [v.conjugate() for v in evaluate_basis(h, values)]:
-        tau = _weight(datum, w)
-        if tau is None:
-            raise StructError("l^C + m01 has an element of mixed theta-transverse weight")
-        wblocks.setdefault(tau, []).append(w)
-    caps: dict[tuple[int, ...], int] = {}  # rank bounds, dim g_tau at first
-    perp: dict[tuple[int, ...], list[LieElement]] = {}
-    for tau, roots in datum.weight_blocks.items():
-        cols = list(roots) + ([n + k for k in range(sys.rank)] if tau == zero else [])
-        caps[tau] = len(cols)
-        at = {c: j for j, c in enumerate(cols)}
-        rows = [{at[c]: x for c, x in w.form_row().items()} for w in wblocks.get(_neg(tau), ())]
-        kernel = nullspace_gauss(rows, len(cols), ZERO, ONE)
-        if kernel:
-            perp[tau] = [_element(sys, {cols[j]: x for j, x in enumerate(v) if x})
-                         for v in kernel]
+    wblocks, perp = _graded_w_and_perp(h, values)
+    caps = {tau: len(roots) for tau, roots in datum.weight_blocks.items()}  # dim g_tau
+    caps[0] += sys.rank
     # the l-bound; as R_o = -R_o, its roots of weight rho count those of -rho
     if h.l_stable:
         for d in datum.Ro.members:
-            caps[datum.weights[d]] -= 1
-        caps[zero] -= len(datum.theta_perp_cartan)
-    blocks: dict[tuple[int, ...], Echelon] = {}
+            caps[datum.weight_codes[d]] -= 1
+        caps[0] -= len(datum.theta_perp_cartan)
+    blocks: dict[int, Echelon] = {}
     for sigma, ws in wblocks.items():
         for tau, us in perp.items():
-            rho = tuple(map(add, sigma, tau))
+            rho = sigma + tau
             if rho not in caps:
                 continue
-            # the blocks rho and -rho are kept as one, under the larger weight
-            key = max(rho, _neg(rho))
-            ech = blocks.setdefault(key, Echelon())
-            if len(ech.rows) < caps[key]:
-                _bracket_into(sys, ech, caps[key], rho, ((w, u) for w in ws for u in us))
+            # the blocks rho and -rho are kept as one, under the positive code
+            ech = blocks.setdefault(abs(rho), Echelon())
+            if len(ech.rows) < caps[rho]:
+                _bracket_into(sys, ech, caps[rho], rho, ((w, u) for w in ws for u in us))
     # the block of -rho is the conjugate of the block of rho: same rank
-    rank = sum(len(ech.rows) * (1 if tau == zero else 2) for tau, ech in blocks.items())
+    rank = sum(len(ech.rows) * (1 if tau == 0 else 2) for tau, ech in blocks.items())
     dim_l = len(datum.Ro.members) + len(datum.theta_perp_cartan)
-    return n + sys.rank - rank - dim_l
+    return len(sys.roots) + sys.rank - rank - dim_l
 
 
-def _bracket_into(sys: RootSystem, ech: Echelon, cap: int, rho: tuple, pairs) -> None:
+def _graded_w_and_perp(h: HolomorphicSubspace, values: Mapping[str, Gauss]):
+    """Bases of W = l^C + m01 and of its form complement W' at values,
+    each as lists by theta-transverse weight.
+
+    W is l^C (ContactDatum.l_complex) and the conjugate -E_-w - conj(c) E_-w'
+    of each line E_w + c E_w'.  Every root of a line lies in R'
+    (HolomorphicSubspace.lines), so the form rows of these elements have
+    pairwise disjoint supports: column -d for E_d, the Cartan for t', and
+    the roots of its line for a line's conjugate.  So W' is spanned by
+    H(theta), which pairs to 0 with t' = theta-perp; by E_r for each root
+    r of R' on no line whose coefficient is nonzero at values; and by
+    conj(c) E_w - ((w', w')/(w, w)) E_w' for each line with c nonzero,
+    which pairs to 0 with that line's conjugate.  Those are
+    |R'|/2 + 1 = dim g - dim W independent vectors.  A line with c nonzero
+    whose two roots differ in weight would leave W ungraded, and raises.
+    """
+    datum = h.datum
+    sys = datum.system
+    wt = datum.weight_codes
+    neg = sys.neg_index
+    vals = _with_conj(values)
+    wblocks = {tau: list(els) for tau, els in datum.l_complex.items()}
+    perp: dict[int, list[LieElement]] = {0: [LieElement.cartan(sys, datum.theta)]}
+    free = set(datum.Rprime)
+    for w, line in h.lines.items():
+        free.discard(w)
+        c = line[1].eval(vals).conj() if line else ZERO
+        if c.is_zero():
+            wblocks.setdefault(-wt[w], []).append(LieElement(sys, {neg[w]: -ONE}))
+            continue
+        wp = line[0]
+        if wt[wp] != wt[w]:
+            raise StructError("l^C + m01 has an element of mixed theta-transverse weight")
+        free.discard(wp)
+        wblocks.setdefault(-wt[w], []).append(LieElement(sys, {neg[w]: -ONE, neg[wp]: -c}))
+        perp.setdefault(wt[w], []).append(
+            LieElement(sys, {w: c, wp: Gauss(-sys.norm2(wp) / sys.norm2(w))}))
+    for r in sorted(free):
+        perp.setdefault(wt[r], []).append(LieElement(sys, {r: ONE}))
+    assert (sum(map(len, perp.values()))
+            == len(sys.roots) + sys.rank - sum(map(len, wblocks.values())))
+    return wblocks, perp
+
+
+def _bracket_into(sys: RootSystem, ech: Echelon, cap: int, rho: int, pairs) -> None:
     """Rank the brackets [w, u] of weight rho into ech, the block of
-    max(rho, -rho), until it reaches cap, which no rank can pass.
+    |rho|, until it reaches cap, which no rank can pass.
 
     The blocks rho and -rho hold S_rho + conj(S_-rho) and its conjugate,
-    so only the one of the larger weight is kept: a bracket enters it as
-    itself when rho is the larger weight, as its conjugate when -rho is,
-    and as both when rho = 0."""
+    so only the one of the positive code is kept: a bracket enters it as
+    itself when rho is positive, as its conjugate when -rho is, and as
+    both when rho = 0."""
     n = len(sys.roots)
-    nrho = _neg(rho)
     for w, u in pairs:
         if len(ech.rows) == cap:
             return
@@ -586,21 +603,10 @@ def _bracket_into(sys: RootSystem, ech: Echelon, cap: int, rho: tuple, pairs) ->
         if b.is_zero():
             continue
         row = _coordinate_rows(sys, [b])[0]
-        if rho >= nrho:
+        if rho >= 0:
             ech.add(row)
-        if rho <= nrho:
+        if rho <= 0:
             ech.add({sys.neg_index[c] if c < n else c: -x.conj() for c, x in row.items()})
-
-
-def _neg(tau: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-x for x in tau)
-
-
-def _element(sys: RootSystem, row: Mapping) -> LieElement:
-    """The element with the given coordinate row (see _coordinate_rows)."""
-    n = len(sys.roots)
-    return LieElement(sys, {c: x for c, x in row.items() if c < n},
-                      {c - n: x for c, x in row.items() if c >= n})
 
 
 # -- parabolic fibration witnesses ------------------------------------------------------

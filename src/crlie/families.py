@@ -244,7 +244,7 @@ def pair_family(datum: ContactDatum) -> Families:
     except CongruenceError:
         raise FamilyError("excluded multiplicity configuration") from None
     re_roots = cd.paired_roots
-    shape = tilde_Re_type(datum, re_roots)
+    shape = tilde_Re_type(cd, re_roots)
     if not shape.accepted:
         raise FamilyError(f"eliminated: {shape.reason}")
     rj_plus = cd.rj_plus

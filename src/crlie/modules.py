@@ -125,16 +125,17 @@ class ReVerdict:
     theta_form: str = ""
 
 
-def tilde_Re_type(datum: ContactDatum, re_roots: frozenset[int]) -> ReVerdict:
-    """Classify [R_e] and match theta against the canonical forms.
+def tilde_Re_type(cd: CongruenceDatum, re_roots: frozenset[int]) -> ReVerdict:
+    """Classify [R_e] and match theta against the canonical forms, with
+    the dual pairs cd of the contact datum.
 
     Accepts only D_l (including A1+A1 = D2 and A3 = D3) or B3 shapes with
     the matching contact form; everything else is reported as eliminated.
     """
+    datum = cd.datum
     sys = datum.system
     if not re_roots:
         return ReVerdict(False, "no paired roots", "0")
-    cd = dual_pairs(datum)
     if not re_roots <= cd.paired_roots:
         return ReVerdict(False, "candidate contains unpaired roots", "?")
     # every dual pair inside the candidate must span an orthogonal A1 pair

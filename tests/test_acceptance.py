@@ -177,7 +177,8 @@ def test_criterion_7_case_eliminations():
     def cand(tag, theta):
         s = rs.parse_type(tag)
         d = ct.contact_datum(s, s.vector(theta))
-        return d, md.dual_pairs(d).paired_roots
+        cd = md.dual_pairs(d)
+        return cd, cd.paired_roots
 
     for tag, theta in [
         ("C4", [1, 1, 1, 1]), ("C5", [1, 1, 1, 1, 0]), ("C6", [1, 1, 1, 1, 0, 0]),
@@ -186,15 +187,15 @@ def test_criterion_7_case_eliminations():
         ("E8", [-1, 1, 0, 0, 0, 1, 1, 1, 0]),
         ("E8", [0, 0, 0, 0, 0, 1, 0, 2, 0]),
     ]:
-        d, re = cand(tag, theta)
-        v = md.tilde_Re_type(d, re)
+        cd, re = cand(tag, theta)
+        v = md.tilde_Re_type(cd, re)
         assert not v.accepted, (tag, theta, v)
     # hand-fed full E-type candidate sets are rejected by type
     for tag in ("E6", "E7"):
         s = rs.parse_type(tag)
         theta = s.simple_roots[0] + 2 * s.simple_roots[2]
         d = ct.contact_datum(s, theta)
-        v = md.tilde_Re_type(d, frozenset(d.Rprime))
+        v = md.tilde_Re_type(md.dual_pairs(d), frozenset(d.Rprime))
         assert not v.accepted
 
     # painted-graph eliminations with the named witness roots

@@ -8,6 +8,7 @@ from crlie import rootsys as rs
 from crlie.classify import simple_types
 from crlie.linalg import SpanSolver
 from crlie.scalars import Gauss, Poly
+from test_crstruct import form_row
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D3", "D4",
              "G2", "F4"]
@@ -178,7 +179,7 @@ def _form_basis(s):
 
 def _form(x, y):
     """<x, y> from x's form row and y's coordinates."""
-    row, n = x.form_row(), len(x.system.roots)
+    row, n = form_row(x), len(x.system.roots)
     coords = [*y.e.items(), *((n + k, c) for k, c in y.h.items())]
     return sum((row[c] * v for c, v in coords if c in row), Gauss(0))
 
@@ -187,9 +188,9 @@ def _form(x, y):
 def test_invariant_form_on_basis_triples(tag):
     s = rs.parse_type(tag)
     basis = _form_basis(s)
-    rows = [x.form_row() for x in basis]
+    rows = [form_row(x) for x in basis]
     br = [[x.bracket(y) for y in basis] for x in basis]
-    br_rows = [[b.form_row() for b in bs] for bs in br]
+    br_rows = [[form_row(b) for b in bs] for bs in br]
     for i, j, k in itertools.product(range(len(basis)), repeat=3):
         # <[x_i, x_j], x_k> against <x_i, [x_j, x_k]>
         lhs = br_rows[i][j].get(k, 0)

@@ -293,6 +293,31 @@ def test_check_m10_bad_spec_part(spec, named, capsys):
     assert named in err and "invalid --m10 spec" in err
 
 
+@pytest.mark.parametrize("spec", [
+    # su2 on the R_o root e2 - e3
+    {"su2": ["0,1,-1,0", "t"], "rj_plus": ["1,-1,0,0", "1,0,-1,0", "0,1,0,-1", "0,0,1,-1"]},
+    # the same root inside rj_plus
+    {"rj_plus": ["0,1,-1,0", "1,-1,0,0", "1,0,-1,0", "0,1,0,-1", "0,0,1,-1"]},
+])
+def test_check_m10_root_outside_rprime(spec, capsys):
+    # m10 lies in m^C, so a line root of R_o is refused, not a KeyError
+    rc = run(["check", "--type", "A3", "--theta=1,0,0,-1", "--m10", json.dumps(spec)])
+    assert rc == 64
+    err = _one_line_error(capsys)
+    assert "invalid --m10 spec" in err and "e2-e3" in err and "R_o" in err
+
+
+def test_main_reuses_its_parser(capsys):
+    # one parser per process, and a bad command line still exits 64 after reuse
+    assert run(["roots", "--type", "A1"]) == 0
+    assert cli._parser() is cli._parser()
+    with pytest.raises(SystemExit) as e:
+        run(["roots"])
+    assert e.value.code == 64
+    capsys.readouterr()
+    assert run(["roots", "--type", "A1"]) == 0
+
+
 def test_check_m10_not_an_object(capsys):
     rc = run(["check", "--type", "A2", "--theta=1,0,-1", "--m10", "[1]"])
     assert rc == 64

@@ -144,6 +144,24 @@ def test_weights_grade_the_roots(tag, theta):
                 assert x == 0
 
 
+@pytest.mark.parametrize("tag,theta", _golden_forms(6))
+def test_weight_codes_tell_the_weights_apart(tag, theta):
+    """ContactDatum.weight_codes codes each weight by one int: every sum of
+    at most two weights of g (zero included) gets the code of the sum, and
+    two such sums share a code only when they are equal."""
+    system = parse_type(tag)
+    datum = contact_datum(system, system.vector(theta.split(",")))
+    w, code = datum.weights, datum.weight_codes
+    pool = {(0,) * system.rank: 0}
+    pool.update(zip(w, code))
+    sums = {}
+    for a, ca in pool.items():
+        for b, cb in pool.items():
+            assert sums.setdefault(tuple(map(add, a, b)), ca + cb) == ca + cb
+    assert len(set(sums.values())) == len(sums)
+    assert set(datum.weight_blocks) == set(code) | {0}
+
+
 def _decompose_reference(datum) -> list[tuple[int, frozenset[int]]]:
     """(highest weight, weights) of each module: the components of R' under
     the strings of every root of R_o, each with the one root that no

@@ -228,7 +228,7 @@ def test_bracket_closure_at_samples():
         vals = vals_for(h, T_HALF) if h.parameters() else {}
         sysm = h.datum.system
         basis = cs.evaluate_basis(h, vals)
-        lbasis = cs._l_complex_basis(h.datum)
+        lbasis = l_complex_basis(h.datum)
         rows = cs._coordinate_rows(sysm, basis + lbasis)
         solver = SpanSolver(rows)
         for a in basis:
@@ -426,7 +426,7 @@ def _brute_normalizer_excess(h, values):
 
     sysm = h.datum.system
     m01 = [v.conjugate() for v in cs.evaluate_basis(h, values)]
-    wbasis = cs._l_complex_basis(h.datum) + m01
+    wbasis = l_complex_basis(h.datum) + m01
     wspan = SpanSolver(cs._coordinate_rows(sysm, wbasis))
     gens = [LieElement.root_vector(sysm, r) for r in sysm.roots]
     gens += [LieElement.cartan(sysm, a) for a in sysm.simple_roots]
@@ -665,47 +665,134 @@ def test_integrability_matches_full_pair_reference():
         assert cs.check_integrability(h).generators == _full_pair_integrability(h), h.label
 
 
-def _dims_stop_normalizer_excess(h, values):
-    """Reference for the l-bound stop: normalizer_excess with every block
-    stopped only at its full rank dim g_rho, whatever l_stable says."""
-    from crlie.linalg import Echelon, nullspace_gauss
+def form_row(x):
+    """The sparse covector of <x, .> for the invariant form, on the
+    coordinate columns of cs._coordinate_rows: root i is column i,
+    simple-root Cartan coordinate k column |R| + k.
+
+    <E_a, E_-a> = 2/(a, a) and <H(u), H(v)> = (u, v); every other pair
+    of basis elements pairs to 0.  With [E_a, E_-a] = H(2a/(a, a)) and
+    the cyclic identity of the constants this form is invariant,
+    <[x, y], z> = <x, [y, z]>, and nondegenerate (tests/test_chevalley.py).
+    """
+    sysm = x.system
+    n = len(sysm.roots)
+    row = {sysm.neg_index[i]: c * (Q(2) / sysm.norm2(i)) for i, c in x.e.items()}
+    for k, g in enumerate(sysm.gram):
+        val = sum(c * g[j] for j, c in x.h.items() if g[j])
+        if val:
+            row[n + k] = val
+    return row
+
+
+def l_complex_basis(datum):
+    """E_d for the roots d of R_o, then H(v) for the basis of t'."""
+    from crlie.chevalley import LieElement
+
+    sysm = datum.system
+    out = [LieElement.root_vector(sysm, sysm.roots[i]) for i in sorted(datum.Ro.members)]
+    out.extend(LieElement.cartan(sysm, v) for v in datum.theta_perp_cartan)
+    return out
+
+
+def _weight(datum, el):
+    """The weight code of a homogeneous element (the Cartan has weight 0),
+    None for an inhomogeneous one."""
+    ws = {datum.weight_codes[i] for i in el.e}
+    if el.h:
+        ws.add(0)
+    return ws.pop() if len(ws) == 1 else None
+
+
+def _reference_w_and_perp(h, values):
+    """Reference for crstruct._graded_w_and_perp: the elements of
+    W = l^C + m01 bucketed by their weight, and W'_tau as the kernel
+    inside g_tau of the form rows of W_-tau, by one solve per weight."""
+    from crlie.chevalley import LieElement
+    from crlie.linalg import nullspace_gauss
     from crlie.scalars import ONE, ZERO
 
     datum = h.datum
     sysm = datum.system
     n = len(sysm.roots)
-    zero = (0,) * sysm.rank
     wblocks = {}
-    for w in cs._l_complex_basis(datum) + [v.conjugate() for v in cs.evaluate_basis(h, values)]:
-        wblocks.setdefault(cs._weight(datum, w), []).append(w)
-    dims, perp = {}, {}
+    for w in l_complex_basis(datum) + [v.conjugate() for v in cs.evaluate_basis(h, values)]:
+        tau = _weight(datum, w)
+        if tau is None:
+            raise cs.StructError("l^C + m01 has an element of mixed theta-transverse weight")
+        wblocks.setdefault(tau, []).append(w)
+    perp = {}
     for tau, roots in datum.weight_blocks.items():
-        cols = list(roots) + ([n + k for k in range(sysm.rank)] if tau == zero else [])
-        dims[tau] = len(cols)
+        cols = list(roots) + ([n + k for k in range(sysm.rank)] if tau == 0 else [])
         at = {c: j for j, c in enumerate(cols)}
-        rows = [{at[c]: x for c, x in w.form_row().items()} for w in wblocks.get(cs._neg(tau), ())]
-        perp[tau] = [cs._element(sysm, {cols[j]: x for j, x in enumerate(v) if x})
-                     for v in nullspace_gauss(rows, len(cols), ZERO, ONE)]
+        rows = [{at[c]: x for c, x in form_row(w).items()} for w in wblocks.get(-tau, ())]
+        kernel = nullspace_gauss(rows, len(cols), ZERO, ONE)
+        if kernel:
+            perp[tau] = [LieElement(sysm, {cols[j]: x for j, x in enumerate(v) if cols[j] < n},
+                                    {cols[j] - n: x for j, x in enumerate(v) if cols[j] >= n})
+                         for v in kernel]
+    return wblocks, perp
+
+
+def _dims_stop_normalizer_excess(h, values):
+    """Reference for the l-bound stop and the line-built W': the
+    normalizer excess from the reference W and W' (_reference_w_and_perp),
+    every block stopped only at its full rank dim g_rho, whatever l_stable
+    says."""
+    from crlie.linalg import Echelon
+
+    datum = h.datum
+    sysm = datum.system
+    n = len(sysm.roots)
+    wblocks, perp = _reference_w_and_perp(h, values)
+    dims = {tau: len(roots) + (sysm.rank if tau == 0 else 0)
+            for tau, roots in datum.weight_blocks.items()}
     blocks = {}
     for sigma, ws in wblocks.items():
         for tau, us in perp.items():
-            rho = tuple(a + b for a, b in zip(sigma, tau))
+            rho = sigma + tau
             if rho not in dims:
                 continue
-            nrho = cs._neg(rho)
-            ech = blocks.setdefault(max(rho, nrho), Echelon())
+            key = max(rho, -rho)
+            ech = blocks.setdefault(key, Echelon())
             for w in ws:
                 for u in us:
-                    if len(ech.rows) == dims[max(rho, nrho)]:
+                    if len(ech.rows) == dims[key]:
                         break
                     row = cs._coordinate_rows(sysm, [w.bracket(u)])[0]
-                    if rho >= nrho:
+                    if rho >= 0:
                         ech.add(row)
-                    if rho <= nrho:
+                    if rho <= 0:
                         ech.add({sysm.neg_index[c] if c < n else c: -x.conj()
                                  for c, x in row.items()})
-    rank = sum(len(e.rows) * (1 if tau == zero else 2) for tau, e in blocks.items())
+    rank = sum(len(e.rows) * (1 if tau == 0 else 2) for tau, e in blocks.items())
     return n + sysm.rank - rank - len(datum.Ro.members) - len(datum.theta_perp_cartan)
+
+
+def _assert_line_built_perp(h, values):
+    """The line-built W' of crstruct._graded_w_and_perp is annihilated by
+    W under the form, is independent and has dimension dim g - dim W, and
+    W is the reference's, weight by weight."""
+    from crlie.linalg import SpanSolver
+
+    sysm = h.datum.system
+    n = len(sysm.roots)
+    wblocks, perp = cs._graded_w_and_perp(h, values)
+    ref_w, _ = _reference_w_and_perp(h, values)
+    assert wblocks.keys() == ref_w.keys(), h.label
+    for tau, ws in wblocks.items():
+        assert len(ws) == len(ref_w[tau]), h.label
+        assert SpanSolver(cs._coordinate_rows(sysm, ws + ref_w[tau])).dim() == len(ws), h.label
+    w_all = [w for ws in wblocks.values() for w in ws]
+    u_all = [u for us in perp.values() for u in us]
+    for w in w_all:
+        row = form_row(w)
+        for u in u_all:
+            coords = [*u.e.items(), *((n + k, c) for k, c in u.h.items())]
+            assert not sum((row[c] * x for c, x in coords if c in row), Gauss(0)), h.label
+    dim_w = SpanSolver(cs._coordinate_rows(sysm, w_all)).dim()
+    assert SpanSolver(cs._coordinate_rows(sysm, u_all)).dim() == len(u_all) \
+        == n + sysm.rank - dim_w, h.label
 
 
 def _weight_pair_integrability(h):
@@ -721,12 +808,11 @@ def _weight_pair_integrability(h):
             gens.setdefault(p.key(), p)
 
     ro = frozenset(h.datum.Ro.members)
-    weights = [cs._weight(h.datum, v) for v in basis]
+    weights = [_weight(h.datum, v) for v in basis]
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
             wa, wb = weights[a], weights[b]
-            if (wa is not None and wb is not None
-                    and tuple(x + y for x, y in zip(wa, wb)) not in h.datum.weight_blocks):
+            if wa is not None and wb is not None and wa + wb not in h.datum.weight_blocks:
                 continue
             br = basis[a].bracket(basis[b])
             res = dict(br.e)
@@ -766,9 +852,9 @@ SUM_FORM_TYPES += [(t, False) for t in ("A3", "A4", "A5", "B3", "C3", "D4")]
 
 @pytest.mark.parametrize("tag,dominant", SUM_FORM_TYPES)
 def test_pruned_brackets_match_unpruned_references(tag, dominant):
-    # the l-bound stop and the absorbed-block skip change no result; the
-    # certificate is true where it is given, and a negative excess, which
-    # an l-stable W cannot have, comes only without it
+    # the l-bound stop, the absorbed-block skip and the line-built W' change
+    # no result; the certificate is true where it is given, and a negative
+    # excess, which an l-stable W cannot have, comes only without it
     from crlie.chevalley import LieElement
     from crlie.linalg import SpanSolver
 
@@ -783,6 +869,7 @@ def test_pruned_brackets_match_unpruned_references(tag, dominant):
                 exc = cs.normalizer_excess(h, vals)
                 assert exc == _dims_stop_normalizer_excess(h, vals), (h.label, theta.c)
                 assert exc >= 0 or not h.l_stable, (h.label, theta.c)
+                _assert_line_built_perp(h, vals)
             if not h.l_stable:
                 unstable += 1
                 continue
@@ -795,6 +882,30 @@ def test_pruned_brackets_match_unpruned_references(tag, dominant):
                     assert solver.contains(cs._coordinate_rows(sysm, [ed.bracket(v)])[0]), h.label
     # no a +- b form of A2+A2 is classified, so it has no structures
     assert stable > 0 or tag == "A2+A2"
+
+
+def test_line_built_normalizer_on_readme_subspace():
+    h = _readme_subspace()
+    for j in (0, 1):
+        vals = classify._sample_values(h, j)
+        assert cs.normalizer_excess(h, vals) == _dims_stop_normalizer_excess(h, vals)
+        _assert_line_built_perp(h, vals)
+
+
+def test_line_across_two_weights():
+    # a line E_w + c E_w' whose roots differ in weight leaves W ungraded
+    # when c != 0 at the sample, and is E_w alone when c = 0
+    from crlie.cli import build_subspace
+
+    a2 = rs.build("A2")
+    h = build_subspace(ct.contact_datum(a2, a2.vector([1, 0, -1])),
+                       {"su2": ["1,-1,0", "t"], "rj_plus": ["1,0,-1", "0,1,-1"]})
+    for excess in (cs.normalizer_excess, _dims_stop_normalizer_excess):
+        with pytest.raises(cs.StructError, match="mixed"):
+            excess(h, {"t": T_HALF})
+    zero = {"t": Gauss(0)}
+    assert cs.normalizer_excess(h, zero) == _dims_stop_normalizer_excess(h, zero)
+    _assert_line_built_perp(h, zero)
 
 
 def test_negative_excess_has_no_l_certificate():

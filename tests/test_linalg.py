@@ -17,6 +17,7 @@ import pytest
 
 from crlie.linalg import Row, SpanSolver, nullspace, nullspace_gauss, rref
 from crlie.scalars import Gauss
+from test_crstruct import form_row, l_complex_basis
 
 Q = Fraction
 
@@ -274,9 +275,9 @@ def _form_bracket_rows(h, vals):
 
     system = h.datum.system
     n = len(system.roots)
-    wbasis = cs._l_complex_basis(h.datum) + [v.conjugate() for v in cs.evaluate_basis(h, vals)]
+    wbasis = l_complex_basis(h.datum) + [v.conjugate() for v in cs.evaluate_basis(h, vals)]
     perp = [LieElement(system, dict(enumerate(v[:n])), dict(enumerate(v[n:])))
-            for v in nullspace_gauss([w.form_row() for w in wbasis], n + system.rank, ZERO, ONE)]
+            for v in nullspace_gauss([form_row(w) for w in wbasis], n + system.rank, ZERO, ONE)]
     brackets = [b for w in wbasis for u in perp if not (b := w.bracket(u)).is_zero()]
     return (cs._coordinate_rows(system, brackets),
             cs._coordinate_rows(system, [b.conjugate() for b in brackets]))

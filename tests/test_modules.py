@@ -230,16 +230,16 @@ def test_dual_pair_shape():
 def test_tilde_re_accepts_d_and_b3():
     d = datum("D5", [1, 0, 0, 0, 0])
     cd = md.dual_pairs(d)
-    v = md.tilde_Re_type(d, cd.paired_roots)
+    v = md.tilde_Re_type(cd, cd.paired_roots)
     assert v.accepted and v.re_type == "D5" and v.theta_form == "double-weight"
     d = datum("B3", [1, 1, 1])
     cd = md.dual_pairs(d)
-    v = md.tilde_Re_type(d, cd.paired_roots)
+    v = md.tilde_Re_type(cd, cd.paired_roots)
     assert v.accepted and v.re_type == "B3" and v.theta_form == "sum-of-three"
     prod = rs.build_product([("A", 1), ("A", 1)])
     dp = ct.contact_datum(prod, prod.vector([1, -1, -1, 1]))
     cd = md.dual_pairs(dp)
-    v = md.tilde_Re_type(dp, cd.paired_roots)
+    v = md.tilde_Re_type(cd, cd.paired_roots)
     assert v.accepted and v.re_type == "A1+A1"
 
 
@@ -248,19 +248,19 @@ def test_tilde_re_rejects_c_series():
     for tag in ("C4", "C5", "C6"):
         d = datum(tag, [1, 1, 1, 1] + [0] * (int(tag[1]) - 4))
         cd = md.dual_pairs(d)
-        v = md.tilde_Re_type(d, cd.paired_roots)
+        v = md.tilde_Re_type(cd, cd.paired_roots)
         assert not v.accepted
     # candidate pair (e1+e2, -2e3): the paired set is not string closed
     d = datum("C4", [1, 1, 2, 0])
     cd = md.dual_pairs(d)
-    v = md.tilde_Re_type(d, cd.paired_roots)
+    v = md.tilde_Re_type(cd, cd.paired_roots)
     assert not v.accepted
 
 
 def test_tilde_re_rejects_f4():
     d = datum("F4", [1, 1, 1, 0])
     cd = md.dual_pairs(d)
-    v = md.tilde_Re_type(d, cd.paired_roots)
+    v = md.tilde_Re_type(cd, cd.paired_roots)
     assert not v.accepted
     # non-orthogonal half-root pairs are part of the obstruction
     s = d.system
@@ -275,7 +275,7 @@ def test_tilde_re_rejects_e_type_wholesale():
     e6 = rs.build("E6")
     d = ct.contact_datum(e6, e6.vector([1, -1, 0, 0, 0, 0, 1]))
     all_roots = frozenset(range(len(e6.roots)))
-    v = md.tilde_Re_type(d, frozenset(d.Rprime))
+    v = md.tilde_Re_type(md.dual_pairs(d), frozenset(d.Rprime))
     assert not v.accepted
 
 
@@ -300,7 +300,7 @@ def test_e_series_candidates_never_close_to_e_type():
         cd = md.dual_pairs(d)
         vecs = [d.system.roots[i].canon() for i in cd.paired_roots]
         assert SpanSolver(vecs).dim() == expected_dim
-        v = md.tilde_Re_type(d, cd.paired_roots)
+        v = md.tilde_Re_type(cd, cd.paired_roots)
         assert v.accepted is accepted
         assert v.re_type == re_type
 
