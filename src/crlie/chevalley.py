@@ -165,10 +165,6 @@ class LieElement:
     # -- constructors -----------------------------------------------------------
 
     @staticmethod
-    def zero(system: RootSystem) -> "LieElement":
-        return LieElement(system)
-
-    @staticmethod
     def root_vector(system: RootSystem, alpha: RootVector, coeff=1) -> "LieElement":
         i = system.root_index(alpha)
         if i is None:

@@ -198,22 +198,22 @@ def special_rows(max_rank: int = DEFAULT_MAX_RANK) -> list[dict]:
     rows = []
     for t, r in simple_types(max_rank):
         system = build(t, r)
-        for rec in classify_special(system):
+        for datum, length in classify_special(system):
             manifold = (
                 "SU2"
                 if (t, r) == ("A", 1)
                 else f"{naming.group_name(t, r)}/"
-                + naming.subgroup_name(system, rec.stabilizer, corank_drop=1)
+                + naming.subgroup_name(system, datum.Ro, corank_drop=1)
             )
             rows.append(
                 {
                     "type": t,
                     "rank": str(r),
                     "G": naming.group_name(t, r),
-                    "alpha": format_vector(rec.alpha),
-                    "theta_canon": canon_str(rec.alpha),
-                    "length": rec.length,
-                    "stabilizer": rec.stabilizer_type(),
+                    "alpha": format_vector(datum.theta),
+                    "theta_canon": canon_str(datum.theta),
+                    "length": length,
+                    "stabilizer": datum.Ro.type_str(),
                     "M": manifold,
                 }
             )
@@ -314,7 +314,7 @@ def _primitive_rows_for(system: RootSystem, ttag, rank) -> list[dict]:
 def _primitive_candidates(system: RootSystem):
     """The dominant root of each length of a simple system, then the pair
     candidates, one per canonical form."""
-    reps = _length_representatives(system)
+    reps = list(system.length_representatives.values())
     if system.is_simple:
         yield from reps
     seen: set[str] = set()
@@ -323,16 +323,6 @@ def _primitive_candidates(system: RootSystem):
         if key not in seen:
             seen.add(key)
             yield cand
-
-
-def _length_representatives(system: RootSystem) -> list[RootVector]:
-    """The dominant root of each length class, in order of first appearance."""
-    reps: dict = {}
-    for i, r in enumerate(system.roots):
-        n = system.norm2(i)
-        if n not in reps:
-            reps[n] = system.dominant(r)
-    return list(reps.values())
 
 
 def _pair_candidates(system: RootSystem, reps: list[RootVector]) -> list[RootVector]:
@@ -370,8 +360,10 @@ def classify_datum(datum: ContactDatum) -> Families:
     sys = datum.system
     along = sys.root_along(datum.theta) if sys.is_simple else None
     if along is not None:
-        root_datum = contact_datum(sys, sys.dominant(sys.roots[along]))
-        if sys.norm2(along) == max(sys.norm2(i) for i in range(len(sys.roots))):
+        # the roots of one length form one Weyl orbit
+        reps = sys.length_representatives
+        root_datum = contact_datum(sys, reps[sys.norm2(along)])
+        if sys.norm2(along) == max(reps):
             return special_su_families(root_datum)
         return short_root_families(root_datum)
     try:

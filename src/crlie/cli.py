@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -168,24 +169,29 @@ def cmd_classify(args) -> int:
     return _golden_diff(report, fixture, keys, lambda r: int(r["rank"]) <= max_rank)
 
 
+# a factor of an --m10 coefficient: an integer, or a twist name with an
+# optional positive exponent
+_INT = re.compile(r"-?[0-9]+")
+_POWER = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\s*\^\s*([1-9][0-9]*))?")
+
+
 def _parse_coeff(s) -> Poly:
     if not isinstance(s, str):
         raise UsageError(f"invalid --m10 coefficient {s!r}: expected a string")
     out = Poly.const(1)
     for factor in s.split("*"):
         factor = factor.strip()
-        if not factor:
-            continue
         if factor.split("^")[0].strip().endswith("~"):
             # x~ takes its value from x, so a coefficient naming x~ alone is never sampled
             raise UsageError(f"invalid --m10 coefficient {s!r}: name the twist, not its conjugate")
-        if "^" in factor:
-            v, e = factor.split("^")
-            out = out * Poly.var(v.strip(), int(e))
-        elif factor.lstrip("-").isdigit():
+        power = _POWER.fullmatch(factor)
+        if _INT.fullmatch(factor):
             out = out.scale(int(factor))
+        elif power:
+            out = out * Poly.var(power[1], int(power[2] or 1))
         else:
-            out = out * Poly.var(factor)
+            raise UsageError(f"invalid --m10 coefficient {s!r}: factor {factor!r} is neither "
+                             "an integer nor a name with an optional positive exponent ^k")
     return out
 
 

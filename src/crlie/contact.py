@@ -29,9 +29,9 @@ class ContactDatum:
     """A homogeneous contact manifold, as root data.
 
     The tables derived from it (its modules, the theta-transverse weights
-    that grade g and its theta-congruence classes, the theta-orthogonal
-    Cartan, a basis of l^C and its twist propagations) are built on first
-    use and live as long as the datum does.
+    that grade g and its theta-congruence classes, t' and the center of l,
+    a basis of l^C and its twist propagations) are built on first use and
+    live as long as the datum does.
     """
 
     system: RootSystem
@@ -39,24 +39,12 @@ class ContactDatum:
     Ro: Subsystem
     Rprime: frozenset[int]
 
-    @property
-    def ro_positive(self) -> list[int]:
-        return [i for i in self.Ro.members if self.system.positive[i]]
-
     @cached_property
     def ro_generators(self) -> tuple[int, ...]:
-        """The simple roots of R_o, then their negatives: the E_d that
-        generate the semisimple part of l^C.
-
-        R_o's positive roots are those of R in it, and its simple roots are
-        the positive ones that are no sum of two positive ones (Humphreys
-        10.1)."""
-        sys = self.system
-        pos = self.ro_positive
-        pos_set = frozenset(pos)
-        simple = [i for i in sorted(pos)
-                  if not any(sys.sum_index(i, sys.neg_index[j]) in pos_set for j in pos)]
-        return tuple(simple) + tuple(sys.neg_index[i] for i in simple)
+        """The simple roots of R_o (Subsystem.simple), then their negatives:
+        the E_d that generate the semisimple part of l^C."""
+        simple = self.Ro.simple
+        return simple + tuple(self.system.neg_index[i] for i in simple)
 
     @cached_property
     def modules(self) -> dict:
@@ -132,21 +120,27 @@ class ContactDatum:
         return tuple(RootVector(self.system, v) for v in nullspace([cov], self.system.rank))
 
     @cached_property
-    def congruence_classes(self) -> tuple[tuple[int, ...], ...]:
-        """R' partitioned into theta-congruence classes, roots that differ
-        by a multiple of theta, in the order of their least roots.
-
-        Two roots share a class exactly when their components transverse
-        to theta agree, that is when they have the same weight."""
-        buckets: dict[tuple[int, ...], list[int]] = {}
-        for i in sorted(self.Rprime):
-            buckets.setdefault(self.weights[i], []).append(i)
-        return tuple(tuple(b) for b in buckets.values())
+    def center(self) -> tuple[RootVector, ...]:
+        """Rational basis of the center of l in the Cartan: the vectors of
+        t' orthogonal to R_o, the nullspace of the covectors of theta and
+        of R_o's simple roots, which span R_o."""
+        sys = self.system
+        rows = [[Q(x) for x in v.covector()]
+                for v in (self.theta, *(sys.roots[i] for i in self.Ro.simple))]
+        return tuple(RootVector(sys, v) for v in nullspace(rows, sys.rank))
 
     @cached_property
     def class_of(self) -> dict[int, tuple[int, ...]]:
-        """The theta-congruence class of each root of R'."""
-        return {i: c for c in self.congruence_classes for i in c}
+        """The theta-congruence class of each root of R', the roots of R'
+        that differ from it by a multiple of theta, in index order.
+
+        Two roots differ by a multiple of theta exactly when they have the
+        same weight, so a class is the R' part of a weight block."""
+        out = {}
+        for block in self.weight_blocks.values():
+            c = tuple(i for i in block if i in self.Rprime)
+            out.update((i, c) for i in c)
+        return out
 
     @cached_property
     def propagations(self) -> dict:
@@ -173,58 +167,19 @@ def grade_by_highest_root(system: RootSystem) -> ContactDatum:
     return contact_datum(system, system.highest_root())
 
 
-def special_roots(system: RootSystem) -> list[RootVector]:
-    """Weyl-orbit representatives of roots whose orthogonal complement
-    contains no root beta with alpha +- beta again a root."""
+def classify_special(system: RootSystem) -> list[tuple[ContactDatum, str]]:
+    """The special contact manifolds of a simple system, long root first:
+    (datum, "long" or "short") for each special dominant root alpha
+    (RootSystem.length_representatives).  alpha is special when every root
+    of R_o is strongly orthogonal to it; R_o is then exactly the root set
+    of the centralizer of alpha's three-dimensional subalgebra."""
     if not system.is_simple:
         raise ContactError("special roots are classified for simple systems")
-    reps: dict[Q, RootVector] = {}
-    ok: dict[Q, bool] = {}
-    for i, alpha in enumerate(system.roots):
-        n = system.norm2(i)
-        if n in ok:
-            continue
-        good = True
-        for j, beta in enumerate(system.roots):
-            if system.inner(alpha, beta) == 0 and not system.strongly_orthogonal(i, j):
-                good = False
-                break
-        ok[n] = good
-        if good:
-            reps[n] = system.dominant(alpha)
-    return [reps[n] for n in sorted(reps, reverse=True)]
-
-
-def root_subalgebra_centralizer(system: RootSystem, alpha: RootVector) -> Subsystem:
-    """Roots of the centralizer of the three-dimensional subalgebra of alpha:
-    beta orthogonal to alpha with alpha +- beta not a root."""
-    i = system.root_index(alpha)
-    if i is None:
-        raise ContactError("centralizer of a non-root")
-    members = (j for j in range(len(system.roots)) if system.strongly_orthogonal(i, j))
-    return Subsystem(system, frozenset(members))
-
-
-@dataclass(frozen=True)
-class SpecialContactRow:
-    """One special contact manifold G/L with its defining root."""
-
-    system: RootSystem
-    alpha: RootVector
-    length: str  # "long" or "short"
-    stabilizer: Subsystem
-
-    def stabilizer_type(self) -> str:
-        return self.stabilizer.type_str()
-
-
-def classify_special(system: RootSystem) -> list[SpecialContactRow]:
-    rows = []
-    norms = sorted({system.norm2(i) for i in range(len(system.roots))})
-    for alpha in special_roots(system):
-        n = system.inner(alpha, alpha)
-        length = "long" if n == norms[-1] else "short"
-        rows.append(
-            SpecialContactRow(system, alpha, length, root_subalgebra_centralizer(system, alpha))
-        )
-    return rows
+    reps = system.length_representatives
+    out = []
+    for n in sorted(reps, reverse=True):
+        datum = contact_datum(system, reps[n])
+        i = system.root_index(datum.theta)
+        if all(system.strongly_orthogonal(i, j) for j in datum.Ro.members):
+            out.append((datum, "long" if n == max(reps) else "short"))
+    return out

@@ -34,8 +34,8 @@ from typing import Iterable, Mapping, Optional
 
 from .chevalley import LieElement
 from .contact import ContactDatum
-from .linalg import Echelon, Row, nullspace
-from .rootsys import RootSystem, RootVector, Subsystem, format_vector
+from .linalg import Echelon, Row
+from .rootsys import RootSystem, Subsystem, format_vector
 from .scalars import ONE, ZERO, Gauss, P_ZERO, Poly, as_poly, conj_var
 
 Q = Fraction
@@ -727,7 +727,6 @@ def _rotated_s1_witness(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> 
     x = next(
         v for v in basis if h.su2.root in v.e and sys.neg_index[h.su2.root] in v.e
     )
-    zdirs = _central_directions(datum)
     constraints: list[tuple[Q, Q]] = []
     covered: set[tuple[frozenset[int], int]] = set()
     for v in basis:
@@ -741,13 +740,11 @@ def _rotated_s1_witness(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> 
             block = support | set(br.e)
             for sgn in (1, -1):
                 covered.add((frozenset(block), sgn))
-                zeta = _zeta_value(sys, zdirs, min(support))
-                constraints.append((zeta, Q(sgn)))
+                constraints.append((_zeta_value(datum, min(support)), Q(sgn)))
         else:
             lam = _eigen_sign(sys, x, v)
             covered.add((support, lam))
-            zeta = _zeta_value(sys, zdirs, min(support))
-            constraints.append((zeta, Q(lam)))
+            constraints.append((_zeta_value(datum, min(support)), Q(lam)))
     # forced symmetric pair: a covered eigenline whose negative is covered
     for block, sgn in covered:
         negblock = frozenset(sys.neg_index[i] for i in block)
@@ -759,20 +756,12 @@ def _rotated_s1_witness(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> 
     return ParabolicWitness(frozenset(datum.Ro.members), 1, "S1")
 
 
-def _central_directions(datum: ContactDatum) -> list[RootVector]:
-    """Basis of the stabilizer center inside the Cartan: orthogonal to R_o
-    and to theta, within the root span."""
-    sys = datum.system
-    constraints: list[RootVector] = [datum.theta]
-    constraints.extend(sys.roots[i] for i in datum.Ro.members)
-    rows = [[Q(x) for x in c.covector()] for c in constraints]
-    return [RootVector(sys, coeffs) for coeffs in nullspace(rows, sys.rank)]
-
-
-def _zeta_value(sys: RootSystem, zdirs: list[RootVector], root_idx: int) -> Q:
-    if not zdirs:
+def _zeta_value(datum: ContactDatum, root_idx: int) -> Q:
+    """The pairing of a root with the center of l, which is one direction or
+    none wherever an su2 line stands (theta parallel to a root)."""
+    if not datum.center:
         return Q(0)
-    return sys.inner(sys.roots[root_idx], zdirs[0])
+    return datum.system.inner(datum.system.roots[root_idx], datum.center[0])
 
 
 def _eigen_sign(sys: RootSystem, x: LieElement, v: LieElement) -> int:

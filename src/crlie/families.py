@@ -134,7 +134,7 @@ def special_su_families(datum: ContactDatum) -> Families:
     line plus the two half-level components; the twisted line J_t fibers,
     the doubly twisted J0_t is primitive."""
     system = datum.system
-    if system.components[0][0] != "A":
+    if system.dynkin_type[0][0] != "A":
         return _standard_family(datum, "special")
     mu_idx = system.root_index(datum.theta)
     t = Poly.var("t")
@@ -185,7 +185,7 @@ def short_root_families(datum: ContactDatum) -> Families:
     structure and a primitive disc family, on G2 the standard structure
     alone."""
     system = datum.system
-    kind = system.components[0][0]
+    kind = system.dynkin_type[0][0]
     if kind == "G":
         return _standard_family(datum, "g2-short")
     family = {"B": 4, "C": 7, "F": 3}[kind]

@@ -11,7 +11,6 @@ generated by the paired roots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .contact import ContactDatum
 from .rootsys import Subsystem
@@ -105,7 +104,7 @@ def dual_pairs(datum: ContactDatum) -> CongruenceDatum:
     some root has two or more partners, which happens exactly in the
     excluded case of a G2 contact form proportional to a short root.
     """
-    classes = datum.congruence_classes
+    classes = set(datum.class_of.values())
     if any(len(group) > 2 for group in classes):
         raise CongruenceError(
             "a root has multiple theta-congruent partners "
@@ -122,7 +121,6 @@ class ReVerdict:
     accepted: bool
     reason: str
     re_type: str
-    theta_form: str = ""
 
 
 def tilde_Re_type(cd: CongruenceDatum, re_roots: frozenset[int]) -> ReVerdict:
@@ -159,27 +157,21 @@ def tilde_Re_type(cd: CongruenceDatum, re_roots: frozenset[int]) -> ReVerdict:
         ok = comps == [("A", 1), ("A", 1)]
     if not ok:
         return ReVerdict(False, f"type {tstr} is not D-series or B3", tstr)
-    form = _theta_form(datum, closure, comps)
-    if form is None:
+    if not _theta_form(datum, closure, comps):
         return ReVerdict(False, "contact form does not match the canonical shape", tstr)
-    return ReVerdict(True, "ok", tstr, form)
+    return ReVerdict(True, "ok", tstr)
 
 
-def _theta_form(datum: ContactDatum, closure: Subsystem, comps) -> Optional[str]:
-    """Canonical contact-form tag for an accepted candidate subsystem."""
-    sys = datum.system
-    theta = datum.theta
-    tilde_ro = [i for i in closure.members if i in datum.Ro.members]
-    inside = Subsystem(sys, frozenset(tilde_ro))
+def _theta_form(datum: ContactDatum, closure: Subsystem, comps) -> bool:
+    """Whether theta takes the canonical form on an accepted candidate
+    subsystem: alpha - alpha' across the two factors of A1+A1, the sum of
+    three on B3, twice a weight on the D series (triality variants
+    included), each read off the roots of R_o in the closure."""
+    tilde_ro = datum.Ro.members & closure.members
     if comps == [("A", 1), ("A", 1)]:
-        # theta = alpha - alpha' across the two A1 factors
-        return "difference-of-roots" if not tilde_ro else None
+        return not tilde_ro
     (t, r) = comps[0]
     want = {("A", 3): [("A", 1), ("A", 1)], ("B", 3): [("A", 2)]}.get(
         (t, r), [("D", r - 1)] if r >= 5 else [("A", 3)]
     )
-    if sorted(inside.classify()) != sorted(want):
-        return None
-    if (t, r) == ("B", 3):
-        return "sum-of-three"
-    return "double-weight"  # the 2*eps_1 shape, triality variants included
+    return Subsystem(datum.system, tilde_ro).classify() == want

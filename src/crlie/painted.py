@@ -230,7 +230,7 @@ def _cr_type(g: PaintedGraph, v: GraphVerdict) -> str:
         return "I"
     if v.shape == "split":
         return "II"
-    t = sys.components[0][0]
+    t = sys.dynkin_type[0][0]
     return {"A": "III", "D": "IV", "E": "V"}.get(t, "?")
 
 

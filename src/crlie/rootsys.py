@@ -352,15 +352,24 @@ class RootSystem:
             else:
                 return RootVector(self, c)
 
+    @cached_property
+    def length_representatives(self) -> dict[Q, RootVector]:
+        """The dominant root of each length, by squared length, in order of
+        first appearance; on a simple system the roots of one length are one
+        Weyl orbit (Humphreys 10.4, Lemma C) with one dominant member."""
+        reps: dict[Q, RootVector] = {}
+        for i, n in enumerate(self._norms):
+            if n not in reps:
+                reps[n] = self.dominant(self.roots[i])
+        return reps
+
     def highest_root(self) -> RootVector:
+        """The dominant long root: the highest root is dominant and long
+        (Humphreys 10.4, Lemmas A and C)."""
         if not self.is_simple:
             raise RootSystemError("highest root is defined for simple systems only")
-        best = max(range(len(self.roots)), key=lambda i: (self.height(i), self._norms[i]))
-        mu = self.roots[best]
-        for a in self.simple_roots:
-            if self.is_root(mu + a):
-                raise RootSystemError("height-maximal root is not highest")
-        return mu
+        reps = self.length_representatives
+        return reps[max(reps)]
 
     def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
         """C[i][j] = <alpha_i | alpha_j> = 2 (a_i, a_j) / (a_j, a_j)."""
@@ -371,6 +380,13 @@ class RootSystem:
         """Dynkin-graph neighbours of each simple node."""
         C = self._cartan
         return [{j for j in range(self.rank) if j != i and C[i][j]} for i in range(self.rank)]
+
+    @cached_property
+    def dynkin_type(self) -> list[tuple[str, int]]:
+        """The type of each factor read off its roots by the signature of
+        Subsystem.classify, sorted: B1 is A1, C2 is B2 and D3 is A3."""
+        return sorted(sub._classify_component(sub.members)
+                      for sub in map(self.node_span, self.component_nodes))
 
     @cached_property
     def constants(self):
@@ -438,7 +454,8 @@ class RootSystem:
         for w in (v, -v):
             d = self.dominant(w)
             for perm in self.diagram_automorphisms:
-                cand = scale_primitive(self.dominant(self.apply_node_map(perm, d)))
+                # a diagram symmetry keeps the Cartan matrix, so d's image is dominant
+                cand = scale_primitive(self.apply_node_map(perm, d))
                 key = cand.canon()
                 if best is None or key > best[0]:
                     best = (key, cand)
@@ -496,21 +513,29 @@ class Subsystem:
 
         B2 is used for the rank-2 BC system and A3 for D3.
         """
-        out = []
-        for comp in self.orthogonal_components():
-            out.append(self._classify_component(comp))
-        return sorted(out)
+        return sorted(map(self._classify_component, self.orthogonal_components()))
 
     def type_str(self) -> str:
         return "+".join(f"{t}{r}" for t, r in self.classify()) if self.members else "0"
 
+    @cached_property
+    def simple(self) -> tuple[int, ...]:
+        """The simple roots in index order: the positive roots that are no sum
+        of two of them (Humphreys 10.1).  Such a sum exceeds a lower simple
+        root by a positive root (10.2), so roots are tested by height against
+        the simple roots before them.  Each orthogonal component's base is
+        its share: a difference of roots of two components would join them."""
+        parent = self.parent
+        pos = frozenset(i for i in self.members if parent.positive[i])
+        simple: list[int] = []
+        for i in sorted(pos, key=parent.height):
+            if not any(parent.sum_index(i, parent.neg_index[j]) in pos for j in simple):
+                simple.append(i)
+        return tuple(sorted(simple))
+
     def _classify_component(self, comp: frozenset[int]) -> tuple[str, int]:
         parent = self.parent
-        # the component's positive roots that are no sum of two of them form
-        # its base (Humphreys 10.1), so their count is its rank
-        pos = frozenset(i for i in comp if parent.positive[i])
-        r = sum(1 for i in pos
-                if not any(parent.sum_index(i, parent.neg_index[j]) in pos for j in pos))
+        r = sum(1 for i in self.simple if i in comp)
         n = len(comp)
         norms = sorted({parent.norm2(i) for i in comp})
         if len(norms) > 2:

@@ -242,6 +242,8 @@ class Poly:
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "Poly":
+        if exp < 1:
+            raise ValueError(f"exponent of {name} must be positive, got {exp}")
         return Poly({((name, exp),): ONE})
 
     def __add__(self, other) -> "Poly":

@@ -23,11 +23,14 @@ KEPT_METHODS = {
 }
 
 
-def _names(node) -> set[str]:
-    """Identifiers read anywhere under node, as names or attributes."""
+def _names(node, attributes_only: bool = False) -> set[str]:
+    """Identifiers read anywhere under node, as attributes and, unless
+    attributes_only, as names.  A method is reached only through an
+    attribute (obj.name), so a parameter or a local of the same name is no
+    caller of it."""
     out = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and not attributes_only:
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
@@ -57,9 +60,9 @@ def _units():
 
 def _orphans(kind: int) -> list[str]:
     """Definitions whose qualified name has `kind` dots and whose name no
-    other unit reads."""
+    other unit reads; methods (two dots) count only attribute reads."""
     units = _units()
-    referenced = [_names(node) for _, _, node in units]
+    referenced = [_names(node, attributes_only=kind == 2) for _, _, node in units]
     return [
         qual
         for own, (qual, name, _) in enumerate(units)

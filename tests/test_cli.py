@@ -1,10 +1,13 @@
+import itertools
 import json
 import os
 
 import pytest
 
-from crlie import cli
+from crlie import classify, cli
 from crlie.report import Report
+from crlie.rootsys import parse_type
+from crlie.scalars import Poly
 
 
 def run(argv):
@@ -342,3 +345,79 @@ def test_out_to_a_missing_directory(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
     assert "--out" in captured.err
+
+
+@pytest.mark.parametrize("coeff,factor", [
+    ("t^-1", "t^-1"),
+    ("t^0", "t^0"),
+    ("-t", "-t"),
+    ("1/2*t", "1/2"),
+    ("2t", "2t"),
+    ("t**2", ""),
+])
+def test_check_m10_bad_coefficient_factor(coeff, factor, capsys):
+    # a factor is an integer or a name with an optional positive exponent;
+    # t^-1 once evaluated to 1, on the excluded locus |t| = 1
+    spec = {"su2": ["1,0,-1", coeff], "plains": ["1,-1,0", "0,1,-1"]}
+    rc = run(["check", "--type", "A2", "--theta=1,0,-1", "--m10", json.dumps(spec)])
+    assert rc == 64
+    assert f"factor {factor!r}" in _one_line_error(capsys)
+
+
+def test_m10_coefficient_grammar():
+    t, s = Poly.var("t"), Poly.var("s")
+    assert cli._parse_coeff("-2 * t^2*s") == (t * t * s).scale(-2)
+    assert cli._parse_coeff("t ^ 3") == t * t * t
+    assert cli._parse_coeff("0").is_zero()
+    with pytest.raises(ValueError):
+        Poly.var("t", 0)
+
+
+# isomorphic duplicates, each with the type it is isomorphic to
+ALIASES = (("B1", "A1"), ("C2", "B2"), ("D3", "A3"))
+
+
+def _node_map(alias, target):
+    """A node bijection p with C_alias[i][j] == C_target[p[i]][p[j]]."""
+    ca, ct = alias.cartan_matrix(), target.cartan_matrix()
+    n = alias.rank
+    return next(p for p in itertools.permutations(range(n))
+                if all(ca[i][j] == ct[p[i]][p[j]] for i in range(n) for j in range(n)))
+
+
+def _json_rows(argv, capsys) -> list[dict]:
+    assert run(argv + ["--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)["rows"]
+
+
+@pytest.mark.parametrize("alias,target", ALIASES)
+def test_isomorphic_types_give_the_same_family_rows(alias, target, capsys):
+    """The routes read the Dynkin type off the roots, not the type letter:
+    on the dominant root of each length, longest first, an alias prints
+    its isomorphic type's rows but for type and theta."""
+    rows = []
+    for tag in (alias, target):
+        sysm = parse_type(tag)
+        reps = sysm.length_representatives
+        rows.append([
+            [{k: v for k, v in row.items() if k not in ("type", "theta")}
+             for row in _json_rows(["check", "--type", tag, "--theta",
+                                    classify.canon_str(reps[n]), "--family"], capsys)]
+            for n in sorted(reps, reverse=True)
+        ])
+    assert rows[0] == rows[1]
+
+
+@pytest.mark.parametrize("alias,target", ALIASES)
+def test_isomorphic_types_give_the_same_graph_verdicts(alias, target, capsys):
+    a, b = parse_type(alias), parse_type(target)
+    p = _node_map(a, b)
+    keys = ("admissible", "reason", "good", "cr_type", "K_type", "Q_type")
+    for colors in itertools.product("wbg", repeat=a.rank):
+        image = [None] * b.rank
+        for i, c in enumerate(colors):
+            image[p[i]] = c
+        got = [_json_rows(["check", "--graph", f"{tag}:{','.join(cs)}"], capsys)[0]
+               for tag, cs in ((alias, colors), (target, image))]
+        a_row, b_row = ({k: row.get(k) for k in keys} for row in got)
+        assert a_row == b_row, colors

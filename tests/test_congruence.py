@@ -102,7 +102,7 @@ def test_partition_matches_pairwise_oracle(tag, theta):
     system = parse_type(tag)
     datum = contact_datum(system, system.vector(theta.split(",")))
     classes = _pairwise_classes(datum)
-    assert datum.congruence_classes == classes
+    assert set(datum.class_of) == datum.Rprime
     assert all(datum.class_of[i] == c for c in classes for i in c)
     got = [[m.highest for m in g] for g in congruence_groups(datum)]
     assert got == _pairwise_groups(datum)
@@ -180,7 +180,8 @@ def _decompose_reference(datum) -> list[tuple[int, frozenset[int]]]:
                     remaining.discard(j)
                     comp.add(j)
                     frontier.append(j)
-        (top,) = [i for i in comp if all(sys.sum_index(i, d) is None for d in datum.ro_positive)]
+        (top,) = [i for i in comp if all(sys.sum_index(i, d) is None
+                                         for d in datum.Ro.members if sys.positive[d])]
         out.append((top, frozenset(comp)))
     return sorted(out, key=lambda m: sys.roots[m[0]].canon())
 

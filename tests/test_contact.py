@@ -5,6 +5,7 @@ import pytest
 from crlie import contact as ct
 from crlie import families as fam
 from crlie import rootsys as rs
+from crlie.classify import simple_types
 from crlie.rootsys import format_vector
 
 
@@ -138,17 +139,47 @@ def test_g2_short_root_gradation():
                                  "E6", "E7", "E8", "F4"])
 def test_special_roots_long_only(tag):
     s = rs.parse_type(tag)
-    sp = ct.special_roots(s)
+    special = ct.classify_special(s)
     norms = sorted({s.norm2(i) for i in range(len(s.roots))})
-    assert len(sp) == 1
+    assert [length for _, length in special] == ["long"]
+    sp = [d.theta for d, _ in special]
     assert s.inner(sp[0], sp[0]) == norms[-1]
 
 
 def test_special_roots_g2_both():
     g2 = rs.build("G2")
-    sp = ct.special_roots(g2)
-    assert len(sp) == 2
-    assert {g2.inner(a, a) for a in sp} == {Q(2), Q(2, 3)}
+    special = ct.classify_special(g2)
+    assert [length for _, length in special] == ["long", "short"]
+    assert [g2.inner(d.theta, d.theta) for d, _ in special] == [Q(2), Q(2, 3)]
+
+
+def _special_roots_reference(system):
+    """The dominant root of each length whose orthogonal roots are all
+    strongly orthogonal to it, long first, tested on the first root of
+    that length against every root."""
+    reps, ok = {}, {}
+    for i, alpha in enumerate(system.roots):
+        n = system.norm2(i)
+        if n in ok:
+            continue
+        ok[n] = all(system.strongly_orthogonal(i, j) for j, beta in enumerate(system.roots)
+                    if system.inner(alpha, beta) == 0)
+        if ok[n]:
+            reps[n] = system.dominant(alpha)
+    return [reps[n] for n in sorted(reps, reverse=True)]
+
+
+@pytest.mark.parametrize("t,r", simple_types(8))
+def test_classify_special_matches_reference(t, r):
+    """classify_special reads the special roots and their stabilizers off
+    each datum's R_o; the reference scans every root, and the stabilizer
+    is the set of roots strongly orthogonal to alpha."""
+    s = rs.build(t, r)
+    special = ct.classify_special(s)
+    assert [d.theta for d, _ in special] == _special_roots_reference(s)
+    for d, _ in special:
+        i = s.root_index(d.theta)
+        assert d.Ro.members == {j for j in range(len(s.roots)) if s.strongly_orthogonal(i, j)}
 
 
 def test_classify_special_stabilizers():
@@ -163,10 +194,10 @@ def test_classify_special_stabilizers():
     }
     for tag, expect in cases.items():
         s = rs.parse_type(tag)
-        assert [r.stabilizer_type() for r in ct.classify_special(s)] == expect
+        assert [d.Ro.type_str() for d, _ in ct.classify_special(s)] == expect
     # condition (4): no orthogonal root adds to a special root
     b3 = rs.build("B3")
-    alpha = ct.special_roots(b3)[0]
+    alpha = ct.classify_special(b3)[0][0].theta
     for beta in b3.roots:
         if b3.inner(alpha, beta) == 0:
             assert not b3.is_root(alpha + beta)

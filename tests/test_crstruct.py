@@ -8,6 +8,7 @@ from crlie import contact as ct
 from crlie import crstruct as cs
 from crlie import families as fam
 from crlie import rootsys as rs
+from crlie.linalg import nullspace
 from crlie.painted import PaintedGraph, is_good
 from crlie.scalars import P_ZERO, Gauss, Poly, as_poly
 
@@ -444,7 +445,7 @@ def _brute_normalizer_excess(h, values):
     kernel = nullspace_gauss(constraints, len(gens), Gauss(0), Gauss(1))
     sols = []
     for coeffs in kernel:
-        el = LieElement.zero(sysm)
+        el = LieElement(sysm)
         for c, x in zip(coeffs, gens):
             if c:
                 el = el + x.scale(c)
@@ -932,9 +933,35 @@ def test_ro_generators_are_the_simple_roots_of_ro():
         assert span.dim() == len(simple) > 0
         assert SpanSolver([[Q(x) for x in sysm.expansions[i]] for i in datum.Ro.members]).dim() \
             == len(simple)
-        for i in datum.ro_positive:
+        for i in (i for i in datum.Ro.members if sysm.positive[i]):
             coeffs = span.reduce([Q(x) for x in sysm.expansions[i]])
             assert all(c >= 0 and c.denominator == 1 for c in coeffs), (tag, i)
+
+
+def _center_reference(datum):
+    """The center of l in the Cartan as the nullspace of the covectors of
+    theta and of every root of R_o."""
+    sysm = datum.system
+    rows = [[Q(x) for x in v.covector()]
+            for v in [datum.theta] + [sysm.roots[i] for i in datum.Ro.members]]
+    return tuple(rs.RootVector(sysm, v) for v in nullspace(rows, sysm.rank))
+
+
+def test_center_is_one_direction_on_root_parallel_data():
+    """The S1 cone (_rotated_s1_witness) reads only the first central
+    direction.  Its su2 line E_r + c E_-r lies in one congruence block only
+    when r is parallel to theta (check_disjointness refuses it otherwise),
+    and on every such datum, on the simple types of rank <= 8 and on
+    A_p + A_q, the center of l has at most one direction, so that one is
+    exact.  Scaling theta or conjugating it keeps the dimension, so the
+    dominant root of each Weyl orbit of roots stands for its data."""
+    systems = [rs.build(t, r) for t, r in classify.simple_types(8)]
+    systems += [rs.build_product([("A", p), ("A", q)]) for p, q in classify.product_types(8)]
+    for sysm in systems:
+        for theta in {sysm.dominant(r) for r in sysm.roots}:
+            datum = ct.contact_datum(sysm, theta)
+            assert datum.center == _center_reference(datum)
+            assert len(datum.center) <= 1, (sysm.type_str(), theta)
 
 
 def test_structure_rows_dispatch():

@@ -231,11 +231,11 @@ def test_tilde_re_accepts_d_and_b3():
     d = datum("D5", [1, 0, 0, 0, 0])
     cd = md.dual_pairs(d)
     v = md.tilde_Re_type(cd, cd.paired_roots)
-    assert v.accepted and v.re_type == "D5" and v.theta_form == "double-weight"
+    assert v.accepted and v.re_type == "D5"
     d = datum("B3", [1, 1, 1])
     cd = md.dual_pairs(d)
     v = md.tilde_Re_type(cd, cd.paired_roots)
-    assert v.accepted and v.re_type == "B3" and v.theta_form == "sum-of-three"
+    assert v.accepted and v.re_type == "B3"
     prod = rs.build_product([("A", 1), ("A", 1)])
     dp = ct.contact_datum(prod, prod.vector([1, -1, -1, 1]))
     cd = md.dual_pairs(dp)

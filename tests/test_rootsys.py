@@ -12,6 +12,10 @@ ALL_SIMPLE = ["A1", "A2", "A5", "B2", "B3", "B5", "C3", "C4", "D3", "D4", "D5",
               "E6", "E7", "E8", "F4", "G2"]
 
 
+# the isomorphic low-rank duplicates, by their scan-order name
+_ISOMORPHIC = {("B", 1): ("A", 1), ("C", 2): ("B", 2), ("D", 3): ("A", 3)}
+
+
 def weyl_orbit(s, v):
     """The orbit of v under the reflections in the simple roots."""
     seen = {v}
@@ -120,6 +124,34 @@ def test_highest_roots():
         rs.build_product([("A", 1), ("A", 1)]).highest_root()
 
 
+def _highest_root_by_height(s):
+    """The root of greatest height (the longer on a tie), checked to be
+    highest: no simple root adds to it."""
+    best = max(range(len(s.roots)), key=lambda i: (s.height(i), s.norm2(i)))
+    mu = s.roots[best]
+    assert not any(s.is_root(mu + a) for a in s.simple_roots)
+    return mu
+
+
+@pytest.mark.parametrize("t,r", classify.simple_types(8) + list(_ISOMORPHIC))
+def test_highest_root_is_the_height_maximal_root(t, r):
+    s = rs.build(t, r)
+    assert s.highest_root() == _highest_root_by_height(s)
+
+
+@pytest.mark.parametrize("tag", ALL_SIMPLE + ["A1+A1", "A2+G2", "B2+C3"])
+def test_length_representatives(tag):
+    """The dominant root of each length, in order of first appearance."""
+    s = rs.parse_type(tag)
+    want = {}
+    for i, r in enumerate(s.roots):
+        want.setdefault(s.norm2(i), s.dominant(r))
+    reps = s.length_representatives
+    assert list(reps.items()) == list(want.items())
+    for n, v in reps.items():
+        assert s.is_root(v) and s.inner(v, v) == n and s.dominant(v) == v
+
+
 def test_reflection_and_orbits():
     b3 = rs.build("B3")
     mu = b3.highest_root()
@@ -219,10 +251,6 @@ def test_dominant_and_canonical_form():
     assert len(canon) == 1
 
 
-# the isomorphic low-rank duplicates, by their scan-order name
-_ISOMORPHIC = {("B", 1): ("A", 1), ("C", 2): ("B", 2), ("D", 3): ("A", 3)}
-
-
 def _automorphism_order(components) -> int:
     """|Aut| of a Dynkin diagram: the factors' own symmetries times the
     permutations of isomorphic factors."""
@@ -245,6 +273,49 @@ _AUTOMORPHISM_CASES = (
        if p[0][1] + p[1][1] <= 8]
     + [[("A", 1)] * 3, [("A", 2)] * 3, [("D", 4), ("A", 1), ("A", 1)], [("B", 2), ("C", 2)]]
 )
+
+
+def test_diagram_automorphisms_keep_dominance():
+    """A diagram symmetry keeps the Cartan matrix, so it maps every dominant
+    root to a dominant vector; canonical_form relies on it."""
+    for comps in _AUTOMORPHISM_CASES:
+        s = rs.build_product(comps)
+        dominant = [r for r in s.roots if s.dominant(r) == r]
+        assert dominant
+        for p in s.diagram_automorphisms:
+            for r in dominant:
+                image = s.apply_node_map(p, r)
+                assert s.dominant(image) == image, (comps, p, r)
+
+
+def _simple_by_pairs(sub):
+    """The positive roots of sub that are no sum of two of them, each tested
+    against every positive root."""
+    p = sub.parent
+    pos = {i for i in sub.members if p.positive[i]}
+    return tuple(i for i in sorted(pos)
+                 if not any(p.sum_index(i, p.neg_index[j]) in pos for j in pos))
+
+
+@pytest.mark.parametrize("tag", ["A5", "B4", "C4", "D5", "E6", "F4", "G2", "A2+B3"])
+def test_subsystem_simple_matches_pairwise_test(tag):
+    s = rs.parse_type(tag)
+    subs = [s.node_span(nodes) for k in range(s.rank + 1)
+            for nodes in itertools.combinations(range(s.rank), k)]
+    # the roots orthogonal to a sum of two roots, as R_o of a contact form
+    subs += [rs.Subsystem(s, s.orthogonal_roots(s.roots[i] + s.roots[j]))
+             for i in range(0, len(s.roots), 5) for j in range(0, len(s.roots), 7)
+             if not (s.roots[i] + s.roots[j]).is_zero()]
+    for sub in subs:
+        assert sub.simple == _simple_by_pairs(sub), sorted(sub.members)
+
+
+def test_dynkin_type_of_the_isomorphic_duplicates():
+    for (t, r), iso in _ISOMORPHIC.items():
+        assert rs.build(t, r).dynkin_type == [iso]
+    for t, r in classify.simple_types(8):
+        assert rs.build(t, r).dynkin_type == [(t, r)]
+    assert rs.parse_type("D3+C2+B1").dynkin_type == [("A", 1), ("A", 3), ("B", 2)]
 
 
 def test_diagram_automorphisms_from_the_cartan_matrix():
