@@ -2,7 +2,7 @@
 
 Structure-constant signs are fixed by the extraspecial-pair construction
 over the positive roots ordered by height, ties broken by their ambient
-coordinates (RootVector.canon); the magnitudes |N(a,b)| = p+1 are
+coordinates (RootVector.numerators); the magnitudes |N(a,b)| = p+1 are
 convention-independent.  Lie algebra elements are formal combinations of
 root vectors E_a and Cartan elements whose coefficients are exact scalars
 of one of two rings: Gaussian rationals (Gauss) once the twists are
@@ -58,7 +58,7 @@ class ConstantTable:
         self._n: dict[tuple[int, int], int] = {}
         self._pos_order = sorted(
             (i for i in range(n) if system.positive[i]),
-            key=lambda i: (system.height(i), system.roots[i].canon()),
+            key=lambda i: (system.height(i), system.roots[i].numerators()),
         )
         self._pos_rank = {i: k for k, i in enumerate(self._pos_order)}
         self._build_positive()

@@ -51,6 +51,7 @@ from .rootsys import (
     RootVector,
     build,
     build_product,
+    canon_str,
     format_vector,
 )
 from .scalars import Gauss
@@ -83,17 +84,13 @@ def simple_types(max_rank: int) -> list[tuple[str, int]]:
     return out
 
 
-def canon_str(v: RootVector) -> str:
-    return ",".join(str(x) for x in v.canon())
-
-
 def root_set_str(system: RootSystem, indices: Iterable[int]) -> str:
     return ";".join(sorted(canon_str(system.roots[i]) for i in indices))
 
 
 def root_set_display(system: RootSystem, indices: Iterable[int]) -> str:
     items = sorted(
-        (system.roots[i] for i in indices), key=lambda r: r.canon()
+        (system.roots[i] for i in indices), key=RootVector.numerators
     )
     return ";".join(format_vector(r) for r in items)
 
@@ -145,7 +142,7 @@ def _module_table_row(system: RootSystem, theta: RootVector) -> dict:
         "{"
         + ", ".join(
             format_vector(system.roots[m.highest])
-            for m in sorted(g, key=lambda m: system.roots[m.highest].canon())
+            for m in sorted(g, key=lambda m: system.roots[m.highest].numerators())
         )
         + "}"
         for g in groups

@@ -41,8 +41,9 @@ class UsageError(Exception):
     """Bad input found after parsing; main reports it on one line and exits 64."""
 
 
-def _max_rank(args) -> int:
-    """--max-rank, else CRLIE_MAX_RANK, else 8; the fixtures stop at rank 8."""
+def _max_rank(args, least: int | None = None) -> int:
+    """--max-rank, else CRLIE_MAX_RANK, else 8; the fixtures stop at rank 8.
+    A bound below least, where given, is a usage error naming its source."""
     top = classify.DEFAULT_MAX_RANK
     if args.max_rank is not None:
         source, value = "--max-rank", args.max_rank
@@ -56,6 +57,8 @@ def _max_rank(args) -> int:
             raise UsageError(f"CRLIE_MAX_RANK must be an integer, got {env!r}") from None
     if value > top:
         raise UsageError(f"{source} must be at most {top}, got {value}")
+    if least is not None and value < least:
+        raise UsageError(f"{source} must be at least {least}, got {value}")
     return value
 
 
@@ -154,9 +157,7 @@ def cmd_table(args, which: int) -> int:
 
 
 def cmd_classify(args) -> int:
-    max_rank = _max_rank(args)
-    if max_rank < 2:
-        raise UsageError("--max-rank must be at least 2")
+    max_rank = _max_rank(args, least=2)
     report = classify.report_classify(args.what, max_rank)
     _emit(report, args)
     if args.what == "special":

@@ -64,7 +64,7 @@ def decompose(datum: ContactDatum) -> list[IrredModule]:
         out.append(IrredModule(hw, frozenset(weights)))
     if sum(map(len, out)) != len(datum.Rprime):
         raise CongruenceError("module without a unique highest weight")
-    return sorted(out, key=lambda m: sys.roots[m.highest].canon())
+    return sorted(out, key=lambda m: sys.roots[m.highest].numerators())
 
 
 def congruence_groups(datum: ContactDatum) -> list[list[IrredModule]]:

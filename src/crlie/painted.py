@@ -104,7 +104,7 @@ class GraphVerdict:
         sys = self.theta.system
         missing = sorted(
             self.missing,
-            key=lambda i: (not sys.positive[i], sys.height(i), sys.roots[i].canon()),
+            key=lambda i: (not sys.positive[i], sys.height(i), sys.roots[i].numerators()),
         )
         return tuple(sys.roots[i] for i in missing)
 
@@ -255,7 +255,7 @@ def canonicalize(g: PaintedGraph) -> PaintedGraph:
         cand = PaintedGraph(g.system, tuple(colors))
         verdict = is_admissible(cand)
         if verdict.admissible:
-            tc = verdict.theta.canon()
+            tc = verdict.theta.numerators()
             theta_key = (tuple(abs(x) for x in tc), tc)
         else:
             theta_key = ((), ())

@@ -17,7 +17,11 @@ the span of the simple roots.  A RootVector holds its simple-root
 coordinates: ints for roots, Fractions otherwise.  Inner products go
 through the Gram matrix of the simple roots and the Weyl machinery through
 the integer Cartan matrix (Humphreys 10.1-10.3).  Ambient coordinates
-serve only parsing, printing and the canonical orderings.
+serve only parsing, printing and the canonical orderings.  Orderings and
+printing read them as int numerators over the system's one positive
+denominator (RootVector.numerators); Fractions appear only in canon() and
+in a printed coordinate that is not integral.  A subsystem's orthogonal
+components are read off its base through int pairings.
 """
 
 from __future__ import annotations
@@ -52,30 +56,39 @@ class Block:
 class RootVector:
     """A vector of the root span by its simple-root coordinates c.
 
-    coords (= canon()) are its ambient coordinates in the sum-zero gauge,
-    derived on first use."""
+    numerators() are its ambient coordinates in the sum-zero gauge times
+    the system's one positive denominator, derived on first use; canon()
+    is that tuple over the denominator, as Fractions."""
 
-    __slots__ = ("system", "c", "_canon", "_cov")
+    __slots__ = ("system", "c", "_num", "_cov")
 
-    def __init__(self, system: "RootSystem", c: Iterable, canon: Optional[tuple] = None):
+    def __init__(self, system: "RootSystem", c: Iterable, num: Optional[tuple] = None):
         self.system = system
         self.c = tuple(c)
         if len(self.c) != system.rank:
             raise RootSystemError("coordinate length does not match the rank")
-        self._canon = canon
+        self._num = num
         self._cov = None
 
-    def canon(self) -> tuple:
-        """Ambient coordinates in the sum-zero gauge, as Fractions."""
-        if self._canon is None:
-            den, rows = self.system._ambient
+    def numerators(self) -> tuple:
+        """Ambient coordinates in the sum-zero gauge times system._ambient[0],
+        ints when c is integral (every root's are).  All vectors of a
+        system share that positive denominator, so these tuples order as
+        canon() does: every canonical ordering keys on them."""
+        if self._num is None:
+            rows = self.system._ambient[1]
             out = [0] * self.system.dim
             for x, row in zip(self.c, rows):
                 if x:
                     for k, y in row:
                         out[k] += x * y
-            self._canon = tuple(Q(x, den) for x in out)
-        return self._canon
+            self._num = tuple(out)
+        return self._num
+
+    def canon(self) -> tuple:
+        """Ambient coordinates in the sum-zero gauge, as Fractions."""
+        den = self.system._ambient[0]
+        return tuple(Q(x, den) for x in self.numerators())
 
     coords = property(canon)
 
@@ -149,10 +162,8 @@ class RootSystem:
             self.component_nodes.append(frozenset(range(first, len(ambient_simples))))
         self.rank = len(ambient_simples)
         simples = [self._gauge(s) for s in ambient_simples]
-        self.simple_roots = [
-            RootVector(self, [int(j == i) for j in range(self.rank)], s)
-            for i, s in enumerate(simples)
-        ]
+        self.simple_roots = [RootVector(self, [int(j == i) for j in range(self.rank)])
+                             for i in range(self.rank)]
         # the map to ambient coordinates: the simple roots' sparse rows,
         # scaled to ints by one common denominator
         self._ambient = _int_rows(simples)
@@ -177,10 +188,11 @@ class RootSystem:
         self._sums: dict[tuple[int, int], Optional[int]] = {}  # sum_index memo
         self.positive = [all(x >= 0 for x in e) for e in self.expansions]
         self.neg_index = [self._by_expansion[tuple(-x for x in e)] for e in self.expansions]
-        # squared lengths e G e over the Gram matrix cleared to ints once,
-        # one Fraction per length
+        # squared lengths e G e over the Gram matrix cleared to ints once
+        # (kept as _igram for the subsystems' orthogonality tests), one
+        # Fraction per length
         gden = lcm(*(x.denominator for row in g for x in row))
-        gi = [[int(x * gden) for x in row] for row in g]
+        gi = self._igram = tuple(tuple(int(x * gden) for x in row) for row in g)
         ints = []
         for e in self.expansions:
             nz = [(k, x) for k, x in enumerate(e) if x]
@@ -235,7 +247,7 @@ class RootSystem:
             for j, y in rows[k]:
                 acc[j] += n * y
         den *= q
-        return RootVector(self, [x // den if not x % den else Q(x, den) for x in acc])
+        return RootVector(self, [_over(x, den) for x in acc])
 
     # -- basic queries ---------------------------------------------------------
 
@@ -456,7 +468,7 @@ class RootSystem:
             for perm in self.diagram_automorphisms:
                 # a diagram symmetry keeps the Cartan matrix, so d's image is dominant
                 cand = scale_primitive(self.apply_node_map(perm, d))
-                key = cand.canon()
+                key = cand.numerators()
                 if best is None or key > best[0]:
                     best = (key, cand)
         return best[1]
@@ -489,31 +501,48 @@ class Subsystem:
         return hash((id(self.parent), self.members))
 
     def orthogonal_components(self) -> list[frozenset[int]]:
-        """Partition into mutually orthogonal indecomposable pieces."""
-        idx = sorted(self.members)
+        """Partition into mutually orthogonal indecomposable pieces, read off
+        the base: the Dynkin components of self.simple, each with the
+        members that pair nonzero with one of its simple roots.
+
+        A root lies in the span of its own component's simple roots and
+        is orthogonal to every other component (Humphreys 10.1, 11.3), so
+        it pairs nonzero with a simple root of its component and with no
+        other.  The pairings are int products with parent._igram, a
+        positive multiple of the Gram matrix."""
         parent = self.parent
-        remaining = set(idx)
-        comps = []
-        while remaining:
-            seed = remaining.pop()
-            comp = {seed}
-            frontier = [seed]
-            while frontier:
-                i = frontier.pop()
-                for j in list(remaining):
-                    if parent.inner(parent.roots[i], parent.roots[j]) != 0:
-                        remaining.discard(j)
-                        comp.add(j)
-                        frontier.append(j)
-            comps.append(frozenset(comp))
-        return comps
+        gi, ex = parent._igram, parent.expansions
+        covs = [[sum(x * row[k] for x, row in zip(ex[s], gi) if x) for k in range(parent.rank)]
+                for s in self.simple]
+
+        def partners(i: int):
+            """The positions in simple of the simple roots root i pairs
+            nonzero with, in order."""
+            e = [(k, x) for k, x in enumerate(ex[i]) if x]
+            return (p for p, cov in enumerate(covs) if sum(x * cov[k] for k, x in e))
+
+        # label[p]: the least position in the Dynkin component of simple[p]
+        label = list(range(len(covs)))
+        for p, s in enumerate(self.simple):
+            for q in partners(s):
+                a, b = sorted((label[p], label[q]))
+                label = [a if x == b else x for x in label]
+        comps: dict[int, set[int]] = {}
+        for i in self.members:
+            comps.setdefault(label[next(partners(i))], set()).add(i)
+        return [frozenset(c) for c in comps.values()]
+
+    @cached_property
+    def _types(self) -> tuple[tuple[str, int], ...]:
+        return tuple(sorted(map(self._classify_component, self.orthogonal_components())))
 
     def classify(self) -> list[tuple[str, int]]:
-        """Type of each indecomposable component, canonically sorted.
+        """Type of each indecomposable component, canonically sorted;
+        computed once per subsystem.
 
         B2 is used for the rank-2 BC system and A3 for D3.
         """
-        return sorted(map(self._classify_component, self.orthogonal_components()))
+        return list(self._types)
 
     def type_str(self) -> str:
         return "+".join(f"{t}{r}" for t, r in self.classify()) if self.members else "0"
@@ -710,43 +739,51 @@ def _int_if_integral(x):
     return int(x) if x.denominator == 1 else x
 
 
+def _over(x, den: int):
+    """x / den: an int when den divides x, else a Fraction."""
+    return x // den if not x % den else Q(x, den)
+
+
 # -- display ----------------------------------------------------------------------
 
 
 def scale_primitive(v: RootVector) -> RootVector:
     """Positive rescale to primitive integer gauge coordinates."""
-    c = v.canon()
-    den = lcm(*(x.denominator for x in c))
-    g = gcd(*(int(x * den) for x in c))
+    num = v.numerators()
+    q = lcm(*(x.denominator for x in num))
+    ints = [int(x * q) for x in num]
+    g = gcd(*ints)
     if not g:
         return v
-    f = Q(den, g)
-    return RootVector(v.system, [_int_if_integral(f * x) for x in v.c], tuple(f * x for x in c))
+    den = v.system._ambient[0]
+    f = _int_if_integral(Q(q * den, g))
+    return RootVector(v.system, [_int_if_integral(f * x) for x in v.c],
+                      tuple(x // g * den for x in ints))
+
+
+def canon_str(v: RootVector) -> str:
+    """canon() as comma-separated numbers."""
+    den = v.system._ambient[0]
+    return ",".join(str(_over(x, den)) for x in v.numerators())
 
 
 def _block_strings(system: RootSystem, v: RootVector) -> list[str]:
     """Per-component coordinate rendering, nicest integer lift per block."""
-    parts = []
+    den = system._ambient[0]
+    num = v.numerators()
+    rendered = []
     for ci, blocks in enumerate(system.comp_blocks):
         sym = "e" + "'" * ci
-        terms: list[tuple[Q, str]] = []
+        terms: list[tuple] = []
         for b in blocks:
-            coords = list(v.coords[b.start : b.start + b.size])
-            if b.kind == "rel":
-                coords = _best_lift(coords)
-            if b.kind == "aux":
-                names = [sym]
-            else:
-                names = [f"{sym}{i + 1}" for i in range(b.size)]
-            for x, name in zip(coords, names):
-                if x != 0:
-                    terms.append((x, name))
-        parts.append(terms)
-    rendered = []
-    for terms in parts:
+            block = num[b.start : b.start + b.size]
+            lift = _best_lift(block, den) if b.kind == "rel" else None
+            coords = lift if lift is not None else [_over(x, den) for x in block]
+            names = [sym] if b.kind == "aux" else [f"{sym}{i + 1}" for i in range(b.size)]
+            terms += [(x, name) for x, name in zip(coords, names) if x]
         if not terms:
             continue
-        dens = {t[0].denominator for t in terms}
+        dens = {x.denominator for x, _ in terms}
         if dens == {2} or dens == {1, 2}:
             txt = _render_terms([(2 * x, n) for x, n in terms])
             rendered.append(f"({txt})/2")
@@ -755,7 +792,7 @@ def _block_strings(system: RootSystem, v: RootVector) -> list[str]:
     return rendered
 
 
-def _render_terms(terms: list[tuple[Q, str]]) -> str:
+def _render_terms(terms: list[tuple]) -> str:
     out = ""
     for x, name in terms:
         mag = abs(x)
@@ -767,19 +804,21 @@ def _render_terms(terms: list[tuple[Q, str]]) -> str:
     return out
 
 
-def _best_lift(coords: list[Q]) -> list:
-    """Integer lift of a relation-block vector minimizing the L1 norm.
+def _best_lift(num: Sequence, den: int) -> Optional[list[int]]:
+    """Integer lift of the relation-block vector num / den minimizing the
+    L1 norm, or None when it has none.
 
     The lifts are the shifts of the block by a multiple of (1, ..., 1) that
     make it integral; they exist when the coordinates share one fractional
-    part, and are then k + d with d the offsets from the first coordinate.
-    Off [-max(d), -min(d)] every entry of k + d has one sign and the L1
-    norm falls toward that window, so every L1 minimizer lies in it; there
-    the least (L1, max, reversed) key wins."""
-    d = [x - coords[0] for x in coords]
-    if any(x.denominator != 1 for x in d):
-        return coords
-    d = [int(x) for x in d]
+    part, that is when den divides every offset from the first numerator,
+    and are then k + d with d those offsets over den.  Off
+    [-max(d), -min(d)] every entry of k + d has one sign and the L1 norm
+    falls toward that window, so every L1 minimizer lies in it; there the
+    least (L1, max, reversed) key wins."""
+    d = [x - num[0] for x in num]
+    if any(x % den for x in d):
+        return None
+    d = [x // den for x in d]
 
     def key(k):
         lifted = [k + x for x in d]

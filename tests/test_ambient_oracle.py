@@ -16,7 +16,7 @@ of the ~10^4 test vectors in Fractions from scratch.
 
 import json
 from fractions import Fraction as Q
-from math import ceil, gcd, isqrt
+from math import ceil, gcd, isqrt, lcm
 from pathlib import Path
 
 import pytest
@@ -148,6 +148,14 @@ def best_lift_reference(coords):
     return candidates[0]
 
 
+def int_lift(block, den):
+    """rs._best_lift on the block's numerators over den, a multiple of its
+    denominators; the block itself where it has no integral lift, as
+    best_lift_reference returns it."""
+    lift = rs._best_lift([int(x * den) for x in block], den)
+    return block if lift is None else lift
+
+
 def golden_thetas():
     """(type, ambient coordinates) of every contact form in the goldens."""
     out = []
@@ -171,9 +179,10 @@ def test_best_lift_matches_reference():
         for b in s.blocks:
             if b.kind == "rel":
                 block = list(coords[b.start : b.start + b.size])
-                assert rs._best_lift(block) == best_lift_reference(block), (s.type_str(), block)
+                den = lcm(s._ambient[0], *(x.denominator for x in block))
+                assert int_lift(block, den) == best_lift_reference(block), (s.type_str(), block)
                 blocks += 1
     assert blocks > 800
     # least lifts outside [-n, n]: 4e1 and -7e1 of A2
     for block in ([Q(4), Q(0), Q(0)], [Q(-7), Q(0), Q(0)]):
-        assert rs._best_lift(block) == best_lift_reference(block) == block
+        assert int_lift(block, 1) == best_lift_reference(block) == block

@@ -227,6 +227,15 @@ def test_env_max_rank_above_the_fixtures(monkeypatch, capsys):
     assert "CRLIE_MAX_RANK must be at most 8" in _one_line_error(capsys)
 
 
+def test_env_max_rank_below_the_classify_floor(monkeypatch, capsys):
+    # classify's floor of 2 names the bound's source; the tables have none
+    monkeypatch.setenv("CRLIE_MAX_RANK", "1")
+    assert run(["classify", "--what", "special"]) == 64
+    assert "CRLIE_MAX_RANK must be at least 2, got 1" in _one_line_error(capsys)
+    assert run(["table2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == []
+
+
 def test_table1_has_no_max_rank(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["table1", "--max-rank", "4"])

@@ -1,0 +1,247 @@
+"""The int paths of rootsys against the Fraction paths they replaced.
+
+Orderings and printed coordinates read RootVector.numerators(), the
+ambient coordinates times the system's one positive denominator; each
+reference here is the Fraction implementation that keyed on canon().
+Subsystem.orthogonal_components reads the components off the base; its
+reference pairs every two members through Fraction RootSystem.inner.
+"""
+
+import contextlib
+import io
+import json
+from fractions import Fraction as Q
+from itertools import combinations
+from math import gcd, lcm
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from crlie import classify, cli
+from crlie import rootsys as rs
+from crlie.contact import contact_datum
+
+DATA = Path(rs.__file__).resolve().parent / "data"
+# the systems whose roots tools/cli_digest.py prints
+SYSTEMS = ([rs.build(t, r) for t, r in classify.simple_types(8)]
+           + [rs.parse_type("A1+A1"), rs.parse_type("A2+G2")])
+
+
+# -- the Fraction references ------------------------------------------------------
+
+
+def canon_str_reference(v):
+    return ",".join(str(x) for x in v.canon())
+
+
+def best_lift_reference(coords):
+    """The least-L1 integral lift of a relation block of Fractions, or the
+    block itself."""
+    d = [x - coords[0] for x in coords]
+    if any(x.denominator != 1 for x in d):
+        return coords
+    d = [int(x) for x in d]
+
+    def key(k):
+        lifted = [k + x for x in d]
+        return (sum(map(abs, lifted)), max(map(abs, lifted)), [-x for x in lifted])
+
+    k = min(range(-max(d), 1 - min(d)), key=key)
+    return [k + x for x in d]
+
+
+def render_terms_reference(terms):
+    out = ""
+    for x, name in terms:
+        mag = abs(x)
+        piece = name if mag == 1 else f"{mag}{name}"
+        if not out:
+            out = piece if x > 0 else f"-{piece}"
+        else:
+            out += ("+" if x > 0 else "-") + piece
+    return out
+
+
+def format_vector_reference(v):
+    system = v.system
+    parts = []
+    for ci, blocks in enumerate(system.comp_blocks):
+        sym = "e" + "'" * ci
+        terms = []
+        for b in blocks:
+            coords = list(v.canon()[b.start : b.start + b.size])
+            if b.kind == "rel":
+                coords = best_lift_reference(coords)
+            names = [sym] if b.kind == "aux" else [f"{sym}{i + 1}" for i in range(b.size)]
+            terms += [(x, name) for x, name in zip(coords, names) if x != 0]
+        if not terms:
+            continue
+        dens = {x.denominator for x, _ in terms}
+        if dens == {2} or dens == {1, 2}:
+            parts.append(f"({render_terms_reference([(2 * x, n) for x, n in terms])})/2")
+        else:
+            parts.append(render_terms_reference(terms))
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += "+" + p if not p.startswith("-") else p
+    return out
+
+
+def scale_primitive_reference(v):
+    c = v.canon()
+    den = lcm(*(x.denominator for x in c))
+    g = gcd(*(int(x * den) for x in c))
+    if not g:
+        return v
+    f = Q(den, g)
+    return rs.RootVector(v.system, [f * x for x in v.c])
+
+
+def orthogonal_components_reference(sub):
+    """The members joined by nonzero Fraction inner products."""
+    parent = sub.parent
+    remaining = set(sub.members)
+    comps = []
+    while remaining:
+        seed = remaining.pop()
+        comp, frontier = {seed}, [seed]
+        while frontier:
+            i = frontier.pop()
+            for j in list(remaining):
+                if parent.inner(parent.roots[i], parent.roots[j]) != 0:
+                    remaining.discard(j)
+                    comp.add(j)
+                    frontier.append(j)
+        comps.append(frozenset(comp))
+    return comps
+
+
+# -- orderings and renderings -------------------------------------------------------
+
+
+def check_vectors(vectors):
+    for v in vectors:
+        assert rs.format_vector(v) == format_vector_reference(v), v.canon()
+        assert rs.canon_str(v) == canon_str_reference(v), v.canon()
+    n = range(len(vectors))
+    assert (sorted(n, key=lambda i: vectors[i].numerators())
+            == sorted(n, key=lambda i: vectors[i].canon()))
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=rs.RootSystem.type_str)
+def test_int_orders_and_renderings_match_fraction_paths(system):
+    roots = system.roots
+    assert all(type(x) is int for r in roots for x in r.numerators())
+    check_vectors(roots)
+    idx = range(len(roots))
+    assert (sorted(idx, key=lambda i: (system.height(i), roots[i].numerators()))
+            == sorted(idx, key=lambda i: (system.height(i), roots[i].canon())))
+
+
+@st.composite
+def span_vectors(draw):
+    """1 to 6 rational vectors of the root span of one system, each with
+    simple-root coordinates over a drawn denominator."""
+    s = draw(st.sampled_from(SYSTEMS))
+    vectors = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        den = draw(st.sampled_from((1, 2, 3, 4, 6)))
+        nums = draw(st.lists(st.integers(-12, 12), min_size=s.rank, max_size=s.rank))
+        vectors.append(rs.RootVector(s, [x // den if not x % den else Q(x, den) for x in nums]))
+    return vectors
+
+
+E6, A2, F4 = rs.build("E6"), rs.build("A2"), rs.build("F4")
+
+
+@given(span_vectors())
+@settings(derandomize=True, max_examples=400, deadline=None)
+# the (...)/2 branch with the E6 aux vector, a relation block with no
+# integral lift, F4's halves
+@example([E6.vector([1, 0, 0, 0, 0, 0, Q(1, 2)]), E6.vector([1, 0, 0, 0, 0, 0, 1])])
+@example([rs.RootVector(A2, [Q(1, 3), 0]), rs.RootVector(A2, [Q(1, 2), Q(-1, 3)])])
+@example([F4.vector([Q(1, 2), Q(-1, 2), Q(3, 2), Q(1, 2)])])
+def test_int_paths_match_fraction_paths_on_the_span(vectors):
+    check_vectors(vectors)
+    for v in vectors:
+        got, want = rs.scale_primitive(v), scale_primitive_reference(v)
+        assert got.c == want.c and got.canon() == want.canon()
+
+
+# -- components and classification ----------------------------------------------------
+
+
+def check_subsystem(sub):
+    got = sub.orthogonal_components()
+    want = orthogonal_components_reference(sub)
+    assert sorted(map(sorted, got)) == sorted(map(sorted, want))
+    assert sub.classify() == sorted(map(sub._classify_component, want))
+
+
+def golden_forms():
+    """(type, ambient coordinates) of every contact form of the goldens."""
+    out = []
+    for name, keys in (("primitive", ("theta_source", "theta_canon")),
+                       ("nonprimitive", ("theta_canon",)), ("table1", ("mu_canon",)),
+                       ("table2", ("theta_canon",)), ("table3", ("theta_canon",))):
+        for row in json.loads((DATA / f"{name}.json").read_text())["rows"]:
+            tag = row["type"] + row["rank"] if row["type"].isalpha() else row["type"]
+            out += [(tag, [Q(x) for x in row[k].split(",")]) for k in keys]
+    return out
+
+
+def test_components_of_golden_stabilizers():
+    forms = golden_forms()
+    assert len(forms) > 100
+    for tag, coords in forms:
+        s = rs.parse_type(tag)
+        check_subsystem(contact_datum(s, s.vector(coords)).Ro)
+
+
+@pytest.mark.parametrize("t,r", classify.simple_types(6))
+def test_components_of_node_spans(t, r):
+    s = rs.build(t, r)
+    for k in range(s.rank + 1):
+        for nodes in combinations(range(s.rank), k):
+            check_subsystem(s.node_span(nodes))
+
+
+def test_components_of_tilde_re_closures(monkeypatch):
+    closures = []
+    closed_span = rs.RootSystem.closed_span
+
+    def recorded(self, seed):
+        sub = closed_span(self, seed)
+        closures.append(sub)
+        return sub
+
+    monkeypatch.setattr(rs.RootSystem, "closed_span", recorded)
+    classify.primitive_rows(6)
+    classify.nonprimitive_rows(5)
+    assert len(closures) > 20
+    for sub in closures:
+        check_subsystem(sub)
+
+
+def test_classify_works_once_per_subsystem(monkeypatch):
+    """Subsystem.classify partitions each subsystem once, however many
+    names are read off it."""
+    monkeypatch.setattr(rs, "_CACHE", {})
+    calls: dict[int, int] = {}
+    seen = []  # keeps every counted subsystem alive, so no id is reused
+    work = rs.Subsystem.orthogonal_components
+
+    def counted(self):
+        seen.append(self)
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return work(self)
+
+    monkeypatch.setattr(rs.Subsystem, "orthogonal_components", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["table1", "--format", "json"]) == 0
+        argv = ["classify", "--what", "special", "--max-rank", "8", "--format", "json"]
+        assert cli.main(argv) == 0
+    assert calls and max(calls.values()) == 1

@@ -33,7 +33,10 @@ the special and short-root routes are diffed up to rank 8.  Last,
 E-type fork are diffed too.  After them, ``check --family`` in text on
 every a + b and a - b of B2 and G2, so the special, short-root and
 g2-short routes and the rejected shapes of the two-length rank-2 systems
-are diffed.  The commands run in one process, through
+are diffed.  After those, ``roots --type`` in JSON on ``A1+E6``, ``A1+F4`` and
+``G2+E6``, whose second factor prints a primed symbol ``e'`` with halves
+and, on E6, the auxiliary vector, so the renderer is diffed on a later
+factor too.  The commands run in one process, through
 ``crlie.cli.main``.
 """
 
@@ -58,6 +61,8 @@ ROOT_TYPES = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)]
 # types whose unreduced forms a +- b (a, b positive roots) are checked
 SUM_FORM_TYPES = ("A3", "A4", "A5", "B3", "C3", "D4", "A2+A2")
 RANK2_SUM_FORM_TYPES = ("B2", "G2")
+# products whose second factor has halves or an auxiliary vector
+PRIMED_ROOT_TYPES = ("A1+E6", "A1+F4", "G2+E6")
 SIMPLE_TYPES = ROOT_TYPES[:31]
 # (type, theta, --m10 spec): the README example, then a degenerate spec
 M10_CHECKS = (
@@ -155,6 +160,7 @@ def battery(data: Path, rootsys) -> list[list[str]]:
     cmds += [["check", "--graph", g, *json_fmt] for g in all_paintings("E6", (6,))]
     cmds += [["check", "--type", t, f"--theta={theta}", "--family", "--format", "text"]
              for t, theta in sum_forms(rootsys, RANK2_SUM_FORM_TYPES)]
+    cmds += [["roots", "--type", t, *json_fmt] for t in PRIMED_ROOT_TYPES]
     return cmds
 
 
