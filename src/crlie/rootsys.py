@@ -505,11 +505,13 @@ class Subsystem:
         the base: the Dynkin components of self.simple, each with the
         members that pair nonzero with one of its simple roots.
 
-        A root lies in the span of its own component's simple roots and
-        is orthogonal to every other component (Humphreys 10.1, 11.3), so
-        it pairs nonzero with a simple root of its component and with no
-        other.  The pairings are int products with parent._igram, a
-        positive multiple of the Gram matrix."""
+        The members form a root system (every subsystem built here is
+        symmetric and closed).  So a root lies in the span of its own
+        component's simple roots and is orthogonal to every other
+        component (Humphreys 10.1, 11.3): it pairs nonzero with a simple
+        root of its component and with no other.  The pairings are int
+        products with parent._igram, a positive multiple of the Gram
+        matrix."""
         parent = self.parent
         gi, ex = parent._igram, parent.expansions
         covs = [[sum(x * row[k] for x, row in zip(ex[s], gi) if x) for k in range(parent.rank)]
