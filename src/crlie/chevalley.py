@@ -39,10 +39,10 @@ def root_string(system: RootSystem, alpha: RootVector, beta: RootVector) -> tupl
     if ib == ia or ib == system.neg_index[ia]:
         raise ChevalleyError("root string through +/-alpha is undefined")
     lengths = []
-    for step in (system.neg_index[ia], ia):
-        k, j = 0, system.sum_index(ib, step)
-        while j is not None:
-            k, j = k + 1, system.sum_index(j, step)
+    for step in (-system.codes[ia], system.codes[ia]):
+        k, c = 0, system.codes[ib] + step
+        while c in system.by_code:
+            k, c = k + 1, c + step
         lengths.append(k)
     return lengths[0], lengths[1]
 
@@ -50,12 +50,13 @@ def root_string(system: RootSystem, alpha: RootVector, beta: RootVector) -> tupl
 class ConstantTable:
     """All Chevalley constants N(a, b) for one root system, in one dict:
     the positive pairs at construction, every other pair on its first
-    lookup."""
+    lookup, all in int arithmetic; and each coroot's terms on first use."""
 
     def __init__(self, system: RootSystem):
         self.system = system
         n = len(system.roots)
         self._n: dict[tuple[int, int], int] = {}
+        self._coroots: dict[int, tuple[tuple[int, Q], ...]] = {}
         self._pos_order = sorted(
             (i for i in range(n) if system.positive[i]),
             key=lambda i: (system.height(i), system.roots[i].numerators()),
@@ -73,6 +74,14 @@ class ConstantTable:
             val = self._n[i, j] = (
                 0 if self.system.sum_index(i, j) is None else self._general(i, j))
             return val
+
+    def coroot_terms(self, i: int) -> tuple[tuple[int, Q], ...]:
+        """(k, 2 x_k / (a, a)) for the nonzero simple-root coordinates x_k of
+        root i = a, kept on first use: the Cartan part of [E_a, E_-a]."""
+        if i not in self._coroots:
+            s = Q(2) / self.system.norm2(i)
+            self._coroots[i] = tuple((k, s * x) for k, x in enumerate(self.system.expansions[i]) if x)
+        return self._coroots[i]
 
     # -- construction ------------------------------------------------------------
 
@@ -92,14 +101,15 @@ class ConstantTable:
                 self._n[(y, x)] = -val
 
     def _special_pairs(self, k: int) -> list[tuple[int, int]]:
-        """Positive pairs summing to root k, the extraspecial one first."""
+        """Positive pairs (a, b) summing to root k, a before b, the
+        extraspecial one first; each a precedes k in _pos_order."""
         sys = self.system
+        codes, get, positive, rank = sys.codes, sys.by_code.get, sys.positive, self._pos_rank
         pairs = []
-        for a in self._pos_order:
-            b = sys.sum_index(k, sys.neg_index[a])
-            if b is not None and sys.positive[b] and self._pos_rank[a] < self._pos_rank[b]:
+        for a in self._pos_order[: rank[k]]:
+            b = get(codes[k] - codes[a])
+            if b is not None and positive[b] and rank[a] < rank[b]:
                 pairs.append((a, b))
-        pairs.sort(key=lambda ab: self._pos_rank[ab[0]])
         return pairs
 
     def _derive(self, a: int, b: int, k: int, x: int, y: int) -> int:
@@ -111,7 +121,8 @@ class ConstantTable:
         sys = self.system
         na = sys.neg_index[a]
         lhs_c = self.n(na, k)
-        assert lhs_c != 0
+        if not lhs_c:
+            raise ChevalleyError("zero structure constant on a root sum")
         total = 0
         xa = sys.sum_index(na, x)
         if xa is not None:
@@ -120,7 +131,8 @@ class ConstantTable:
         if ya is not None:
             total += self.n(na, y) * self.n(x, ya)
         val, rem = divmod(total, lhs_c)
-        assert rem == 0, "non-integral derived structure constant"
+        if rem:
+            raise ChevalleyError("non-integral derived structure constant")
         return val
 
     def _general(self, i: int, j: int) -> int:
@@ -128,20 +140,22 @@ class ConstantTable:
         N(x, y)/|z|^2 = N(y, z)/|x|^2 = N(z, x)/|y|^2 for x + y + z = 0."""
         sys = self.system
         pi, pj = sys.positive[i], sys.positive[j]
-        assert not (pi and pj), "positive pair with a root sum missing from the table"
+        if pi and pj:
+            raise ChevalleyError("positive pair with a root sum missing from the table")
         if not pi and not pj:
             return -self.n(sys.neg_index[i], sys.neg_index[j])
         if not pi:
             return -self.n(j, i)
         # i positive, j negative, k = i + j a root
         k = sys.sum_index(i, j)
-        nj, nk = sys.neg_index[j], sys.neg_index[k]
+        norms = sys.int_norms
         if sys.positive[k]:
-            val = -Q(sys.norm2(k), sys.norm2(i)) * self.n(nj, k)
+            val, rem = divmod(-norms[k] * self.n(sys.neg_index[j], k), norms[i])
         else:
-            val = -Q(sys.norm2(k), sys.norm2(j)) * self.n(i, nk)
-        assert val.denominator == 1
-        return int(val)
+            val, rem = divmod(-norms[k] * self.n(i, sys.neg_index[k]), norms[j])
+        if rem:
+            raise ChevalleyError("non-integral structure constant")
+        return val
 
 
 class LieElement:
@@ -230,22 +244,21 @@ class LieElement:
         self._check(other)
         sys = self.system
         tab = sys.constants
+        n, codes, get, neg = tab.n, sys.codes, sys.by_code.get, sys.neg_index
         e: dict = {}
         h: dict = {}
         for i, ci in self.e.items():
-            ni = sys.neg_index[i]
+            ni, code = neg[i], codes[i]
             for j, cj in other.e.items():
                 if j == ni:
                     # [E_a, E_-a] = H_a, the coroot 2a/(a, a)
                     prod = ci * cj
-                    scale = Q(2) / sys.norm2(i)
-                    for k, x in enumerate(sys.expansions[i]):
-                        if x:
-                            _accumulate(h, k, prod * (scale * x))
+                    for k, x in tab.coroot_terms(i):
+                        _accumulate(h, k, prod * x)
                 else:
-                    k = sys.sum_index(i, j)
+                    k = get(code + codes[j])
                     if k is not None:
-                        _accumulate(e, k, tab.n(i, j) * ci * cj)
+                        _accumulate(e, k, n(i, j) * ci * cj)
         if self.h:
             for j, cj in other.e.items():
                 val = _pair_vec(sys.roots[j].covector(), self.h)

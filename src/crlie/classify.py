@@ -89,9 +89,7 @@ def root_set_str(system: RootSystem, indices: Iterable[int]) -> str:
 
 
 def root_set_display(system: RootSystem, indices: Iterable[int]) -> str:
-    items = sorted(
-        (system.roots[i] for i in indices), key=RootVector.numerators
-    )
+    items = sorted((system.roots[i] for i in indices), key=RootVector.numerators)
     return ";".join(format_vector(r) for r in items)
 
 
@@ -274,8 +272,7 @@ def _cross_name(family: int, rank: int) -> str:
 
 def primitive_rows(max_rank: int = DEFAULT_MAX_RANK) -> list[dict]:
     rows = []
-    systems = [(t, r) for t, r in simple_types(max_rank)]
-    for t, r in systems:
+    for t, r in simple_types(max_rank):
         system = build(t, r)
         rows.extend(_primitive_rows_for(system, t, r))
     prod = build_product([("A", 1), ("A", 1)])

@@ -74,9 +74,7 @@ def _golden_diff(report: Report, fixture_name: str, keys: list[str], row_filter)
     golden = load_fixture(fixture_name)
 
     def project(rows):
-        return sorted(
-            tuple((k, str(r.get(k, ""))) for k in keys) for r in rows
-        )
+        return sorted(tuple((k, str(r.get(k, ""))) for k in keys) for r in rows)
 
     got = project(report.rows)
     want = project(r for r in golden.rows if row_filter(r))
@@ -105,11 +103,7 @@ def _emit(report: Report, args) -> None:
 
 def cmd_roots(args) -> int:
     try:
-        system = (
-            parse_type(args.type)
-            if args.rank is None
-            else build(args.type, args.rank)
-        )
+        system = parse_type(args.type) if args.rank is None else build(args.type, args.rank)
     except RootSystemError as e:
         raise UsageError(e) from None
     rows = []

@@ -15,7 +15,7 @@ from math import lcm
 
 from .chevalley import LieElement
 from .linalg import nullspace
-from .rootsys import RootSystem, RootVector, Subsystem
+from .rootsys import RootSystem, RootVector, Subsystem, int_codes
 
 Q = Fraction
 
@@ -81,13 +81,9 @@ class ContactDatum:
 
     @cached_property
     def weight_codes(self) -> tuple[int, ...]:
-        """The weight of each root coded as one int, sum_k w_k B^k with
-        B > 4 max |w_k|.  The code is linear, and injective on the int
-        vectors with entries of size at most 2 max |w_k|, whose differences
-        stay below B in every entry: so it tells apart the weights of g and
-        the sums of two of them."""
-        base = 4 * max(abs(x) for w in self.weights for x in w) + 1
-        return tuple(sum(x * base**k for k, x in enumerate(w)) for w in self.weights)
+        """The weight of each root as one int (rootsys.int_codes), which
+        tells apart the weights of g and the sums of two of them."""
+        return tuple(int_codes(self.weights))
 
     @cached_property
     def weight_blocks(self) -> dict[int, tuple[int, ...]]:

@@ -36,7 +36,7 @@ from .chevalley import LieElement
 from .contact import ContactDatum
 from .linalg import Echelon, Row
 from .rootsys import RootSystem, Subsystem, format_vector
-from .scalars import ONE, ZERO, Gauss, P_ZERO, Poly, as_poly, conj_var
+from .scalars import ONE, ZERO, Gauss, P_ZERO, Poly, _mono_mul, as_poly, conj_var
 
 Q = Fraction
 
@@ -136,20 +136,20 @@ class HolomorphicSubspace:
         does not hold."""
         datum = self.datum
         sys = datum.system
-        n = sys.constants.n
+        n, codes, get = sys.constants.n, sys.codes, sys.by_code.get
         lines = self.lines
         second = {line[0]: w for w, line in lines.items() if line}
         if any(datum.weights[w] != datum.weights[wp] for wp, w in second.items()):
             return False
         for d in datum.ro_generators:
-            nd = sys.neg_index[d]
+            nd, cd = sys.neg_index[d], codes[d]
             for w, line in lines.items():
                 # [E_d, E_w + c E_w'] = N(d, w) E_(d+w) + c N(d, w') E_(d+w')
                 image: dict[int, object] = {}
                 for r, c in ((w, 1),) + ((line,) if line else ()):
                     if r == nd:
                         return False  # [E_d, E_-d] is a Cartan element
-                    k = sys.sum_index(d, r)
+                    k = get(cd + codes[r])
                     if k is not None and c:
                         image[k] = c * n(d, r)
                 if not _in_lines(lines, second, image):
@@ -191,6 +191,7 @@ def _propagate(datum: ContactDatum, hw: int, partner: int) -> dict[int, tuple[in
     if hw == partner or datum.weights[hw] != datum.weights[partner]:
         raise StructError("twisted pair of non-congruent modules")
     tab = sys.constants
+    codes, get = sys.codes, sys.by_code.get
     kappa: dict[int, tuple[int, Q]] = {hw: (partner, Q(1))}
     frontier = [hw]
     weights = mods[hw].weights
@@ -198,10 +199,10 @@ def _propagate(datum: ContactDatum, hw: int, partner: int) -> dict[int, tuple[in
         w = frontier.pop()
         wp, kw = kappa[w]
         for d in datum.Ro.members:
-            w2 = sys.sum_index(w, d)
+            w2 = get(codes[w] + codes[d])
             if w2 is None or w2 not in weights:
                 continue
-            wp2 = sys.sum_index(wp, d)
+            wp2 = get(codes[wp] + codes[d])
             n1 = tab.n(d, w)
             if wp2 is None:
                 raise StructError("modules are not equivariantly matched")
@@ -247,9 +248,7 @@ def render_constraint(g: Poly) -> str:
     if len(terms) == 2:
         (m1, c1), (m2, c2) = terms
         if (c1 + c2).is_zero():
-            lhs = Poly({m1: Gauss(1)})
-            rhs = Poly({m2: Gauss(1)})
-            return f"{lhs} = {rhs}"
+            return f"{Poly({m1: Gauss(1)})} = {Poly({m2: Gauss(1)})}"
     return f"{g} = 0"
 
 
@@ -326,8 +325,6 @@ def _is_monomial_multiple(g: Poly, h: Poly) -> bool:
             continue
         shift = tuple(sorted(delta.items()))
         ratio = cg0 / ch0
-        from .scalars import _mono_mul
-
         shifted = {_mono_mul(m, shift): c * ratio for m, c in h.terms.items()}
         if shifted == g.terms:
             return True
@@ -343,11 +340,7 @@ class DisjointnessResult:
 
     def excluded_abs(self) -> list[str]:
         """Human forms of the excluded parameter loci."""
-        out = []
-        for f in self.factors:
-            desc = _abs_locus(f)
-            out.append(desc if desc else f"{f} = 0")
-        return out
+        return [_abs_locus(f) or f"{f} = 0" for f in self.factors]
 
     def holds_at(self, values: Mapping[str, Gauss]) -> bool:
         return all(not f.eval(values).is_zero() for f in self.factors)
@@ -358,9 +351,7 @@ def _abs_locus(f: Poly) -> Optional[str]:
     by_r: dict[int, Gauss] = {}
     var = None
     for m, c in f.terms.items():
-        d: dict[str, int] = {}
-        for v, e in m:
-            d[v] = e
+        d = dict(m)
         bases = {v.rstrip("~") for v in d}
         if len(bases) > 1:
             return None
@@ -582,8 +573,8 @@ def _graded_w_and_perp(h: HolomorphicSubspace, values: Mapping[str, Gauss]):
             LieElement(sys, {w: c, wp: Gauss(-sys.norm2(wp) / sys.norm2(w))}))
     for r in sorted(free):
         perp.setdefault(wt[r], []).append(LieElement(sys, {r: ONE}))
-    assert (sum(map(len, perp.values()))
-            == len(sys.roots) + sys.rank - sum(map(len, wblocks.values())))
+    if sum(map(len, perp.values())) + sum(map(len, wblocks.values())) != len(sys.roots) + sys.rank:
+        raise StructError("dim W + dim W' is not dim g")
     return wblocks, perp
 
 
@@ -671,15 +662,16 @@ def _additive_closure(sys: RootSystem, seed: frozenset[int]) -> frozenset[int]:
     """The least set of roots containing seed and closed under root sums.
 
     Each root is paired once with every root popped before it and with
-    itself, so every pair of the closure is looked up exactly once."""
+    itself: one code sum and one lookup per pair (RootSystem.sum_index)."""
+    codes, get = sys.codes, sys.by_code.get
     out = set(seed)
     frontier = list(seed)
     popped: list[int] = []
     while frontier:
-        i = frontier.pop()
-        popped.append(i)
-        for j in popped:
-            k = sys.sum_index(i, j)
+        ci = codes[frontier.pop()]
+        popped.append(ci)
+        for cj in popped:
+            k = get(ci + cj)
             if k is not None and k not in out:
                 out.add(k)
                 frontier.append(k)

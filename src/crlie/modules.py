@@ -46,18 +46,19 @@ def decompose(datum: ContactDatum) -> list[IrredModule]:
     root of R' lies below some highest weight, so the modules cover R'
     and overlap only where one would have two highest weights."""
     sys = datum.system
-    gens = datum.ro_generators
+    codes, by_code = sys.codes, sys.by_code
+    gens = [codes[d] for d in datum.ro_generators]
     raising, lowering = gens[: len(gens) // 2], gens[len(gens) // 2 :]
     out = []
     for hw in datum.Rprime:
-        if any(sys.sum_index(hw, d) is not None for d in raising):
+        if any(codes[hw] + d in by_code for d in raising):
             continue
         weights = {hw}
         frontier = [hw]
         while frontier:
             i = frontier.pop()
             for d in lowering:
-                j = sys.sum_index(i, d)
+                j = by_code.get(codes[i] + d)
                 if j is not None and j not in weights:
                     weights.add(j)
                     frontier.append(j)
@@ -142,9 +143,10 @@ def tilde_Re_type(cd: CongruenceDatum, re_roots: frozenset[int]) -> ReVerdict:
             if not sys.strongly_orthogonal(a, b):
                 return ReVerdict(False, "dual pair does not span A1+A1", "?")
     # closure under R_o strings
+    codes, get = sys.codes, sys.by_code.get
     for i in re_roots:
         for d in datum.Ro.members:
-            k = sys.sum_index(i, d)
+            k = get(codes[i] + codes[d])
             if k is not None and k not in re_roots:
                 return ReVerdict(False, "paired set is not closed under R_o strings", "?")
     closure = sys.closed_span([sys.roots[i] for i in re_roots])

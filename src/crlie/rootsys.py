@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from .linalg import SpanSolver, nullspace
@@ -185,15 +185,18 @@ class RootSystem:
         self.expansions: list[tuple[int, ...]] = _root_expansions(self._cartan)
         self.roots = [RootVector(self, e) for e in self.expansions]
         self._by_expansion = {e: i for i, e in enumerate(self.expansions)}
-        self._sums: dict[tuple[int, int], Optional[int]] = {}  # sum_index memo
+        # one int per root: a sum or difference of two roots is a root exactly
+        # when the sum or difference of their codes is a root's code
+        self.codes = int_codes(self.expansions)
+        self.by_code = {c: i for i, c in enumerate(self.codes)}
         self.positive = [all(x >= 0 for x in e) for e in self.expansions]
-        self.neg_index = [self._by_expansion[tuple(-x for x in e)] for e in self.expansions]
+        self.neg_index = [self.by_code[-c] for c in self.codes]
         # squared lengths e G e over the Gram matrix cleared to ints once
-        # (kept as _igram for the subsystems' orthogonality tests), one
-        # Fraction per length
+        # (kept as _igram for the subsystems' orthogonality tests; int_norms
+        # are norm2 times one constant), one Fraction per length
         gden = lcm(*(x.denominator for row in g for x in row))
         gi = self._igram = tuple(tuple(int(x * gden) for x in row) for row in g)
-        ints = []
+        ints = self.int_norms = []
         for e in self.expansions:
             nz = [(k, x) for k, x in enumerate(e) if x]
             ints.append(sum(x * y * gi[k][j] for k, x in nz for j, y in nz))
@@ -304,13 +307,10 @@ class RootSystem:
         return sum(self.expansions[i])
 
     def sum_index(self, i: int, j: int) -> Optional[int]:
-        """Index of root_i + root_j, or None when the sum is not a root."""
-        try:
-            return self._sums[i, j]
-        except KeyError:
-            e = tuple(map(add, self.expansions[i], self.expansions[j]))
-            k = self._sums[i, j] = self._by_expansion.get(e)
-            return k
+        """Index of root_i + root_j, or None when the sum is not a root: the
+        root whose code is the sum of theirs (codes).  Hot loops bind codes
+        and by_code.get and inline this."""
+        return self.by_code.get(self.codes[i] + self.codes[j])
 
     def strongly_orthogonal(self, i: int, j: int) -> bool:
         """root_j is not +-root_i, and neither root_i + root_j nor
@@ -321,9 +321,9 @@ class RootSystem:
         one their sum (Humphreys, Introduction to Lie Algebras and
         Representation Theory, 9.4), so the test needs no inner product.
         """
-        nj = self.neg_index[j]
-        return (i != j and i != nj and self.sum_index(i, j) is None
-                and self.sum_index(i, nj) is None)
+        ci, cj = self.codes[i], self.codes[j]
+        return (ci != cj and ci != -cj and ci + cj not in self.by_code
+                and ci - cj not in self.by_code)
 
     def node_span(self, nodes: Iterable[int]) -> "Subsystem":
         """The roots spanned by the simple roots of the given nodes: those
@@ -674,26 +674,26 @@ def _root_expansions(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     of height h (Humphreys 10.2), and c + alpha_i is a root exactly when
     p > <c | alpha_i>, with c - p alpha_i the bottom of c's alpha_i-string
     (Humphreys 9.4).  On a block-diagonal matrix no string crosses blocks,
-    so the roots are the union of the factors' roots."""
+    so the roots are the union of the factors' roots.  A layer maps each
+    root c to its base-8 code, on which strings walk (entries stay in
+    [-1, 6], where the code is injective), and its pairings <c | alpha_j>."""
     n = len(cartan)
-    layer = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    unit = [8**i for i in range(n)]
+    layer = {tuple(int(j == i) for j in range(n)): (unit[i], cartan[i]) for i in range(n)}
     positive = list(layer)
-    seen = set(layer)
+    seen = set(unit)
     while layer:
-        above = set()
-        for c in layer:
-            for i in range(n):
-                p, down = 0, list(c)
-                while True:
-                    down[i] -= 1
-                    if tuple(down) not in seen:
-                        break
-                    p += 1
-                if p > sum(x * cartan[j][i] for j, x in enumerate(c) if x):
-                    above.add(c[:i] + (c[i] + 1,) + c[i + 1:])
-        layer = sorted(above)
-        positive += layer
-        seen.update(layer)
+        above = {}
+        for c, (code, pairs) in layer.items():
+            for i, u in enumerate(unit):
+                p, down = 0, code - u
+                while down in seen:
+                    p, down = p + 1, down - u
+                if p > pairs[i]:
+                    above[c[:i] + (c[i] + 1,) + c[i + 1:]] = (code + u, tuple(map(add, pairs, cartan[i])))
+        positive += sorted(above)
+        seen.update(code for code, _ in above.values())
+        layer = above
     return positive + [tuple(-x for x in e) for e in positive]
 
 
@@ -735,6 +735,16 @@ def _int_rows(rows: Iterable[Sequence]) -> tuple[int, list[list[tuple[int, int]]
     rows = list(rows)
     den = lcm(*(x.denominator for r in rows for x in r))
     return den, [[(k, int(x * den)) for k, x in enumerate(r) if x] for r in rows]
+
+
+def int_codes(vectors: Sequence[Sequence[int]]) -> list[int]:
+    """Each int vector v as one int, sum_k v_k B^k with B = 4 max |v_k| + 1:
+    linear, and injective on the int vectors with entries of size at most
+    2 max |v_k|, whose differences stay below B in every entry, so it tells
+    the vectors and the sums and differences of two of them apart."""
+    base = 4 * max(abs(x) for v in vectors for x in v) + 1
+    powers = [base**k for k in range(len(vectors[0]))]
+    return [sum(map(mul, v, powers)) for v in vectors]
 
 
 def _int_if_integral(x):

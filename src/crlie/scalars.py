@@ -176,9 +176,7 @@ class Gauss:
 def _mk(a: int, b: int, d: int) -> "Gauss":
     """Internal fast constructor; (a, b, d) must already be in lowest terms."""
     g = Gauss.__new__(Gauss)
-    g.a = a
-    g.b = b
-    g.d = d
+    g.a, g.b, g.d = a, b, d
     return g
 
 
@@ -186,9 +184,7 @@ def _reduce(a: int, b: int, d: int) -> "Gauss":
     """(a + b*i) / d in lowest terms, for d > 0."""
     g = gcd(a, b, d)
     if g != 1:
-        a //= g
-        b //= g
-        d //= g
+        a, b, d = a // g, b // g, d // g
     return _mk(a, b, d)
 
 

@@ -320,5 +320,5 @@ def test_missing_positive_pair_raises():
     i, j = next((i, j) for i in range(len(s.roots)) for j in range(len(s.roots))
                 if s.positive[i] and s.positive[j] and s.sum_index(i, j) is not None)
     del tab._n[i, j]
-    with pytest.raises(AssertionError):
+    with pytest.raises(ch.ChevalleyError, match="positive pair"):
         tab.n(i, j)

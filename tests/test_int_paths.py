@@ -5,6 +5,9 @@ ambient coordinates times the system's one positive denominator; each
 reference here is the Fraction implementation that keyed on canon().
 Subsystem.orthogonal_components reads the components off the base; its
 reference pairs every two members through Fraction RootSystem.inner.
+Root sums and differences read the int root codes (RootSystem.codes);
+their references add expansion tuples, and ConstantTable._general's
+reference takes Fraction ratios of squared lengths.
 """
 
 import contextlib
@@ -19,8 +22,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from crlie import classify, cli
+from crlie import chevalley as ch
 from crlie import rootsys as rs
 from crlie.contact import contact_datum
+from crlie.crstruct import _additive_closure
 
 DATA = Path(rs.__file__).resolve().parent / "data"
 # the systems whose roots tools/cli_digest.py prints
@@ -245,3 +250,121 @@ def test_classify_works_once_per_subsystem(monkeypatch):
         argv = ["classify", "--what", "special", "--max-rank", "8", "--format", "json"]
         assert cli.main(argv) == 0
     assert calls and max(calls.values()) == 1
+
+
+# -- root codes ---------------------------------------------------------------------------
+
+CODE_SYSTEMS = SYSTEMS + [rs.parse_type("B3+C3")]
+
+
+def sum_index_reference(s, i, j):
+    """The root whose expansion is the sum of the two expansion tuples."""
+    return s._by_expansion.get(tuple(x + y for x, y in zip(s.expansions[i], s.expansions[j])))
+
+
+def neg_index_reference(s):
+    return [s._by_expansion[tuple(-x for x in e)] for e in s.expansions]
+
+
+def root_expansions_reference(cartan):
+    """The alpha-string walk on expansion tuples."""
+    n = len(cartan)
+    layer = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    positive = list(layer)
+    seen = set(layer)
+    while layer:
+        above = set()
+        for c in layer:
+            for i in range(n):
+                p, down = 0, list(c)
+                while True:
+                    down[i] -= 1
+                    if tuple(down) not in seen:
+                        break
+                    p += 1
+                if p > sum(x * cartan[j][i] for j, x in enumerate(c) if x):
+                    above.add(c[:i] + (c[i] + 1,) + c[i + 1:])
+        layer = sorted(above)
+        positive += layer
+        seen.update(layer)
+    return positive + [tuple(-x for x in e) for e in positive]
+
+
+def general_reference(tab, i, j):
+    """ConstantTable._general with Fraction ratios of RootSystem.norm2."""
+    s = tab.system
+    if not s.positive[i] and not s.positive[j]:
+        return -tab.n(s.neg_index[i], s.neg_index[j])
+    if not s.positive[i]:
+        return -tab.n(j, i)
+    k = sum_index_reference(s, i, j)
+    nj, nk = s.neg_index[j], s.neg_index[k]
+    if s.positive[k]:
+        val = -Q(s.norm2(k), s.norm2(i)) * tab.n(nj, k)
+    else:
+        val = -Q(s.norm2(k), s.norm2(j)) * tab.n(i, nk)
+    assert val.denominator == 1
+    return int(val)
+
+
+def additive_closure_reference(s, seed):
+    """The pairwise closure: each root paired once with every root popped
+    before it and with itself, on expansion tuples."""
+    out, frontier, popped = set(seed), list(seed), []
+    while frontier:
+        i = frontier.pop()
+        popped.append(i)
+        for j in popped:
+            k = sum_index_reference(s, i, j)
+            if k is not None and k not in out:
+                out.add(k)
+                frontier.append(k)
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("system", CODE_SYSTEMS, ids=rs.RootSystem.type_str)
+def test_root_codes_match_tuple_paths(system):
+    """Every ordered pair: the code sum and difference name the root of the
+    tuple sum and difference, and strongly_orthogonal agrees."""
+    s = system
+    neg = neg_index_reference(s)
+    assert s.neg_index == neg
+    assert s.expansions == root_expansions_reference(s.cartan_matrix())
+    codes, get = s.codes, s.by_code.get
+    n = len(s.roots)
+    for i in range(n):
+        for j in range(n):
+            total, diff = sum_index_reference(s, i, j), sum_index_reference(s, i, neg[j])
+            assert s.sum_index(i, j) == total
+            assert get(codes[i] - codes[j]) == diff
+            assert s.strongly_orthogonal(i, j) == (
+                j not in (i, neg[i]) and total is None and diff is None)
+
+
+@pytest.mark.parametrize("tag", [f"B{r}" for r in range(2, 9)] + [f"C{r}" for r in range(3, 9)]
+                         + ["F4", "G2"])
+def test_int_general_matches_fraction_reference(tag):
+    s = rs.build(tag)
+    tab = ch.ConstantTable(s)
+    n = len(s.roots)
+    checked = 0
+    for i in range(n):
+        for j in range(n):
+            if s.sum_index(i, j) is not None and not (s.positive[i] and s.positive[j]):
+                assert tab._general(i, j) == general_reference(tab, i, j) == tab.n(i, j)
+                checked += 1
+    assert checked
+
+
+@st.composite
+def closure_seeds(draw):
+    s = draw(st.sampled_from((E6, F4, rs.build("B4"))))
+    seed = draw(st.frozensets(st.integers(0, len(s.roots) - 1), max_size=10))
+    return s, seed
+
+
+@given(closure_seeds())
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_additive_closure_matches_pairwise_reference(case):
+    s, seed = case
+    assert _additive_closure(s, seed) == additive_closure_reference(s, seed)

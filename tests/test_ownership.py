@@ -65,3 +65,21 @@ def test_dropped_system_is_freed():
     del system, a, b, family
     gc.collect()
     assert ref() is None
+
+
+def test_sum_index_keeps_nothing():
+    """sum_index reads the root codes and stores nothing: after every
+    ordered pair of E8, no container on the system has grown."""
+    from crlie.rootsys import RootSystem
+
+    system = RootSystem([("E", 8)])  # built directly, so not interned
+
+    def sizes():
+        return {name: len(value) for name, value in vars(system).items()
+                if isinstance(value, (dict, list, set, tuple, frozenset))}
+
+    before = sizes()
+    n = len(system.roots)
+    sums = sum(system.sum_index(i, j) is not None for i in range(n) for j in range(n))
+    assert sums == 240 * 56  # each root of E8 pairs to a root sum with 56 others
+    assert sizes() == before
