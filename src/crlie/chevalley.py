@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .rootsys import RootSystem, RootVector
-from .scalars import Gauss, Poly, as_poly
+from .scalars import Gauss, Poly
 
 Q = Fraction
 
@@ -179,13 +179,6 @@ class LieElement:
     # -- constructors -----------------------------------------------------------
 
     @staticmethod
-    def root_vector(system: RootSystem, alpha: RootVector, coeff=1) -> "LieElement":
-        i = system.root_index(alpha)
-        if i is None:
-            raise ChevalleyError("not a root")
-        return LieElement(system, {i: _coeff(coeff)})
-
-    @staticmethod
     def cartan(system: RootSystem, v: RootVector, coeff=1) -> "LieElement":
         c = _coeff(coeff)
         return LieElement(system, {}, {k: c * x for k, x in enumerate(v.c) if x})
@@ -243,22 +236,8 @@ class LieElement:
     def bracket(self, other: "LieElement") -> "LieElement":
         self._check(other)
         sys = self.system
-        tab = sys.constants
-        n, codes, get, neg = tab.n, sys.codes, sys.by_code.get, sys.neg_index
-        e: dict = {}
-        h: dict = {}
-        for i, ci in self.e.items():
-            ni, code = neg[i], codes[i]
-            for j, cj in other.e.items():
-                if j == ni:
-                    # [E_a, E_-a] = H_a, the coroot 2a/(a, a)
-                    prod = ci * cj
-                    for k, x in tab.coroot_terms(i):
-                        _accumulate(h, k, prod * x)
-                else:
-                    k = get(code + codes[j])
-                    if k is not None:
-                        _accumulate(e, k, n(i, j) * ci * cj)
+        e, h = {}, {}
+        root_bracket(sys, self.e, other.e, e, h)
         if self.h:
             for j, cj in other.e.items():
                 val = _pair_vec(sys.roots[j].covector(), self.h)
@@ -271,25 +250,6 @@ class LieElement:
                     _accumulate(e, i, -(val * ci))
         return LieElement(sys, e, h)
 
-    def conjugate(self) -> "LieElement":
-        """Antilinear conjugation fixing the compact real form."""
-        sys = self.system
-        e = {sys.neg_index[i]: -c.conj() for i, c in self.e.items()}
-        h = {k: -c.conj() for k, c in self.h.items()}
-        return LieElement(sys, e, h)
-
-    def eval(self, values: Mapping[str, Gauss]) -> "LieElement":
-        """Substitute Gaussian rationals for every twist: Gauss coefficients."""
-        return LieElement(
-            self.system,
-            {i: _eval(c, values) for i, c in self.e.items()},
-            {k: _eval(c, values) for k, c in self.h.items()},
-        )
-
-    def eval_functional(self, v: RootVector) -> Poly:
-        """(v, H-part) via the ambient bilinear form."""
-        return as_poly(_pair_vec(v.covector(), self.h))
-
     def __repr__(self):
         from .rootsys import format_vector
 
@@ -301,13 +261,26 @@ class LieElement:
         return " + ".join(parts) if parts else "0"
 
 
+def root_bracket(system: RootSystem, x: Mapping, y: Mapping, e: dict, h: dict) -> None:
+    """Add [x, y] for x and y sums of root vectors, each {root: coefficient},
+    into e, by root, and h, by simple-root Cartan coordinate: N(a, b) E_(a+b)
+    for a root sum, and [E_a, E_-a] = H_a, the coroot 2a/(a, a)."""
+    tab = system.constants
+    n, codes, get, neg = tab.n, system.codes, system.by_code.get, system.neg_index
+    for i, ci in x.items():
+        ni, code = neg[i], codes[i]
+        for j, cj in y.items():
+            if j == ni:
+                prod = ci * cj
+                for k, t in tab.coroot_terms(i):
+                    _accumulate(h, k, prod * t)
+            elif (k := get(code + codes[j])) is not None:
+                _accumulate(e, k, n(i, j) * ci * cj)
+
+
 def _coeff(c):
     """A Poly stays a Poly; any other scalar becomes a Gauss."""
     return c if isinstance(c, (Gauss, Poly)) else Gauss(c)
-
-
-def _eval(c, values: Mapping[str, Gauss]) -> Gauss:
-    return c.eval(values) if isinstance(c, Poly) else c
 
 
 def _accumulate(d: dict, k: int, c) -> None:

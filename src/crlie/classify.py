@@ -28,7 +28,6 @@ from .contact import (
 from .crstruct import (
     HolomorphicSubspace,
     _fiber_type,
-    _with_conj,
     check_disjointness,
     check_integrability,
     find_crf_parabolics,
@@ -241,7 +240,7 @@ def _verify(h: HolomorphicSubspace, samples: int) -> Optional[bool]:
     primitive = True
     for j in range(samples):
         vals = _sample_values(h, j)
-        if (not cons.holds_at(_with_conj(vals)) or is_standard(h, vals)
+        if (not cons.holds_at(h.at(vals).values) or is_standard(h, vals)
                 or normalizer_excess(h, vals) != 0):
             return None
         primitive = primitive and find_crf_parabolics(h, vals).primitive

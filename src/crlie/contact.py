@@ -13,9 +13,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .chevalley import LieElement
 from .linalg import nullspace
 from .rootsys import RootSystem, RootVector, Subsystem, int_codes
+from .scalars import ONE
 
 Q = Fraction
 
@@ -30,8 +30,8 @@ class ContactDatum:
 
     The tables derived from it (its modules, the theta-transverse weights
     that grade g and its theta-congruence classes, t' and the center of l,
-    a basis of l^C and its twist propagations) are built on first use and
-    live as long as the datum does.
+    a basis of l^C, its twist propagations and theta-components) are built
+    on first use and live as long as the datum does.
     """
 
     system: RootSystem
@@ -96,16 +96,15 @@ class ContactDatum:
         return {w: tuple(b) for w, b in blocks.items()}
 
     @cached_property
-    def l_complex(self) -> dict[int, tuple[LieElement, ...]]:
-        """A basis of l^C by weight code: E_d for each root d of R_o, in index
-        order, then H(v) for the basis v of t' (theta_perp_cartan), of
-        weight 0."""
-        sys = self.system
-        out: dict[int, list[LieElement]] = {}
+    def l_complex(self) -> dict[int, tuple]:
+        """A basis of l^C by weight code, as crstruct._graded_w_and_perp
+        writes elements: {d: 1} for E_d, d a root of R_o, in index order,
+        then the vector v of H(v) for the basis of t' (theta_perp_cartan),
+        of weight 0."""
+        out: dict[int, list] = {}
         for d in sorted(self.Ro.members):
-            e_d = LieElement.root_vector(sys, sys.roots[d])
-            out.setdefault(self.weight_codes[d], []).append(e_d)
-        out.setdefault(0, []).extend(LieElement.cartan(sys, v) for v in self.theta_perp_cartan)
+            out.setdefault(self.weight_codes[d], []).append({d: ONE})
+        out.setdefault(0, []).extend(self.theta_perp_cartan)
         return {tau: tuple(els) for tau, els in out.items()}
 
     @cached_property
@@ -141,6 +140,12 @@ class ContactDatum:
     @cached_property
     def propagations(self) -> dict:
         """crstruct._propagate's twist coefficients, by (hw, partner)."""
+        return {}
+
+    @cached_property
+    def theta_coroots(self) -> dict[int, Q]:
+        """crstruct.check_integrability's (theta, H_r), the theta-component
+        of [E_r, E_-r], by root r.  H_r is the coroot 2r/(r, r)."""
         return {}
 
 

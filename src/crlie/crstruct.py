@@ -5,23 +5,23 @@ A holomorphic subspace is assembled from twisted module pairs
 a one-sided nilpotent block, and optionally a twisted rank-one line
 C(E_mu + c E_{-mu}).  Each part contributes lines to one map,
 HolomorphicSubspace.lines: root w maps to (w', c) for the basis vector
-E_w + c E_w', or to None for E_w alone.  Standardness is read off the
-lines (is_standard).  Integrability, disjointness, the normalizer
-dimension and the parabolic fibration witnesses are decided by exact
-linear algebra over the Gaussian-rational polynomial ring (symbolically
-where the condition is polynomial in the twists, at sampled
-Gaussian-rational parameter values otherwise).  The normalizer needs no
-linear system of its own: by the invariant form of the Chevalley basis it
-is the annihilator of the brackets of l^C + m01 with its orthogonal
-complement, so its real points are counted by ranks (normalizer_excess);
-both spaces are read off the lines, since the form rows of l^C + m01 have
-disjoint supports once every line root lies in R'.
-The two bracket checks are graded by the theta-transverse weight of
-ContactDatum.weights: a bracket of weights sigma and tau lies in the
-weight space of sigma + tau, so integrability skips the pairs whose sum is
-no weight of g or a block that reduction modulo m10 + l^C empties, and the
-normalizer ranks its brackets one weight block at a time, each up to a
-bound that l-equivariance tightens (HolomorphicSubspace.l_stable).
+E_w + c E_w', or to None for E_w alone.  Every check reads that map, or
+HolomorphicSubspace.at(values), the lines with their twists evaluated
+once per sample, and brackets their roots through the structure
+constants; none builds a basis of Lie algebra elements.  Integrability and
+disjointness are polynomial in the twists and decided symbolically;
+standardness, the normalizer dimension and the parabolic fibration
+witnesses at sampled Gaussian-rational values, all exactly.  The
+normalizer needs no linear system of its own: by the invariant form of
+the Chevalley basis it is the annihilator of the brackets of l^C + m01
+with its orthogonal complement, and both spaces are read off the lines,
+since their form rows have disjoint supports once every line root lies in
+R' (normalizer_excess).  The bracket checks are graded by the
+theta-transverse weight of ContactDatum.weights: integrability skips the
+pairs whose sum is no weight of g or a block that reduction modulo
+m10 + l^C empties, and the normalizer ranks its brackets one weight block
+at a time, each up to a bound that l-equivariance tightens
+(HolomorphicSubspace.l_stable).
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
-from .chevalley import LieElement
+from .chevalley import LieElement, root_bracket
 from .contact import ContactDatum
-from .linalg import Echelon, Row
-from .rootsys import RootSystem, Subsystem, format_vector
+from .linalg import Echelon
+from .rootsys import RootSystem, RootVector, Subsystem, format_vector
 from .scalars import ONE, ZERO, Gauss, P_ZERO, Poly, _mono_mul, as_poly, conj_var
 
 Q = Fraction
@@ -65,8 +65,8 @@ class SU2Line:
 @dataclass(frozen=True)
 class HolomorphicSubspace:
     """A candidate m10: twisted pairs, plain modules, the one-sided block
-    R_J+ and an optional su2 line.  The basis, the twist parameters and the
-    reduction modulo m10 in check_integrability all read one map, lines."""
+    R_J+ and an optional su2 line.  The twist parameters, every check and
+    the samples of the twists (at) all read one map, lines."""
 
     datum: ContactDatum
     pairs: tuple[TwistedPair, ...] = ()
@@ -109,15 +109,21 @@ class HolomorphicSubspace:
                                   "but m10 lies in m^C, spanned by R'")
         return dict(lines)
 
-    def basis(self) -> list[LieElement]:
-        return list(self._basis)
+    def at(self, values: Mapping[str, Gauss]) -> "Sample":
+        """The subspace at one sample of its twists, evaluated once and kept
+        with the subspace, as ContactDatum.propagations is with the datum."""
+        key = tuple(sorted(values.items()))
+        if key not in self._samples:
+            vals = _with_conj(values)
+            lines = {w: line and (line[0], line[1].eval(vals)) for w, line in self.lines.items()}
+            self._samples[key] = Sample(vals, {w: line if line and line[1] else None
+                                               for w, line in lines.items()})
+        return self._samples[key]
 
     @cached_property
-    def _basis(self) -> tuple[LieElement, ...]:
-        """The basis of m10, one vector per line, kept with the subspace."""
-        sys = self.datum.system
-        return tuple(LieElement(sys, {w: ONE} if line is None else {w: ONE, line[0]: line[1]})
-                     for w, line in self.lines.items())
+    def _samples(self) -> dict:
+        """at's samples, by the sorted items of their values."""
+        return {}
 
     def parameters(self) -> set[str]:
         return set().union(*(line[1].variables() for line in self.lines.values() if line))
@@ -155,6 +161,14 @@ class HolomorphicSubspace:
                 if not _in_lines(lines, second, image):
                     return False
         return True
+
+
+class Sample(NamedTuple):
+    """A subspace at one sample: the values with their formal conjugates,
+    and the lines with each twist evaluated, to None where it is 0."""
+
+    values: dict[str, Gauss]
+    lines: dict[int, Optional[tuple[int, Gauss]]]
 
 
 def _in_lines(lines: Mapping, second: Mapping[int, int], image: Mapping) -> bool:
@@ -255,49 +269,63 @@ def render_constraint(g: Poly) -> str:
 def check_integrability(h: HolomorphicSubspace) -> ConstraintSet:
     """Conditions on the twists for [m10, m10] to lie in m10 + l^C.
 
-    Each bracket of basis vectors is reduced modulo m10 + l^C, and every
-    coefficient left, with the bracket's theta-component, is a condition.
-    A pair of homogeneous vectors is skipped when its weight sum names no
+    Each bracket of two lines is read off their at most four root pairs:
+    N(r, s) E_(r+s) for a root sum, and for s = -r the coroot H_r, of
+    theta-component (theta, H_r).  The bracket is reduced modulo m10 + l^C,
+    and every coefficient left, with its theta-component, is a condition.
+    A pair of homogeneous lines is skipped when its weight sum names no
     live block: a sum that is no weight of g leaves nothing, and neither
     does an absorbed block, one of nonzero weight whose roots all lie in
     R_o or on lone lines E_w, since a bracket into it has no Cartan part
     and reduces to 0."""
-    basis = h.basis()
-    lines = h.lines
-    gens: dict[tuple, Poly] = {}
+    datum = h.datum
+    sys = datum.system
+    n, codes, get, neg = sys.constants.n, sys.codes, sys.by_code.get, sys.neg_index
+    lines, tc = h.lines, datum.theta_coroots
+    gens: dict[frozenset, Poly] = {}
 
     def note(p):
-        p = as_poly(p).primitive()
-        if not p.is_zero():
-            gens.setdefault(p.key(), p)
+        if p:  # deduplicated on the int triples of its coefficients
+            p = as_poly(p).primitive()
+            gens.setdefault(frozenset((m, c.a, c.b, c.d) for m, c in p.terms.items()), p)
 
-    ro = frozenset(h.datum.Ro.members)
+    ro = frozenset(datum.Ro.members)
     # the live blocks: g_0, and every other weight of g with a root off R_o
     # and off the lone lines
-    live = {rho for rho, roots in h.datum.weight_blocks.items()
+    live = {rho for rho, roots in datum.weight_blocks.items()
             if rho == 0 or any(r not in ro and lines.get(r, 0) is not None for r in roots)}
-    # the weight code of each basis vector, None for a line across two weights
-    wt = h.datum.weight_codes
+    # each line's (root, coefficient) terms, and its weight code or None
+    wt = datum.weight_codes
+    vecs = [((w, 1),) if line is None else ((w, 1), line) for w, line in lines.items()]
     weights = [wt[w] if line is None or wt[line[0]] == wt[w] else None
                for w, line in lines.items()]
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
+    for a, va in enumerate(vecs):
+        for b in range(a + 1, len(vecs)):
             wa, wb = weights[a], weights[b]
             if wa is not None and wb is not None and wa + wb not in live:
                 continue
-            br = basis[a].bracket(basis[b])
-            res = dict(br.e)
+            res: dict = {}
+            cartan = 0
+            for r, x in va:
+                cr, nr = codes[r], neg[r]
+                for s, y in vecs[b]:
+                    if s == nr:
+                        if r not in tc:
+                            tc[r] = sys.pairing(datum.theta, sys.roots[r])
+                        cartan = cartan + x * y * tc[r]
+                    elif (k := get(cr + codes[s])) is not None:
+                        c = n(r, s) * x * y
+                        res[k] = res[k] + c if k in res else c
             # reduce modulo m10: E_w + c E_w' leaves -c times E_w's coefficient on w'
             for w in [w for w in res if w in lines]:
                 c = res.pop(w)
                 if lines[w] is not None:
                     wp, twist = lines[w]
-                    res[wp] = res.get(wp, P_ZERO) - c * twist
+                    res[wp] = res.get(wp, 0) - c * twist
             for w, c in res.items():
-                if c.is_zero() or w in ro:
-                    continue
-                note(c)
-            note(br.eval_functional(h.datum.theta))
+                if w not in ro:
+                    note(c)
+            note(cartan)
     return ConstraintSet(tuple(_minimize(sorted(gens.values(), key=lambda p: p.key()))))
 
 
@@ -393,22 +421,24 @@ def _divisors(n: int) -> list[int]:
 
 
 def check_disjointness(h: HolomorphicSubspace) -> DisjointnessResult:
-    """Determinant factors whose nonvanishing gives m10 and conj(m10) disjoint."""
-    basis = h.basis()
-    vectors = basis + [v.conjugate() for v in basis]
+    """Determinant factors whose nonvanishing gives m10 and conj(m10) disjoint,
+    one per congruence block, read off the lines and their conjugates."""
+    neg = h.datum.system.neg_index
+    vectors = [{w: ONE, line[0]: line[1]} if line and line[1] else {w: ONE}
+               for w, line in h.lines.items()]
+    vectors += [{neg[r]: -c.conj() for r, c in v.items()} for v in vectors]
     class_of = h.datum.class_of
     per_block: dict[tuple[int, ...], list] = {}
     for v in vectors:
-        support = sorted(v.e)
-        block = class_of[support[0]]
-        if any(class_of[w] != block for w in support):
+        block = class_of[min(v)]
+        if any(class_of[w] != block for w in v):
             raise StructError("vector support crosses congruence blocks")
         per_block.setdefault(block, []).append(v)
     factors: dict[tuple, Poly] = {}
     for block, vs in per_block.items():
         if len(vs) != len(block):
             raise StructError("congruence block is not square")
-        mat = [[v.e.get(w, P_ZERO) for w in block] for v in vs]
+        mat = [[v.get(w, P_ZERO) for w in block] for v in vs]
         det = as_poly(_det_poly(mat))
         if det.is_zero():
             raise StructError("identically degenerate block")
@@ -437,24 +467,6 @@ def _det_poly(mat: list[list[Poly]]) -> Poly:
 # -- evaluation-based checks ---------------------------------------------------------
 
 
-def _coordinate_rows(sys: RootSystem, elements: Iterable[LieElement]) -> list[Row]:
-    """Sparse Gauss coordinate rows over (all roots, simple-root Cartan
-    coordinates): root i is column i, Cartan coordinate k column |R| + k."""
-    n = len(sys.roots)
-    rows = []
-    for el in elements:
-        row = Row(el.e, n + sys.rank)
-        for k, c in el.h.items():
-            row[n + k] = c
-        rows.append(row)
-    return rows
-
-
-def evaluate_basis(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> list[LieElement]:
-    vals = _with_conj(values)
-    return [v.eval(vals) for v in h.basis()]
-
-
 def _with_conj(values: Mapping[str, Gauss]) -> dict[str, Gauss]:
     out = dict(values)
     for k, v in list(values.items()):
@@ -468,14 +480,13 @@ def is_standard(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> bool:
 
     ad_Z scales E_w by (w, theta), and no root lies on two lines, so the
     image of E_w + c E_w' lies in the subspace exactly when it is a multiple
-    of that vector: when (w, theta) = (w', theta) or c is 0 at values."""
+    of that vector: when (w, theta) = (w', theta) or c is 0 at values
+    (HolomorphicSubspace.at)."""
     sys = h.datum.system
     theta = h.datum.theta
-    vals = _with_conj(values)
     return all(line is None
                or sys.inner(sys.roots[w], theta) == sys.inner(sys.roots[line[0]], theta)
-               or line[1].eval(vals).is_zero()
-               for w, line in h.lines.items())
+               for w, line in h.at(values).lines.items())
 
 
 def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> int:
@@ -499,35 +510,31 @@ def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> in
     The block of -rho is the conjugate of the block of rho, so one block
     of each pair is ranked and counted twice.
 
-    A bracket into rho is skipped once its block reaches a bound that no
-    rank can pass: dim g_rho in general.  When HolomorphicSubspace.l_stable
-    certifies that l^C lies in N and in conj(N), l^C annihilates
-    S + conj(S); since the form pairs g_rho perfectly with g_-rho, the
-    block's rank is then at most dim g_rho - dim(l^C in g_-rho), that is
-    dim g_rho less the roots of R_o of weight -rho and, for rho = 0, less
-    dim t'.  Without the certificate the bound stays dim g_rho, so a
-    W that is not l-stable still gets its exact (possibly negative) excess.
-    """
+    A pair (W_sigma, W'_tau) is skipped when its sum is no weight of g, and
+    a bracket into rho once its block reaches a bound that no rank can pass:
+    dim g_rho in general.  When HolomorphicSubspace.l_stable certifies that
+    l^C lies in N and in conj(N), l^C annihilates S + conj(S); since the
+    form pairs g_rho perfectly with g_-rho, the block's rank is then at most
+    dim g_rho - dim(l^C in g_-rho), that is dim g_rho less the roots of R_o
+    of weight -rho and, for rho = 0, less dim t'.  Without the certificate
+    the bound stays dim g_rho, so a W that is not l-stable still gets its
+    exact (possibly negative) excess."""
     datum = h.datum
     sys = datum.system
     wblocks, perp = _graded_w_and_perp(h, values)
-    caps = {tau: len(roots) for tau, roots in datum.weight_blocks.items()}  # dim g_tau
-    caps[0] += sys.rank
+    # the room left under each block's bound, dim g_tau to begin with
+    room = {tau: len(roots) for tau, roots in datum.weight_blocks.items()}
+    room[0] += sys.rank
     # the l-bound; as R_o = -R_o, its roots of weight rho count those of -rho
     if h.l_stable:
         for d in datum.Ro.members:
-            caps[datum.weight_codes[d]] -= 1
-        caps[0] -= len(datum.theta_perp_cartan)
+            room[datum.weight_codes[d]] -= 1
+        room[0] -= len(datum.theta_perp_cartan)
     blocks: dict[int, Echelon] = {}
     for sigma, ws in wblocks.items():
         for tau, us in perp.items():
-            rho = sigma + tau
-            if rho not in caps:
-                continue
-            # the blocks rho and -rho are kept as one, under the positive code
-            ech = blocks.setdefault(abs(rho), Echelon())
-            if len(ech.rows) < caps[rho]:
-                _bracket_into(sys, ech, caps[rho], rho, ((w, u) for w in ws for u in us))
+            if room.get(sigma + tau, 0) > 0:
+                _bracket_into(sys, blocks, room, sigma + tau, ws, us)
     # the block of -rho is the conjugate of the block of rho: same rank
     rank = sum(len(ech.rows) * (1 if tau == 0 else 2) for tau, ech in blocks.items())
     dim_l = len(datum.Ro.members) + len(datum.theta_perp_cartan)
@@ -536,17 +543,18 @@ def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> in
 
 def _graded_w_and_perp(h: HolomorphicSubspace, values: Mapping[str, Gauss]):
     """Bases of W = l^C + m01 and of its form complement W' at values,
-    each as lists by theta-transverse weight.
+    each as lists by theta-transverse weight.  An element is {root:
+    coefficient} for a sum of root vectors, or a RootVector v for H(v).
 
     W is l^C (ContactDatum.l_complex) and the conjugate -E_-w - conj(c) E_-w'
-    of each line E_w + c E_w'.  Every root of a line lies in R'
-    (HolomorphicSubspace.lines), so the form rows of these elements have
-    pairwise disjoint supports: column -d for E_d, the Cartan for t', and
-    the roots of its line for a line's conjugate.  So W' is spanned by
-    H(theta), which pairs to 0 with t' = theta-perp; by E_r for each root
-    r of R' on no line whose coefficient is nonzero at values; and by
-    conj(c) E_w - ((w', w')/(w, w)) E_w' for each line with c nonzero,
-    which pairs to 0 with that line's conjugate.  Those are
+    of each line E_w + c E_w' of HolomorphicSubspace.at(values).  Every root
+    of a line lies in R' (HolomorphicSubspace.lines), so the form rows of
+    these elements have pairwise disjoint supports: column -d for E_d, the
+    Cartan for t', and the roots of its line for a line's conjugate.  So W'
+    is spanned by H(theta), which pairs to 0 with t' = theta-perp; by E_r
+    for each root r of R' on no line whose coefficient is nonzero at values;
+    and by conj(c) E_w - ((w', w')/(w, w)) E_w' for each line with c
+    nonzero, which pairs to 0 with that line's conjugate.  Those are
     |R'|/2 + 1 = dim g - dim W independent vectors.  A line with c nonzero
     whose two roots differ in weight would leave W ungraded, and raises.
     """
@@ -554,50 +562,71 @@ def _graded_w_and_perp(h: HolomorphicSubspace, values: Mapping[str, Gauss]):
     sys = datum.system
     wt = datum.weight_codes
     neg = sys.neg_index
-    vals = _with_conj(values)
     wblocks = {tau: list(els) for tau, els in datum.l_complex.items()}
-    perp: dict[int, list[LieElement]] = {0: [LieElement.cartan(sys, datum.theta)]}
+    perp: dict[int, list] = {0: [datum.theta]}
     free = set(datum.Rprime)
-    for w, line in h.lines.items():
+    for w, line in h.at(values).lines.items():
         free.discard(w)
-        c = line[1].eval(vals).conj() if line else ZERO
-        if c.is_zero():
-            wblocks.setdefault(-wt[w], []).append(LieElement(sys, {neg[w]: -ONE}))
+        if line is None:
+            wblocks.setdefault(-wt[w], []).append({neg[w]: -ONE})
             continue
-        wp = line[0]
+        wp, c = line[0], line[1].conj()
         if wt[wp] != wt[w]:
             raise StructError("l^C + m01 has an element of mixed theta-transverse weight")
         free.discard(wp)
-        wblocks.setdefault(-wt[w], []).append(LieElement(sys, {neg[w]: -ONE, neg[wp]: -c}))
-        perp.setdefault(wt[w], []).append(
-            LieElement(sys, {w: c, wp: Gauss(-sys.norm2(wp) / sys.norm2(w))}))
+        wblocks.setdefault(-wt[w], []).append({neg[w]: -ONE, neg[wp]: -c})
+        perp.setdefault(wt[w], []).append({w: c, wp: Gauss(-sys.norm2(wp) / sys.norm2(w))})
     for r in sorted(free):
-        perp.setdefault(wt[r], []).append(LieElement(sys, {r: ONE}))
+        perp.setdefault(wt[r], []).append({r: ONE})
     if sum(map(len, perp.values())) + sum(map(len, wblocks.values())) != len(sys.roots) + sys.rank:
         raise StructError("dim W + dim W' is not dim g")
     return wblocks, perp
 
 
-def _bracket_into(sys: RootSystem, ech: Echelon, cap: int, rho: int, pairs) -> None:
-    """Rank the brackets [w, u] of weight rho into ech, the block of
-    |rho|, until it reaches cap, which no rank can pass.
+def _bracket_into(sys: RootSystem, blocks: dict, room: dict, rho: int, ws: list, us: list):
+    """Rank the brackets [w, u] of weight rho into the block of |rho|,
+    made on its first nonzero bracket, until no room is left under its
+    bound, which no rank can pass.
 
     The blocks rho and -rho hold S_rho + conj(S_-rho) and its conjugate,
     so only the one of the positive code is kept: a bracket enters it as
     itself when rho is positive, as its conjugate when -rho is, and as
-    both when rho = 0."""
+    both when rho = 0.  Their bounds are equal, and so is their room."""
+    n, neg = len(sys.roots), sys.neg_index
+    ech = blocks.get(abs(rho))
+    for w in ws:
+        for u in us:
+            row = _bracket_row(sys, w, u)
+            if not row:
+                continue
+            if ech is None:
+                ech = blocks[abs(rho)] = Echelon()
+            rank = len(ech.rows)
+            if rho >= 0:
+                ech.add(row)
+            if rho <= 0:
+                ech.add({neg[c] if c < n else c: -x.conj() for c, x in row.items()})
+            room[rho] = room[-rho] = room[rho] - (len(ech.rows) - rank)
+            if room[rho] <= 0:
+                return
+
+
+def _bracket_row(sys: RootSystem, x, y) -> dict:
+    """The sparse coordinate row of [x, y], for elements written as in
+    _graded_w_and_perp: root i is column i, simple-root Cartan coordinate
+    k column |R| + k.  [H(v), E_r] = (r, v) E_r, two Cartan elements
+    commute, and [E_a, E_-a] is the coroot H_a (ConstantTable.coroot_terms)."""
+    sign = 1
+    if isinstance(y, RootVector):
+        if isinstance(x, RootVector):
+            return {}
+        x, y, sign = y, x, -1
+    if isinstance(x, RootVector):
+        return {r: c * p for r, c in y.items() if (p := sign * sys.inner(sys.roots[r], x))}
+    e, h = {}, {}
+    root_bracket(sys, x, y, e, h)
     n = len(sys.roots)
-    for w, u in pairs:
-        if len(ech.rows) == cap:
-            return
-        b = w.bracket(u)
-        if b.is_zero():
-            continue
-        row = _coordinate_rows(sys, [b])[0]
-        if rho >= 0:
-            ech.add(row)
-        if rho <= 0:
-            ech.add({sys.neg_index[c] if c < n else c: -x.conj() for c, x in row.items()})
+    return {**{k: c for k, c in e.items() if c}, **{n + k: c for k, c in h.items() if c}}
 
 
 # -- parabolic fibration witnesses ------------------------------------------------------
@@ -626,7 +655,9 @@ class FibrationReport:
 def find_crf_parabolics(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> FibrationReport:
     """Proper parabolic subalgebras containing l^C + m10.
 
-    The support S of l^C + m10 (R_o and the roots of the evaluated m10)
+    The support S of l^C + m10 (R_o and the roots of the lines of
+    HolomorphicSubspace.at(values), a line whose twist is 0 there adding
+    only its first root)
     meets every pair {a, -a}: l^C holds R_o, and m10 + m01 = m^C with
     m01 = conj(m10) supported on -S.  A closed root set P with
     P u -P = R is parabolic (Bourbaki, Lie VI 1.7, Prop. 20), and every
@@ -641,8 +672,8 @@ def find_crf_parabolics(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> 
     sys = h.datum.system
     datum = h.datum
     support = set(datum.Ro.members)
-    for v in evaluate_basis(h, values):
-        support.update(v.e.keys())
+    for w, line in h.at(values).lines.items():
+        support.update((w, line[0]) if line else (w,))
     p = _additive_closure(sys, frozenset(support))
     if any(i not in p and sys.neg_index[i] not in p for i in range(len(sys.roots))):
         raise StructError("m10 and its conjugate do not span m at these values")
@@ -661,20 +692,19 @@ def find_crf_parabolics(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> 
 def _additive_closure(sys: RootSystem, seed: frozenset[int]) -> frozenset[int]:
     """The least set of roots containing seed and closed under root sums.
 
-    Each root is paired once with every root popped before it and with
-    itself: one code sum and one lookup per pair (RootSystem.sum_index)."""
+    Sweeps the roots missing from the set until one sweep adds none: a
+    root r joins when r - a lies in the set for some member a, one code
+    difference and one lookup per test.  A seed holds most of its closure,
+    so this tests far fewer pairs than pairing every two members."""
     codes, get = sys.codes, sys.by_code.get
     out = set(seed)
-    frontier = list(seed)
-    popped: list[int] = []
-    while frontier:
-        ci = codes[frontier.pop()]
-        popped.append(ci)
-        for cj in popped:
-            k = get(ci + cj)
-            if k is not None and k not in out:
-                out.add(k)
-                frontier.append(k)
+    grew = True
+    while grew:
+        grew = False
+        for r, cr in enumerate(codes):
+            if r not in out and any(get(cr - codes[a]) in out for a in out):
+                out.add(r)
+                grew = True
     return frozenset(out)
 
 
@@ -708,22 +738,16 @@ def _rotated_s1_witness(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> 
     """S^1-fiber reduction adapted to the twisted rank-one line, when one
     exists: requires a regular su2 part and no pair of mutually negative
     eigenlines inside the subspace."""
-    if h.su2 is None:
-        return None
-    c = h.su2.coeff.eval(_with_conj(values))
-    if c.is_zero():
+    if h.su2 is None or h.at(values).lines[h.su2.root] is None:
         return None
     sys = h.datum.system
     datum = h.datum
-    basis = evaluate_basis(h, values)
-    x = next(
-        v for v in basis if h.su2.root in v.e and sys.neg_index[h.su2.root] in v.e
-    )
+    basis = {w: LieElement(sys, {w: ONE, line[0]: line[1]} if line else {w: ONE})
+             for w, line in h.at(values).lines.items()}
+    x = basis.pop(h.su2.root)
     constraints: list[tuple[Q, Q]] = []
     covered: set[tuple[frozenset[int], int]] = set()
-    for v in basis:
-        if v is x:
-            continue
+    for v in basis.values():
         support = frozenset(v.e)
         br = x.bracket(v)
         if set(br.e) - set(v.e):

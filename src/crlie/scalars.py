@@ -10,7 +10,7 @@ d > 0 and gcd(a, b, d) == 1, so that equal values have equal triples.  An
 operation works on ints and divides out one three-way gcd, which it skips
 where the invariant already holds (a shared denominator of 1, an int
 addend).  The Fraction parts ``re`` and ``im`` are derived on demand for
-printing, hashing and the sort keys of reports.
+printing and the sort keys of reports.
 """
 
 from __future__ import annotations
@@ -158,7 +158,10 @@ class Gauss:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as its int or Fraction, which it equals
+        if not self.b:
+            return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
+        return hash((self.a, self.b, self.d))
 
     def __repr__(self) -> str:
         return f"Gauss({self.re!r}, {self.im!r})"
@@ -288,27 +291,20 @@ class Poly:
             t[mm] = t.get(mm, ZERO) + c.conj()
         return Poly(t)
 
-    def subs(self, values: Mapping[str, Gauss]) -> "Poly":
-        """Substitute Gaussian rationals for some parameters."""
-        out = Poly()
-        for m, c in self.terms.items():
-            coeff = c
-            rest = []
-            for v, e in m:
-                if v in values:
-                    for _ in range(e):
-                        coeff = coeff * values[v]
-                else:
-                    rest.append((v, e))
-            out = out + Poly({tuple(sorted(rest)): coeff})
-        return out
-
     def eval(self, values: Mapping[str, Gauss]) -> Gauss:
-        p = self.subs(values)
-        if any(m for m in p.terms):
-            missing = sorted({v for m in p.terms for v, _ in m})
-            raise ValueError(f"unresolved parameters {missing}")
-        return p.terms.get((), ZERO)
+        """The value with a Gaussian rational for every parameter: each
+        term's coefficient times its powers, summed."""
+        total = ZERO
+        try:
+            for m, c in self.terms.items():
+                for v, e in m:
+                    for _ in range(e):
+                        c = c * values[v]
+                total = total + c
+        except KeyError:
+            missing = sorted(self.variables().difference(values))
+            raise ValueError(f"unresolved parameters {missing}") from None
+        return total
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -342,7 +338,10 @@ class Poly:
         return (self - other).is_zero()
 
     def __hash__(self):
-        return hash(self.key())
+        # a constant hashes as its value (Gauss.__hash__), as __eq__ wants
+        if self.is_constant():
+            return hash(self.terms.get((), ZERO))
+        return hash(frozenset((m, c.a, c.b, c.d) for m, c in self.terms.items()))
 
     def __repr__(self) -> str:
         return f"Poly({self})"

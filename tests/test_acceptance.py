@@ -21,6 +21,7 @@ from crlie.cli import load_fixture
 from crlie.painted import PaintedGraph, is_good
 from crlie.rootsys import format_vector
 from crlie.scalars import Gauss
+from test_crstruct import root_vector
 
 SAMPLES = classify.SAMPLES
 
@@ -218,7 +219,7 @@ def test_criterion_8_algebra_substrate():
     for tag in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D3",
                 "D4", "G2", "F4"):
         s = rs.parse_type(tag)
-        basis = [ch.LieElement.root_vector(s, r) for r in s.roots]
+        basis = [root_vector(s, r) for r in s.roots]
         basis += [ch.LieElement.coroot(s, a) for a in s.simple_roots]
         for x, y, z in itertools.combinations(basis, 3):
             j = x.bracket(y.bracket(z)) + y.bracket(z.bracket(x)) + z.bracket(x.bracket(y))

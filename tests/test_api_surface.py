@@ -13,8 +13,8 @@ PACKAGE = Path(crlie.__file__).resolve().parent
 KEPT_METHODS = {
     # argparse calls it on a bad command line
     "cli._Parser.error",
-    # the coroot H_a of the Chevalley basis, beside root_vector and cartan;
-    # the Jacobi tests build the full basis with it
+    # the coroot H_a of the Chevalley basis, beside cartan; the Jacobi tests
+    # build the full basis with it
     "chevalley.LieElement.coroot",
     # perfbench/workloads.py draws Weyl-conjugate contact forms with it
     "rootsys.RootSystem.reflect",

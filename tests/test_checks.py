@@ -78,7 +78,7 @@ def graded_w_short_of_dim_g(mp):
     datum = grade_by_highest_root(RootSystem([("A", 3)]))
     h = special_su_families(datum).fibered
     blocks = dict(datum.l_complex)
-    blocks[0] = tuple(el for el in blocks[0] if el.e)
+    blocks[0] = tuple(el for el in blocks[0] if isinstance(el, dict))
     mp.setitem(datum.__dict__, "l_complex", blocks)
     return lambda: cs.normalizer_excess(h, {"t": Gauss(Fraction(1, 2))})
 

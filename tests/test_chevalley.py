@@ -8,7 +8,7 @@ from crlie import rootsys as rs
 from crlie.classify import simple_types
 from crlie.linalg import SpanSolver
 from crlie.scalars import Gauss, Poly
-from test_crstruct import form_row
+from test_crstruct import conjugate, form_row, lie_eval, root_vector
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D3", "D4",
              "G2", "F4"]
@@ -46,7 +46,7 @@ def test_magnitude_and_antisymmetry(tag):
 @pytest.mark.parametrize("tag", RANK_LE_4)
 def test_jacobi_exhaustive(tag):
     s = rs.parse_type(tag)
-    basis = [ch.LieElement.root_vector(s, r) for r in s.roots]
+    basis = [root_vector(s, r) for r in s.roots]
     basis += [ch.LieElement.coroot(s, a) for a in s.simple_roots]
     for x, y, z in itertools.combinations(basis, 3):
         j = x.bracket(y.bracket(z)) + y.bracket(z.bracket(x)) + z.bracket(x.bracket(y))
@@ -57,14 +57,14 @@ def test_coroot_action():
     b2 = rs.build("B2")
     a = b2.vector([1, 0])
     Ha = ch.LieElement.coroot(b2, a)
-    Ea = ch.LieElement.root_vector(b2, a)
+    Ea = root_vector(b2, a)
     assert Ha.bracket(Ea) == Ea.scale(2)
-    Eb = ch.LieElement.root_vector(b2, b2.vector([1, 1]))
+    Eb = root_vector(b2, b2.vector([1, 1]))
     assert Ha.bracket(Eb) == Eb.scale(2)
     # orthogonal root commutes with the coroot
     prod = rs.build_product([("A", 1), ("A", 1)])
     H1 = ch.LieElement.coroot(prod, prod.simple_roots[0])
-    E2 = ch.LieElement.root_vector(prod, prod.simple_roots[1])
+    E2 = root_vector(prod, prod.simple_roots[1])
     assert H1.bracket(E2).is_zero()
 
 
@@ -96,8 +96,8 @@ def test_twisted_bracket():
     a2 = rs.build("A2")
     mu = a2.highest_root()
     t, s = Poly.var("t"), Poly.var("s")
-    x = ch.LieElement.root_vector(a2, mu) + ch.LieElement.root_vector(a2, -mu, t)
-    y = ch.LieElement.root_vector(a2, -mu) + ch.LieElement.root_vector(a2, mu, s)
+    x = root_vector(a2, mu) + root_vector(a2, -mu, t)
+    y = root_vector(a2, -mu) + root_vector(a2, mu, s)
     hmu = ch.LieElement.coroot(a2, mu)
     assert x.bracket(y) == hmu - hmu.scale(t * s)
     assert x.bracket(x).is_zero()
@@ -105,33 +105,33 @@ def test_twisted_bracket():
 
 def test_bracket_bilinearity_and_mixed_systems():
     b3 = rs.build("B3")
-    x = ch.LieElement.root_vector(b3, b3.roots[0])
-    y = ch.LieElement.root_vector(b3, b3.roots[1])
-    z = ch.LieElement.root_vector(b3, b3.roots[2])
+    x = root_vector(b3, b3.roots[0])
+    y = root_vector(b3, b3.roots[1])
+    z = root_vector(b3, b3.roots[2])
     assert (x + y).bracket(z) == x.bracket(z) + y.bracket(z)
     a2 = rs.build("A2")
     with pytest.raises(ch.ChevalleyError):
-        x.bracket(ch.LieElement.root_vector(a2, a2.roots[0]))
+        x.bracket(root_vector(a2, a2.roots[0]))
 
 
 def test_conjugation():
     b2 = rs.build("B2")
     a = b2.vector([1, 0])
     t = Poly.var("t")
-    x = ch.LieElement.root_vector(b2, a) + ch.LieElement.root_vector(b2, b2.vector([1, 1]), t)
-    assert x.conjugate().conjugate() == x
-    Ea = ch.LieElement.root_vector(b2, a)
-    assert Ea.conjugate() == ch.LieElement.root_vector(b2, -a).scale(-1)
+    x = root_vector(b2, a) + root_vector(b2, b2.vector([1, 1]), t)
+    assert conjugate(conjugate(x)) == x
+    Ea = root_vector(b2, a)
+    assert conjugate(Ea) == root_vector(b2, -a).scale(-1)
     # compact-form elements are fixed by conjugation
-    Ena = ch.LieElement.root_vector(b2, -a)
+    Ena = root_vector(b2, -a)
     Ha = ch.LieElement.coroot(b2, a)
     i = Gauss(0, 1)
     for v in (Ha.scale(i), Ea - Ena, (Ea + Ena).scale(i)):
-        assert v.conjugate() == v
+        assert conjugate(v) == v
     # and their brackets stay in the compact form
     u = Ea - Ena
     w = (Ea + Ena).scale(i)
-    assert u.bracket(w).conjugate() == u.bracket(w)
+    assert conjugate(u.bracket(w)) == u.bracket(w)
 
 
 def test_conjugate_pm_eigenspace_disjointness():
@@ -139,9 +139,9 @@ def test_conjugate_pm_eigenspace_disjointness():
     b2 = rs.build("B2")
     a, b = b2.vector([1, 1]), b2.vector([-1, 1])
     t = Gauss(1, 2)  # some fixed complex value
-    x = ch.LieElement.root_vector(b2, a) + ch.LieElement.root_vector(b2, b, Poly.const(t))
-    c = x.conjugate()
-    y = ch.LieElement.root_vector(b2, -a) + ch.LieElement.root_vector(b2, -b, Poly.const(t.conj()))
+    x = root_vector(b2, a) + root_vector(b2, b, Poly.const(t))
+    c = conjugate(x)
+    y = root_vector(b2, -a) + root_vector(b2, -b, Poly.const(t.conj()))
     assert c == y.scale(-1)
 
 
@@ -149,14 +149,14 @@ def test_evaluated_elements_have_gauss_coefficients():
     a2 = rs.build("A2")
     mu = a2.highest_root()
     t = Poly.var("t")
-    x = ch.LieElement.root_vector(a2, mu) + ch.LieElement.root_vector(a2, -mu, t)
-    y = ch.LieElement.root_vector(a2, -mu) + ch.LieElement.root_vector(a2, mu, t.conj())
+    x = root_vector(a2, mu) + root_vector(a2, -mu, t)
+    y = root_vector(a2, -mu) + root_vector(a2, mu, t.conj())
     vals = {"t": Gauss(2, 1), "t~": Gauss(2, -1)}
-    xe, ye = x.eval(vals), y.eval(vals)
+    xe, ye = lie_eval(x, vals), lie_eval(y, vals)
     br = xe.bracket(ye)
     for el in (xe, ye, br):
         assert all(type(c) is Gauss for c in [*el.e.values(), *el.h.values()])
-    assert br == x.bracket(y).eval(vals)
+    assert br == lie_eval(x.bracket(y), vals)
     # the Cartan part is kept in simple-root coordinates: the all-ones
     # direction of a relation block is zero, and H_mu has the coordinates
     # of mu = alpha_1 + alpha_2
@@ -173,7 +173,7 @@ FORM_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", 
 def _form_basis(s):
     """E_a for every root, then H(alpha_k) for every simple root: basis
     element c has the unit coordinate row at column c."""
-    basis = [ch.LieElement.root_vector(s, r) for r in s.roots]
+    basis = [root_vector(s, r) for r in s.roots]
     return basis + [ch.LieElement.cartan(s, a) for a in s.simple_roots]
 
 
@@ -208,7 +208,7 @@ def test_invariant_form_commutes_with_conjugation(tag):
         for j, y in enumerate(basis):
             x1 = x.scale(scalars[i % len(scalars)])
             y1 = y.scale(scalars[(i + j + 1) % len(scalars)])
-            assert _form(x1.conjugate(), y1.conjugate()) == _form(x1, y1).conj(), (i, j)
+            assert _form(conjugate(x1), conjugate(y1)) == _form(x1, y1).conj(), (i, j)
 
 
 class _ReferenceTable:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -8,12 +9,82 @@ from crlie import contact as ct
 from crlie import crstruct as cs
 from crlie import families as fam
 from crlie import rootsys as rs
-from crlie.linalg import nullspace
+from crlie.chevalley import LieElement
+from crlie.linalg import Row, nullspace
 from crlie.painted import PaintedGraph, is_good
-from crlie.scalars import P_ZERO, Gauss, Poly, as_poly
+from crlie.scalars import ONE, P_ZERO, Gauss, Poly, as_poly
 
 T_HALF = Gauss(Q(1, 2))
 UNIT = Gauss(Q(3, 5), Q(4, 5))  # |t| = 1
+
+
+# -- LieElement forms of a subspace ------------------------------------------------
+#
+# crstruct reads its checks off HolomorphicSubspace.lines and .at(values).
+# The references below work on the basis those lines span, as LieElements.
+
+
+def root_vector(system, alpha, coeff=1):
+    """E_alpha times coeff: a Poly stays a Poly, any other scalar becomes
+    a Gauss."""
+    i = system.root_index(alpha)
+    assert i is not None, "not a root"
+    return LieElement(system, {i: coeff if isinstance(coeff, (Gauss, Poly)) else Gauss(coeff)})
+
+
+def basis_of(h):
+    """m10's basis, one LieElement per line: E_w + c E_w', or E_w."""
+    sysm = h.datum.system
+    return [LieElement(sysm, {w: ONE} if line is None else {w: ONE, line[0]: line[1]})
+            for w, line in h.lines.items()]
+
+
+def lie_eval(el, values):
+    """el with a Gaussian rational for every twist: Gauss coefficients."""
+    def value(c):
+        return c.eval(values) if isinstance(c, Poly) else c
+
+    return LieElement(el.system, {i: value(c) for i, c in el.e.items()},
+                      {k: value(c) for k, c in el.h.items()})
+
+
+def conjugate(el):
+    """Antilinear conjugation fixing the compact real form:
+    conj(E_a) = -E_-a, conj(H) = -H."""
+    sysm = el.system
+    return LieElement(sysm, {sysm.neg_index[i]: -c.conj() for i, c in el.e.items()},
+                      {k: -c.conj() for k, c in el.h.items()})
+
+
+def eval_functional(el, v):
+    """(v, H-part of el) via the ambient bilinear form."""
+    cov = v.covector()
+    return as_poly(sum(c * cov[k] for k, c in el.h.items() if cov[k]))
+
+
+def evaluate_basis(h, values):
+    vals = cs._with_conj(values)
+    return [lie_eval(v, vals) for v in basis_of(h)]
+
+
+def coordinate_rows(sysm, elements):
+    """Sparse Gauss coordinate rows over (all roots, simple-root Cartan
+    coordinates): root i is column i, Cartan coordinate k column |R| + k."""
+    n = len(sysm.roots)
+    rows = []
+    for el in elements:
+        row = Row(el.e, n + sysm.rank)
+        for k, c in el.h.items():
+            row[n + k] = c
+        rows.append(row)
+    return rows
+
+
+def as_element(sysm, x):
+    """The LieElement of an element as crstruct._graded_w_and_perp and
+    ContactDatum.l_complex write it: {root: coefficient}, or a RootVector
+    v for H(v)."""
+    return LieElement.cartan(sysm, x) if isinstance(x, rs.RootVector) else LieElement(sysm, x)
 
 
 def _special(s):
@@ -183,7 +254,7 @@ def test_subspace_dimension_guard():
     mods = {m.highest for m in __import__("crlie.modules", fromlist=["decompose"]).decompose(datum)}
     h = cs.HolomorphicSubspace(datum, plains=tuple(sorted(mods)))
     with pytest.raises(cs.StructError):
-        h.basis()
+        h.lines
 
 
 def test_standard_normalizer_dichotomy_families():
@@ -228,14 +299,14 @@ def test_bracket_closure_at_samples():
     for h in _integrable_battery():
         vals = vals_for(h, T_HALF) if h.parameters() else {}
         sysm = h.datum.system
-        basis = cs.evaluate_basis(h, vals)
+        basis = evaluate_basis(h, vals)
         lbasis = l_complex_basis(h.datum)
-        rows = cs._coordinate_rows(sysm, basis + lbasis)
+        rows = coordinate_rows(sysm, basis + lbasis)
         solver = SpanSolver(rows)
         for a in basis:
             for b in basis:
                 br = a.bracket(b)
-                assert solver.contains(cs._coordinate_rows(sysm, [br])[0]), h.label
+                assert solver.contains(coordinate_rows(sysm, [br])[0]), h.label
 
 
 def test_m10_plus_conjugate_spans_at_samples():
@@ -243,10 +314,10 @@ def test_m10_plus_conjugate_spans_at_samples():
 
     for h in _integrable_battery():
         vals = vals_for(h, T_HALF) if h.parameters() else {}
-        basis = cs.evaluate_basis(h, vals)
-        conj = [v.conjugate() for v in basis]
+        basis = evaluate_basis(h, vals)
+        conj = [conjugate(v) for v in basis]
         sysm = h.datum.system
-        rows = cs._coordinate_rows(sysm, basis + conj)
+        rows = coordinate_rows(sysm, basis + conj)
         assert SpanSolver(rows).dim() == len(h.datum.Rprime), h.label
 
 
@@ -351,7 +422,7 @@ def test_fibration_witness_matches_branch_search(monkeypatch):
     for h, values in calls:
         sysm, datum = h.datum.system, h.datum
         support = set(datum.Ro.members)
-        for v in cs.evaluate_basis(h, values):
+        for v in evaluate_basis(h, values):
             support.update(v.e)
         want = []
         for p in _reference_parabolics(sysm, frozenset(support)):
@@ -426,17 +497,17 @@ def _brute_normalizer_excess(h, values):
     from crlie.chevalley import LieElement
 
     sysm = h.datum.system
-    m01 = [v.conjugate() for v in cs.evaluate_basis(h, values)]
+    m01 = [conjugate(v) for v in evaluate_basis(h, values)]
     wbasis = l_complex_basis(h.datum) + m01
-    wspan = SpanSolver(cs._coordinate_rows(sysm, wbasis))
-    gens = [LieElement.root_vector(sysm, r) for r in sysm.roots]
+    wspan = SpanSolver(coordinate_rows(sysm, wbasis))
+    gens = [root_vector(sysm, r) for r in sysm.roots]
     gens += [LieElement.cartan(sysm, a) for a in sysm.simple_roots]
     constraints = []
     residuals = []
     for w in wbasis:
         per_w = []
         for x in gens:
-            _, rem = wspan.remainder(cs._coordinate_rows(sysm, [x.bracket(w)])[0])
+            _, rem = wspan.remainder(coordinate_rows(sysm, [x.bracket(w)])[0])
             per_w.append(rem)
         m = len(per_w[0])
         for k in range(m):
@@ -450,8 +521,8 @@ def _brute_normalizer_excess(h, values):
             if c:
                 el = el + x.scale(c)
         sols.append(el)
-    nrows = cs._coordinate_rows(sysm, sols)
-    crows = cs._coordinate_rows(sysm, [v.conjugate() for v in sols])
+    nrows = coordinate_rows(sysm, sols)
+    crows = coordinate_rows(sysm, [conjugate(v) for v in sols])
     dim_n = SpanSolver(nrows).dim()
     dim_c = SpanSolver(crows).dim()
     dim_sum = SpanSolver(nrows + crows).dim()
@@ -545,16 +616,16 @@ def _reference_basis(h):
         kappa = cs._propagate(h.datum, pair.hw, pair.partner)
         for w in sorted(kappa):
             wp, k = kappa[w]
-            out.append(LieElement.root_vector(sysm, sysm.roots[w])
-                       + LieElement.root_vector(sysm, sysm.roots[wp], pair.coeff.scale(k)))
+            out.append(root_vector(sysm, sysm.roots[w])
+                       + root_vector(sysm, sysm.roots[wp], pair.coeff.scale(k)))
     for hw in h.plains:
-        out += [LieElement.root_vector(sysm, sysm.roots[w])
+        out += [root_vector(sysm, sysm.roots[w])
                 for w in sorted(h.datum.modules[hw].weights)]
-    out += [LieElement.root_vector(sysm, sysm.roots[r]) for r in sorted(h.rj_plus)]
+    out += [root_vector(sysm, sysm.roots[r]) for r in sorted(h.rj_plus)]
     if h.su2 is not None:
         mu = h.su2.root
-        out.append(LieElement.root_vector(sysm, sysm.roots[mu])
-                   + LieElement.root_vector(sysm, sysm.roots[sysm.neg_index[mu]], h.su2.coeff))
+        out.append(root_vector(sysm, sysm.roots[mu])
+                   + root_vector(sysm, sysm.roots[sysm.neg_index[mu]], h.su2.coeff))
     return out
 
 
@@ -597,7 +668,7 @@ def test_lines_match_reference_roles():
         want = {w: reducers.get(w) for w, r in roles.items() if not r.endswith("_second")}
         assert h.lines == want, h.label
         # one basis vector per line, in the order of the lines
-        assert h.basis() == _reference_basis(h), h.label
+        assert basis_of(h) == _reference_basis(h), h.label
 
 
 def _standard_by_span(h, values):
@@ -607,10 +678,10 @@ def _standard_by_span(h, values):
     from crlie.linalg import SpanSolver
 
     sysm = h.datum.system
-    basis = cs.evaluate_basis(h, values)
+    basis = evaluate_basis(h, values)
     hz = LieElement.cartan(sysm, h.datum.theta)
-    solver = SpanSolver(cs._coordinate_rows(sysm, basis))
-    return all(solver.contains(cs._coordinate_rows(sysm, [hz.bracket(v)])[0]) for v in basis)
+    solver = SpanSolver(coordinate_rows(sysm, basis))
+    return all(solver.contains(coordinate_rows(sysm, [hz.bracket(v)])[0]) for v in basis)
 
 
 def test_is_standard_matches_span_reference():
@@ -626,7 +697,7 @@ def test_is_standard_matches_span_reference():
 def _full_pair_integrability(h):
     """Reference for check_integrability: every pair of basis elements is
     bracketed, with no weight test."""
-    basis = h.basis()
+    basis = basis_of(h)
     roles, reducers = _reference_roles(h)
     gens = {}
 
@@ -651,7 +722,7 @@ def _full_pair_integrability(h):
             for w, c in res.items():
                 if not c.is_zero() and w not in ro:
                     note(c)
-            note(br.eval_functional(h.datum.theta))
+            note(eval_functional(br, h.datum.theta))
     return tuple(cs._minimize(sorted(gens.values(), key=lambda p: p.key())))
 
 
@@ -668,7 +739,7 @@ def test_integrability_matches_full_pair_reference():
 
 def form_row(x):
     """The sparse covector of <x, .> for the invariant form, on the
-    coordinate columns of cs._coordinate_rows: root i is column i,
+    coordinate columns of coordinate_rows: root i is column i,
     simple-root Cartan coordinate k column |R| + k.
 
     <E_a, E_-a> = 2/(a, a) and <H(u), H(v)> = (u, v); every other pair
@@ -691,7 +762,7 @@ def l_complex_basis(datum):
     from crlie.chevalley import LieElement
 
     sysm = datum.system
-    out = [LieElement.root_vector(sysm, sysm.roots[i]) for i in sorted(datum.Ro.members)]
+    out = [root_vector(sysm, sysm.roots[i]) for i in sorted(datum.Ro.members)]
     out.extend(LieElement.cartan(sysm, v) for v in datum.theta_perp_cartan)
     return out
 
@@ -717,7 +788,7 @@ def _reference_w_and_perp(h, values):
     sysm = datum.system
     n = len(sysm.roots)
     wblocks = {}
-    for w in l_complex_basis(datum) + [v.conjugate() for v in cs.evaluate_basis(h, values)]:
+    for w in l_complex_basis(datum) + [conjugate(v) for v in evaluate_basis(h, values)]:
         tau = _weight(datum, w)
         if tau is None:
             raise cs.StructError("l^C + m01 has an element of mixed theta-transverse weight")
@@ -735,17 +806,17 @@ def _reference_w_and_perp(h, values):
     return wblocks, perp
 
 
-def _dims_stop_normalizer_excess(h, values):
+def _dims_stop_normalizer_excess(h, values, w_and_perp=None):
     """Reference for the l-bound stop and the line-built W': the
-    normalizer excess from the reference W and W' (_reference_w_and_perp),
-    every block stopped only at its full rank dim g_rho, whatever l_stable
-    says."""
+    normalizer excess from the reference W and W' (_reference_w_and_perp,
+    or w_and_perp), every block stopped only at its full rank dim g_rho,
+    whatever l_stable says."""
     from crlie.linalg import Echelon
 
     datum = h.datum
     sysm = datum.system
     n = len(sysm.roots)
-    wblocks, perp = _reference_w_and_perp(h, values)
+    wblocks, perp = (w_and_perp or _reference_w_and_perp)(h, values)
     dims = {tau: len(roots) + (sysm.rank if tau == 0 else 0)
             for tau, roots in datum.weight_blocks.items()}
     blocks = {}
@@ -760,7 +831,7 @@ def _dims_stop_normalizer_excess(h, values):
                 for u in us:
                     if len(ech.rows) == dims[key]:
                         break
-                    row = cs._coordinate_rows(sysm, [w.bracket(u)])[0]
+                    row = coordinate_rows(sysm, [w.bracket(u)])[0]
                     if rho >= 0:
                         ech.add(row)
                     if rho <= 0:
@@ -779,11 +850,13 @@ def _assert_line_built_perp(h, values):
     sysm = h.datum.system
     n = len(sysm.roots)
     wblocks, perp = cs._graded_w_and_perp(h, values)
+    wblocks = {tau: [as_element(sysm, x) for x in xs] for tau, xs in wblocks.items()}
+    perp = {tau: [as_element(sysm, x) for x in xs] for tau, xs in perp.items()}
     ref_w, _ = _reference_w_and_perp(h, values)
     assert wblocks.keys() == ref_w.keys(), h.label
     for tau, ws in wblocks.items():
         assert len(ws) == len(ref_w[tau]), h.label
-        assert SpanSolver(cs._coordinate_rows(sysm, ws + ref_w[tau])).dim() == len(ws), h.label
+        assert SpanSolver(coordinate_rows(sysm, ws + ref_w[tau])).dim() == len(ws), h.label
     w_all = [w for ws in wblocks.values() for w in ws]
     u_all = [u for us in perp.values() for u in us]
     for w in w_all:
@@ -791,15 +864,18 @@ def _assert_line_built_perp(h, values):
         for u in u_all:
             coords = [*u.e.items(), *((n + k, c) for k, c in u.h.items())]
             assert not sum((row[c] * x for c, x in coords if c in row), Gauss(0)), h.label
-    dim_w = SpanSolver(cs._coordinate_rows(sysm, w_all)).dim()
-    assert SpanSolver(cs._coordinate_rows(sysm, u_all)).dim() == len(u_all) \
+    dim_w = SpanSolver(coordinate_rows(sysm, w_all)).dim()
+    assert SpanSolver(coordinate_rows(sysm, u_all)).dim() == len(u_all) \
         == n + sysm.rank - dim_w, h.label
 
 
-def _weight_pair_integrability(h):
-    """Reference for the absorbed-block skip: check_integrability skipping
-    only the pairs whose weight sum is no weight of g."""
-    basis = h.basis()
+def _weight_pair_integrability(h, blocks=None):
+    """Reference for the absorbed-block skip and the line brackets:
+    check_integrability on the LieElement basis, each bracket's
+    theta-component read by eval_functional, skipping only the pairs whose
+    weight sum is not in blocks, by default no weight of g."""
+    blocks = h.datum.weight_blocks if blocks is None else blocks
+    basis = basis_of(h)
     lines = h.lines
     gens = {}
 
@@ -813,7 +889,7 @@ def _weight_pair_integrability(h):
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
             wa, wb = weights[a], weights[b]
-            if wa is not None and wb is not None and wa + wb not in h.datum.weight_blocks:
+            if wa is not None and wb is not None and wa + wb not in blocks:
                 continue
             br = basis[a].bracket(basis[b])
             res = dict(br.e)
@@ -825,7 +901,7 @@ def _weight_pair_integrability(h):
             for w, c in res.items():
                 if not c.is_zero() and w not in ro:
                     note(c)
-            note(br.eval_functional(h.datum.theta))
+            note(eval_functional(br, h.datum.theta))
     return tuple(cs._minimize(sorted(gens.values(), key=lambda p: p.key())))
 
 
@@ -875,14 +951,189 @@ def test_pruned_brackets_match_unpruned_references(tag, dominant):
                 unstable += 1
                 continue
             stable += 1
-            basis = cs.evaluate_basis(h, classify._sample_values(h))
-            solver = SpanSolver(cs._coordinate_rows(sysm, basis))
+            basis = evaluate_basis(h, classify._sample_values(h))
+            solver = SpanSolver(coordinate_rows(sysm, basis))
             for d in h.datum.Ro.members:
-                ed = LieElement.root_vector(sysm, sysm.roots[d])
+                ed = root_vector(sysm, sysm.roots[d])
                 for v in basis:
-                    assert solver.contains(cs._coordinate_rows(sysm, [ed.bracket(v)])[0]), h.label
+                    assert solver.contains(coordinate_rows(sysm, [ed.bracket(v)])[0]), h.label
     # no a +- b form of A2+A2 is classified, so it has no structures
     assert stable > 0 or tag == "A2+A2"
+
+
+def _live_blocks(h):
+    """The weights check_integrability brackets into: 0, and every other
+    weight of g with a root off R_o and off the lone lines E_w."""
+    ro = frozenset(h.datum.Ro.members)
+    return {rho for rho, roots in h.datum.weight_blocks.items()
+            if rho == 0 or any(r not in ro and h.lines.get(r, 0) is not None for r in roots)}
+
+
+def _basis_disjointness(h):
+    """check_disjointness on the LieElement basis and its conjugates."""
+    basis = basis_of(h)
+    class_of = h.datum.class_of
+    per_block = {}
+    for v in basis + [conjugate(v) for v in basis]:
+        support = sorted(v.e)
+        block = class_of[support[0]]
+        if any(class_of[w] != block for w in support):
+            raise cs.StructError("vector support crosses congruence blocks")
+        per_block.setdefault(block, []).append(v)
+    factors = {}
+    for block, vs in per_block.items():
+        if len(vs) != len(block):
+            raise cs.StructError("congruence block is not square")
+        det = as_poly(cs._det_poly([[v.e.get(w, P_ZERO) for w in block] for v in vs]))
+        if det.is_zero():
+            raise cs.StructError("identically degenerate block")
+        det = det.primitive()
+        if not det.is_constant():
+            factors.setdefault(det.key(), det)
+    return tuple(sorted(factors.values(), key=lambda p: p.key()))
+
+
+def _basis_w_and_perp(h, values):
+    """W = l^C + m01 and W' as LieElements, bucketed by weight, from the
+    conjugates of the evaluated basis: W' is H(theta), E_r for the roots
+    of R' on no evaluated vector, and conj(c) E_w - ((w', w')/(w, w)) E_w'
+    for each evaluated E_w + c E_w' with c nonzero."""
+    datum = h.datum
+    sysm = datum.system
+    wt = datum.weight_codes
+    wblocks = {}
+    for x in l_complex_basis(datum):
+        wblocks.setdefault(_weight(datum, x), []).append(x)
+    perp = {0: [LieElement.cartan(sysm, datum.theta)]}
+    free = set(datum.Rprime)
+    for w, v in zip(h.lines, evaluate_basis(h, values)):
+        free.difference_update(v.e)
+        wblocks.setdefault(-wt[w], []).append(conjugate(v))
+        for wp, c in v.e.items():
+            if wp == w:
+                continue
+            if wt[wp] != wt[w]:
+                raise cs.StructError("l^C + m01 has an element of mixed theta-transverse weight")
+            perp.setdefault(wt[w], []).append(
+                LieElement(sysm, {w: c.conj(), wp: Gauss(-sysm.norm2(wp) / sysm.norm2(w))}))
+    for r in sorted(free):
+        perp.setdefault(wt[r], []).append(root_vector(sysm, sysm.roots[r]))
+    return wblocks, perp
+
+
+def _basis_s1_witness(h, values):
+    """crstruct._rotated_s1_witness on the evaluated LieElement basis."""
+    if h.su2 is None or h.su2.coeff.eval(cs._with_conj(values)).is_zero():
+        return None
+    sysm, datum = h.datum.system, h.datum
+    basis = evaluate_basis(h, values)
+    x = next(v for v in basis if h.su2.root in v.e and sysm.neg_index[h.su2.root] in v.e)
+    constraints, covered = [], set()
+    for v in basis:
+        if v is x:
+            continue
+        support = frozenset(v.e)
+        br = x.bracket(v)
+        if set(br.e) - set(v.e):
+            for sgn in (1, -1):
+                covered.add((frozenset(support | set(br.e)), sgn))
+                constraints.append((cs._zeta_value(datum, min(support)), Q(sgn)))
+        else:
+            lam = cs._eigen_sign(sysm, x, v)
+            covered.add((support, lam))
+            constraints.append((cs._zeta_value(datum, min(support)), Q(lam)))
+    for block, sgn in covered:
+        if (frozenset(sysm.neg_index[i] for i in block), -sgn) in covered:
+            return None
+    if not cs._cone_feasible(constraints):
+        return None
+    return cs.ParabolicWitness(frozenset(datum.Ro.members), 1, "S1")
+
+
+def _basis_parabolics(h, values):
+    """find_crf_parabolics' witnesses from the support of the evaluated
+    LieElement basis, closed pairwise (_reference_closure)."""
+    sysm, datum = h.datum.system, h.datum
+    support = set(datum.Ro.members)
+    for v in evaluate_basis(h, values):
+        support.update(v.e)
+    p = _reference_closure(sysm, support)
+    if any(i not in p and sysm.neg_index[i] not in p for i in range(len(sysm.roots))):
+        raise cs.StructError("m10 and its conjugate do not span m at these values")
+    want = []
+    if len(p) < len(sysm.roots):
+        sym = frozenset(i for i in p if sysm.neg_index[i] in p)
+        want.append(cs.ParabolicWitness(sym, len(sym) - len(datum.Ro.members) + 1,
+                                        cs._fiber_type(datum, sym)))
+    s1 = _basis_s1_witness(h, values)
+    want += [s1] if s1 is not None else []
+    return tuple(sorted(want, key=lambda w: (w.fiber_dim, sorted(w.sym_roots))))
+
+
+def _outcome(f, *args):
+    """f's result, or the StructError it raises."""
+    try:
+        return f(*args)
+    except cs.StructError as e:
+        return ("StructError", str(e))
+
+
+def _cli_digest():
+    """tools/cli_digest.py as a module: its contact forms and --m10 specs."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
+    spec = importlib.util.spec_from_file_location("cli_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _digest_structures(kind):
+    """The structures tools/cli_digest.py checks: every structure
+    classify_datum builds on its golden forms of rank <= 6 ("golden") or on
+    its a + b and a - b forms ("sums"), charts included, or its --m10
+    subspaces that build ("m10")."""
+    from crlie.cli import build_subspace
+
+    digest = _cli_digest()
+    out = []
+    if kind == "m10":
+        for t, theta, spec in digest.M10_CHECKS + digest.M10_MORE:
+            s = rs.parse_type(t)
+            h = build_subspace(ct.contact_datum(s, s.vector(theta.split(","))), spec)
+            if isinstance(_outcome(lambda: h.lines), dict):  # not a StructError
+                out.append(h)
+        return out
+    if kind == "golden":
+        forms = digest.golden_forms(Path(classify.__file__).resolve().parent / "data")
+    else:
+        forms = digest.sum_forms(rs) + digest.sum_forms(rs, digest.RANK2_SUM_FORM_TYPES)
+    for t, theta in forms:
+        s = rs.parse_type(t)
+        F = classify.classify_datum(ct.contact_datum(s, s.vector(theta.split(","))))
+        out += [h for h in F.structures + (F.chart,) if h is not None]
+    return out
+
+
+@pytest.mark.parametrize("kind", ["golden", "sums", "m10"])
+def test_line_checks_match_basis_references(kind):
+    # the checks read off the lines and at(values) give what the LieElement
+    # basis gave: generators in order, factors, verdicts and witnesses
+    cases = _digest_structures(kind)
+    assert len(cases) >= {"golden": 139, "sums": 1107, "m10": 9}[kind]
+    for h in cases:
+        assert cs.check_integrability(h).generators \
+            == _weight_pair_integrability(h, _live_blocks(h)), h.label
+        assert _outcome(lambda: cs.check_disjointness(h).factors) \
+            == _outcome(_basis_disjointness, h), h.label
+        for j in (0, 1):
+            vals = classify._sample_values(h, j)
+            assert cs.is_standard(h, vals) == _standard_by_span(h, vals), (h.label, j)
+            assert _outcome(cs.normalizer_excess, h, vals) \
+                == _outcome(_dims_stop_normalizer_excess, h, vals, _basis_w_and_perp), (h.label, j)
+            assert _outcome(lambda: cs.find_crf_parabolics(h, vals).witnesses) \
+                == _outcome(_basis_parabolics, h, vals), (h.label, j)
 
 
 def test_line_built_normalizer_on_readme_subspace():

@@ -17,7 +17,7 @@ import pytest
 
 from crlie.linalg import Row, SpanSolver, nullspace, nullspace_gauss, rref
 from crlie.scalars import Gauss
-from test_crstruct import form_row, l_complex_basis
+from test_crstruct import conjugate, coordinate_rows, evaluate_basis, form_row, l_complex_basis
 
 Q = Fraction
 
@@ -269,15 +269,14 @@ def _form_bracket_rows(h, vals):
     """Coordinate rows of every nonzero bracket [w, u], w in a basis of
     W = l^C + m01 and u in a basis of its orthogonal complement in the
     whole algebra, and of their conjugates: S and conj S, ungraded."""
-    from crlie import crstruct as cs
     from crlie.chevalley import LieElement
     from crlie.scalars import ONE, ZERO
 
     system = h.datum.system
     n = len(system.roots)
-    wbasis = l_complex_basis(h.datum) + [v.conjugate() for v in cs.evaluate_basis(h, vals)]
+    wbasis = l_complex_basis(h.datum) + [conjugate(v) for v in evaluate_basis(h, vals)]
     perp = [LieElement(system, dict(enumerate(v[:n])), dict(enumerate(v[n:])))
             for v in nullspace_gauss([form_row(w) for w in wbasis], n + system.rank, ZERO, ONE)]
     brackets = [b for w in wbasis for u in perp if not (b := w.bracket(u)).is_zero()]
-    return (cs._coordinate_rows(system, brackets),
-            cs._coordinate_rows(system, [b.conjugate() for b in brackets]))
+    return (coordinate_rows(system, brackets),
+            coordinate_rows(system, [conjugate(b) for b in brackets]))

@@ -46,7 +46,6 @@ def test_only_the_system_cache_grows():
 
 
 def test_dropped_system_is_freed():
-    from crlie.chevalley import LieElement
     from crlie.crstruct import normalizer_excess
     from crlie.contact import grade_by_highest_root
     from crlie.families import special_su_families
@@ -54,10 +53,11 @@ def test_dropped_system_is_freed():
     from crlie.rootsys import RootSystem
     from crlie.scalars import Gauss
     from fractions import Fraction
+    from test_crstruct import root_vector
 
     system = RootSystem([("A", 3)])  # built directly, so not interned
     a, b = system.simple_roots[:2]
-    assert not LieElement.root_vector(system, a).bracket(LieElement.root_vector(system, b)).is_zero()
+    assert not root_vector(system, a).bracket(root_vector(system, b)).is_zero()
     assert is_good(PaintedGraph(system, ("g", "b", "w"))).admissible
     family = special_su_families(grade_by_highest_root(system))
     assert normalizer_excess(family.fibered, {"t": Gauss(Fraction(1, 2))}) == 0

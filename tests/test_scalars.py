@@ -1,9 +1,9 @@
 import operator
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from crlie.scalars import Gauss, Poly
 
@@ -67,7 +67,12 @@ class RefGauss:
         return (self.re, self.im) == (other.re, other.im)
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as its Fraction, equal to the int's hash when
+        # it is one; any other as its triple (a, b, d) over the lcm d
+        if self.im == 0:
+            return hash(self.re)
+        d = lcm(self.re.denominator, self.im.denominator)
+        return hash((int(self.re * d), int(self.im * d), d))
 
     def __repr__(self):
         return f"Gauss({self.re!r}, {self.im!r})"
@@ -182,13 +187,68 @@ def test_gauss_wire_roundtrip(a):
     assert parse_gauss(gauss_str(a)) == a
 
 
+def subs(p: Poly, values) -> Poly:
+    """Substitute Gaussian rationals for some parameters of p."""
+    out = Poly()
+    for m, c in p.terms.items():
+        coeff = c
+        rest = []
+        for v, e in m:
+            if v in values:
+                for _ in range(e):
+                    coeff = coeff * values[v]
+            else:
+                rest.append((v, e))
+        out = out + Poly({tuple(sorted(rest)): coeff})
+    return out
+
+
 def test_poly_basic():
     t = Poly.var("t")
     s = Poly.var("s")
     p = (t + s) * (t - s)
     assert p == t * t - s * s
-    assert p.subs({"t": Gauss(2)}) == Poly.const(4) - s * s
+    assert subs(p, {"t": Gauss(2)}) == Poly.const(4) - s * s
     assert (t * t).eval({"t": Gauss(0, 1)}) == Gauss(-1)
+    with pytest.raises(ValueError, match=r"unresolved parameters \['s'\]"):
+        p.eval({"t": Gauss(2)})
+
+
+# monomials in s and t, exponents 1 to 3: sorted (name, exponent) tuples
+monomials = st.lists(st.tuples(st.sampled_from("st"), st.integers(1, 3)), max_size=2,
+                     unique_by=lambda p: p[0]).map(lambda m: tuple(sorted(m)))
+polys = st.dictionaries(monomials, gaussians, max_size=3).map(Poly)
+samples = st.fixed_dictionaries({"t": gaussians, "s": gaussians})
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(polys, samples)
+def test_poly_eval_matches_substitution(p, values):
+    # eval multiplies each term's powers directly; subs builds a Poly per term
+    assert p.eval(values) == subs(p, values).terms.get((), Gauss(0))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rationals, polys)
+def test_equal_values_hash_equal(q, p):
+    # int, Fraction, Gauss and constant Poly of one value are == and hash alike
+    forms = [q, Gauss(q), Poly.const(q)] + ([q.numerator] if q.denominator == 1 else [])
+    for x in forms:
+        for y in forms:
+            assert x == y and hash(x) == hash(y), (x, y)
+    assert len(set(forms)) == 1
+    # a Poly equal to another Poly hashes alike, however it was built
+    assert hash(p) == hash(p + Poly.var("t") - Poly.var("t")) == hash(Poly(dict(p.terms)))
+    if p.is_constant():
+        assert hash(p) == hash(p.terms.get((), Gauss(0)))
+
+
+def test_gauss_hash_matches_eq():
+    assert len({Gauss(1), 1}) == 1
+    assert len({Poly.const(1), Gauss(1), 1, Q(1)}) == 1
+    assert len({Gauss(Q(1, 2)), Q(1, 2), Poly.const(Q(1, 2))}) == 1
+    assert len({Gauss(1, 2), Poly.const(Gauss(1, 2))}) == 1
+    assert hash(Poly()) == hash(0)
 
 
 def test_poly_conj_swaps_partners():

@@ -36,8 +36,12 @@ g2-short routes and the rejected shapes of the two-length rank-2 systems
 are diffed.  After those, ``roots --type`` in JSON on ``A1+E6``, ``A1+F4`` and
 ``G2+E6``, whose second factor prints a primed symbol ``e'`` with halves
 and, on E6, the auxiliary vector, so the renderer is diffed on a later
-factor too.  The commands run in one process, through
-``crlie.cli.main``.
+factor too.  Last, ``check --m10`` in text and JSON on subspaces of A3,
+B3, B4, C3, D5 with integer factors and exponents in their twists
+(``2*s``, ``t^2``, ``-1*t``), two twist names, ``rj_plus`` both as
+``"positive"`` and as a list, and an su2 line beside twisted pairs, so
+the structure checks are diffed on user subspaces beyond the README's.
+The commands run in one process, through ``crlie.cli.main``.
 """
 
 from __future__ import annotations
@@ -70,6 +74,21 @@ M10_CHECKS = (
                                     ["0,1,0,0,-1", "-1,1,0,0,0", "s"]],
                           "su2": ["1,0,0,0,-1", "t"]}),
     ("A1+A1", "1,-1,-1,1", {"plains": ["1,-1,0,0", "-1,1,0,0"]}),
+)
+
+# (type, theta, --m10 spec) checked last: twist factors and exponents, two
+# names, rj_plus as "positive" and as a list, su2 beside twisted pairs
+M10_MORE = (
+    ("C3", "1,1,0", {"pairs": [["2,0,0", "0,-2,0", "2*s"], ["1,0,1", "0,-1,1", "t^2"]]}),
+    ("B3", "1,1,0", {"rj_plus": ["0,1,-1", "0,1,0", "1,0,-1", "0,1,1", "1,0,0", "1,0,1"],
+                     "su2": ["1,1,0", "2*t"]}),
+    ("C3", "2,0,0", {"rj_plus": ["1,-1,0", "1,0,-1", "1,0,1", "1,1,0"],
+                     "su2": ["2,0,0", "s*t^2"]}),
+    ("D5", "0,1,1,1,1", {"pairs": [["0,1,1,0,0", "0,0,0,-1,-1", "t^3"]], "rj_plus": "positive"}),
+    ("D5", "1,0,0,0,0", {"pairs": [["1,1,0,0,0", "-1,1,0,0,0", "3*t^2"]]}),
+    ("A3", "1,0,0,-1", {"pairs": [["0,1,0,-1", "-1,1,0,0", "s"], ["1,0,-1,0", "0,0,-1,1", "2*t"]],
+                        "su2": ["1,0,0,-1", "s*t"]}),
+    ("B4", "1,0,0,0", {"pairs": [["1,1,0,0", "-1,1,0,0", "-1*t"]]}),
 )
 
 
@@ -161,6 +180,8 @@ def battery(data: Path, rootsys) -> list[list[str]]:
     cmds += [["check", "--type", t, f"--theta={theta}", "--family", "--format", "text"]
              for t, theta in sum_forms(rootsys, RANK2_SUM_FORM_TYPES)]
     cmds += [["roots", "--type", t, *json_fmt] for t in PRIMED_ROOT_TYPES]
+    cmds += [["check", "--type", t, f"--theta={theta}", "--m10", json.dumps(spec), "--format", fmt]
+             for t, theta, spec in M10_MORE for fmt in ("text", "json")]
     return cmds
 
 
