@@ -55,29 +55,31 @@ class ContactDatum:
         return {m.highest: m for m in decompose(self)}
 
     @cached_property
+    def theta_pairings(self) -> tuple[int, ...]:
+        """(a, theta) for each root a, by root index, times one positive
+        int: each root's expansion paired with theta's covector cleared to
+        ints once (RootVector.int_covector)."""
+        cov = self.theta.int_covector()
+        return tuple(sum(e[k] * y for k, y in cov) for e in self.system.expansions)
+
+    @cached_property
     def weights(self) -> tuple[tuple[int, ...], ...]:
         """The theta-transverse weight of each root, by root index.
 
         The weight of a is (theta, theta) a - (a, theta) theta in
         simple-root coordinates, scaled to ints by one positive constant:
-        theta's coordinates and covector are cleared to ints once, as in
-        RootSystem.orthogonal_roots.  The map is linear, so the weight of
-        a sum is the sum of the weights, and it is the weight of a under
-        the theta-orthogonal Cartan t' = h intersect theta-perp.  It
-        vanishes exactly on the roots parallel to theta.
+        theta's coordinates are cleared to ints, and (a, theta) is read off
+        theta_pairings, which carries a positive factor of its own.  The
+        map is linear, so the weight of a sum is the sum of the weights,
+        and it is the weight of a under the theta-orthogonal Cartan
+        t' = h intersect theta-perp.  It vanishes exactly on the roots
+        parallel to theta.
         """
-        sys = self.system
         den = lcm(*(x.denominator for x in self.theta.c))
         tc = [int(x * den) for x in self.theta.c]
-        cov = self.theta.covector()
-        cden = lcm(*(x.denominator for x in cov))
-        cov = [(k, int(x * cden)) for k, x in enumerate(cov) if x]
-        tt = sum(tc[k] * y for k, y in cov)
-        out = []
-        for e in sys.expansions:
-            p = sum(e[k] * y for k, y in cov)
-            out.append(tuple(tt * x - p * t for x, t in zip(e, tc)))
-        return tuple(out)
+        tt = sum(tc[k] * y for k, y in self.theta.int_covector())
+        return tuple(tuple(tt * x - p * t for x, t in zip(e, tc))
+                     for e, p in zip(self.system.expansions, self.theta_pairings))
 
     @cached_property
     def weight_codes(self) -> tuple[int, ...]:

@@ -19,9 +19,14 @@ since their form rows have disjoint supports once every line root lies in
 R' (normalizer_excess).  The bracket checks are graded by the
 theta-transverse weight of ContactDatum.weights: integrability skips the
 pairs whose sum is no weight of g or a block that reduction modulo
-m10 + l^C empties, and the normalizer ranks its brackets one weight block
+m10 + l^C empties, and the normalizer ranks its rows one weight block
 at a time, each up to a bound that l-equivariance tightens
-(HolomorphicSubspace.l_stable).
+(HolomorphicSubspace.l_stable).  The theta-orthogonal Cartan t' scales
+every weight space of W', so those enter the normalizer's blocks as they
+are and t' is never bracketed; with the l-bound, only the block of
+weight 0 takes brackets at all.  Pairings with theta and with the center
+of l are read off ints (ContactDatum.theta_pairings,
+RootVector.int_covector), each up to one positive factor.
 """
 
 from __future__ import annotations
@@ -422,11 +427,19 @@ def _divisors(n: int) -> list[int]:
 
 def check_disjointness(h: HolomorphicSubspace) -> DisjointnessResult:
     """Determinant factors whose nonvanishing gives m10 and conj(m10) disjoint,
-    one per congruence block, read off the lines and their conjugates."""
+    one per congruence block, read off the lines and their conjugates.  A
+    block with no twist has Gauss entries and a constant determinant,
+    taken on Gauss: a zero one raises and a nonzero one is no factor."""
     neg = h.datum.system.neg_index
-    vectors = [{w: ONE, line[0]: line[1]} if line and line[1] else {w: ONE}
-               for w, line in h.lines.items()]
-    vectors += [{neg[r]: -c.conj() for r, c in v.items()} for v in vectors]
+    vectors, conjugates = [], []
+    for w, line in h.lines.items():
+        if line and line[1]:
+            vectors.append({w: ONE, line[0]: line[1]})
+            conjugates.append({neg[w]: -ONE, neg[line[0]]: -line[1].conj()})
+        else:
+            vectors.append({w: ONE})
+            conjugates.append({neg[w]: -ONE})
+    vectors += conjugates
     class_of = h.datum.class_of
     per_block: dict[tuple[int, ...], list] = {}
     for v in vectors:
@@ -438,8 +451,11 @@ def check_disjointness(h: HolomorphicSubspace) -> DisjointnessResult:
     for block, vs in per_block.items():
         if len(vs) != len(block):
             raise StructError("congruence block is not square")
-        mat = [[v.get(w, P_ZERO) for w in block] for v in vs]
-        det = as_poly(_det_poly(mat))
+        if all(type(x) is Gauss for v in vs for x in v.values()):
+            if _det_poly([[v.get(w, ZERO) for w in block] for v in vs], ZERO).is_zero():
+                raise StructError("identically degenerate block")
+            continue
+        det = as_poly(_det_poly([[v.get(w, P_ZERO) for w in block] for v in vs]))
         if det.is_zero():
             raise StructError("identically degenerate block")
         det = det.primitive()
@@ -448,18 +464,20 @@ def check_disjointness(h: HolomorphicSubspace) -> DisjointnessResult:
     return DisjointnessResult(tuple(sorted(factors.values(), key=lambda p: p.key())))
 
 
-def _det_poly(mat: list[list[Poly]]) -> Poly:
+def _det_poly(mat: list[list], zero=P_ZERO):
+    """The determinant by cofactors along the first row, over Poly or, with
+    zero = ZERO, over Gauss."""
     n = len(mat)
     if n == 1:
         return mat[0][0]
     if n == 2:
         return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    total = P_ZERO
+    total = zero
     for j in range(n):
         if mat[0][j].is_zero():
             continue
         minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = mat[0][j] * _det_poly(minor)
+        term = mat[0][j] * _det_poly(minor, zero)
         total = total + (term if j % 2 == 0 else -term)
     return total
 
@@ -481,12 +499,10 @@ def is_standard(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> bool:
     ad_Z scales E_w by (w, theta), and no root lies on two lines, so the
     image of E_w + c E_w' lies in the subspace exactly when it is a multiple
     of that vector: when (w, theta) = (w', theta) or c is 0 at values
-    (HolomorphicSubspace.at)."""
-    sys = h.datum.system
-    theta = h.datum.theta
-    return all(line is None
-               or sys.inner(sys.roots[w], theta) == sys.inner(sys.roots[line[0]], theta)
-               for w, line in h.at(values).lines.items())
+    (HolomorphicSubspace.at).  The pairings are compared as
+    ContactDatum.theta_pairings holds them, times one positive int."""
+    p = h.datum.theta_pairings
+    return all(line is None or p[w] == p[line[0]] for w, line in h.at(values).lines.items())
 
 
 def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> int:
@@ -510,15 +526,25 @@ def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> in
     The block of -rho is the conjugate of the block of rho, so one block
     of each pair is ranked and counted twice.
 
+    t' = h intersect theta-perp lies in W and is never bracketed.  A root
+    r of weight tau pairs with v in t' as (r, v) = (tau, v)/(theta, theta),
+    since v is orthogonal to theta, so t' acts on W'_tau by scalars, not
+    all 0 when tau != 0 (t' is all of theta-perp), and kills W'_0 (H(theta)
+    and the roots parallel to theta).  So [t', W'] is the sum of the W'_tau
+    with tau != 0, and each of their basis vectors enters S as it is, a
+    seed of its block.  Only the other elements of W are bracketed.
+
     A pair (W_sigma, W'_tau) is skipped when its sum is no weight of g, and
-    a bracket into rho once its block reaches a bound that no rank can pass:
-    dim g_rho in general.  When HolomorphicSubspace.l_stable certifies that
-    l^C lies in N and in conj(N), l^C annihilates S + conj(S); since the
-    form pairs g_rho perfectly with g_-rho, the block's rank is then at most
-    dim g_rho - dim(l^C in g_-rho), that is dim g_rho less the roots of R_o
-    of weight -rho and, for rho = 0, less dim t'.  Without the certificate
-    the bound stays dim g_rho, so a W that is not l-stable still gets its
-    exact (possibly negative) excess."""
+    a row of weight rho once its block reaches a bound that no rank can
+    pass: dim g_rho in general.  When HolomorphicSubspace.l_stable
+    certifies that l^C lies in N and in conj(N), l^C annihilates
+    S + conj(S); since the form pairs g_rho perfectly with g_-rho, the
+    block's rank is then at most dim g_rho - dim(l^C in g_-rho), that is
+    dim g_rho less the roots of R_o of weight -rho and, for rho = 0, less
+    dim t'.  For rho != 0 the seeds alone reach that bound wherever m10
+    and m01 are disjoint at values, so only block 0 is bracketed.  Without
+    the certificate the bound stays dim g_rho, so a W that is not l-stable
+    still gets its exact (possibly negative) excess."""
     datum = h.datum
     sys = datum.system
     wblocks, perp = _graded_w_and_perp(h, values)
@@ -531,10 +557,16 @@ def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> in
             room[datum.weight_codes[d]] -= 1
         room[0] -= len(datum.theta_perp_cartan)
     blocks: dict[int, Echelon] = {}
-    for sigma, ws in wblocks.items():
-        for tau, us in perp.items():
-            if room.get(sigma + tau, 0) > 0:
-                _bracket_into(sys, blocks, room, sigma + tau, ws, us)
+    for tau, us in perp.items():
+        if tau and room[tau] > 0:
+            _bracket_into(sys, blocks, room, tau, us)
+    for rho in [rho for rho, r in room.items() if r > 0]:
+        for sigma, ws in wblocks.items():
+            us = perp.get(rho - sigma)
+            if us and room[rho] > 0:
+                # t', the RootVectors of W_0, only scales the seeds
+                _bracket_into(sys, blocks, room, rho, (_bracket_row(datum, w, u)
+                                                       for w in ws if type(w) is dict for u in us))
     # the block of -rho is the conjugate of the block of rho: same rank
     rank = sum(len(ech.rows) * (1 if tau == 0 else 2) for tau, ech in blocks.items())
     dim_l = len(datum.Ro.members) + len(datum.theta_perp_cartan)
@@ -583,49 +615,47 @@ def _graded_w_and_perp(h: HolomorphicSubspace, values: Mapping[str, Gauss]):
     return wblocks, perp
 
 
-def _bracket_into(sys: RootSystem, blocks: dict, room: dict, rho: int, ws: list, us: list):
-    """Rank the brackets [w, u] of weight rho into the block of |rho|,
-    made on its first nonzero bracket, until no room is left under its
-    bound, which no rank can pass.
+def _bracket_into(sys: RootSystem, blocks: dict, room: dict, rho: int, rows):
+    """Rank rows of weight rho, the seeds of W'_rho or the brackets of a
+    pair (W_sigma, W'_tau), into the block of |rho|, made on its first
+    nonzero row, until no room is left under its bound, which no rank can
+    pass; a generator of rows is not read past that point.
 
     The blocks rho and -rho hold S_rho + conj(S_-rho) and its conjugate,
-    so only the one of the positive code is kept: a bracket enters it as
+    so only the one of the positive code is kept: a row enters it as
     itself when rho is positive, as its conjugate when -rho is, and as
     both when rho = 0.  Their bounds are equal, and so is their room."""
     n, neg = len(sys.roots), sys.neg_index
     ech = blocks.get(abs(rho))
-    for w in ws:
-        for u in us:
-            row = _bracket_row(sys, w, u)
-            if not row:
-                continue
-            if ech is None:
-                ech = blocks[abs(rho)] = Echelon()
-            rank = len(ech.rows)
-            if rho >= 0:
-                ech.add(row)
-            if rho <= 0:
-                ech.add({neg[c] if c < n else c: -x.conj() for c, x in row.items()})
-            room[rho] = room[-rho] = room[rho] - (len(ech.rows) - rank)
-            if room[rho] <= 0:
-                return
+    for row in rows:
+        if not row:
+            continue
+        if ech is None:
+            ech = blocks[abs(rho)] = Echelon()
+        rank = len(ech.rows)
+        if rho >= 0:
+            ech.add(row)
+        if rho <= 0:
+            ech.add({neg[c] if c < n else c: -x.conj() for c, x in row.items()})
+        room[rho] = room[-rho] = room[rho] - (len(ech.rows) - rank)
+        if room[rho] <= 0:
+            return
 
 
-def _bracket_row(sys: RootSystem, x, y) -> dict:
-    """The sparse coordinate row of [x, y], for elements written as in
-    _graded_w_and_perp: root i is column i, simple-root Cartan coordinate
-    k column |R| + k.  [H(v), E_r] = (r, v) E_r, two Cartan elements
-    commute, and [E_a, E_-a] is the coroot H_a (ConstantTable.coroot_terms)."""
-    sign = 1
+def _bracket_row(datum: ContactDatum, x: dict, y) -> dict:
+    """The sparse coordinate row of [x, y] for x a sum of root vectors and
+    y one too, or H(theta), written datum.theta (_graded_w_and_perp): root
+    i is column i, simple-root Cartan coordinate k column |R| + k.
+    [E_r, H(theta)] = -(r, theta) E_r, read off
+    ContactDatum.theta_pairings, whose positive factor scales the row and
+    leaves its span; [E_a, E_-a] is the coroot H_a
+    (ConstantTable.coroot_terms)."""
     if isinstance(y, RootVector):
-        if isinstance(x, RootVector):
-            return {}
-        x, y, sign = y, x, -1
-    if isinstance(x, RootVector):
-        return {r: c * p for r, c in y.items() if (p := sign * sys.inner(sys.roots[r], x))}
+        p = datum.theta_pairings
+        return {r: -c * p[r] for r, c in x.items() if p[r]}
     e, h = {}, {}
-    root_bracket(sys, x, y, e, h)
-    n = len(sys.roots)
+    root_bracket(datum.system, x, y, e, h)
+    n = len(datum.system.roots)
     return {**{k: c for k, c in e.items() if c}, **{n + k: c for k, c in h.items() if c}}
 
 
@@ -772,12 +802,15 @@ def _rotated_s1_witness(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> 
     return ParabolicWitness(frozenset(datum.Ro.members), 1, "S1")
 
 
-def _zeta_value(datum: ContactDatum, root_idx: int) -> Q:
+def _zeta_value(datum: ContactDatum, root_idx: int) -> int:
     """The pairing of a root with the center of l, which is one direction or
-    none wherever an su2 line stands (theta parallel to a root)."""
+    none wherever an su2 line stands (theta parallel to a root), times one
+    positive int (RootVector.int_covector): _cone_feasible's verdict is
+    the same for every positive multiple of the center."""
     if not datum.center:
-        return Q(0)
-    return datum.system.inner(datum.system.roots[root_idx], datum.center[0])
+        return 0
+    e = datum.system.expansions[root_idx]
+    return sum(e[k] * y for k, y in datum.center[0].int_covector())
 
 
 def _eigen_sign(sys: RootSystem, x: LieElement, v: LieElement) -> int:

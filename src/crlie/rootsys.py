@@ -102,6 +102,14 @@ class RootVector:
             )
         return self._cov
 
+    def int_covector(self) -> list[tuple[int, int]]:
+        """covector() times the lcm of its denominators, a positive int, as
+        (k, entry) for its nonzero entries: sum u.c[k] * entry over them is
+        (u, v) times that int, itself an int when u.c is integral."""
+        cov = self.covector()
+        den = lcm(*(x.denominator for x in cov))
+        return [(k, int(x * den)) for k, x in enumerate(cov) if x]
+
     def __add__(self, other: "RootVector") -> "RootVector":
         self._check(other)
         return RootVector(self.system, map(add, self.c, other.c))
@@ -271,9 +279,7 @@ class RootSystem:
         paired against v's covector, cleared to ints once."""
         if v.system is not self:
             raise RootSystemError("vectors belong to a different system")
-        cov = v.covector()
-        den = lcm(*(x.denominator for x in cov))
-        cov = [(k, int(x * den)) for k, x in enumerate(cov) if x]
+        cov = v.int_covector()
         return frozenset(i for i, e in enumerate(self.expansions)
                          if not sum(e[k] * y for k, y in cov))
 

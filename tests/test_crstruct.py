@@ -1168,6 +1168,116 @@ def test_negative_excess_has_no_l_certificate():
         assert cs.normalizer_excess(h, classify._sample_values(h)) == want
 
 
+def _t_prime_seed_claims(h, j, monkeypatch):
+    """The t' seeds of normalizer_excess on h at sample j, checked on
+    LieElements: (a) each v in t' brackets each u of W'_tau into a
+    multiple of u, nonzero for some v when tau != 0 and 0 when tau = 0;
+    (b) where m10 and m01 are disjoint at the sample, W'_tau and
+    conj(W'_-tau) span m^C_tau for every tau != 0, so each nonzero block
+    has rank |R'_tau| from the seeds alone; (c) where h is l-stable too,
+    the excess lies in [0, 1 + #par], #par the roots parallel to theta,
+    and normalizer_excess brackets into block 0 only.  No element of t'
+    is ever bracketed.  Returns which of (b) and (c) applied."""
+    from crlie.linalg import Echelon
+
+    datum = h.datum
+    sysm = datum.system
+    neg = sysm.neg_index
+    vals = classify._sample_values(h, j)
+    _, perp = cs._graded_w_and_perp(h, vals)
+    tprime = [LieElement.cartan(sysm, v) for v in datum.theta_perp_cartan]
+    for tau, us in perp.items():
+        for u in us:
+            el = as_element(sysm, u)
+            brs = [v.bracket(el) for v in tprime]
+            for br in brs:
+                support = {r for r, c in br.e.items() if not c.is_zero()}
+                assert all(c.is_zero() for c in br.h.values()), h.label
+                assert support <= set(el.e), h.label
+                assert len({br.e.get(r, Gauss(0)) / c for r, c in el.e.items()}) <= 1, h.label
+            assert any(not br.is_zero() for br in brs) == (tau != 0), (h.label, tau)
+    disjoint = _outcome(lambda: cs.check_disjointness(h).holds_at(h.at(vals).values)) is True
+    if not disjoint:
+        return False, False
+    for tau, roots in datum.weight_blocks.items():
+        if tau <= 0:
+            continue
+        ech = Echelon()
+        for u in perp.get(tau, ()):
+            ech.add(dict(u))
+        for u in perp.get(-tau, ()):
+            ech.add({neg[r]: -c.conj() for r, c in u.items()})
+        assert len(ech.rows) == sum(r in datum.Rprime for r in roots), (h.label, tau)
+    if not h.l_stable:
+        return True, False
+    rhos = _bracket_weights(h, vals, monkeypatch)
+    assert rhos <= {0}, h.label
+    assert 0 <= cs.normalizer_excess(h, vals) <= 1 + len(datum.weight_blocks[0]), h.label
+    return True, True
+
+
+def _bracket_weights(h, vals, monkeypatch):
+    """The weights of the brackets normalizer_excess takes on h at vals,
+    each checked to have no element of t' (a RootVector other than
+    theta, which stands for H(theta))."""
+    wt = h.datum.weight_codes
+    rhos = set()
+    bracket_row = cs._bracket_row
+
+    def record(datum, x, y):
+        assert isinstance(x, dict) and (isinstance(y, dict) or y is datum.theta), h.label
+        rhos.add(wt[next(iter(x))] + (wt[next(iter(y))] if isinstance(y, dict) else 0))
+        return bracket_row(datum, x, y)
+
+    with monkeypatch.context() as m:
+        m.setattr(cs, "_bracket_row", record)
+        cs.normalizer_excess(h, vals)
+    return rhos
+
+
+@pytest.mark.parametrize("tag,dominant", SUM_FORM_TYPES)
+def test_t_prime_seeds_on_sum_forms(tag, dominant, monkeypatch):
+    sysm, forms = _sum_forms(tag, dominant)
+    applied = set()
+    for theta in forms:
+        for h in classify.classify_datum(ct.contact_datum(sysm, theta)).structures:
+            for j in (0, 1):
+                applied.add(_t_prime_seed_claims(h, j, monkeypatch))
+    # no a +- b form of A2+A2 is classified, so it has no structures
+    assert (True, True) in applied or tag == "A2+A2"
+
+
+@pytest.mark.parametrize("kind", ["golden", "sums", "m10"])
+def test_t_prime_seeds_on_digest_structures(kind, monkeypatch):
+    applied = {_t_prime_seed_claims(h, j, monkeypatch)
+               for h in _digest_structures(kind) for j in (0, 1)}
+    assert (True, True) in applied
+
+
+def test_no_t_prime_bracket_without_the_l_certificate(monkeypatch):
+    # the A5 subspaces of negative excess still bracket no element of t'
+    a5 = rs.build("A5")
+    F = _routed(a5, a5.vector([1, -1, 1, 0, 0, -1]))
+    for h in (F.fibered, F.structures[0]):
+        assert _bracket_weights(h, classify._sample_values(h), monkeypatch)
+
+
+def test_theta_and_center_pairings_are_positive_multiples():
+    # theta_pairings and _zeta_value carry one positive factor per datum
+    for tag, theta in (("A5", [1, -1, 1, 0, 0, -1]), ("B3", [1, 1, 0]), ("C3", [2, 0, 0]),
+                       ("G2", [1, 0, -1]), ("E6", [1, 0, 0, 0, 0, -1, 2])):
+        sysm = rs.build(tag)
+        datum = ct.contact_datum(sysm, sysm.vector(theta))
+        for table, v in ((datum.theta_pairings, datum.theta),
+                         ([cs._zeta_value(datum, r) for r in range(len(sysm.roots))],
+                          datum.center[0] if datum.center else None)):
+            exact = [sysm.inner(r, v) if v is not None else Q(0) for r in sysm.roots]
+            assert all(type(x) is int for x in table), tag
+            factors = {x / y for x, y in zip(table, exact) if y}
+            assert len(factors) <= 1 and all(f > 0 for f in factors), tag
+            assert all((x == 0) == (y == 0) for x, y in zip(table, exact)), tag
+
+
 def test_ro_generators_are_the_simple_roots_of_ro():
     from crlie.linalg import SpanSolver
 

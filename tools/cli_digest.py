@@ -41,6 +41,13 @@ B3, B4, C3, D5 with integer factors and exponents in their twists
 (``2*s``, ``t^2``, ``-1*t``), two twist names, ``rj_plus`` both as
 ``"positive"`` and as a list, and an su2 line beside twisted pairs, so
 the structure checks are diffed on user subspaces beyond the README's.
+Last, ``check --family`` in text on three Weyl conjugates of each dominant
+form a + b and a - b (a and b any roots) of the simple types of rank <= 6,
+each reached from the dominant form by 4 * rank simple reflections drawn
+from one ``random.Random`` of a fixed seed.  Unlike the dominant forms,
+some of these representatives give subspaces l^C + m01 that are not
+l-stable, so the normalizer is diffed where its blocks stop at dim g_rho
+and not at the l-bound.
 The commands run in one process, through ``crlie.cli.main``.
 """
 
@@ -52,6 +59,7 @@ import hashlib
 import io
 import itertools
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -68,6 +76,8 @@ RANK2_SUM_FORM_TYPES = ("B2", "G2")
 # products whose second factor has halves or an auxiliary vector
 PRIMED_ROOT_TYPES = ("A1+E6", "A1+F4", "G2+E6")
 SIMPLE_TYPES = ROOT_TYPES[:31]
+CONJUGATE_SEED = 24  # the seed of the Weyl conjugates' reflections
+CONJUGATES = 3  # Weyl conjugates per dominant form
 # (type, theta, --m10 spec): the README example, then a degenerate spec
 M10_CHECKS = (
     ("A4", "1,0,0,0,-1", {"pairs": [["1,0,0,-1,0", "0,0,0,-1,1", "s"],
@@ -139,6 +149,30 @@ def root_forms(rootsys) -> list[tuple[str, str]]:
     return out
 
 
+def conjugate_forms(rootsys) -> list[tuple[str, str]]:
+    """(type, theta) of CONJUGATES Weyl conjugates of each dominant a + b
+    and a - b (a, b roots) of the SIMPLE_TYPES of rank <= CHECK_MAX_RANK, in
+    ambient coordinates: the dominant forms sorted per type, each conjugate
+    reached by 4 * rank simple reflections drawn from one seeded Random."""
+    rng = random.Random(CONJUGATE_SEED)
+    out: list[tuple[str, str]] = []
+    for t in SIMPLE_TYPES:
+        s = rootsys.parse_type(t)
+        if s.rank > CHECK_MAX_RANK:
+            continue
+        dominant = {s.dominant(a + sgn * b).c for a in s.roots for b in s.roots
+                    for sgn in (1, -1)}
+        for c in sorted(dominant):
+            if not any(c):
+                continue
+            for _ in range(CONJUGATES):
+                v = rootsys.RootVector(s, c)
+                for _ in range(4 * s.rank):
+                    v = s.reflect(rng.choice(s.simple_roots), v)
+                out.append((t, ",".join(map(str, v.canon()))))
+    return out
+
+
 def all_paintings(type_str: str, ranks: tuple[int, ...]) -> list[str]:
     """Every painting of the type, in the ``TYPE:c,c|c,c`` form."""
     out = []
@@ -182,6 +216,8 @@ def battery(data: Path, rootsys) -> list[list[str]]:
     cmds += [["roots", "--type", t, *json_fmt] for t in PRIMED_ROOT_TYPES]
     cmds += [["check", "--type", t, f"--theta={theta}", "--m10", json.dumps(spec), "--format", fmt]
              for t, theta, spec in M10_MORE for fmt in ("text", "json")]
+    cmds += [["check", "--type", t, f"--theta={theta}", "--family", "--format", "text"]
+             for t, theta in conjugate_forms(rootsys)]
     return cmds
 
 
