@@ -345,18 +345,26 @@ def _pair_candidates(system: RootSystem, reps: list[RootVector]) -> list[RootVec
 # -- one contact datum to its verdict -------------------------------------------------------
 
 
+def _root_length(datum: ContactDatum) -> Optional[Q]:
+    """The squared length of the root that theta lies along, on a simple
+    system; None off the root routes of classify_datum."""
+    sys = datum.system
+    along = sys.root_along(datum.theta) if sys.is_simple else None
+    return None if along is None else sys.norm2(along)
+
+
 def classify_datum(datum: ContactDatum) -> Families:
     """Send a contact datum down its case of the classification and
     return that route's Families record: the one path from a contact
     datum to its structures.  A datum the pair route cannot classify
     gets an unclassified record with the reason."""
     sys = datum.system
-    along = sys.root_along(datum.theta) if sys.is_simple else None
-    if along is not None:
+    n = _root_length(datum)
+    if n is not None:
         # the roots of one length form one Weyl orbit
         reps = sys.length_representatives
-        root_datum = contact_datum(sys, reps[sys.norm2(along)])
-        if sys.norm2(along) == max(reps):
+        root_datum = datum if datum.theta == reps[n] else contact_datum(sys, reps[n])
+        if n == max(reps):
             return special_su_families(root_datum)
         return short_root_families(root_datum)
     try:
@@ -493,7 +501,22 @@ def _structure_row(h: HolomorphicSubspace, label: str) -> dict:
 
 
 def structure_rows_for_datum(datum: ContactDatum) -> list[dict]:
-    """One report row per structure that classify_datum finds for a datum."""
+    """One report row per structure that classify_datum finds for a datum.
+
+    classify_datum sends a root theta to the dominant root of its length,
+    so those rows depend on the system and the length alone: the first
+    call for a length computes them into RootSystem.root_structure_rows,
+    and every call returns fresh copies of that entry."""
+    n = _root_length(datum)
+    if n is None:
+        return _structure_rows(datum)
+    table = datum.system.root_structure_rows
+    if n not in table:
+        table[n] = _structure_rows(datum)
+    return [dict(row) for row in table[n]]
+
+
+def _structure_rows(datum: ContactDatum) -> list[dict]:
     F = classify_datum(datum)
     if F.route == "unclassified":
         return [_unclassified_row(datum, F.reason)]

@@ -93,7 +93,7 @@ class HolomorphicSubspace:
         lines: list[tuple[int, Optional[tuple[int, Poly]]]] = []
         for pair in self.pairs:
             kappa = _propagate(datum, pair.hw, pair.partner)
-            lines += [(w, (wp, pair.coeff.scale(k))) for w, (wp, k) in sorted(kappa.items())]
+            lines += [(w, (wp, pair.coeff * k)) for w, (wp, k) in sorted(kappa.items())]
         for hw in self.plains:
             if hw not in datum.modules:
                 raise StructError("not a module highest weight")

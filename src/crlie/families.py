@@ -162,8 +162,8 @@ def special_su_families(datum: ContactDatum) -> Families:
     raw = check_integrability(twisted(s, Poly.var("s2"), t))
     u3 = _chart_unit(raw, "s2", among={"s", "s2"})
     u4 = _chart_unit(raw, "t", among={"s", "t"})
-    chart = twisted(s, s.scale(u3), t.scale(u4), "two-parameter chart")
-    j0 = twisted(t, t.scale(u3), (t * t).scale(u4), "disc family J0_t")
+    chart = twisted(s, s * u3, t * u4, "two-parameter chart")
+    j0 = twisted(t, t * u3, t * t * u4, "disc family J0_t")
     j = plain(hw1, n2, t, "disc family J_t")
     jp = plain(hw2, n1, t, "disc family J'_t")
     standard = (
@@ -216,8 +216,8 @@ def short_root_families(datum: ContactDatum) -> Families:
         )
 
     u = _chart_unit(check_integrability(twisted(s)), "s")
-    chart = twisted(s.scale(u), "two-parameter chart")
-    fam = twisted((t * t).scale(u), "disc family")
+    chart = twisted(s * u, "two-parameter chart")
+    fam = twisted(t * t * u, "disc family")
     return Families(datum, "short-root", (standard, fam), family=family, primitive=fam,
                     chart=chart)
 
@@ -260,7 +260,7 @@ def pair_family(datum: ContactDatum) -> Families:
         first = TwistedPair(a, _partner(datum, a), t)
         b2 = _partner(datum, a2)
         raw = HolomorphicSubspace(datum, pairs=(first, TwistedPair(b2, a2, u)), rj_plus=rj_plus)
-        pairs = (first, TwistedPair(b2, a2, u.scale(_chart_unit(check_integrability(raw), "u"))))
+        pairs = (first, TwistedPair(b2, a2, u * _chart_unit(check_integrability(raw), "u")))
     else:
         raise FamilyError(f"unexpected number of module pairs: {len(tops)}")
     fam = HolomorphicSubspace(datum, pairs=pairs, rj_plus=rj_plus, label="disc family")

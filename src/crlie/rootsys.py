@@ -381,6 +381,12 @@ class RootSystem:
                 reps[n] = self.dominant(self.roots[i])
         return reps
 
+    @cached_property
+    def root_structure_rows(self) -> dict[Q, list[dict]]:
+        """The check --family rows of a root theta, by squared length,
+        filled by classify.structure_rows_for_datum."""
+        return {}
+
     def highest_root(self) -> RootVector:
         """The dominant long root: the highest root is dominant and long
         (Humphreys 10.4, Lemmas A and C)."""

@@ -265,7 +265,8 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
-            return self.scale(other)
+            # a unit factor leaves the polynomial as it is (Polys are never mutated)
+            return self if other == 1 else self.scale(other)
         t: dict[Monomial, Gauss] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():

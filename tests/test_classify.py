@@ -1,10 +1,11 @@
 """The contact-datum dispatcher, checked against the golden fixtures."""
 
+import random
 from fractions import Fraction as Q
 
 import pytest
 
-from crlie import classify
+from crlie import classify, cli
 from crlie import contact as ct
 from crlie import crstruct as cs
 from crlie import rootsys as rs
@@ -103,3 +104,83 @@ def test_golden_nonprimitive_forms(row):
     assert classify._verify(h, 1) is False
     rep = cs.find_crf_parabolics(h, classify._sample_values(h))
     assert row["fiber"] in {w.fiber_type for w in rep.witnesses}
+
+
+# -- check --family on a root theta: one row table per system and root length ------------------
+
+
+def _root_forms():
+    """(type, theta) of three seeded Weyl conjugates and twice the dominant
+    root of each length of the simple types of rank <= 6, in ambient
+    coordinates."""
+    rng = random.Random(11)
+    out = []
+    for t, r in classify.simple_types(6):
+        s = rs.build(t, r)
+        for rep in s.length_representatives.values():
+            forms = []
+            for _ in range(3):
+                v = rep
+                for _ in range(4 * r):
+                    v = s.reflect(rng.choice(s.simple_roots), v)
+                forms.append(v)
+            forms.append(2 * rep)
+            out += [(f"{t}{r}", ",".join(map(str, v.coords))) for v in forms]
+    return out
+
+
+def _family_bytes(capsys, tag, theta, fmt):
+    assert cli.main(["check", "--type", tag, f"--theta={theta}", "--family",
+                     "--format", fmt]) == 0
+    return capsys.readouterr().out
+
+
+def test_root_rows_warm_equal_cold(monkeypatch, capsys):
+    """In one process the later forms of a length read the table the first
+    filled; each must print what a cold run, on freshly built systems,
+    prints."""
+    forms = [(tag, theta, fmt) for tag, theta in _root_forms() for fmt in ("text", "json")]
+    warm = [_family_bytes(capsys, *form) for form in forms]
+    for form, got in zip(forms, warm):
+        monkeypatch.setattr(rs, "_CACHE", {})
+        assert _family_bytes(capsys, *form) == got, form
+
+
+def _root_datum(tag, long):
+    s = rs.parse_type(tag)
+    reps = s.length_representatives
+    return ct.contact_datum(s, reps[max(reps) if long else min(reps)])
+
+
+def test_repeated_root_rows_run_no_checks(monkeypatch):
+    datum = _root_datum("C4", long=False)
+    first = classify.structure_rows_for_datum(datum)
+    calls = []
+    for name in ("check_integrability", "normalizer_excess"):
+        real = getattr(classify, name)
+        monkeypatch.setattr(classify, name,
+                            lambda *a, _real=real: calls.append(a) or _real(*a))
+    s = datum.system
+    conjugate = [s.reflect(a, datum.theta) for a in s.simple_roots]
+    assert any(v != datum.theta for v in conjugate)
+    for theta in conjugate + [datum.theta, -datum.theta]:
+        assert classify.structure_rows_for_datum(ct.contact_datum(s, theta)) == first
+    assert calls == []
+
+
+def test_root_rows_are_fresh_copies():
+    datum = _root_datum("A3", long=True)
+    first = classify.structure_rows_for_datum(datum)
+    want = [dict(row) for row in first]
+    first[0]["family"] = "changed"
+    first.append({})
+    assert classify.structure_rows_for_datum(datum) == want
+
+
+@pytest.mark.parametrize("tag", ["B3", "C3", "F4", "G2"])
+def test_root_rows_keyed_by_length(tag):
+    long = classify.structure_rows_for_datum(_root_datum(tag, long=True))
+    short = classify.structure_rows_for_datum(_root_datum(tag, long=False))
+    assert long != short
+    assert {row["theta"] for row in long}.isdisjoint(row["theta"] for row in short)
+    assert len(rs.parse_type(tag).root_structure_rows) == 2
