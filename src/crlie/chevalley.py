@@ -7,9 +7,9 @@ convention-independent.  Lie algebra elements are formal combinations of
 root vectors E_a and Cartan elements whose coefficients are exact scalars
 of one of two rings: Gaussian rationals (Gauss) once the twists are
 sampled, or polynomials in the twists (Poly) where they stay symbolic;
-every bracket is exact in either.  The Cartan part is sparse in the
-simple-root coordinates of RootVector.c, and H(v) acts on E_b through the
-covector of b: (b, v) = sum_k v.c[k] (b, alpha_k).
+every bracket is exact in either.  A Cartan element H(v) is sparse in the
+simple-root coordinates v_k of v, and acts on E_b through the int
+covector of b: (b, v) = sum_k v_k (b, alpha_k).
 
 The compact real form is span_R{ i*H, E_a - E_{-a}, i(E_a + E_{-a}) } and
 conjugation is taken relative to it: conj(E_a) = -E_{-a}, conj(H) = -H
@@ -163,7 +163,7 @@ class LieElement:
 
     A coefficient is a Gauss or a Poly, as given; ints and Fractions become
     Gauss.  The Cartan part is the vector v as a sparse dict {simple index:
-    coefficient} of its simple-root coordinates RootVector.c; the element
+    coefficient} of its simple-root coordinates; the element
     H(v) acts on a root vector E_b by (b, v) E_b, so the coroot H_a
     corresponds to v = 2a/(a, a).
     """
@@ -180,7 +180,7 @@ class LieElement:
 
     @staticmethod
     def cartan(system: RootSystem, v: RootVector, coeff=1) -> "LieElement":
-        c = _coeff(coeff)
+        c = _coeff(coeff) * Q(1, v.den)
         return LieElement(system, {}, {k: c * x for k, x in enumerate(v.c) if x})
 
     @staticmethod
@@ -240,12 +240,12 @@ class LieElement:
         root_bracket(sys, self.e, other.e, e, h)
         if self.h:
             for j, cj in other.e.items():
-                val = _pair_vec(sys.roots[j].covector(), self.h)
+                val = _pair_vec(sys, j, self.h)
                 if val:
                     _accumulate(e, j, val * cj)
         if other.h:
             for i, ci in self.e.items():
-                val = _pair_vec(sys.roots[i].covector(), other.h)
+                val = _pair_vec(sys, i, other.h)
                 if val:
                     _accumulate(e, i, -(val * ci))
         return LieElement(sys, e, h)
@@ -287,6 +287,7 @@ def _accumulate(d: dict, k: int, c) -> None:
     d[k] = d[k] + c if k in d else c
 
 
-def _pair_vec(covector: tuple[Q, ...], h: Mapping):
-    """(u, v) for u given by its covector and v by its sparse coordinates."""
-    return sum(c * covector[k] for k, c in h.items() if covector[k])
+def _pair_vec(system: RootSystem, i: int, h: Mapping):
+    """(root_i, v) for v given by its sparse coordinates h: h against the
+    root's int covector, over gden."""
+    return sum(h[k] * y for k, y in system.roots[i].covector() if k in h) * Q(1, system.gden)

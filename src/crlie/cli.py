@@ -193,10 +193,17 @@ def _parse_coeff(s) -> Poly:
 def _parse_vector(system, s) -> RootVector:
     if not isinstance(s, str):
         raise UsageError(f"invalid vector {s!r}: expected comma-separated coordinates")
-    try:
-        coords = [Fraction(x) for x in s.split(",")]
-    except ZeroDivisionError:
-        raise UsageError(f"invalid vector {s!r}: zero denominator") from None
+    fields = s.split(",")
+    if len(fields) != system.dim:
+        raise UsageError(f"invalid vector {s!r}: expected {system.dim} coordinates for "
+                         f"{system.type_str()}, got {len(fields)}")
+    coords = []
+    for k, x in enumerate(fields, 1):
+        try:
+            coords.append(Fraction(x))
+        except (ValueError, ZeroDivisionError) as e:
+            bad = "has a zero denominator" if isinstance(e, ZeroDivisionError) else "is no number"
+            raise UsageError(f"invalid vector {s!r}: coordinate {k} ({x!r}) {bad}") from None
     return system.vector(coords)
 
 

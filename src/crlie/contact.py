@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
-from .linalg import nullspace
 from .rootsys import RootSystem, RootVector, Subsystem, int_codes
 from .scalars import ONE
 
@@ -57,9 +55,8 @@ class ContactDatum:
     @cached_property
     def theta_pairings(self) -> tuple[int, ...]:
         """(a, theta) for each root a, by root index, times one positive
-        int: each root's expansion paired with theta's covector cleared to
-        ints once (RootVector.int_covector)."""
-        cov = self.theta.int_covector()
+        int: each root's expansion paired with theta's int covector."""
+        cov = self.theta.covector()
         return tuple(sum(e[k] * y for k, y in cov) for e in self.system.expansions)
 
     @cached_property
@@ -68,16 +65,15 @@ class ContactDatum:
 
         The weight of a is (theta, theta) a - (a, theta) theta in
         simple-root coordinates, scaled to ints by one positive constant:
-        theta's coordinates are cleared to ints, and (a, theta) is read off
-        theta_pairings, which carries a positive factor of its own.  The
+        theta's int coordinates carry theta.den, and (a, theta) is read off
+        theta_pairings, which carries theta.den * gden.  The
         map is linear, so the weight of a sum is the sum of the weights,
         and it is the weight of a under the theta-orthogonal Cartan
         t' = h intersect theta-perp.  It vanishes exactly on the roots
         parallel to theta.
         """
-        den = lcm(*(x.denominator for x in self.theta.c))
-        tc = [int(x * den) for x in self.theta.c]
-        tt = sum(tc[k] * y for k, y in self.theta.int_covector())
+        tc = self.theta.c
+        tt = sum(tc[k] * y for k, y in self.theta.covector())
         return tuple(tuple(tt * x - p * t for x, t in zip(e, tc))
                      for e, p in zip(self.system.expansions, self.theta_pairings))
 
@@ -111,20 +107,16 @@ class ContactDatum:
 
     @cached_property
     def theta_perp_cartan(self) -> tuple[RootVector, ...]:
-        """Rational basis of t' = h intersect theta-perp: the nullspace of
-        theta's covector."""
-        cov = [Q(x) for x in self.theta.covector()]
-        return tuple(RootVector(self.system, v) for v in nullspace([cov], self.system.rank))
+        """Rational basis of t' = h intersect theta-perp."""
+        return self.system.perp([self.theta])
 
     @cached_property
     def center(self) -> tuple[RootVector, ...]:
         """Rational basis of the center of l in the Cartan: the vectors of
-        t' orthogonal to R_o, the nullspace of the covectors of theta and
-        of R_o's simple roots, which span R_o."""
+        t' orthogonal to R_o, so to theta and to R_o's simple roots, which
+        span R_o."""
         sys = self.system
-        rows = [[Q(x) for x in v.covector()]
-                for v in (self.theta, *(sys.roots[i] for i in self.Ro.simple))]
-        return tuple(RootVector(sys, v) for v in nullspace(rows, sys.rank))
+        return sys.perp([self.theta, *(sys.roots[i] for i in self.Ro.simple)])
 
     @cached_property
     def class_of(self) -> dict[int, tuple[int, ...]]:

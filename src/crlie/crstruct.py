@@ -26,7 +26,7 @@ every weight space of W', so those enter the normalizer's blocks as they
 are and t' is never bracketed; with the l-bound, only the block of
 weight 0 takes brackets at all.  Pairings with theta and with the center
 of l are read off ints (ContactDatum.theta_pairings,
-RootVector.int_covector), each up to one positive factor.
+RootVector.covector), each up to one positive factor.
 """
 
 from __future__ import annotations
@@ -805,12 +805,12 @@ def _rotated_s1_witness(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> 
 def _zeta_value(datum: ContactDatum, root_idx: int) -> int:
     """The pairing of a root with the center of l, which is one direction or
     none wherever an su2 line stands (theta parallel to a root), times one
-    positive int (RootVector.int_covector): _cone_feasible's verdict is
+    positive int (RootVector.covector): _cone_feasible's verdict is
     the same for every positive multiple of the center."""
     if not datum.center:
         return 0
     e = datum.system.expansions[root_idx]
-    return sum(e[k] * y for k, y in datum.center[0].int_covector())
+    return sum(e[k] * y for k, y in datum.center[0].covector())
 
 
 def _eigen_sign(sys: RootSystem, x: LieElement, v: LieElement) -> int:

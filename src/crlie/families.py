@@ -104,8 +104,7 @@ def _chart_unit(cs: ConstraintSet, var: str, among: Optional[set[str]] = None) -
 def _positive(datum: ContactDatum) -> list[int]:
     """The theta-positive highest weights, in module order.  R_o is
     orthogonal to theta, so all weights of a module pair alike with it."""
-    sys = datum.system
-    return [hw for hw in datum.modules if sys.inner(sys.roots[hw], datum.theta) > 0]
+    return [hw for hw in datum.modules if datum.theta_pairings[hw] > 0]
 
 
 def _partner(datum: ContactDatum, hw: int) -> Optional[int]:

@@ -91,6 +91,8 @@ class Echelon:
             return False
         p = min(cols)
         pv = w[p]
+        if type(pv) is int:  # int rows: divide as Fractions, never floats
+            pv = Fraction(pv)
         w = {c: x / pv for c, x in w.items()}
         for row in self.rows.values():
             g = row.get(p)
@@ -172,5 +174,5 @@ def nullspace_gauss(rows, ncols, zero, one):
 
 
 def nullspace(rows, ncols):
-    """Basis of the right kernel of a rational matrix."""
+    """Basis of the right kernel of a matrix of ints or Fractions, as Fractions."""
     return nullspace_gauss(rows, ncols, Fraction(0), Fraction(1))

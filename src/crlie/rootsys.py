@@ -13,15 +13,15 @@ in a relation block are only defined up to adding a multiple of
 (1, ..., 1); the sum-zero gauge fixes them.
 
 Each relation block drops one dimension, so every ambient vector lies in
-the span of the simple roots.  A RootVector holds its simple-root
-coordinates: ints for roots, Fractions otherwise.  Inner products go
-through the Gram matrix of the simple roots and the Weyl machinery through
-the integer Cartan matrix (Humphreys 10.1-10.3).  Ambient coordinates
-serve only parsing, printing and the canonical orderings.  Orderings and
-printing read them as int numerators over the system's one positive
-denominator (RootVector.numerators); Fractions appear only in canon() and
-in a printed coordinate that is not integral.  A subsystem's orthogonal
-components are read off its base through int pairings.
+the span of the simple roots.  A RootVector holds int simple-root
+coordinates over one positive int denominator, in lowest terms (a root's
+is 1).  Every pairing reads one int Gram matrix of the simple roots over
+one positive int gden, and the int squared lengths over gden; the Weyl
+machinery reads the integer Cartan matrix (Humphreys 10.1-10.3).
+Fractions are built only where coordinates are parsed and in canon(),
+norm2, inner and pairing.  Ambient coordinates serve only parsing,
+printing and the canonical orderings, which read int numerators
+(RootVector.numerators).  Subsystem components come from int pairings.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 from .linalg import SpanSolver, nullspace
@@ -54,27 +54,32 @@ class Block:
 
 
 class RootVector:
-    """A vector of the root span by its simple-root coordinates c.
+    """A vector of the root span: int simple-root coordinates c over one
+    positive int den, in lowest terms (a root's den is 1).
 
-    numerators() are its ambient coordinates in the sum-zero gauge times
-    the system's one positive denominator, derived on first use; canon()
-    is that tuple over the denominator, as Fractions."""
+    The constructor also takes rationals and clears them.  numerators()
+    are its ambient coordinates in the sum-zero gauge times the system's
+    one positive denominator, derived on first use; canon() is that tuple
+    over the denominator, as Fractions."""
 
-    __slots__ = ("system", "c", "_num", "_cov")
+    __slots__ = ("system", "c", "den", "_num", "_cov")
 
-    def __init__(self, system: "RootSystem", c: Iterable, num: Optional[tuple] = None):
-        self.system = system
-        self.c = tuple(c)
-        if len(self.c) != system.rank:
+    def __init__(self, system: "RootSystem", c: Iterable, den: int = 1):
+        c = tuple(c)
+        if len(c) != system.rank:
             raise RootSystemError("coordinate length does not match the rank")
-        self._num = num
-        self._cov = None
+        if not all(type(x) is int for x in c):  # ints and Fractions
+            q = lcm(*(x.denominator for x in c))
+            c, den = tuple(x.numerator * (q // x.denominator) for x in c), den * q
+        g = gcd(den, *c)
+        if g != 1:
+            c, den = tuple(x // g for x in c), den // g
+        self.system, self.c, self.den = system, c, den
+        self._num = self._cov = None
 
-    def numerators(self) -> tuple:
-        """Ambient coordinates in the sum-zero gauge times system._ambient[0],
-        ints when c is integral (every root's are).  All vectors of a
-        system share that positive denominator, so these tuples order as
-        canon() does: every canonical ordering keys on them."""
+    def _ints(self) -> tuple:
+        """Ambient coordinates in the sum-zero gauge times
+        system._ambient[0] * den: ints."""
         if self._num is None:
             rows = self.system._ambient[1]
             out = [0] * self.system.dim
@@ -85,44 +90,46 @@ class RootVector:
             self._num = tuple(out)
         return self._num
 
+    def numerators(self) -> tuple:
+        """Ambient coordinates in the sum-zero gauge times system._ambient[0],
+        ints for a root.  All vectors of a system share that positive
+        denominator, so these tuples order as canon() does: every
+        canonical ordering keys on them."""
+        num, den = self._ints(), self.den
+        return num if den == 1 else tuple(_over(x, den) for x in num)
+
     def canon(self) -> tuple:
         """Ambient coordinates in the sum-zero gauge, as Fractions."""
-        den = self.system._ambient[0]
-        return tuple(Q(x, den) for x in self.numerators())
+        den = self.system._ambient[0] * self.den
+        return tuple(Q(x, den) for x in self._ints())
 
     coords = property(canon)
 
-    def covector(self) -> tuple:
-        """((v, alpha_k) for each simple root alpha_k), so that
-        (u, v) = sum_k u.c[k] * v.covector()[k]."""
+    def covector(self) -> list[tuple[int, int]]:
+        """(v, alpha_k) for each simple root alpha_k times den * gden, a
+        positive int, as (k, entry) for the nonzero entries: the row of v
+        in the system's int Gram matrix.  sum u.c[k] * entry over them is
+        (u, v) times u.den * v.den * gden."""
         if self._cov is None:
-            g = self.system.gram
-            self._cov = tuple(
-                sum(x * row[k] for x, row in zip(self.c, g) if x) for k in range(len(g))
-            )
+            g = self.system._igram
+            cov = ((k, sum(x * row[k] for x, row in zip(self.c, g) if x)) for k in range(len(g)))
+            self._cov = [(k, y) for k, y in cov if y]
         return self._cov
-
-    def int_covector(self) -> list[tuple[int, int]]:
-        """covector() times the lcm of its denominators, a positive int, as
-        (k, entry) for its nonzero entries: sum u.c[k] * entry over them is
-        (u, v) times that int, itself an int when u.c is integral."""
-        cov = self.covector()
-        den = lcm(*(x.denominator for x in cov))
-        return [(k, int(x * den)) for k, x in enumerate(cov) if x]
 
     def __add__(self, other: "RootVector") -> "RootVector":
         self._check(other)
-        return RootVector(self.system, map(add, self.c, other.c))
+        a, b = self.den, other.den
+        return RootVector(self.system, [x * b + y * a for x, y in zip(self.c, other.c)], a * b)
 
     def __sub__(self, other: "RootVector") -> "RootVector":
-        self._check(other)
-        return RootVector(self.system, map(sub, self.c, other.c))
+        return self + -other
 
     def __neg__(self) -> "RootVector":
-        return RootVector(self.system, [-x for x in self.c])
+        return RootVector(self.system, [-x for x in self.c], self.den)
 
     def __rmul__(self, s) -> "RootVector":
-        return RootVector(self.system, [s * x for x in self.c])
+        s = Q(s)
+        return RootVector(self.system, [s.numerator * x for x in self.c], s.denominator * self.den)
 
     def _check(self, other: "RootVector"):
         if other.system is not self.system:
@@ -134,10 +141,10 @@ class RootVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RootVector):
             return NotImplemented
-        return self.system is other.system and self.c == other.c
+        return self.system is other.system and self.c == other.c and self.den == other.den
 
     def __hash__(self):
-        return hash((id(self.system), self.c))
+        return hash((id(self.system), self.c, self.den))
 
     def __repr__(self):
         return f"RootVector({format_vector(self)})"
@@ -175,19 +182,18 @@ class RootSystem:
         # the map to ambient coordinates: the simple roots' sparse rows,
         # scaled to ints by one common denominator
         self._ambient = _int_rows(simples)
-        # the Gram matrix of the simple roots, ints wherever integral, from
-        # the sparse int rows at twice the metric (the aux vector has
-        # (e, e) = 1/2), and the Cartan matrix
+        # the Gram matrix of the simple roots as ints _igram over one
+        # positive int gden, from the sparse int rows at twice the metric
+        # (the aux vector has (e, e) = 1/2), and the Cartan matrix
         # C[i][j] = <alpha_i | alpha_j> = 2 (a_i, a_j) / (a_j, a_j)
         den, rows = self._ambient
         w2 = [1 if b.kind == "aux" else 2 for b in self.blocks for _ in range(b.size)]
         cols = [dict(r) for r in rows]
-        g = self.gram = tuple(
-            tuple(_int_if_integral(Q(sum(w2[k] * x * v.get(k, 0) for k, x in u), 2 * den * den))
-                  for v in cols)
-            for u in rows)
-        self._cartan = tuple(tuple(int(Q(2 * gij, g[j][j])) for j, gij in enumerate(row))
-                             for row in g)
+        g2 = [[sum(w2[k] * x * v.get(k, 0) for k, x in u) for v in cols] for u in rows]
+        q = gcd(2 * den * den, *(x for row in g2 for x in row))
+        self.gden = 2 * den * den // q
+        gi = self._igram = tuple(tuple(x // q for x in row) for row in g2)
+        self._cartan = tuple(tuple(2 * x // gi[j][j] for j, x in enumerate(row)) for row in gi)
 
         # simple-root expansions as int tuples, and the root of each one
         self.expansions: list[tuple[int, ...]] = _root_expansions(self._cartan)
@@ -199,17 +205,11 @@ class RootSystem:
         self.by_code = {c: i for i, c in enumerate(self.codes)}
         self.positive = [all(x >= 0 for x in e) for e in self.expansions]
         self.neg_index = [self.by_code[-c] for c in self.codes]
-        # squared lengths e G e over the Gram matrix cleared to ints once
-        # (kept as _igram for the subsystems' orthogonality tests; int_norms
-        # are norm2 times one constant), one Fraction per length
-        gden = lcm(*(x.denominator for row in g for x in row))
-        gi = self._igram = tuple(tuple(int(x * gden) for x in row) for row in g)
+        # squared lengths e G e times gden
         ints = self.int_norms = []
         for e in self.expansions:
             nz = [(k, x) for k, x in enumerate(e) if x]
             ints.append(sum(x * y * gi[k][j] for k, x in nz for j, y in nz))
-        lengths = {v: Q(v, gden) for v in set(ints)}
-        self._norms = [lengths[v] for v in ints]
 
     # -- ambient coordinates ------------------------------------------------------
 
@@ -243,22 +243,18 @@ class RootSystem:
         return tuple(c)
 
     def vector(self, coords: Sequence) -> RootVector:
-        """The vector with the given ambient coordinates.
-
-        Its simple-root coordinates are coords times the int rows of
-        _coords, over their denominator; coords are cleared to ints first."""
+        """The vector with the given ambient coordinates: coords times the
+        int rows of _coords, over their denominator."""
         if len(coords) != self.dim:
             raise RootSystemError("coordinate length does not match ambient space")
-        xs = [(k, x if type(x) is int else Q(x)) for k, x in enumerate(coords) if x]
-        q = lcm(*(x.denominator for _, x in xs))
         den, rows = self._coords
         acc = [0] * self.rank
-        for k, x in xs:
-            n = x.numerator * (q // x.denominator)
-            for j, y in rows[k]:
-                acc[j] += n * y
-        den *= q
-        return RootVector(self, [_over(x, den) for x in acc])
+        for x, row in zip(coords, rows):
+            x = Q(x)  # an integral coordinate multiplies as an int
+            x = x.numerator if x.denominator == 1 else x
+            for j, y in row:
+                acc[j] += x * y
+        return RootVector(self, acc, den)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -272,14 +268,14 @@ class RootSystem:
     def inner(self, u: RootVector, v: RootVector) -> Q:
         if u.system is not self or v.system is not self:
             raise RootSystemError("vectors belong to a different system")
-        return Q(sum(x * g for x, g in zip(u.c, v.covector()) if x))
+        return Q(_pair(u, v), u.den * v.den * self.gden)
 
     def orthogonal_roots(self, v: RootVector) -> frozenset[int]:
         """Indices of the roots orthogonal to v: each root's expansion
-        paired against v's covector, cleared to ints once."""
+        paired against v's int covector."""
         if v.system is not self:
             raise RootSystemError("vectors belong to a different system")
-        cov = v.int_covector()
+        cov = v.covector()
         return frozenset(i for i, e in enumerate(self.expansions)
                          if not sum(e[k] * y for k, y in cov))
 
@@ -288,26 +284,24 @@ class RootSystem:
         bi = self.root_index(beta)
         if bi is None:
             raise RootSystemError("pairing against a non-root")
-        return 2 * self.inner(u, beta) / self._norms[bi]
+        return Q(2 * _pair(u, beta), u.den * self.int_norms[bi])
 
     def root_index(self, v: RootVector) -> Optional[int]:
-        return self._by_expansion.get(v.c)
+        return self._by_expansion.get(v.c) if v.den == 1 else None
 
     def is_root(self, v: RootVector) -> bool:
-        return v.c in self._by_expansion
+        return self.root_index(v) is not None
 
     def root_along(self, v: RootVector) -> Optional[int]:
         """Index of the root that is a positive multiple of v, if one is.
 
         Every root's expansion is a primitive integer vector, so that root
         is the one whose expansion is v's coordinates scaled to one."""
-        den = lcm(*(x.denominator for x in v.c))
-        ints = [int(x * den) for x in v.c]
-        g = gcd(*ints)
-        return self._by_expansion.get(tuple(x // g for x in ints)) if g else None
+        g = gcd(*v.c)
+        return self._by_expansion.get(tuple(x // g for x in v.c)) if g else None
 
     def norm2(self, i: int) -> Q:
-        return self._norms[i]
+        return Q(self.int_norms[i], self.gden)
 
     def height(self, i: int) -> int:
         return sum(self.expansions[i])
@@ -343,9 +337,13 @@ class RootSystem:
     # -- reflections and Weyl machinery ----------------------------------------
 
     def reflect(self, alpha: RootVector, v: RootVector) -> RootVector:
-        if not self.is_root(alpha):
+        """v - <v | alpha> alpha = (n v.c - 2 (v, alpha) alpha.c) / (n v.den),
+        with n the int norm of alpha and (v, alpha) at the covector's factor."""
+        i = self.root_index(alpha)
+        if i is None:
             raise RootSystemError("reflection axis must be a root")
-        return v - _int_if_integral(self.pairing(v, alpha)) * alpha
+        n, p = self.int_norms[i], 2 * _pair(v, alpha)
+        return RootVector(self, [n * x - p * a for x, a in zip(v.c, alpha.c)], n * v.den)
 
     def dominant(self, v: RootVector) -> RootVector:
         """The dominant Weyl-chamber representative of the orbit of v.
@@ -368,18 +366,18 @@ class RootSystem:
                             p[k] -= pj * row[k]
                     break
             else:
-                return RootVector(self, c)
+                return RootVector(self, c, v.den)
 
     @cached_property
     def length_representatives(self) -> dict[Q, RootVector]:
         """The dominant root of each length, by squared length, in order of
         first appearance; on a simple system the roots of one length are one
         Weyl orbit (Humphreys 10.4, Lemma C) with one dominant member."""
-        reps: dict[Q, RootVector] = {}
-        for i, n in enumerate(self._norms):
+        reps: dict[int, RootVector] = {}
+        for i, n in enumerate(self.int_norms):
             if n not in reps:
                 reps[n] = self.dominant(self.roots[i])
-        return reps
+        return {Q(n, self.gden): v for n, v in reps.items()}
 
     @cached_property
     def root_structure_rows(self) -> dict[Q, list[dict]]:
@@ -421,21 +419,24 @@ class RootSystem:
 
     # -- subsystems -------------------------------------------------------------
 
+    def perp(self, vectors: Iterable[RootVector]) -> tuple[RootVector, ...]:
+        """A basis of the vectors orthogonal to the given ones: the
+        nullspace of their int covectors."""
+        rows = [dict(v.covector()) for v in vectors]
+        return tuple(RootVector(self, x) for x in nullspace(rows, self.rank))
+
     def closed_span(self, seed: Iterable[RootVector]) -> "Subsystem":
         """The roots in the linear span of the seed roots.
 
         The form is positive definite, so the span is the orthogonal
         complement of its orthogonal complement: a root lies in it exactly
-        when it is orthogonal to a basis of the vectors orthogonal to every
-        seed root, the nullspace of the seed covectors."""
+        when it is orthogonal to a basis of perp(seed)."""
         seed = list(seed)
-        for s in seed:
-            if not self.is_root(s):
-                raise RootSystemError("closed_span seed must consist of roots")
-        perp = nullspace([[Q(x) for x in s.covector()] for s in seed], self.rank)
+        if not all(map(self.is_root, seed)):
+            raise RootSystemError("closed_span seed must consist of roots")
         members = frozenset(range(len(self.roots)))
-        for v in perp:
-            members &= self.orthogonal_roots(RootVector(self, v))
+        for v in self.perp(seed):
+            members &= self.orthogonal_roots(v)
         return Subsystem(self, members)
 
     # -- diagram automorphisms ---------------------------------------------------
@@ -469,7 +470,7 @@ class RootSystem:
         c = [0] * self.rank
         for i, x in enumerate(v.c):
             c[perm[i]] = x
-        return RootVector(self, c)
+        return RootVector(self, c, v.den)
 
     def canonical_form(self, v: RootVector) -> RootVector:
         """Canonical representative of v up to Weyl group, diagram symmetry,
@@ -580,14 +581,11 @@ class Subsystem:
         parent = self.parent
         r = sum(1 for i in self.simple if i in comp)
         n = len(comp)
-        norms = sorted({parent.norm2(i) for i in comp})
+        lengths = parent.int_norms
+        norms = sorted({lengths[i] for i in comp})
         if len(norms) > 2:
             raise RootSystemError("component with more than two root lengths")
-        nshort = (
-            0
-            if len(norms) == 1
-            else sum(1 for i in comp if parent.norm2(i) == norms[0])
-        )
+        nshort = 0 if len(norms) == 1 else sum(1 for i in comp if lengths[i] == norms[0])
         sig = (r, n, nshort)
         if sig == (r, r * (r + 1), 0):
             return ("A", r)
@@ -759,8 +757,9 @@ def int_codes(vectors: Sequence[Sequence[int]]) -> list[int]:
     return [sum(map(mul, v, powers)) for v in vectors]
 
 
-def _int_if_integral(x):
-    return int(x) if x.denominator == 1 else x
+def _pair(u: RootVector, v: RootVector) -> int:
+    """(u, v) times u.den * v.den * gden: u.c against v's int covector."""
+    return sum(u.c[k] * y for k, y in v.covector())
 
 
 def _over(x, den: int):
@@ -772,29 +771,24 @@ def _over(x, den: int):
 
 
 def scale_primitive(v: RootVector) -> RootVector:
-    """Positive rescale to primitive integer gauge coordinates."""
-    num = v.numerators()
-    q = lcm(*(x.denominator for x in num))
-    ints = [int(x * q) for x in num]
-    g = gcd(*ints)
+    """Positive rescale to primitive integer gauge coordinates: v times
+    _ambient[0] * den / g, with g the gcd of v's int ambient coordinates."""
+    g = gcd(*v._ints())
     if not g:
         return v
-    den = v.system._ambient[0]
-    f = _int_if_integral(Q(q * den, g))
-    return RootVector(v.system, [_int_if_integral(f * x) for x in v.c],
-                      tuple(x // g * den for x in ints))
+    return RootVector(v.system, [v.system._ambient[0] * x for x in v.c], g)
 
 
 def canon_str(v: RootVector) -> str:
     """canon() as comma-separated numbers."""
-    den = v.system._ambient[0]
-    return ",".join(str(_over(x, den)) for x in v.numerators())
+    den = v.system._ambient[0] * v.den
+    return ",".join(str(_over(x, den)) for x in v._ints())
 
 
 def _block_strings(system: RootSystem, v: RootVector) -> list[str]:
     """Per-component coordinate rendering, nicest integer lift per block."""
-    den = system._ambient[0]
-    num = v.numerators()
+    den = system._ambient[0] * v.den
+    num = v._ints()
     rendered = []
     for ci, blocks in enumerate(system.comp_blocks):
         sym = "e" + "'" * ci
@@ -835,20 +829,23 @@ def _best_lift(num: Sequence, den: int) -> Optional[list[int]]:
     The lifts are the shifts of the block by a multiple of (1, ..., 1) that
     make it integral; they exist when the coordinates share one fractional
     part, that is when den divides every offset from the first numerator,
-    and are then k + d with d those offsets over den.  Off
-    [-max(d), -min(d)] every entry of k + d has one sign and the L1 norm
-    falls toward that window, so every L1 minimizer lies in it; there the
-    least (L1, max, reversed) key wins."""
+    and are then k + d with d those offsets over den.  The L1 norm of k + d
+    is least for k between the negatives of the two middle entries of
+    sorted d; on that window the largest |entry| is V-shaped around
+    -(min d + max d)/2, so the least (L1, max, reversed) key is at the
+    floor or the ceiling of that midpoint, each clipped to the window."""
     d = [x - num[0] for x in num]
     if any(x % den for x in d):
         return None
     d = [x // den for x in d]
+    s = sorted(d)
+    lo, hi, mid = -s[len(s) // 2], -s[(len(s) - 1) // 2], -(s[0] + s[-1])
 
     def key(k):
         lifted = [k + x for x in d]
         return (sum(map(abs, lifted)), max(map(abs, lifted)), [-x for x in lifted])
 
-    k = min(range(-max(d), 1 - min(d)), key=key)
+    k = min((min(max(lo, m), hi) for m in (mid // 2, -(-mid // 2))), key=key)
     return [k + x for x in d]
 
 

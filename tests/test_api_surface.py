@@ -18,6 +18,9 @@ KEPT_METHODS = {
     "chevalley.LieElement.coroot",
     # perfbench/workloads.py draws Weyl-conjugate contact forms with it
     "rootsys.RootSystem.reflect",
+    # the Fraction inner product of the public API; perfbench/workloads.py
+    # picks strongly orthogonal root pairs with it
+    "rootsys.RootSystem.inner",
     # traced by perfbench/spans.py, resolved by tests/test_trace_targets.py
     "linalg.SpanSolver.contains",
 }

@@ -1,6 +1,8 @@
 import itertools
 import json
 import os
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -257,6 +259,19 @@ def test_check_theta_zero_denominator(capsys):
     assert "zero denominator" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("theta,message", [
+    ("a,b,c,d", "coordinate 1 ('a') is no number"),
+    ("1,0,0,x", "coordinate 4 ('x') is no number"),
+    ("1,,0,-1", "coordinate 2 ('') is no number"),
+    ("1,0,1/0,-1", "coordinate 3 ('1/0') has a zero denominator"),
+    ("1,-1", "expected 4 coordinates for A3, got 2"),
+    ("1,0,0,0,-1", "expected 4 coordinates for A3, got 5"),
+])
+def test_check_theta_names_the_bad_coordinate(theta, message, capsys):
+    assert run(["check", "--type", "A3", f"--theta={theta}", "--family"]) == 64
+    assert f"invalid vector {theta!r}: {message}" in _one_line_error(capsys)
+
+
 def test_check_m10_vector_zero_denominator(capsys):
     spec = {"plains": ["1/0,0,0"]}
     rc = run(["check", "--type", "A2", "--theta=1,0,-1", "--m10", json.dumps(spec)])
@@ -430,3 +445,38 @@ def test_isomorphic_types_give_the_same_graph_verdicts(alias, target, capsys):
                for tag, cs in ((alias, colors), (target, image))]
         a_row, b_row = ({k: row.get(k) for k in keys} for row in got)
         assert a_row == b_row, colors
+
+
+def _family_rows(tag, theta, capsys):
+    """(exit code, check --family JSON rows without their theta)."""
+    rc = run(["check", "--type", tag, f"--theta={theta}", "--family", "--format", "json"])
+    out = capsys.readouterr().out
+    rows = json.loads(out)["rows"] if rc == 0 else []
+    return rc, [{k: v for k, v in r.items() if k != "theta"} for r in rows]
+
+
+def test_check_family_is_the_same_on_scaled_forms(capsys):
+    """Every golden contact form of tools/cli_digest.py, scaled by 10^k:
+    the same rows up to theta, in time that does not grow with k."""
+    from pathlib import Path
+
+    from test_crstruct import _cli_digest
+
+    forms = _cli_digest().golden_forms(Path(cli.__file__).resolve().parent / "data")
+    assert len(forms) == 42
+    for tag, theta in forms:
+        want = _family_rows(tag, theta, capsys)
+        for k in (1, 6, 30):
+            scaled = ",".join(str(Fraction(x) * 10**k) for x in theta.split(","))
+            assert _family_rows(tag, scaled, capsys) == want, (tag, theta, k)
+
+
+@pytest.mark.parametrize("tag,theta", [
+    ("A3", "1000000000000,0,0,-1"),
+    ("A4", "1000000,1000000,0,-1000000,-1000000"),
+])
+def test_check_family_on_a_large_coordinate_is_fast(tag, theta, capsys):
+    start = time.perf_counter()
+    assert run(["check", "--type", tag, f"--theta={theta}", "--family"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert theta.split(",")[0] + "e1" in capsys.readouterr().out

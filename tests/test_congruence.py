@@ -24,12 +24,17 @@ from crlie.rootsys import parse_type
 MAX_RANK = 5
 
 
+def frac(v):
+    """The simple-root coordinates of v as Fractions."""
+    return tuple(Q(x, v.den) for x in v.c)
+
+
 def theta_congruent(datum, gamma, gamma2):
     """The nonzero lambda with gamma2 = gamma + lambda*theta, if it exists."""
     diff = gamma2 - gamma
     if diff.is_zero():
         return None
-    dc, tc = diff.c, datum.theta.c
+    dc, tc = frac(diff), frac(datum.theta)
     lam = None
     for d, t in zip(dc, tc):
         if t != 0:
@@ -135,7 +140,7 @@ def test_weights_grade_the_roots(tag, theta):
     tt = system.inner(t, t)
     scale = None
     for i, r in enumerate(system.roots):
-        proj = (r - (system.inner(r, t) / tt) * t).c
+        proj = frac(r - (system.inner(r, t) / tt) * t)
         for x, y in zip(w[i], proj):
             if y:
                 scale = scale or Q(x) / y

@@ -57,9 +57,10 @@ def conjugate(el):
 
 
 def eval_functional(el, v):
-    """(v, H-part of el) via the ambient bilinear form."""
-    cov = v.covector()
-    return as_poly(sum(c * cov[k] for k, c in el.h.items() if cov[k]))
+    """(v, H-part of el) via the int covector of v, over its factor."""
+    cov = dict(v.covector())
+    return as_poly(sum(c * cov[k] for k, c in el.h.items() if k in cov)
+                   * Q(1, v.den * v.system.gden))
 
 
 def evaluate_basis(h, values):
@@ -415,7 +416,7 @@ def test_fibration_witness_matches_branch_search():
     for t, theta in _golden_forms(5):
         s = rs.parse_type(t)
         for h in classify.classify_datum(ct.contact_datum(s, s.vector(theta.split(",")))).structures:
-            key = (s.type_str(), h.datum.theta.c, h.label)
+            key = (s.type_str(), h.datum.theta.c, h.datum.theta.den, h.label)
             if key not in compared:
                 compared.add(key)
                 _compare_witnesses(h, classify._sample_values(h))
@@ -753,10 +754,10 @@ def form_row(x):
     sysm = x.system
     n = len(sysm.roots)
     row = {sysm.neg_index[i]: c * (Q(2) / sysm.norm2(i)) for i, c in x.e.items()}
-    for k, g in enumerate(sysm.gram):
+    for k, g in enumerate(sysm._igram):
         val = sum(c * g[j] for j, c in x.h.items() if g[j])
         if val:
-            row[n + k] = val
+            row[n + k] = val * Q(1, sysm.gden)
     return row
 
 
@@ -921,7 +922,7 @@ def _sum_forms(tag, dominant):
             for theta in (sysm.roots[i] + sysm.roots[j], sysm.roots[i] - sysm.roots[j]):
                 if not theta.is_zero():
                     theta = sysm.dominant(theta) if dominant else theta
-                    out.setdefault(theta.c, theta)
+                    out.setdefault((theta.c, theta.den), theta)
     return sysm, list(out.values())
 
 
@@ -1306,7 +1307,7 @@ def _center_reference(datum):
     """The center of l in the Cartan as the nullspace of the covectors of
     theta and of every root of R_o."""
     sysm = datum.system
-    rows = [[Q(x) for x in v.covector()]
+    rows = [{k: Q(y, v.den * sysm.gden) for k, y in v.covector()}
             for v in [datum.theta] + [sysm.roots[i] for i in datum.Ro.members]]
     return tuple(rs.RootVector(sysm, v) for v in nullspace(rows, sysm.rank))
 

@@ -1,5 +1,11 @@
 """The int paths of rootsys against the Fraction paths they replaced.
 
+A RootVector holds int simple-root coordinates over one positive
+denominator, in lowest terms, whichever way it was built; every pairing
+reads the int Gram matrix RootSystem._igram over gden.  The references
+here are the Fraction Gram matrix of the simple roots' ambient
+coordinates and the covector, inner product, pairing, squared length and
+orthogonal complement built on it.
 Orderings and printed coordinates read RootVector.numerators(), the
 ambient coordinates times the system's one positive denominator; each
 reference here is the Fraction implementation that keyed on canon().
@@ -26,6 +32,7 @@ from crlie import chevalley as ch
 from crlie import rootsys as rs
 from crlie.contact import contact_datum
 from crlie.crstruct import _additive_closure
+from crlie.linalg import nullspace
 
 DATA = Path(rs.__file__).resolve().parent / "data"
 # the systems whose roots tools/cli_digest.py prints
@@ -102,7 +109,7 @@ def scale_primitive_reference(v):
     if not g:
         return v
     f = Q(den, g)
-    return rs.RootVector(v.system, [f * x for x in v.c])
+    return rs.RootVector(v.system, [f * x for x in v.c], v.den)
 
 
 def orthogonal_components_reference(sub):
@@ -173,7 +180,7 @@ def test_int_paths_match_fraction_paths_on_the_span(vectors):
     check_vectors(vectors)
     for v in vectors:
         got, want = rs.scale_primitive(v), scale_primitive_reference(v)
-        assert got.c == want.c and got.canon() == want.canon()
+        assert got == want and got.canon() == want.canon()
 
 
 # -- components and classification ----------------------------------------------------
@@ -368,3 +375,133 @@ def closure_seeds(draw):
 def test_additive_closure_matches_pairwise_reference(case):
     s, seed = case
     assert _additive_closure(s, seed) == additive_closure_reference(s, seed)
+
+
+# -- the int representation ---------------------------------------------------------------
+
+SMALL = [rs.build(t, r) for t, r in classify.simple_types(4)] + [rs.parse_type("A1+A1")]
+
+
+def frac(v):
+    """The simple-root coordinates of v as Fractions."""
+    return [Q(x, v.den) for x in v.c]
+
+
+def gram_reference(s):
+    """(alpha_i, alpha_j) of the simple roots, from their Fraction ambient
+    coordinates in the sum-zero gauge, where the relation blocks pair by
+    the dot product; E6's auxiliary vector has (e, e) = 1/2."""
+    w = [Q(1, 2) if b.kind == "aux" else 1 for b in s.blocks for _ in range(b.size)]
+    amb = [r.canon() for r in s.simple_roots]
+    return [[sum(x * y * z for x, y, z in zip(w, a, b)) for b in amb] for a in amb]
+
+
+def covector_reference(v, gram):
+    return [sum(x * row[k] for x, row in zip(frac(v), gram)) for k in range(len(gram))]
+
+
+def inner_reference(u, v, gram):
+    return sum(x * y for x, y in zip(frac(u), covector_reference(v, gram)))
+
+
+def perp_reference(s, vectors, gram):
+    rows = [covector_reference(v, gram) for v in vectors]
+    return tuple(rs.RootVector(s, x) for x in nullspace(rows, s.rank))
+
+
+def check_pairings(s, gram, u, v):
+    """covector, inner and, against a root v, pairing of src against the
+    references."""
+    assert {k: Q(y, v.den * s.gden) for k, y in v.covector()} == {
+        k: x for k, x in enumerate(covector_reference(v, gram)) if x}
+    assert s.inner(u, v) == inner_reference(u, v, gram)
+    if s.is_root(v):
+        assert s.pairing(u, v) == 2 * inner_reference(u, v, gram) / inner_reference(v, v, gram)
+
+
+@pytest.mark.parametrize("s", SYSTEMS, ids=rs.RootSystem.type_str)
+def test_int_gram_matches_fraction_gram(s):
+    gram = gram_reference(s)
+    assert [[Q(x, s.gden) for x in row] for row in s._igram] == gram
+    assert s.gden > 0 and gcd(s.gden, *(x for row in s._igram for x in row)) == 1
+    assert [s.norm2(i) for i in range(len(s.roots))] == [
+        inner_reference(r, r, gram) for r in s.roots]
+
+
+@pytest.mark.parametrize("s", SMALL, ids=rs.RootSystem.type_str)
+def test_pairings_match_fraction_references_on_root_pairs(s):
+    gram = gram_reference(s)
+    for u in s.roots:
+        for v in s.roots:
+            check_pairings(s, gram, u, v)
+            assert s.perp([u, v]) == perp_reference(s, [u, v], gram)
+
+
+def test_pairings_match_fraction_references_on_golden_forms():
+    """theta against itself and against each simple root, both ways, and
+    the complements of theta and of theta with R_o."""
+    forms = {(tag, tuple(coords)) for tag, coords in golden_forms()}
+    for tag, coords in forms:
+        s = rs.parse_type(tag)
+        gram = gram_reference(s)
+        theta = s.vector(coords)
+        check_pairings(s, gram, theta, theta)
+        for r in s.simple_roots:
+            check_pairings(s, gram, theta, r)
+            check_pairings(s, gram, r, theta)
+        datum = contact_datum(s, theta)
+        assert datum.theta_perp_cartan == s.perp([theta]) == perp_reference(s, [theta], gram)
+        ro = [theta] + [s.roots[i] for i in datum.Ro.simple]
+        assert datum.center == perp_reference(s, ro, gram)
+
+
+@st.composite
+def rational_vectors(draw):
+    """A system of SYSTEMS, int numerators, a denominator and a nonzero
+    rational scale."""
+    s = draw(st.sampled_from(SYSTEMS))
+    nums = draw(st.lists(st.integers(-30, 30), min_size=s.rank, max_size=s.rank))
+    den = draw(st.integers(1, 12))
+    scale = Q(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 6)))
+    return s, nums, den, scale
+
+
+@given(rational_vectors())
+@settings(derandomize=True, max_examples=400, deadline=None)
+@example((A2, [2, 4], 6, Q(3)))
+@example((E6, [0] * 6, 5, Q(-1, 2)))
+def test_every_construction_gives_one_normal_form(case):
+    """Built from ints, from Fractions, with den=, by +, - and scaling, one
+    vector compares and hashes equal, as ints over a positive denominator
+    in lowest terms."""
+    s, nums, den, scale = case
+    v = rs.RootVector(s, nums, den)
+    built = [
+        rs.RootVector(s, [Q(x, den) for x in nums]),
+        rs.RootVector(s, [3 * x for x in nums], 3 * den),
+        rs.RootVector(s, [Q(x, 2) for x in nums], den) + rs.RootVector(s, nums, 2 * den),
+        Q(1, den) * rs.RootVector(s, nums),
+        (v + v) - v,
+        -(-v),
+        (1 / scale) * (scale * v),
+        s.vector(v.canon()),
+    ]
+    if all(x % den == 0 for x in nums):
+        built.append(rs.RootVector(s, [x // den for x in nums]))
+    for w in built:
+        assert w == v and hash(w) == hash(v)
+        assert w.c == v.c and w.den == v.den
+    assert all(type(x) is int for x in v.c) and v.den > 0 and gcd(v.den, *v.c) == 1
+    assert v.canon() == tuple(Q(x) / den for x in rs.RootVector(s, nums).canon())
+
+
+@pytest.mark.parametrize("s", SMALL, ids=rs.RootSystem.type_str)
+def test_half_roots_are_no_roots(s):
+    """r/2 has den 2: no root looks it up, root_along finds r, and doubling
+    it gives r back."""
+    for i, r in enumerate(s.roots):
+        half = Q(1, 2) * r
+        assert half.den == 2 and half != r
+        assert s.root_index(half) is None and not s.is_root(half)
+        assert s.root_along(half) == i == s.root_index(r)
+        assert 2 * half == half + half == r

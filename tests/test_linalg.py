@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -206,6 +207,24 @@ def test_kernels_match_dense():
             for v in nullspace_gauss(given, ncols, zero, one):
                 for r in rows:
                     assert not sum((a * b for a, b in zip(r, v)), zero)
+
+
+def test_int_rows_give_fractions_never_floats():
+    """rref and nullspace on int rows divide as Fractions: the same results
+    as on the rows made Fractions first, and no float anywhere."""
+    for field, rows, _ in _cases():
+        if field != "Q":
+            continue
+        ncols = len(rows[0])
+        scale = lcm(*(x.denominator for r in rows for x in r))
+        ints = [[int(x * scale) for x in r] for r in rows]
+        for given in (ints, _as_dicts(ints)):
+            got_rows, got_piv = rref(given)
+            assert [_dense(r, ncols) for r in got_rows] == dense_rref(rows)[0]
+            kernel = nullspace(given, ncols)
+            assert kernel == nullspace(rows, ncols)
+            assert all(type(x) is Q for r in got_rows for x in r.values())
+            assert all(type(x) is Q for v in kernel for x in v)
 
 
 def test_empty_inputs():
