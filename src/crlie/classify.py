@@ -158,19 +158,17 @@ def _module_table_row(system: RootSystem, theta: RootVector) -> dict:
 
 
 def table2_rows(max_rank: int = DEFAULT_MAX_RANK) -> list[dict]:
-    rows = []
-    for r in range(2, max_rank + 1):
-        s = build("B", r)
-        rows.append(_module_table_row(s, s.vector([1] + [0] * (r - 1))))
-    for r in range(3, max_rank + 1):
-        s = build("C", r)
-        rows.append(_module_table_row(s, s.vector([1, 1] + [0] * (r - 2))))
+    """Module decompositions at the dominant short root of each two-length type."""
+    systems = [build("B", r) for r in range(2, max_rank + 1)]
+    systems += [build("C", r) for r in range(3, max_rank + 1)]
     if max_rank >= 4:
-        s = build("F4")
-        rows.append(_module_table_row(s, s.vector([1, 0, 0, 0])))
+        systems.append(build("F4"))
     if max_rank >= 2:
-        s = build("G2")
-        rows.append(_module_table_row(s, s.vector([1, 0, 0])))
+        systems.append(build("G2"))
+    rows = []
+    for s in systems:
+        reps = s.length_representatives
+        rows.append(_module_table_row(s, reps[min(reps)]))
     return rows
 
 

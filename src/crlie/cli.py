@@ -3,7 +3,8 @@
 Subcommands: roots, table1, table2, table3, classify, check.
 Exit codes: 0 success (golden diffs clean), 2 classification/golden
 mismatch, 64 usage error.  CRLIE_MAX_RANK overrides the default scan bound
-(at most 8, the highest rank of the golden fixtures).
+(at most 8, the highest rank of the golden fixtures), which also bounds
+the total rank of a --type or --graph.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .crstruct import HolomorphicSubspace, StructError, SU2Line, TwistedPair
 from .modules import dual_pairs
 from .painted import GraphError, PaintedGraph, flag_pair, is_good
 from .report import Report
-from .rootsys import RootSystemError, RootVector, build, format_vector, parse_type
+from .rootsys import (RootSystem, RootSystemError, RootVector, build_product, format_vector,
+                      parse_components)
 from .scalars import Poly
 
 USAGE_ERROR = 64
@@ -60,6 +62,19 @@ def _max_rank(args, least: int | None = None) -> int:
     if least is not None and value < least:
         raise UsageError(f"{source} must be at least {least}, got {value}")
     return value
+
+
+def _system(source: str, text: str, rank: int | None = None) -> RootSystem:
+    """The system a type string names, or type letter and rank; a total rank
+    above the fixtures' bound is a usage error before any system is built."""
+    try:
+        comps = parse_components(text) if rank is None else [(text, rank)]
+        total, top = sum(r for _, r in comps), classify.DEFAULT_MAX_RANK
+        if total > top:
+            raise UsageError(f"{source} {text!r} must have total rank at most {top}, got {total}")
+        return build_product(comps)
+    except RootSystemError as e:
+        raise UsageError(e) from None
 
 
 def load_fixture(name: str) -> Report:
@@ -102,29 +117,16 @@ def _emit(report: Report, args) -> None:
 
 
 def cmd_roots(args) -> int:
-    try:
-        system = parse_type(args.type) if args.rank is None else build(args.type, args.rank)
-    except RootSystemError as e:
-        raise UsageError(e) from None
-    rows = []
-    for i, r in enumerate(system.roots):
-        rows.append(
-            {
-                "what": "root",
-                "value": format_vector(r),
-                "coords": classify.canon_str(r),
-                "positive": "yes" if system.positive[i] else "no",
-                "norm2": str(system.norm2(i)),
-            }
-        )
-    for k, a in enumerate(system.simple_roots):
-        rows.append({"what": "simple_root", "index": str(k + 1), "value": format_vector(a)})
+    system = _system("--type", args.type, args.rank)
+    rows = [{"what": "root", "value": format_vector(r), "coords": classify.canon_str(r),
+             "positive": "yes" if system.positive[i] else "no", "norm2": str(system.norm2(i))}
+            for i, r in enumerate(system.roots)]
+    rows += [{"what": "simple_root", "index": str(k + 1), "value": format_vector(a)}
+             for k, a in enumerate(system.simple_roots)]
     if system.is_simple:
         rows.append({"what": "highest_root", "value": format_vector(system.highest_root())})
-    for k, row in enumerate(system.cartan_matrix()):
-        rows.append(
-            {"what": "cartan_row", "index": str(k + 1), "value": ",".join(map(str, row))}
-        )
+    rows += [{"what": "cartan_row", "index": str(k + 1), "value": ",".join(map(str, row))}
+             for k, row in enumerate(system.cartan_matrix())]
     _emit(Report("roots", tuple(rows)), args)
     return 0
 
@@ -133,7 +135,7 @@ def cmd_table(args, which: int) -> int:
     if which == 1:
         top = classify.DEFAULT_MAX_RANK
         lo, hi = (args.rank_range.split("-") + [str(top)])[:2] if args.rank_range else ("3", str(top))
-        if not (lo.isdigit() and hi.isdigit() and 3 <= int(lo) <= int(hi) <= top):
+        if not (lo.isdecimal() and hi.isdecimal() and 3 <= int(lo) <= int(hi) <= top):
             raise UsageError(
                 f"--rank-range must be LO-HI with 3 <= LO <= HI <= {top}, got {args.rank_range!r}")
         report = Report("table1", tuple(classify.table1_rows(range(int(lo), int(hi) + 1))),
@@ -168,6 +170,9 @@ def cmd_classify(args) -> int:
 # optional positive exponent
 _INT = re.compile(r"-?[0-9]+")
 _POWER = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\s*\^\s*([1-9][0-9]*))?")
+# the highest power of a twist in one coefficient: each sample evaluates
+# a twist with one product per unit of its exponent
+MAX_TWIST_EXPONENT = 100
 
 
 def _parse_coeff(s) -> Poly:
@@ -184,35 +189,49 @@ def _parse_coeff(s) -> Poly:
             out = out.scale(int(factor))
         elif power:
             out = out * Poly.var(power[1], int(power[2] or 1))
+            if max((e for m in out.terms for _, e in m), default=0) > MAX_TWIST_EXPONENT:
+                raise UsageError(f"invalid --m10 coefficient {s!r}: factor {factor!r} raises "
+                                 f"{power[1]} above the power {MAX_TWIST_EXPONENT}")
         else:
             raise UsageError(f"invalid --m10 coefficient {s!r}: factor {factor!r} is neither "
                              "an integer nor a name with an optional positive exponent ^k")
     return out
 
 
-def _parse_vector(system, s) -> RootVector:
+def _parse_vector(system, s, prefix: str = "") -> RootVector:
+    """The vector of comma-separated ambient coordinates s; prefix opens each message."""
+    bad = f"{prefix}invalid vector {s!r}"
     if not isinstance(s, str):
-        raise UsageError(f"invalid vector {s!r}: expected comma-separated coordinates")
+        raise UsageError(f"{bad}: expected comma-separated coordinates")
     fields = s.split(",")
     if len(fields) != system.dim:
-        raise UsageError(f"invalid vector {s!r}: expected {system.dim} coordinates for "
-                         f"{system.type_str()}, got {len(fields)}")
+        raise UsageError(f"{bad}: expected {system.dim} coordinates for {system.type_str()}, "
+                         f"got {len(fields)}")
     coords = []
     for k, x in enumerate(fields, 1):
         try:
             coords.append(Fraction(x))
         except (ValueError, ZeroDivisionError) as e:
-            bad = "has a zero denominator" if isinstance(e, ZeroDivisionError) else "is no number"
-            raise UsageError(f"invalid vector {s!r}: coordinate {k} ({x!r}) {bad}") from None
+            why = "has a zero denominator" if isinstance(e, ZeroDivisionError) else "is no number"
+            raise UsageError(f"{bad}: coordinate {k} ({x!r}) {why}") from None
     return system.vector(coords)
 
 
-def _root_index(system, s) -> int:
-    """The index of the root an --m10 vector names."""
-    i = system.root_index(_parse_vector(system, s))
+def _root_index(system, s, where: str) -> int:
+    """The index of the root an --m10 vector names; where names its place
+    in the spec."""
+    i = system.root_index(_parse_vector(system, s, f"invalid --m10 spec: {where}: "))
     if i is None:
-        raise UsageError(f"invalid --m10 spec: vector {s!r} is not a root")
+        raise UsageError(f"invalid --m10 spec: {where}: vector {s!r} is not a root")
     return i
+
+
+def _shaped(value, where: str, shape: str, size: int | None = None) -> list:
+    """value, when it is a list (of size items, where size is given); else
+    a usage error naming its place in the spec and the shape expected."""
+    if not isinstance(value, list) or size not in (None, len(value)):
+        raise UsageError(f"invalid --m10 spec: {where} must be {shape}, got {value!r}")
+    return value
 
 
 M10_KEYS = ("pairs", "plains", "rj_plus", "su2")
@@ -226,30 +245,37 @@ def build_subspace(datum: ContactDatum, spec) -> HolomorphicSubspace:
             raise UsageError(f"invalid --m10 spec: unknown key {key!r}, "
                              f"expected one of {', '.join(M10_KEYS)}")
     system = datum.system
-    pairs = tuple(
-        TwistedPair(_root_index(system, hw), _root_index(system, partner), _parse_coeff(coeff))
-        for hw, partner, coeff in spec.get("pairs", [])
-    )
-    plains = tuple(_root_index(system, p) for p in spec.get("plains", []))
+    pairs = []
+    entries = _shaped(spec.get("pairs", []), "pairs",
+                       "a list of [root, partner, coefficient] entries")
+    for k, entry in enumerate(entries, 1):
+        where = f"pairs entry {k}"
+        hw, partner, coeff = _shaped(entry, where, "[root, partner, coefficient]", 3)
+        pairs.append(TwistedPair(_root_index(system, hw, where),
+                                 _root_index(system, partner, where), _parse_coeff(coeff)))
+    plains = tuple(_root_index(system, p, "plains")
+                   for p in _shaped(spec.get("plains", []), "plains", "a list of roots"))
     rj: frozenset[int] = frozenset()
     rj_spec = spec.get("rj_plus")
     if rj_spec == "positive":
         rj = dual_pairs(datum).rj_plus
     elif isinstance(rj_spec, list):
-        rj = frozenset(_root_index(system, p) for p in rj_spec)
+        rj = frozenset(_root_index(system, p, "rj_plus") for p in rj_spec)
     elif "rj_plus" in spec:
         raise UsageError(f'invalid --m10 spec: rj_plus must be "positive" or a list of roots, '
                          f"got {rj_spec!r}")
     su2 = None
     if "su2" in spec:
-        mu, coeff = spec["su2"]
-        su2 = SU2Line(_root_index(system, mu), _parse_coeff(coeff))
-    return HolomorphicSubspace(datum, pairs, plains, rj, su2)
+        mu, coeff = _shaped(spec["su2"], "su2", "[root, coefficient]", 2)
+        su2 = SU2Line(_root_index(system, mu, "su2"), _parse_coeff(coeff))
+    return HolomorphicSubspace(datum, tuple(pairs), plains, rj, su2)
 
 
 def cmd_check(args) -> int:
     rows = []
     if args.graph:
+        if ":" in args.graph:  # the type's rank is checked before PaintedGraph builds it
+            _system("--graph", args.graph.split(":")[0])
         try:
             g = PaintedGraph.parse(args.graph)
         except (GraphError, RootSystemError) as e:
@@ -274,8 +300,8 @@ def cmd_check(args) -> int:
         _emit(Report("check", tuple(rows)), args)
         return 0
     if args.type and args.theta and (args.m10 or args.family):
+        system = _system("--type", args.type)
         try:
-            system = parse_type(args.type)
             datum = contact_datum(system, _parse_vector(system, args.theta))
         except (RootSystemError, ValueError) as e:  # ContactError is a ValueError
             raise UsageError(e) from None

@@ -37,7 +37,7 @@ from functools import cached_property
 from math import isqrt, lcm
 from typing import Mapping, NamedTuple, Optional
 
-from .chevalley import LieElement, root_bracket
+from .chevalley import root_bracket
 from .contact import ContactDatum
 from .linalg import Echelon
 from .rootsys import RootSystem, RootVector, Subsystem, format_vector
@@ -770,27 +770,31 @@ def _rotated_s1_witness(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> 
     eigenlines inside the subspace."""
     if h.su2 is None or h.at(values).lines[h.su2.root] is None:
         return None
-    sys = h.datum.system
-    datum = h.datum
-    basis = {w: LieElement(sys, {w: ONE, line[0]: line[1]} if line else {w: ONE})
-             for w, line in h.at(values).lines.items()}
-    x = basis.pop(h.su2.root)
-    constraints: list[tuple[Q, Q]] = []
+    sys, datum = h.datum.system, h.datum
+    lines = dict(h.at(values).lines)
+    partner, twist = lines.pop(h.su2.root)
+    x = {h.su2.root: ONE, partner: twist}
+    constraints: list[tuple[int, Q]] = []
     covered: set[tuple[frozenset[int], int]] = set()
-    for v in basis.values():
-        support = frozenset(v.e)
-        br = x.bracket(v)
-        if set(br.e) - set(v.e):
+    for w, line in lines.items():
+        v = {w: ONE, line[0]: line[1]} if line else {w: ONE}
+        support, br = frozenset(v), {}
+        root_bracket(sys, x, v, br, {})
+        image = {k for k, c in br.items() if c}
+        zeta = _zeta_value(datum, min(support))
+        if image - support:
             # whole module blocks: ad_X mixes the two halves; both eigen
             # lines of each block are covered
-            block = support | set(br.e)
-            for sgn in (1, -1):
-                covered.add((frozenset(block), sgn))
-                constraints.append((_zeta_value(datum, min(support)), Q(sgn)))
+            covered |= {(support | image, 1), (support | image, -1)}
+            constraints += [(zeta, Q(1)), (zeta, Q(-1))]
         else:
-            lam = _eigen_sign(sys, x, v)
+            # an eigenline: ad_X scales it by its coefficient on w, whose
+            # sign (the denominator is positive) is all the cone reads
+            c = br.get(w, ZERO)
+            key = c.a or c.b
+            lam = (key > 0) - (key < 0)
             covered.add((support, lam))
-            constraints.append((_zeta_value(datum, min(support)), Q(lam)))
+            constraints.append((zeta, Q(lam)))
     # forced symmetric pair: a covered eigenline whose negative is covered
     for block, sgn in covered:
         negblock = frozenset(sys.neg_index[i] for i in block)
@@ -811,19 +815,6 @@ def _zeta_value(datum: ContactDatum, root_idx: int) -> int:
         return 0
     e = datum.system.expansions[root_idx]
     return sum(e[k] * y for k, y in datum.center[0].covector())
-
-
-def _eigen_sign(sys: RootSystem, x: LieElement, v: LieElement) -> int:
-    br = x.bracket(v)
-    if not br.e:
-        return 0
-    w = next(iter(v.e))
-    ratio = br.e.get(w, ZERO) / v.e[w]
-    # only the sign pattern matters for the cone analysis
-    if ratio.is_zero():
-        return 0
-    key = ratio.a or ratio.b  # the denominator is positive
-    return 1 if key > 0 else -1
 
 
 def _cone_feasible(constraints: list[tuple[Q, Q]]) -> bool:

@@ -43,9 +43,11 @@ class PaintedGraph:
 
     def __post_init__(self):
         if len(self.colors) != self.system.rank:
-            raise GraphError("one color per node is required")
-        if any(c not in (WHITE, BLACK, GREY) for c in self.colors):
-            raise GraphError("colors must be w, b or g")
+            raise GraphError(f"{self.system.type_str()} has {self.system.rank} nodes, "
+                             f"expected one color per node, got {len(self.colors)}")
+        for k, c in enumerate(self.colors, 1):
+            if c not in (WHITE, BLACK, GREY):
+                raise GraphError(f"node {k} has color {c!r}, expected w, b or g")
 
     # -- serialization ---------------------------------------------------------
 

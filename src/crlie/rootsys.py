@@ -17,11 +17,13 @@ the span of the simple roots.  A RootVector holds int simple-root
 coordinates over one positive int denominator, in lowest terms (a root's
 is 1).  Every pairing reads one int Gram matrix of the simple roots over
 one positive int gden, and the int squared lengths over gden; the Weyl
-machinery reads the integer Cartan matrix (Humphreys 10.1-10.3).
-Fractions are built only where coordinates are parsed and in canon(),
-norm2, inner and pairing.  Ambient coordinates serve only parsing,
-printing and the canonical orderings, which read int numerators
-(RootVector.numerators).  Subsystem components come from int pairings.
+machinery reads the integer Cartan matrix (Humphreys 10.1-10.3).  The
+simple roots' ambient rows are gauged in ints; parsing inverts them
+through the Gram matrix, whose pairings kill a relation block's
+(1, ..., 1), so no gauge is needed.  Ambient coordinates serve only
+parsing, printing and the canonical orderings, which read int numerators
+(RootVector.numerators).  Fractions are built only where coordinates are
+parsed and in canon(), norm2, inner and pairing.
 """
 
 from __future__ import annotations
@@ -167,27 +169,35 @@ class RootSystem:
             self.blocks.extend(blocks)
         self.dim = dim
 
-        ambient_simples: list[list[Q]] = []
+        # the simple roots' sparse ambient rows in the sum-zero gauge: a
+        # factor's int rows x over d, with a relation block of size m at its
+        # start (else m = 1), become m x_i - sum x in it, m x_i off it, over m d
+        over: list[tuple[int, list[tuple[int, int]]]] = []
         # simple-root indices of each factor; a factor's Dynkin graph is connected
         self.component_nodes: list[frozenset[int]] = []
-        for ci, (t, r) in enumerate(self.components):
-            off = self.comp_blocks[ci][0].start
-            first = len(ambient_simples)
-            ambient_simples.extend(self._embed(c, off) for c in _component_simples(t, r))
-            self.component_nodes.append(frozenset(range(first, len(ambient_simples))))
-        self.rank = len(ambient_simples)
-        simples = [self._gauge(s) for s in ambient_simples]
+        for (t, r), blocks in zip(self.components, self.comp_blocks):
+            d, simples = _component_simples(t, r)
+            rel = sum(b.size for b in blocks if b.kind == "rel")
+            m, off, first = rel or 1, blocks[0].start, len(over)
+            over += [(m * d, [(off + k, m * y - sum(x[:rel]) if k < rel else m * y)
+                              for k, y in enumerate(x)]) for x in simples]
+            self.component_nodes.append(frozenset(range(first, len(over))))
+        den = lcm(*(q for q, _ in over))
+        rows = [[(k, den // q * y) for k, y in row if y] for q, row in over]
+        g = gcd(den, *(y for row in rows for _, y in row))
+        # the map to ambient coordinates, in lowest terms
+        self._ambient = den // g, [[(k, y // g) for k, y in row] for row in rows]
+        self.rank = len(rows)
         self.simple_roots = [RootVector(self, [int(j == i) for j in range(self.rank)])
                              for i in range(self.rank)]
-        # the map to ambient coordinates: the simple roots' sparse rows,
-        # scaled to ints by one common denominator
-        self._ambient = _int_rows(simples)
         # the Gram matrix of the simple roots as ints _igram over one
-        # positive int gden, from the sparse int rows at twice the metric
-        # (the aux vector has (e, e) = 1/2), and the Cartan matrix
+        # positive int gden, from the int rows at twice the metric (_weights:
+        # the gauged relation vectors pair by the dot product, and E6's aux
+        # vector has (e, e) = 1/2), and the Cartan matrix
         # C[i][j] = <alpha_i | alpha_j> = 2 (a_i, a_j) / (a_j, a_j)
         den, rows = self._ambient
-        w2 = [1 if b.kind == "aux" else 2 for b in self.blocks for _ in range(b.size)]
+        w2 = self._weights = [1 if b.kind == "aux" else 2 for b in self.blocks
+                              for _ in range(b.size)]
         cols = [dict(r) for r in rows]
         g2 = [[sum(w2[k] * x * v.get(k, 0) for k, x in u) for v in cols] for u in rows]
         q = gcd(2 * den * den, *(x for row in g2 for x in row))
@@ -215,32 +225,19 @@ class RootSystem:
 
     @cached_property
     def _coords(self) -> tuple[int, list[list[tuple[int, int]]]]:
-        """The inverse of _ambient on the gauge, built on first use: row k
-        holds the simple-root coordinates of the gauged unit vector e_k,
-        which the span of the simple roots holds."""
-        span = SpanSolver([r.canon() for r in self.simple_roots])
-        return _int_rows(
-            span.reduce(self._gauge([int(j == k) for j in range(self.dim)]))
-            for k in range(self.dim)
-        )
-
-    def _embed(self, comp_coords: Sequence, offset: int) -> list[Q]:
-        c = [Q(0)] * self.dim
-        for i, x in enumerate(comp_coords):
-            c[offset + i] = Q(x)
-        return c
-
-    def _gauge(self, coords: Sequence) -> tuple:
-        """Ambient coordinates in the sum-zero gauge, as Fractions."""
-        c = [Q(x) for x in coords]
-        if len(c) != self.dim:
-            raise RootSystemError("coordinate length does not match ambient space")
-        for b in self.blocks:
-            if b.kind == "rel":
-                m = sum(c[b.start : b.start + b.size]) / b.size
-                for i in range(b.start, b.start + b.size):
-                    c[i] -= m
-        return tuple(c)
+        """The inverse of _ambient, built on first use, as int rows over one
+        denominator: row k solves the int Gram matrix for e_k's pairings with
+        the simple roots, column k of _ambient at twice the metric over
+        2 _ambient[0].  They kill a relation block's (1, ..., 1), so no gauge
+        is needed (Humphreys 10.1)."""
+        den, rows = self._ambient
+        amb = [dict(r) for r in rows]
+        span = SpanSolver(self._igram)
+        f = Q(self.gden, 2 * den)
+        inv = [[w * f * x for x in span.reduce({j: a[k] for j, a in enumerate(amb) if k in a})]
+               for k, w in enumerate(self._weights)]
+        q = lcm(*(x.denominator for row in inv for x in row))
+        return q, [[(j, int(x * q)) for j, x in enumerate(row) if x] for row in inv]
 
     def vector(self, coords: Sequence) -> RootVector:
         """The vector with the given ambient coordinates: coords times the
@@ -628,51 +625,38 @@ def _block_layout(t: str, r: int) -> list[tuple[str, int]]:
     raise RootSystemError(f"invalid type/rank combination {t}{r}")
 
 
-def _unit(n: int, *pairs) -> list[Q]:
-    v = [Q(0)] * n
+def _unit(n: int, *pairs) -> list[int]:
+    v = [0] * n
     for i, val in pairs:
-        v[i] = Q(val)
+        v[i] = val
     return v
 
 
-def _component_simples(t: str, r: int) -> list[list[Q]]:
-    """Simple roots in the node order of the reference tables."""
+def _component_simples(t: str, r: int) -> tuple[int, list[list[int]]]:
+    """Simple roots in the node order of the reference tables: int
+    component coordinates over one denominator, 2 for F4 and 1 for the
+    rest."""
+    n = r + 1 if t in "AE" else r  # a relation basis has one vector more
+    chain = [_unit(n, (i, 1), (i + 1, -1)) for i in range(r - 1)]
     if t == "A":
-        n = r + 1
-        return [_unit(n, (i, 1), (i + 1, -1)) for i in range(r)]
+        return 1, chain + [_unit(n, (r - 1, 1), (r, -1))]
     if t == "B":
-        out = [_unit(r, (i, 1), (i + 1, -1)) for i in range(r - 1)]
-        out.append(_unit(r, (r - 1, 1)))
-        return out
+        return 1, chain + [_unit(r, (r - 1, 1))]
     if t == "C":
-        out = [_unit(r, (i, 1), (i + 1, -1)) for i in range(r - 1)]
-        out.append(_unit(r, (r - 1, 2)))
-        return out
+        return 1, chain + [_unit(r, (r - 1, 2))]
     if t == "D":
-        out = [_unit(r, (i, 1), (i + 1, -1)) for i in range(r - 1)]
-        out.append(_unit(r, (r - 2, 1), (r - 1, 1)))
-        return out
+        return 1, chain + [_unit(r, (r - 2, 1), (r - 1, 1))]
     if t == "G":
-        return [_unit(3, (1, -1)), _unit(3, (1, 1), (2, -1))]
+        return 1, [_unit(3, (1, -1)), _unit(3, (1, 1), (2, -1))]
     if t == "F":
-        return [
-            [Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2)],
-            _unit(4, (3, 1)),
-            _unit(4, (2, 1), (3, -1)),
-            _unit(4, (1, 1), (2, -1)),
-        ]
+        return 2, [[1, -1, -1, -1], _unit(4, (3, 2)), _unit(4, (2, 2), (3, -2)),
+                   _unit(4, (1, 2), (2, -2))]
     if t == "E" and r == 6:
-        out = [_unit(7, (i, 1), (i + 1, -1)) for i in range(5)]
-        out.append(_unit(7, (3, 1), (4, 1), (5, 1), (6, 1)))
-        return out
+        return 1, chain + [_unit(n, (3, 1), (4, 1), (5, 1), (6, 1))]
     if t == "E" and r == 7:
-        out = [_unit(8, (i, 1), (i + 1, -1)) for i in range(6)]
-        out.append(_unit(8, (4, 1), (5, 1), (6, 1), (7, 1)))
-        return out
+        return 1, chain + [_unit(n, (4, 1), (5, 1), (6, 1), (7, 1))]
     if t == "E" and r == 8:
-        out = [_unit(9, (i, 1), (i + 1, -1)) for i in range(7)]
-        out.append(_unit(9, (5, 1), (6, 1), (7, 1)))
-        return out
+        return 1, chain + [_unit(n, (5, 1), (6, 1), (7, 1))]
     raise RootSystemError(f"invalid type {t}{r}")
 
 
@@ -729,22 +713,20 @@ def build_product(components: Sequence[tuple[str, int]]) -> RootSystem:
     return _CACHE[key]
 
 
-def parse_type(s: str) -> RootSystem:
-    """Parse "B3" or "A2+A3" into a (cached) root system."""
+def parse_components(s: str) -> list[tuple[str, int]]:
+    """The factors of a type string such as "B3" or "A2+A3", unbuilt."""
     comps = []
     for part in s.split("+"):
         part = part.strip()
-        if not part or part[0] not in VALID_TYPES or not part[1:].isdigit():
+        if not part or part[0] not in VALID_TYPES or not part[1:].isdecimal():
             raise RootSystemError(f"cannot parse type string {s!r}")
         comps.append((part[0], int(part[1:])))
-    return build_product(comps)
+    return comps
 
 
-def _int_rows(rows: Iterable[Sequence]) -> tuple[int, list[list[tuple[int, int]]]]:
-    """(den, sparse int rows): rational rows scaled by their common denominator."""
-    rows = list(rows)
-    den = lcm(*(x.denominator for r in rows for x in r))
-    return den, [[(k, int(x * den)) for k, x in enumerate(r) if x] for r in rows]
+def parse_type(s: str) -> RootSystem:
+    """Parse "B3" or "A2+A3" into a (cached) root system."""
+    return build_product(parse_components(s))
 
 
 def int_codes(vectors: Sequence[Sequence[int]]) -> list[int]:

@@ -23,6 +23,13 @@ KEPT_METHODS = {
     "rootsys.RootSystem.inner",
     # traced by perfbench/spans.py, resolved by tests/test_trace_targets.py
     "linalg.SpanSolver.contains",
+    # the tests' bracket reference; perfbench/spans.py traces it as
+    # chevalley.bracket
+    "chevalley.LieElement.bracket",
+    # the Fraction ambient coordinates of the public API; tools/cli_digest.py
+    # prints them, and an older checkout's copy of that tool calls canon()
+    # on this source tree
+    "rootsys.RootVector.canon",
 }
 
 

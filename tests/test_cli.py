@@ -311,6 +311,20 @@ def test_check_m10_error_order(capsys):
     ({"rj_plus": 3, "su2": ["1,0,-1", "t"]}, "got 3"),
     ({"plain": ["1,-1,0", "0,1,-1"], "su2": ["1,0,-1", "t"]}, "unknown key 'plain'"),
     ({"su2": ["1,0,-1", "t"], "Pairs": []}, "unknown key 'Pairs'"),
+    # a part of the wrong shape names its key and the shape expected
+    ({"pairs": 1}, "pairs must be a list of [root, partner, coefficient] entries, got 1"),
+    ({"pairs": [["1,0,-1", "0,1,-1"]]},
+     "pairs entry 1 must be [root, partner, coefficient], got ['1,0,-1', '0,1,-1']"),
+    ({"plains": "1,0,-1"}, "plains must be a list of roots, got '1,0,-1'"),
+    ({"su2": ["1,0,-1"]}, "su2 must be [root, coefficient], got ['1,0,-1']"),
+    ({"su2": 5}, "su2 must be [root, coefficient], got 5"),
+    # a vector that does not parse is named with its key
+    ({"plains": ["1,0"]}, "spec: plains: invalid vector '1,0': expected 3 coordinates for A2"),
+    ({"plains": ["1/0,0,0"]}, "spec: plains: invalid vector '1/0,0,0': coordinate 1 ('1/0') "
+                              "has a zero denominator"),
+    ({"su2": ["1,x,-1", "t"]}, "spec: su2: invalid vector '1,x,-1': coordinate 2 ('x') is no"),
+    ({"rj_plus": [3]}, "spec: rj_plus: invalid vector 3: expected comma-separated coordinates"),
+    ({"pairs": [["1,0,-1", "0,1", "t"]]}, "spec: pairs entry 1: invalid vector '0,1': expected 3"),
 ])
 def test_check_m10_bad_spec_part(spec, named, capsys):
     # a misspelt key or rj_plus value is named, not dropped
@@ -480,3 +494,82 @@ def test_check_family_on_a_large_coordinate_is_fast(tag, theta, capsys):
     assert run(["check", "--type", tag, f"--theta={theta}", "--family"]) == 0
     assert time.perf_counter() - start < 1.0
     assert theta.split(",")[0] + "e1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("graph,message", [
+    ("A3:x,w,w", "node 1 has color 'x', expected w, b or g"),
+    ("A3:w,w,gg", "node 3 has color 'gg'"),
+    ("A3:g,w", "A3 has 3 nodes, expected one color per node, got 2"),
+    ("A2+A1:g,w|g,w", "A2+A1 has 3 nodes, expected one color per node, got 4"),
+])
+def test_check_graph_errors_name_the_node_or_count(graph, message, capsys):
+    assert run(["check", "--graph", graph]) == 64
+    assert message in _one_line_error(capsys)
+
+
+SPEC_A4 = {"pairs": [["1,0,0,-1,0", "0,0,0,-1,1", "s"], ["0,1,0,0,-1", "-1,1,0,0,0", "s"]],
+           "su2": ["1,0,0,0,-1", "t"]}
+
+
+def _check_a4(coeff):
+    spec = dict(SPEC_A4, su2=["1,0,0,0,-1", coeff])
+    return run(["check", "--type", "A4", "--theta=1,0,0,0,-1", "--m10", json.dumps(spec)])
+
+
+def test_twist_exponent_at_the_bound_is_fast(capsys):
+    top = cli.MAX_TWIST_EXPONENT
+    start = time.perf_counter()
+    assert _check_a4(f"t^{top}") == 0
+    assert _check_a4(f"t^{top - 1}*t") == 0
+    assert time.perf_counter() - start < 1.0
+    assert f"t^{top}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("coeff,factor", [
+    (f"t^{cli.MAX_TWIST_EXPONENT + 1}", f"t^{cli.MAX_TWIST_EXPONENT + 1}"),
+    (f"t^{cli.MAX_TWIST_EXPONENT}*t", "t"),
+    ("s*t^10000000", "t^10000000"),
+])
+def test_twist_exponent_above_the_bound_is_refused(coeff, factor, capsys):
+    start = time.perf_counter()
+    assert _check_a4(coeff) == 64
+    assert time.perf_counter() - start < 1.0
+    err = _one_line_error(capsys)
+    assert f"factor {factor!r} raises t above the power {cli.MAX_TWIST_EXPONENT}" in err
+
+
+def test_twist_exponent_of_many_digits_is_refused(capsys):
+    start = time.perf_counter()
+    assert _check_a4("t^" + "9" * 5000) == 64
+    assert time.perf_counter() - start < 1.0
+    _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--type", "A8"],
+    ["roots", "--type", "A", "--rank", "8"],
+    ["roots", "--type", "A4+A4"],
+    ["check", "--graph", "E8:g,w,w,w,w,w,w,w"],
+    ["check", "--type", "G2+E6", "--theta=1,0,-1,0,0,0,0,0,0,0", "--family"],
+])
+def test_total_rank_at_the_bound_runs(argv, capsys):
+    assert run(argv) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,named,total", [
+    (["roots", "--type", "A9"], "--type 'A9'", 9),
+    (["roots", "--type", "A200"], "--type 'A200'", 200),
+    (["roots", "--type", "A", "--rank", "9"], "--type 'A'", 9),
+    (["roots", "--type", "A4+A5"], "--type 'A4+A5'", 9),
+    (["check", "--graph", "A9:g,w,w,w,w,w,w,w,w"], "--graph 'A9'", 9),
+    (["check", "--type", "E8+A1", "--theta=1", "--family"], "--type 'E8+A1'", 9),
+])
+def test_total_rank_above_the_bound_is_refused(argv, named, total, monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "build_product", built.append)
+    start = time.perf_counter()
+    assert run(argv) == 64
+    assert time.perf_counter() - start < 1.0
+    assert f"{named} must have total rank at most 8, got {total}" in _one_line_error(capsys)
+    assert built == []

@@ -12,7 +12,7 @@ from crlie import rootsys as rs
 from crlie.chevalley import LieElement
 from crlie.linalg import Row, nullspace
 from crlie.painted import PaintedGraph, is_good
-from crlie.scalars import ONE, P_ZERO, Gauss, Poly, as_poly
+from crlie.scalars import ONE, P_ZERO, ZERO, Gauss, Poly, as_poly
 
 T_HALF = Gauss(Q(1, 2))
 UNIT = Gauss(Q(3, 5), Q(4, 5))  # |t| = 1
@@ -1025,6 +1025,16 @@ def _basis_w_and_perp(h, values):
     return wblocks, perp
 
 
+def _basis_eigen_sign(x, v):
+    """The sign of the eigenvalue of ad_x on the eigenline v, read off the
+    coefficient on v's first root (the denominator is positive)."""
+    w = next(iter(v.e))
+    ratio = x.bracket(v).e.get(w, ZERO) / v.e[w]
+    if ratio.is_zero():
+        return 0
+    return 1 if (ratio.a or ratio.b) > 0 else -1
+
+
 def _basis_s1_witness(h, values):
     """crstruct._rotated_s1_witness on the evaluated LieElement basis."""
     if h.su2 is None or h.su2.coeff.eval(cs._with_conj(values)).is_zero():
@@ -1043,7 +1053,7 @@ def _basis_s1_witness(h, values):
                 covered.add((frozenset(support | set(br.e)), sgn))
                 constraints.append((cs._zeta_value(datum, min(support)), Q(sgn)))
         else:
-            lam = cs._eigen_sign(sysm, x, v)
+            lam = _basis_eigen_sign(x, v)
             covered.add((support, lam))
             constraints.append((cs._zeta_value(datum, min(support)), Q(lam)))
     for block, sgn in covered:

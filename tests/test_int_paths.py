@@ -14,6 +14,10 @@ reference pairs every two members through Fraction RootSystem.inner.
 Root sums and differences read the int root codes (RootSystem.codes);
 their references add expansion tuples, and ConstantTable._general's
 reference takes Fraction ratios of squared lengths.
+The simple roots' ambient rows are gauged in ints, and parsing inverts
+them through the int Gram matrix; the references embed and gauge Fraction
+rows and solve for the gauged unit vectors in the span of the simple
+roots.
 """
 
 import contextlib
@@ -32,7 +36,7 @@ from crlie import chevalley as ch
 from crlie import rootsys as rs
 from crlie.contact import contact_datum
 from crlie.crstruct import _additive_closure
-from crlie.linalg import nullspace
+from crlie.linalg import SpanSolver, nullspace
 
 DATA = Path(rs.__file__).resolve().parent / "data"
 # the systems whose roots tools/cli_digest.py prints
@@ -505,3 +509,98 @@ def test_half_roots_are_no_roots(s):
         assert s.root_index(half) is None and not s.is_root(half)
         assert s.root_along(half) == i == s.root_index(r)
         assert 2 * half == half + half == r
+
+
+# -- the ambient map and its inverse ----------------------------------------------------
+
+AMBIENT_SYSTEMS = ([rs.build(t, r) for t, r in classify.simple_types(8)]
+                   + [rs.parse_type(t) for t in ("A2+E6", "A1+F4", "G2+E6")])
+
+
+def embed_reference(s, comp_coords, offset):
+    c = [Q(0)] * s.dim
+    for i, x in enumerate(comp_coords):
+        c[offset + i] = Q(x)
+    return c
+
+
+def gauge_reference(s, coords):
+    """Ambient coordinates in the sum-zero gauge, as Fractions."""
+    c = [Q(x) for x in coords]
+    for b in s.blocks:
+        if b.kind == "rel":
+            m = sum(c[b.start : b.start + b.size]) / b.size
+            for i in range(b.start, b.start + b.size):
+                c[i] -= m
+    return c
+
+
+def int_rows_reference(rows):
+    """(den, sparse int rows): rational rows scaled by their common denominator."""
+    rows = list(rows)
+    den = lcm(*(x.denominator for r in rows for x in r))
+    return den, [[(k, int(x * den)) for k, x in enumerate(r) if x] for r in rows]
+
+
+def ambient_reference(s):
+    """The simple roots' rows, embedded and gauged as Fractions."""
+    simples = []
+    for (t, r), blocks in zip(s.components, s.comp_blocks):
+        d, rows = rs._component_simples(t, r)
+        simples += [gauge_reference(s, embed_reference(s, [Q(x, d) for x in row],
+                                                       blocks[0].start)) for row in rows]
+    return int_rows_reference(simples)
+
+
+def coords_reference(s):
+    """Row k: the simple-root coordinates of the gauged unit vector e_k,
+    solved in the span of the simple roots."""
+    span = SpanSolver([r.canon() for r in s.simple_roots])
+    return int_rows_reference(span.reduce(gauge_reference(s, [int(j == k) for j in range(s.dim)]))
+                              for k in range(s.dim))
+
+
+def vector_reference(s, coords):
+    den, rows = coords_reference(s)
+    acc = [Q(0)] * s.rank
+    for x, row in zip(coords, rows):
+        for j, y in row:
+            acc[j] += Q(x) * y / den
+    return rs.RootVector(s, acc)
+
+
+@pytest.mark.parametrize("s", AMBIENT_SYSTEMS, ids=rs.RootSystem.type_str)
+def test_int_ambient_map_matches_fraction_reference(s):
+    """The same rows over the same lowest denominator, and the gauged
+    rows they stand for."""
+    assert s._ambient == ambient_reference(s)
+    den, rows = s._ambient
+    assert [a.canon() for a in s.simple_roots] == [
+        tuple(Q(dict(row).get(k, 0), den) for k in range(s.dim)) for row in rows]
+
+
+@pytest.mark.parametrize("s", AMBIENT_SYSTEMS, ids=rs.RootSystem.type_str)
+def test_gram_inverse_matches_fraction_span_solve(s):
+    (den, rows), (rden, rrows) = s._coords, coords_reference(s)
+    assert [{j: Q(y, den) for j, y in row} for row in rows] == [
+        {j: Q(y, rden) for j, y in row} for row in rrows]
+
+
+@st.composite
+def ambient_vectors(draw):
+    """A system of AMBIENT_SYSTEMS and rational ambient coordinates, in
+    no particular gauge."""
+    s = draw(st.sampled_from(AMBIENT_SYSTEMS))
+    nums = draw(st.lists(st.integers(-20, 20), min_size=s.dim, max_size=s.dim))
+    dens = draw(st.lists(st.integers(1, 6), min_size=s.dim, max_size=s.dim))
+    return s, [Q(x, d) for x, d in zip(nums, dens)]
+
+
+@given(ambient_vectors())
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_vector_matches_fraction_reference(case):
+    s, coords = case
+    v = s.vector(coords)
+    want = vector_reference(s, coords)
+    assert (v.c, v.den) == (want.c, want.den)
+    assert v.canon() == tuple(gauge_reference(s, coords))
