@@ -34,8 +34,9 @@ MISMATCH = 2
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
+        """One line naming the (sub)command, then exit 64; the usage is
+        left to --help."""
+        sys.stderr.write(f"error: {self.prog}: {message}\n")
         raise SystemExit(USAGE_ERROR)
 
 
@@ -326,6 +327,7 @@ def _parser() -> _Parser:
     """The command-line parser, built on first use and reused by every main call."""
     p = _Parser(prog="crlie", description="invariant contact and CR structure classification")
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = sub.choices  # each subcommand's parser, by name
 
     def common(sp):
         sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -362,7 +364,10 @@ def _parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args, extras = parser.parse_known_args(argv)
+    if extras:  # reported by the subcommand they were given to
+        parser.commands[args.command].error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         if args.command == "roots":
             return cmd_roots(args)

@@ -743,10 +743,10 @@ def _fiber_type(datum: ContactDatum, sym: frozenset[int]) -> str:
     sys = datum.system
     if sym == frozenset(datum.Ro.members):
         return "S1"
-    sub = Subsystem(sys, sym)
-    comps = [sub._classify_component(comp) for comp in sub.orthogonal_components()
-             if not comp <= datum.Ro.members]
-    return sphere_bundle_name(sorted(comps))
+    # a component lies in the closed R_o exactly when its simple roots do
+    ro = datum.Ro.members
+    return sphere_bundle_name([(t, r) for t, r, simple in Subsystem(sys, sym)._components
+                               if not simple <= ro])
 
 
 def sphere_bundle_name(comps: list[tuple[str, int]]) -> str:

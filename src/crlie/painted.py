@@ -94,8 +94,17 @@ class GraphVerdict:
     gamma_e: frozenset[int] = frozenset()
     theta: Optional[RootVector] = None
     good: Optional[bool] = None
-    missing: frozenset[int] = frozenset()  # orthogonal roots off the white span
     cr_type: Optional[str] = None
+    whites: frozenset[int] = frozenset()  # the white nodes of a judged painting
+
+    @cached_property
+    def missing(self) -> frozenset[int]:
+        """The roots orthogonal to theta off the white span, on first read;
+        none unless the painting was judged not good."""
+        if self.good is not False:
+            return frozenset()
+        sys = self.theta.system
+        return sys.orthogonal_roots(self.theta) - sys.node_span(self.whites).members
 
     @cached_property
     def violations(self) -> tuple[RootVector, ...]:
@@ -212,18 +221,31 @@ def white_span(g: PaintedGraph) -> Subsystem:
 
 
 def is_good(g: PaintedGraph) -> GraphVerdict:
+    """Admissible, and the white nodes span exactly the roots orthogonal to
+    theta, decided by counting.
+
+    A white simple root that pairs with theta lies in the white span and
+    not in theta-perp.  When none does, the white span lies in theta-perp,
+    and equality is equality of sizes.  A Weyl element w carries the roots
+    orthogonal to theta onto those orthogonal to lambda = w theta =
+    dominant(theta), and a root orthogonal to a dominant lambda, a sum of
+    simple roots with coefficients of one sign against pairings >= 0, lies
+    in the node span of the simple roots orthogonal to lambda."""
     v = is_admissible(g)
     if not v.admissible:
         return v
     sys = g.system
-    span = white_span(g)
-    ortho = sys.orthogonal_roots(v.theta)
-    if span.members == ortho:
+    whites = frozenset(g.nodes(WHITE))
+    good = not any(k in whites for k, _ in v.theta.covector())
+    if good:
+        lam = sys.dominant(v.theta)
+        perp = set(range(sys.rank)).difference(k for k, _ in lam.covector())
+        good = sys.node_span_size(whites) == sys.node_span_size(perp)
+    if good:
         return GraphVerdict(True, "ok", v.shape, v.gamma_e, v.theta, good=True,
-                            cr_type=_cr_type(g, v))
+                            cr_type=_cr_type(g, v), whites=whites)
     return GraphVerdict(True, "white span differs from the orthogonal roots",
-                        v.shape, v.gamma_e, v.theta, good=False,
-                        missing=ortho - span.members)
+                        v.shape, v.gamma_e, v.theta, good=False, whites=whites)
 
 
 def _cr_type(g: PaintedGraph, v: GraphVerdict) -> str:
@@ -239,7 +261,7 @@ def _cr_type(g: PaintedGraph, v: GraphVerdict) -> str:
 def is_proper(g: PaintedGraph) -> bool:
     """The flag manifold G/Q is nontrivial: white+grey nodes span less than R."""
     sys = g.system
-    return len(sys.node_span(g.nodes(WHITE) + g.nodes(GREY))) < len(sys.roots)
+    return sys.node_span_size(g.nodes(WHITE) + g.nodes(GREY)) < len(sys.roots)
 
 
 def canonicalize(g: PaintedGraph) -> PaintedGraph:
@@ -247,17 +269,22 @@ def canonicalize(g: PaintedGraph) -> PaintedGraph:
 
     Prefers the variant whose contact form concentrates on low coordinate
     indices (largest absolute gauge profile, then largest signed one), which
-    reproduces the reference presentation of each family.
+    reproduces the reference presentation of each family.  A diagram
+    symmetry keeps admissibility and carries the subgraph and its chain
+    (the nodes where theta is 2) to those of the permuted painting, so
+    each permuted theta is _theta_for on them.
     """
+    v = is_admissible(g)
+    chain = [i for i, x in enumerate(v.theta.c) if x == 2] if v.admissible else None
     best = None
     for perm in g.system.diagram_automorphisms:
         colors = [None] * len(g.colors)
         for i, c in enumerate(g.colors):
             colors[perm[i]] = c
         cand = PaintedGraph(g.system, tuple(colors))
-        verdict = is_admissible(cand)
-        if verdict.admissible:
-            tc = verdict.theta.numerators()
+        if v.admissible:
+            tc = _theta_for(cand, v.shape, frozenset(perm[i] for i in v.gamma_e),
+                            [perm[i] for i in chain]).numerators()
             theta_key = (tuple(abs(x) for x in tc), tc)
         else:
             theta_key = ((), ())

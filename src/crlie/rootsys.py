@@ -20,22 +20,28 @@ one positive int gden, and the int squared lengths over gden; the Weyl
 machinery reads the integer Cartan matrix (Humphreys 10.1-10.3).  The
 simple roots' ambient rows are gauged in ints; parsing inverts them
 through the Gram matrix, whose pairings kill a relation block's
-(1, ..., 1), so no gauge is needed.  Ambient coordinates serve only
-parsing, printing and the canonical orderings, which read int numerators
-(RootVector.numerators).  Fractions are built only where coordinates are
-parsed and in canon(), norm2, inner and pairing.
+(1, ..., 1), so no gauge is needed, and whose inverse is its int adjugate
+over its determinant, by fraction-free elimination.  Ambient coordinates
+serve only parsing, printing and the canonical orderings, which read int
+numerators (RootVector.numerators); an integral vector prints with no
+Fraction.  Fractions are built only where coordinates are parsed and in
+canon(), norm2, inner and pairing.  A subsystem's type is read off the
+Cartan matrix of its base, and checked by counting its roots at each
+length (Humphreys 11.4).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
-from .linalg import SpanSolver, nullspace
+from .linalg import nullspace
 
 Q = Fraction
 
@@ -113,9 +119,12 @@ class RootVector:
         in the system's int Gram matrix.  sum u.c[k] * entry over them is
         (u, v) times u.den * v.den * gden."""
         if self._cov is None:
-            g = self.system._igram
-            cov = ((k, sum(x * row[k] for x, row in zip(self.c, g) if x)) for k in range(len(g)))
-            self._cov = [(k, y) for k, y in cov if y]
+            out = [0] * self.system.rank
+            for x, row in zip(self.c, self.system._gram_rows):
+                if x:
+                    for k, y in row:
+                        out[k] += x * y
+            self._cov = [(k, y) for k, y in enumerate(out) if y]
         return self._cov
 
     def __add__(self, other: "RootVector") -> "RootVector":
@@ -213,31 +222,41 @@ class RootSystem:
         # when the sum or difference of their codes is a root's code
         self.codes = int_codes(self.expansions)
         self.by_code = {c: i for i, c in enumerate(self.codes)}
-        self.positive = [all(x >= 0 for x in e) for e in self.expansions]
+        # a root's entries share one sign, and a code has the sign of its
+        # last nonzero entry
+        self.positive = [c > 0 for c in self.codes]
         self.neg_index = [self.by_code[-c] for c in self.codes]
-        # squared lengths e G e times gden
-        ints = self.int_norms = []
-        for e in self.expansions:
-            nz = [(k, x) for k, x in enumerate(e) if x]
-            ints.append(sum(x * y * gi[k][j] for k, x in nz for j, y in nz))
+        # the sparse rows of _igram: a Dynkin tree's row has at most 4
+        # nonzero entries
+        sparse = self._gram_rows = [[(j, x) for j, x in enumerate(row) if x] for row in gi]
+        # squared lengths e G e times gden; a root and its negative share one
+        ints = self.int_norms = [0] * len(self.expansions)
+        for i, e in enumerate(self.expansions):
+            if self.positive[i]:
+                ints[i] = ints[self.neg_index[i]] = sum(
+                    x * sum(e[j] * y for j, y in sparse[k]) for k, x in enumerate(e) if x)
 
     # -- ambient coordinates ------------------------------------------------------
 
     @cached_property
     def _coords(self) -> tuple[int, list[list[tuple[int, int]]]]:
         """The inverse of _ambient, built on first use, as int rows over one
-        denominator: row k solves the int Gram matrix for e_k's pairings with
-        the simple roots, column k of _ambient at twice the metric over
-        2 _ambient[0].  They kill a relation block's (1, ..., 1), so no gauge
-        is needed (Humphreys 10.1)."""
+        denominator: row k is the inverse Gram matrix applied to e_k's
+        pairings with the simple roots, column k of _ambient at twice the
+        metric over 2 _ambient[0].  They kill a relation block's
+        (1, ..., 1), so no gauge is needed (Humphreys 10.1).  The inverse
+        of _igram is its adjugate over its determinant (_adjugate)."""
         den, rows = self._ambient
-        amb = [dict(r) for r in rows]
-        span = SpanSolver(self._igram)
-        f = Q(self.gden, 2 * den)
-        inv = [[w * f * x for x in span.reduce({j: a[k] for j, a in enumerate(amb) if k in a})]
-               for k, w in enumerate(self._weights)]
-        q = lcm(*(x.denominator for row in inv for x in row))
-        return q, [[(j, int(x * q)) for j, x in enumerate(row) if x] for row in inv]
+        det, adj = _adjugate(self._igram)
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(self.dim)]
+        for j, row in enumerate(rows):
+            for k, y in row:
+                cols[k].append((j, y))
+        num = [[w * self.gden * sum(y * a[j] for j, y in col) for a in adj]
+               for w, col in zip(self._weights, cols)]
+        q = 2 * den * det
+        g = gcd(q, *(x for row in num for x in row))
+        return q // g, [[(j, x // g) for j, x in enumerate(row) if x] for row in num]
 
     def vector(self, coords: Sequence) -> RootVector:
         """The vector with the given ambient coordinates: coords times the
@@ -331,6 +350,23 @@ class RootSystem:
             i for i, e in enumerate(self.expansions) if not any(e[k] for k in off)
         ))
 
+    @cached_property
+    def _node_masks(self) -> list[int]:
+        """Bit i of entry k is set when root i's expansion is nonzero on
+        node k."""
+        return [sum(1 << i for i, e in enumerate(self.expansions) if e[k])
+                for k in range(self.rank)]
+
+    def node_span_size(self, nodes: Iterable[int]) -> int:
+        """len(node_span(nodes)), by counting: the roots off the node span
+        are those nonzero on a node off it."""
+        nodes = set(nodes)
+        off = 0
+        for k, mask in enumerate(self._node_masks):
+            if k not in nodes:
+                off |= mask
+        return len(self.roots) - off.bit_count()
+
     # -- reflections and Weyl machinery ----------------------------------------
 
     def reflect(self, alpha: RootVector, v: RootVector) -> RootVector:
@@ -402,10 +438,21 @@ class RootSystem:
 
     @cached_property
     def dynkin_type(self) -> list[tuple[str, int]]:
-        """The type of each factor read off its roots by the signature of
-        Subsystem.classify, sorted: B1 is A1, C2 is B2 and D3 is A3."""
-        return sorted(sub._classify_component(sub.members)
-                      for sub in map(self.node_span, self.component_nodes))
+        """The type of each factor, sorted, by Subsystem.classify of all
+        the roots: B1 is A1, C2 is B2 and D3 is A3."""
+        return Subsystem(self, frozenset(range(len(self.roots)))).classify()
+
+    @cached_property
+    def _term_names(self) -> list[list[tuple[Block, list[str]]]]:
+        """Each factor's blocks with the names of their coordinates: e1,
+        e2, ... on the first factor, e'1, ... on the second, and e for E6's
+        aux vector."""
+        out = []
+        for ci, blocks in enumerate(self.comp_blocks):
+            sym = "e" + "'" * ci
+            out.append([(b, [sym] if b.kind == "aux" else [f"{sym}{i + 1}" for i in range(b.size)])
+                        for b in blocks])
+        return out
 
     @cached_property
     def constants(self):
@@ -510,43 +557,52 @@ class Subsystem:
     def __hash__(self):
         return hash((id(self.parent), self.members))
 
-    def orthogonal_components(self) -> list[frozenset[int]]:
-        """Partition into mutually orthogonal indecomposable pieces, read off
-        the base: the Dynkin components of self.simple, each with the
-        members that pair nonzero with one of its simple roots.
+    def _dynkin_components(self) -> list[tuple[str, int, frozenset[int]]]:
+        """The type and simple roots of each Dynkin component of the base,
+        typed from its Cartan matrix by _diagram_type: two simple roots are
+        joined when their int pairing through parent._igram is nonzero, by
+        <a|b><b|a> edges.
 
-        The members form a root system (every subsystem built here is
-        symmetric and closed).  So a root lies in the span of its own
-        component's simple roots and is orthogonal to every other
-        component (Humphreys 10.1, 11.3): it pairs nonzero with a simple
-        root of its component and with no other.  The pairings are int
-        products with parent._igram, a positive multiple of the Gram
-        matrix."""
+        The members must form a root system (every subsystem built here is
+        symmetric and closed), and that is checked exactly: the members of
+        each squared length must be as many as the types predict, or
+        RootSystemError."""
         parent = self.parent
-        gi, ex = parent._igram, parent.expansions
-        covs = [[sum(x * row[k] for x, row in zip(ex[s], gi) if x) for k in range(parent.rank)]
-                for s in self.simple]
-
-        def partners(i: int):
-            """The positions in simple of the simple roots root i pairs
-            nonzero with, in order."""
-            e = [(k, x) for k, x in enumerate(ex[i]) if x]
-            return (p for p, cov in enumerate(covs) if sum(x * cov[k] for k, x in e))
-
-        # label[p]: the least position in the Dynkin component of simple[p]
-        label = list(range(len(covs)))
-        for p, s in enumerate(self.simple):
-            for q in partners(s):
-                a, b = sorted((label[p], label[q]))
-                label = [a if x == b else x for x in label]
-        comps: dict[int, set[int]] = {}
-        for i in self.members:
-            comps.setdefault(label[next(partners(i))], set()).add(i)
-        return [frozenset(c) for c in comps.values()]
+        norms, ex = parent.int_norms, parent.expansions
+        simple = self.simple
+        lengths = [norms[s] for s in simple]
+        # edges[p]: {q: edge multiplicity} between positions p, q of simple
+        edges: list[dict[int, int]] = [{} for _ in simple]
+        for p, s in enumerate(simple):
+            cov = parent.roots[s].covector()
+            for q in range(p):
+                x = sum(ex[simple[q]][k] * y for k, y in cov)
+                if x:
+                    edges[p][q] = edges[q][p] = 4 * x * x // (lengths[p] * lengths[q])
+        seen: set[int] = set()
+        want: Counter = Counter()
+        out = []
+        for p in range(len(simple)):
+            if p in seen:
+                continue
+            comp, frontier = {p}, [p]
+            while frontier:
+                new = set(edges[frontier.pop()]) - comp
+                comp |= new
+                frontier += new
+            seen |= comp
+            t, r, counts = _diagram_type(comp, edges, lengths)
+            want += counts
+            out.append((t, r, frozenset(simple[q] for q in comp)))
+        if want != Counter(map(norms.__getitem__, self.members)):
+            raise RootSystemError(f"members are no root system of type "
+                                  f"{'+'.join(f'{t}{r}' for t, r, _ in out)}")
+        return out
 
     @cached_property
-    def _types(self) -> tuple[tuple[str, int], ...]:
-        return tuple(sorted(map(self._classify_component, self.orthogonal_components())))
+    def _components(self) -> tuple[tuple[str, int, frozenset[int]], ...]:
+        """_dynkin_components sorted by type, computed once per subsystem."""
+        return tuple(sorted(self._dynkin_components(), key=lambda c: c[:2]))
 
     def classify(self) -> list[tuple[str, int]]:
         """Type of each indecomposable component, canonically sorted;
@@ -554,7 +610,7 @@ class Subsystem:
 
         B2 is used for the rank-2 BC system and A3 for D3.
         """
-        return list(self._types)
+        return [(t, r) for t, r, _ in self._components]
 
     def type_str(self) -> str:
         return "+".join(f"{t}{r}" for t, r in self.classify()) if self.members else "0"
@@ -573,36 +629,6 @@ class Subsystem:
             if not any(parent.sum_index(i, parent.neg_index[j]) in pos for j in simple):
                 simple.append(i)
         return tuple(sorted(simple))
-
-    def _classify_component(self, comp: frozenset[int]) -> tuple[str, int]:
-        parent = self.parent
-        r = sum(1 for i in self.simple if i in comp)
-        n = len(comp)
-        lengths = parent.int_norms
-        norms = sorted({lengths[i] for i in comp})
-        if len(norms) > 2:
-            raise RootSystemError("component with more than two root lengths")
-        nshort = 0 if len(norms) == 1 else sum(1 for i in comp if lengths[i] == norms[0])
-        sig = (r, n, nshort)
-        if sig == (r, r * (r + 1), 0):
-            return ("A", r)
-        if r >= 2 and sig == (r, 2 * r * r, 2 * r):
-            return ("B", r)
-        if r >= 3 and sig == (r, 2 * r * r, 2 * r * (r - 1)):
-            return ("C", r)
-        if r >= 4 and sig == (r, 2 * r * (r - 1), 0):
-            return ("D", r)
-        if sig == (6, 72, 0):
-            return ("E", 6)
-        if sig == (7, 126, 0):
-            return ("E", 7)
-        if sig == (8, 240, 0):
-            return ("E", 8)
-        if sig == (4, 48, 24):
-            return ("F", 4)
-        if sig == (2, 12, 6):
-            return ("G", 2)
-        raise RootSystemError(f"unrecognized subsystem signature {sig}")
 
 
 # -- component data -------------------------------------------------------------
@@ -734,9 +760,76 @@ def int_codes(vectors: Sequence[Sequence[int]]) -> list[int]:
     linear, and injective on the int vectors with entries of size at most
     2 max |v_k|, whose differences stay below B in every entry, so it tells
     the vectors and the sums and differences of two of them apart."""
-    base = 4 * max(abs(x) for v in vectors for x in v) + 1
+    base = 4 * max(map(abs, chain.from_iterable(vectors))) + 1
     powers = [base**k for k in range(len(vectors[0]))]
     return [sum(map(mul, v, powers)) for v in vectors]
+
+
+def _adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(det M, adj M) of a positive definite int matrix M, by fraction-free
+    Gauss-Jordan elimination on [M | I] (Bareiss, Math. Comp. 22, 1968):
+    step k multiplies every other row by pivot k, subtracts its multiple of
+    row k and divides by pivot k - 1, each division exact.  The leading
+    minors of M are positive, so no pivot is zero; the left block ends as
+    det M times I and the right block as adj M."""
+    n = len(matrix)
+    m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(matrix)]
+    prev = 1
+    for k in range(n):
+        rk = m[k]
+        p = rk[k]
+        for i in range(n):
+            if i != k:
+                a = m[i][k]
+                m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], rk)]
+        prev = p
+    return prev, [row[n:] for row in m]
+
+
+def _diagram_type(nodes: set[int], edges: Sequence[dict[int, int]],
+                  norms: Sequence[int]) -> tuple[str, int, Counter]:
+    """(type, rank, root count at each squared length) of a connected
+    Dynkin diagram, with edges[p] mapping each neighbor of p to the
+    multiplicity of their edge and norms[p] the squared length of node p
+    (Humphreys 11.4).
+
+    A triple edge is G2.  A double edge is F4 when both its ends have
+    degree 2, else B_r when its end node is short and C_r when it is long
+    (B2 at r = 2).  A simply laced diagram with a branch node is D_r when
+    two of the arms there have length 1 and E_r otherwise; with none it is
+    A_r.  Any other graph, or lengths that do not fit, raise
+    RootSystemError."""
+    r = len(nodes)
+    deg = {p: len(edges[p]) for p in nodes}
+    multiple = [(p, q, m) for p in nodes for q, m in edges[p].items() if p < q and m > 1]
+    branch = [p for p in nodes if deg[p] > 2]
+    t = None
+    if sum(deg.values()) != 2 * (r - 1) or len(multiple) + len(branch) > 1:
+        pass  # a cycle, or more than one multiple edge or branch node
+    elif multiple:
+        p, q, m = multiple[0]
+        if m == 3:
+            t = "G"
+        elif deg[p] == deg[q] == 2:
+            t = "F"
+        else:
+            end, other = (p, q) if deg[p] == 1 else (q, p)
+            t = "B" if r == 2 or norms[end] < norms[other] else "C"
+    elif branch:  # an arm of length 1 ends next to the branch node
+        t = "D" if sum(deg[q] == 1 for q in edges[branch[0]]) >= 2 else "E"
+    else:
+        t = "A"
+    # (root count, short root count)
+    series = {"A": (r * (r + 1), 0), "B": (2 * r * r, 2 * r), "C": (2 * r * r, 2 * r * (r - 1)),
+              "D": (2 * r * (r - 1), 0)}
+    exceptional = {("E", 6): (72, 0), ("E", 7): (126, 0), ("E", 8): (240, 0),
+                   ("F", 4): (48, 24), ("G", 2): (12, 6)}
+    counts = series[t] if t in series else exceptional.get((t, r))
+    lengths = sorted({norms[p] for p in nodes})
+    if counts is None or len(lengths) != 1 + (counts[1] > 0):
+        raise RootSystemError(f"no Dynkin diagram of a root system on {r} nodes")
+    n, nshort = counts
+    return t, r, Counter({lengths[-1]: n - nshort, lengths[0]: nshort} if nshort else {lengths[0]: n})
 
 
 def _pair(u: RootVector, v: RootVector) -> int:
@@ -764,6 +857,8 @@ def scale_primitive(v: RootVector) -> RootVector:
 def canon_str(v: RootVector) -> str:
     """canon() as comma-separated numbers."""
     den = v.system._ambient[0] * v.den
+    if den == 1:
+        return ",".join(map(str, v._ints()))
     return ",".join(str(_over(x, den)) for x in v._ints())
 
 
@@ -772,18 +867,17 @@ def _block_strings(system: RootSystem, v: RootVector) -> list[str]:
     den = system._ambient[0] * v.den
     num = v._ints()
     rendered = []
-    for ci, blocks in enumerate(system.comp_blocks):
-        sym = "e" + "'" * ci
+    for blocks in system._term_names:
         terms: list[tuple] = []
-        for b in blocks:
+        for b, names in blocks:
             block = num[b.start : b.start + b.size]
             lift = _best_lift(block, den) if b.kind == "rel" else None
-            coords = lift if lift is not None else [_over(x, den) for x in block]
-            names = [sym] if b.kind == "aux" else [f"{sym}{i + 1}" for i in range(b.size)]
-            terms += [(x, name) for x, name in zip(coords, names) if x]
+            if lift is None:
+                lift = block if den == 1 else [_over(x, den) for x in block]
+            terms += [(x, name) for x, name in zip(lift, names) if x]
         if not terms:
             continue
-        dens = {x.denominator for x, _ in terms}
+        dens = {1} if den == 1 else {x.denominator for x, _ in terms}
         if dens == {2} or dens == {1, 2}:
             txt = _render_terms([(2 * x, n) for x, n in terms])
             rendered.append(f"({txt})/2")
@@ -817,17 +911,19 @@ def _best_lift(num: Sequence, den: int) -> Optional[list[int]]:
     -(min d + max d)/2, so the least (L1, max, reversed) key is at the
     floor or the ceiling of that midpoint, each clipped to the window."""
     d = [x - num[0] for x in num]
-    if any(x % den for x in d):
-        return None
-    d = [x // den for x in d]
+    if den != 1:
+        if any(x % den for x in d):
+            return None
+        d = [x // den for x in d]
     s = sorted(d)
     lo, hi, mid = -s[len(s) // 2], -s[(len(s) - 1) // 2], -(s[0] + s[-1])
+    k1, k2 = (min(max(lo, m), hi) for m in (mid // 2, -(-mid // 2)))
 
     def key(k):
         lifted = [k + x for x in d]
         return (sum(map(abs, lifted)), max(map(abs, lifted)), [-x for x in lifted])
 
-    k = min((min(max(lo, m), hi) for m in (mid // 2, -(-mid // 2))), key=key)
+    k = k1 if k1 == k2 else min(k1, k2, key=key)
     return [k + x for x in d]
 
 

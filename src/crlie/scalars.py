@@ -75,6 +75,19 @@ class Gauss:
     def __neg__(self) -> "Gauss":
         return _mk(-self.a, -self.b, self.d)
 
+    def __pow__(self, e) -> "Gauss":
+        """self ** e for an int e >= 0, by repeated squaring."""
+        if type(e) is not int or e < 0:
+            return NotImplemented
+        out, x = ONE, self
+        while e:
+            if e & 1:
+                out = out * x
+            e >>= 1
+            if e:
+                x = x * x
+        return out
+
     def __sub__(self, other) -> "Gauss":
         d = self.d
         if type(other) is Gauss:
@@ -299,8 +312,7 @@ class Poly:
         try:
             for m, c in self.terms.items():
                 for v, e in m:
-                    for _ in range(e):
-                        c = c * values[v]
+                    c = c * values[v] ** e
                 total = total + c
         except KeyError:
             missing = sorted(self.variables().difference(values))

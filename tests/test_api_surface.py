@@ -11,8 +11,6 @@ PACKAGE = Path(crlie.__file__).resolve().parent
 
 # Public methods kept without a caller in src/crlie, each with its reason.
 KEPT_METHODS = {
-    # argparse calls it on a bad command line
-    "cli._Parser.error",
     # the coroot H_a of the Chevalley basis, beside cartan; the Jacobi tests
     # build the full basis with it
     "chevalley.LieElement.coroot",
@@ -23,6 +21,9 @@ KEPT_METHODS = {
     "rootsys.RootSystem.inner",
     # traced by perfbench/spans.py, resolved by tests/test_trace_targets.py
     "linalg.SpanSolver.contains",
+    # traced by perfbench/spans.py, resolved by tests/test_trace_targets.py;
+    # the tests' span-solve reference for RootSystem._coords
+    "linalg.SpanSolver.reduce",
     # the tests' bracket reference; perfbench/spans.py traces it as
     # chevalley.bracket
     "chevalley.LieElement.bracket",

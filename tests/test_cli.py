@@ -167,6 +167,29 @@ def _one_line_error(capsys) -> str:
     return err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["roots", "--type", "A2", "--rank", "abc"], "crlie roots: argument --rank"),
+    (["roots", "--type", "-A2"], "crlie roots: argument --type: expected one argument"),
+    (["check", "--bogus"], "crlie check: unrecognized arguments: --bogus"),
+    (["check", "--type", "A2", "--theta", "-1,0,1", "--family"], "crlie check: argument --theta"),
+    (["classify", "--what", "all"], "crlie classify: argument --what: invalid choice"),
+    (["roots"], "crlie roots: the following arguments are required: --type"),
+    (["bogus"], "crlie: argument command: invalid choice"),
+])
+def test_argparse_errors_take_one_line(argv, named, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 64
+    assert _one_line_error(capsys).startswith(f"error: {named}")
+
+
+def test_help_still_prints_the_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["roots", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: crlie roots")
+
+
 def test_max_rank_zero_is_not_unset(capsys):
     assert run(["classify", "--what", "special", "--max-rank", "0"]) == 64
     _one_line_error(capsys)

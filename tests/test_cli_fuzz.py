@@ -3,10 +3,11 @@
 Hypothesis draws type strings (valid, isomorphic aliases, total rank above
 8, junk), contact forms theta (ints, fractions, 10^k for k <= 30, empty
 fields, junk), paintings and --m10 JSON (malformed shapes included), and
-runs each command in process through crlie.cli.main.  Every call must
-exit 0, 2 or 64, raise nothing (an exception escaping main would print a
-traceback), write exactly one line to stderr on exit 64, and end within
-BUDGET seconds, timed in the test process.
+runs each command in process through crlie.cli.main, passing some
+option values as tokens of their own.  Every call must exit 0, 2 or 64,
+raise nothing (an exception escaping main would print a traceback), write
+exactly one line to stderr on exit 64, and end within BUDGET seconds,
+timed in the test process.
 """
 
 import contextlib
@@ -139,6 +140,17 @@ def paintings(draw):
 
 @st.composite
 def commands(draw):
+    """A command line, some of whose --opt=value options are passed as the
+    two tokens --opt value, so that argparse reads a value that starts
+    with "-" as an option and reports its own errors."""
+    argv = draw(command_lines())
+    return [part for token in argv
+            for part in (token.split("=", 1) if token.startswith("--") and "=" in token
+                         and draw(st.booleans()) else [token])]
+
+
+@st.composite
+def command_lines(draw):
     kind = draw(st.sampled_from(("roots", "rank", "family", "m10", "digest", "graph")))
     fmt = ["--format=" + draw(st.sampled_from(("text", "json", "csv")))]
     if kind == "digest":

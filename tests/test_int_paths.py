@@ -9,20 +9,25 @@ orthogonal complement built on it.
 Orderings and printed coordinates read RootVector.numerators(), the
 ambient coordinates times the system's one positive denominator; each
 reference here is the Fraction implementation that keyed on canon().
-Subsystem.orthogonal_components reads the components off the base; its
-reference pairs every two members through Fraction RootSystem.inner.
+Subsystem types are read off the Cartan matrix of the base; the
+references are the partition of the members by the base (itself checked
+against the members joined by nonzero Fraction inner products) and the
+table of (rank, root count, short root count) signatures it replaced.
 Root sums and differences read the int root codes (RootSystem.codes);
 their references add expansion tuples, and ConstantTable._general's
 reference takes Fraction ratios of squared lengths.
 The simple roots' ambient rows are gauged in ints, and parsing inverts
-them through the int Gram matrix; the references embed and gauge Fraction
-rows and solve for the gauged unit vectors in the span of the simple
-roots.
+them through the adjugate of the int Gram matrix; the references embed
+and gauge Fraction rows and solve for the gauged unit vectors in the span
+of the simple roots, and solve the int Gram matrix by SpanSolver.
+Printed coordinates take int fast paths; the references are the int
+renderers they replaced and the Fraction renderers before those.
 """
 
 import contextlib
 import io
 import json
+import random
 from fractions import Fraction as Q
 from itertools import combinations
 from math import gcd, lcm
@@ -42,6 +47,11 @@ DATA = Path(rs.__file__).resolve().parent / "data"
 # the systems whose roots tools/cli_digest.py prints
 SYSTEMS = ([rs.build(t, r) for t, r in classify.simple_types(8)]
            + [rs.parse_type("A1+A1"), rs.parse_type("A2+G2")])
+# every simple type of rank <= 8 and every A_p + A_q of rank <= 8
+TYPE_SYSTEMS = ([rs.build(t, r) for t, r in classify.simple_types(8)]
+                + [rs.build_product([("A", p), ("A", q)]) for p, q in classify.product_types(8)])
+# products whose later factor has halves or E6's aux vector
+LATER_FACTORS = [rs.parse_type(t) for t in ("A2+E6", "A1+F4", "G2+E6")]
 
 
 # -- the Fraction references ------------------------------------------------------
@@ -106,6 +116,63 @@ def format_vector_reference(v):
     return out
 
 
+def over_parent(x, den):
+    return x // den if not x % den else Q(x, den)
+
+
+def canon_str_parent(v):
+    """canon_str before its integral fast path."""
+    den = v.system._ambient[0] * v.den
+    return ",".join(str(over_parent(x, den)) for x in v._ints())
+
+
+def best_lift_parent(num, den):
+    """_best_lift before its integral and one-candidate fast paths."""
+    d = [x - num[0] for x in num]
+    if any(x % den for x in d):
+        return None
+    d = [x // den for x in d]
+    s = sorted(d)
+    lo, hi, mid = -s[len(s) // 2], -s[(len(s) - 1) // 2], -(s[0] + s[-1])
+
+    def key(k):
+        lifted = [k + x for x in d]
+        return (sum(map(abs, lifted)), max(map(abs, lifted)), [-x for x in lifted])
+
+    k = min((min(max(lo, m), hi) for m in (mid // 2, -(-mid // 2))), key=key)
+    return [k + x for x in d]
+
+
+def format_vector_parent(v):
+    """format_vector before the term-name table and the integral fast path."""
+    system = v.system
+    den = system._ambient[0] * v.den
+    num = v._ints()
+    parts = []
+    for ci, blocks in enumerate(system.comp_blocks):
+        sym = "e" + "'" * ci
+        terms = []
+        for b in blocks:
+            block = num[b.start : b.start + b.size]
+            lift = best_lift_parent(block, den) if b.kind == "rel" else None
+            coords = lift if lift is not None else [over_parent(x, den) for x in block]
+            names = [sym] if b.kind == "aux" else [f"{sym}{i + 1}" for i in range(b.size)]
+            terms += [(x, name) for x, name in zip(coords, names) if x]
+        if not terms:
+            continue
+        dens = {x.denominator for x, _ in terms}
+        if dens == {2} or dens == {1, 2}:
+            parts.append(f"({render_terms_reference([(2 * x, n) for x, n in terms])})/2")
+        else:
+            parts.append(render_terms_reference(terms))
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += "+" + p if not p.startswith("-") else p
+    return out
+
+
 def scale_primitive_reference(v):
     c = v.canon()
     den = lcm(*(x.denominator for x in c))
@@ -114,6 +181,57 @@ def scale_primitive_reference(v):
         return v
     f = Q(den, g)
     return rs.RootVector(v.system, [f * x for x in v.c], v.den)
+
+
+def orthogonal_components_int_reference(sub):
+    """The members partitioned by the base: the Dynkin components of
+    sub.simple, each with the members that pair nonzero with one of its
+    simple roots, through the int Gram matrix."""
+    parent = sub.parent
+    gi, ex = parent._igram, parent.expansions
+    covs = [[sum(x * row[k] for x, row in zip(ex[s], gi) if x) for k in range(parent.rank)]
+            for s in sub.simple]
+
+    def partners(i):
+        e = [(k, x) for k, x in enumerate(ex[i]) if x]
+        return (p for p, cov in enumerate(covs) if sum(x * cov[k] for k, x in e))
+
+    label = list(range(len(covs)))
+    for p, s in enumerate(sub.simple):
+        for q in partners(s):
+            a, b = sorted((label[p], label[q]))
+            label = [a if x == b else x for x in label]
+    comps = {}
+    for i in sub.members:
+        comps.setdefault(label[next(partners(i))], set()).add(i)
+    return [frozenset(c) for c in comps.values()]
+
+
+def classify_component_reference(sub, comp):
+    """The type of a component by its (rank, root count, short root count)
+    signature."""
+    parent = sub.parent
+    r = sum(1 for i in sub.simple if i in comp)
+    n = len(comp)
+    lengths = parent.int_norms
+    norms = sorted({lengths[i] for i in comp})
+    if len(norms) > 2:
+        raise rs.RootSystemError("component with more than two root lengths")
+    nshort = 0 if len(norms) == 1 else sum(1 for i in comp if lengths[i] == norms[0])
+    sig = (r, n, nshort)
+    if sig == (r, r * (r + 1), 0):
+        return ("A", r)
+    if r >= 2 and sig == (r, 2 * r * r, 2 * r):
+        return ("B", r)
+    if r >= 3 and sig == (r, 2 * r * r, 2 * r * (r - 1)):
+        return ("C", r)
+    if r >= 4 and sig == (r, 2 * r * (r - 1), 0):
+        return ("D", r)
+    known = {(6, 72, 0): ("E", 6), (7, 126, 0): ("E", 7), (8, 240, 0): ("E", 8),
+             (4, 48, 24): ("F", 4), (2, 12, 6): ("G", 2)}
+    if sig in known:
+        return known[sig]
+    raise rs.RootSystemError(f"unrecognized subsystem signature {sig}")
 
 
 def orthogonal_components_reference(sub):
@@ -187,14 +305,36 @@ def test_int_paths_match_fraction_paths_on_the_span(vectors):
         assert got == want and got.canon() == want.canon()
 
 
+@pytest.mark.parametrize("s", TYPE_SYSTEMS + LATER_FACTORS, ids=rs.RootSystem.type_str)
+def test_renderings_match_the_parent_int_paths(s):
+    """Every root, and 40 seeded vectors with simple-root coordinates over
+    2, 3, 4 or 6, and their primitive rescales."""
+    rng = random.Random(s.type_str())
+    vectors = list(s.roots)
+    for _ in range(40):
+        v = rs.RootVector(s, [Q(rng.randint(-9, 9), rng.choice((2, 3, 4, 6))) for _ in range(s.rank)])
+        vectors += [v, rs.scale_primitive(v)]
+    for v in vectors:
+        assert rs.canon_str(v) == canon_str_parent(v), v.canon()
+        assert rs.format_vector(v) == format_vector_parent(v), v.canon()
+
+
 # -- components and classification ----------------------------------------------------
 
 
+def check_types(sub, comps):
+    """The Cartan-matrix typing of sub against the signature table on the
+    member partition comps: the same simple roots and type per component."""
+    want = {frozenset(sub.simple) & c: classify_component_reference(sub, c) for c in comps}
+    assert {simple: (t, r) for t, r, simple in sub._components} == want
+    assert sub.classify() == sorted(want.values())
+
+
 def check_subsystem(sub):
-    got = sub.orthogonal_components()
     want = orthogonal_components_reference(sub)
+    got = orthogonal_components_int_reference(sub)
     assert sorted(map(sorted, got)) == sorted(map(sorted, want))
-    assert sub.classify() == sorted(map(sub._classify_component, want))
+    check_types(sub, want)
 
 
 def golden_forms():
@@ -248,19 +388,71 @@ def test_classify_works_once_per_subsystem(monkeypatch):
     monkeypatch.setattr(rs, "_CACHE", {})
     calls: dict[int, int] = {}
     seen = []  # keeps every counted subsystem alive, so no id is reused
-    work = rs.Subsystem.orthogonal_components
+    work = rs.Subsystem._dynkin_components
 
     def counted(self):
         seen.append(self)
         calls[id(self)] = calls.get(id(self), 0) + 1
         return work(self)
 
-    monkeypatch.setattr(rs.Subsystem, "orthogonal_components", counted)
+    monkeypatch.setattr(rs.Subsystem, "_dynkin_components", counted)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["table1", "--format", "json"]) == 0
         argv = ["classify", "--what", "special", "--max-rank", "8", "--format", "json"]
         assert cli.main(argv) == 0
     assert calls and max(calls.values()) == 1
+
+
+def type_reference_subsystems(s):
+    """The node spans of s, its distinct orthogonal-root subsystems and
+    the closed spans of 12 seeded sets of one to three roots."""
+    subs = [s.node_span(nodes) for k in range(s.rank + 1)
+            for nodes in combinations(range(s.rank), k)]
+    subs += [rs.Subsystem(s, m) for m in {s.orthogonal_roots(r) for r in s.roots}]
+    rng = random.Random(s.type_str())
+    subs += [s.closed_span(rng.sample(s.roots, rng.randint(1, min(3, s.rank))))
+             for _ in range(12)]
+    return subs
+
+
+@pytest.mark.parametrize("s", TYPE_SYSTEMS, ids=rs.RootSystem.type_str)
+def test_cartan_typing_matches_the_signature_table(s):
+    for sub in type_reference_subsystems(s):
+        check_types(sub, orthogonal_components_int_reference(sub))
+    assert s.dynkin_type == sorted(classify_component_reference(sub, sub.members)
+                                   for sub in map(s.node_span, s.component_nodes))
+
+
+def non_closed_sets(s):
+    """Symmetric member sets that are no root system: every node span of
+    rank >= 2 without one pair of its non-simple roots, and the simple
+    roots of each factor with its highest root, an affine diagram, where
+    they miss a root of the factor (all but A2)."""
+    out = []
+    for k in range(2, s.rank + 1):
+        for nodes in combinations(range(s.rank), k):
+            members = s.node_span(nodes).members
+            for i in members:
+                if s.positive[i] and s.height(i) > 1:
+                    out.append(members - {i, s.neg_index[i]})
+    for nodes in s.component_nodes:
+        factor = s.node_span(nodes).members
+        base = {s.root_index(s.simple_roots[k]) for k in nodes} | {max(factor, key=s.height)}
+        base |= {s.neg_index[i] for i in base}
+        if len(base) < len(factor):
+            out.append(frozenset(base))
+    return out
+
+
+@pytest.mark.parametrize("s", [rs.build(t, r) for t, r in classify.simple_types(5)[1:]]
+                         + [rs.parse_type("A2+A2"), rs.parse_type("B2+G2")],
+                         ids=rs.RootSystem.type_str)
+def test_non_closed_member_sets_raise(s):
+    sets = non_closed_sets(s)
+    assert sets
+    for members in sets:
+        with pytest.raises(rs.RootSystemError):
+            rs.Subsystem(s, members).classify()
 
 
 # -- root codes ---------------------------------------------------------------------------
@@ -513,8 +705,7 @@ def test_half_roots_are_no_roots(s):
 
 # -- the ambient map and its inverse ----------------------------------------------------
 
-AMBIENT_SYSTEMS = ([rs.build(t, r) for t, r in classify.simple_types(8)]
-                   + [rs.parse_type(t) for t in ("A2+E6", "A1+F4", "G2+E6")])
+AMBIENT_SYSTEMS = [rs.build(t, r) for t, r in classify.simple_types(8)] + LATER_FACTORS
 
 
 def embed_reference(s, comp_coords, offset):
@@ -560,6 +751,17 @@ def coords_reference(s):
                               for k in range(s.dim))
 
 
+def coords_span_reference(s):
+    """Row k: the SpanSolver solve of the int Gram matrix for column k of
+    _ambient, at twice the metric over 2 _ambient[0], as Fractions."""
+    den, rows = s._ambient
+    amb = [dict(r) for r in rows]
+    span = SpanSolver(s._igram)
+    f = Q(s.gden, 2 * den)
+    return [[w * f * x for x in span.reduce({j: a[k] for j, a in enumerate(amb) if k in a})]
+            for k, w in enumerate(s._weights)]
+
+
 def vector_reference(s, coords):
     den, rows = coords_reference(s)
     acc = [Q(0)] * s.rank
@@ -584,6 +786,16 @@ def test_gram_inverse_matches_fraction_span_solve(s):
     (den, rows), (rden, rrows) = s._coords, coords_reference(s)
     assert [{j: Q(y, den) for j, y in row} for row in rows] == [
         {j: Q(y, rden) for j, y in row} for row in rrows]
+
+
+@pytest.mark.parametrize("s", TYPE_SYSTEMS + LATER_FACTORS, ids=rs.RootSystem.type_str)
+def test_adjugate_inverse_matches_the_span_solve(s):
+    """The same rows over the lcm of their denominators, which no prime
+    divides together with every entry."""
+    den, rows = s._coords
+    want = coords_span_reference(s)
+    assert den == lcm(*(x.denominator for row in want for x in row))
+    assert rows == [[(j, int(x * den)) for j, x in enumerate(row) if x] for row in want]
 
 
 @st.composite

@@ -259,3 +259,59 @@ def test_d_shapes_match_their_definition():
             assert got == want, (system.type_str(), grey)
             shapes += len(cands)
     assert shapes > 100
+
+
+# -- goodness by counting against the set comparison ---------------------------------
+
+
+def is_good_reference(g):
+    """(good, missing) of an admissible painting: the white span against
+    the roots orthogonal to theta, as sets."""
+    v = pt.is_admissible(g)
+    ortho = g.system.orthogonal_roots(v.theta)
+    span = pt.white_span(g).members
+    return span == ortho, ortho - span
+
+
+def canonicalize_reference(g):
+    """The orbit representative with is_admissible run on every permuted
+    painting."""
+    best = None
+    for perm in g.system.diagram_automorphisms:
+        colors = [None] * len(g.colors)
+        for i, c in enumerate(g.colors):
+            colors[perm[i]] = c
+        cand = pt.PaintedGraph(g.system, tuple(colors))
+        verdict = pt.is_admissible(cand)
+        if verdict.admissible:
+            tc = verdict.theta.numerators()
+            theta_key = (tuple(abs(x) for x in tc), tc)
+        else:
+            theta_key = ((), ())
+        key = (theta_key, cand.colors)
+        if best is None or key > best[0]:
+            best = (key, cand)
+    return best[1]
+
+
+@pytest.mark.parametrize("system", _systems(6), ids=rs.RootSystem.type_str)
+def test_counted_goodness_matches_the_set_comparison(system):
+    """Every painting: the same verdict, reason, missing roots, violations,
+    properness and orbit representative."""
+    for colors in itertools.product("wbg", repeat=system.rank):
+        g = pt.PaintedGraph(system, colors)
+        v = pt.is_good(g)
+        assert pt.is_proper(g) == (len(system.node_span(g.nodes("w") + g.nodes("g")))
+                                   < len(system.roots))
+        assert pt.canonicalize(g) == canonicalize_reference(g), g.serialize()
+        if not v.admissible:
+            assert v.good is None and v.missing == frozenset() and v.violations == ()
+            continue
+        good, missing = is_good_reference(g)
+        assert (v.good, v.missing) == (good, missing), g.serialize()
+        assert v.reason == ("ok" if good else "white span differs from the orthogonal roots")
+        assert v.violations == tuple(sorted(
+            (system.roots[i] for i in missing),
+            key=lambda r: (not system.positive[system.root_index(r)],
+                           system.height(system.root_index(r)), r.numerators())))
+        assert (v.cr_type is None) != good

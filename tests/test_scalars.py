@@ -1,4 +1,5 @@
 import operator
+import time
 from fractions import Fraction as Q
 from math import gcd, lcm
 
@@ -212,6 +213,30 @@ def test_poly_basic():
     assert (t * t).eval({"t": Gauss(0, 1)}) == Gauss(-1)
     with pytest.raises(ValueError, match=r"unresolved parameters \['s'\]"):
         p.eval({"t": Gauss(2)})
+
+
+def power_reference(x, e):
+    """x ** e as the repeated product."""
+    out = Gauss(1)
+    for _ in range(e):
+        out = out * x
+    return out
+
+
+@pytest.mark.parametrize("x", [Gauss(Q(1, 2), Q(1, 3)), Gauss(0, 1), Gauss(-3),
+                               Gauss(Q(-2, 7)), Gauss(0), Gauss(1, -1)])
+def test_power_by_squaring_matches_the_repeated_product(x):
+    for e in range(41):
+        assert x ** e == power_reference(x, e), e
+        assert Poly.var("t", e + 1).eval({"t": x}) == power_reference(x, e + 1), e
+
+
+def test_poly_eval_of_a_large_power_is_fast():
+    x = Gauss(Q(1, 2), Q(1, 3))
+    start = time.perf_counter()
+    value = Poly.var("t", 10**4).eval({"t": x})
+    assert time.perf_counter() - start < 1.0
+    assert value == x ** 5000 * x ** 5000 and value.d == 6**10**4
 
 
 # monomials in s and t, exponents 1 to 3: sorted (name, exponent) tuples

@@ -47,7 +47,9 @@ each reached from the dominant form by 4 * rank simple reflections drawn
 from one ``random.Random`` of a fixed seed.  Unlike the dominant forms,
 some of these representatives give subspaces l^C + m01 that are not
 l-stable, so the normalizer is diffed where its blocks stop at dim g_rho
-and not at the l-bound.
+and not at the l-bound.  Last, ``check --graph`` in JSON on every painting
+of B4, C4, D4, F4 and G2, so the counted goodness verdicts are diffed on
+the two-length systems and on D4's triality too.
 The commands run in one process, through ``crlie.cli.main``.
 """
 
@@ -66,6 +68,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CHECK_MAX_RANK = 6
 PAINTED_TYPES = (("D5", (5,)), ("A2+A2", (2, 2)))  # (type, rank of each factor)
+# painted last: two root lengths, and D4's triality
+MORE_PAINTED_TYPES = (("B4", (4,)), ("C4", (4,)), ("D4", (4,)), ("F4", (4,)), ("G2", (2,)))
 # the simple types of rank <= 8 in scan order, then two products
 ROOT_TYPES = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)]
               + [f"C{r}" for r in range(3, 9)] + [f"D{r}" for r in range(4, 9)]
@@ -218,6 +222,8 @@ def battery(data: Path, rootsys) -> list[list[str]]:
              for t, theta, spec in M10_MORE for fmt in ("text", "json")]
     cmds += [["check", "--type", t, f"--theta={theta}", "--family", "--format", "text"]
              for t, theta in conjugate_forms(rootsys)]
+    for t, ranks in MORE_PAINTED_TYPES:
+        cmds += [["check", "--graph", g, *json_fmt] for g in all_paintings(t, ranks)]
     return cmds
 
 
