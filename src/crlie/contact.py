@@ -9,13 +9,10 @@ R' = R \\ R_o.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .rootsys import RootSystem, RootVector, Subsystem, int_codes
 from .scalars import ONE
-
-Q = Fraction
 
 
 class ContactError(ValueError):
@@ -28,14 +25,17 @@ class ContactDatum:
 
     The tables derived from it (its modules, the theta-transverse weights
     that grade g and its theta-congruence classes, t' and the center of l,
-    a basis of l^C, its twist propagations and theta-components) are built
-    on first use and live as long as the datum does.
+    a basis of l^C and its twist propagations) are built on first use and
+    live as long as the datum does.
     """
 
     system: RootSystem
     theta: RootVector
     Ro: Subsystem
     Rprime: frozenset[int]
+    # (a, theta) for each root a, by root index, times one positive int:
+    # each root's expansion paired with theta's int covector
+    theta_pairings: tuple[int, ...]
 
     @cached_property
     def ro_generators(self) -> tuple[int, ...]:
@@ -51,13 +51,6 @@ class ContactDatum:
         from .modules import decompose
 
         return {m.highest: m for m in decompose(self)}
-
-    @cached_property
-    def theta_pairings(self) -> tuple[int, ...]:
-        """(a, theta) for each root a, by root index, times one positive
-        int: each root's expansion paired with theta's int covector."""
-        cov = self.theta.covector()
-        return tuple(sum(e[k] * y for k, y in cov) for e in self.system.expansions)
 
     @cached_property
     def weights(self) -> tuple[tuple[int, ...], ...]:
@@ -136,19 +129,15 @@ class ContactDatum:
         """crstruct._propagate's twist coefficients, by (hw, partner)."""
         return {}
 
-    @cached_property
-    def theta_coroots(self) -> dict[int, Q]:
-        """crstruct.check_integrability's (theta, H_r), the theta-component
-        of [E_r, E_-r], by root r.  H_r is the coroot 2r/(r, r)."""
-        return {}
-
 
 def contact_datum(system: RootSystem, theta: RootVector) -> ContactDatum:
     if theta.is_zero():
         raise ContactError("contact form must be nonzero")
-    ortho = system.orthogonal_roots(theta)
-    rprime = frozenset(range(len(system.roots))) - ortho
-    return ContactDatum(system, theta, Subsystem(system, ortho), rprime)
+    cov = theta.covector()
+    pairings = tuple(sum(e[k] * y for k, y in cov) for e in system.expansions)
+    ortho = frozenset(i for i, p in enumerate(pairings) if not p)
+    rprime = frozenset(i for i, p in enumerate(pairings) if p)
+    return ContactDatum(system, theta, Subsystem(system, ortho), rprime, pairings)
 
 
 def grade_by_highest_root(system: RootSystem) -> ContactDatum:

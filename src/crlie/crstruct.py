@@ -148,22 +148,22 @@ class HolomorphicSubspace:
         datum = self.datum
         sys = datum.system
         n, codes, get = sys.constants.n, sys.codes, sys.by_code.get
-        lines = self.lines
-        second = {line[0]: w for w, line in lines.items() if line}
-        if any(datum.weights[w] != datum.weights[wp] for wp, w in second.items()):
+        lines, wt = self.lines, datum.weight_codes
+        if any(line and wt[w] != wt[line[0]] for w, line in lines.items()):
             return False
+        vecs = _line_vectors(lines)
         for d in datum.ro_generators:
             nd, cd = sys.neg_index[d], codes[d]
-            for w, line in lines.items():
+            for v in vecs:
                 # [E_d, E_w + c E_w'] = N(d, w) E_(d+w) + c N(d, w') E_(d+w')
                 image: dict[int, object] = {}
-                for r, c in ((w, 1),) + ((line,) if line else ()):
+                for r, c in v.items():
                     if r == nd:
                         return False  # [E_d, E_-d] is a Cartan element
                     k = get(cd + codes[r])
                     if k is not None and c:
                         image[k] = c * n(d, r)
-                if not _in_lines(lines, second, image):
+                if any(_reduce(lines, image).values()):
                     return False
         return True
 
@@ -176,19 +176,31 @@ class Sample(NamedTuple):
     lines: dict[int, Optional[tuple[int, Gauss]]]
 
 
-def _in_lines(lines: Mapping, second: Mapping[int, int], image: Mapping) -> bool:
-    """Whether sum x E_r over image lies in the span of the lines: the
-    coefficient of a line's first root w fixes the line's multiple, so
-    E_w + c E_w' asks for c times it on w', and a root on no line for 0.
-    second maps each w' to its w."""
-    for r, x in image.items():
-        if r in lines:
-            line = lines[r]
-            if line is not None and image.get(line[0], 0) != line[1] * x:
-                return False
-        elif second.get(r) not in image:
-            return False
-    return True
+def _line_vectors(lines: Mapping) -> list[dict]:
+    """Each line as a sum of root vectors {root: coefficient}, in line
+    order: {w: 1} for E_w and {w: 1, w': c} for E_w + c E_w'."""
+    return [{w: 1} if line is None else {w: 1, line[0]: line[1]} for w, line in lines.items()]
+
+
+def _reduce(lines: Mapping, res: dict) -> dict:
+    """res, a sum of root vectors {root: coefficient}, reduced in place
+    modulo the lines: each line E_w + c E_w' takes E_w's coefficient x off
+    w and subtracts c x on w', and a lone E_w takes it off w.  What is left
+    is 0 exactly when res lies in the span of the lines."""
+    for w in [w for w in res if w in lines]:
+        x = res.pop(w)
+        if lines[w] is not None:
+            wp, c = lines[w]
+            res[wp] = res.get(wp, 0) - x * c
+    return res
+
+
+def _conj(row: Mapping, neg) -> dict:
+    """The conjugate of a sparse coordinate row {column: coefficient}
+    under the compact real form: conj(E_a) = -E_-a and conj(H) = -H,
+    antilinearly (chevalley).  Column a < |R| is the root a, with negative
+    neg[a]; a column past the roots is a Cartan coordinate."""
+    return {neg[c] if c < len(neg) else c: -x.conj() for c, x in row.items()}
 
 
 def _propagate(datum: ContactDatum, hw: int, partner: int) -> dict[int, tuple[int, Q]]:
@@ -196,7 +208,10 @@ def _propagate(datum: ContactDatum, hw: int, partner: int) -> dict[int, tuple[in
     (w', kappa_w) with the twisted vectors E_w + c*kappa_w E_w'.
 
     Verified to be path independent; raises when the two modules are not
-    equivalent under the stabilizer.
+    equivalent under the stabilizer.  Only ContactDatum.ro_generators are
+    walked: a module is connected under the simple steps from any of its
+    weights, and a map that commutes with the simple E_d and E_-d commutes
+    with all of l^C, by Jacobi.
     """
     memo = datum.propagations
     if (hw, partner) in memo:
@@ -207,7 +222,7 @@ def _propagate(datum: ContactDatum, hw: int, partner: int) -> dict[int, tuple[in
         raise StructError("twisted pair components must be module highest weights")
     # congruent: distinct roots of one theta-transverse weight, which differ
     # by a nonzero multiple of theta
-    if hw == partner or datum.weights[hw] != datum.weights[partner]:
+    if hw == partner or datum.weight_codes[hw] != datum.weight_codes[partner]:
         raise StructError("twisted pair of non-congruent modules")
     tab = sys.constants
     codes, get = sys.codes, sys.by_code.get
@@ -217,7 +232,7 @@ def _propagate(datum: ContactDatum, hw: int, partner: int) -> dict[int, tuple[in
     while frontier:
         w = frontier.pop()
         wp, kw = kappa[w]
-        for d in datum.Ro.members:
+        for d in datum.ro_generators:
             w2 = get(codes[w] + codes[d])
             if w2 is None or w2 not in weights:
                 continue
@@ -276,7 +291,9 @@ def check_integrability(h: HolomorphicSubspace) -> ConstraintSet:
 
     Each bracket of two lines is read off their at most four root pairs:
     N(r, s) E_(r+s) for a root sum, and for s = -r the coroot H_r, of
-    theta-component (theta, H_r).  The bracket is reduced modulo m10 + l^C,
+    theta-component (theta, H_r) = 2 (theta, r)/(r, r), read off
+    ContactDatum.theta_pairings and the int norms times one positive factor,
+    which primitive() divides out.  The bracket is reduced modulo m10 + l^C,
     and every coefficient left, with its theta-component, is a condition.
     A pair of homogeneous lines is skipped when its weight sum names no
     live block: a sum that is no weight of g leaves nothing, and neither
@@ -286,7 +303,8 @@ def check_integrability(h: HolomorphicSubspace) -> ConstraintSet:
     datum = h.datum
     sys = datum.system
     n, codes, get, neg = sys.constants.n, sys.codes, sys.by_code.get, sys.neg_index
-    lines, tc = h.lines, datum.theta_coroots
+    lines, tp, norms = h.lines, datum.theta_pairings, sys.int_norms
+    big = lcm(*set(norms))
     gens: dict[frozenset, Poly] = {}
 
     def note(p):
@@ -299,9 +317,9 @@ def check_integrability(h: HolomorphicSubspace) -> ConstraintSet:
     # and off the lone lines
     live = {rho for rho, roots in datum.weight_blocks.items()
             if rho == 0 or any(r not in ro and lines.get(r, 0) is not None for r in roots)}
-    # each line's (root, coefficient) terms, and its weight code or None
+    # each line as a sum of root vectors, and its weight code or None
     wt = datum.weight_codes
-    vecs = [((w, 1),) if line is None else ((w, 1), line) for w, line in lines.items()]
+    vecs = _line_vectors(lines)
     weights = [wt[w] if line is None or wt[line[0]] == wt[w] else None
                for w, line in lines.items()]
     for a, va in enumerate(vecs):
@@ -311,23 +329,15 @@ def check_integrability(h: HolomorphicSubspace) -> ConstraintSet:
                 continue
             res: dict = {}
             cartan = 0
-            for r, x in va:
+            for r, x in va.items():
                 cr, nr = codes[r], neg[r]
-                for s, y in vecs[b]:
+                for s, y in vecs[b].items():
                     if s == nr:
-                        if r not in tc:
-                            tc[r] = sys.pairing(datum.theta, sys.roots[r])
-                        cartan = cartan + x * y * tc[r]
+                        cartan = cartan + x * y * (tp[r] * (big // norms[r]))
                     elif (k := get(cr + codes[s])) is not None:
                         c = n(r, s) * x * y
                         res[k] = res[k] + c if k in res else c
-            # reduce modulo m10: E_w + c E_w' leaves -c times E_w's coefficient on w'
-            for w in [w for w in res if w in lines]:
-                c = res.pop(w)
-                if lines[w] is not None:
-                    wp, twist = lines[w]
-                    res[wp] = res.get(wp, 0) - c * twist
-            for w, c in res.items():
+            for w, c in _reduce(lines, res).items():
                 if w not in ro:
                     note(c)
             note(cartan)
@@ -431,15 +441,9 @@ def check_disjointness(h: HolomorphicSubspace) -> DisjointnessResult:
     block with no twist has Gauss entries and a constant determinant,
     taken on Gauss: a zero one raises and a nonzero one is no factor."""
     neg = h.datum.system.neg_index
-    vectors, conjugates = [], []
-    for w, line in h.lines.items():
-        if line and line[1]:
-            vectors.append({w: ONE, line[0]: line[1]})
-            conjugates.append({neg[w]: -ONE, neg[line[0]]: -line[1].conj()})
-        else:
-            vectors.append({w: ONE})
-            conjugates.append({neg[w]: -ONE})
-    vectors += conjugates
+    vectors = [{w: ONE, line[0]: line[1]} if line and line[1] else {w: ONE}
+               for w, line in h.lines.items()]
+    vectors += [_conj(v, neg) for v in vectors]
     class_of = h.datum.class_of
     per_block: dict[tuple[int, ...], list] = {}
     for v in vectors:
@@ -599,15 +603,15 @@ def _graded_w_and_perp(h: HolomorphicSubspace, values: Mapping[str, Gauss]):
     free = set(datum.Rprime)
     for w, line in h.at(values).lines.items():
         free.discard(w)
-        if line is None:
-            wblocks.setdefault(-wt[w], []).append({neg[w]: -ONE})
-            continue
-        wp, c = line[0], line[1].conj()
-        if wt[wp] != wt[w]:
-            raise StructError("l^C + m01 has an element of mixed theta-transverse weight")
-        free.discard(wp)
-        wblocks.setdefault(-wt[w], []).append({neg[w]: -ONE, neg[wp]: -c})
-        perp.setdefault(wt[w], []).append({w: c, wp: Gauss(-sys.norm2(wp) / sys.norm2(w))})
+        v = {w: ONE}
+        if line is not None:
+            wp, c = line
+            if wt[wp] != wt[w]:
+                raise StructError("l^C + m01 has an element of mixed theta-transverse weight")
+            free.discard(wp)
+            v[wp] = c
+            perp.setdefault(wt[w], []).append({w: c.conj(), wp: Gauss(-sys.norm2(wp) / sys.norm2(w))})
+        wblocks.setdefault(-wt[w], []).append(_conj(v, neg))
     for r in sorted(free):
         perp.setdefault(wt[r], []).append({r: ONE})
     if sum(map(len, perp.values())) + sum(map(len, wblocks.values())) != len(sys.roots) + sys.rank:
@@ -625,7 +629,6 @@ def _bracket_into(sys: RootSystem, blocks: dict, room: dict, rho: int, rows):
     so only the one of the positive code is kept: a row enters it as
     itself when rho is positive, as its conjugate when -rho is, and as
     both when rho = 0.  Their bounds are equal, and so is their room."""
-    n, neg = len(sys.roots), sys.neg_index
     ech = blocks.get(abs(rho))
     for row in rows:
         if not row:
@@ -636,7 +639,7 @@ def _bracket_into(sys: RootSystem, blocks: dict, room: dict, rho: int, rows):
         if rho >= 0:
             ech.add(row)
         if rho <= 0:
-            ech.add({neg[c] if c < n else c: -x.conj() for c, x in row.items()})
+            ech.add(_conj(row, sys.neg_index))
         room[rho] = room[-rho] = room[rho] - (len(ech.rows) - rank)
         if room[rho] <= 0:
             return
@@ -776,8 +779,8 @@ def _rotated_s1_witness(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> 
     x = {h.su2.root: ONE, partner: twist}
     constraints: list[tuple[int, Q]] = []
     covered: set[tuple[frozenset[int], int]] = set()
-    for w, line in lines.items():
-        v = {w: ONE, line[0]: line[1]} if line else {w: ONE}
+    for v in _line_vectors(lines):
+        w = next(iter(v))  # the line's first root, of coefficient 1
         support, br = frozenset(v), {}
         root_bracket(sys, x, v, br, {})
         image = {k for k, c in br.items() if c}

@@ -142,10 +142,11 @@ def tilde_Re_type(cd: CongruenceDatum, re_roots: frozenset[int]) -> ReVerdict:
         if a in re_roots and b in re_roots:
             if not sys.strongly_orthogonal(a, b):
                 return ReVerdict(False, "dual pair does not span A1+A1", "?")
-    # closure under R_o strings
+    # closure under R_o strings, by the simple steps of ContactDatum.ro_generators:
+    # a set closed under them is a union of modules (decompose), which R_o keeps
     codes, get = sys.codes, sys.by_code.get
     for i in re_roots:
-        for d in datum.Ro.members:
+        for d in datum.ro_generators:
             k = get(codes[i] + codes[d])
             if k is not None and k not in re_roots:
                 return ReVerdict(False, "paired set is not closed under R_o strings", "?")

@@ -358,9 +358,9 @@ def enumerate_cr_graphs(system: RootSystem) -> list[CRGraph]:
             continue
         if not is_proper(g):
             continue
+        # a diagram symmetry keeps admissibility, goodness and the CR type
         rep = canonicalize(g)
-        vr = is_good(rep)
-        out[rep.serialize()] = CRGraph(rep, vr.cr_type, vr.theta)
+        out[rep.serialize()] = CRGraph(rep, v.cr_type, is_admissible(rep).theta)
     return sorted(out.values(), key=lambda c: c.graph.serialize())
 
 

@@ -25,7 +25,7 @@ over its determinant, by fraction-free elimination.  Ambient coordinates
 serve only parsing, printing and the canonical orderings, which read int
 numerators (RootVector.numerators); an integral vector prints with no
 Fraction.  Fractions are built only where coordinates are parsed and in
-canon(), norm2, inner and pairing.  A subsystem's type is read off the
+canon(), norm2 and inner.  A subsystem's type is read off the
 Cartan matrix of its base, and checked by counting its roots at each
 length (Humphreys 11.4).
 """
@@ -294,13 +294,6 @@ class RootSystem:
         cov = v.covector()
         return frozenset(i for i, e in enumerate(self.expansions)
                          if not sum(e[k] * y for k, y in cov))
-
-    def pairing(self, u: RootVector, beta: RootVector) -> Q:
-        """2 (u, beta) / (beta, beta); beta must be a root."""
-        bi = self.root_index(beta)
-        if bi is None:
-            raise RootSystemError("pairing against a non-root")
-        return Q(2 * _pair(u, beta), u.den * self.int_norms[bi])
 
     def root_index(self, v: RootVector) -> Optional[int]:
         return self._by_expansion.get(v.c) if v.den == 1 else None

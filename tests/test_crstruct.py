@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction as Q
+from math import lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from crlie import classify
 from crlie import contact as ct
@@ -13,6 +15,7 @@ from crlie.chevalley import LieElement
 from crlie.linalg import Row, nullspace
 from crlie.painted import PaintedGraph, is_good
 from crlie.scalars import ONE, P_ZERO, ZERO, Gauss, Poly, as_poly
+from test_rootsys import pairing_reference
 
 T_HALF = Gauss(Q(1, 2))
 UNIT = Gauss(Q(3, 5), Q(4, 5))  # |t| = 1
@@ -492,7 +495,7 @@ def test_g2_short_standard():
     # pair 1, 2 or 3 with theta
     d = h.datum
     assert set(h.lines) == {i for i, r in enumerate(d.system.roots)
-                            if d.system.pairing(r, d.theta) in (1, 2, 3)}
+                            if pairing_reference(d.system, r, d.theta) in (1, 2, 3)}
 
 
 def _brute_normalizer_excess(h, values):
@@ -1419,3 +1422,178 @@ def test_abs_locus_reports_every_root():
     r = Poly.var("t") * Poly.var("t~")
     f = (r - Poly.const(1)) * (r - Poly.const(2))
     assert cs._abs_locus(f) == "|t| != 1 and |t|^2 != 2"
+
+
+# -- the line algebra against the references it replaced -----------------------------
+
+
+def _in_lines(lines, second, image):
+    """Whether sum x E_r over image, whose values are nonzero, lies in the
+    span of the lines: the coefficient of a line's first root w fixes the
+    line's multiple, so E_w + c E_w' asks for c times it on w', and a root
+    on no line for 0.  second maps each w' to its w.  l_stable's membership
+    test before crstruct._reduce."""
+    for r, x in image.items():
+        if r in lines:
+            line = lines[r]
+            if line is not None and image.get(line[0], 0) != line[1] * x:
+                return False
+        elif second.get(r) not in image:
+            return False
+    return True
+
+
+def _l_stable_reference(h):
+    """HolomorphicSubspace.l_stable on _in_lines, with the weights of a
+    line's two roots compared as vectors."""
+    datum = h.datum
+    sysm = datum.system
+    lines = h.lines
+    second = {line[0]: w for w, line in lines.items() if line}
+    if any(datum.weights[w] != datum.weights[wp] for wp, w in second.items()):
+        return False
+    for d in datum.ro_generators:
+        for w, line in lines.items():
+            image = {}
+            for r, c in ((w, 1),) + ((line,) if line else ()):
+                if r == sysm.neg_index[d]:
+                    return False
+                k = sysm.sum_index(d, r)
+                if k is not None and c:
+                    image[k] = c * sysm.constants.n(d, r)
+            if not _in_lines(lines, second, image):
+                return False
+    return True
+
+
+def test_l_stable_matches_in_lines_reference():
+    # the certificate on _reduce is neither weaker nor stronger
+    seen = set()
+    for tag, dominant in SUM_FORM_TYPES:
+        sysm, forms = _sum_forms(tag, dominant)
+        for theta in forms:
+            for h in classify.classify_datum(ct.contact_datum(sysm, theta)).structures:
+                assert h.l_stable == _l_stable_reference(h), (h.label, theta.c)
+                seen.add(h.l_stable)
+    assert seen == {True, False}
+
+
+T, S = Poly.var("t"), Poly.var("s")
+# line twists, the zero twist of SU2Line(root, P_ZERO) among them
+TWISTS = [P_ZERO, Poly.const(1), Poly.const(Gauss(0, 2)), T, T * S - Poly.const(1), Poly.var("t~", 2)]
+# line multiples and perturbations: ints, as l_stable's images carry, and Polys
+MULTIPLES = [0, 1, -2, Poly.const(Gauss(1, 1)), S, T - Poly.const(3)]
+
+
+@st.composite
+def lines_and_image(draw):
+    """Lines on distinct roots of 0..9, and a nonzero image: a combination
+    of the lines, sometimes moved off their span."""
+    roots = draw(st.permutations(range(10)))
+    lines = {}
+    for _ in range(draw(st.integers(0, 4))):
+        w, roots = roots[0], roots[1:]
+        if draw(st.booleans()):
+            lines[w] = (roots[0], draw(st.sampled_from(TWISTS)))
+            roots = roots[1:]
+        else:
+            lines[w] = None
+    image = {}
+    for v in cs._line_vectors(lines):
+        a = draw(st.sampled_from(MULTIPLES))
+        for r, c in v.items():
+            image[r] = image.get(r, 0) + a * c
+    for r in draw(st.lists(st.sampled_from(range(10)), max_size=2)):
+        image[r] = image.get(r, 0) + draw(st.sampled_from(MULTIPLES[1:]))
+    return lines, {r: x for r, x in image.items() if x}
+
+
+@given(lines_and_image())
+@settings(derandomize=True, max_examples=400, deadline=None)
+# a zero-twist line: its multiple leaves nothing on w', in the span or off it
+@example(({0: (1, P_ZERO)}, {0: 1}))
+@example(({0: (1, P_ZERO)}, {0: 1, 1: T}))
+@example(({0: (1, T), 2: None}, {1: T}))
+def test_reduce_membership_matches_in_lines(case):
+    lines, image = case
+    second = {line[0]: w for w, line in lines.items() if line}
+    assert (not any(cs._reduce(lines, dict(image)).values())) == _in_lines(lines, second, image)
+
+
+def test_conj_matches_the_conjugate_on_rows_with_cartan_columns():
+    # [x, y] with y holding -a for roots a of x has Cartan columns; conj is
+    # the reference conjugate and an automorphism, conj [x, y] = [conj x, conj y]
+    rng = random.Random(29)
+    cartan_rows = 0
+    for tag in ("A2", "B3", "G2", "A1+A2"):
+        sysm = rs.parse_type(tag)
+        n = len(sysm.roots)
+        for _ in range(20):
+            roots = rng.sample(range(n), 3)
+            x = LieElement(sysm, {r: Gauss(rng.randint(-3, 3), rng.randint(1, 3)) for r in roots})
+            y = LieElement(sysm, {sysm.neg_index[r]: Gauss(rng.randint(1, 3), rng.randint(-3, 3))
+                                  for r in roots[:2]})
+            br = x.bracket(y)
+            (row,) = coordinate_rows(sysm, [br])
+            cartan_rows += any(c >= n for c in row)
+            got = cs._conj(row, sysm.neg_index)
+            assert got == coordinate_rows(sysm, [conjugate(br)])[0], tag
+            assert got == coordinate_rows(sysm, [conjugate(x).bracket(conjugate(y))])[0], tag
+    assert cartan_rows > 0
+
+
+def test_theta_coroots_match_the_fraction_pairing():
+    # check_integrability's (theta, H_r): theta_pairings[r] * (L // int_norms[r])
+    # with L the lcm of the norms is pairing(theta, r) times one positive int
+    for t, theta in _golden_forms(6) + [("G2", "1,0,-1"), ("C3", "2,0,0"), ("A2+G2", "1,0,-1,1,0,-1")]:
+        sysm = rs.parse_type(t)
+        datum = ct.contact_datum(sysm, sysm.vector(theta.split(",")))
+        big = lcm(*sysm.int_norms)
+        got = [p * (big // m) for p, m in zip(datum.theta_pairings, sysm.int_norms)]
+        exact = [pairing_reference(sysm, datum.theta, r) for r in sysm.roots]
+        factors = {x / y for x, y in zip(got, exact) if y}
+        assert len(factors) == 1 and factors.pop() > 0, (t, theta)
+        assert all((x == 0) == (y == 0) for x, y in zip(got, exact)), (t, theta)
+
+
+def _propagate_by_members(datum, hw, partner):
+    """crstruct._propagate's twist coefficients from a walk over every root
+    of R_o, each step asserted consistent with every path before it."""
+    sysm = datum.system
+    weights = datum.modules[hw].weights
+    kappa = {hw: (partner, Q(1))}
+    frontier = [hw]
+    while frontier:
+        w = frontier.pop()
+        wp, kw = kappa[w]
+        for d in datum.Ro.members:
+            w2 = sysm.sum_index(w, d)
+            if w2 is None or w2 not in weights:
+                continue
+            step = (sysm.sum_index(wp, d), kw * Q(sysm.constants.n(d, wp), sysm.constants.n(d, w)))
+            assert step[0] is not None
+            if w2 not in kappa:
+                frontier.append(w2)
+            assert kappa.setdefault(w2, step) == step
+    assert set(kappa) == weights
+    return kappa
+
+
+def test_propagation_by_generators_matches_all_of_ro():
+    # the simple steps of R_o give kappa of the walk over all of R_o on every
+    # twisted pair the routes build over the sum forms of rank <= 6
+    from test_congruence import _dominant_sum_forms
+
+    tags = [f"{t}{r}" for t, r in classify.simple_types(6)]
+    tags += [f"A{p}+A{q}" for p, q in classify.product_types(6)]
+    count = 0
+    for tag in tags:
+        sysm = rs.parse_type(tag)
+        for theta in _dominant_sum_forms(tag):
+            F = classify.classify_datum(ct.contact_datum(sysm, theta))
+            for h in F.structures + tuple(x for x in (F.chart, F.fibered) if x is not None):
+                for pair in h.pairs:
+                    assert cs._propagate(h.datum, pair.hw, pair.partner) \
+                        == _propagate_by_members(h.datum, pair.hw, pair.partner), (tag, theta.c)
+                    count += 1
+    assert count > 0

@@ -4,7 +4,7 @@ A RootVector holds int simple-root coordinates over one positive
 denominator, in lowest terms, whichever way it was built; every pairing
 reads the int Gram matrix RootSystem._igram over gden.  The references
 here are the Fraction Gram matrix of the simple roots' ambient
-coordinates and the covector, inner product, pairing, squared length and
+coordinates and the covector, inner product, squared length and
 orthogonal complement built on it.
 Orderings and printed coordinates read RootVector.numerators(), the
 ambient coordinates times the system's one positive denominator; each
@@ -606,13 +606,10 @@ def perp_reference(s, vectors, gram):
 
 
 def check_pairings(s, gram, u, v):
-    """covector, inner and, against a root v, pairing of src against the
-    references."""
+    """covector and inner of src against the references."""
     assert {k: Q(y, v.den * s.gden) for k, y in v.covector()} == {
         k: x for k, x in enumerate(covector_reference(v, gram)) if x}
     assert s.inner(u, v) == inner_reference(u, v, gram)
-    if s.is_root(v):
-        assert s.pairing(u, v) == 2 * inner_reference(u, v, gram) / inner_reference(v, v, gram)
 
 
 @pytest.mark.parametrize("s", SYSTEMS, ids=rs.RootSystem.type_str)

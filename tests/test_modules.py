@@ -305,6 +305,33 @@ def test_e_series_candidates_never_close_to_e_type():
         assert v.re_type == re_type
 
 
+def test_tilde_re_string_closure_by_generators_matches_all_of_ro():
+    # the closure test walks the simple steps of R_o; the verdict is the one
+    # a walk over all of R_o gives, on every dominant class of R u (R +- R)
+    # of rank <= 8, for the paired roots and for each dual pair alone
+    from crlie.classify import simple_types
+    from test_congruence import _dominant_sum_forms
+
+    early = {"no paired roots", "candidate contains unpaired roots", "dual pair does not span A1+A1"}
+    seen = set()
+    for t, r in simple_types(8):
+        s = rs.build(t, r)
+        for theta in _dominant_sum_forms(f"{t}{r}") + list({s.dominant(x) for x in s.roots}):
+            d = ct.contact_datum(s, theta)
+            try:
+                cd = md.dual_pairs(d)
+            except md.CongruenceError:
+                continue
+            for re in [cd.paired_roots] + [frozenset(p) for p in cd.pairs]:
+                v = md.tilde_Re_type(cd, re)
+                if v.reason in early:
+                    continue  # decided before the closure test
+                closed = all(s.sum_index(i, j) in re | {None} for i in re for j in d.Ro.members)
+                assert (v.reason != "paired set is not closed under R_o strings") == closed
+                seen.add(closed)
+    assert seen == {True, False}
+
+
 def test_partition_sets_lemma_closures():
     d = datum("D5", [2, 0, 0, 0, 0])
     cd = md.dual_pairs(d)
