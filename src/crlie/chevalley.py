@@ -9,7 +9,9 @@ of one of two rings: Gaussian rationals (Gauss) once the twists are
 sampled, or polynomials in the twists (Poly) where they stay symbolic;
 every bracket is exact in either.  A Cartan element H(v) is sparse in the
 simple-root coordinates v_k of v, and acts on E_b through the int
-covector of b: (b, v) = sum_k v_k (b, alpha_k).
+covector of b: (b, v) = sum_k v_k (b, alpha_k).  [E_a, E_-a] is kept in
+ints, the coroot H_a times one positive constant of the system
+(ConstantTable.coroot_terms), so the structure checks meet no Fraction.
 
 The compact real form is span_R{ i*H, E_a - E_{-a}, i(E_a + E_{-a}) } and
 conjugation is taken relative to it: conj(E_a) = -E_{-a}, conj(H) = -H
@@ -19,6 +21,7 @@ antilinearly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 from .rootsys import RootSystem, RootVector
@@ -50,13 +53,15 @@ def root_string(system: RootSystem, alpha: RootVector, beta: RootVector) -> tupl
 class ConstantTable:
     """All Chevalley constants N(a, b) for one root system, in one dict:
     the positive pairs at construction, every other pair on its first
-    lookup, all in int arithmetic; and each coroot's terms on first use."""
+    lookup, all in int arithmetic; and each coroot's int terms on first use."""
 
     def __init__(self, system: RootSystem):
         self.system = system
         n = len(system.roots)
         self._n: dict[tuple[int, int], int] = {}
-        self._coroots: dict[int, tuple[tuple[int, Q], ...]] = {}
+        self._coroots: dict[int, tuple[tuple[int, int], ...]] = {}
+        self.coroot_scale = lcm(*set(system.int_norms))
+        self.coroot_factors = tuple(self.coroot_scale // m for m in system.int_norms)
         self._pos_order = sorted(
             (i for i in range(n) if system.positive[i]),
             key=lambda i: (system.height(i), system.roots[i].numerators()),
@@ -75,12 +80,14 @@ class ConstantTable:
                 0 if self.system.sum_index(i, j) is None else self._general(i, j))
             return val
 
-    def coroot_terms(self, i: int) -> tuple[tuple[int, Q], ...]:
-        """(k, 2 x_k / (a, a)) for the nonzero simple-root coordinates x_k of
-        root i = a, kept on first use: the Cartan part of [E_a, E_-a]."""
+    def coroot_terms(self, i: int) -> tuple[tuple[int, int], ...]:
+        """(k, x_k * coroot_factors[i]) for the nonzero simple-root
+        coordinates x_k of root i = a: the Cartan part of [E_a, E_-a], the
+        coroot 2a/(a, a) times M/(2 gden), with M = coroot_scale the lcm of
+        the int norms and coroot_factors[i] = M // int_norms[i]."""
         if i not in self._coroots:
-            s = Q(2) / self.system.norm2(i)
-            self._coroots[i] = tuple((k, s * x) for k, x in enumerate(self.system.expansions[i]) if x)
+            f = self.coroot_factors[i]
+            self._coroots[i] = tuple((k, f * x) for k, x in enumerate(self.system.expansions[i]) if x)
         return self._coroots[i]
 
     # -- construction ------------------------------------------------------------
@@ -165,7 +172,7 @@ class LieElement:
     Gauss.  The Cartan part is the vector v as a sparse dict {simple index:
     coefficient} of its simple-root coordinates; the element
     H(v) acts on a root vector E_b by (b, v) E_b, so the coroot H_a
-    corresponds to v = 2a/(a, a).
+    corresponds to v = 2a/(a, a) (bracket divides out coroot_terms' scale).
     """
 
     __slots__ = ("system", "e", "h")
@@ -180,7 +187,7 @@ class LieElement:
 
     @staticmethod
     def cartan(system: RootSystem, v: RootVector, coeff=1) -> "LieElement":
-        c = _coeff(coeff) * Q(1, v.den)
+        c = _coeff(coeff) * Gauss(Q(1, v.den))
         return LieElement(system, {}, {k: c * x for k, x in enumerate(v.c) if x})
 
     @staticmethod
@@ -238,6 +245,8 @@ class LieElement:
         sys = self.system
         e, h = {}, {}
         root_bracket(sys, self.e, other.e, e, h)
+        s = Gauss(Q(2 * sys.gden, sys.constants.coroot_scale))
+        h = {k: c * s for k, c in h.items()}
         if self.h:
             for j, cj in other.e.items():
                 val = _pair_vec(sys, j, self.h)
@@ -264,7 +273,8 @@ class LieElement:
 def root_bracket(system: RootSystem, x: Mapping, y: Mapping, e: dict, h: dict) -> None:
     """Add [x, y] for x and y sums of root vectors, each {root: coefficient},
     into e, by root, and h, by simple-root Cartan coordinate: N(a, b) E_(a+b)
-    for a root sum, and [E_a, E_-a] = H_a, the coroot 2a/(a, a)."""
+    for a root sum, and [E_a, E_-a] = H_a times M/(2 gden), in the int terms
+    of ConstantTable.coroot_terms."""
     tab = system.constants
     n, codes, get, neg = tab.n, system.codes, system.by_code.get, system.neg_index
     for i, ci in x.items():
@@ -290,4 +300,4 @@ def _accumulate(d: dict, k: int, c) -> None:
 def _pair_vec(system: RootSystem, i: int, h: Mapping):
     """(root_i, v) for v given by its sparse coordinates h: h against the
     root's int covector, over gden."""
-    return sum(h[k] * y for k, y in system.roots[i].covector() if k in h) * Q(1, system.gden)
+    return sum(h[k] * y for k, y in system.roots[i].covector() if k in h) * Gauss(Q(1, system.gden))

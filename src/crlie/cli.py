@@ -135,8 +135,10 @@ def cmd_roots(args) -> int:
 def cmd_table(args, which: int) -> int:
     if which == 1:
         top = classify.DEFAULT_MAX_RANK
-        lo, hi = (args.rank_range.split("-") + [str(top)])[:2] if args.rank_range else ("3", str(top))
-        if not (lo.isdecimal() and hi.isdecimal() and 3 <= int(lo) <= int(hi) <= top):
+        parts = args.rank_range.split("-") if args.rank_range else ["3"]
+        lo, hi = (parts + [str(top)])[:2]
+        if not (len(parts) <= 2 and lo.isdecimal() and hi.isdecimal()
+                and 3 <= int(lo) <= int(hi) <= top):
             raise UsageError(
                 f"--rank-range must be LO-HI with 3 <= LO <= HI <= {top}, got {args.rank_range!r}")
         report = Report("table1", tuple(classify.table1_rows(range(int(lo), int(hi) + 1))),
@@ -293,8 +295,7 @@ def cmd_check(args) -> int:
             if v.good:
                 row["cr_type"] = v.cr_type or ""
                 k, q = flag_pair(g)
-                row["K_type"] = k.type_str() if len(k) else "0"
-                row["Q_type"] = q.type_str() if len(q) else "0"
+                row["K_type"], row["Q_type"] = k.type_str(), q.type_str()
             elif v.witness is not None:
                 row["witness"] = format_vector(v.witness)
         rows.append(row)

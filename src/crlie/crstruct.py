@@ -203,7 +203,7 @@ def _conj(row: Mapping, neg) -> dict:
     return {neg[c] if c < len(neg) else c: -x.conj() for c, x in row.items()}
 
 
-def _propagate(datum: ContactDatum, hw: int, partner: int) -> dict[int, tuple[int, Q]]:
+def _propagate(datum: ContactDatum, hw: int, partner: int) -> dict[int, tuple[int, Gauss]]:
     """Equivariant twist coefficients: weight w of m(hw) maps to
     (w', kappa_w) with the twisted vectors E_w + c*kappa_w E_w'.
 
@@ -226,7 +226,7 @@ def _propagate(datum: ContactDatum, hw: int, partner: int) -> dict[int, tuple[in
         raise StructError("twisted pair of non-congruent modules")
     tab = sys.constants
     codes, get = sys.codes, sys.by_code.get
-    kappa: dict[int, tuple[int, Q]] = {hw: (partner, Q(1))}
+    kappa: dict[int, tuple[int, Gauss]] = {hw: (partner, ONE)}
     frontier = [hw]
     weights = mods[hw].weights
     while frontier:
@@ -241,7 +241,7 @@ def _propagate(datum: ContactDatum, hw: int, partner: int) -> dict[int, tuple[in
             if wp2 is None:
                 raise StructError("modules are not equivariantly matched")
             n2 = tab.n(d, wp)
-            val = kw * Q(n2, n1)
+            val = kw * n2 / n1
             if w2 in kappa:
                 if kappa[w2] != (wp2, val):
                     raise StructError("twist propagation is path dependent")
@@ -292,19 +292,18 @@ def check_integrability(h: HolomorphicSubspace) -> ConstraintSet:
     Each bracket of two lines is read off their at most four root pairs:
     N(r, s) E_(r+s) for a root sum, and for s = -r the coroot H_r, of
     theta-component (theta, H_r) = 2 (theta, r)/(r, r), read off
-    ContactDatum.theta_pairings and the int norms times one positive factor,
-    which primitive() divides out.  The bracket is reduced modulo m10 + l^C,
-    and every coefficient left, with its theta-component, is a condition.
-    A pair of homogeneous lines is skipped when its weight sum names no
-    live block: a sum that is no weight of g leaves nothing, and neither
-    does an absorbed block, one of nonzero weight whose roots all lie in
-    R_o or on lone lines E_w, since a bracket into it has no Cartan part
-    and reduces to 0."""
+    ContactDatum.theta_pairings times ConstantTable.coroot_factors, up to
+    one positive factor, which primitive() divides out.  The bracket is
+    reduced modulo m10 + l^C, and every coefficient left, with its
+    theta-component, is a condition.  A pair of homogeneous lines is
+    skipped when its weight sum names no live block: a sum that is no
+    weight of g leaves nothing, and neither does an absorbed block, one of
+    nonzero weight whose roots all lie in R_o or on lone lines E_w, since a
+    bracket into it has no Cartan part and reduces to 0."""
     datum = h.datum
     sys = datum.system
     n, codes, get, neg = sys.constants.n, sys.codes, sys.by_code.get, sys.neg_index
-    lines, tp, norms = h.lines, datum.theta_pairings, sys.int_norms
-    big = lcm(*set(norms))
+    lines, tp, factor = h.lines, datum.theta_pairings, sys.constants.coroot_factors
     gens: dict[frozenset, Poly] = {}
 
     def note(p):
@@ -333,7 +332,7 @@ def check_integrability(h: HolomorphicSubspace) -> ConstraintSet:
                 cr, nr = codes[r], neg[r]
                 for s, y in vecs[b].items():
                     if s == nr:
-                        cartan = cartan + x * y * (tp[r] * (big // norms[r]))
+                        cartan = cartan + x * y * (tp[r] * factor[r])
                     elif (k := get(cr + codes[s])) is not None:
                         c = n(r, s) * x * y
                         res[k] = res[k] + c if k in res else c
@@ -589,15 +588,14 @@ def _graded_w_and_perp(h: HolomorphicSubspace, values: Mapping[str, Gauss]):
     Cartan for t', and the roots of its line for a line's conjugate.  So W'
     is spanned by H(theta), which pairs to 0 with t' = theta-perp; by E_r
     for each root r of R' on no line whose coefficient is nonzero at values;
-    and by conj(c) E_w - ((w', w')/(w, w)) E_w' for each line with c
-    nonzero, which pairs to 0 with that line's conjugate.  Those are
+    and by conj(c) |w|^2 E_w - |w'|^2 E_w' for each line with c nonzero, in
+    the int norms, which pairs to 0 with that line's conjugate.  Those are
     |R'|/2 + 1 = dim g - dim W independent vectors.  A line with c nonzero
     whose two roots differ in weight would leave W ungraded, and raises.
     """
     datum = h.datum
     sys = datum.system
-    wt = datum.weight_codes
-    neg = sys.neg_index
+    wt, neg, norms = datum.weight_codes, sys.neg_index, sys.int_norms
     wblocks = {tau: list(els) for tau, els in datum.l_complex.items()}
     perp: dict[int, list] = {0: [datum.theta]}
     free = set(datum.Rprime)
@@ -610,7 +608,7 @@ def _graded_w_and_perp(h: HolomorphicSubspace, values: Mapping[str, Gauss]):
                 raise StructError("l^C + m01 has an element of mixed theta-transverse weight")
             free.discard(wp)
             v[wp] = c
-            perp.setdefault(wt[w], []).append({w: c.conj(), wp: Gauss(-sys.norm2(wp) / sys.norm2(w))})
+            perp.setdefault(wt[w], []).append({w: c.conj() * norms[w], wp: Gauss(-norms[wp])})
         wblocks.setdefault(-wt[w], []).append(_conj(v, neg))
     for r in sorted(free):
         perp.setdefault(wt[r], []).append({r: ONE})
@@ -651,8 +649,9 @@ def _bracket_row(datum: ContactDatum, x: dict, y) -> dict:
     i is column i, simple-root Cartan coordinate k column |R| + k.
     [E_r, H(theta)] = -(r, theta) E_r, read off
     ContactDatum.theta_pairings, whose positive factor scales the row and
-    leaves its span; [E_a, E_-a] is the coroot H_a
-    (ConstantTable.coroot_terms)."""
+    leaves its span; [E_a, E_-a] is the int coroot of
+    ConstantTable.coroot_terms, whose positive constant scales the Cartan
+    columns of every row alike."""
     if isinstance(y, RootVector):
         p = datum.theta_pairings
         return {r: -c * p[r] for r, c in x.items() if p[r]}

@@ -204,7 +204,7 @@ def short_root_families(datum: ContactDatum) -> Families:
     if len(pos) != 2:
         raise FamilyError("unexpected module structure for a short-root datum")
     # the long pair carries s, the short pair t; normalize so that s = t^2
-    long_hw, short_hw = sorted(pos, key=lambda hw: -system.norm2(hw))
+    long_hw, short_hw = sorted(pos, key=lambda hw: -system.int_norms[hw])
 
     def twisted(c_long, label=""):
         return HolomorphicSubspace(

@@ -52,11 +52,7 @@ class Report:
 
     def to_csv(self) -> str:
         rows = self.sorted().rows
-        keys: list[str] = []
-        for r in rows:
-            for k in r:
-                if k not in keys:
-                    keys.append(k)
+        keys = _columns(rows)
         buf = io.StringIO()
         w = csv.DictWriter(buf, fieldnames=keys, lineterminator="\n")
         w.writeheader()
@@ -68,11 +64,7 @@ class Report:
         rows = self.sorted().rows
         if not rows:
             return f"[{self.kind}] empty\n"
-        keys: list[str] = []
-        for r in rows:
-            for k in r:
-                if k not in keys:
-                    keys.append(k)
+        keys = _columns(rows)
         widths = {k: max(len(k), max(len(str(r.get(k, ""))) for r in rows)) for k in keys}
         lines = [f"[{self.kind}]"]
         lines.append("  ".join(k.ljust(widths[k]) for k in keys))
@@ -89,6 +81,11 @@ class Report:
         if fmt == "text":
             return self.to_text()
         raise ValueError(f"unknown format {fmt}")
+
+
+def _columns(rows) -> list[str]:
+    """The keys of the rows in order of first appearance."""
+    return list(dict.fromkeys(k for r in rows for k in r))
 
 
 _WHAT_ORDER = {"root": 0, "simple_root": 1, "highest_root": 2, "cartan_row": 3}

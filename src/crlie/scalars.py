@@ -9,8 +9,9 @@ A Gaussian rational is the int triple (a, b, d) meaning (a + b*i)/d, with
 d > 0 and gcd(a, b, d) == 1, so that equal values have equal triples.  An
 operation works on ints and divides out one three-way gcd, which it skips
 where the invariant already holds (a shared denominator of 1, an int
-addend).  The Fraction parts ``re`` and ``im`` are derived on demand for
-printing and the sort keys of reports.
+addend).  Arithmetic takes int, Gauss and Poly operands: a Fraction enters
+only through Gauss(re, im) and leaves through ``re``, ``im`` and ``abs2``,
+derived on demand for printing and the sort keys of reports.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ class Gauss:
     def im(self) -> Fraction:
         return Fraction(self.b, self.d)
 
-    # Operands other than int, Fraction and Gauss get NotImplemented, so
-    # that Gauss op Poly falls through to the Poly's reflected method.
+    # Operands other than int and Gauss get NotImplemented, so that Gauss
+    # op Poly falls through to the Poly's reflected method.
 
     def __add__(self, other) -> "Gauss":
         d = self.d
@@ -65,9 +66,6 @@ class Gauss:
         if isinstance(other, int):
             # gcd(a + n*d, b, d) = gcd(a, b, d) = 1
             return _mk(self.a + other * d, self.b, d)
-        if isinstance(other, Fraction):
-            n, q = other.numerator, other.denominator
-            return _reduce(self.a * q + n * d, self.b * q, d * q)
         return NotImplemented
 
     __radd__ = __add__
@@ -102,13 +100,10 @@ class Gauss:
         if isinstance(other, int):
             # gcd(a - n*d, b, d) = gcd(a, b, d) = 1
             return _mk(self.a - other * d, self.b, d)
-        if isinstance(other, Fraction):
-            n, q = other.numerator, other.denominator
-            return _reduce(self.a * q - n * d, self.b * q, d * q)
         return NotImplemented
 
     def __rsub__(self, other) -> "Gauss":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return (-self) + other
         return NotImplemented
 
@@ -128,9 +123,6 @@ class Gauss:
             g = gcd(other, self.d)
             n = other // g
             return _mk(self.a * n, self.b * n, self.d // g)
-        if isinstance(other, Fraction):
-            n, q = other.numerator, other.denominator
-            return _reduce(self.a * n, self.b * n, self.d * q)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -165,15 +157,14 @@ class Gauss:
     def __eq__(self, other) -> bool:
         if type(other) is Gauss:
             return self.a == other.a and self.b == other.b and self.d == other.d
-        if isinstance(other, (int, Fraction)):
-            return (not self.b and self.a == other.numerator
-                    and self.d == other.denominator)
+        if isinstance(other, int):
+            return not self.b and self.d == 1 and self.a == other
         return NotImplemented
 
     def __hash__(self):
-        # a real value hashes as its int or Fraction, which it equals
-        if not self.b:
-            return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
+        # a real integral value hashes as its int, which it equals
+        if not self.b and self.d == 1:
+            return hash(self.a)
         return hash((self.a, self.b, self.d))
 
     def __repr__(self) -> str:
@@ -208,13 +199,13 @@ ZERO = Gauss(0)
 ONE = Gauss(1)
 I = Gauss(0, 1)
 
-Scalarish = Union[int, Fraction, Gauss, "Poly"]
+Scalarish = Union[int, Gauss, "Poly"]
 
 
 def _as_gauss(x) -> Gauss:
     if isinstance(x, Gauss):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return Gauss(x)
     raise TypeError(f"cannot coerce {x!r} to Gauss")
 
@@ -279,7 +270,8 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
             # a unit factor leaves the polynomial as it is (Polys are never mutated)
-            return self if other == 1 else self.scale(other)
+            other = _as_gauss(other)
+            return self if other == ONE else self.scale(other)
         t: dict[Monomial, Gauss] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 
@@ -66,6 +67,28 @@ def test_coroot_action():
     H1 = ch.LieElement.coroot(prod, prod.simple_roots[0])
     E2 = root_vector(prod, prod.simple_roots[1])
     assert H1.bracket(E2).is_zero()
+
+
+def fraction_coroot(s, i):
+    """The coroot H_a = 2a/(a, a) of root i = a, as (simple index, Fraction
+    coordinate) for its nonzero coordinates."""
+    return [(k, 2 * x / s.norm2(i)) for k, x in enumerate(s.expansions[i]) if x]
+
+
+@pytest.mark.parametrize("tag", RANK_LE_4 + ["A1+A1"])
+def test_coroot_terms_are_the_scaled_fraction_coroot(tag):
+    # coroot_terms is H_a in ints, times the one constant M/(2 gden) of the
+    # system; LieElement.bracket divides it out again
+    s = rs.parse_type(tag)
+    tab = s.constants
+    scale = Q(tab.coroot_scale, 2 * s.gden)
+    assert tab.coroot_scale == lcm(*s.int_norms)
+    for i, a in enumerate(s.roots):
+        got = tab.coroot_terms(i)
+        assert all(type(t) is int for _, t in got)
+        assert [(k, Q(t)) for k, t in got] == [(k, x * scale) for k, x in fraction_coroot(s, i)]
+        ea, e_a = root_vector(s, a), root_vector(s, s.roots[s.neg_index[i]])
+        assert ea.bracket(e_a).h == {k: Gauss(x) for k, x in fraction_coroot(s, i)}
 
 
 def structure_const(system, alpha, beta):

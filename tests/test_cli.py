@@ -116,6 +116,10 @@ def test_table1_rank_range(capsys):
     abcd = {int(r["rank"]) for r in data["rows"] if r["type"] in "ABCD"}
     assert abcd == {4, 5, 6}
     assert any(r["type"] == "E" for r in data["rows"])
+    # LO alone runs to rank 8
+    assert run(["table1", "--rank-range", "5", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert {int(r["rank"]) for r in data["rows"] if r["type"] in "ABCD"} == {5, 6, 7, 8}
 
 
 def test_module_tables_below_rank_4(capsys):
@@ -397,6 +401,13 @@ def test_table1_rank_range_above_the_fixtures(capsys):
 def test_table1_rank_range_beyond_rank_8(capsys):
     assert run(["table1", "--rank-range", "9-9"]) == 64
     assert "HI <= 8" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("spec", ["3-4-5", "3-4-junk"])
+def test_table1_rank_range_with_trailing_fields(spec, capsys):
+    # a third field is refused, not dropped
+    assert run(["table1", "--rank-range", spec]) == 64
+    assert repr(spec) in _one_line_error(capsys)
 
 
 def test_out_to_a_missing_directory(tmp_path, capsys):

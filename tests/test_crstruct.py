@@ -63,7 +63,7 @@ def eval_functional(el, v):
     """(v, H-part of el) via the int covector of v, over its factor."""
     cov = dict(v.covector())
     return as_poly(sum(c * cov[k] for k, c in el.h.items() if k in cov)
-                   * Q(1, v.den * v.system.gden))
+                   * Gauss(Q(1, v.den * v.system.gden)))
 
 
 def evaluate_basis(h, values):
@@ -756,11 +756,11 @@ def form_row(x):
     """
     sysm = x.system
     n = len(sysm.roots)
-    row = {sysm.neg_index[i]: c * (Q(2) / sysm.norm2(i)) for i, c in x.e.items()}
+    row = {sysm.neg_index[i]: c * Gauss(Q(2) / sysm.norm2(i)) for i, c in x.e.items()}
     for k, g in enumerate(sysm._igram):
         val = sum(c * g[j] for j, c in x.h.items() if g[j])
         if val:
-            row[n + k] = val * Q(1, sysm.gden)
+            row[n + k] = val * Gauss(Q(1, sysm.gden))
     return row
 
 
@@ -1556,9 +1556,10 @@ def test_theta_coroots_match_the_fraction_pairing():
         assert all((x == 0) == (y == 0) for x, y in zip(got, exact)), (t, theta)
 
 
-def _propagate_by_members(datum, hw, partner):
-    """crstruct._propagate's twist coefficients from a walk over every root
-    of R_o, each step asserted consistent with every path before it."""
+def _fraction_kappa(datum, hw, partner, steps):
+    """crstruct._propagate's twist coefficients as products of Fractions
+    n2/n1, from a walk over the roots steps of R_o, each step asserted
+    consistent with every path before it; returned as Gauss values."""
     sysm = datum.system
     weights = datum.modules[hw].weights
     kappa = {hw: (partner, Q(1))}
@@ -1566,7 +1567,7 @@ def _propagate_by_members(datum, hw, partner):
     while frontier:
         w = frontier.pop()
         wp, kw = kappa[w]
-        for d in datum.Ro.members:
+        for d in steps:
             w2 = sysm.sum_index(w, d)
             if w2 is None or w2 not in weights:
                 continue
@@ -1576,24 +1577,42 @@ def _propagate_by_members(datum, hw, partner):
                 frontier.append(w2)
             assert kappa.setdefault(w2, step) == step
     assert set(kappa) == weights
-    return kappa
+    return {w: (wp, Gauss(k)) for w, (wp, k) in kappa.items()}
 
 
-def test_propagation_by_generators_matches_all_of_ro():
-    # the simple steps of R_o give kappa of the walk over all of R_o on every
-    # twisted pair the routes build over the sum forms of rank <= 6
+def _route_pairs():
+    """(tag, theta, datum, pair) for every twisted pair the routes build
+    over the dominant sum forms of rank <= 6."""
     from test_congruence import _dominant_sum_forms
 
     tags = [f"{t}{r}" for t, r in classify.simple_types(6)]
     tags += [f"A{p}+A{q}" for p, q in classify.product_types(6)]
-    count = 0
     for tag in tags:
         sysm = rs.parse_type(tag)
         for theta in _dominant_sum_forms(tag):
             F = classify.classify_datum(ct.contact_datum(sysm, theta))
             for h in F.structures + tuple(x for x in (F.chart, F.fibered) if x is not None):
                 for pair in h.pairs:
-                    assert cs._propagate(h.datum, pair.hw, pair.partner) \
-                        == _propagate_by_members(h.datum, pair.hw, pair.partner), (tag, theta.c)
-                    count += 1
+                    yield tag, theta.c, h.datum, pair
+
+
+def test_propagation_by_generators_matches_all_of_ro():
+    # the simple steps of R_o give kappa of the walk over all of R_o on every
+    # twisted pair the routes build over the sum forms of rank <= 6
+    count = 0
+    for tag, theta, datum, pair in _route_pairs():
+        assert cs._propagate(datum, pair.hw, pair.partner) \
+            == _fraction_kappa(datum, pair.hw, pair.partner, datum.Ro.members), (tag, theta)
+        count += 1
     assert count > 0
+
+
+def test_propagate_matches_the_fraction_kappa():
+    # kappa stepped in Gauss values from ONE equals the Fraction products
+    # Fraction(n2, n1) of the same walk over ro_generators, value for value
+    pairs = list(_route_pairs())
+    for tag, theta, datum, pair in pairs:
+        got = cs._propagate(datum, pair.hw, pair.partner)
+        assert all(type(k) is Gauss for _, k in got.values())
+        assert got == _fraction_kappa(datum, pair.hw, pair.partner, datum.ro_generators), (tag, theta)
+    assert len({(tag, theta) for tag, theta, _, _ in pairs}) > 20

@@ -55,7 +55,7 @@ def dense_rref(rows, ncols=None):
 def dense_remainder(vectors, v):
     """(coefficients, residual) of v against the span of vectors."""
     n, k = len(v), len(vectors)
-    aug = [list(u) + [Q(int(i == j)) for j in range(k)] for i, u in enumerate(vectors)]
+    aug = [list(u) + [int(i == j) for j in range(k)] for i, u in enumerate(vectors)]
     red, pivots = dense_rref(aug, ncols=n) if vectors else ([], [])
     w = list(v)
     coeffs = [0] * k

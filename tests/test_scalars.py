@@ -61,17 +61,17 @@ class RefGauss:
         return self.re * self.re + self.im * self.im
 
     def __eq__(self, other):
-        if isinstance(other, (int, Q)):
+        if isinstance(other, int):
             other = RefGauss(other)
         if not isinstance(other, RefGauss):
             return NotImplemented
         return (self.re, self.im) == (other.re, other.im)
 
     def __hash__(self):
-        # a real value hashes as its Fraction, equal to the int's hash when
-        # it is one; any other as its triple (a, b, d) over the lcm d
-        if self.im == 0:
-            return hash(self.re)
+        # a real integral value hashes as its int; any other as its triple
+        # (a, b, d) over the lcm d
+        if self.im == 0 and self.re.denominator == 1:
+            return hash(self.re.numerator)
         d = lcm(self.re.denominator, self.im.denominator)
         return hash((int(self.re * d), int(self.im * d), d))
 
@@ -101,10 +101,10 @@ def same(g, ref) -> bool:
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 small_ints = st.integers(min_value=-10**6, max_value=10**6)
-# (operand, its reference): an int, a Fraction or a Gauss
+# (operand, its reference): an int or a Gauss, some of them real rationals
 operands = st.one_of(
     small_ints.map(lambda n: (n, n)),
-    rationals.map(lambda q: (q, q)),
+    rationals.map(lambda q: (Gauss(q), RefGauss(q))),
     st.tuples(st.one_of(rationals, small_ints), st.one_of(rationals, small_ints)).map(
         lambda p: (Gauss(*p), RefGauss(*p))),
 )
@@ -256,8 +256,8 @@ def test_poly_eval_matches_substitution(p, values):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(rationals, polys)
 def test_equal_values_hash_equal(q, p):
-    # int, Fraction, Gauss and constant Poly of one value are == and hash alike
-    forms = [q, Gauss(q), Poly.const(q)] + ([q.numerator] if q.denominator == 1 else [])
+    # int, Gauss and constant Poly of one value are == and hash alike
+    forms = [Gauss(q), Poly.const(Gauss(q))] + ([q.numerator] if q.denominator == 1 else [])
     for x in forms:
         for y in forms:
             assert x == y and hash(x) == hash(y), (x, y)
@@ -270,10 +270,34 @@ def test_equal_values_hash_equal(q, p):
 
 def test_gauss_hash_matches_eq():
     assert len({Gauss(1), 1}) == 1
-    assert len({Poly.const(1), Gauss(1), 1, Q(1)}) == 1
-    assert len({Gauss(Q(1, 2)), Q(1, 2), Poly.const(Q(1, 2))}) == 1
+    assert len({Poly.const(1), Gauss(1), 1}) == 1
+    assert len({Gauss(Q(1, 2)), Poly.const(Gauss(Q(1, 2)))}) == 1
     assert len({Gauss(1, 2), Poly.const(Gauss(1, 2))}) == 1
     assert hash(Poly()) == hash(0)
+
+
+FRACTION_OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+@pytest.mark.parametrize("x", [Gauss(Q(1, 2), Q(1, 3)), Gauss(3), Gauss(0),
+                               Poly.var("t"), Poly.const(2), Poly()])
+@pytest.mark.parametrize("q", [Q(1, 2), Q(1), Q(0)])
+def test_fraction_operands_raise_type_error(x, q):
+    # a Fraction enters only through Gauss(re, im): arithmetic with one
+    # raises, in both orders, and a Gauss or Poly never equals one
+    for op in FRACTION_OPS:
+        for args in ((x, q), (q, x)):
+            with pytest.raises(TypeError):
+                op(*args)
+    assert x != q and q != x
+
+
+def test_fractions_build_through_the_constructor_only():
+    with pytest.raises(TypeError):
+        Poly.const(Q(1, 2))
+    g = Gauss(Q(1, 2), Q(1, 3))
+    assert (g.a, g.b, g.d) == (3, 2, 6) and (g.re, g.im) == (Q(1, 2), Q(1, 3))
+    assert (Gauss(Q(4, 2)).a, Gauss(Q(4, 2)).d) == (2, 1) and Gauss(Q(4, 2)) == 2
 
 
 def test_poly_conj_swaps_partners():

@@ -49,7 +49,11 @@ some of these representatives give subspaces l^C + m01 that are not
 l-stable, so the normalizer is diffed where its blocks stop at dim g_rho
 and not at the l-bound.  Last, ``check --graph`` in JSON on every painting
 of B4, C4, D4, F4 and G2, so the counted goodness verdicts are diffed on
-the two-length systems and on D4's triality too.
+the two-length systems and on D4's triality too.  Last, the CSV renderer:
+``classify --what primitive|nonprimitive|special --max-rank 8``,
+``table1``, ``table2``/``table3 --max-rank 8``, ``roots --type E6``,
+``check --family`` on the first two golden forms and ``check --graph`` on
+the first two golden graphs, each with ``--format csv``.
 The commands run in one process, through ``crlie.cli.main``.
 """
 
@@ -224,6 +228,15 @@ def battery(data: Path, rootsys) -> list[list[str]]:
              for t, theta in conjugate_forms(rootsys)]
     for t, ranks in MORE_PAINTED_TYPES:
         cmds += [["check", "--graph", g, *json_fmt] for g in all_paintings(t, ranks)]
+    csv_fmt = ["--format", "csv"]
+    cmds += [["classify", "--what", what, "--max-rank", "8", *csv_fmt]
+             for what in ("primitive", "nonprimitive", "special")]
+    cmds.append(["table1", *csv_fmt])
+    cmds += [[f"table{n}", "--max-rank", "8", *csv_fmt] for n in (2, 3)]
+    cmds.append(["roots", "--type", "E6", *csv_fmt])
+    cmds += [["check", "--type", t, f"--theta={theta}", "--family", *csv_fmt]
+             for t, theta in golden_forms(data)[:2]]
+    cmds += [["check", "--graph", g, *csv_fmt] for g in golden_graphs(data)[:2]]
     return cmds
 
 
