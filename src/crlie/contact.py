@@ -8,7 +8,6 @@ R' = R \\ R_o.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .rootsys import RootSystem, RootVector, Subsystem, int_codes
@@ -19,23 +18,37 @@ class ContactError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class ContactDatum:
     """A homogeneous contact manifold, as root data.
 
     The tables derived from it (its modules, the theta-transverse weights
     that grade g and its theta-congruence classes, t' and the center of l,
     a basis of l^C and its twist propagations) are built on first use and
-    live as long as the datum does.
+    live as long as the datum does.  Two data are equal when their five
+    fields are, and hash alike: a HolomorphicSubspace's value reaches its
+    datum.
     """
 
-    system: RootSystem
-    theta: RootVector
-    Ro: Subsystem
-    Rprime: frozenset[int]
-    # (a, theta) for each root a, by root index, times one positive int:
-    # each root's expansion paired with theta's int covector
-    theta_pairings: tuple[int, ...]
+    def __init__(self, system: RootSystem, theta: RootVector, Ro: Subsystem,
+                 Rprime: frozenset[int], theta_pairings: tuple[int, ...]):
+        self.system = system
+        self.theta = theta
+        self.Ro = Ro
+        self.Rprime = Rprime
+        # (a, theta) for each root a, by root index, times one positive int:
+        # each root's expansion paired with theta's int covector
+        self.theta_pairings = theta_pairings
+
+    def _key(self) -> tuple:
+        return self.system, self.theta, self.Ro, self.Rprime, self.theta_pairings
+
+    def __eq__(self, other):
+        if other.__class__ is not ContactDatum:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @cached_property
     def ro_generators(self) -> tuple[int, ...]:

@@ -31,11 +31,10 @@ RootVector.covector), each up to one positive factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, Optional
 
 from .chevalley import root_bracket
 from .contact import ContactDatum
@@ -50,35 +49,71 @@ class StructError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class TwistedPair:
-    """Module m(hw) twisted into m(hw) + c * m(partner)."""
+    """Module m(hw) twisted into m(hw) + c * m(partner); equal and hashed
+    by value, as a part of HolomorphicSubspace's value."""
 
-    hw: int
-    partner: int
-    coeff: Poly
+    __slots__ = ("hw", "partner", "coeff")
+
+    def __init__(self, hw: int, partner: int, coeff: Poly):
+        self.hw = hw
+        self.partner = partner
+        self.coeff = coeff
+
+    def __eq__(self, other):
+        if other.__class__ is not TwistedPair:
+            return NotImplemented
+        return (self.hw, self.partner, self.coeff) == (other.hw, other.partner, other.coeff)
+
+    def __hash__(self):
+        return hash((self.hw, self.partner, self.coeff))
 
 
-@dataclass(frozen=True)
 class SU2Line:
-    """The line C(E_mu + c E_{-mu}) inside the root sl2."""
+    """The line C(E_mu + c E_{-mu}) inside the root sl2; equal and hashed
+    by value, as a part of HolomorphicSubspace's value."""
 
-    root: int
-    coeff: Poly
+    __slots__ = ("root", "coeff")
+
+    def __init__(self, root: int, coeff: Poly):
+        self.root = root
+        self.coeff = coeff
+
+    def __eq__(self, other):
+        if other.__class__ is not SU2Line:
+            return NotImplemented
+        return (self.root, self.coeff) == (other.root, other.coeff)
+
+    def __hash__(self):
+        return hash((self.root, self.coeff))
 
 
-@dataclass(frozen=True)
 class HolomorphicSubspace:
     """A candidate m10: twisted pairs, plain modules, the one-sided block
     R_J+ and an optional su2 line.  The twist parameters, every check and
-    the samples of the twists (at) all read one map, lines."""
+    the samples of the twists (at) all read one map, lines.  Two subspaces
+    are equal when their six fields are, and hash alike."""
 
-    datum: ContactDatum
-    pairs: tuple[TwistedPair, ...] = ()
-    plains: tuple[int, ...] = ()
-    rj_plus: frozenset[int] = frozenset()
-    su2: Optional[SU2Line] = None
-    label: str = ""
+    def __init__(self, datum: ContactDatum, pairs: tuple[TwistedPair, ...] = (),
+                 plains: tuple[int, ...] = (), rj_plus: frozenset[int] = frozenset(),
+                 su2: Optional[SU2Line] = None, label: str = ""):
+        self.datum = datum
+        self.pairs = pairs
+        self.plains = plains
+        self.rj_plus = rj_plus
+        self.su2 = su2
+        self.label = label
+
+    def _key(self) -> tuple:
+        return self.datum, self.pairs, self.plains, self.rj_plus, self.su2, self.label
+
+    def __eq__(self, other):
+        if other.__class__ is not HolomorphicSubspace:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @cached_property
     def lines(self) -> dict[int, Optional[tuple[int, Poly]]]:
@@ -168,12 +203,16 @@ class HolomorphicSubspace:
         return True
 
 
-class Sample(NamedTuple):
+class Sample:
     """A subspace at one sample: the values with their formal conjugates,
     and the lines with each twist evaluated, to None where it is 0."""
 
-    values: dict[str, Gauss]
-    lines: dict[int, Optional[tuple[int, Gauss]]]
+    __slots__ = ("values", "lines")
+
+    def __init__(self, values: dict[str, Gauss],
+                 lines: dict[int, Optional[tuple[int, Gauss]]]):
+        self.values = values
+        self.lines = lines
 
 
 def _line_vectors(lines: Mapping) -> list[dict]:
@@ -257,11 +296,13 @@ def _propagate(datum: ContactDatum, hw: int, partner: int) -> dict[int, tuple[in
 # -- integrability -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ConstraintSet:
     """Polynomial conditions on the twist parameters."""
 
-    generators: tuple[Poly, ...]
+    __slots__ = ("generators",)
+
+    def __init__(self, generators: tuple[Poly, ...]):
+        self.generators = generators
 
     @property
     def unconditional(self) -> bool:
@@ -376,9 +417,11 @@ def _is_monomial_multiple(g: Poly, h: Poly) -> bool:
 # -- disjointness ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class DisjointnessResult:
-    factors: tuple[Poly, ...]
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[Poly, ...]):
+        self.factors = factors
 
     def excluded_abs(self) -> list[str]:
         """Human forms of the excluded parameter loci."""
@@ -664,16 +707,32 @@ def _bracket_row(datum: ContactDatum, x: dict, y) -> dict:
 # -- parabolic fibration witnesses ------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ParabolicWitness:
-    sym_roots: frozenset[int]
-    fiber_dim: int
-    fiber_type: str
+    """A parabolic witness: its symmetric roots P and -P share, and its
+    fiber's dimension and type.  Equal and hashed by value."""
+
+    __slots__ = ("sym_roots", "fiber_dim", "fiber_type")
+
+    def __init__(self, sym_roots: frozenset[int], fiber_dim: int, fiber_type: str):
+        self.sym_roots = sym_roots
+        self.fiber_dim = fiber_dim
+        self.fiber_type = fiber_type
+
+    def __eq__(self, other):
+        if other.__class__ is not ParabolicWitness:
+            return NotImplemented
+        return ((self.sym_roots, self.fiber_dim, self.fiber_type)
+                == (other.sym_roots, other.fiber_dim, other.fiber_type))
+
+    def __hash__(self):
+        return hash((self.sym_roots, self.fiber_dim, self.fiber_type))
 
 
-@dataclass(frozen=True)
 class FibrationReport:
-    witnesses: tuple[ParabolicWitness, ...]
+    __slots__ = ("witnesses",)
+
+    def __init__(self, witnesses: tuple[ParabolicWitness, ...]):
+        self.witnesses = witnesses
 
     @property
     def primitive(self) -> bool:

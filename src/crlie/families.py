@@ -29,7 +29,6 @@ reads each unit off a constraint of a raw chart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .contact import ContactDatum
@@ -48,7 +47,6 @@ class FamilyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Families:
     """Where classify_datum sent a contact datum, and the invariant
     structures found there.
@@ -64,14 +62,22 @@ class Families:
     s = t^2, where there is one.
     """
 
-    datum: ContactDatum
-    route: str
-    structures: tuple[HolomorphicSubspace, ...] = ()
-    family: Optional[int] = None
-    primitive: Optional[HolomorphicSubspace] = None
-    fibered: Optional[HolomorphicSubspace] = None
-    chart: Optional[HolomorphicSubspace] = None
-    reason: str = ""
+    __slots__ = ("datum", "route", "structures", "family", "primitive", "fibered", "chart",
+                 "reason")
+
+    def __init__(self, datum: ContactDatum, route: str,
+                 structures: tuple[HolomorphicSubspace, ...] = (), family: Optional[int] = None,
+                 primitive: Optional[HolomorphicSubspace] = None,
+                 fibered: Optional[HolomorphicSubspace] = None,
+                 chart: Optional[HolomorphicSubspace] = None, reason: str = ""):
+        self.datum = datum
+        self.route = route
+        self.structures = structures
+        self.family = family
+        self.primitive = primitive
+        self.fibered = fibered
+        self.chart = chart
+        self.reason = reason
 
 
 def _unit_from_binomial(g: Poly, lead_var: str) -> Gauss:

@@ -10,8 +10,6 @@ generated by the paired roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .contact import ContactDatum
 from .rootsys import Subsystem
 
@@ -20,12 +18,14 @@ class CongruenceError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class IrredModule:
     """Irreducible centralizer module spanned by root vectors."""
 
-    highest: int
-    weights: frozenset[int]
+    __slots__ = ("highest", "weights")
+
+    def __init__(self, highest: int, weights: frozenset[int]):
+        self.highest = highest
+        self.weights = weights
 
     def __len__(self):
         return len(self.weights)
@@ -80,12 +80,14 @@ def congruence_groups(datum: ContactDatum) -> list[list[IrredModule]]:
     return list(groups.values())
 
 
-@dataclass(frozen=True)
 class CongruenceDatum:
     """All theta-dual pairs of a contact datum."""
 
-    datum: ContactDatum
-    pairs: tuple[tuple[int, int], ...]  # unordered pairs, stored sorted
+    __slots__ = ("datum", "pairs")
+
+    def __init__(self, datum: ContactDatum, pairs: tuple[tuple[int, int], ...]):
+        self.datum = datum
+        self.pairs = pairs  # unordered pairs, stored sorted
 
     @property
     def paired_roots(self) -> frozenset[int]:
@@ -114,14 +116,16 @@ def dual_pairs(datum: ContactDatum) -> CongruenceDatum:
     return CongruenceDatum(datum, tuple(sorted(g for g in classes if len(g) == 2)))
 
 
-@dataclass(frozen=True)
 class ReVerdict:
     """Outcome of matching a candidate paired-root set against the allowed
     D-type / B3 shapes and canonical contact forms."""
 
-    accepted: bool
-    reason: str
-    re_type: str
+    __slots__ = ("accepted", "reason", "re_type")
+
+    def __init__(self, accepted: bool, reason: str, re_type: str):
+        self.accepted = accepted
+        self.reason = reason
+        self.re_type = re_type
 
 
 def tilde_Re_type(cd: CongruenceDatum, re_roots: frozenset[int]) -> ReVerdict:

@@ -23,7 +23,6 @@ and puts each through the same is_good, is_proper and canonicalize.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -36,18 +35,29 @@ class GraphError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class PaintedGraph:
-    system: RootSystem
-    colors: tuple[str, ...]
+    """A painting of a system's Dynkin diagram, one color per node; equal
+    and hashed by value."""
 
-    def __post_init__(self):
-        if len(self.colors) != self.system.rank:
-            raise GraphError(f"{self.system.type_str()} has {self.system.rank} nodes, "
-                             f"expected one color per node, got {len(self.colors)}")
-        for k, c in enumerate(self.colors, 1):
+    __slots__ = ("system", "colors")
+
+    def __init__(self, system: RootSystem, colors: tuple[str, ...]):
+        if len(colors) != system.rank:
+            raise GraphError(f"{system.type_str()} has {system.rank} nodes, "
+                             f"expected one color per node, got {len(colors)}")
+        for k, c in enumerate(colors, 1):
             if c not in (WHITE, BLACK, GREY):
                 raise GraphError(f"node {k} has color {c!r}, expected w, b or g")
+        self.system = system
+        self.colors = colors
+
+    def __eq__(self, other):
+        if other.__class__ is not PaintedGraph:
+            return NotImplemented
+        return self.system == other.system and self.colors == other.colors
+
+    def __hash__(self):
+        return hash((self.system, self.colors))
 
     # -- serialization ---------------------------------------------------------
 
@@ -86,16 +96,19 @@ def _single_laced(system: RootSystem, nodes: frozenset[int]) -> bool:
     return all(C[i][j] * C[j][i] in (0, 1) for i in nodes for j in nodes if i != j)
 
 
-@dataclass(frozen=True)
 class GraphVerdict:
-    admissible: bool
-    reason: str
-    shape: str = ""  # "d-shape", "split", "special"
-    gamma_e: frozenset[int] = frozenset()
-    theta: Optional[RootVector] = None
-    good: Optional[bool] = None
-    cr_type: Optional[str] = None
-    whites: frozenset[int] = frozenset()  # the white nodes of a judged painting
+    def __init__(self, admissible: bool, reason: str, shape: str = "",
+                 gamma_e: frozenset[int] = frozenset(), theta: Optional[RootVector] = None,
+                 good: Optional[bool] = None, cr_type: Optional[str] = None,
+                 whites: frozenset[int] = frozenset()):
+        self.admissible = admissible
+        self.reason = reason
+        self.shape = shape  # "d-shape", "split", "special"
+        self.gamma_e = gamma_e
+        self.theta = theta
+        self.good = good
+        self.cr_type = cr_type
+        self.whites = whites  # the white nodes of a judged painting
 
     @cached_property
     def missing(self) -> frozenset[int]:
@@ -294,11 +307,13 @@ def canonicalize(g: PaintedGraph) -> PaintedGraph:
     return best[1]
 
 
-@dataclass(frozen=True)
 class CRGraph:
-    graph: PaintedGraph
-    cr_type: str
-    theta: RootVector
+    __slots__ = ("graph", "cr_type", "theta")
+
+    def __init__(self, graph: PaintedGraph, cr_type: str, theta: RootVector):
+        self.graph = graph
+        self.cr_type = cr_type
+        self.theta = theta
 
 
 def _paint(system: RootSystem, greys: frozenset[int], gamma_e: frozenset[int]) -> tuple[str, ...]:

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from dataclasses import dataclass
 
 KINDS = (
     "roots",
@@ -20,15 +18,15 @@ KINDS = (
 )
 
 
-@dataclass(frozen=True)
 class Report:
-    kind: str
-    rows: tuple[dict, ...]
-    provenance: tuple[str, ...] = ()
+    __slots__ = ("kind", "rows", "provenance")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown report kind {self.kind}")
+    def __init__(self, kind: str, rows: tuple[dict, ...], provenance: tuple[str, ...] = ()):
+        if kind not in KINDS:
+            raise ValueError(f"unknown report kind {kind}")
+        self.kind = kind
+        self.rows = rows
+        self.provenance = provenance
 
     def sorted(self) -> "Report":
         return Report(self.kind, tuple(sorted(self.rows, key=_row_key)), self.provenance)
@@ -51,6 +49,8 @@ class Report:
         )
 
     def to_csv(self) -> str:
+        import csv
+
         rows = self.sorted().rows
         keys = _columns(rows)
         buf = io.StringIO()

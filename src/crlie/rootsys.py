@@ -33,7 +33,6 @@ length (Humphreys 11.4).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -52,13 +51,15 @@ class RootSystemError(ValueError):
     """Invalid type/rank combination or ill-formed query."""
 
 
-@dataclass(frozen=True)
 class Block:
     """One coordinate block of the ambient space."""
 
-    kind: str  # "ortho", "rel" or "aux"
-    start: int
-    size: int
+    __slots__ = ("kind", "start", "size")
+
+    def __init__(self, kind: str, start: int, size: int):
+        self.kind = kind  # "ortho", "rel" or "aux"
+        self.start = start
+        self.size = size
 
 
 class RootVector:
@@ -84,6 +85,17 @@ class RootVector:
             c, den = tuple(x // g for x in c), den // g
         self.system, self.c, self.den = system, c, den
         self._num = self._cov = None
+
+    @staticmethod
+    def _roots(system: "RootSystem", expansions: Iterable[tuple[int, ...]]) -> list:
+        """The roots of system from their expansions, which are primitive
+        int tuples already: no type check and no gcd."""
+        out = []
+        for e in expansions:
+            v = object.__new__(RootVector)
+            v.system, v.c, v.den, v._num, v._cov = system, e, 1, None, None
+            out.append(v)
+        return out
 
     def _ints(self) -> tuple:
         """Ambient coordinates in the sum-zero gauge times
@@ -216,7 +228,7 @@ class RootSystem:
 
         # simple-root expansions as int tuples, and the root of each one
         self.expansions: list[tuple[int, ...]] = _root_expansions(self._cartan)
-        self.roots = [RootVector(self, e) for e in self.expansions]
+        self.roots = RootVector._roots(self, self.expansions)
         self._by_expansion = {e: i for i, e in enumerate(self.expansions)}
         # one int per root: a sum or difference of two roots is a root exactly
         # when the sum or difference of their codes is a root's code

@@ -544,6 +544,18 @@ def test_root_codes_match_tuple_paths(system):
                 j not in (i, neg[i]) and total is None and diff is None)
 
 
+@pytest.mark.parametrize("t,r", classify.simple_types(8))
+def test_built_roots_match_the_checked_constructor(t, r):
+    """A build sets its roots' fields with no check; each root is the vector
+    the public constructor makes from its expansion."""
+    s = rs.build(t, r)
+    assert len(s.roots) == len(s.expansions)
+    for v, e in zip(s.roots, s.expansions):
+        ref = rs.RootVector(s, e)
+        assert v == ref and (v.c, v.den) == (ref.c, ref.den) == (e, 1)
+        assert v.numerators() == ref.numerators() and v.covector() == ref.covector()
+
+
 @pytest.mark.parametrize("tag", [f"B{r}" for r in range(2, 9)] + [f"C{r}" for r in range(3, 9)]
                          + ["F4", "G2"])
 def test_int_general_matches_fraction_reference(tag):
