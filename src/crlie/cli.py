@@ -20,7 +20,7 @@ from importlib import resources
 
 from . import classify
 from .contact import ContactDatum, contact_datum
-from .crstruct import HolomorphicSubspace, StructError, SU2Line, TwistedPair
+from .crstruct import HolomorphicSubspace, StructError, TwistedPair
 from .modules import dual_pairs
 from .painted import GraphError, PaintedGraph, flag_pair, is_good
 from .report import Report
@@ -267,11 +267,11 @@ def build_subspace(datum: ContactDatum, spec) -> HolomorphicSubspace:
     elif "rj_plus" in spec:
         raise UsageError(f'invalid --m10 spec: rj_plus must be "positive" or a list of roots, '
                          f"got {rj_spec!r}")
-    su2 = None
-    if "su2" in spec:
-        mu, coeff = _shaped(spec["su2"], "su2", "[root, coefficient]", 2)
-        su2 = SU2Line(_root_index(system, mu, "su2"), _parse_coeff(coeff))
-    return HolomorphicSubspace(datum, tuple(pairs), plains, rj, su2)
+    if "su2" in spec:  # the line E_mu + c E_-mu is the pair (mu, -mu, c)
+        root, coeff = _shaped(spec["su2"], "su2", "[root, coefficient]", 2)
+        mu = _root_index(system, root, "su2")
+        pairs.append(TwistedPair(mu, system.neg_index[mu], _parse_coeff(coeff)))
+    return HolomorphicSubspace(datum, tuple(pairs), plains, rj)
 
 
 def cmd_check(args) -> int:

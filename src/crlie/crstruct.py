@@ -1,14 +1,16 @@
 """Candidate invariant CR structures as holomorphic subspaces.
 
-A holomorphic subspace is assembled from twisted module pairs
-(highest-weight vector E_a + c E_b for congruent a, b), whole modules,
-a one-sided nilpotent block, and optionally a twisted rank-one line
-C(E_mu + c E_{-mu}).  Each part contributes lines to one map,
-HolomorphicSubspace.lines: root w maps to (w', c) for the basis vector
-E_w + c E_w', or to None for E_w alone.  Every check reads that map, or
-HolomorphicSubspace.at(values), the lines with their twists evaluated
-once per sample, and brackets their roots through the structure
-constants; none builds a basis of Lie algebra elements.  Integrability and
+A holomorphic subspace is assembled from three kinds of part: twisted
+module pairs (highest-weight vector E_a + c E_b for congruent a, b),
+whole modules, and a one-sided nilpotent block.  A twisted rank-one line
+C(E_mu + c E_{-mu}) is the pair of the one-root modules {mu} and {-mu},
+which exist where theta lies along mu and mu is strongly orthogonal to
+R_o; with c = 0 it is the whole module {mu}.  Each part contributes lines
+to one map, HolomorphicSubspace.lines: root w maps to (w', c) for the
+basis vector E_w + c E_w', or to None for E_w alone.  Every check reads
+that map, or HolomorphicSubspace.at(values), the lines with their twists
+evaluated once per sample, and brackets their roots through the
+structure constants; none builds a basis of Lie algebra elements.  Integrability and
 disjointness are polynomial in the twists and decided symbolically;
 standardness, the normalizer dimension and the parabolic fibration
 witnesses at sampled Gaussian-rational values, all exactly.  The
@@ -69,43 +71,24 @@ class TwistedPair:
         return hash((self.hw, self.partner, self.coeff))
 
 
-class SU2Line:
-    """The line C(E_mu + c E_{-mu}) inside the root sl2; equal and hashed
-    by value, as a part of HolomorphicSubspace's value."""
-
-    __slots__ = ("root", "coeff")
-
-    def __init__(self, root: int, coeff: Poly):
-        self.root = root
-        self.coeff = coeff
-
-    def __eq__(self, other):
-        if other.__class__ is not SU2Line:
-            return NotImplemented
-        return (self.root, self.coeff) == (other.root, other.coeff)
-
-    def __hash__(self):
-        return hash((self.root, self.coeff))
-
-
 class HolomorphicSubspace:
-    """A candidate m10: twisted pairs, plain modules, the one-sided block
-    R_J+ and an optional su2 line.  The twist parameters, every check and
-    the samples of the twists (at) all read one map, lines.  Two subspaces
-    are equal when their six fields are, and hash alike."""
+    """A candidate m10: twisted pairs, plain modules and the one-sided
+    block R_J+.  An su2 line C(E_mu + c E_{-mu}) is the pair (mu, -mu, c).
+    The twist parameters, every check and the samples of the twists (at)
+    all read one map, lines.  Two subspaces are equal when their five
+    fields are, and hash alike."""
 
     def __init__(self, datum: ContactDatum, pairs: tuple[TwistedPair, ...] = (),
                  plains: tuple[int, ...] = (), rj_plus: frozenset[int] = frozenset(),
-                 su2: Optional[SU2Line] = None, label: str = ""):
+                 label: str = ""):
         self.datum = datum
         self.pairs = pairs
         self.plains = plains
         self.rj_plus = rj_plus
-        self.su2 = su2
         self.label = label
 
     def _key(self) -> tuple:
-        return self.datum, self.pairs, self.plains, self.rj_plus, self.su2, self.label
+        return self.datum, self.pairs, self.plains, self.rj_plus, self.label
 
     def __eq__(self, other):
         if other.__class__ is not HolomorphicSubspace:
@@ -120,13 +103,15 @@ class HolomorphicSubspace:
         """The lines of m10 in basis order: root w maps to (w', c) when
         E_w + c E_w' is a basis vector and to None when E_w alone is.
 
-        Raises when a pair does not propagate or a plain is no module, then
-        when the dimension is not half of |R'|, then when a root lies on
-        two lines, then when a root lies in R_o: m10 lies in m^C, the span
-        of the E_r for r in R'."""
+        Raises when a root of a pair lies in R_o (m10 lies in m^C, the
+        span of the E_r for r in R'), when a pair does not propagate or a
+        plain is no module, then when the dimension is not half of |R'|,
+        then when a root lies on two lines, then when a root of R_J+ lies
+        in R_o."""
         datum = self.datum
         lines: list[tuple[int, Optional[tuple[int, Poly]]]] = []
         for pair in self.pairs:
+            _in_rprime(datum, (pair.hw, pair.partner))
             kappa = _propagate(datum, pair.hw, pair.partner)
             lines += [(w, (wp, pair.coeff * k)) for w, (wp, k) in sorted(kappa.items())]
         for hw in self.plains:
@@ -134,8 +119,6 @@ class HolomorphicSubspace:
                 raise StructError("not a module highest weight")
             lines += [(w, None) for w in sorted(datum.modules[hw].weights)]
         lines += [(r, None) for r in sorted(self.rj_plus)]
-        if self.su2 is not None:
-            lines.append((self.su2.root, (datum.system.neg_index[self.su2.root], self.su2.coeff)))
         if 2 * len(lines) != len(datum.Rprime):
             raise StructError(
                 f"subspace dimension {len(lines)} is not half of |R'| = {len(datum.Rprime)}"
@@ -143,10 +126,7 @@ class HolomorphicSubspace:
         roots = [w for w, _ in lines] + [line[0] for _, line in lines if line is not None]
         if len(set(roots)) != len(roots):
             raise StructError("a root carries two roles in the subspace")
-        for r in roots:
-            if r not in datum.Rprime:
-                raise StructError(f"root {format_vector(datum.system.roots[r])} lies in R_o, "
-                                  "but m10 lies in m^C, spanned by R'")
+        _in_rprime(datum, sorted(self.rj_plus))  # modules partition R'
         return dict(lines)
 
     def at(self, values: Mapping[str, Gauss]) -> "Sample":
@@ -213,6 +193,15 @@ class Sample:
                  lines: dict[int, Optional[tuple[int, Gauss]]]):
         self.values = values
         self.lines = lines
+
+
+def _in_rprime(datum: ContactDatum, roots) -> None:
+    """Raises, naming the first root of R_o among roots: m10 lies in m^C,
+    the span of the E_r for r in R'."""
+    for r in roots:
+        if r not in datum.Rprime:
+            raise StructError(f"root {format_vector(datum.system.roots[r])} lies in R_o, "
+                              "but m10 lies in m^C, spanned by R'")
 
 
 def _line_vectors(lines: Mapping) -> list[dict]:
@@ -757,8 +746,9 @@ def find_crf_parabolics(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> 
     none when it is R.  A pair that the closure leaves undecided means m10
     is not complementary to its conjugate at these values; that raises.
 
-    For subspaces with a twisted rank-one part, the parabolic reduction
-    adapted to the rotated Cartan through that line (S^1 fibers) is added.
+    For subspaces with a twisted su2 line, the pair of a root and its
+    negative, the parabolic reduction adapted to the rotated Cartan through
+    that line (S^1 fibers) is added.
     """
     sys = h.datum.system
     datum = h.datum
@@ -826,15 +816,18 @@ def sphere_bundle_name(comps: list[tuple[str, int]]) -> str:
 
 
 def _rotated_s1_witness(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> Optional[ParabolicWitness]:
-    """S^1-fiber reduction adapted to the twisted rank-one line, when one
-    exists: requires a regular su2 part and no pair of mutually negative
-    eigenlines inside the subspace."""
-    if h.su2 is None or h.at(values).lines[h.su2.root] is None:
-        return None
+    """S^1-fiber reduction adapted to the twisted su2 line, the pair whose
+    partner is the negative of its highest weight, when one exists (no
+    root lies on two lines, so there is at most one): requires a nonzero
+    twist at values and no pair of mutually negative eigenlines inside the
+    subspace."""
     sys, datum = h.datum.system, h.datum
+    mu = next((p.hw for p in h.pairs if p.partner == sys.neg_index[p.hw]), None)
     lines = dict(h.at(values).lines)
-    partner, twist = lines.pop(h.su2.root)
-    x = {h.su2.root: ONE, partner: twist}
+    if mu is None or lines[mu] is None:
+        return None
+    partner, twist = lines.pop(mu)
+    x = {mu: ONE, partner: twist}
     constraints: list[tuple[int, Q]] = []
     covered: set[tuple[frozenset[int], int]] = set()
     for v in _line_vectors(lines):

@@ -16,8 +16,9 @@ FamilyError where the route classifies nothing.
 All three read the datum's modules (ContactDatum.modules) through the
 same helpers: _positive lists the theta-positive highest weights and
 _partner gives a highest weight's theta-congruent partner, so a twisted
-pair is (hw, _partner(hw)); _standard_family builds the one standard
-structure of a non-A special datum and of G2's short-root datum.
+pair is (hw, _partner(hw)); _standard builds the standard structure,
+the theta-positive modules, of every root route.  An su2 line is the
+pair (mu, -mu) of the one-root modules of theta's root mu.
 
 Twist charts are unit-normalized: the highest-weight pair coefficients are
 multiplied by fixed signs (computed once from the structure constants) so
@@ -35,12 +36,11 @@ from .contact import ContactDatum
 from .crstruct import (
     ConstraintSet,
     HolomorphicSubspace,
-    SU2Line,
     TwistedPair,
     check_integrability,
 )
 from .modules import CongruenceError, dual_pairs, tilde_Re_type
-from .scalars import Gauss, P_ZERO, Poly
+from .scalars import Gauss, Poly
 
 
 class FamilyError(ValueError):
@@ -118,15 +118,9 @@ def _partner(datum: ContactDatum, hw: int) -> Optional[int]:
     return next((h for h in datum.class_of[hw] if h != hw and h in datum.modules), None)
 
 
-def _standard_family(datum: ContactDatum, route: str) -> Families:
-    """The unique structure of a non-A special contact manifold or of the
-    short-root G2 one: the theta-positive part of R', standard, with a
-    zero su2 line on theta's root."""
-    top = datum.system.root_along(datum.theta)
-    upper = frozenset().union(*(datum.modules[hw].weights for hw in _positive(datum)))
-    h = HolomorphicSubspace(datum, rj_plus=upper - {top}, su2=SU2Line(top, P_ZERO),
-                            label="standard")
-    return Families(datum, route, (h,))
+def _standard(datum: ContactDatum, label: str = "standard") -> HolomorphicSubspace:
+    """The standard structure of a root route: the theta-positive modules."""
+    return HolomorphicSubspace(datum, plains=tuple(_positive(datum)), label=label)
 
 
 # -- special contact manifolds (theta parallel to a root) -------------------------------
@@ -140,27 +134,26 @@ def special_su_families(datum: ContactDatum) -> Families:
     the doubly twisted J0_t is primitive."""
     system = datum.system
     if system.dynkin_type[0][0] != "A":
-        return _standard_family(datum, "special")
-    mu_idx = system.root_index(datum.theta)
+        return Families(datum, "special", (_standard(datum),))
+    mu = system.root_index(datum.theta)
     t = Poly.var("t")
     s = Poly.var("s")
 
+    def su2(c):
+        return TwistedPair(mu, system.neg_index[mu], c)
+
     if system.rank == 1:
-        std = HolomorphicSubspace(datum, su2=SU2Line(mu_idx, P_ZERO), label="standard")
-        su2 = HolomorphicSubspace(datum, su2=SU2Line(mu_idx, t), label="disc family J_t")
-        return Families(datum, "special", (std, su2), fibered=su2)
+        j = HolomorphicSubspace(datum, pairs=(su2(t),), label="disc family J_t")
+        return Families(datum, "special", (_standard(datum), j), fibered=j)
 
     # the two level-1 modules; each one's partner leads the negative of the other
-    hw1, hw2 = (hw for hw in _positive(datum) if hw != mu_idx)
+    hw1, hw2 = (hw for hw in _positive(datum) if hw != mu)
     n2, n1 = _partner(datum, hw1), _partner(datum, hw2)
-
-    def plain(a, b, c, label):
-        return HolomorphicSubspace(datum, plains=(a, b), su2=SU2Line(mu_idx, c), label=label)
 
     def twisted(c1, c2, c_mu, label=""):
         return HolomorphicSubspace(
-            datum, pairs=(TwistedPair(hw1, n2, c1), TwistedPair(hw2, n1, c2)),
-            su2=SU2Line(mu_idx, c_mu), label=label,
+            datum, pairs=(TwistedPair(hw1, n2, c1), TwistedPair(hw2, n1, c2), su2(c_mu)),
+            label=label,
         )
 
     # unit-normalize the doubly twisted chart so that s2 = s and t = s^2
@@ -169,12 +162,12 @@ def special_su_families(datum: ContactDatum) -> Families:
     u4 = _chart_unit(raw, "t", among={"s", "t"})
     chart = twisted(s, s * u3, t * u4, "two-parameter chart")
     j0 = twisted(t, t * u3, t * t * u4, "disc family J0_t")
-    j = plain(hw1, n2, t, "disc family J_t")
-    jp = plain(hw2, n1, t, "disc family J'_t")
+    j = HolomorphicSubspace(datum, pairs=(su2(t),), plains=(hw1, n2), label="disc family J_t")
+    jp = HolomorphicSubspace(datum, pairs=(su2(t),), plains=(hw2, n1), label="disc family J'_t")
     standard = (
-        plain(hw1, hw2, P_ZERO, "standard (nilradical)"),
-        plain(hw1, n2, P_ZERO, "standard (mixed)"),
-        plain(hw2, n1, P_ZERO, "standard (mixed, mirror)"),
+        _standard(datum, "standard (nilradical)"),
+        HolomorphicSubspace(datum, plains=(hw1, n2, mu), label="standard (mixed)"),
+        HolomorphicSubspace(datum, plains=(hw2, n1, mu), label="standard (mixed, mirror)"),
     )
     # the doubly twisted family of the A series
     return Families(datum, "special", standard + (j, jp, j0), family=6, primitive=j0,
@@ -192,7 +185,7 @@ def short_root_families(datum: ContactDatum) -> Families:
     system = datum.system
     kind = system.dynkin_type[0][0]
     if kind == "G":
-        return _standard_family(datum, "g2-short")
+        return Families(datum, "g2-short", (_standard(datum),))
     family = {"B": 4, "C": 7, "F": 3}[kind]
     pos = _positive(datum)
     partner = {hw: _partner(datum, hw) for hw in pos}
@@ -201,7 +194,7 @@ def short_root_families(datum: ContactDatum) -> Families:
     t = Poly.var("t")
     s = Poly.var("s")
 
-    standard = HolomorphicSubspace(datum, plains=tuple(pos), label="standard")
+    standard = _standard(datum)
     if len(pos) == 1:
         fam = HolomorphicSubspace(
             datum, pairs=(TwistedPair(pos[0], partner[pos[0]], t),), label="disc family"

@@ -208,10 +208,6 @@ def is_admissible(g: PaintedGraph) -> GraphVerdict:
         return GraphVerdict(False, "multiple candidate subgraphs of the required shape")
     if len(cands) == 1:
         shape, gamma_e, chain = cands[0]
-        if shape == "split":
-            comps = g.system.component_nodes
-            if any(sum(1 for i in comp if g.colors[i] == GREY) != 1 for comp in comps):
-                return GraphVerdict(False, "each factor needs exactly one grey node")
         if not neighbor_check(gamma_e):
             return GraphVerdict(False, "black nodes are not exactly the neighbors of the subgraph")
         theta = _theta_for(g, shape, gamma_e, chain)
@@ -272,9 +268,10 @@ def _cr_type(g: PaintedGraph, v: GraphVerdict) -> str:
 
 
 def is_proper(g: PaintedGraph) -> bool:
-    """The flag manifold G/Q is nontrivial: white+grey nodes span less than R."""
-    sys = g.system
-    return sys.node_span_size(g.nodes(WHITE) + g.nodes(GREY)) < len(sys.roots)
+    """The flag manifold G/Q is nontrivial: white+grey nodes span less than
+    R.  Their span holds the simple root alpha_k exactly when node k is
+    white or grey, so it is R exactly when no node is black."""
+    return BLACK in g.colors
 
 
 def canonicalize(g: PaintedGraph) -> PaintedGraph:

@@ -1,8 +1,11 @@
 import itertools
 import json
 import os
+import re
+import shlex
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -375,6 +378,41 @@ def test_check_m10_root_outside_rprime(spec, capsys):
     assert "invalid --m10 spec" in err and "e2-e3" in err and "R_o" in err
 
 
+def test_check_m10_su2_off_a_special_root(capsys):
+    # an su2 line is the pair (mu, -mu) and propagates as one: B2's short
+    # root e1 is not strongly orthogonal to R_o = {e2, -e2}, so its line
+    # is refused (it was accepted with a normalizer excess of -2)
+    spec = {"su2": ["1,0", "t"], "rj_plus": ["1,1", "1,-1"]}
+    rc = run(["check", "--type", "B2", "--theta=1,0", "--m10", json.dumps(spec)])
+    assert rc == 64
+    assert "twisted pair components must be module highest weights" in _one_line_error(capsys)
+
+
+def _m10_out(tag, theta, spec, fmt, capsys):
+    rc = run(["check", "--type", tag, f"--theta={theta}", "--m10", json.dumps(spec),
+              "--format", fmt])
+    assert rc == 0
+    return capsys.readouterr().out
+
+
+def test_check_m10_su2_is_the_pair_of_mu_and_minus_mu(capsys):
+    """The su2 specs of tools/cli_digest.py (the README's A4 spec, C3 on
+    2,0,0 among them) print what their "pairs" twins [mu, -mu, c] print."""
+    from test_crstruct import _cli_digest
+
+    digest = _cli_digest()
+    su2_specs = [c for c in digest.M10_CHECKS + digest.M10_MORE if "su2" in c[2]]
+    negatives = {"A4": "-1,0,0,0,1", "B3": "-1,-1,0", "C3": "-2,0,0", "A3": "-1,0,0,1"}
+    assert [tag for tag, _, _ in su2_specs] == list(negatives)
+    for (tag, theta, spec), (_, _, twin) in zip(su2_specs, digest.M10_TWINS):
+        mu, coeff = spec["su2"]
+        assert twin == {**{k: v for k, v in spec.items() if k != "su2"},
+                        "pairs": spec.get("pairs", []) + [[mu, negatives[tag], coeff]]}
+        for fmt in ("text", "json"):
+            assert _m10_out(tag, theta, twin, fmt, capsys) \
+                == _m10_out(tag, theta, spec, fmt, capsys), (tag, fmt)
+
+
 def test_main_reuses_its_parser(capsys):
     # one parser per process, and a bad command line still exits 64 after reuse
     assert run(["roots", "--type", "A1"]) == 0
@@ -506,8 +544,6 @@ def _family_rows(tag, theta, capsys):
 def test_check_family_is_the_same_on_scaled_forms(capsys):
     """Every golden contact form of tools/cli_digest.py, scaled by 10^k:
     the same rows up to theta, in time that does not grow with k."""
-    from pathlib import Path
-
     from test_crstruct import _cli_digest
 
     forms = _cli_digest().golden_forms(Path(cli.__file__).resolve().parent / "data")
@@ -607,3 +643,26 @@ def test_total_rank_above_the_bound_is_refused(argv, named, total, monkeypatch, 
     assert time.perf_counter() - start < 1.0
     assert f"{named} must have total rank at most 8, got {total}" in _one_line_error(capsys)
     assert built == []
+
+
+def _readme_commands():
+    """The argv of every crlie command in README's sh code blocks; a
+    command runs from its crlie to the next one or the block's end."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cmds = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        cmd = None
+        for token in shlex.split(block, comments=True):
+            if token == "crlie":
+                cmd = []
+                cmds.append(cmd)
+            elif cmd is not None:
+                cmd.append(token)
+    return cmds
+
+
+def test_readme_commands_exit_0(capsys):
+    cmds = _readme_commands()
+    assert len(cmds) == 13 and cmds[-1][:2] == ["check", "--type"]
+    assert [argv for argv in cmds if run(argv) != 0] == []
+    capsys.readouterr()

@@ -62,9 +62,8 @@ SIGNATURES = {
     ct.ContactDatum: [("system", _EMPTY), ("theta", _EMPTY), ("Ro", _EMPTY),
                       ("Rprime", _EMPTY), ("theta_pairings", _EMPTY)],
     cs.TwistedPair: [("hw", _EMPTY), ("partner", _EMPTY), ("coeff", _EMPTY)],
-    cs.SU2Line: [("root", _EMPTY), ("coeff", _EMPTY)],
     cs.HolomorphicSubspace: [("datum", _EMPTY), ("pairs", ()), ("plains", ()),
-                             ("rj_plus", frozenset()), ("su2", None), ("label", "")],
+                             ("rj_plus", frozenset()), ("label", "")],
     cs.Sample: [("values", _EMPTY), ("lines", _EMPTY)],
     cs.ConstraintSet: [("generators", _EMPTY)],
     cs.DisjointnessResult: [("factors", _EMPTY)],
@@ -99,8 +98,7 @@ def _datum():
 def test_records_take_positional_and_keyword_arguments():
     datum = _datum()
     h = cs.HolomorphicSubspace(datum)
-    assert (h.datum, h.pairs, h.plains, h.rj_plus, h.su2, h.label) == (
-        datum, (), (), frozenset(), None, "")
+    assert (h.datum, h.pairs, h.plains, h.rj_plus, h.label) == (datum, (), (), frozenset(), "")
     assert cs.HolomorphicSubspace(datum=datum, label="disc").label == "disc"
     f = fam.Families(datum, "pair")
     assert (f.datum, f.route, f.structures, f.family, f.primitive, f.fibered, f.chart,
@@ -128,8 +126,8 @@ def test_bad_records_raise_as_before():
 
 def _subspace(datum, label=""):
     t = Poly.var("t")
-    return cs.HolomorphicSubspace(datum, (cs.TwistedPair(1, 2, t),), (3,), frozenset({4}),
-                                  cs.SU2Line(5, t), label)
+    return cs.HolomorphicSubspace(datum, (cs.TwistedPair(1, 2, t), cs.TwistedPair(5, 6, t)),
+                                  (3,), frozenset({4}), label)
 
 
 def test_value_records_compare_and_hash_by_value():

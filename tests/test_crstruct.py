@@ -115,8 +115,8 @@ def _two_run_units(datum):
 
     def unit(c2, var, ignore=None):
         raw = cs.HolomorphicSubspace(
-            datum, pairs=(cs.TwistedPair(hw1, n2, s), cs.TwistedPair(hw2, n1, c2)),
-            su2=cs.SU2Line(mu, t))
+            datum, pairs=(cs.TwistedPair(hw1, n2, s), cs.TwistedPair(hw2, n1, c2),
+                          cs.TwistedPair(mu, system.neg_index[mu], t)))
         gens = [g for g in cs.check_integrability(raw).generators if ignore not in g.variables()]
         assert len(gens) == 1, gens
         return fam._unit_from_binomial(gens[0], var)
@@ -132,10 +132,11 @@ def test_special_chart_units_match_two_run_reading(r):
     u3, u4 = _two_run_units(datum)
     F = fam.special_su_families(datum)
     s, t = Poly.var("s"), Poly.var("t")
+    # pairs[2] is the su2 line (mu, -mu)
     assert F.chart.pairs[1].coeff == s.scale(u3)
-    assert F.chart.su2.coeff == t.scale(u4)
+    assert F.chart.pairs[2].coeff == t.scale(u4)
     assert F.primitive.pairs[1].coeff == t.scale(u3)
-    assert F.primitive.su2.coeff == (t * t).scale(u4)
+    assert F.primitive.pairs[2].coeff == (t * t).scale(u4)
 
 
 def _to_gauss(x) -> Gauss:
@@ -585,8 +586,8 @@ def test_normalizer_excess_matches_brute_force():
 
 def _reference_roles(h):
     """The role of every root of m10 and the reducer of every twisted
-    first root, derived part by part from the subspace's fields."""
-    sysm = h.datum.system
+    first root, derived part by part from the subspace's fields; an su2
+    line is the pair (mu, -mu)."""
     roles = {}
 
     def put(i, role):
@@ -605,16 +606,12 @@ def _reference_roles(h):
             put(w, "plain")
     for r in h.rj_plus:
         put(r, "rj")
-    if h.su2 is not None:
-        put(h.su2.root, "su2_first")
-        put(sysm.neg_index[h.su2.root], "su2_second")
-        reducers[h.su2.root] = (sysm.neg_index[h.su2.root], h.su2.coeff)
     return roles, reducers
 
 
 def _reference_basis(h):
     """m10's basis in part order: the twisted pairs' propagated vectors,
-    the plain modules, R_J+, then the su2 line."""
+    the su2 line among them, then the plain modules and R_J+."""
     from crlie.chevalley import LieElement
 
     sysm = h.datum.system
@@ -629,10 +626,6 @@ def _reference_basis(h):
         out += [root_vector(sysm, sysm.roots[w])
                 for w in sorted(h.datum.modules[hw].weights)]
     out += [root_vector(sysm, sysm.roots[r]) for r in sorted(h.rj_plus)]
-    if h.su2 is not None:
-        mu = h.su2.root
-        out.append(root_vector(sysm, sysm.roots[mu])
-                   + root_vector(sysm, sysm.roots[sysm.neg_index[mu]], h.su2.coeff))
     return out
 
 
@@ -720,7 +713,7 @@ def _full_pair_integrability(h):
             res = dict(br.e)
             for w in list(res):
                 role = roles.get(w)
-                if role in ("pair_first", "su2_first"):
+                if role == "pair_first":
                     c = res.pop(w)
                     wp, twist = reducers[w]
                     res[wp] = res.get(wp, P_ZERO) - c * twist
@@ -1039,12 +1032,15 @@ def _basis_eigen_sign(x, v):
 
 
 def _basis_s1_witness(h, values):
-    """crstruct._rotated_s1_witness on the evaluated LieElement basis."""
-    if h.su2 is None or h.su2.coeff.eval(cs._with_conj(values)).is_zero():
-        return None
+    """crstruct._rotated_s1_witness on the evaluated LieElement basis; the
+    su2 line is the pair (mu, -mu)."""
     sysm, datum = h.datum.system, h.datum
+    su2 = [p for p in h.pairs if p.partner == sysm.neg_index[p.hw]]
+    if not su2 or su2[0].coeff.eval(cs._with_conj(values)).is_zero():
+        return None
+    mu = su2[0].hw
     basis = evaluate_basis(h, values)
-    x = next(v for v in basis if h.su2.root in v.e and sysm.neg_index[h.su2.root] in v.e)
+    x = next(v for v in basis if mu in v.e and sysm.neg_index[mu] in v.e)
     constraints, covered = [], set()
     for v in basis:
         if v is x:
@@ -1167,8 +1163,15 @@ def test_line_across_two_weights():
     from crlie.cli import build_subspace
 
     a2 = rs.build("A2")
-    h = build_subspace(ct.contact_datum(a2, a2.vector([1, 0, -1])),
-                       {"su2": ["1,-1,0", "t"], "rj_plus": ["1,0,-1", "0,1,-1"]})
+    datum = ct.contact_datum(a2, a2.vector([1, 0, -1]))
+    spec = {"su2": ["1,-1,0", "t"], "rj_plus": ["1,0,-1", "0,1,-1"]}
+    # no part builds such a line: _propagate refuses the pair (e1-e2, e2-e1)
+    with pytest.raises(cs.StructError, match="non-congruent"):
+        build_subspace(datum, spec).lines
+    # so the spec's lines are written into the line map by hand
+    w, *rj = (a2.root_index(a2.vector(v.split(","))) for v in [spec["su2"][0]] + spec["rj_plus"])
+    h = cs.HolomorphicSubspace(datum)
+    h.lines = {**{r: None for r in sorted(rj)}, w: (a2.neg_index[w], Poly.var("t"))}
     for excess in (cs.normalizer_excess, _dims_stop_normalizer_excess):
         with pytest.raises(cs.StructError, match="mixed"):
             excess(h, {"t": T_HALF})
@@ -1325,6 +1328,28 @@ def _center_reference(datum):
     return tuple(rs.RootVector(sysm, v) for v in nullspace(rows, sysm.rank))
 
 
+def test_su2_pair_propagates_exactly_on_special_roots():
+    # the su2 line (mu, -mu) of the dominant root mu of each length is a
+    # twisted pair of the one-root modules {mu} and {-mu} exactly where
+    # contact.classify_special lists mu: theta along mu, and mu strongly
+    # orthogonal to every root of R_o
+    seen = {True: 0, False: 0}
+    for t, r in classify.simple_types(8):
+        sysm = rs.build(t, r)
+        special = {sysm.root_index(d.theta) for d, _ in ct.classify_special(sysm)}
+        for rep in sysm.length_representatives.values():
+            datum = ct.contact_datum(sysm, rep)
+            mu = sysm.root_index(rep)
+            neg = sysm.neg_index[mu]
+            seen[mu in special] += 1
+            if mu in special:
+                assert cs._propagate(datum, mu, neg) == {mu: (neg, ONE)}, (t, r)
+            else:
+                with pytest.raises(cs.StructError):
+                    cs._propagate(datum, mu, neg)
+    assert seen == {True: 32, False: 14}  # the short roots of B, C and F4 are not special
+
+
 def test_center_is_one_direction_on_root_parallel_data():
     """The S1 cone (_rotated_s1_witness) reads only the first central
     direction.  Its su2 line E_r + c E_-r lies in one congruence block only
@@ -1479,7 +1504,7 @@ def test_l_stable_matches_in_lines_reference():
 
 
 T, S = Poly.var("t"), Poly.var("s")
-# line twists, the zero twist of SU2Line(root, P_ZERO) among them
+# line twists, the zero twist P_ZERO of an su2 spec ["1,0,-1", "0"] among them
 TWISTS = [P_ZERO, Poly.const(1), Poly.const(Gauss(0, 2)), T, T * S - Poly.const(1), Poly.var("t~", 2)]
 # line multiples and perturbations: ints, as l_stable's images carry, and Polys
 MULTIPLES = [0, 1, -2, Poly.const(Gauss(1, 1)), S, T - Poly.const(3)]

@@ -53,7 +53,11 @@ the two-length systems and on D4's triality too.  Last, the CSV renderer:
 ``classify --what primitive|nonprimitive|special --max-rank 8``,
 ``table1``, ``table2``/``table3 --max-rank 8``, ``roots --type E6``,
 ``check --family`` on the first two golden forms and ``check --graph`` on
-the first two golden graphs, each with ``--format csv``.
+the first two golden graphs, each with ``--format csv``.  Last, ``check
+--m10`` in text and JSON on the ``"pairs"``-spelled twin of each spec
+above with an su2 line (A4, B3, C3, A3, in that order): the line
+``["mu", c]`` moved into ``"pairs"`` as ``["mu", "-mu", c]``, which must
+print what the su2 spelling prints.
 The commands run in one process, through ``crlie.cli.main``.
 """
 
@@ -67,6 +71,7 @@ import itertools
 import json
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -108,6 +113,21 @@ M10_MORE = (
                         "su2": ["1,0,0,-1", "s*t"]}),
     ("B4", "1,0,0,0", {"pairs": [["1,1,0,0", "-1,1,0,0", "-1*t"]]}),
 )
+
+
+def pairs_twin(spec: dict) -> dict:
+    """spec with its su2 line [mu, c] spelled as the pairs entry [mu, -mu, c]."""
+    twin = {k: v for k, v in spec.items() if k != "su2"}
+    mu, coeff = spec["su2"]
+    neg = ",".join(str(-Fraction(x)) for x in mu.split(","))
+    twin["pairs"] = twin.get("pairs", []) + [[mu, neg, coeff]]
+    return twin
+
+
+# (type, theta, --m10 spec) checked after everything else: the su2 specs
+# of M10_CHECKS and M10_MORE spelled as pairs
+M10_TWINS = tuple((t, theta, pairs_twin(spec)) for t, theta, spec in M10_CHECKS + M10_MORE
+                  if "su2" in spec)
 
 
 def _type_of(row: dict) -> str:
@@ -237,6 +257,8 @@ def battery(data: Path, rootsys) -> list[list[str]]:
     cmds += [["check", "--type", t, f"--theta={theta}", "--family", *csv_fmt]
              for t, theta in golden_forms(data)[:2]]
     cmds += [["check", "--graph", g, *csv_fmt] for g in golden_graphs(data)[:2]]
+    cmds += [["check", "--type", t, f"--theta={theta}", "--m10", json.dumps(spec), "--format", fmt]
+             for t, theta, spec in M10_TWINS for fmt in ("text", "json")]
     return cmds
 
 
