@@ -16,6 +16,7 @@ all read their subspaces and numbers from that record.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Optional
 
 from . import naming
@@ -42,6 +43,7 @@ from .families import (
     short_root_families,
     special_su_families,
 )
+from .linalg import chamber_walk
 from .modules import congruence_groups
 from .painted import CRGraph, enumerate_cr_graphs, flag_pair
 from .report import Report
@@ -320,23 +322,20 @@ def _pair_candidates(system: RootSystem, reps: list[RootVector]) -> list[RootVec
     """Orthogonal root pairs spanning A1+A1, as contact forms a - a'.
 
     The first member is one of reps, the dominant representative of each
-    length class, which is exhaustive up to the Weyl action.
+    length class, which is exhaustive up to the Weyl action.  An a - a' is
+    kept when its chamber walk is new and lies along no root.
     """
-    out = []
-    seen = set()
+    cartan, roots = system.cartan_matrix(), set(system.expansions)
+    out, seen = [], set()
     for a in reps:
         ia = system.root_index(a)
-        for j, b in enumerate(system.roots):
-            if not system.strongly_orthogonal(ia, j):
-                continue
-            cand = a - b
-            d = system.dominant(cand)
-            if d in seen:
-                continue
-            seen.add(d)
-            if system.root_along(d) is not None:
-                continue
-            out.append(cand)
+        for j, b in enumerate(system.expansions):
+            if system.strongly_orthogonal(ia, j):
+                d = chamber_walk(cartan, [x - y for x, y in zip(a.c, b)])
+                g = gcd(*d)
+                if d not in seen and tuple(x // g for x in d) not in roots:
+                    out.append(a - system.roots[j])
+                seen.add(d)
     return out
 
 

@@ -24,8 +24,8 @@ from .crstruct import HolomorphicSubspace, StructError, TwistedPair
 from .modules import dual_pairs
 from .painted import GraphError, PaintedGraph, flag_pair, is_good
 from .report import Report
-from .rootsys import (RootSystem, RootSystemError, RootVector, build_product, format_vector,
-                      parse_components)
+from .rootsys import (VALID_TYPES, RootSystem, RootSystemError, RootVector, build_product,
+                      format_vector, parse_components)
 from .scalars import Poly
 
 USAGE_ERROR = 64
@@ -68,6 +68,8 @@ def _max_rank(args, least: int | None = None) -> int:
 def _system(source: str, text: str, rank: int | None = None) -> RootSystem:
     """The system a type string names, or type letter and rank; a total rank
     above the fixtures' bound is a usage error before any system is built."""
+    if rank is not None and text not in VALID_TYPES:
+        raise UsageError(f"{source} {text!r} must be one type letter with --rank {rank}")
     try:
         comps = parse_components(text) if rank is None else [(text, rank)]
         total, top = sum(r for _, r in comps), classify.DEFAULT_MAX_RANK
@@ -75,7 +77,8 @@ def _system(source: str, text: str, rank: int | None = None) -> RootSystem:
             raise UsageError(f"{source} {text!r} must have total rank at most {top}, got {total}")
         return build_product(comps)
     except RootSystemError as e:
-        raise UsageError(e) from None
+        raise UsageError(e if rank is None else
+                         f"{source} {text!r} with --rank {rank} names no root system") from None
 
 
 def load_fixture(name: str) -> Report:

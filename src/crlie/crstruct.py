@@ -1,34 +1,34 @@
 """Candidate invariant CR structures as holomorphic subspaces.
 
-A holomorphic subspace is assembled from three kinds of part: twisted
-module pairs (highest-weight vector E_a + c E_b for congruent a, b),
-whole modules, and a one-sided nilpotent block.  A twisted rank-one line
+A holomorphic subspace is assembled from three kinds of part: twisted module
+pairs (highest-weight vector E_a + c E_b for congruent a, b), whole modules,
+and a one-sided nilpotent block.  A twisted rank-one line
 C(E_mu + c E_{-mu}) is the pair of the one-root modules {mu} and {-mu},
-which exist where theta lies along mu and mu is strongly orthogonal to
-R_o; with c = 0 it is the whole module {mu}.  Each part contributes lines
-to one map, HolomorphicSubspace.lines: root w maps to (w', c) for the
-basis vector E_w + c E_w', or to None for E_w alone.  Every check reads
-that map, or HolomorphicSubspace.at(values), the lines with their twists
-evaluated once per sample, and brackets their roots through the
-structure constants; none builds a basis of Lie algebra elements.  Integrability and
-disjointness are polynomial in the twists and decided symbolically;
-standardness, the normalizer dimension and the parabolic fibration
-witnesses at sampled Gaussian-rational values, all exactly.  The
-normalizer needs no linear system of its own: by the invariant form of
-the Chevalley basis it is the annihilator of the brackets of l^C + m01
-with its orthogonal complement, and both spaces are read off the lines,
-since their form rows have disjoint supports once every line root lies in
-R' (normalizer_excess).  The bracket checks are graded by the
-theta-transverse weight of ContactDatum.weights: integrability skips the
-pairs whose sum is no weight of g or a block that reduction modulo
-m10 + l^C empties, and the normalizer ranks its rows one weight block
-at a time, each up to a bound that l-equivariance tightens
-(HolomorphicSubspace.l_stable).  The theta-orthogonal Cartan t' scales
-every weight space of W', so those enter the normalizer's blocks as they
-are and t' is never bracketed; with the l-bound, only the block of
-weight 0 takes brackets at all.  Pairings with theta and with the center
-of l are read off ints (ContactDatum.theta_pairings,
-RootVector.covector), each up to one positive factor.
+which exist where theta lies along mu and mu is strongly orthogonal to R_o;
+with c = 0 it is the whole module {mu}.  Each part contributes lines to one
+map, HolomorphicSubspace.lines: root w maps to (w', c) for the basis vector
+E_w + c E_w', or to None for E_w alone.  Every check reads that map, or
+HolomorphicSubspace.at(values), the lines with their twists evaluated once
+per sample, and brackets their roots through the structure constants; none
+builds a basis of Lie algebra elements.  Integrability and disjointness are
+polynomial in the twists and decided symbolically (integrability and
+l-stability on int-coded monomials, HolomorphicSubspace._coded);
+standardness, the normalizer dimension and the parabolic fibration witnesses
+at sampled Gaussian-rational values, all exactly.  The normalizer needs no
+linear system of its own: by the invariant form of the Chevalley basis it is
+the annihilator of the brackets of l^C + m01 with its orthogonal complement,
+and both spaces are read off the lines, since their form rows have disjoint
+supports once every line root lies in R' (normalizer_excess).  The bracket
+checks are graded by the theta-transverse weight of ContactDatum.weights:
+integrability skips the pairs whose sum is no weight of g or a block that
+reduction modulo m10 + l^C empties, and the normalizer ranks its rows one
+weight block at a time, each up to a bound that l-equivariance tightens
+(HolomorphicSubspace.l_stable).  The theta-orthogonal Cartan t' scales every
+weight space of W', so those enter the normalizer's blocks as they are and
+t' is never bracketed; with the l-bound, only the block of weight 0 takes
+brackets at all.  Pairings with theta and with the center of l are read off
+ints (ContactDatum.theta_pairings, RootVector.covector), each up to one
+positive factor.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from .chevalley import root_bracket
 from .contact import ContactDatum
 from .linalg import Echelon
 from .rootsys import RootSystem, RootVector, Subsystem, format_vector
-from .scalars import ONE, ZERO, Gauss, P_ZERO, Poly, _mono_mul, as_poly, conj_var
+from .scalars import (ONE, ZERO, Gauss, MonomialCode, P_ZERO, Poly, _mono_mul, add_product,
+                      as_poly, conj_var)
 
 Q = Fraction
 
@@ -155,32 +156,37 @@ class HolomorphicSubspace:
         structure constants alone, with the twists symbolic.
 
         Those E_d generate the semisimple part of l^C, and t' acts on each
-        line by one scalar when its two roots share a theta-transverse
-        weight, which is checked too.  Then [l^C, m10] lies in m10, and since
+        line by one scalar, since its two roots share a theta-transverse
+        weight (_propagate).  Then [l^C, m10] lies in m10, and since
         conj fixes l^C, l^C normalizes W = l^C + m01 and lies in N and in
         conj(N) (normalizer_excess).  False says only that this certificate
         does not hold."""
         datum = self.datum
         sys = datum.system
         n, codes, get = sys.constants.n, sys.codes, sys.by_code.get
-        lines, wt = self.lines, datum.weight_codes
-        if any(line and wt[w] != wt[line[0]] for w, line in lines.items()):
-            return False
-        vecs = _line_vectors(lines)
+        lines, vecs, _ = self._coded
         for d in datum.ro_generators:
             nd, cd = sys.neg_index[d], codes[d]
             for v in vecs:
                 # [E_d, E_w + c E_w'] = N(d, w) E_(d+w) + c N(d, w') E_(d+w')
-                image: dict[int, object] = {}
+                image: dict[int, dict] = {}
                 for r, c in v.items():
                     if r == nd:
                         return False  # [E_d, E_-d] is a Cartan element
                     k = get(cd + codes[r])
-                    if k is not None and c:
-                        image[k] = c * n(d, r)
-                if any(_reduce(lines, image).values()):
+                    if k is not None:
+                        image[k] = {m: x * n(d, r) for m, x in c.items()}
+                if any(any(t.values()) for t in _reduce(lines, image).values()):
                     return False
         return True
+
+    @cached_property
+    def _coded(self) -> tuple[dict, list[dict], MonomialCode]:
+        """(lines, their vectors, the code): each twist coded once, wide enough
+        for a product of three (scalars.MonomialCode); 1 is coded {0: 1}."""
+        code = MonomialCode([line[1] for line in self.lines.values() if line])
+        lines = {w: line and (line[0], code.encode(line[1])) for w, line in self.lines.items()}
+        return lines, _line_vectors(lines, {0: 1}), code
 
 
 class Sample:
@@ -204,22 +210,22 @@ def _in_rprime(datum: ContactDatum, roots) -> None:
                               "but m10 lies in m^C, spanned by R'")
 
 
-def _line_vectors(lines: Mapping) -> list[dict]:
+def _line_vectors(lines: Mapping, one=1) -> list[dict]:
     """Each line as a sum of root vectors {root: coefficient}, in line
-    order: {w: 1} for E_w and {w: 1, w': c} for E_w + c E_w'."""
-    return [{w: 1} if line is None else {w: 1, line[0]: line[1]} for w, line in lines.items()]
+    order: {w: one} for E_w and {w: one, w': c} for E_w + c E_w'."""
+    return [{w: one} if line is None else {w: one, line[0]: line[1]} for w, line in lines.items()]
 
 
 def _reduce(lines: Mapping, res: dict) -> dict:
-    """res, a sum of root vectors {root: coefficient}, reduced in place
-    modulo the lines: each line E_w + c E_w' takes E_w's coefficient x off
-    w and subtracts c x on w', and a lone E_w takes it off w.  What is left
-    is 0 exactly when res lies in the span of the lines."""
+    """res, a sum of root vectors {root: coded polynomial}, reduced in place
+    modulo the coded lines: each line E_w + c E_w' takes E_w's coefficient
+    x off w and subtracts c x on w', and a lone E_w takes it off w.  What is
+    left is 0 exactly when res lies in the span of the lines."""
     for w in [w for w in res if w in lines]:
         x = res.pop(w)
         if lines[w] is not None:
             wp, c = lines[w]
-            res[wp] = res.get(wp, 0) - x * c
+            add_product(res.setdefault(wp, {}), x, c, -1)
     return res
 
 
@@ -333,12 +339,13 @@ def check_integrability(h: HolomorphicSubspace) -> ConstraintSet:
     datum = h.datum
     sys = datum.system
     n, codes, get, neg = sys.constants.n, sys.codes, sys.by_code.get, sys.neg_index
-    lines, tp, factor = h.lines, datum.theta_pairings, sys.constants.coroot_factors
+    tp, factor = datum.theta_pairings, sys.constants.coroot_factors
+    lines, vecs, code = h._coded
     gens: dict[frozenset, Poly] = {}
 
-    def note(p):
-        if p:  # deduplicated on the int triples of its coefficients
-            p = as_poly(p).primitive()
+    def note(t):
+        if any(t.values()):  # deduplicated on the int triples of its coefficients
+            p = code.decode(t).primitive()
             gens.setdefault(frozenset((m, c.a, c.b, c.d) for m, c in p.terms.items()), p)
 
     ro = frozenset(datum.Ro.members)
@@ -346,29 +353,24 @@ def check_integrability(h: HolomorphicSubspace) -> ConstraintSet:
     # and off the lone lines
     live = {rho for rho, roots in datum.weight_blocks.items()
             if rho == 0 or any(r not in ro and lines.get(r, 0) is not None for r in roots)}
-    # each line as a sum of root vectors, and its weight code or None
-    wt = datum.weight_codes
-    vecs = _line_vectors(lines)
-    weights = [wt[w] if line is None or wt[line[0]] == wt[w] else None
-               for w, line in lines.items()]
+    # the weight code of each line, which its two roots share (_propagate)
+    weights = [datum.weight_codes[w] for w in lines]
     for a, va in enumerate(vecs):
         for b in range(a + 1, len(vecs)):
-            wa, wb = weights[a], weights[b]
-            if wa is not None and wb is not None and wa + wb not in live:
+            if weights[a] + weights[b] not in live:
                 continue
-            res: dict = {}
-            cartan = 0
+            res: dict[int, dict] = {}
+            cartan: dict = {}
             for r, x in va.items():
                 cr, nr = codes[r], neg[r]
                 for s, y in vecs[b].items():
                     if s == nr:
-                        cartan = cartan + x * y * (tp[r] * factor[r])
+                        add_product(cartan, x, y, tp[r] * factor[r])
                     elif (k := get(cr + codes[s])) is not None:
-                        c = n(r, s) * x * y
-                        res[k] = res[k] + c if k in res else c
-            for w, c in _reduce(lines, res).items():
+                        add_product(res.setdefault(k, {}), x, y, n(r, s))
+            for w, t in _reduce(lines, res).items():
                 if w not in ro:
-                    note(c)
+                    note(t)
             note(cartan)
     return ConstraintSet(tuple(_minimize(sorted(gens.values(), key=lambda p: p.key()))))
 
@@ -622,8 +624,8 @@ def _graded_w_and_perp(h: HolomorphicSubspace, values: Mapping[str, Gauss]):
     for each root r of R' on no line whose coefficient is nonzero at values;
     and by conj(c) |w|^2 E_w - |w'|^2 E_w' for each line with c nonzero, in
     the int norms, which pairs to 0 with that line's conjugate.  Those are
-    |R'|/2 + 1 = dim g - dim W independent vectors.  A line with c nonzero
-    whose two roots differ in weight would leave W ungraded, and raises.
+    |R'|/2 + 1 = dim g - dim W independent vectors, graded, since the two
+    roots of a line share their weight (_propagate).
     """
     datum = h.datum
     sys = datum.system
@@ -636,8 +638,6 @@ def _graded_w_and_perp(h: HolomorphicSubspace, values: Mapping[str, Gauss]):
         v = {w: ONE}
         if line is not None:
             wp, c = line
-            if wt[wp] != wt[w]:
-                raise StructError("l^C + m01 has an element of mixed theta-transverse weight")
             free.discard(wp)
             v[wp] = c
             perp.setdefault(wt[w], []).append({w: c.conj() * norms[w], wp: Gauss(-norms[wp])})

@@ -20,12 +20,16 @@ bases are the ones a dense column-by-column elimination gives.
 
 Columns below 0 are never pivots; :class:`SpanSolver` keeps there the
 combination of its input vectors that each basis row is.  Entries need
-only +, -, *, / and truthiness.
+only +, -, *, / and truthiness.  Int matrices stay on ints: nullspace and
+the Gram inverse of :mod:`crlie.rootsys` eliminate fraction-free
+(fraction_free_rref), and chamber_walk walks int coordinates to the
+dominant Weyl chamber.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 
@@ -155,24 +159,74 @@ class SpanSolver:
         return len(self.basis.rows)
 
 
-def nullspace_gauss(rows, ncols, zero, one):
-    """Basis of the right kernel over an exact field with the given 0 and 1."""
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
+def _kernel(red, pivots, ncols, zero, one):
+    """Basis of the right kernel of rows in reduced row echelon form with
+    the given pivot columns, read off their free columns."""
     basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
+    for fc in [fc for fc in range(ncols) if fc not in pivots]:
         v = [zero] * ncols
         v[fc] = one
         for row, pc in zip(red, pivots):
             x = row.get(fc)
             if x:
-                v[pc] = zero - x
+                v[pc] = -x
         basis.append(v)
     return basis
 
 
+def nullspace_gauss(rows, ncols, zero, one):
+    """Basis of the right kernel over an exact field with the given 0 and 1."""
+    return _kernel(*rref(rows), ncols, zero, one)
+
+
 def nullspace(rows, ncols):
-    """Basis of the right kernel of a matrix of ints or Fractions, as Fractions."""
-    return nullspace_gauss(rows, ncols, Fraction(0), Fraction(1))
+    """Basis of the right kernel of a matrix of ints or Fractions, as
+    Fractions: the basis nullspace_gauss gives, which int rows reach over Z
+    (fraction_free_rref), dividing by the last pivot once, at the end."""
+    m = [[r.get(c, 0) for c in range(ncols)] if isinstance(r, dict) else list(r) for r in rows]
+    if not all(type(x) is int for r in m for x in r):
+        return nullspace_gauss(m, ncols, Fraction(0), Fraction(1))
+    pivots, d = fraction_free_rref(m)
+    red = [{c: Fraction(x, d) for c, x in enumerate(r) if x and c not in pivots} for r in m]
+    return _kernel(red, pivots, ncols, Fraction(0), Fraction(1))
+
+
+def fraction_free_rref(m: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of the int rows m in place
+    (Bareiss, Math. Comp. 22, 1968): a step multiplies each other row by
+    its pivot, subtracts its multiple of the pivot row and divides by the
+    previous pivot, exactly.  Returns the pivot columns, whose rows lead m,
+    and the last pivot d, on every pivot: [M | I] ends as [det M I | adj M]."""
+    pivots, d = [], 1
+    for c in range(len(m[0]) if m else 0):
+        top = len(pivots)
+        k = next((i for i in range(top, len(m)) if m[i][c]), None)
+        if k is not None:
+            m[top], m[k] = m[k], m[top]
+            rk = m[top]
+            m[:] = [r if r is rk else [(rk[c] * x - r[c] * y) // d for x, y in zip(r, rk)]
+                    for r in m]
+            pivots.append(c)
+            d = rk[c]
+    return pivots, d
+
+
+def chamber_walk(cartan, c) -> tuple[int, ...]:
+    """The dominant member of the Weyl orbit of simple-root coordinates c,
+    for the int Cartan matrix C: while some p[j] = <c | alpha_j> =
+    sum_i c[i] C[i][j] is negative, reflect in alpha_j, which lowers c[j]
+    by p[j] and each p[k] by p[j] C[j][k]."""
+    c, ks = list(c), range(len(c))
+    p = [sum(map(mul, c, col)) for col in zip(*cartan)]
+    while True:
+        for j in ks:
+            pj = p[j]
+            if pj < 0:
+                c[j] -= pj
+                row = cartan[j]
+                for k in ks:
+                    if row[k]:
+                        p[k] -= pj * row[k]
+                break
+        else:
+            return tuple(c)

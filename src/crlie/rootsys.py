@@ -40,7 +40,7 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
-from .linalg import nullspace
+from .linalg import chamber_walk, fraction_free_rref, nullspace
 
 Q = Fraction
 
@@ -257,9 +257,11 @@ class RootSystem:
         pairings with the simple roots, column k of _ambient at twice the
         metric over 2 _ambient[0].  They kill a relation block's
         (1, ..., 1), so no gauge is needed (Humphreys 10.1).  The inverse
-        of _igram is its adjugate over its determinant (_adjugate)."""
+        of _igram is its adjugate over its determinant (fraction_free_rref)."""
         den, rows = self._ambient
-        det, adj = _adjugate(self._igram)
+        n = self.rank
+        m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(self._igram)]
+        det, adj = fraction_free_rref(m)[1], [row[n:] for row in m]
         cols: list[list[tuple[int, int]]] = [[] for _ in range(self.dim)]
         for j, row in enumerate(rows):
             for k, y in row:
@@ -384,27 +386,8 @@ class RootSystem:
         return RootVector(self, [n * x - p * a for x, a in zip(v.c, alpha.c)], n * v.den)
 
     def dominant(self, v: RootVector) -> RootVector:
-        """The dominant Weyl-chamber representative of the orbit of v.
-
-        p[j] = <v | alpha_j> = sum_i c[i] C[i][j]; while some p[j] < 0, the
-        reflection in alpha_j lowers c[j] by p[j] and each p[k] by
-        p[j] C[j][k]."""
-        C = self._cartan
-        ks = range(self.rank)
-        c = list(v.c)
-        p = [sum(x * row[j] for x, row in zip(c, C) if x) for j in ks]
-        while True:
-            for j in ks:
-                pj = p[j]
-                if pj < 0:
-                    c[j] -= pj
-                    row = C[j]
-                    for k in ks:
-                        if row[k]:
-                            p[k] -= pj * row[k]
-                    break
-            else:
-                return RootVector(self, c, v.den)
+        """The dominant Weyl-chamber representative of the orbit of v."""
+        return RootVector(self, chamber_walk(self._cartan, v.c), v.den)
 
     @cached_property
     def length_representatives(self) -> dict[Q, RootVector]:
@@ -768,27 +751,6 @@ def int_codes(vectors: Sequence[Sequence[int]]) -> list[int]:
     base = 4 * max(map(abs, chain.from_iterable(vectors))) + 1
     powers = [base**k for k in range(len(vectors[0]))]
     return [sum(map(mul, v, powers)) for v in vectors]
-
-
-def _adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
-    """(det M, adj M) of a positive definite int matrix M, by fraction-free
-    Gauss-Jordan elimination on [M | I] (Bareiss, Math. Comp. 22, 1968):
-    step k multiplies every other row by pivot k, subtracts its multiple of
-    row k and divides by pivot k - 1, each division exact.  The leading
-    minors of M are positive, so no pivot is zero; the left block ends as
-    det M times I and the right block as adj M."""
-    n = len(matrix)
-    m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(matrix)]
-    prev = 1
-    for k in range(n):
-        rk = m[k]
-        p = rk[k]
-        for i in range(n):
-            if i != k:
-                a = m[i][k]
-                m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], rk)]
-        prev = p
-    return prev, [row[n:] for row in m]
 
 
 def _diagram_type(nodes: set[int], edges: Sequence[dict[int, int]],

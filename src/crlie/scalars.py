@@ -379,3 +379,38 @@ def as_poly(x: Scalarish) -> Poly:
     if isinstance(x, Poly):
         return x
     return Poly.const(_as_gauss(x))
+
+
+class MonomialCode:
+    """The monomials of some polynomials as ints: the exponent of the k-th
+    variable (sorted) fills the bits from k * width, and width holds each
+    exponent of a product of three of them, the most one bracket term of
+    crlie.crstruct multiplies, so a product of monomials is the sum of
+    their codes.  A coded polynomial is {code: int or Gauss}."""
+
+    def __init__(self, polys):
+        top = max([e for p in polys for m in p.terms for _, e in m], default=0)
+        self.width = (3 * top).bit_length()
+        names = sorted(set().union(*(p.variables() for p in polys)))
+        self.shifts = {v: k * self.width for k, v in enumerate(names)}
+
+    def encode(self, p: Poly) -> dict:
+        """The coded p, an integral coefficient as an int."""
+        return {sum(e << self.shifts[v] for v, e in m): c.a if not c.b and c.d == 1 else c
+                for m, c in p.terms.items()}
+
+    def decode(self, t: dict) -> Poly:
+        """The Poly of a coded polynomial, its zero terms dropped."""
+        mask = (1 << self.width) - 1
+        return Poly({tuple((v, e) for v, k in self.shifts.items() if (e := m >> k & mask)):
+                     _as_gauss(c) for m, c in t.items()})
+
+
+def add_product(acc: dict, x: dict, y: dict, f) -> None:
+    """acc += f * x * y in place, for coded polynomials x and y (MonomialCode)
+    and an int or Gauss f."""
+    for m1, c1 in x.items():
+        c1 = c1 * f
+        for m2, c2 in y.items():
+            m, c = m1 + m2, c1 * c2
+            acc[m] = acc[m] + c if m in acc else c

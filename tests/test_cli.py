@@ -44,6 +44,18 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("type_,rank,message", [
+    ("A2", "3", "--type 'A2' must be one type letter with --rank 3"),
+    ("A+B", "2", "--type 'A+B' must be one type letter with --rank 2"),
+    ("A", "0", "--type 'A' with --rank 0 names no root system"),
+])
+def test_roots_type_and_rank_errors_name_both_fields(type_, rank, message, capsys):
+    # the parent glued the fields into "invalid type/rank combination A23"
+    assert run(["roots", "--type", type_, "--rank", rank]) == 64
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
 def test_json_roundtrip_and_multiset(tmp_path):
     out = tmp_path / "t3.json"
     assert run(["table3", "--format", "json", "--out", str(out)]) == 0

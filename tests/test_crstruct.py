@@ -14,7 +14,7 @@ from crlie import rootsys as rs
 from crlie.chevalley import LieElement
 from crlie.linalg import Row, nullspace
 from crlie.painted import PaintedGraph, is_good
-from crlie.scalars import ONE, P_ZERO, ZERO, Gauss, Poly, as_poly
+from crlie.scalars import ONE, P_ZERO, ZERO, Gauss, MonomialCode, Poly, as_poly
 from test_rootsys import pairing_reference
 
 T_HALF = Gauss(Q(1, 2))
@@ -1158,26 +1158,15 @@ def test_line_built_normalizer_on_readme_subspace():
 
 
 def test_line_across_two_weights():
-    # a line E_w + c E_w' whose roots differ in weight leaves W ungraded
-    # when c != 0 at the sample, and is E_w alone when c = 0
+    # no part builds a line E_w + c E_w' whose roots differ in weight:
+    # _propagate refuses the pair (e1-e2, e2-e1) of A2 at theta = e1-e3
     from crlie.cli import build_subspace
 
     a2 = rs.build("A2")
     datum = ct.contact_datum(a2, a2.vector([1, 0, -1]))
     spec = {"su2": ["1,-1,0", "t"], "rj_plus": ["1,0,-1", "0,1,-1"]}
-    # no part builds such a line: _propagate refuses the pair (e1-e2, e2-e1)
     with pytest.raises(cs.StructError, match="non-congruent"):
         build_subspace(datum, spec).lines
-    # so the spec's lines are written into the line map by hand
-    w, *rj = (a2.root_index(a2.vector(v.split(","))) for v in [spec["su2"][0]] + spec["rj_plus"])
-    h = cs.HolomorphicSubspace(datum)
-    h.lines = {**{r: None for r in sorted(rj)}, w: (a2.neg_index[w], Poly.var("t"))}
-    for excess in (cs.normalizer_excess, _dims_stop_normalizer_excess):
-        with pytest.raises(cs.StructError, match="mixed"):
-            excess(h, {"t": T_HALF})
-    zero = {"t": Gauss(0)}
-    assert cs.normalizer_excess(h, zero) == _dims_stop_normalizer_excess(h, zero)
-    _assert_line_built_perp(h, zero)
 
 
 def test_negative_excess_has_no_l_certificate():
@@ -1540,9 +1529,14 @@ def lines_and_image(draw):
 @example(({0: (1, P_ZERO)}, {0: 1, 1: T}))
 @example(({0: (1, T), 2: None}, {1: T}))
 def test_reduce_membership_matches_in_lines(case):
+    # _reduce works on coded twists and coefficients (scalars.MonomialCode)
     lines, image = case
     second = {line[0]: w for w, line in lines.items() if line}
-    assert (not any(cs._reduce(lines, dict(image)).values())) == _in_lines(lines, second, image)
+    image_polys = {r: as_poly(x) for r, x in image.items()}
+    code = MonomialCode([line[1] for line in lines.values() if line] + list(image_polys.values()))
+    coded = {w: line and (line[0], code.encode(line[1])) for w, line in lines.items()}
+    res = cs._reduce(coded, {r: code.encode(p) for r, p in image_polys.items()})
+    assert (not any(any(t.values()) for t in res.values())) == _in_lines(lines, second, image)
 
 
 def test_conj_matches_the_conjugate_on_rows_with_cartan_columns():

@@ -12,15 +12,25 @@ multiset once the columns the symmetry changes are dropped:
 
 Weyl conjugates and -theta are left out: the pair route still reads
 theta's representative, so those rows may differ.
+
+A third symmetry acts on the Chevalley basis, not on theta: the sign
+gauges E_a -> eps_a E_a with eps_-a = eps_a, under which every verdict of
+check --family and of the primitive and CR-graph scans must print the
+same bytes.
 """
 
+import json
+import random
 from collections import Counter
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+from crlie import cli
 from crlie import contact as ct
 from crlie import rootsys as rs
+from crlie.chevalley import ConstantTable
 from crlie.classify import structure_rows_for_datum
 
 DIAGRAM_TYPES = ("A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6")
@@ -84,3 +94,83 @@ def test_rows_are_invariant_under_factor_order(p, q):
         theta = rs.RootVector(system, c)
         assert _rows(*factor_swap(p, q, theta), {"type", "theta"}) \
             == _rows(system, theta, {"type", "theta"}), c
+
+
+class GaugedTable:
+    """The structure constants of the basis E'_a = eps_a E_a, eps_a = +-1
+    with eps_-a = eps_a: N'(a, b) = eps_a eps_b eps_(a+b) N(a, b), read off
+    an ungauged ConstantTable, whose recursive derivations stay ungauged.
+    [E'_a, E'_-a] = H_a and conj(E'_a) = -E'_-a, so the coroot terms and
+    the compact real form are the table's."""
+
+    def __init__(self, system, rng):
+        self.base = base = ConstantTable(system)
+        self.coroot_scale, self.coroot_factors = base.coroot_scale, base.coroot_factors
+        self.coroot_terms = base.coroot_terms
+        self.system = system
+        self.eps = [0] * len(system.roots)
+        for i in range(len(system.roots)):
+            if system.positive[i]:
+                self.eps[i] = self.eps[system.neg_index[i]] = rng.choice((1, -1))
+
+    def n(self, i, j):
+        k = self.system.sum_index(i, j)
+        return 0 if k is None else self.eps[i] * self.eps[j] * self.eps[k] * self.base.n(i, j)
+
+
+class _GaugingCache(dict):
+    """rootsys._CACHE that installs a GaugedTable on each system it
+    stores, before the system's constants are first read."""
+
+    def __init__(self, seed):
+        super().__init__()
+        self.rng = random.Random(seed)
+
+    def __setitem__(self, key, system):
+        system.__dict__["constants"] = GaugedTable(system, self.rng)
+        super().__setitem__(key, system)
+
+
+def _gauge_commands():
+    """check --family on the golden forms of rank <= 4 and the rank-4
+    primitive and nonprimitive scans, all in JSON."""
+    data = Path(cli.__file__).resolve().parent / "data"
+    forms = []
+    for name, keys in (("primitive.json", ("theta_source", "theta_canon")),
+                       ("nonprimitive.json", ("theta_canon",))):
+        for row in json.loads((data / name).read_text())["rows"]:
+            tag = row["type"] + row["rank"] if row["type"].isalpha() else row["type"]
+            for key in keys:
+                if int(row["rank"]) <= 4 and (tag, row[key]) not in forms:
+                    forms.append((tag, row[key]))
+    return ([["check", "--type", tag, f"--theta={theta}", "--family", "--format", "json"]
+             for tag, theta in forms]
+            + [["classify", "--what", what, "--max-rank", "4", "--format", "json"]
+               for what in ("primitive", "nonprimitive")])
+
+
+README_M10 = ["check", "--type", "A4", "--theta", "1,0,0,0,-1", "--m10", json.dumps(
+    {"pairs": [["1,0,0,-1,0", "0,0,0,-1,1", "s"], ["0,1,0,0,-1", "-1,1,0,0,0", "s"]],
+     "su2": ["1,0,0,0,-1", "t"]})]
+
+
+def test_output_is_invariant_under_chevalley_sign_gauges(monkeypatch, capsys):
+    def outputs(commands):
+        out = []
+        for argv in commands:
+            assert cli.main(argv) == 0, argv
+            out.append(capsys.readouterr().out)
+        return out
+
+    commands = _gauge_commands()
+    assert len(commands) >= 20
+    monkeypatch.setattr(rs, "_CACHE", {})
+    want, m10 = outputs(commands), outputs([README_M10])
+    m10_changed = False
+    for seed in (1, 2, 3):
+        monkeypatch.setattr(rs, "_CACHE", _GaugingCache(seed))
+        assert outputs(commands) == want, seed
+        # a user's twist is read in the gauged basis: the gauge takes effect
+        monkeypatch.setattr(rs, "_CACHE", _GaugingCache(seed))
+        m10_changed |= outputs([README_M10]) != m10
+    assert m10_changed

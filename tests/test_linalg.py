@@ -227,6 +227,27 @@ def test_int_rows_give_fractions_never_floats():
             assert all(type(x) is Q for v in kernel for x in v)
 
 
+def test_nullspace_over_z_matches_fraction_elimination():
+    """Seeded rank-deficient matrices: int rows, eliminated over Z, and the
+    same rows scaled by Fractions, which go through nullspace_gauss, give
+    the kernel of the dense Fraction elimination."""
+    rng = random.Random(33)
+    for _ in range(500):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
+        rank = rng.randint(0, min(nrows, ncols) - 1)
+        gens = [[rng.randint(-6, 6) for _ in range(ncols)] for _ in range(rank)]
+        coeffs = [[rng.randint(-3, 3) for _ in gens] for _ in range(nrows)]
+        ints = [[sum(c * g[j] for c, g in zip(cs, gens)) for j in range(ncols)] for cs in coeffs]
+        scales = [Q(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)) for _ in ints]
+        fracs = [[x * q for x in r] for r, q in zip(ints, scales)]
+        want = dense_nullspace([[Q(x) for x in r] for r in ints], ncols, Q(0), Q(1))
+        assert len(want) >= ncols - rank
+        for given in (ints, _as_dicts(ints), fracs, _as_dicts(fracs)):
+            kernel = nullspace(given, ncols)
+            assert kernel == want
+            assert all(type(x) is Q for v in kernel for x in v)
+
+
 def test_empty_inputs():
     assert rref([]) == ([], [])
     assert nullspace([], 2) == [[Q(1), Q(0)], [Q(0), Q(1)]]

@@ -6,7 +6,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crlie.scalars import Gauss, Poly
+from crlie.scalars import Gauss, MonomialCode, Poly, add_product
 
 
 class RefGauss:
@@ -326,3 +326,23 @@ def test_gauss_defers_to_poly(operand):
     assert g == Poly.const(g) and (g == t) is False
     with pytest.raises(TypeError):
         g + "t"
+
+
+# monomials in s, s~ and t of exponents up to 7, so that fields are wide
+coded_monomials = st.lists(st.tuples(st.sampled_from(["s", "s~", "t"]), st.integers(1, 7)),
+                           max_size=3, unique_by=lambda p: p[0]).map(lambda m: tuple(sorted(m)))
+coded_polys = st.dictionaries(coded_monomials, gaussians, max_size=4).map(Poly)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(coded_polys, coded_polys, coded_polys, st.sampled_from([1, -3, Gauss(Q(1, 2), 2)]))
+def test_coded_products_match_poly_products(p, q, r, f):
+    # a product of three coded polynomials adds codes with no carry
+    code = MonomialCode([p, q, r])
+    assert code.decode(code.encode(p)).terms == p.terms
+    pq = {}
+    add_product(pq, code.encode(p), code.encode(q), f)
+    assert code.decode(pq).terms == (p * q * f).terms
+    pqr = dict(pq)
+    add_product(pqr, pq, code.encode(r), -1)
+    assert code.decode(pqr).terms == (p * q * f - p * q * r * f).terms
