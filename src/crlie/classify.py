@@ -220,7 +220,7 @@ def special_rows(max_rank: int = DEFAULT_MAX_RANK) -> list[dict]:
 def _sample_values(h: HolomorphicSubspace, j: int = 0) -> dict[str, Gauss]:
     """Twist values at sample j: t = SAMPLES[j], u = 1/t on a reciprocal
     chart (t*u = 1), any other parameter the following samples."""
-    params = {p for p in h.parameters() if not p.endswith("~")}
+    params = h.parameters()
     if not params:
         return {}
     vals = {"t": SAMPLES[j]}
@@ -240,7 +240,7 @@ def _verify(h: HolomorphicSubspace, samples: int) -> Optional[bool]:
     primitive = True
     for j in range(samples):
         vals = _sample_values(h, j)
-        if (not cons.holds_at(h.at(vals).values) or is_standard(h, vals)
+        if (not cons.holds_at(vals) or is_standard(h, vals)
                 or normalizer_excess(h, vals) != 0):
             return None
         primitive = primitive and find_crf_parabolics(h, vals).primitive
@@ -304,38 +304,31 @@ def _primitive_rows_for(system: RootSystem, ttag, rank) -> list[dict]:
     return rows
 
 
-def _primitive_candidates(system: RootSystem):
-    """The dominant root of each length of a simple system, then the pair
-    candidates, one per canonical form."""
+def _primitive_candidates(system: RootSystem) -> list[RootVector]:
+    """The dominant root of each length of a simple system, then one
+    contact form a - b per class of strongly orthogonal root pairs, with a
+    the dominant root of a length (exhaustive up to the Weyl action).  The
+    class of a - b is the orbit of its dominant primitive tuple d under the
+    diagram symmetries, which holds -d's too: -w_0 maps the simple roots to
+    themselves, so -d's dominant tuple -w_0 d lies in it.  A class is kept
+    the first time it is met, unless it lies along a root."""
     reps = list(system.length_representatives.values())
-    if system.is_simple:
-        yield from reps
-    seen: set[str] = set()
-    for cand in _pair_candidates(system, reps):
-        key = canon_str(system.canonical_form(cand))
-        if key not in seen:
-            seen.add(key)
-            yield cand
-
-
-def _pair_candidates(system: RootSystem, reps: list[RootVector]) -> list[RootVector]:
-    """Orthogonal root pairs spanning A1+A1, as contact forms a - a'.
-
-    The first member is one of reps, the dominant representative of each
-    length class, which is exhaustive up to the Weyl action.  An a - a' is
-    kept when its chamber walk is new and lies along no root.
-    """
     cartan, roots = system.cartan_matrix(), set(system.expansions)
-    out, seen = [], set()
+    out = reps[:] if system.is_simple else []
+    seen: set[frozenset] = set()
     for a in reps:
         ia = system.root_index(a)
         for j, b in enumerate(system.expansions):
-            if system.strongly_orthogonal(ia, j):
-                d = chamber_walk(cartan, [x - y for x, y in zip(a.c, b)])
-                g = gcd(*d)
-                if d not in seen and tuple(x // g for x in d) not in roots:
+            if not system.strongly_orthogonal(ia, j):
+                continue
+            d = chamber_walk(cartan, [x - y for x, y in zip(a.c, b)])
+            g = gcd(*d)
+            d = tuple(x // g for x in d)
+            key = frozenset(tuple(d[i] for i in p) for p in system.diagram_automorphisms)
+            if key not in seen:
+                seen.add(key)
+                if d not in roots:
                     out.append(a - system.roots[j])
-                seen.add(d)
     return out
 
 

@@ -28,7 +28,8 @@ weight space of W', so those enter the normalizer's blocks as they are and
 t' is never bracketed; with the l-bound, only the block of weight 0 takes
 brackets at all.  Pairings with theta and with the center of l are read off
 ints (ContactDatum.theta_pairings, RootVector.covector), each up to one
-positive factor.
+positive factor.  The twists are holomorphic: formal conjugates x~ appear
+only in the disjointness factors.
 """
 
 from __future__ import annotations
@@ -75,9 +76,9 @@ class TwistedPair:
 class HolomorphicSubspace:
     """A candidate m10: twisted pairs, plain modules and the one-sided
     block R_J+.  An su2 line C(E_mu + c E_{-mu}) is the pair (mu, -mu, c).
-    The twist parameters, every check and the samples of the twists (at)
-    all read one map, lines.  Two subspaces are equal when their five
-    fields are, and hash alike."""
+    The twist parameters, every check and the lines at a sample of the
+    twists (at) all read one map, lines.  Two subspaces are equal when
+    their five fields are, and hash alike."""
 
     def __init__(self, datum: ContactDatum, pairs: tuple[TwistedPair, ...] = (),
                  plains: tuple[int, ...] = (), rj_plus: frozenset[int] = frozenset(),
@@ -103,6 +104,10 @@ class HolomorphicSubspace:
     def lines(self) -> dict[int, Optional[tuple[int, Poly]]]:
         """The lines of m10 in basis order: root w maps to (w', c) when
         E_w + c E_w' is a basis vector and to None when E_w alone is.
+
+        Every twist c is holomorphic, naming no formal conjugate x~
+        (cli._parse_coeff refuses one; the routes name t, s, s2 and u):
+        conjugates enter only through m01 = conj(m10), in check_disjointness.
 
         Raises when a root of a pair lies in R_o (m10 lies in m^C, the
         span of the E_r for r in R'), when a pair does not propagate or a
@@ -130,15 +135,14 @@ class HolomorphicSubspace:
         _in_rprime(datum, sorted(self.rj_plus))  # modules partition R'
         return dict(lines)
 
-    def at(self, values: Mapping[str, Gauss]) -> "Sample":
-        """The subspace at one sample of its twists, evaluated once and kept
-        with the subspace, as ContactDatum.propagations is with the datum."""
+    def at(self, values: Mapping[str, Gauss]) -> dict[int, Optional[tuple[int, Gauss]]]:
+        """The lines at one sample of the twists: each twist evaluated at
+        values, to None where it is 0, once and kept with the subspace, as
+        ContactDatum.propagations is with the datum."""
         key = tuple(sorted(values.items()))
         if key not in self._samples:
-            vals = _with_conj(values)
-            lines = {w: line and (line[0], line[1].eval(vals)) for w, line in self.lines.items()}
-            self._samples[key] = Sample(vals, {w: line if line and line[1] else None
-                                               for w, line in lines.items()})
+            ev = {w: line and (line[0], line[1].eval(values)) for w, line in self.lines.items()}
+            self._samples[key] = {w: line if line and line[1] else None for w, line in ev.items()}
         return self._samples[key]
 
     @cached_property
@@ -166,13 +170,12 @@ class HolomorphicSubspace:
         n, codes, get = sys.constants.n, sys.codes, sys.by_code.get
         lines, vecs, _ = self._coded
         for d in datum.ro_generators:
-            nd, cd = sys.neg_index[d], codes[d]
+            cd = codes[d]
             for v in vecs:
-                # [E_d, E_w + c E_w'] = N(d, w) E_(d+w) + c N(d, w') E_(d+w')
+                # [E_d, E_w + c E_w'] = N(d, w) E_(d+w) + c N(d, w') E_(d+w');
+                # d lies in R_o and every root of a line in R', so no line holds -d
                 image: dict[int, dict] = {}
                 for r, c in v.items():
-                    if r == nd:
-                        return False  # [E_d, E_-d] is a Cartan element
                     k = get(cd + codes[r])
                     if k is not None:
                         image[k] = {m: x * n(d, r) for m, x in c.items()}
@@ -187,18 +190,6 @@ class HolomorphicSubspace:
         code = MonomialCode([line[1] for line in self.lines.values() if line])
         lines = {w: line and (line[0], code.encode(line[1])) for w, line in self.lines.items()}
         return lines, _line_vectors(lines, {0: 1}), code
-
-
-class Sample:
-    """A subspace at one sample: the values with their formal conjugates,
-    and the lines with each twist evaluated, to None where it is 0."""
-
-    __slots__ = ("values", "lines")
-
-    def __init__(self, values: dict[str, Gauss],
-                 lines: dict[int, Optional[tuple[int, Gauss]]]):
-        self.values = values
-        self.lines = lines
 
 
 def _in_rprime(datum: ContactDatum, roots) -> None:
@@ -419,7 +410,16 @@ class DisjointnessResult:
         return [_abs_locus(f) or f"{f} = 0" for f in self.factors]
 
     def holds_at(self, values: Mapping[str, Gauss]) -> bool:
-        return all(not f.eval(values).is_zero() for f in self.factors)
+        """No factor vanishes at values, completed by x~ = conj(x)."""
+        vals = _with_conj(values)
+        return all(not f.eval(vals).is_zero() for f in self.factors)
+
+
+def _with_conj(values: Mapping[str, Gauss]) -> dict[str, Gauss]:
+    out = dict(values)
+    for k, v in values.items():
+        out.setdefault(conj_var(k), v.conj())
+    return out
 
 
 def _abs_locus(f: Poly) -> Optional[str]:
@@ -522,13 +522,6 @@ def _det_poly(mat: list[list], zero=P_ZERO):
 # -- evaluation-based checks ---------------------------------------------------------
 
 
-def _with_conj(values: Mapping[str, Gauss]) -> dict[str, Gauss]:
-    out = dict(values)
-    for k, v in list(values.items()):
-        out.setdefault(conj_var(k), v.conj())
-    return out
-
-
 def is_standard(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> bool:
     """Ad_Z-invariance of the subspace evaluated at values, read off its
     lines (HolomorphicSubspace.lines).
@@ -539,7 +532,7 @@ def is_standard(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> bool:
     (HolomorphicSubspace.at).  The pairings are compared as
     ContactDatum.theta_pairings holds them, times one positive int."""
     p = h.datum.theta_pairings
-    return all(line is None or p[w] == p[line[0]] for w, line in h.at(values).lines.items())
+    return all(line is None or p[w] == p[line[0]] for w, line in h.at(values).items())
 
 
 def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> int:
@@ -633,7 +626,7 @@ def _graded_w_and_perp(h: HolomorphicSubspace, values: Mapping[str, Gauss]):
     wblocks = {tau: list(els) for tau, els in datum.l_complex.items()}
     perp: dict[int, list] = {0: [datum.theta]}
     free = set(datum.Rprime)
-    for w, line in h.at(values).lines.items():
+    for w, line in h.at(values).items():
         free.discard(w)
         v = {w: ONE}
         if line is not None:
@@ -753,7 +746,7 @@ def find_crf_parabolics(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> 
     sys = h.datum.system
     datum = h.datum
     support = set(datum.Ro.members)
-    for w, line in h.at(values).lines.items():
+    for w, line in h.at(values).items():
         support.update((w, line[0]) if line else (w,))
     p = _additive_closure(sys, frozenset(support))
     if any(i not in p and sys.neg_index[i] not in p for i in range(len(sys.roots))):
@@ -823,7 +816,7 @@ def _rotated_s1_witness(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> 
     subspace."""
     sys, datum = h.datum.system, h.datum
     mu = next((p.hw for p in h.pairs if p.partner == sys.neg_index[p.hw]), None)
-    lines = dict(h.at(values).lines)
+    lines = dict(h.at(values))
     if mu is None or lines[mu] is None:
         return None
     partner, twist = lines.pop(mu)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 
@@ -10,6 +11,7 @@ from crlie import contact as ct
 from crlie import crstruct as cs
 from crlie import rootsys as rs
 from crlie.cli import load_fixture
+from crlie.linalg import chamber_walk
 from crlie.modules import dual_pairs
 
 
@@ -184,3 +186,59 @@ def test_root_rows_keyed_by_length(tag):
     assert long != short
     assert {row["theta"] for row in long}.isdisjoint(row["theta"] for row in short)
     assert len(rs.parse_type(tag).root_structure_rows) == 2
+
+
+# -- the primitive scan's candidate contact forms ----------------------------------------
+
+
+def _reference_primitive_candidates(system):
+    """The candidates as two passes: the pair candidates kept on new chamber
+    walks, then one per canonical form."""
+    reps = list(system.length_representatives.values())
+    if system.is_simple:
+        yield from reps
+    seen = set()
+    for cand in _reference_pair_candidates(system, reps):
+        key = rs.canon_str(system.canonical_form(cand))
+        if key not in seen:
+            seen.add(key)
+            yield cand
+
+
+def _reference_pair_candidates(system, reps):
+    cartan, roots = system.cartan_matrix(), set(system.expansions)
+    out, seen = [], set()
+    for a in reps:
+        ia = system.root_index(a)
+        for j, b in enumerate(system.expansions):
+            if system.strongly_orthogonal(ia, j):
+                d = chamber_walk(cartan, [x - y for x, y in zip(a.c, b)])
+                g = gcd(*d)
+                if d not in seen and tuple(x // g for x in d) not in roots:
+                    out.append(a - system.roots[j])
+                seen.add(d)
+    return out
+
+
+def _candidate_systems(max_rank):
+    """(tag, system) of the simple types of rank <= max_rank and A1+A1."""
+    out = [(f"{t}{r}", rs.build(t, r)) for t, r in classify.simple_types(max_rank)]
+    return out + [("A1+A1", rs.build_product([("A", 1), ("A", 1)]))]
+
+
+def test_primitive_candidates_match_the_two_pass_reference():
+    # the one pass keeps the same contact forms, in the same order
+    for tag, s in _candidate_systems(8):
+        assert classify._primitive_candidates(s) == list(_reference_primitive_candidates(s)), tag
+
+
+def test_primitive_candidates_cover_every_strongly_orthogonal_pair():
+    # every a - b, a over all roots and b strongly orthogonal to it, lies
+    # along a root or has the canonical form of exactly one candidate
+    for tag, s in _candidate_systems(6):
+        forms = [rs.canon_str(s.canonical_form(v)) for v in classify._primitive_candidates(s)]
+        assert len(set(forms)) == len(forms), tag
+        for i, a in enumerate(s.roots):
+            for j, b in enumerate(s.roots):
+                if s.strongly_orthogonal(i, j) and s.root_along(a - b) is None:
+                    assert rs.canon_str(s.canonical_form(a - b)) in forms, (tag, i, j)

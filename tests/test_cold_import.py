@@ -64,7 +64,6 @@ SIGNATURES = {
     cs.TwistedPair: [("hw", _EMPTY), ("partner", _EMPTY), ("coeff", _EMPTY)],
     cs.HolomorphicSubspace: [("datum", _EMPTY), ("pairs", ()), ("plains", ()),
                              ("rj_plus", frozenset()), ("label", "")],
-    cs.Sample: [("values", _EMPTY), ("lines", _EMPTY)],
     cs.ConstraintSet: [("generators", _EMPTY)],
     cs.DisjointnessResult: [("factors", _EMPTY)],
     cs.ParabolicWitness: [("sym_roots", _EMPTY), ("fiber_dim", _EMPTY), ("fiber_type", _EMPTY)],

@@ -1205,7 +1205,7 @@ def _t_prime_seed_claims(h, j, monkeypatch):
                 assert support <= set(el.e), h.label
                 assert len({br.e.get(r, Gauss(0)) / c for r, c in el.e.items()}) <= 1, h.label
             assert any(not br.is_zero() for br in brs) == (tau != 0), (h.label, tau)
-    disjoint = _outcome(lambda: cs.check_disjointness(h).holds_at(h.at(vals).values)) is True
+    disjoint = _outcome(lambda: cs.check_disjointness(h).holds_at(vals)) is True
     if not disjoint:
         return False, False
     for tau, roots in datum.weight_blocks.items():
@@ -1635,3 +1635,35 @@ def test_propagate_matches_the_fraction_kappa():
         assert all(type(k) is Gauss for _, k in got.values())
         assert got == _fraction_kappa(datum, pair.hw, pair.partner, datum.ro_generators), (tag, theta)
     assert len({(tag, theta) for tag, theta, _, _ in pairs}) > 20
+
+
+def _at_with_conj(h, values):
+    """The lines at values as evaluated at values completed by formal
+    conjugates (_with_conj), to None where a twist is 0."""
+    vals = cs._with_conj(values)
+    lines = {w: line and (line[0], line[1].eval(vals)) for w, line in h.lines.items()}
+    return {w: line if line and line[1] else None for w, line in lines.items()}
+
+
+@pytest.mark.parametrize("tag", [f"{t}{r}" for t, r in classify.simple_types(5)])
+def test_line_twists_are_holomorphic(tag):
+    # on every subspace the routes build over the dominant classes of
+    # R u (R +- R), no twist names a conjugate, so evaluating the lines
+    # needs no conjugate values, and disjointness completes its own
+    from test_congruence import _dominant_sum_forms
+
+    sysm = rs.parse_type(tag)
+    subspaces = set()
+    for theta in _dominant_sum_forms(tag) + list({sysm.dominant(x) for x in sysm.roots}):
+        F = classify.classify_datum(ct.contact_datum(sysm, theta))
+        subspaces.update(F.structures)
+        subspaces.update(x for x in (F.primitive, F.fibered, F.chart) if x is not None)
+    for h in subspaces:
+        assert not any(p.endswith("~") for p in h.parameters()), h.label
+        for j in (0, 1):
+            vals = classify._sample_values(h, j)
+            assert h.at(vals) == _at_with_conj(h, vals), (h.label, j)
+            disjoint = _outcome(lambda: cs.check_disjointness(h).holds_at(vals))
+            assert disjoint == _outcome(
+                lambda: cs.check_disjointness(h).holds_at(cs._with_conj(vals))), (h.label, j)
+    assert any(h.parameters() for h in subspaces) or tag == "G2"
