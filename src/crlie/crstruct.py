@@ -9,16 +9,20 @@ with c = 0 it is the whole module {mu}.  Each part contributes lines to one
 map, HolomorphicSubspace.lines: root w maps to (w', c) for the basis vector
 E_w + c E_w', or to None for E_w alone.  Every check reads that map, or
 HolomorphicSubspace.at(values), the lines with their twists evaluated once
-per sample, and brackets their roots through the structure constants; none
-builds a basis of Lie algebra elements.  Integrability and disjointness are
-polynomial in the twists and decided symbolically (integrability and
-l-stability on int-coded monomials, HolomorphicSubspace._coded);
-standardness, the normalizer dimension and the parabolic fibration witnesses
-at sampled Gaussian-rational values, all exactly.  The normalizer needs no
-linear system of its own: by the invariant form of the Chevalley basis it is
-the annihilator of the brackets of l^C + m01 with its orthogonal complement,
-and both spaces are read off the lines, since their form rows have disjoint
-supports once every line root lies in R' (normalizer_excess).  The bracket
+per sample; none builds a basis of Lie algebra elements.  l-stability is
+decided on the roots of R_J+ alone, with no twist arithmetic
+(HolomorphicSubspace.l_stable).  Integrability and disjointness are
+polynomial in the twists and decided symbolically: integrability brackets
+the lines' roots through the structure constants on int-coded monomials
+(HolomorphicSubspace._coded), and disjointness takes a determinant only
+over the twisted lines of each congruence class, the lone lines being unit
+rows (check_disjointness).  Standardness, the normalizer dimension and the
+parabolic fibration witnesses are decided at sampled Gaussian-rational
+values, all exactly.  The normalizer needs no linear system of its own:
+by the invariant form of the Chevalley basis it is the annihilator of the
+brackets of l^C + m01 with its orthogonal complement, and both spaces are
+read off the lines, since their form rows have disjoint supports once
+every line root lies in R' (normalizer_excess).  The bracket
 checks are graded by the theta-transverse weight of ContactDatum.weights:
 integrability skips the pairs whose sum is no weight of g or a block that
 reduction modulo m10 + l^C empties, and the normalizer ranks its rows one
@@ -156,30 +160,34 @@ class HolomorphicSubspace:
     @cached_property
     def l_stable(self) -> bool:
         """True when [E_d, m10] lies in m10 for every d of
-        ContactDatum.ro_generators, decided from the lines and the
-        structure constants alone, with the twists symbolic.
+        ContactDatum.ro_generators: exactly when R_J+ is closed under the
+        steps d, decided on root sets with no twist read and no bracket.
 
-        Those E_d generate the semisimple part of l^C, and t' acts on each
+        d lies in R_o and every root of a line in R', so r + d is never 0
+        and N(d, r) is nonzero wherever r + d is a root.  Each isotropy
+        module is an l-module, closed under the steps d and -d, so a plain
+        maps into itself.  A pair's line E_w + c E_w' maps to N(d, w)
+        times the line of w + d when w + d is a root (_propagate matched
+        the pair on that edge), and to 0 otherwise: the pair's modules
+        are congruent, so isomorphic (Humphreys §20), the roots w' fill
+        the partner module, and a root w' + d of it is the partner of
+        w + d.  A root r of R_J+ maps to a multiple of E_(r+d), and a
+        root r + d lies in no pair's or plain's module, which would then
+        hold r too (lines raises on a root in two parts): it lies in m10
+        exactly when it lies in R_J+.
+
+        The E_d generate the semisimple part of l^C, and t' acts on each
         line by one scalar, since its two roots share a theta-transverse
         weight (_propagate).  Then [l^C, m10] lies in m10, and since
         conj fixes l^C, l^C normalizes W = l^C + m01 and lies in N and in
         conj(N) (normalizer_excess).  False says only that this certificate
         does not hold."""
-        datum = self.datum
-        sys = datum.system
-        n, codes, get = sys.constants.n, sys.codes, sys.by_code.get
-        lines, vecs, _ = self._coded
-        for d in datum.ro_generators:
-            cd = codes[d]
-            for v in vecs:
-                # [E_d, E_w + c E_w'] = N(d, w) E_(d+w) + c N(d, w') E_(d+w');
-                # d lies in R_o and every root of a line in R', so no line holds -d
-                image: dict[int, dict] = {}
-                for r, c in v.items():
-                    k = get(cd + codes[r])
-                    if k is not None:
-                        image[k] = {m: x * n(d, r) for m, x in c.items()}
-                if any(any(t.values()) for t in _reduce(lines, image).values()):
+        self.lines  # raises, as every check does, on a subspace that is no m10
+        codes, get = self.datum.system.codes, self.datum.system.by_code.get
+        for d in self.datum.ro_generators:
+            for r in self.rj_plus:
+                k = get(codes[r] + codes[d])
+                if k is not None and k not in self.rj_plus:
                     return False
         return True
 
@@ -470,29 +478,40 @@ def _divisors(n: int) -> list[int]:
 
 def check_disjointness(h: HolomorphicSubspace) -> DisjointnessResult:
     """Determinant factors whose nonvanishing gives m10 and conj(m10) disjoint,
-    one per congruence block, read off the lines and their conjugates.  A
-    block with no twist has Gauss entries and a constant determinant,
-    taken on Gauss: a zero one raises and a nonzero one is no factor."""
-    neg = h.datum.system.neg_index
-    vectors = [{w: ONE, line[0]: line[1]} if line and line[1] else {w: ONE}
-               for w, line in h.lines.items()]
-    vectors += [_conj(v, neg) for v in vectors]
-    class_of = h.datum.class_of
-    per_block: dict[tuple[int, ...], list] = {}
-    for v in vectors:
-        block = class_of[min(v)]
-        if any(class_of[w] != block for w in v):
-            raise StructError("vector support crosses congruence blocks")
-        per_block.setdefault(block, []).append(v)
+    one per congruence class, read off the lines and their conjugates.
+
+    The two roots of a line share a theta-transverse weight (_propagate),
+    so each line and each conjugate -E_-w - conj(c) E_-w' lies in one
+    class, and m10 + m01 is the sum over the classes of their rows, taken
+    in the order of the lines, then of their conjugates.  A class with
+    other than one row per root raises.  A lone line E_w, a line whose
+    twist is 0 included, and its conjugate -E_-w are unit rows, pivots
+    on one column each: two on one column make the determinant 0 and
+    raise, and the others expand it to +-1 times the determinant of the
+    twisted lines and their conjugates on the columns left.  primitive()
+    drops that sign, so only those rows take a determinant, and a class
+    without a twist has none: its determinant is +-1, no factor."""
+    neg, class_of = h.datum.system.neg_index, h.datum.class_of
+    # each class's rows: a pivot's column, or a twisted row {column: entry}
+    rows: dict[tuple[int, ...], list] = {}
+    for w, line in h.lines.items():
+        rows.setdefault(class_of[w], []).append({w: ONE, line[0]: line[1]}
+                                                if line and line[1] else w)
+    for w, line in h.lines.items():
+        rows.setdefault(class_of[neg[w]], []).append(
+            {neg[w]: -ONE, neg[line[0]]: -line[1].conj()} if line and line[1] else neg[w])
     factors: dict[tuple, Poly] = {}
-    for block, vs in per_block.items():
+    for block, vs in rows.items():
         if len(vs) != len(block):
             raise StructError("congruence block is not square")
-        if all(type(x) is Gauss for v in vs for x in v.values()):
-            if _det_poly([[v.get(w, ZERO) for w in block] for v in vs], ZERO).is_zero():
-                raise StructError("identically degenerate block")
+        pivots = {v for v in vs if type(v) is int}
+        twisted = [v for v in vs if type(v) is dict]
+        if len(pivots) + len(twisted) != len(vs):
+            raise StructError("identically degenerate block")
+        if not twisted:
             continue
-        det = as_poly(_det_poly([[v.get(w, P_ZERO) for w in block] for v in vs]))
+        cols = [c for c in block if c not in pivots]
+        det = as_poly(_det_poly([[v.get(c, P_ZERO) for c in cols] for v in twisted]))
         if det.is_zero():
             raise StructError("identically degenerate block")
         det = det.primitive()
@@ -501,20 +520,19 @@ def check_disjointness(h: HolomorphicSubspace) -> DisjointnessResult:
     return DisjointnessResult(tuple(sorted(factors.values(), key=lambda p: p.key())))
 
 
-def _det_poly(mat: list[list], zero=P_ZERO):
-    """The determinant by cofactors along the first row, over Poly or, with
-    zero = ZERO, over Gauss."""
+def _det_poly(mat: list[list]):
+    """The determinant by cofactors along the first row."""
     n = len(mat)
     if n == 1:
         return mat[0][0]
     if n == 2:
         return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    total = zero
+    total = P_ZERO
     for j in range(n):
         if mat[0][j].is_zero():
             continue
         minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = mat[0][j] * _det_poly(minor, zero)
+        term = mat[0][j] * _det_poly(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
 

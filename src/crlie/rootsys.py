@@ -443,6 +443,12 @@ class RootSystem:
         return out
 
     @cached_property
+    def _subsystem_components(self) -> dict[int, tuple]:
+        """Subsystem._components by member set, as the bit mask with bit i
+        set for root i, filled on first use."""
+        return {}
+
+    @cached_property
     def constants(self):
         """The Chevalley structure constants N(a, b), built on first use."""
         from .chevalley import ConstantTable
@@ -589,12 +595,22 @@ class Subsystem:
 
     @cached_property
     def _components(self) -> tuple[tuple[str, int, frozenset[int]], ...]:
-        """_dynkin_components sorted by type, computed once per subsystem."""
-        return tuple(sorted(self._dynkin_components(), key=lambda c: c[:2]))
+        """_dynkin_components sorted by type, computed once per member set
+        of the parent (RootSystem._subsystem_components): the R_o of many
+        contact forms, and many closures, are one set of roots.  A set
+        that is no root system raises and is not kept."""
+        table = self.parent._subsystem_components
+        # the set as a bit mask: a table keyed by the frozensets would keep
+        # each alive, at kilobytes apiece
+        key = sum(1 << i for i in self.members)
+        comps = table.get(key)
+        if comps is None:
+            comps = table[key] = tuple(sorted(self._dynkin_components(), key=lambda c: c[:2]))
+        return comps
 
     def classify(self) -> list[tuple[str, int]]:
         """Type of each indecomposable component, canonically sorted;
-        computed once per subsystem.
+        computed once per member set (_components).
 
         B2 is used for the rank-2 BC system and A3 for D3.
         """

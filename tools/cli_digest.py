@@ -57,7 +57,13 @@ the first two golden graphs, each with ``--format csv``.  Last, ``check
 --m10`` in text and JSON on the ``"pairs"``-spelled twin of each spec
 above with an su2 line (A4, B3, C3, A3, in that order): the line
 ``["mu", c]`` moved into ``"pairs"`` as ``["mu", "-mu", c]``, which must
-print what the su2 spelling prints.
+print what the su2 spelling prints.  Last, ``check --m10`` in text and
+JSON on three edges of the line checks: the README's A4 spec with its
+first pair's twist ``"0"``, the D5 spec above with its pair's twist
+``"0"`` beside ``rj_plus: "positive"``, so pair lines of twist 0,
+unit rows of the disjointness determinant, are diffed, and an A2
+subspace of three plain modules whose congruence class holds one root
+twice, which exits 64 with "identically degenerate block".
 The commands run in one process, through ``crlie.cli.main``.
 """
 
@@ -124,10 +130,20 @@ def pairs_twin(spec: dict) -> dict:
     return twin
 
 
-# (type, theta, --m10 spec) checked after everything else: the su2 specs
+# (type, theta, --m10 spec) checked after the CSV renderer: the su2 specs
 # of M10_CHECKS and M10_MORE spelled as pairs
 M10_TWINS = tuple((t, theta, pairs_twin(spec)) for t, theta, spec in M10_CHECKS + M10_MORE
                   if "su2" in spec)
+
+# (type, theta, --m10 spec) checked last: zero twists on pair lines, and a
+# class whose unit rows meet on one column
+M10_EDGES = (
+    ("A4", "1,0,0,0,-1", {"pairs": [["1,0,0,-1,0", "0,0,0,-1,1", "0"],
+                                    ["0,1,0,0,-1", "-1,1,0,0,0", "s"]],
+                          "su2": ["1,0,0,0,-1", "t"]}),
+    ("D5", "0,1,1,1,1", {"pairs": [["0,1,1,0,0", "0,0,0,-1,-1", "0"]], "rj_plus": "positive"}),
+    ("A2", "1,0,-1", {"plains": ["1,-1,0", "-1,1,0", "1,0,-1"]}),
+)
 
 
 def _type_of(row: dict) -> str:
@@ -259,6 +275,8 @@ def battery(data: Path, rootsys) -> list[list[str]]:
     cmds += [["check", "--graph", g, *csv_fmt] for g in golden_graphs(data)[:2]]
     cmds += [["check", "--type", t, f"--theta={theta}", "--m10", json.dumps(spec), "--format", fmt]
              for t, theta, spec in M10_TWINS for fmt in ("text", "json")]
+    cmds += [["check", "--type", t, f"--theta={theta}", "--m10", json.dumps(spec), "--format", fmt]
+             for t, theta, spec in M10_EDGES for fmt in ("text", "json")]
     return cmds
 
 
