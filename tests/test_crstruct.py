@@ -15,6 +15,7 @@ from crlie.chevalley import LieElement
 from crlie.linalg import Row, nullspace
 from crlie.painted import PaintedGraph, is_good
 from crlie.scalars import ONE, P_ZERO, ZERO, Gauss, MonomialCode, Poly, as_poly
+from poly_reference import weights
 from test_rootsys import pairing_reference
 
 T_HALF = Gauss(Q(1, 2))
@@ -1464,7 +1465,8 @@ def _l_stable_reference(h):
     sysm = datum.system
     lines = h.lines
     second = {line[0]: w for w, line in lines.items() if line}
-    if any(datum.weights[w] != datum.weights[wp] for wp, w in second.items()):
+    wts = weights(datum)
+    if any(wts[w] != wts[wp] for wp, w in second.items()):
         return False
     for d in datum.ro_generators:
         for w, line in lines.items():
