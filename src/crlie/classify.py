@@ -43,7 +43,6 @@ from .families import (
     short_root_families,
     special_su_families,
 )
-from .linalg import chamber_walk
 from .modules import congruence_groups
 from .painted import CRGraph, enumerate_cr_graphs, flag_pair
 from .report import Report
@@ -308,12 +307,12 @@ def _primitive_candidates(system: RootSystem) -> list[RootVector]:
     """The dominant root of each length of a simple system, then one
     contact form a - b per class of strongly orthogonal root pairs, with a
     the dominant root of a length (exhaustive up to the Weyl action).  The
-    class of a - b is the orbit of its dominant primitive tuple d under the
-    diagram symmetries, which holds -d's too: -w_0 maps the simple roots to
-    themselves, so -d's dominant tuple -w_0 d lies in it.  A class is kept
-    the first time it is met, unless it lies along a root."""
+    class of a - b is the diagram_orbit of its primitive expansion, which
+    holds -(a - b)'s too; the Weyl group keeps the gcd.  A class is kept
+    the first time it is met, unless it lies along a root: the diagram
+    symmetries permute the roots, so then every member is one."""
     reps = list(system.length_representatives.values())
-    cartan, roots = system.cartan_matrix(), set(system.expansions)
+    roots = set(system.expansions)
     out = reps[:] if system.is_simple else []
     seen: set[frozenset] = set()
     for a in reps:
@@ -321,13 +320,12 @@ def _primitive_candidates(system: RootSystem) -> list[RootVector]:
         for j, b in enumerate(system.expansions):
             if not system.strongly_orthogonal(ia, j):
                 continue
-            d = chamber_walk(cartan, [x - y for x, y in zip(a.c, b)])
+            d = [x - y for x, y in zip(a.c, b)]
             g = gcd(*d)
-            d = tuple(x // g for x in d)
-            key = frozenset(tuple(d[i] for i in p) for p in system.diagram_automorphisms)
+            key = system.diagram_orbit([x // g for x in d])
             if key not in seen:
                 seen.add(key)
-                if d not in roots:
+                if key.isdisjoint(roots):
                     out.append(a - system.roots[j])
     return out
 

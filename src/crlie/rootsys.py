@@ -4,12 +4,13 @@ coordinates at the edges.
 The roots come from the integer Cartan matrix by alpha-strings, layer by
 height (Humphreys, Introduction to Lie Algebras and Representation Theory,
 9.4 and 10.1).  Every positive root of height h + 1 is c + alpha_k for a
-root c of height h (10.2), so the roots form a height tree (_height_tree),
-and every per-root table that is linear in the root (the root codes, the
-ambient coordinates, the pairings with a vector, the squared lengths by
-(c + alpha_k, c + alpha_k) = (c, c) + 2 (c, alpha_k) + (alpha_k, alpha_k))
-costs one addition per positive root, summed from its parent, and one
-negation per negative root (RootSystem.tree_sums).
+root c of height h (10.2), and the walk that finds the roots returns the
+height tree it climbs (_root_expansions).  Every per-root table that is
+linear in the root (the heights, the root codes, the ambient coordinates,
+the pairings with a vector, the squared lengths by (c + alpha_k,
+c + alpha_k) = (c, c) + 2 (c, alpha_k) + (alpha_k, alpha_k)) costs one
+addition per positive root, summed from its parent, and one negation per
+negative root (RootSystem.tree_sums).
 
 B/C/D/F4 live in an orthonormal basis e1..el.  A, E7, E8 and G2 use the
 relation basis: l+1 vectors summing to zero with Gram matrix
@@ -240,10 +241,10 @@ class RootSystem:
         gi = self._igram = tuple(tuple(x // q for x in row) for row in g2)
         self._cartan = tuple(tuple(2 * x // gi[j][j] for j, x in enumerate(row)) for row in gi)
 
-        # simple-root expansions as int tuples, and the height tree on them
-        ex = self.expansions = _root_expansions(self._cartan)
+        # simple-root expansions as int tuples, and the height tree the
+        # root walk climbs
+        ex, tree = self.expansions, self._tree = _root_expansions(self._cartan)
         self._by_expansion = {e: i for i, e in enumerate(ex)}
-        tree = self._tree = _height_tree(ex, self._by_expansion)
         self.neg_index = [0] * len(ex)
         for i, ni, _, _ in tree:
             self.neg_index[i], self.neg_index[ni] = ni, i
@@ -256,6 +257,8 @@ class RootSystem:
         base = 4 * self.top_coefficient + 1
         self.codes = self.tree_sums([base**k for k in range(self.rank)])
         self.by_code = {c: i for i, c in enumerate(self.codes)}
+        # the sum of a root's expansion
+        self._heights = self.tree_sums([1] * self.rank)
         # a root's entries share one sign, and a code has the sign of its
         # last nonzero entry
         self.positive = [c > 0 for c in self.codes]
@@ -372,7 +375,7 @@ class RootSystem:
         return Q(self.int_norms[i], self.gden)
 
     def height(self, i: int) -> int:
-        return sum(self.expansions[i])
+        return self._heights[i]
 
     def sum_index(self, i: int, j: int) -> Optional[int]:
         """Index of root_i + root_j, or None when the sum is not a root: the
@@ -552,26 +555,21 @@ class RootSystem:
         extend()
         return out
 
-    def apply_node_map(self, perm: tuple[int, ...], v: RootVector) -> RootVector:
-        """Linear extension of alpha_i -> alpha_{perm[i]} applied to v."""
-        c = [0] * self.rank
-        for i, x in enumerate(v.c):
-            c[perm[i]] = x
-        return RootVector(self, c, v.den)
+    def diagram_orbit(self, c: Sequence[int]) -> frozenset[tuple[int, ...]]:
+        """The dominant members of the orbit of simple-root coordinates c
+        under the Weyl group and the diagram symmetries: c's dominant tuple
+        d with its nodes permuted by each symmetry, which keeps the Cartan
+        matrix and so dominance.  It holds -c's dominant tuple too: -w_0
+        maps the simple roots to themselves, so it is a diagram symmetry."""
+        d = chamber_walk(self._cartan, c)
+        return frozenset(tuple(d[i] for i in p) for p in self.diagram_automorphisms)
 
     def canonical_form(self, v: RootVector) -> RootVector:
         """Canonical representative of v up to Weyl group, diagram symmetry,
-        sign, and positive scaling (primitive integer coordinates)."""
-        best = None
-        for w in (v, -v):
-            d = self.dominant(w)
-            for perm in self.diagram_automorphisms:
-                # a diagram symmetry keeps the Cartan matrix, so d's image is dominant
-                cand = scale_primitive(self.apply_node_map(perm, d))
-                key = cand.numerators()
-                if best is None or key > best[0]:
-                    best = (key, cand)
-        return best[1]
+        sign, and positive scaling (primitive integer coordinates): the
+        member of diagram_orbit with the largest numerators, rescaled."""
+        return max((scale_primitive(RootVector(self, d, v.den)) for d in self.diagram_orbit(v.c)),
+                   key=RootVector.numerators)
 
 
 class Subsystem:
@@ -739,9 +737,13 @@ def _component_simples(t: str, r: int) -> tuple[int, list[list[int]]]:
     raise RootSystemError(f"invalid type {t}{r}")
 
 
-def _root_expansions(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Simple-root expansions of the roots of a Cartan matrix: the positive
-    roots layer by height, then their negatives in the same order.
+def _root_expansions(cartan: Sequence[Sequence[int]]
+                     ) -> tuple[list[tuple[int, ...]], list[tuple[int, int, int, int]]]:
+    """Simple-root expansions of the roots of a Cartan matrix, the positive
+    roots layer by height, then their negatives in the same order; and the
+    height tree the walk climbs: (i, the index of -root_i, parent, k) for
+    each positive root i, by height, with root_i = parent + alpha_k and a
+    simple root's parent -1.
 
     A positive root b of height h + 1 is c + alpha_i for some positive root c
     of height h (Humphreys 10.2).  With q = <c | alpha_i>, c + alpha_i is a
@@ -749,53 +751,37 @@ def _root_expansions(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     alpha_i-string through c is unbroken and climbs q steps higher than it
     falls (Humphreys 9.4); that root needs c_i > q, every other entry of c
     staying positive.  On a block-diagonal matrix no string crosses blocks,
-    so the roots are the union of the factors' roots.  A layer maps each
-    root c to its base-8 code, on which the test looks c - (q + 1) alpha_i
-    up (its entries stay in [0, 6], where the code is injective), and its
-    pairings <c | alpha_j>."""
+    so the roots are the union of the factors' roots.  A layer holds each
+    root c's index, its base-8 code, on which the test looks
+    c - (q + 1) alpha_i up (its entries stay in [0, 6], where the code is
+    injective), and its pairings <c | alpha_j>; each root above records
+    the first c and i that reach it."""
     n = len(cartan)
     unit = [8**i for i in range(n)]
-    layer = {tuple(int(j == i) for j in range(n)): (unit[i], cartan[i]) for i in range(n)}
-    positive = list(layer)
+    positive = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    links = [(-1, i) for i in range(n)]  # (parent, k) of each positive root
+    layer = [(i, u, cartan[i]) for i, u in enumerate(unit)]
     seen = set(unit)
     while layer:
         above = {}
-        for c, (code, pairs) in layer.items():
+        for p, code, pairs in layer:
+            c = positive[p]
             for i, u in enumerate(unit):
                 q = pairs[i]
                 if q < 0 or (c[i] > q and code - (q + 1) * u in seen):
                     b = c[:i] + (c[i] + 1,) + c[i + 1:]
                     if b not in above:
-                        above[b] = (code + u, tuple(map(add, pairs, cartan[i])))
-        positive += sorted(above)
-        seen.update(code for code, _ in above.values())
-        layer = above
-    return positive + [tuple(map(neg, e)) for e in positive]
-
-
-def _height_tree(expansions: Sequence[tuple[int, ...]],
-                 index: dict[tuple[int, ...], int]) -> list[tuple[int, int, int, int]]:
-    """(i, the index of -root_i, parent, k) for each positive root i, by
-    height, in any order of the expansions (index: the root of each):
-    root_i is parent + alpha_k, and a simple root's parent is -1.  The
-    positive roots below root_i are visited first, and one of
-    root_i - alpha_k is a root (Humphreys 10.2)."""
-    heights = list(map(sum, expansions))
-    out = []
-    for i in sorted(range(len(expansions)), key=heights.__getitem__):
-        h = heights[i]
-        if h <= 0:
-            continue
-        e = expansions[i]
-        ni = index[tuple(map(neg, e))]
-        if h == 1:
-            out.append((i, ni, -1, e.index(1)))
-            continue
-        for k, x in enumerate(e):
-            if x and (p := index.get(e[:k] + (x - 1,) + e[k + 1:])) is not None:
-                out.append((i, ni, p, k))
-                break
-    return out
+                        above[b] = (p, i, code + u, tuple(map(add, pairs, cartan[i])))
+        layer = []
+        for b in sorted(above):
+            p, i, code, pairs = above[b]
+            layer.append((len(positive), code, pairs))
+            positive.append(b)
+            links.append((p, i))
+            seen.add(code)
+    m = len(positive)
+    return (positive + [tuple(map(neg, e)) for e in positive],
+            [(i, i + m, p, k) for i, (p, k) in enumerate(links)])
 
 
 # -- build API --------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Outputs do not depend on the order of a system's root indices.
 
 Each system is rebuilt, in a system cache of its own, with a seeded
-shuffle of the roots that rootsys._root_expansions generates.  A reduced
-CLI battery must then print exactly the bytes of the unshuffled build:
-the scans and tables at rank <= 6, and ``check --family`` on every golden
-contact form of rank <= 5, which covers the index order of pair_family's
-highest-weight pairs and of the parabolic search.
+shuffle of the roots that rootsys._root_expansions generates, its height
+tree relabelled to match.  A reduced CLI battery must then print exactly
+the bytes of the unshuffled build: the scans and tables at rank <= 6, and
+``check --family`` on every golden contact form of rank <= 5, which
+covers the index order of pair_family's highest-weight pairs and of the
+parabolic search.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ import pytest
 
 from crlie import cli
 from crlie import rootsys as rs
+from test_root_tables import shuffle_walk
 
 DATA = Path(rs.__file__).parent / "data"
 CHECK_MAX_RANK = 5
@@ -54,9 +56,7 @@ def _outputs(monkeypatch, seed) -> list[str]:
         rng = random.Random(seed)
 
         def shuffled(cartan):
-            roots = generate(cartan)
-            rng.shuffle(roots)
-            return roots
+            return shuffle_walk(generate(cartan), rng)
 
         monkeypatch.setattr(rs, "_root_expansions", shuffled)
     out = []

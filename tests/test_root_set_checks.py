@@ -8,6 +8,7 @@ M10_EDGES specs, and on seeded subspaces of random R_J+ beside twisted pairs,
 whose classes are often not square or have two unit rows on one column."""
 
 import random
+from collections import Counter
 from functools import cache
 
 import pytest
@@ -129,7 +130,13 @@ def test_propagated_pairs_are_intertwiners():
 
 
 def test_edge_specs_are_as_named():
-    a4, d5, a2, a2_square = _edge_structures()
+    a4, d5, a2, g2, a2_square = _edge_structures()
+    # G2's two twisted pairs give one class four twisted rows, lines and
+    # conjugates, so a 4 x 4 determinant by cofactors
+    neg, class_of = g2.datum.system.neg_index, g2.datum.class_of
+    twisted = [w for w, line in g2.lines.items() if line and line[1]]
+    rows = Counter(class_of[w] for w in twisted) + Counter(class_of[neg[w]] for w in twisted)
+    assert 4 in rows.values()
     # pair lines of twist 0, unit rows of check_disjointness
     assert any(line and not line[1] for line in a4.lines.values())
     assert any(line and not line[1] for line in d5.lines.values())

@@ -3,12 +3,13 @@ their per-root formulas.
 
 Every positive root of height h + 1 is c + alpha_k for a root c of height
 h (Humphreys, Introduction to Lie Algebras and Representation Theory,
-10.2).  RootSystem._tree records one such parent per positive root, and
-the root codes, the ambient ints, the squared lengths, the pairings with a
-vector and ContactDatum.weight_codes are each summed along it, one
-addition per root.  Each system is checked as built and rebuilt from a
-seeded shuffle of rootsys._root_expansions, so no table leans on the
-generated order.  RootSystem.dynkin_type, read off the Cartan matrix, is
+10.2).  RootSystem._tree, the tree that rootsys._root_expansions climbs,
+records one such parent per positive root, and the heights, the root
+codes, the ambient ints, the squared lengths, the pairings with a vector
+and ContactDatum.weight_codes are each summed along it, one addition per
+root.  Each system is checked as built and rebuilt from a seeded shuffle
+of the walk's roots, its tree relabelled to match, so no table leans on
+the generated order.  RootSystem.dynkin_type, read off the Cartan matrix, is
 checked against the classification of all the roots and against the root
 counts at each length that the types predict.
 """
@@ -40,6 +41,20 @@ def order(request):
     return request.param
 
 
+def shuffle_walk(walk, rng):
+    """The roots of rootsys._root_expansions at indices shuffled by rng,
+    and its tree on those indices in the walk's record order, so parents
+    still come first."""
+    roots, tree = walk
+    perm = list(range(len(roots)))
+    rng.shuffle(perm)
+    at = [0] * len(roots)
+    for k, i in enumerate(perm):
+        at[i] = k
+    return ([roots[i] for i in perm],
+            [(at[i], at[ni], at[p] if p >= 0 else -1, k) for i, ni, p, k in tree])
+
+
 def _build(monkeypatch, comps, seed):
     """A system of its own, outside the build cache, with its roots in
     generated order or shuffled by the seed."""
@@ -48,9 +63,7 @@ def _build(monkeypatch, comps, seed):
         rng = random.Random(f"{_tag(comps)}:{seed}")
 
         def shuffled(cartan):
-            roots = generate(cartan)
-            rng.shuffle(roots)
-            return roots
+            return shuffle_walk(generate(cartan), rng)
 
         monkeypatch.setattr(rs, "_root_expansions", shuffled)
     return rs.RootSystem(comps)
@@ -110,18 +123,20 @@ def forms(s, rng):
 
 @pytest.mark.parametrize("comps", TYPES, ids=_tag)
 def test_tree_parents_are_one_simple_root_below(monkeypatch, order, comps):
+    """The tree the root walk returns holds each positive root once, after
+    its parent, one simple root above it."""
     s = _build(monkeypatch, comps, order)
     ex, n = s.expansions, s.rank
     unit = [tuple(int(j == k) for j in range(n)) for k in range(n)]
-    visited = set()
+    visited = []
     for i, ni, p, k in s._tree:
         below = ex[p] if p >= 0 else (0,) * n
         assert ex[i] == tuple(map(add, below, unit[k]))
         assert ex[ni] == tuple(-x for x in ex[i])
         assert p < 0 or p in visited
-        visited.add(i)
-    assert visited == {i for i, e in enumerate(ex) if sum(e) > 0}
-    assert len(s._tree) == len(ex) // 2
+        visited.append(i)
+    assert sorted(visited) == [i for i, e in enumerate(ex) if sum(e) > 0]
+    assert [s.height(i) for i in range(len(ex))] == [sum(e) for e in ex]
 
 
 @pytest.mark.parametrize("comps", TYPES, ids=_tag)

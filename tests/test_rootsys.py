@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction as Q
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -284,15 +285,31 @@ _AUTOMORPHISM_CASES = (
 
 def test_diagram_automorphisms_keep_dominance():
     """A diagram symmetry keeps the Cartan matrix, so it maps every dominant
-    root to a dominant vector; canonical_form relies on it."""
+    root to a dominant vector; diagram_orbit relies on it."""
     for comps in _AUTOMORPHISM_CASES:
         s = rs.build_product(comps)
         dominant = [r for r in s.roots if s.dominant(r) == r]
         assert dominant
         for p in s.diagram_automorphisms:
             for r in dominant:
-                image = s.apply_node_map(p, r)
+                image = rs.RootVector(s, [r.c[i] for i in p])
                 assert s.dominant(image) == image, (comps, p, r)
+
+
+def test_diagram_orbit_holds_the_negative():
+    """-w_0 is a diagram symmetry, so the orbit of c holds the dominant
+    tuple of -c: on every root, and on every a + b and a - b of two roots.
+    Both sides are Weyl invariant, and the Weyl group takes a to a dominant
+    root, so a runs over the dominant roots and b, of either sign, over all
+    of them."""
+    for comps in _AUTOMORPHISM_CASES:
+        s = rs.build_product(comps)
+        ex = s.expansions
+        dominant = [a for a in ex if s.dominant(rs.RootVector(s, a)).c == a]
+        vectors = {tuple(map(add, a, b)) for a in dominant for b in ex}
+        for c in (vectors | set(ex)) - {(0,) * s.rank}:
+            negative = s.dominant(rs.RootVector(s, [-x for x in c])).c
+            assert negative in s.diagram_orbit(c), (comps, c)
 
 
 def _simple_by_pairs(sub):

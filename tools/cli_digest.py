@@ -61,9 +61,11 @@ print what the su2 spelling prints.  Last, ``check --m10`` in text and
 JSON on three edges of the line checks: the README's A4 spec with its
 first pair's twist ``"0"``, the D5 spec above with its pair's twist
 ``"0"`` beside ``rj_plus: "positive"``, so pair lines of twist 0,
-unit rows of the disjointness determinant, are diffed, and an A2
+unit rows of the disjointness determinant, are diffed, an A2
 subspace of three plain modules whose congruence class holds one root
-twice, which exits 64 with "identically degenerate block".
+twice, which exits 64 with "identically degenerate block", and a G2
+subspace of two twisted pairs whose four highest weights share one
+class, so the disjointness determinant is diffed at 4 x 4, by cofactors.
 The commands run in one process, through ``crlie.cli.main``.
 """
 
@@ -135,14 +137,16 @@ def pairs_twin(spec: dict) -> dict:
 M10_TWINS = tuple((t, theta, pairs_twin(spec)) for t, theta, spec in M10_CHECKS + M10_MORE
                   if "su2" in spec)
 
-# (type, theta, --m10 spec) checked last: zero twists on pair lines, and a
-# class whose unit rows meet on one column
+# (type, theta, --m10 spec) checked last: zero twists on pair lines, a
+# class whose unit rows meet on one column, and a class of four twisted rows
 M10_EDGES = (
     ("A4", "1,0,0,0,-1", {"pairs": [["1,0,0,-1,0", "0,0,0,-1,1", "0"],
                                     ["0,1,0,0,-1", "-1,1,0,0,0", "s"]],
                           "su2": ["1,0,0,0,-1", "t"]}),
     ("D5", "0,1,1,1,1", {"pairs": [["0,1,1,0,0", "0,0,0,-1,-1", "0"]], "rj_plus": "positive"}),
     ("A2", "1,0,-1", {"plains": ["1,-1,0", "-1,1,0", "1,0,-1"]}),
+    ("G2", "2,-1,-1", {"pairs": [["1,0,-1", "-1,1,0", "s"], ["1/3,1/3,-2/3", "-1/3,2/3,-1/3", "t"]],
+                       "plains": ["2/3,-1/3,-1/3"]}),
 )
 
 
