@@ -33,7 +33,11 @@ t' is never bracketed; with the l-bound, only the block of weight 0 takes
 brackets at all.  Pairings with theta and with the center of l are read off
 ints (ContactDatum.theta_pairings, RootVector.covector), each up to one
 positive factor.  The twists are holomorphic: formal conjugates x~ appear
-only in the disjointness factors.
+only in the disjointness factors.  An m10 with no twisted line, at a
+sample or, for integrability, at all, is decided on root sets with no
+bracket, no elimination and no polynomial: its normalizer is h plus root
+spaces (_untwisted_excess), and its lines bracket into root vectors and
+coroots (_lone_lines_closed).
 """
 
 from __future__ import annotations
@@ -324,6 +328,13 @@ def render_constraint(g: Poly) -> str:
 def check_integrability(h: HolomorphicSubspace) -> ConstraintSet:
     """Conditions on the twists for [m10, m10] to lie in m10 + l^C.
 
+    A subspace without pairs, every line a lone E_s for s in the line
+    roots S, is decided on root sets (_lone_lines_closed): [E_r, E_s] is
+    N(r, s) E_(r+s), nonzero, for a root sum, and H_r, which lies off t'
+    as r lies in R', for s = -r.  So it is unconditional when no two
+    roots of S are opposite and every root sum of two lies in S or R_o,
+    and otherwise its one generator is 1, printed "1 = 0".
+
     Each bracket of two lines is read off their at most four root pairs:
     N(r, s) E_(r+s) for a root sum, and for s = -r the coroot H_r, of
     theta-component (theta, H_r) = 2 (theta, r)/(r, r), read off
@@ -336,6 +347,8 @@ def check_integrability(h: HolomorphicSubspace) -> ConstraintSet:
     nonzero weight whose roots all lie in R_o or on lone lines E_w, since a
     bracket into it has no Cartan part and reduces to 0."""
     datum = h.datum
+    if not any(h.lines.values()):
+        return ConstraintSet(() if _lone_lines_closed(datum, h.lines) else (as_poly(ONE),))
     sys = datum.system
     n, codes, get, neg = sys.constants.n, sys.codes, sys.by_code.get, sys.neg_index
     tp, factor = datum.theta_pairings, sys.constants.coroot_factors
@@ -372,6 +385,22 @@ def check_integrability(h: HolomorphicSubspace) -> ConstraintSet:
                     note(t)
             note(cartan)
     return ConstraintSet(tuple(_minimize(sorted(gens.values(), key=lambda p: p.key()))))
+
+
+def _lone_lines_closed(datum: ContactDatum, s) -> bool:
+    """True when the root set s holds no two opposite roots and every root
+    sum of two of its roots lies in s or R_o."""
+    codes, get, neg = datum.system.codes, datum.system.by_code.get, datum.system.neg_index
+    ro = datum.Ro.members
+    for r in s:
+        if neg[r] in s:
+            return False
+        cr = codes[r]
+        for t in s:
+            k = get(cr + codes[t])
+            if k is not None and k not in s and k not in ro:
+                return False
+    return True
 
 
 def _minimize(gens: list[Poly]) -> list[Poly]:
@@ -592,7 +621,13 @@ def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> in
     dim t'.  For rho != 0 the seeds alone reach that bound wherever m10
     and m01 are disjoint at values, so only block 0 is bracketed.  Without
     the certificate the bound stays dim g_rho, so a W that is not l-stable
-    still gets its exact (possibly negative) excess."""
+    still gets its exact (possibly negative) excess.
+
+    Where no line has a twist at values, W is decided on root sets
+    (_untwisted_excess), with no bracket and no elimination."""
+    lines = h.at(values)
+    if not any(lines.values()):
+        return _untwisted_excess(h, lines)
     datum = h.datum
     sys = datum.system
     wblocks, perp = _graded_w_and_perp(h, values)
@@ -619,6 +654,41 @@ def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> in
     rank = sum(len(ech.rows) * (1 if tau == 0 else 2) for tau, ech in blocks.items())
     dim_l = len(datum.Ro.members) + len(datum.theta_perp_cartan)
     return len(sys.roots) + sys.rank - rank - dim_l
+
+
+def _untwisted_excess(h: HolomorphicSubspace, s) -> int:
+    """normalizer_excess where every line is a lone E_w, w in the root set
+    s, read off root sets alone.
+
+    Then W = t' + sum of the g_b for b in B = R_o u -s, which the Cartan h
+    keeps; so h lies in N_g(W), N is h-stable, and N = h + sum of the g_a
+    for a in A, with a in A exactly when [E_a, W] lies in W.  [E_a, t'] is
+    a multiple of E_a, 0 for all of t' exactly when a is parallel to
+    theta (weight 0); [E_a, E_b] is N(a, b) E_(a+b), nonzero, for a root
+    sum, and H_a for b = -a, which lies in t' exactly when a lies in R_o.
+    So a lies in A when it lies in B or is parallel to theta, no a + b
+    with b in B is a root outside B, and -a lies in B only if a lies in
+    R_o.  conj maps g_a onto g_-a and fixes h, so the real normalizer,
+    complexified, is h + sum over A n -A, and the excess is
+    1 + |A n -A| - |R_o|.  A root of A n -A off R_o lies in B, so in -s,
+    with its negative, unless it is parallel to theta; then the last
+    clause keeps it out of A.  So only R_o and the roots parallel to
+    theta are tested, and R_o only without HolomorphicSubspace.l_stable,
+    which puts it in N and in conj(N)."""
+    datum = h.datum
+    codes, get, neg = datum.system.codes, datum.system.by_code.get, datum.system.neg_index
+    ro = datum.Ro.members
+    b = ro.union(neg[w] for w in s)
+
+    def in_a(a):
+        if neg[a] in b and a not in ro:
+            return False
+        ca = codes[a]
+        return all(k is None or k in b for k in (get(ca + codes[x]) for x in b))
+
+    tested = datum.weight_blocks[0] + (() if h.l_stable else tuple(ro))
+    inside = {a for a in tested if in_a(a)}
+    return 1 + sum(neg[a] in inside for a in inside) - (0 if h.l_stable else len(ro))
 
 
 def _graded_w_and_perp(h: HolomorphicSubspace, values: Mapping[str, Gauss]):

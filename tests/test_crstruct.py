@@ -1150,6 +1150,70 @@ def test_line_checks_match_basis_references(kind):
                 == _outcome(_basis_parabolics, h, vals), (h.label, j)
 
 
+@pytest.mark.parametrize("kind", ["golden", "sums", "m10"])
+def test_root_set_paths_cover_the_untwisted_digest_cases(kind, monkeypatch):
+    # the cases of test_line_checks_match_basis_references decided on root
+    # sets: (structure, sample) pairs with no twisted line for the
+    # normalizer, structures without pairs for integrability, and of those
+    # the ones whose one generator is 1
+    excess, closed = cs._untwisted_excess, cs._lone_lines_closed
+    seen = {"excess": 0, "integrability": 0}
+
+    def spy(name, f):
+        def counted(*args):
+            seen[name] += 1
+            return f(*args)
+        return counted
+
+    monkeypatch.setattr(cs, "_untwisted_excess", spy("excess", excess))
+    monkeypatch.setattr(cs, "_lone_lines_closed", spy("integrability", closed))
+    bad = 0
+    for h in _digest_structures(kind):
+        before = seen["integrability"]
+        cons = cs.check_integrability(h)
+        if seen["integrability"] > before and not cons.unconditional:
+            assert str(cons) == "1 = 0", h.label
+            bad += 1
+        for j in (0, 1):
+            _outcome(cs.normalizer_excess, h, classify._sample_values(h, j))
+    want = {"golden": (124, 62, 0), "sums": (1084, 542, 43), "m10": (2, 1, 1)}[kind]
+    assert seen["excess"] >= want[0] and seen["integrability"] >= want[1] and bad >= want[2]
+
+
+def test_l_stable_untwisted_excess_is_one():
+    """An l-stable m10 with no twisted line at the sample, whose line
+    roots S hold mu or -mu for every root mu parallel to theta, has
+    normalizer excess exactly 1.  Where m10 and m01 are disjoint, S and -S
+    partition R', which holds every such mu.
+
+    Proof.  With B = R_o u -S, the excess is 1 + |A n -A| - |R_o|, A the
+    roots a of N_g(W) = h + sum of the g_a (crstruct._untwisted_excess).
+    l_stable puts l^C in N and in conj(N), so R_o = -R_o lies in A n -A,
+    and every other root of A n -A is parallel to theta.  Let mu be one,
+    with mu in S say (else swap mu and -mu).  Then -mu lies in -S, inside
+    B, and [E_mu, E_-mu] = H_mu lies off t' as mu lies off R_o, so mu is
+    not in A, and neither mu nor -mu lies in A n -A.  So A n -A = R_o and
+    the excess is 1.
+
+    The subspaces that are not l-stable are observed, not proved, to have
+    a negative excess; their R_J+ splits a module
+    (HolomorphicSubspace.l_stable)."""
+    stable, unstable = 0, []
+    cases = [(h, classify._sample_values(h, j)) for kind in ("golden", "sums", "m10")
+             for h in _digest_structures(kind) for j in (0, 1)]
+    for h, vals in cases:
+        neg, s = h.datum.system.neg_index, h.at(vals)
+        if any(s.values()):
+            continue
+        if not h.l_stable:
+            unstable.append(cs.normalizer_excess(h, vals))
+        elif all(mu in s or neg[mu] in s for mu in h.datum.weight_blocks[0]):
+            assert cs.normalizer_excess(h, vals) == 1, h.label
+            stable += 1
+    assert stable >= 1054
+    assert len(unstable) >= 156 and set(unstable) == {-1, -3, -5}
+
+
 def test_line_built_normalizer_on_readme_subspace():
     h = _readme_subspace()
     for j in (0, 1):
@@ -1265,11 +1329,17 @@ def test_t_prime_seeds_on_digest_structures(kind, monkeypatch):
 
 
 def test_no_t_prime_bracket_without_the_l_certificate(monkeypatch):
-    # the A5 subspaces of negative excess still bracket no element of t'
+    # the A5 subspaces of negative excess: the fibered one, with a twisted
+    # line, still brackets no element of t'; the standard one has no
+    # twisted line, takes no bracket at all and keeps the reference excess
     a5 = rs.build("A5")
     F = _routed(a5, a5.vector([1, -1, 1, 0, 0, -1]))
-    for h in (F.fibered, F.structures[0]):
-        assert _bracket_weights(h, classify._sample_values(h), monkeypatch)
+    assert _bracket_weights(F.fibered, classify._sample_values(F.fibered), monkeypatch)
+    h = F.structures[0]
+    vals = classify._sample_values(h)
+    assert not any(h.at(vals).values())
+    assert _bracket_weights(h, vals, monkeypatch) == set()
+    assert cs.normalizer_excess(h, vals) == _dims_stop_normalizer_excess(h, vals) == -1
 
 
 def test_theta_and_center_pairings_are_positive_multiples():
