@@ -38,7 +38,6 @@ from .crstruct import (
 from .families import (
     Families,
     FamilyError,
-    _positive,
     pair_family,
     short_root_families,
     special_su_families,
@@ -108,7 +107,7 @@ def table1_rows(ranks: Iterable[int] = range(3, 9)) -> list[dict]:
         mu = datum.theta
         top = system.root_index(mu)
         # level 1: the theta-positive modules but mu's, which is mu alone
-        summands = [hw for hw in _positive(datum) if hw != top]
+        summands = [hw for hw in datum.modules if datum.theta_pairings[hw] > 0 and hw != top]
         level1 = frozenset().union(*(datum.modules[hw].weights for hw in summands))
         rows.append(
             {

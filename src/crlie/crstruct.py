@@ -725,8 +725,6 @@ def _graded_w_and_perp(h: HolomorphicSubspace, values: Mapping[str, Gauss]):
         wblocks.setdefault(-wt[w], []).append(_conj(v, neg))
     for r in sorted(free):
         perp.setdefault(wt[r], []).append({r: ONE})
-    if sum(map(len, perp.values())) + sum(map(len, wblocks.values())) != len(sys.roots) + sys.rank:
-        raise StructError("dim W + dim W' is not dim g")
     return wblocks, perp
 
 

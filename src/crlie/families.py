@@ -13,12 +13,11 @@ verification checks.  pair_family runs the whole pair route, from the
 dual pairs and the shape of their closure to R_J+, and raises
 FamilyError where the route classifies nothing.
 
-All three read the datum's modules (ContactDatum.modules) through the
-same helpers: _positive lists the theta-positive highest weights and
-_partner gives a highest weight's theta-congruent partner, so a twisted
-pair is (hw, _partner(hw)); _standard builds the standard structure,
-the theta-positive modules, of every root route.  An su2 line is the
-pair (mu, -mu) of the one-root modules of theta's root mu.
+All three read their twisted pairs, the two modules of one class, off
+the isotypic components of modules.schur_components; _standard builds
+the standard structure, the theta-positive modules, of every root
+route.  An su2 line is the pair (mu, -mu) of the one-root modules of
+theta's root mu.
 
 Twist charts are unit-normalized: the highest-weight pair coefficients are
 multiplied by fixed signs (computed once from the structure constants) so
@@ -39,7 +38,7 @@ from .crstruct import (
     TwistedPair,
     check_integrability,
 )
-from .modules import CongruenceError, dual_pairs, tilde_Re_type
+from .modules import CongruenceError, dual_pairs, schur_components, tilde_Re_type
 from .scalars import Gauss, Poly
 
 
@@ -107,20 +106,11 @@ def _chart_unit(cs: ConstraintSet, var: str, among: Optional[set[str]] = None) -
     return _unit_from_binomial(gens[0], var)
 
 
-def _positive(datum: ContactDatum) -> list[int]:
-    """The theta-positive highest weights, in module order.  R_o is
-    orthogonal to theta, so all weights of a module pair alike with it."""
-    return [hw for hw in datum.modules if datum.theta_pairings[hw] > 0]
-
-
-def _partner(datum: ContactDatum, hw: int) -> Optional[int]:
-    """The other highest weight in hw's theta-congruence class, if any."""
-    return next((h for h in datum.class_of[hw] if h != hw and h in datum.modules), None)
-
-
 def _standard(datum: ContactDatum, label: str = "standard") -> HolomorphicSubspace:
-    """The standard structure of a root route: the theta-positive modules."""
-    return HolomorphicSubspace(datum, plains=tuple(_positive(datum)), label=label)
+    """The standard structure of a root route: the theta-positive modules
+    (R_o is orthogonal to theta, so a module's weights pair alike)."""
+    plains = tuple(hw for hw in datum.modules if datum.theta_pairings[hw] > 0)
+    return HolomorphicSubspace(datum, plains=plains, label=label)
 
 
 # -- special contact manifolds (theta parallel to a root) -------------------------------
@@ -146,9 +136,8 @@ def special_su_families(datum: ContactDatum) -> Families:
         j = HolomorphicSubspace(datum, pairs=(su2(t),), label="disc family J_t")
         return Families(datum, "special", (_standard(datum), j), fibered=j)
 
-    # the two level-1 modules; each one's partner leads the negative of the other
-    hw1, hw2 = (hw for hw in _positive(datum) if hw != mu)
-    n2, n1 = _partner(datum, hw1), _partner(datum, hw2)
+    # the two level-1 modules, one conjugate pair of multiplicity 2
+    ((hw1, n2, hw2, n1),) = (c for c in schur_components(datum) if len(c) == 4)
 
     def twisted(c1, c2, c_mu, label=""):
         return HolomorphicSubspace(
@@ -187,31 +176,20 @@ def short_root_families(datum: ContactDatum) -> Families:
     if kind == "G":
         return Families(datum, "g2-short", (_standard(datum),))
     family = {"B": 4, "C": 7, "F": 3}[kind]
-    pos = _positive(datum)
-    partner = {hw: _partner(datum, hw) for hw in pos}
-    if None in partner.values():
-        raise FamilyError("unpaired module in a short-root datum")
-    t = Poly.var("t")
-    s = Poly.var("s")
+    # self-conjugate components, long first
+    comps = sorted(schur_components(datum), key=lambda c: -system.int_norms[c[0]])
+    t, s = Poly.var("t"), Poly.var("s")
 
     standard = _standard(datum)
-    if len(pos) == 1:
-        fam = HolomorphicSubspace(
-            datum, pairs=(TwistedPair(pos[0], partner[pos[0]], t),), label="disc family"
-        )
+    if len(comps) == 1:
+        fam = HolomorphicSubspace(datum, pairs=(TwistedPair(*comps[0], t),), label="disc family")
         return Families(datum, "short-root", (standard, fam), family=family, primitive=fam)
-    if len(pos) != 2:
-        raise FamilyError("unexpected module structure for a short-root datum")
     # the long pair carries s, the short pair t; normalize so that s = t^2
-    long_hw, short_hw = sorted(pos, key=lambda hw: -system.int_norms[hw])
+    long_pair, short_pair = comps
 
     def twisted(c_long, label=""):
-        return HolomorphicSubspace(
-            datum,
-            pairs=(TwistedPair(long_hw, partner[long_hw], c_long),
-                   TwistedPair(short_hw, partner[short_hw], t)),
-            label=label,
-        )
+        pairs = (TwistedPair(*long_pair, c_long), TwistedPair(*short_pair, t))
+        return HolomorphicSubspace(datum, pairs=pairs, label=label)
 
     u = _chart_unit(check_integrability(twisted(s)), "s")
     chart = twisted(s * u, "two-parameter chart")
@@ -246,23 +224,21 @@ def pair_family(datum: ContactDatum) -> Families:
     if not shape.accepted:
         raise FamilyError(f"eliminated: {shape.reason}")
     rj_plus = cd.rj_plus
-    tops = [hw for hw in _positive(datum) if datum.modules[hw].weights <= re_roots]
-    t = Poly.var("t")
-    u = Poly.var("u")
+    # the classes of two modules, each as (top, its partner)
+    tops = [p for c in schur_components(datum) for p in zip(c[::2], c[1::2])
+            if datum.modules[p[0]].weights <= re_roots]
+    t, u = Poly.var("t"), Poly.var("u")
     if len(tops) == 1:
-        (a,) = tops
-        pairs = (TwistedPair(a, _partner(datum, a), t),)
+        pairs = (TwistedPair(*tops[0], t),)
     elif len(tops) == 2:
         # the mirror pair leads with its theta-negative module
-        a, a2 = tops
-        first = TwistedPair(a, _partner(datum, a), t)
-        b2 = _partner(datum, a2)
+        first, (a2, b2) = TwistedPair(*tops[0], t), tops[1]
         raw = HolomorphicSubspace(datum, pairs=(first, TwistedPair(b2, a2, u)), rj_plus=rj_plus)
         pairs = (first, TwistedPair(b2, a2, u * _chart_unit(check_integrability(raw), "u")))
     else:
         raise FamilyError(f"unexpected number of module pairs: {len(tops)}")
     fam = HolomorphicSubspace(datum, pairs=pairs, rj_plus=rj_plus, label="disc family")
-    std = HolomorphicSubspace(datum, plains=tuple(sorted(tops)), rj_plus=rj_plus,
+    std = HolomorphicSubspace(datum, plains=tuple(sorted(a for a, _ in tops)), rj_plus=rj_plus,
                               label="standard")
     if rj_plus:
         return Families(datum, "pair", (std, fam), fibered=fam)

@@ -1,11 +1,12 @@
 """Isotropy-module decomposition and theta-congruence combinatorics.
 
 The complexified tangent space decomposes into irreducible modules of the
-centralizer; combinatorially these are the string-connected components of
-R' under R_o.  Two modules are equivalent for the stabilizer exactly when
-their highest weights differ by a multiple of theta, which drives the dual
-pair machinery and the case eliminations for the candidate subsystem
-generated by the paired roots.
+centralizer l; combinatorially these are the string-connected components
+of R' under R_o.  Two modules are equivalent for the stabilizer exactly
+when their highest weights differ by a multiple of theta.  That drives the
+isotypic components of m^C, on which every l-stable m10 is a free choice
+(schur_components), the dual pair machinery and the case eliminations for
+the candidate subsystem generated by the paired roots.
 """
 
 from __future__ import annotations
@@ -78,6 +79,28 @@ def congruence_groups(datum: ContactDatum) -> list[list[IrredModule]]:
     for m in datum.modules.values():
         groups.setdefault(datum.class_of[m.highest], []).append(m)
     return list(groups.values())
+
+
+def schur_components(datum: ContactDatum) -> list[tuple[int, ...]]:
+    """The isotypic components of m^C under l (Humphreys §6.1), each as
+    its modules' highest weights, theta-positive first, in module order.
+    abar is conj M(a), the module that holds -a, of the other theta sign;
+    conj maps classes to classes.  A component is (a, abar), of
+    multiplicity 1 in two classes or one class of multiplicity 2, or
+    (a, b, bbar, abar) with {a, b} one class and {bbar, abar} another.
+    Raises on a class of more than two modules, as on G2's short form."""
+    mods, neg = datum.modules, datum.system.neg_index
+    cls = {m.highest: [n.highest for n in g] for g in congruence_groups(datum) for m in g}
+    if any(len(c) > 2 for c in cls.values()):
+        raise CongruenceError("a class of more than two modules (excluded short-root G2)")
+    out: list[tuple[int, ...]] = []
+    for a in mods:
+        if datum.theta_pairings[a] > 0 and not any(a in c for c in out):
+            abar = next(h for h in mods if neg[a] in mods[h].weights)
+            b = next((h for h in cls[a] if h != a), abar)
+            bbar = next((h for h in cls[abar] if h != abar), a)
+            out.append((a, abar) if b == abar else (a, b, bbar, abar))
+    return out
 
 
 class CongruenceDatum:

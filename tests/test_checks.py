@@ -1,9 +1,9 @@
-"""The consistency checks of the Chevalley table and of the normalizer's
-bases raise ChevalleyError or StructError, so python -O keeps them.
+"""The consistency checks of the Chevalley table raise ChevalleyError, so
+python -O keeps them.
 
-Each corruption below breaks one table entry or one basis of a freshly
-built root system through mp, pytest's monkeypatch or the plain item
-operations, and names the check that must catch it.  The last test runs
+Each corruption below breaks one table entry of a freshly built root
+system through mp, pytest's monkeypatch or the plain item operations, and
+names the check that must catch it.  The last test runs
 them all in an interpreter started with -O, where an assert would have
 vanished.
 """
@@ -12,17 +12,12 @@ import operator
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from crlie import chevalley as ch
-from crlie import crstruct as cs
-from crlie.contact import grade_by_highest_root
-from crlie.families import special_su_families
 from crlie.rootsys import RootSystem
-from crlie.scalars import Gauss
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -73,22 +68,11 @@ def general_non_integral(mp):
     return lambda: tab._general(i, j)
 
 
-def graded_w_short_of_dim_g(mp):
-    """l^C without its Cartan part t': W and W' no longer fill g."""
-    datum = grade_by_highest_root(RootSystem([("A", 3)]))
-    h = special_su_families(datum).fibered
-    blocks = dict(datum.l_complex)
-    blocks[0] = tuple(el for el in blocks[0] if isinstance(el, dict))
-    mp.setitem(datum.__dict__, "l_complex", blocks)
-    return lambda: cs.normalizer_excess(h, {"t": Gauss(Fraction(1, 2))})
-
-
 CORRUPTIONS = {
     "derive_with_zero_lhs": (derive_with_zero_lhs, ch.ChevalleyError, "zero structure constant"),
     "derive_non_integral": (derive_non_integral, ch.ChevalleyError, "non-integral derived"),
     "general_positive_pair": (general_positive_pair, ch.ChevalleyError, "positive pair"),
     "general_non_integral": (general_non_integral, ch.ChevalleyError, "non-integral structure"),
-    "graded_w_short_of_dim_g": (graded_w_short_of_dim_g, cs.StructError, "dim W"),
 }
 
 

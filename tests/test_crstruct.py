@@ -10,6 +10,7 @@ from crlie import classify
 from crlie import contact as ct
 from crlie import crstruct as cs
 from crlie import families as fam
+from crlie import modules as md
 from crlie import rootsys as rs
 from crlie.chevalley import LieElement
 from crlie.linalg import Row, nullspace
@@ -110,8 +111,7 @@ def _two_run_units(datum):
     the only constraint of a second chart (s, u3 s, t)."""
     system = datum.system
     mu = system.root_index(datum.theta)
-    hw1, hw2 = (hw for hw in fam._positive(datum) if hw != mu)
-    n2, n1 = fam._partner(datum, hw1), fam._partner(datum, hw2)
+    ((hw1, n2, hw2, n1),) = (c for c in md.schur_components(datum) if len(c) == 4)
     s, t = Poly.var("s"), Poly.var("t")
 
     def unit(c2, var, ignore=None):

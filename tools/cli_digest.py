@@ -66,6 +66,10 @@ subspace of three plain modules whose congruence class holds one root
 twice, which exits 64 with "identically degenerate block", and a G2
 subspace of two twisted pairs whose four highest weights share one
 class, so the disjointness determinant is diffed at 4 x 4, by cofactors.
+Last, ``check --m10`` in text and JSON on two integrable, non-primitive
+subspaces that no route of ``classify_datum`` builds, one on A4 and one
+on D5 (tests/test_schur.py counts ten such), so a change to the routes
+or the fibration witnesses shows on them.
 The commands run in one process, through ``crlie.cli.main``.
 """
 
@@ -147,6 +151,16 @@ M10_EDGES = (
     ("A2", "1,0,-1", {"plains": ["1,-1,0", "-1,1,0", "1,0,-1"]}),
     ("G2", "2,-1,-1", {"pairs": [["1,0,-1", "-1,1,0", "s"], ["1/3,1/3,-2/3", "-1/3,2/3,-1/3", "t"]],
                        "plains": ["2/3,-1/3,-1/3"]}),
+)
+
+
+# (type, theta, --m10 spec) checked last: an l-stable choice of the Schur
+# components of a pair form, integrable and not standard, built by no route
+M10_UNROUTED = (
+    ("A4", "1,1,0,-1,-1", {"pairs": [["1,0,0,0,-1", "0,-1,0,1,0", "t"]],
+                           "plains": ["0,-1,1,0,0", "0,0,1,0,-1"]}),
+    ("D5", "1,1,1,1,0", {"pairs": [["1,1,0,0,0", "0,0,-1,-1,0", "t"]],
+                         "plains": ["0,0,0,-1,-1", "1,0,0,0,-1"]}),
 )
 
 
@@ -281,6 +295,8 @@ def battery(data: Path, rootsys) -> list[list[str]]:
              for t, theta, spec in M10_TWINS for fmt in ("text", "json")]
     cmds += [["check", "--type", t, f"--theta={theta}", "--m10", json.dumps(spec), "--format", fmt]
              for t, theta, spec in M10_EDGES for fmt in ("text", "json")]
+    cmds += [["check", "--type", t, f"--theta={theta}", "--m10", json.dumps(spec), "--format", fmt]
+             for t, theta, spec in M10_UNROUTED for fmt in ("text", "json")]
     return cmds
 
 
