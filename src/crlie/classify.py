@@ -309,17 +309,21 @@ def _primitive_candidates(system: RootSystem) -> list[RootVector]:
     class of a - b is the diagram_orbit of its primitive expansion, which
     holds -(a - b)'s too; the Weyl group keeps the gcd.  A class is kept
     the first time it is met, unless it lies along a root: the diagram
-    symmetries permute the roots, so then every member is one."""
+    symmetries permute the roots, so then every member is one.
+
+    The stabilizer W_a of a keeps the roots b strongly orthogonal to a
+    and maps a - b to a - w b, so one W_a-orbit of them is one class:
+    only the first member of each orbit (RootSystem.stabilizer_orbits),
+    the first of its class to be met, is walked to its diagram_orbit."""
     reps = list(system.length_representatives.values())
     roots = set(system.expansions)
     out = reps[:] if system.is_simple else []
     seen: set[frozenset] = set()
     for a in reps:
         ia = system.root_index(a)
-        for j, b in enumerate(system.expansions):
-            if not system.strongly_orthogonal(ia, j):
-                continue
-            d = [x - y for x, y in zip(a.c, b)]
+        strong = [j for j in range(len(system.roots)) if system.strongly_orthogonal(ia, j)]
+        for j, *_ in system.stabilizer_orbits(a, strong):
+            d = [x - y for x, y in zip(a.c, system.expansions[j])]
             g = gcd(*d)
             key = system.diagram_orbit([x // g for x in d])
             if key not in seen:

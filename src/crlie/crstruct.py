@@ -27,11 +27,13 @@ checks are graded by the theta-transverse weight of ContactDatum.weight_codes:
 integrability skips the pairs whose sum is no weight of g or a block that
 reduction modulo m10 + l^C empties, and the normalizer ranks its rows one
 weight block at a time, each up to a bound that l-equivariance tightens
-(HolomorphicSubspace.l_stable).  The theta-orthogonal Cartan t' scales every
-weight space of W', so those enter the normalizer's blocks as they are and
-t' is never bracketed; with the l-bound, only the block of weight 0 takes
-brackets at all.  Pairings with theta and with the center of l are read off
-ints (ContactDatum.theta_pairings, RootVector.covector), each up to one
+(HolomorphicSubspace.l_stable); under that bound a nonzero block is one
+congruence class, decided by the 2x2 minors of its seeds.  The
+theta-orthogonal Cartan t' scales every weight space of W', so those
+enter the normalizer's blocks as they are and t' is never bracketed;
+with the l-bound, only the block of weight 0 takes brackets at all.
+Pairings with theta and with the center of l are read off ints
+(ContactDatum.theta_pairings, RootVector.covector), each up to one
 positive factor.  The twists are holomorphic: formal conjugates x~ appear
 only in the disjointness factors.  An m10 with no twisted line, at a
 sample or, for integrability, at all, is decided on root sets with no
@@ -618,10 +620,14 @@ def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> in
     S + conj(S); since the form pairs g_rho perfectly with g_-rho, the
     block's rank is then at most dim g_rho - dim(l^C in g_-rho), that is
     dim g_rho less the roots of R_o of weight -rho and, for rho = 0, less
-    dim t'.  For rho != 0 the seeds alone reach that bound wherever m10
-    and m01 are disjoint at values, so only block 0 is bracketed.  Without
-    the certificate the bound stays dim g_rho, so a W that is not l-stable
-    still gets its exact (possibly negative) excess.
+    dim t'.  For rho != 0 that bound is |R'_rho|, one congruence class,
+    of at most two roots but on G2's short form, and the seeds alone
+    reach it wherever m10 and m01 are disjoint at values; they lie on its
+    columns, so their minors decide it with no Echelon (_seeds_fill),
+    and only block 0 is bracketed.  A block they leave short gets its
+    Echelon, seeds and brackets.  Without the certificate the bound stays
+    dim g_rho and every block takes that path, so a W that is not
+    l-stable still gets its exact (possibly negative) excess.
 
     Where no line has a twist at values, W is decided on root sets
     (_untwisted_excess), with no bracket and no elimination."""
@@ -634,11 +640,20 @@ def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> in
     # the room left under each block's bound, dim g_tau to begin with
     room = {tau: len(roots) for tau, roots in datum.weight_blocks.items()}
     room[0] += sys.rank
+    rank = 0
     # the l-bound; as R_o = -R_o, its roots of weight rho count those of -rho
     if h.l_stable:
         for d in datum.Ro.members:
             room[datum.weight_codes[d]] -= 1
         room[0] -= len(datum.theta_perp_cartan)
+        # a block rho != 0 is then bounded by |R'_rho|, the columns its
+        # seeds lie on, and its seeds' minors decide whether they fill it
+        neg = sys.neg_index
+        for tau in [tau for tau, r in room.items() if tau > 0 and r > 0]:
+            seeds = perp.get(tau, []) + [_conj(u, neg) for u in perp.get(-tau, ())]
+            if _seeds_fill(seeds, room[tau]):
+                rank += 2 * room[tau]
+                room[tau] = room[-tau] = 0
     blocks: dict[int, Echelon] = {}
     for tau, us in perp.items():
         if tau and room[tau] > 0:
@@ -651,9 +666,27 @@ def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> in
                 _bracket_into(sys, blocks, room, rho, (_bracket_row(datum, w, u)
                                                        for w in ws if type(w) is dict for u in us))
     # the block of -rho is the conjugate of the block of rho: same rank
-    rank = sum(len(ech.rows) * (1 if tau == 0 else 2) for tau, ech in blocks.items())
+    rank += sum(len(ech.rows) * (1 if tau == 0 else 2) for tau, ech in blocks.items())
     dim_l = len(datum.Ro.members) + len(datum.theta_perp_cartan)
     return len(sys.roots) + sys.rank - rank - dim_l
+
+
+def _seeds_fill(seeds: list[dict], n: int) -> bool:
+    """True when the seed rows of a block, on the n columns of R'_rho,
+    span all n: for n = 1 when there is a seed (no seed row is 0), for
+    n = 2 when two seeds have a nonzero 2x2 minor.  A congruence class
+    has at most two roots but on G2's short form, whose larger classes
+    go to the Echelon."""
+    if n == 1:
+        return bool(seeds)
+    if n != 2:
+        return False
+    cols = {c for u in seeds for c in u}
+    if len(cols) != 2:
+        return False
+    a, b = cols
+    return any(x.get(a, ZERO) * y.get(b, ZERO) != x.get(b, ZERO) * y.get(a, ZERO)
+               for i, x in enumerate(seeds) for y in seeds[i + 1:])
 
 
 def _untwisted_excess(h: HolomorphicSubspace, s) -> int:

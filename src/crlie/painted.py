@@ -16,8 +16,10 @@ neighbors of the fork (_gamma_e_candidates).
 Admissibility paints the black nodes as the subgraph's neighbors and every
 node off the subgraph and its neighbors white, so a painting that can be
 admissible is fixed by its grey node(s) and its subgraph.  The enumeration
-paints just those candidates, a few per node rather than 3^rank paintings,
-and puts each through the same is_good, is_proper and canonicalize.
+paints just those candidates, a few per node rather than 3^rank paintings.
+A diagram symmetry keeps admissibility, goodness, properness and the CR
+type, so it puts one candidate per diagram-automorphism orbit through
+is_good and is_proper, and canonicalize takes the verdict is_good made.
 """
 
 from __future__ import annotations
@@ -274,27 +276,40 @@ def is_proper(g: PaintedGraph) -> bool:
     return BLACK in g.colors
 
 
-def canonicalize(g: PaintedGraph) -> PaintedGraph:
+def _permuted(xs: tuple, perm: tuple[int, ...]) -> tuple:
+    """One entry per node, colors or coordinates, with node i's moved to
+    node perm[i]."""
+    out = [None] * len(xs)
+    for i, x in enumerate(xs):
+        out[perm[i]] = x
+    return tuple(out)
+
+
+def _permuted_theta(g: PaintedGraph, v: GraphVerdict, perm: tuple[int, ...]) -> RootVector:
+    """The theta of g's painting moved by the diagram symmetry perm, for
+    g's admissible verdict v: a symmetry keeps admissibility and carries
+    the subgraph and its chain (the nodes where theta is 2) to those of
+    the permuted painting, so this is _theta_for on their images."""
+    chain = [perm[i] for i, x in enumerate(v.theta.c) if x == 2]
+    return _theta_for(g, v.shape, frozenset(perm[i] for i in v.gamma_e), chain)
+
+
+def canonicalize(g: PaintedGraph, v: Optional[GraphVerdict] = None) -> PaintedGraph:
     """Diagram-automorphism orbit representative.
 
     Prefers the variant whose contact form concentrates on low coordinate
     indices (largest absolute gauge profile, then largest signed one), which
-    reproduces the reference presentation of each family.  A diagram
-    symmetry keeps admissibility and carries the subgraph and its chain
-    (the nodes where theta is 2) to those of the permuted painting, so
-    each permuted theta is _theta_for on them.
+    reproduces the reference presentation of each family; each permuted
+    theta is _permuted_theta.  v is g's verdict, from is_admissible or
+    is_good, when the caller has it.
     """
-    v = is_admissible(g)
-    chain = [i for i, x in enumerate(v.theta.c) if x == 2] if v.admissible else None
+    if v is None:
+        v = is_admissible(g)
     best = None
     for perm in g.system.diagram_automorphisms:
-        colors = [None] * len(g.colors)
-        for i, c in enumerate(g.colors):
-            colors[perm[i]] = c
-        cand = PaintedGraph(g.system, tuple(colors))
+        cand = PaintedGraph(g.system, _permuted(g.colors, perm))
         if v.admissible:
-            tc = _theta_for(cand, v.shape, frozenset(perm[i] for i in v.gamma_e),
-                            [perm[i] for i in chain]).numerators()
+            tc = _permuted_theta(g, v, perm).numerators()
             theta_key = (tuple(abs(x) for x in tc), tc)
         else:
             theta_key = ((), ())
@@ -359,21 +374,26 @@ def _candidate_paintings(system: RootSystem) -> list[tuple[str, ...]]:
 
 def enumerate_cr_graphs(system: RootSystem) -> list[CRGraph]:
     """All good, proper painted graphs of a root system up to diagram
-    symmetry, sorted by their serialization.  It tests the paintings of
-    _candidate_paintings only.
+    symmetry, sorted by their serialization.  It judges one painting of
+    _candidate_paintings per diagram-automorphism orbit: a diagram
+    symmetry keeps admissibility, goodness, properness and the CR type,
+    and every member of an orbit has one canonical representative, whose
+    theta is _permuted_theta of the judged painting.
     """
-    out: dict[str, CRGraph] = {}
+    out = []
+    seen: set[tuple[str, ...]] = set()
     for colors in _candidate_paintings(system):
+        if colors in seen:
+            continue
+        orbit = {_permuted(colors, perm): perm for perm in system.diagram_automorphisms}
+        seen.update(orbit)
         g = PaintedGraph(system, colors)
         v = is_good(g)
-        if not (v.admissible and v.good):
+        if not (v.admissible and v.good and is_proper(g)):
             continue
-        if not is_proper(g):
-            continue
-        # a diagram symmetry keeps admissibility, goodness and the CR type
-        rep = canonicalize(g)
-        out[rep.serialize()] = CRGraph(rep, v.cr_type, is_admissible(rep).theta)
-    return sorted(out.values(), key=lambda c: c.graph.serialize())
+        rep = canonicalize(g, v)
+        out.append(CRGraph(rep, v.cr_type, _permuted_theta(g, v, orbit[rep.colors])))
+    return sorted(out, key=lambda c: c.graph.serialize())
 
 
 def flag_pair(g: PaintedGraph) -> tuple[Subsystem, Subsystem]:

@@ -437,6 +437,33 @@ class RootSystem:
         """The dominant Weyl-chamber representative of the orbit of v."""
         return RootVector(self, chamber_walk(self._cartan, v.c), v.den)
 
+    def stabilizer_orbits(self, v: RootVector, members: Iterable[int]) -> list[list[int]]:
+        """The orbits of W_v, the stabilizer of a dominant v, on root
+        indices members that it keeps: each in index order, the orbits in
+        order of their first members.  W_v is generated by the simple
+        reflections s_k with (v, alpha_k) = 0 (Humphreys 10.3, Lemma B),
+        and s_k(r) = r - <r | alpha_k> alpha_k is one code lookup, with
+        the pairings <r | alpha_k> the tree sums of Cartan column k."""
+        C, codes, at = self._cartan, self.codes, self.by_code
+        steps = [(self.tree_sums([row[k] for row in C]), codes[self.root_index(alpha)])
+                 for k, alpha in enumerate(self.simple_roots)
+                 if not sum(x * row[k] for x, row in zip(v.c, C))]
+        rest = set(members)
+        out = []
+        for r in sorted(rest):
+            if r not in rest:
+                continue
+            rest.discard(r)
+            orbit = [r]
+            for x in orbit:
+                for p, step in steps:
+                    y = at[codes[x] - p[x] * step]
+                    if y in rest:
+                        rest.discard(y)
+                        orbit.append(y)
+            out.append(sorted(orbit))
+        return out
+
     @cached_property
     def length_representatives(self) -> dict[Q, RootVector]:
         """The dominant root of each length, by squared length, in order of

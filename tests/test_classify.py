@@ -242,3 +242,55 @@ def test_primitive_candidates_cover_every_strongly_orthogonal_pair():
             for j, b in enumerate(s.roots):
                 if s.strongly_orthogonal(i, j) and s.root_along(a - b) is None:
                     assert rs.canon_str(s.canonical_form(a - b)) in forms, (tag, i, j)
+
+
+def _reference_stabilizer_orbit(system, a, j):
+    """The orbit of root j under the simple reflections that fix a, walked
+    with RootSystem.reflect on RootVectors."""
+    fixing = [alpha for alpha in system.simple_roots if system.inner(a, alpha) == 0]
+    orbit, frontier = {j}, [j]
+    while frontier:
+        b = system.roots[frontier.pop()]
+        for alpha in fixing:
+            k = system.root_index(system.reflect(alpha, b))
+            if k not in orbit:
+                orbit.add(k)
+                frontier.append(k)
+    return orbit
+
+
+def test_stabilizer_orbits_partition_the_strongly_orthogonal_roots():
+    # on each length representative a, the W_a-orbits split the roots
+    # strongly orthogonal to a, in index order, and every member of an
+    # orbit gives a - b one diagram_orbit
+    for tag, s in _candidate_systems(8):
+        for a in s.length_representatives.values():
+            ia = s.root_index(a)
+            strong = [j for j in range(len(s.roots)) if s.strongly_orthogonal(ia, j)]
+            orbits = s.stabilizer_orbits(a, strong)
+            assert sorted(j for orbit in orbits for j in orbit) == strong, tag
+            assert [orbit[0] for orbit in orbits] == sorted(orbit[0] for orbit in orbits), tag
+            for orbit in orbits:
+                assert orbit == sorted(_reference_stabilizer_orbit(s, a, orbit[0])), tag
+                keys = set()
+                for j in orbit:
+                    d = [x - y for x, y in zip(a.c, s.expansions[j])]
+                    keys.add(s.diagram_orbit([x // gcd(*d) for x in d]))
+                assert len(keys) == 1, (tag, orbit)
+
+
+def test_primitive_candidates_walk_one_member_per_orbit(monkeypatch):
+    walks = []
+    walk = rs.RootSystem.diagram_orbit
+    monkeypatch.setattr(rs.RootSystem, "diagram_orbit",
+                        lambda self, c: walks.append(c) or walk(self, c))
+    total = 0
+    for tag, s in _candidate_systems(6):
+        orbits = sum(len(s.stabilizer_orbits(a, [j for j in range(len(s.roots))
+                                                 if s.strongly_orthogonal(s.root_index(a), j)]))
+                     for a in s.length_representatives.values())
+        walks.clear()
+        classify._primitive_candidates(s)
+        assert len(walks) == orbits, tag
+        total += orbits
+    assert total == 49

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as Q
 from math import lcm
 from pathlib import Path
@@ -1212,6 +1213,104 @@ def test_l_stable_untwisted_excess_is_one():
             stable += 1
     assert stable >= 1054
     assert len(unstable) >= 156 and set(unstable) == {-1, -3, -5}
+
+
+def _seed_echelon_normalizer_excess(h, values):
+    """normalizer_excess with an Echelon for every weight block: the seeds
+    of each nonzero block, then the brackets of every block left under its
+    bound.  The reference for the seed minors (crstruct._seeds_fill)."""
+    lines = h.at(values)
+    if not any(lines.values()):
+        return cs._untwisted_excess(h, lines)
+    datum = h.datum
+    sysm = datum.system
+    wblocks, perp = cs._graded_w_and_perp(h, values)
+    room = {tau: len(roots) for tau, roots in datum.weight_blocks.items()}
+    room[0] += sysm.rank
+    if h.l_stable:
+        for d in datum.Ro.members:
+            room[datum.weight_codes[d]] -= 1
+        room[0] -= len(datum.theta_perp_cartan)
+    blocks = {}
+    for tau, us in perp.items():
+        if tau and room[tau] > 0:
+            cs._bracket_into(sysm, blocks, room, tau, us)
+    for rho in [rho for rho, r in room.items() if r > 0]:
+        for sigma, ws in wblocks.items():
+            us = perp.get(rho - sigma)
+            if us and room[rho] > 0:
+                cs._bracket_into(sysm, blocks, room, rho, (cs._bracket_row(datum, w, u)
+                                                           for w in ws if type(w) is dict
+                                                           for u in us))
+    rank = sum(len(ech.rows) * (1 if tau == 0 else 2) for tau, ech in blocks.items())
+    dim_l = len(datum.Ro.members) + len(datum.theta_perp_cartan)
+    return len(sysm.roots) + sysm.rank - rank - dim_l
+
+
+def _counting_seeds_fill(monkeypatch):
+    """Spy on crstruct._seeds_fill: a Counter of its verdicts, and of the
+    verdicts by column count as (n, verdict)."""
+    verdicts = Counter()
+    fill = cs._seeds_fill
+
+    def counted(seeds, n):
+        full = fill(seeds, n)
+        verdicts.update([full, (n, full)])
+        return full
+
+    monkeypatch.setattr(cs, "_seeds_fill", counted)
+    return verdicts
+
+
+@pytest.mark.parametrize("kind", ["golden", "sums", "m10"])
+def test_seed_minors_match_the_seed_echelon(kind, monkeypatch):
+    # every digest structure at SAMPLES[0] and SAMPLES[1]; the ones that
+    # are not l-stable rank every block by the Echelon, as before
+    verdicts = _counting_seeds_fill(monkeypatch)
+    unstable = 0
+    for h in _digest_structures(kind):
+        for j in (0, 1):
+            vals = classify._sample_values(h, j)
+            assert _outcome(cs.normalizer_excess, h, vals) \
+                == _outcome(_seed_echelon_normalizer_excess, h, vals), (h.label, j)
+            unstable += not h.l_stable and any(h.at(vals).values())
+    # at the samples, m10 and m01 meet in no nonzero class of an
+    # l-stable structure: its seeds fill every such block
+    want = {"golden": (684, 0), "sums": (3346, 156), "m10": (62, 0)}[kind]
+    assert verdicts[True] >= want[0] and verdicts[False] == 0 and unstable >= want[1]
+
+
+def test_seed_minors_fall_back_on_short_classes(monkeypatch):
+    # a class whose seeds do not fill its bound goes to the Echelon, its
+    # seeds and brackets: the B3 --m10 spec of tools/cli_digest.py at
+    # t = 1/2, whose su2 line E_mu + 2t E_-mu of weight 0 meets m01 there,
+    # the l-stable golden structures at |t| = 1, where the 2x2 minor of a
+    # nonzero class vanishes, and the G2 --m10 edge spec, whose class of
+    # four roots has no minor to read
+    verdicts = _counting_seeds_fill(monkeypatch)
+    b3 = [h for h in _digest_structures("m10") if h.datum.system.type_str() == "B3"
+          and h.parameters() == {"t"} and len(h.pairs) == 1 and h.rj_plus]
+    assert len(b3) == 1 and b3[0].l_stable
+    vals = {"t": T_HALF}
+    assert b3[0].at(vals)[b3[0].datum.system.root_index(b3[0].datum.theta)][1] == ONE
+    assert _bracket_weights(b3[0], vals, monkeypatch) == {0}
+    assert cs.normalizer_excess(b3[0], vals) == _seed_echelon_normalizer_excess(b3[0], vals) == 0
+    cases = [h for h in _digest_structures("golden") if h.l_stable and h.parameters() == {"t"}]
+    for h in cases:
+        for t in (Gauss(1), Gauss(-1), Gauss(0, 1), UNIT):
+            vals = {"t": t}
+            assert cs.normalizer_excess(h, vals) == _seed_echelon_normalizer_excess(h, vals), \
+                (h.label, t)
+    assert len(cases) >= 52 and verdicts[False] >= 460
+    from crlie.cli import build_subspace
+
+    for t, theta, spec in _cli_digest().M10_EDGES:
+        s = rs.parse_type(t)
+        h = build_subspace(ct.contact_datum(s, s.vector(theta.split(","))), spec)
+        for j in (0, 1):
+            vals = classify._sample_values(h, j)
+            assert cs.normalizer_excess(h, vals) == _seed_echelon_normalizer_excess(h, vals), t
+    assert verdicts[4, False] >= 2 and not verdicts[4, True]
 
 
 def test_line_built_normalizer_on_readme_subspace():

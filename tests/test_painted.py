@@ -208,6 +208,26 @@ def test_is_good_calls_track_the_output(monkeypatch):
     assert calls < 1000
 
 
+def test_is_good_judges_one_painting_per_diagram_orbit(monkeypatch):
+    judged = []
+    is_good = pt.is_good
+    monkeypatch.setattr(pt, "is_good", lambda g: judged.append(g) or is_good(g))
+    total = paintings = 0
+    for system in _systems(7):
+        autos = system.diagram_automorphisms
+        cands = pt._candidate_paintings(system)
+        orbits = {min(tuple(colors[p.index(i)] for i in range(system.rank)) for p in autos)
+                  for colors in cands}
+        judged.clear()
+        pt.enumerate_cr_graphs(system)
+        assert len(judged) == len(orbits), system.type_str()
+        assert {min(tuple(g.colors[p.index(i)] for i in range(system.rank)) for p in autos)
+                for g in judged} == orbits, system.type_str()
+        total += len(orbits)
+        paintings += len(cands)
+    assert (paintings, total) == (284, 202)
+
+
 # -- the D-shapes against their definition ----------------------------------------------
 
 
