@@ -204,6 +204,10 @@ def _parse_coeff(s) -> Poly:
     return out
 
 
+# an optionally signed run of decimal digits, which int() and Fraction() read alike
+_SIGNED_DIGITS = re.compile(r"[-+]?\d+")
+
+
 def _parse_vector(system, s, prefix: str = "") -> RootVector:
     """The vector of comma-separated ambient coordinates s; prefix opens each message."""
     bad = f"{prefix}invalid vector {s!r}"
@@ -215,8 +219,8 @@ def _parse_vector(system, s, prefix: str = "") -> RootVector:
                          f"got {len(fields)}")
     coords = []
     for k, x in enumerate(fields, 1):
-        try:
-            coords.append(Fraction(x))
+        try:  # int() is the cheap read of an integer; "1_0" stays a Fraction's to judge
+            coords.append(int(x) if _SIGNED_DIGITS.fullmatch(x) else Fraction(x))
         except (ValueError, ZeroDivisionError) as e:
             why = "has a zero denominator" if isinstance(e, ZeroDivisionError) else "is no number"
             raise UsageError(f"{bad}: coordinate {k} ({x!r}) {why}") from None
@@ -279,7 +283,7 @@ def build_subspace(datum: ContactDatum, spec) -> HolomorphicSubspace:
 
 def cmd_check(args) -> int:
     rows = []
-    if args.graph:
+    if args.graph is not None:
         if ":" in args.graph:  # the type's rank is checked before PaintedGraph builds it
             _system("--graph", args.graph.split(":")[0])
         try:
@@ -304,7 +308,8 @@ def cmd_check(args) -> int:
         rows.append(row)
         _emit(Report("check", tuple(rows)), args)
         return 0
-    if args.type and args.theta and (args.m10 or args.family):
+    if (args.type is not None and args.theta is not None
+            and (args.m10 is not None or args.family)):
         system = _system("--type", args.type)
         try:
             datum = contact_datum(system, _parse_vector(system, args.theta))
@@ -367,11 +372,23 @@ def _parser() -> _Parser:
     return p
 
 
-def main(argv=None) -> int:
+def _parse_known(argv: list[str]) -> tuple[argparse.Namespace, list[str]]:
+    """_parser().parse_known_args(argv), with the same namespace, extras,
+    messages and exits.  When argv[0] names a subcommand, its own parser
+    reads the rest as the full parser would hand it over, and the
+    top-level pass is skipped; any other argv (none, an unknown command,
+    an option first) goes through the full parser."""
     parser = _parser()
-    args, extras = parser.parse_known_args(argv)
+    if argv and argv[0] in parser.commands:
+        return parser.commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+    return parser.parse_known_args(argv)
+
+
+def main(argv=None) -> int:
+    args, extras = _parse_known(sys.argv[1:] if argv is None else list(argv))
     if extras:  # reported by the subcommand they were given to
-        parser.commands[args.command].error(f"unrecognized arguments: {' '.join(extras)}")
+        _parser().commands[args.command].error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         if args.command == "roots":
             return cmd_roots(args)

@@ -858,9 +858,13 @@ def find_crf_parabolics(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> 
     none when it is R.  A pair that the closure leaves undecided means m10
     is not complementary to its conjugate at these values; that raises.
 
-    For subspaces with a twisted su2 line, the pair of a root and its
-    negative, the parabolic reduction adapted to the rotated Cartan through
-    that line (S^1 fibers) is added.
+    Root sets miss only the rotated case.  A parabolic containing l^C holds
+    t' = h n theta^perp, so a Cartan c with t' < c < z_g(t') (Borel and
+    Tits).  The roots vanishing on t' are those parallel to theta, at most
+    +-mu.  Without them c = h, and the closure above finds the parabolic.
+    With them c may pass through the su2 line when its twist is nonzero:
+    the parabolic reduction adapted to that rotated Cartan (S^1 fibers) is
+    added.  Otherwise exp ad E_+-mu, which fixes t', carries c to h.
     """
     sys = h.datum.system
     datum = h.datum

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+from json.encoder import encode_basestring as _string
 
 KINDS = (
     "roots",
@@ -32,12 +33,15 @@ class Report:
         return Report(self.kind, tuple(sorted(self.rows, key=_row_key)), self.provenance)
 
     def to_json(self) -> str:
-        data = {
-            "kind": self.kind,
-            "rows": [dict(sorted(r.items())) for r in self.sorted().rows],
-            "provenance": list(self.provenance),
-        }
-        return json.dumps(data, indent=2, ensure_ascii=False, sort_keys=False) + "\n"
+        """json.dumps(data, indent=2, ensure_ascii=False) + "\\n" of data =
+        {"kind", "rows" with sorted keys, "provenance"}, byte for byte.  Rows
+        map strings to strings, so the fixed layout is written here around
+        json's C string encoder: with an indent, json.dumps would encode
+        through its pure-Python encoder."""
+        rows = ",\n".join(_object(r) for r in self.sorted().rows)
+        provenance = ",\n".join(f"    {_string(p)}" for p in self.provenance)
+        return (f'{{\n  "kind": {_string(self.kind)},\n  "rows": {_list(rows)},\n'
+                f'  "provenance": {_list(provenance)}\n}}\n')
 
     @staticmethod
     def from_json(text: str) -> "Report":
@@ -81,6 +85,17 @@ class Report:
         if fmt == "text":
             return self.to_text()
         raise ValueError(f"unknown format {fmt}")
+
+
+def _object(row: dict) -> str:
+    """A row as a JSON object at depth 2, its keys sorted; "{}" when empty."""
+    items = ",\n".join(f"      {_string(k)}: {_string(v)}" for k, v in sorted(row.items()))
+    return f"    {{\n{items}\n    }}" if items else "    {}"
+
+
+def _list(items: str) -> str:
+    """A JSON list at depth 1 around its joined items; "[]" when empty."""
+    return f"[\n{items}\n  ]" if items else "[]"
 
 
 def _columns(rows) -> list[str]:

@@ -331,7 +331,7 @@ class RootSystem:
         den, rows = self._coords
         acc = [0] * self.rank
         for x, row in zip(coords, rows):
-            x = Q(x)  # an integral coordinate multiplies as an int
+            x = x if type(x) is int else Q(x)  # an integral coordinate multiplies as an int
             x = x.numerator if x.denominator == 1 else x
             for j, y in row:
                 acc[j] += x * y

@@ -314,6 +314,20 @@ def test_check_theta_names_the_bad_coordinate(theta, message, capsys):
     assert f"invalid vector {theta!r}: {message}" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--type", "A2", "--theta=", "--family"], "invalid vector '': expected 3 coordinates"),
+    (["--type=", "--theta=1,0,-1", "--family"], "cannot parse type string ''"),
+    (["--graph="], "expected TYPE:colors, got ''"),
+    (["--type", "A2", "--theta=1,0,-1", "--m10="], "invalid --m10 spec: Expecting value"),
+])
+def test_check_names_an_empty_option_given(argv, message, capsys):
+    # an empty value is a given option, not an absent one: the message
+    # names its fault, not "check needs --graph or --type/--theta ..."
+    assert run(["check"] + argv) == 64
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(f"error: {message}") and out.err.count("\n") == 1
+
+
 def test_check_m10_vector_zero_denominator(capsys):
     spec = {"plains": ["1/0,0,0"]}
     rc = run(["check", "--type", "A2", "--theta=1,0,-1", "--m10", json.dumps(spec)])

@@ -1526,6 +1526,64 @@ def test_center_is_one_direction_on_root_parallel_data():
             assert len(datum.center) <= 1, (sysm.type_str(), theta)
 
 
+def _roots_vanishing_on_t_prime(datum):
+    """The roots that vanish on t' = h ∩ theta^perp, with t' spanned by
+    a_j - ((a_j, theta) / (a_k, theta)) a_k over the simple roots a_j, j != k,
+    for one k with (a_k, theta) != 0."""
+    sysm = datum.system
+    row = [sysm.inner(a, datum.theta) for a in sysm.simple_roots]
+    k = next(i for i, x in enumerate(row) if x)
+    t_prime = [sysm.simple_roots[j] - (row[j] / row[k]) * sysm.simple_roots[k]
+               for j in range(sysm.rank) if j != k]
+    return frozenset(i for i, r in enumerate(sysm.roots)
+                     if all(sysm.inner(r, t) == 0 for t in t_prime))
+
+
+@pytest.mark.parametrize("kind", ["golden", "sums", "m10"])
+def test_parabolics_meet_t_prime_as_the_witness_search_assumes(kind, monkeypatch):
+    """Baseline's lemma behind find_crf_parabolics (README, "How fibration
+    witnesses are found"): a parabolic holding l^C holds t', so a Cartan c
+    with t' ⊂ c ⊂ z_g(t').  On every digest datum the roots vanishing on t'
+    are those parallel to theta (equality in Cauchy–Schwarz), at most ±mu,
+    so z_g(t') is h or t' + sl2(mu); each su2 line stands on that mu, and
+    wherever its twist is nonzero the witness search consults
+    _rotated_s1_witness, the one case where c need not be h."""
+    consulted, rotated = [], cs._rotated_s1_witness
+
+    def spy(h, values):
+        consulted.append((h, tuple(sorted(values.items()))))
+        return rotated(h, values)
+
+    monkeypatch.setattr(cs, "_rotated_s1_witness", spy)
+    twisted = 0
+    cases = _digest_structures(kind)
+    for datum in {h.datum for h in cases}:
+        sysm, theta = datum.system, datum.theta
+        parallel = frozenset(
+            i for i, r in enumerate(sysm.roots)
+            if sysm.inner(r, theta) ** 2 == sysm.inner(r, r) * sysm.inner(theta, theta))
+        assert _roots_vanishing_on_t_prime(datum) == parallel, (sysm.type_str(), theta)
+        assert len(parallel) in (0, 2), (sysm.type_str(), theta)
+        assert {sysm.neg_index[i] for i in parallel} == parallel
+    for h in cases:
+        sysm = h.datum.system
+        su2 = [p.hw for p in h.pairs if p.partner == sysm.neg_index[p.hw]]
+        assert len(su2) <= 1, h.label
+        if not su2:
+            continue
+        assert sysm.inner(sysm.roots[su2[0]], h.datum.theta) ** 2 \
+            == sysm.norm2(su2[0]) * sysm.inner(h.datum.theta, h.datum.theta), h.label
+        for j in (0, 1):
+            values = classify._sample_values(h, j)
+            if h.at(values)[su2[0]] is None:
+                continue
+            consulted.clear()
+            if isinstance(_outcome(cs.find_crf_parabolics, h, values), cs.FibrationReport):
+                twisted += 1
+                assert consulted == [(h, tuple(sorted(values.items())))], h.label
+    assert twisted >= {"golden": 80, "sums": 720, "m10": 8}[kind]
+
+
 def test_structure_rows_dispatch():
     b4 = rs.build("B4")
     rows = classify.structure_rows_for_datum(ct.contact_datum(b4, b4.vector([1, 0, 0, 0])))
