@@ -28,7 +28,6 @@ from .contact import (
 )
 from .crstruct import (
     HolomorphicSubspace,
-    _fiber_type,
     check_disjointness,
     check_integrability,
     find_crf_parabolics,
@@ -403,7 +402,7 @@ def _crgraph_row(g: CRGraph, verify: bool) -> dict:
         "K_type": naming.subgroup_name(system, k, corank_drop=0),
         "Q_type": naming.subgroup_name(system, q, corank_drop=0),
         "L": _display_L(g),
-        "fiber": _fiber_type(datum, q.members),
+        "fiber": naming.fiber_type(datum, q.members),
         "base": _display_base(g),
     }
     if verify:

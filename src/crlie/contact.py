@@ -69,6 +69,11 @@ class ContactDatum:
         return {m.highest: m for m in decompose(self)}
 
     @cached_property
+    def module_of(self) -> dict[int, int]:
+        """The highest weight of the module of each root of R'."""
+        return {w: hw for hw, m in self.modules.items() for w in m.weights}
+
+    @cached_property
     def weight_codes(self) -> tuple[int, ...]:
         """The theta-transverse weight of each root as one int, by root
         index, which tells apart the weights of g and the sums of two of

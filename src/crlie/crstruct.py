@@ -16,7 +16,10 @@ polynomial in the twists and decided symbolically: integrability brackets
 the lines' roots through the structure constants on int-coded monomials
 (HolomorphicSubspace._coded), and disjointness takes a determinant only
 over the twisted lines of each congruence class, the lone lines being unit
-rows (check_disjointness).  Standardness, the normalizer dimension and the
+rows (check_disjointness).  On an l-stable m10 both are decided from
+highest weights: integrability brackets each module's highest line only,
+and disjointness takes the determinants of the classes of module highest
+weights only.  Standardness, the normalizer dimension and the
 parabolic fibration witnesses are decided at sampled Gaussian-rational
 values, all exactly.  The normalizer needs no linear system of its own:
 by the invariant form of the Chevalley basis it is the annihilator of the
@@ -46,13 +49,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import isqrt, lcm
 from typing import Mapping, Optional
 
 from .chevalley import root_bracket
 from .contact import ContactDatum
 from .linalg import Echelon
-from .rootsys import RootSystem, RootVector, Subsystem, format_vector
+from .naming import fiber_type
+from .rootsys import RootSystem, RootVector, format_vector
 from .scalars import (ONE, ZERO, Gauss, MonomialCode, P_ZERO, Poly, _mono_mul, add_product,
                       as_poly, conj_var)
 
@@ -343,11 +348,16 @@ def check_integrability(h: HolomorphicSubspace) -> ConstraintSet:
     ContactDatum.theta_pairings times ConstantTable.coroot_factors, up to
     one positive factor, which primitive() divides out.  The bracket is
     reduced modulo m10 + l^C, and every coefficient left, with its
-    theta-component, is a condition.  A pair of homogeneous lines is
-    skipped when its weight sum names no live block: a sum that is no
-    weight of g leaves nothing, and neither does an absorbed block, one of
-    nonzero weight whose roots all lie in R_o or on lone lines E_w, since a
-    bracket into it has no Cartan part and reduces to 0."""
+    theta-component, is a condition.  Every pair of lines is bracketed,
+    or, where HolomorphicSubspace.l_stable, each module's highest line
+    with the other lines of its own and the later modules: the bracket
+    modulo m10 + l^C is l^C-equivariant, so it vanishes on two modules
+    exactly when it does on one's highest line and the other (README, "How
+    the normalizer excess is computed").  A pair is skipped when its
+    weight sum names no live block: a sum that is no weight of g leaves
+    nothing, and neither does an absorbed block, one of nonzero weight
+    whose roots all lie in R_o or on lone lines E_w, since a bracket into
+    it has no Cartan part and reduces to 0."""
     datum = h.datum
     if not any(h.lines.values()):
         return ConstraintSet(() if _lone_lines_closed(datum, h.lines) else (as_poly(ONE),))
@@ -369,23 +379,28 @@ def check_integrability(h: HolomorphicSubspace) -> ConstraintSet:
             if rho == 0 or any(r not in ro and lines.get(r, 0) is not None for r in roots)}
     # the weight code of each line, which its two roots share (_propagate)
     weights = [datum.weight_codes[w] for w in lines]
-    for a, va in enumerate(vecs):
-        for b in range(a + 1, len(vecs)):
-            if weights[a] + weights[b] not in live:
-                continue
-            res: dict[int, dict] = {}
-            cartan: dict = {}
-            for r, x in va.items():
-                cr, nr = codes[r], neg[r]
-                for s, y in vecs[b].items():
-                    if s == nr:
-                        add_product(cartan, x, y, tp[r] * factor[r])
-                    elif (k := get(cr + codes[s])) is not None:
-                        add_product(res.setdefault(k, {}), x, y, n(r, s))
-            for w, t in _reduce(lines, res).items():
-                if w not in ro:
-                    note(t)
-            note(cartan)
+    pairs = combinations(range(len(vecs)), 2)
+    if h.l_stable:
+        mod, order = datum.module_of, {hw: k for k, hw in enumerate(datum.modules)}
+        at = [order[mod[w]] for w in lines]
+        pairs = [(a, b) for a, w in enumerate(lines) if mod[w] == w
+                 for b in range(len(vecs)) if b != a and at[b] >= at[a]]
+    for a, b in pairs:
+        if weights[a] + weights[b] not in live:
+            continue
+        res: dict[int, dict] = {}
+        cartan: dict = {}
+        for r, x in vecs[a].items():
+            cr, nr = codes[r], neg[r]
+            for s, y in vecs[b].items():
+                if s == nr:
+                    add_product(cartan, x, y, tp[r] * factor[r])
+                elif (k := get(cr + codes[s])) is not None:
+                    add_product(res.setdefault(k, {}), x, y, n(r, s))
+        for w, t in _reduce(lines, res).items():
+            if w not in ro:
+                note(t)
+        note(cartan)
     return ConstraintSet(tuple(_minimize(sorted(gens.values(), key=lambda p: p.key()))))
 
 
@@ -521,25 +536,32 @@ def check_disjointness(h: HolomorphicSubspace) -> DisjointnessResult:
     raise, and the others expand it to +-1 times the determinant of the
     twisted lines and their conjugates on the columns left.  primitive()
     drops that sign, so only those rows take a determinant, and a class
-    without a twist has none: its determinant is +-1, no factor."""
+    without a twist has none: its determinant is +-1, no factor.  Where
+    HolomorphicSubspace.l_stable, only the classes of module highest
+    weights take one: m10 n m01 is then l^C-stable, and a highest vector
+    of it lies in such a class (README)."""
     neg, class_of = h.datum.system.neg_index, h.datum.class_of
-    # each class's rows: a pivot's column, or a twisted row {column: entry}
+    decided = set(map(class_of.get, h.datum.modules if h.l_stable else class_of))
+    # each class's rows: a pivot's column, or a twisted row {column: entry},
+    # or None where no determinant is taken
     rows: dict[tuple[int, ...], list] = {}
     for w, line in h.lines.items():
         rows.setdefault(class_of[w], []).append({w: ONE, line[0]: line[1]}
                                                 if line and line[1] else w)
     for w, line in h.lines.items():
-        rows.setdefault(class_of[neg[w]], []).append(
-            {neg[w]: -ONE, neg[line[0]]: -line[1].conj()} if line and line[1] else neg[w])
+        block = class_of[neg[w]]
+        rows.setdefault(block, []).append(
+            neg[w] if not (line and line[1]) else None if block not in decided
+            else {neg[w]: -ONE, neg[line[0]]: -line[1].conj()})
     factors: dict[tuple, Poly] = {}
     for block, vs in rows.items():
         if len(vs) != len(block):
             raise StructError("congruence block is not square")
         pivots = {v for v in vs if type(v) is int}
-        twisted = [v for v in vs if type(v) is dict]
+        twisted = [v for v in vs if type(v) is not int]
         if len(pivots) + len(twisted) != len(vs):
             raise StructError("identically degenerate block")
-        if not twisted:
+        if not twisted or block not in decided:
             continue
         cols = [c for c in block if c not in pivots]
         det = as_poly(_det_poly([[v.get(c, P_ZERO) for c in cols] for v in twisted]))
@@ -878,7 +900,7 @@ def find_crf_parabolics(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> 
     if len(p) < len(sys.roots):
         sym = frozenset(i for i in p if sys.neg_index[i] in p)
         fiber_dim = len(sym) - len(datum.Ro.members) + 1
-        witnesses.append(ParabolicWitness(sym, fiber_dim, _fiber_type(datum, sym)))
+        witnesses.append(ParabolicWitness(sym, fiber_dim, fiber_type(datum, sym)))
     s1 = _rotated_s1_witness(h, values)
     if s1 is not None:
         witnesses.append(s1)
@@ -903,32 +925,6 @@ def _additive_closure(sys: RootSystem, seed: frozenset[int]) -> frozenset[int]:
                 out.add(r)
                 grew = True
     return frozenset(out)
-
-
-def _fiber_type(datum: ContactDatum, sym: frozenset[int]) -> str:
-    """Effective fiber of the fibration with reductive root set sym."""
-    sys = datum.system
-    if sym == frozenset(datum.Ro.members):
-        return "S1"
-    # a component lies in the closed R_o exactly when its simple roots do
-    ro = datum.Ro.members
-    return sphere_bundle_name([(t, r) for t, r, simple in Subsystem(sys, sym)._components
-                               if not simple <= ro])
-
-
-def sphere_bundle_name(comps: list[tuple[str, int]]) -> str:
-    if comps == [("A", 1)]:
-        return "SO3 = S(S2)"
-    if comps == [("A", 1), ("A", 1)]:
-        return "SO4/SO2 = S(S3)"
-    if comps == [("A", 3)]:
-        return "SO6/SO4 = S(S5)"
-    if comps == [("B", 3)]:
-        return "Spin7/SU3 = S(S7)"
-    if len(comps) == 1 and comps[0][0] == "D":
-        r = comps[0][1]
-        return f"SO{2*r}/SO{2*r-2} = S(S{2*r-1})"
-    return "+".join(f"{t}{r}" for t, r in comps)
 
 
 def _rotated_s1_witness(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> Optional[ParabolicWitness]:

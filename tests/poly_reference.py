@@ -1,16 +1,20 @@
 """The Poly-based integrability and l-stability checks that the coded
-kernels of crlie.crstruct replaced, kept as references, and the weight
-tuples that ContactDatum.weight_codes codes.
+kernels of crlie.crstruct replaced, kept as references, with the
+every-class disjointness check, and the weight tuples that
+ContactDatum.weight_codes codes.
 
 Each line's twist is a Poly here, every bracket term n(r, s) * x * y is a
 Poly product and every reduction modulo the lines a Poly sum, exactly as
 the checks ran before their twists were coded as {monomial code: Gauss}.
 The mixed-weight guards stay in: no part builds such a line, so they
 never fire, and the references keep the code they compare against whole.
+Both structure checks here read every pair of lines and every congruence
+class, where crlie.crstruct reads an l-stable subspace's highest weights
+only.
 """
 
-from crlie.crstruct import ConstraintSet, _minimize
-from crlie.scalars import as_poly
+from crlie.crstruct import ConstraintSet, DisjointnessResult, StructError, _det_poly, _minimize
+from crlie.scalars import ONE, P_ZERO, as_poly
 
 
 def weights(datum):
@@ -109,3 +113,33 @@ def check_integrability(h):
                     note(c)
             note(cartan)
     return ConstraintSet(tuple(_minimize(sorted(gens.values(), key=lambda p: p.key()))))
+
+
+def check_disjointness(h):
+    """check_disjointness with a determinant on every congruence class:
+    the same factors in the same order."""
+    neg, class_of = h.datum.system.neg_index, h.datum.class_of
+    rows = {}
+    for w, line in h.lines.items():
+        rows.setdefault(class_of[w], []).append({w: ONE, line[0]: line[1]}
+                                                if line and line[1] else w)
+    for w, line in h.lines.items():
+        rows.setdefault(class_of[neg[w]], []).append(
+            {neg[w]: -ONE, neg[line[0]]: -line[1].conj()} if line and line[1] else neg[w])
+    factors = {}
+    for block, vs in rows.items():
+        if len(vs) != len(block):
+            raise StructError("congruence block is not square")
+        pivots = {v for v in vs if type(v) is int}
+        twisted = [v for v in vs if type(v) is dict]
+        if len(pivots) + len(twisted) != len(vs):
+            raise StructError("identically degenerate block")
+        if twisted:
+            cols = [c for c in block if c not in pivots]
+            det = as_poly(_det_poly([[v.get(c, P_ZERO) for c in cols] for v in twisted]))
+            if det.is_zero():
+                raise StructError("identically degenerate block")
+            det = det.primitive()
+            if not det.is_constant():
+                factors.setdefault(det.key(), det)
+    return DisjointnessResult(tuple(sorted(factors.values(), key=lambda p: p.key())))

@@ -1,7 +1,10 @@
 """The coded integrability and l-stability kernels of crlie.crstruct
 against the Poly-based checks they replaced (poly_reference): the same
 generators, in the same order and printed alike, and the same l-stability
-verdict, on every structure of the digest and a +- b batteries."""
+verdict, on every structure of the digest and a +- b batteries.  There
+check_disjointness, which takes an l-stable subspace's determinants on
+the classes of module highest weights alone, gives the factors of the
+every-class reference, in the same order."""
 
 import pytest
 
@@ -18,7 +21,20 @@ def _assert_kernels_agree(h):
     assert [p.key() for p in got.generators] == [p.key() for p in want.generators], h.label
     assert str(got) == str(want), h.label
     assert h.l_stable == ref.l_stable(h), h.label
+    _assert_factors_agree(h)
     return got.unconditional, h.l_stable
+
+
+def _assert_factors_agree(h):
+    """check_disjointness and its every-class reference give the same
+    factors in the same order, or raise the same StructError."""
+    outcomes = []
+    for check in (cs.check_disjointness, ref.check_disjointness):
+        try:
+            outcomes.append([f.key() for f in check(h).factors])
+        except cs.StructError as e:
+            outcomes.append(str(e))
+    assert outcomes[0] == outcomes[1], h.label
 
 
 @pytest.mark.parametrize("kind", ["golden", "sums", "m10"])

@@ -12,6 +12,7 @@ from crlie import contact as ct
 from crlie import crstruct as cs
 from crlie import families as fam
 from crlie import modules as md
+from crlie import naming
 from crlie import rootsys as rs
 from crlie.chevalley import LieElement
 from crlie.linalg import Row, nullspace
@@ -438,7 +439,7 @@ def _compare_witnesses(h, values):
     for p in _reference_parabolics(sysm, frozenset(support)):
         sym = frozenset(i for i in p if sysm.neg_index[i] in p)
         fiber_dim = len(sym) - len(datum.Ro.members) + 1
-        want.append(cs.ParabolicWitness(sym, fiber_dim, cs._fiber_type(datum, sym)))
+        want.append(cs.ParabolicWitness(sym, fiber_dim, naming.fiber_type(datum, sym)))
     s1 = cs._rotated_s1_witness(h, values)
     want += [s1] if s1 is not None else []
     want.sort(key=lambda w: (w.fiber_dim, sorted(w.sym_roots)))
@@ -1079,7 +1080,7 @@ def _basis_parabolics(h, values):
     if len(p) < len(sysm.roots):
         sym = frozenset(i for i in p if sysm.neg_index[i] in p)
         want.append(cs.ParabolicWitness(sym, len(sym) - len(datum.Ro.members) + 1,
-                                        cs._fiber_type(datum, sym)))
+                                        naming.fiber_type(datum, sym)))
     s1 = _basis_s1_witness(h, values)
     want += [s1] if s1 is not None else []
     return tuple(sorted(want, key=lambda w: (w.fiber_dim, sorted(w.sym_roots))))

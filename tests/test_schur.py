@@ -8,6 +8,9 @@ of the simple types of rank <= 6.  Every choice must build its lines and
 be l-stable, every structure a route builds must be one of them, and the
 integrable, non-standard choices that no route builds are counted.  The
 table itself is checked on every contact form tools/cli_digest.py checks.
+On every choice the structure checks, which read an l-stable subspace's
+highest weights only, must equal their every-pair and every-class
+references (poly_reference).
 """
 
 import itertools
@@ -17,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import poly_reference as ref
 from crlie import classify
 from crlie import contact as ct
 from crlie import crstruct as cs
@@ -149,6 +153,18 @@ def test_every_route_structure_is_a_schur_choice():
     census = _census()
     assert census["unmatched"] == []
     assert census["matched"] == 89
+
+
+def test_choices_match_the_every_pair_and_every_class_references():
+    # every choice is l-stable, so check_integrability brackets only each
+    # module's highest line with the lines of its own and later modules,
+    # and check_disjointness takes only the classes of module highest weights
+    for choices in _census()["choices"]:
+        for g in choices:
+            got, want = cs.check_integrability(g), ref.check_integrability(g)
+            assert [p.key() for p in got.generators] == [p.key() for p in want.generators]
+            got, want = cs.check_disjointness(g), ref.check_disjointness(g)
+            assert [f.key() for f in got.factors] == [f.key() for f in want.factors]
 
 
 def test_integrable_choices_no_route_builds():
