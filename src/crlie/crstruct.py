@@ -21,28 +21,26 @@ highest weights: integrability brackets each module's highest line only,
 and disjointness takes the determinants of the classes of module highest
 weights only.  Standardness, the normalizer dimension and the
 parabolic fibration witnesses are decided at sampled Gaussian-rational
-values, all exactly.  The normalizer needs no linear system of its own:
-by the invariant form of the Chevalley basis it is the annihilator of the
-brackets of l^C + m01 with its orthogonal complement, and both spaces are
-read off the lines, since their form rows have disjoint supports once
-every line root lies in R' (normalizer_excess).  The bracket
-checks are graded by the theta-transverse weight of ContactDatum.weight_codes:
-integrability skips the pairs whose sum is no weight of g or a block that
-reduction modulo m10 + l^C empties, and the normalizer ranks its rows one
-weight block at a time, each up to a bound that l-equivariance tightens
-(HolomorphicSubspace.l_stable); under that bound a nonzero block is one
-congruence class, decided by the 2x2 minors of its seeds.  The
-theta-orthogonal Cartan t' scales every weight space of W', so those
-enter the normalizer's blocks as they are and t' is never bracketed;
-with the l-bound, only the block of weight 0 takes brackets at all.
-Pairings with theta and with the center of l are read off ints
+values, all exactly.  The normalizer excess of an l-stable m10, at a point
+where m10 and m01 are disjoint, is 1 for a standard structure and 0
+otherwise; anywhere else it is counted, with no linear system of its own:
+by the invariant form of the Chevalley basis the normalizer is the
+annihilator of the brackets of l^C + m01 with its orthogonal complement,
+and both spaces are read off the lines, since their form rows have
+disjoint supports once every line root lies in R' (normalizer_excess).
+The bracket checks are graded by the theta-transverse weight of
+ContactDatum.weight_codes: integrability skips the pairs whose sum is no
+weight of g or a block that reduction modulo m10 + l^C empties, and the
+normalizer ranks its rows one weight block at a time, each up to its
+dimension; the theta-orthogonal Cartan t' scales every weight space of
+W', so those enter the normalizer's blocks as they are and t' is never
+bracketed.  Pairings with theta and with the center of l are read off ints
 (ContactDatum.theta_pairings, RootVector.covector), each up to one
 positive factor.  The twists are holomorphic: formal conjugates x~ appear
-only in the disjointness factors.  An m10 with no twisted line, at a
-sample or, for integrability, at all, is decided on root sets with no
-bracket, no elimination and no polynomial: its normalizer is h plus root
-spaces (_untwisted_excess), and its lines bracket into root vectors and
-coroots (_lone_lines_closed).
+only in the disjointness factors.  An m10 with no twisted line is decided
+for integrability on root sets with no bracket, no elimination and no
+polynomial: its lines bracket into root vectors and coroots
+(_lone_lines_closed).
 """
 
 from __future__ import annotations
@@ -609,11 +607,23 @@ def is_standard(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> bool:
 def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> int:
     """dim over R of N_g(l^C + m01) modulo l.
 
-    With W = l^C + m01 and the invariant form <.,.> of the Chevalley
-    basis (<E_a, E_-a> = 2/(a, a), <H(u), H(v)> = (u, v), every other
-    pair of basis elements 0), X normalizes W exactly when <X, [w, u]> = 0
-    for every w in W and u in the orthogonal complement W', since W = W''
-    and <[X, w], u> = <X, [w, u]>.  So the complex normalizer N is the
+    Where HolomorphicSubspace.l_stable holds and m10 and m01 are disjoint
+    at values (DisjointnessResult.holds_at; where check_disjointness
+    raises they meet at every value), the excess is 1 when h is standard
+    at values and 0 otherwise, with no bracket taken (README, "How the
+    normalizer excess is computed"): l^C lies in N and in conj(N), the t'
+    seeds below leave N n conj(N) no more than l^C in every weight block
+    rho != 0, and in block 0 the normalizers of the lines of m10 and m01
+    in sl2(mu), or C H(theta) when no root mu is parallel to theta, meet
+    in C H(theta) or in 0; H(theta) normalizes W = l^C + m01 exactly when
+    ad_Z keeps m10 (is_standard).
+
+    Everywhere else the excess is counted.  With the invariant form
+    <.,.> of the Chevalley basis (<E_a, E_-a> = 2/(a, a),
+    <H(u), H(v)> = (u, v), every other pair of basis elements 0), X
+    normalizes W exactly when <X, [w, u]> = 0 for every w in W and u in
+    the orthogonal complement W', since W = W'' and
+    <[X, w], u> = <X, [w, u]>.  So the complex normalizer N is the
     annihilator of S = [W, W'], and conj(N) that of conj(S), because
     <conj x, conj y> = conj <x, y>.  The real points of N, complexified,
     are N intersect conj(N), of dimension dim g - rank(S + conj(S)); the
@@ -633,49 +643,24 @@ def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> in
     all 0 when tau != 0 (t' is all of theta-perp), and kills W'_0 (H(theta)
     and the roots parallel to theta).  So [t', W'] is the sum of the W'_tau
     with tau != 0, and each of their basis vectors enters S as it is, a
-    seed of its block.  Only the other elements of W are bracketed.
-
-    A pair (W_sigma, W'_tau) is skipped when its sum is no weight of g, and
-    a row of weight rho once its block reaches a bound that no rank can
-    pass: dim g_rho in general.  When HolomorphicSubspace.l_stable
-    certifies that l^C lies in N and in conj(N), l^C annihilates
-    S + conj(S); since the form pairs g_rho perfectly with g_-rho, the
-    block's rank is then at most dim g_rho - dim(l^C in g_-rho), that is
-    dim g_rho less the roots of R_o of weight -rho and, for rho = 0, less
-    dim t'.  For rho != 0 that bound is |R'_rho|, one congruence class,
-    of at most two roots but on G2's short form, and the seeds alone
-    reach it wherever m10 and m01 are disjoint at values; they lie on its
-    columns, so their minors decide it with no Echelon (_seeds_fill),
-    and only block 0 is bracketed.  A block they leave short gets its
-    Echelon, seeds and brackets.  Without the certificate the bound stays
-    dim g_rho and every block takes that path, so a W that is not
-    l-stable still gets its exact (possibly negative) excess.
-
-    Where no line has a twist at values, W is decided on root sets
-    (_untwisted_excess), with no bracket and no elimination."""
-    lines = h.at(values)
-    if not any(lines.values()):
-        return _untwisted_excess(h, lines)
+    seed of its block.  Only the other elements of W are bracketed.  A
+    pair (W_sigma, W'_tau) is skipped when its sum is no weight of g, and
+    a row of weight rho once its block reaches dim g_rho, which no rank
+    can pass.  The count assumes nothing of W, so a W that is not
+    l-stable gets its exact, possibly negative, excess."""
+    if h.l_stable:
+        try:
+            cr = check_disjointness(h).holds_at(values)
+        except StructError:  # m10 meets m01 at every value
+            cr = False
+        if cr:
+            return int(is_standard(h, values))
     datum = h.datum
     sys = datum.system
     wblocks, perp = _graded_w_and_perp(h, values)
-    # the room left under each block's bound, dim g_tau to begin with
+    # the room left under each block's bound, dim g_tau
     room = {tau: len(roots) for tau, roots in datum.weight_blocks.items()}
     room[0] += sys.rank
-    rank = 0
-    # the l-bound; as R_o = -R_o, its roots of weight rho count those of -rho
-    if h.l_stable:
-        for d in datum.Ro.members:
-            room[datum.weight_codes[d]] -= 1
-        room[0] -= len(datum.theta_perp_cartan)
-        # a block rho != 0 is then bounded by |R'_rho|, the columns its
-        # seeds lie on, and its seeds' minors decide whether they fill it
-        neg = sys.neg_index
-        for tau in [tau for tau, r in room.items() if tau > 0 and r > 0]:
-            seeds = perp.get(tau, []) + [_conj(u, neg) for u in perp.get(-tau, ())]
-            if _seeds_fill(seeds, room[tau]):
-                rank += 2 * room[tau]
-                room[tau] = room[-tau] = 0
     blocks: dict[int, Echelon] = {}
     for tau, us in perp.items():
         if tau and room[tau] > 0:
@@ -688,62 +673,9 @@ def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> in
                 _bracket_into(sys, blocks, room, rho, (_bracket_row(datum, w, u)
                                                        for w in ws if type(w) is dict for u in us))
     # the block of -rho is the conjugate of the block of rho: same rank
-    rank += sum(len(ech.rows) * (1 if tau == 0 else 2) for tau, ech in blocks.items())
+    rank = sum(len(ech.rows) * (1 if tau == 0 else 2) for tau, ech in blocks.items())
     dim_l = len(datum.Ro.members) + len(datum.theta_perp_cartan)
     return len(sys.roots) + sys.rank - rank - dim_l
-
-
-def _seeds_fill(seeds: list[dict], n: int) -> bool:
-    """True when the seed rows of a block, on the n columns of R'_rho,
-    span all n: for n = 1 when there is a seed (no seed row is 0), for
-    n = 2 when two seeds have a nonzero 2x2 minor.  A congruence class
-    has at most two roots but on G2's short form, whose larger classes
-    go to the Echelon."""
-    if n == 1:
-        return bool(seeds)
-    if n != 2:
-        return False
-    cols = {c for u in seeds for c in u}
-    if len(cols) != 2:
-        return False
-    a, b = cols
-    return any(x.get(a, ZERO) * y.get(b, ZERO) != x.get(b, ZERO) * y.get(a, ZERO)
-               for i, x in enumerate(seeds) for y in seeds[i + 1:])
-
-
-def _untwisted_excess(h: HolomorphicSubspace, s) -> int:
-    """normalizer_excess where every line is a lone E_w, w in the root set
-    s, read off root sets alone.
-
-    Then W = t' + sum of the g_b for b in B = R_o u -s, which the Cartan h
-    keeps; so h lies in N_g(W), N is h-stable, and N = h + sum of the g_a
-    for a in A, with a in A exactly when [E_a, W] lies in W.  [E_a, t'] is
-    a multiple of E_a, 0 for all of t' exactly when a is parallel to
-    theta (weight 0); [E_a, E_b] is N(a, b) E_(a+b), nonzero, for a root
-    sum, and H_a for b = -a, which lies in t' exactly when a lies in R_o.
-    So a lies in A when it lies in B or is parallel to theta, no a + b
-    with b in B is a root outside B, and -a lies in B only if a lies in
-    R_o.  conj maps g_a onto g_-a and fixes h, so the real normalizer,
-    complexified, is h + sum over A n -A, and the excess is
-    1 + |A n -A| - |R_o|.  A root of A n -A off R_o lies in B, so in -s,
-    with its negative, unless it is parallel to theta; then the last
-    clause keeps it out of A.  So only R_o and the roots parallel to
-    theta are tested, and R_o only without HolomorphicSubspace.l_stable,
-    which puts it in N and in conj(N)."""
-    datum = h.datum
-    codes, get, neg = datum.system.codes, datum.system.by_code.get, datum.system.neg_index
-    ro = datum.Ro.members
-    b = ro.union(neg[w] for w in s)
-
-    def in_a(a):
-        if neg[a] in b and a not in ro:
-            return False
-        ca = codes[a]
-        return all(k is None or k in b for k in (get(ca + codes[x]) for x in b))
-
-    tested = datum.weight_blocks[0] + (() if h.l_stable else tuple(ro))
-    inside = {a for a in tested if in_a(a)}
-    return 1 + sum(neg[a] in inside for a in inside) - (0 if h.l_stable else len(ro))
 
 
 def _graded_w_and_perp(h: HolomorphicSubspace, values: Mapping[str, Gauss]):

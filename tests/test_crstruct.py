@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 from fractions import Fraction as Q
 from math import lcm
 from pathlib import Path
@@ -810,7 +809,7 @@ def _reference_w_and_perp(h, values):
 
 
 def _dims_stop_normalizer_excess(h, values, w_and_perp=None):
-    """Reference for the l-bound stop and the line-built W': the
+    """Reference for the standardness rule and the line-built W': the
     normalizer excess from the reference W and W' (_reference_w_and_perp,
     or w_and_perp), every block stopped only at its full rank dim g_rho,
     whatever l_stable says."""
@@ -932,7 +931,7 @@ SUM_FORM_TYPES += [(t, False) for t in ("A3", "A4", "A5", "B3", "C3", "D4")]
 
 @pytest.mark.parametrize("tag,dominant", SUM_FORM_TYPES)
 def test_pruned_brackets_match_unpruned_references(tag, dominant):
-    # the l-bound stop, the absorbed-block skip and the line-built W' change
+    # the standardness rule, the absorbed-block skip and the line-built W' change
     # no result; the certificate is true where it is given, and a negative
     # excess, which an l-stable W cannot have, comes only without it
     from crlie.chevalley import LieElement
@@ -1108,14 +1107,18 @@ def _cli_digest():
 def _digest_structures(kind):
     """The structures tools/cli_digest.py checks: every structure
     classify_datum builds on its golden forms of rank <= 6 ("golden") or on
-    its a + b and a - b forms ("sums"), charts included, or its --m10
-    subspaces that build ("m10")."""
+    its a + b and a - b forms ("sums"), charts included, or the --m10
+    subspaces that build, of M10_CHECKS and M10_MORE ("m10") or of every
+    spec list ("specs")."""
     from crlie.cli import build_subspace
 
     digest = _cli_digest()
     out = []
-    if kind == "m10":
-        for t, theta, spec in digest.M10_CHECKS + digest.M10_MORE:
+    if kind in ("m10", "specs"):
+        specs = digest.M10_CHECKS + digest.M10_MORE
+        if kind == "specs":
+            specs += digest.M10_TWINS + digest.M10_EDGES + digest.M10_UNROUTED
+        for t, theta, spec in specs:
             s = rs.parse_type(t)
             h = build_subspace(ct.contact_datum(s, s.vector(theta.split(","))), spec)
             if isinstance(_outcome(lambda: h.lines), dict):  # not a StructError
@@ -1154,32 +1157,27 @@ def test_line_checks_match_basis_references(kind):
 
 @pytest.mark.parametrize("kind", ["golden", "sums", "m10"])
 def test_root_set_paths_cover_the_untwisted_digest_cases(kind, monkeypatch):
-    # the cases of test_line_checks_match_basis_references decided on root
-    # sets: (structure, sample) pairs with no twisted line for the
-    # normalizer, structures without pairs for integrability, and of those
-    # the ones whose one generator is 1
-    excess, closed = cs._untwisted_excess, cs._lone_lines_closed
-    seen = {"excess": 0, "integrability": 0}
+    # the cases of test_line_checks_match_basis_references that
+    # integrability decides on root sets, the structures without pairs,
+    # and of those the ones whose one generator is 1
+    closed = cs._lone_lines_closed
+    seen = 0
 
-    def spy(name, f):
-        def counted(*args):
-            seen[name] += 1
-            return f(*args)
-        return counted
+    def counted(*args):
+        nonlocal seen
+        seen += 1
+        return closed(*args)
 
-    monkeypatch.setattr(cs, "_untwisted_excess", spy("excess", excess))
-    monkeypatch.setattr(cs, "_lone_lines_closed", spy("integrability", closed))
+    monkeypatch.setattr(cs, "_lone_lines_closed", counted)
     bad = 0
     for h in _digest_structures(kind):
-        before = seen["integrability"]
+        before = seen
         cons = cs.check_integrability(h)
-        if seen["integrability"] > before and not cons.unconditional:
+        if seen > before and not cons.unconditional:
             assert str(cons) == "1 = 0", h.label
             bad += 1
-        for j in (0, 1):
-            _outcome(cs.normalizer_excess, h, classify._sample_values(h, j))
-    want = {"golden": (124, 62, 0), "sums": (1084, 542, 43), "m10": (2, 1, 1)}[kind]
-    assert seen["excess"] >= want[0] and seen["integrability"] >= want[1] and bad >= want[2]
+    want = {"golden": (62, 0), "sums": (542, 43), "m10": (1, 1)}[kind]
+    assert seen >= want[0] and bad >= want[1]
 
 
 def test_l_stable_untwisted_excess_is_one():
@@ -1188,9 +1186,10 @@ def test_l_stable_untwisted_excess_is_one():
     normalizer excess exactly 1.  Where m10 and m01 are disjoint, S and -S
     partition R', which holds every such mu.
 
-    Proof.  With B = R_o u -S, the excess is 1 + |A n -A| - |R_o|, A the
-    roots a of N_g(W) = h + sum of the g_a (crstruct._untwisted_excess).
-    l_stable puts l^C in N and in conj(N), so R_o = -R_o lies in A n -A,
+    Proof.  W = t' + sum of the g_b for b in B = R_o u -S, which the
+    Cartan h keeps, so N_g(W) = h + sum of the g_a over a root set A, conj
+    maps g_a onto g_-a, and the excess is 1 + |A n -A| - |R_o|.  l_stable
+    puts l^C in N and in conj(N), so R_o = -R_o lies in A n -A,
     and every other root of A n -A is parallel to theta.  Let mu be one,
     with mu in S say (else swap mu and -mu).  Then -mu lies in -S, inside
     B, and [E_mu, E_-mu] = H_mu lies off t' as mu lies off R_o, so mu is
@@ -1219,10 +1218,9 @@ def test_l_stable_untwisted_excess_is_one():
 def _seed_echelon_normalizer_excess(h, values):
     """normalizer_excess with an Echelon for every weight block: the seeds
     of each nonzero block, then the brackets of every block left under its
-    bound.  The reference for the seed minors (crstruct._seeds_fill)."""
-    lines = h.at(values)
-    if not any(lines.values()):
-        return cs._untwisted_excess(h, lines)
+    bound, dim g_rho or, where l_stable certifies that l^C lies in N and
+    conj(N), dim g_rho less dim(l^C n g_-rho).  The reference for
+    normalizer_excess, whose standardness rule takes no block at all."""
     datum = h.datum
     sysm = datum.system
     wblocks, perp = cs._graded_w_and_perp(h, values)
@@ -1248,53 +1246,30 @@ def _seed_echelon_normalizer_excess(h, values):
     return len(sysm.roots) + sysm.rank - rank - dim_l
 
 
-def _counting_seeds_fill(monkeypatch):
-    """Spy on crstruct._seeds_fill: a Counter of its verdicts, and of the
-    verdicts by column count as (n, verdict)."""
-    verdicts = Counter()
-    fill = cs._seeds_fill
-
-    def counted(seeds, n):
-        full = fill(seeds, n)
-        verdicts.update([full, (n, full)])
-        return full
-
-    monkeypatch.setattr(cs, "_seeds_fill", counted)
-    return verdicts
-
-
 @pytest.mark.parametrize("kind", ["golden", "sums", "m10"])
-def test_seed_minors_match_the_seed_echelon(kind, monkeypatch):
-    # every digest structure at SAMPLES[0] and SAMPLES[1]; the ones that
-    # are not l-stable rank every block by the Echelon, as before
-    verdicts = _counting_seeds_fill(monkeypatch)
+def test_seed_minors_match_the_seed_echelon(kind):
+    # every digest structure at SAMPLES[0] and SAMPLES[1], l-stable or not
     unstable = 0
     for h in _digest_structures(kind):
         for j in (0, 1):
             vals = classify._sample_values(h, j)
             assert _outcome(cs.normalizer_excess, h, vals) \
                 == _outcome(_seed_echelon_normalizer_excess, h, vals), (h.label, j)
-            unstable += not h.l_stable and any(h.at(vals).values())
-    # at the samples, m10 and m01 meet in no nonzero class of an
-    # l-stable structure: its seeds fill every such block
-    want = {"golden": (684, 0), "sums": (3346, 156), "m10": (62, 0)}[kind]
-    assert verdicts[True] >= want[0] and verdicts[False] == 0 and unstable >= want[1]
+            unstable += not h.l_stable
+    assert unstable >= {"golden": 0, "sums": 312, "m10": 0}[kind]
 
 
-def test_seed_minors_fall_back_on_short_classes(monkeypatch):
-    # a class whose seeds do not fill its bound goes to the Echelon, its
-    # seeds and brackets: the B3 --m10 spec of tools/cli_digest.py at
-    # t = 1/2, whose su2 line E_mu + 2t E_-mu of weight 0 meets m01 there,
-    # the l-stable golden structures at |t| = 1, where the 2x2 minor of a
-    # nonzero class vanishes, and the G2 --m10 edge spec, whose class of
-    # four roots has no minor to read
-    verdicts = _counting_seeds_fill(monkeypatch)
+def test_seed_minors_fall_back_on_short_classes():
+    # points where m10 meets m01, which take the counted excess: the B3
+    # --m10 spec of tools/cli_digest.py at t = 1/2, whose su2 line
+    # E_mu + 2t E_-mu of weight 0 meets m01 there, the l-stable golden
+    # structures at |t| = 1, and the G2 --m10 edge spec, whose class of
+    # four roots has a twisted line on each of its modules
     b3 = [h for h in _digest_structures("m10") if h.datum.system.type_str() == "B3"
           and h.parameters() == {"t"} and len(h.pairs) == 1 and h.rj_plus]
     assert len(b3) == 1 and b3[0].l_stable
     vals = {"t": T_HALF}
     assert b3[0].at(vals)[b3[0].datum.system.root_index(b3[0].datum.theta)][1] == ONE
-    assert _bracket_weights(b3[0], vals, monkeypatch) == {0}
     assert cs.normalizer_excess(b3[0], vals) == _seed_echelon_normalizer_excess(b3[0], vals) == 0
     cases = [h for h in _digest_structures("golden") if h.l_stable and h.parameters() == {"t"}]
     for h in cases:
@@ -1302,7 +1277,7 @@ def test_seed_minors_fall_back_on_short_classes(monkeypatch):
             vals = {"t": t}
             assert cs.normalizer_excess(h, vals) == _seed_echelon_normalizer_excess(h, vals), \
                 (h.label, t)
-    assert len(cases) >= 52 and verdicts[False] >= 460
+    assert len(cases) >= 52
     from crlie.cli import build_subspace
 
     for t, theta, spec in _cli_digest().M10_EDGES:
@@ -1311,7 +1286,68 @@ def test_seed_minors_fall_back_on_short_classes(monkeypatch):
         for j in (0, 1):
             vals = classify._sample_values(h, j)
             assert cs.normalizer_excess(h, vals) == _seed_echelon_normalizer_excess(h, vals), t
-    assert verdicts[4, False] >= 2 and not verdicts[4, True]
+
+
+# the twists at which the standardness rule is checked: the samples, and
+# points of modulus 1, where the golden disc families meet m01
+RULE_POINTS = classify.SAMPLES + (Gauss(1), Gauss(-1), Gauss(0, 1), Gauss(0, -1), UNIT, UNIT.conj())
+
+
+def _forbidden(*args):
+    raise AssertionError("the standardness rule takes no bracket and builds no Echelon")
+
+
+def _check_standardness_rule(h, monkeypatch):
+    """normalizer_excess on h at each point of RULE_POINTS, its twists
+    rotated through the points (one point when it has none).  Where h is
+    l-stable and m10 n m01 = 0 there, it is int(is_standard), with no
+    bracket and no Echelon, and equals the all-Echelon reference;
+    elsewhere it equals the reference.  Returns how many points took the
+    rule and how many did not."""
+    params, n = sorted(h.parameters()), len(RULE_POINTS)
+    ruled = counted = 0
+    for j in range(n if params else 1):
+        vals = {p: RULE_POINTS[(j + k) % n] for k, p in enumerate(params)}
+        want = _outcome(_seed_echelon_normalizer_excess, h, vals)
+        if h.l_stable and _outcome(lambda: cs.check_disjointness(h).holds_at(vals)) is True:
+            with monkeypatch.context() as m:
+                m.setattr(cs, "Echelon", _forbidden)
+                m.setattr(cs, "_bracket_row", _forbidden)
+                got = cs.normalizer_excess(h, vals)
+            assert got == int(cs.is_standard(h, vals)) == want, (h.label, vals)
+            ruled += 1
+        else:
+            assert _outcome(cs.normalizer_excess, h, vals) == want, (h.label, vals)
+            counted += 1
+    return ruled, counted
+
+
+@pytest.mark.parametrize("kind", ["golden", "sums", "specs"])
+def test_standardness_rule_on_digest_structures(kind, monkeypatch):
+    # README, "How the normalizer excess is computed": on an l-stable m10
+    # at a point where m10 n m01 = 0 the excess is 1 when the structure
+    # is standard and 0 otherwise
+    ruled = counted = 0
+    for h in _digest_structures(kind):
+        r, c = _check_standardness_rule(h, monkeypatch)
+        ruled, counted = ruled + r, counted + c
+    want = {"golden": (472, 437), "sums": (2864, 3893), "specs": (101, 78)}[kind]
+    assert ruled >= want[0] and counted >= want[1]
+
+
+def test_standardness_rule_needs_a_cr_point():
+    # the golden F4 disc family at t = 1, where m10 meets m01: its excess
+    # is 15, and the structure is not standard; on every l-stable golden
+    # structure with the one twist t, at |t| = 1, the two differ
+    cases = [h for h in _digest_structures("golden") if h.l_stable and h.parameters() == {"t"}]
+    f4 = [h for h in cases if h.datum.system.type_str() == "F4" and h.label == "disc family"]
+    assert len(f4) == 1
+    vals = {"t": Gauss(1)}
+    assert not cs.check_disjointness(f4[0]).holds_at(vals) and not cs.is_standard(f4[0], vals)
+    assert cs.normalizer_excess(f4[0], vals) == _seed_echelon_normalizer_excess(f4[0], vals) == 15
+    differ = [(h.label, t) for h in cases for t in RULE_POINTS[5:]
+              if cs.normalizer_excess(h, {"t": t}) != int(cs.is_standard(h, {"t": t}))]
+    assert len(differ) == 6 * len(cases) >= 6 * 52
 
 
 def test_line_built_normalizer_on_readme_subspace():
@@ -1349,9 +1385,9 @@ def _t_prime_seed_claims(h, j, monkeypatch):
     (b) where m10 and m01 are disjoint at the sample, W'_tau and
     conj(W'_-tau) span m^C_tau for every tau != 0, so each nonzero block
     has rank |R'_tau| from the seeds alone; (c) where h is l-stable too,
-    the excess lies in [0, 1 + #par], #par the roots parallel to theta,
-    and normalizer_excess brackets into block 0 only.  No element of t'
-    is ever bracketed.  Returns which of (b) and (c) applied."""
+    normalizer_excess takes no bracket, and the excess is 0 or 1, as h is
+    standard.  No element of t' is ever bracketed.  Returns which of (b)
+    and (c) applied."""
     from crlie.linalg import Echelon
 
     datum = h.datum
@@ -1384,9 +1420,8 @@ def _t_prime_seed_claims(h, j, monkeypatch):
         assert len(ech.rows) == sum(r in datum.Rprime for r in roots), (h.label, tau)
     if not h.l_stable:
         return True, False
-    rhos = _bracket_weights(h, vals, monkeypatch)
-    assert rhos <= {0}, h.label
-    assert 0 <= cs.normalizer_excess(h, vals) <= 1 + len(datum.weight_blocks[0]), h.label
+    assert _bracket_weights(h, vals, monkeypatch) == set(), h.label
+    assert cs.normalizer_excess(h, vals) == int(cs.is_standard(h, vals)), h.label
     return True, True
 
 
@@ -1431,14 +1466,13 @@ def test_t_prime_seeds_on_digest_structures(kind, monkeypatch):
 def test_no_t_prime_bracket_without_the_l_certificate(monkeypatch):
     # the A5 subspaces of negative excess: the fibered one, with a twisted
     # line, still brackets no element of t'; the standard one has no
-    # twisted line, takes no bracket at all and keeps the reference excess
+    # twisted line and keeps the reference excess
     a5 = rs.build("A5")
     F = _routed(a5, a5.vector([1, -1, 1, 0, 0, -1]))
     assert _bracket_weights(F.fibered, classify._sample_values(F.fibered), monkeypatch)
     h = F.structures[0]
     vals = classify._sample_values(h)
     assert not any(h.at(vals).values())
-    assert _bracket_weights(h, vals, monkeypatch) == set()
     assert cs.normalizer_excess(h, vals) == _dims_stop_normalizer_excess(h, vals) == -1
 
 

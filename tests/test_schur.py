@@ -28,7 +28,7 @@ from crlie import modules as md
 from crlie import rootsys as rs
 from crlie.scalars import ONE, ZERO, Poly
 from test_congruence import _dominant_sum_forms
-from test_crstruct import _cli_digest
+from test_crstruct import _check_standardness_rule, _cli_digest
 
 S0 = classify.SAMPLES[0]
 
@@ -165,6 +165,18 @@ def test_choices_match_the_every_pair_and_every_class_references():
             assert [p.key() for p in got.generators] == [p.key() for p in want.generators]
             got, want = cs.check_disjointness(g), ref.check_disjointness(g)
             assert [f.key() for f in got.factors] == [f.key() for f in want.factors]
+
+
+def test_standardness_rule_on_every_choice(monkeypatch):
+    # every choice is l-stable, so wherever its m10 and m01 are disjoint
+    # its normalizer excess is 1 when it is standard and 0 otherwise
+    # (README, "How the normalizer excess is computed")
+    ruled = counted = 0
+    for choices in _census()["choices"]:
+        for g in choices:
+            r, c = _check_standardness_rule(g, monkeypatch)
+            ruled, counted = ruled + r, counted + c
+    assert ruled >= 6340 and counted >= 745
 
 
 def test_integrable_choices_no_route_builds():

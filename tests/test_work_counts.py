@@ -1,7 +1,10 @@
 """tools/work_counts.py on the primitive scan at rank 6: the integrability
 check of an l-stable subspace brackets each module's highest line only,
 so of the 1,415 line pairs of the scan's 33 twisted checks it brackets at
-most 130 (547 when every live pair was bracketed)."""
+most 130 (547 when every live pair was bracketed); and every subspace the
+scan reads is l-stable and read at a point where m10 and m01 are
+disjoint, so its normalizer excess is read off standardness, with no
+bracket row (72 before that rule) and no call of the general path."""
 
 import subprocess
 import sys
@@ -18,3 +21,5 @@ def test_primitive_scan_brackets_the_highest_lines_only():
     assert counts["primitive: twisted integrability checks"] == "33"
     assert counts["primitive: line pairs of those checks"] == "1415"
     assert int(counts["primitive: line pairs bracketed"]) <= 130
+    assert counts["primitive: normalizer bracket rows"] == "0"
+    assert counts["primitive: normalizer general-path calls"] == "0"

@@ -25,7 +25,8 @@ user-subspace path is diffed too; last, ``check --family`` in text on
 every unreduced form a + b and a - b with a and b positive roots of A3-A5,
 B3, C3, D4 and A2+A2.  Those include A5 ``1,-1,1,0,0,-1`` with its
 negative normalizer excesses, so the forms on which l^C + m01 is not
-l-stable, and no l-bound may apply, are diffed too; the A2+A2 forms
+l-stable, and the excess is counted, not read off standardness, are
+diffed too; the A2+A2 forms
 include rows where pair_family raises FamilyError.  Then ``check --family`` in text
 and JSON on the dominant root of each length of the 31 simple types, so
 the special and short-root routes are diffed up to rank 8.  Last,
@@ -46,8 +47,8 @@ form a + b and a - b (a and b any roots) of the simple types of rank <= 6,
 each reached from the dominant form by 4 * rank simple reflections drawn
 from one ``random.Random`` of a fixed seed.  Unlike the dominant forms,
 some of these representatives give subspaces l^C + m01 that are not
-l-stable, so the normalizer is diffed where its blocks stop at dim g_rho
-and not at the l-bound.  Last, ``check --graph`` in JSON on every painting
+l-stable, so the normalizer is diffed where it is counted, not read off
+standardness.  Last, ``check --graph`` in JSON on every painting
 of B4, C4, D4, F4 and G2, so the counted goodness verdicts are diffed on
 the two-length systems and on D4's triality too.  Last, the CSV renderer:
 ``classify --what primitive|nonprimitive|special --max-rank 8``,

@@ -25,6 +25,9 @@ older checkout's work as well:
   takes, one top-level ``crstruct._det_poly`` call each;
 * ``normalizer bracket rows``: the ``crstruct._bracket_row`` calls of
   ``normalizer_excess``;
+* ``normalizer general-path calls``: the ``crstruct._graded_w_and_perp``
+  calls made from ``normalizer_excess``, the calls that count the excess
+  rather than read it off standardness;
 * ``structure rows``: the ``classify._structure_row`` calls, one per row
   of a ``check --family`` report that the report computes.
 
@@ -44,7 +47,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COUNTS = ("twisted integrability checks", "line pairs of those checks", "line pairs bracketed",
           "bracket terms", "disjointness determinants", "normalizer bracket rows",
-          "structure rows")
+          "normalizer general-path calls", "structure rows")
 WORKLOADS = ("primitive", "family")
 PRIMITIVE_ARGV = ["classify", "--what", "primitive", "--max-rank", "6", "--format", "json"]
 
@@ -83,6 +86,9 @@ def install(counts: Counter) -> None:
     rebind(crstruct, "_det_poly", booked(crstruct._det_poly, "disjointness determinants",
                                          crstruct.check_disjointness.__code__))
     rebind(crstruct, "_bracket_row", booked(crstruct._bracket_row, "normalizer bracket rows"))
+    rebind(crstruct, "_graded_w_and_perp", booked(crstruct._graded_w_and_perp,
+                                                  "normalizer general-path calls",
+                                                  crstruct.normalizer_excess.__code__))
     rebind(classify, "_structure_row", booked(classify._structure_row, "structure rows"))
     rebind(crstruct, "check_integrability", checked)
 
