@@ -51,14 +51,16 @@ def root_string(system: RootSystem, alpha: RootVector, beta: RootVector) -> tupl
 
 
 class ConstantTable:
-    """All Chevalley constants N(a, b) for one root system, in one dict:
-    the positive pairs at construction, every other pair on its first
-    lookup, all in int arithmetic; and each coroot's int terms on first use."""
+    """All Chevalley constants N(a, b) for one root system, in one dict,
+    each computed on its first lookup, in int arithmetic: a positive pair
+    from the extraspecial pair of its sum (_derive), any other pair from a
+    positive one (_general); and each coroot's int terms on first use."""
 
     def __init__(self, system: RootSystem):
         self.system = system
         n = len(system.roots)
         self._n: dict[tuple[int, int], int] = {}
+        self._extra: dict[int, tuple[int, int, int]] = {}
         self._coroots: dict[int, tuple[tuple[int, int], ...]] = {}
         self.coroot_scale = lcm(*set(system.int_norms))
         self.coroot_factors = tuple(self.coroot_scale // m for m in system.int_norms)
@@ -67,7 +69,6 @@ class ConstantTable:
             key=lambda i: (system.height(i), system.roots[i].numerators()),
         )
         self._pos_rank = {i: k for k, i in enumerate(self._pos_order)}
-        self._build_positive()
 
     # -- public API ------------------------------------------------------------
 
@@ -90,41 +91,35 @@ class ConstantTable:
             self._coroots[i] = tuple((k, f * x) for k, x in enumerate(self.system.expansions[i]) if x)
         return self._coroots[i]
 
-    # -- construction ------------------------------------------------------------
+    # -- derivation ---------------------------------------------------------------
 
-    def _build_positive(self):
-        sys = self.system
-        for k in self._pos_order:
-            if sys.height(k) < 2:
-                continue
-            pairs = self._special_pairs(k)
-            a, b = pairs[0]
+    def _extraspecial(self, k: int) -> tuple[int, int, int]:
+        """(a, b, N(a, b)) for the extraspecial pair of the positive root k
+        of height >= 2: a the first root of _pos_order with k - a = b a
+        positive root, so a before b, and N(a, b) = p + 1 for the root
+        string b - p a, ..., b through a.  Found once per root."""
+        if k not in self._extra:
+            sys = self.system
+            codes, get, positive = sys.codes, sys.by_code.get, sys.positive
+            a, b = next((a, b) for a in self._pos_order
+                        if (b := get(codes[k] - codes[a])) is not None and positive[b])
             p, _ = root_string(sys, sys.roots[a], sys.roots[b])
-            self._n[(a, b)] = p + 1
-            self._n[(b, a)] = -(p + 1)
-            for x, y in pairs[1:]:
-                val = self._derive(a, b, k, x, y)
-                self._n[(x, y)] = val
-                self._n[(y, x)] = -val
+            self._extra[k] = (a, b, p + 1)
+        return self._extra[k]
 
-    def _special_pairs(self, k: int) -> list[tuple[int, int]]:
-        """Positive pairs (a, b) summing to root k, a before b, the
-        extraspecial one first; each a precedes k in _pos_order."""
-        sys = self.system
-        codes, get, positive, rank = sys.codes, sys.by_code.get, sys.positive, self._pos_rank
-        pairs = []
-        for a in self._pos_order[: rank[k]]:
-            b = get(codes[k] - codes[a])
-            if b is not None and positive[b] and rank[a] < rank[b]:
-                pairs.append((a, b))
-        return pairs
-
-    def _derive(self, a: int, b: int, k: int, x: int, y: int) -> int:
-        """Constant for the special pair (x, y) from the extraspecial (a, b).
-
-        Jacobi identity for (E_{-a}, E_x, E_y), using x + y = a + b = root_k;
-        every constant it reads belongs to a root of smaller height.
-        """
+    def _derive(self, x: int, y: int, k: int) -> int:
+        """N(x, y) for positive roots x, y with x + y = root k, from the
+        extraspecial pair (a, b) of k: N(a, b) itself, N(b, a) = -N(a, b),
+        and for any other pair, x before y, the Jacobi identity for
+        (E_{-a}, E_x, E_y); every constant it reads belongs to a root of
+        smaller height, or to k and -a, which reduces to N(a, b)."""
+        a, b, c = self._extraspecial(k)
+        if x == a:
+            return c
+        if x == b:
+            return -c
+        if self._pos_rank[x] > self._pos_rank[y]:
+            return -self.n(y, x)
         sys = self.system
         na = sys.neg_index[a]
         lhs_c = self.n(na, k)
@@ -143,18 +138,19 @@ class ConstantTable:
         return val
 
     def _general(self, i: int, j: int) -> int:
-        """Reduce arbitrary signs to positive pairs via the cyclic identity
+        """N(i, j) for a root sum k = i + j: a positive pair by _derive, any
+        other reduced to positive pairs via the cyclic identity
         N(x, y)/|z|^2 = N(y, z)/|x|^2 = N(z, x)/|y|^2 for x + y + z = 0."""
         sys = self.system
         pi, pj = sys.positive[i], sys.positive[j]
+        k = sys.sum_index(i, j)
         if pi and pj:
-            raise ChevalleyError("positive pair with a root sum missing from the table")
+            return self._derive(i, j, k)
         if not pi and not pj:
             return -self.n(sys.neg_index[i], sys.neg_index[j])
         if not pi:
             return -self.n(j, i)
-        # i positive, j negative, k = i + j a root
-        k = sys.sum_index(i, j)
+        # i positive, j negative
         norms = sys.int_norms
         if sys.positive[k]:
             val, rem = divmod(-norms[k] * self.n(sys.neg_index[j], k), norms[i])

@@ -40,7 +40,8 @@ positive factor.  The twists are holomorphic: formal conjugates x~ appear
 only in the disjointness factors.  An m10 with no twisted line is decided
 for integrability on root sets with no bracket, no elimination and no
 polynomial: its lines bracket into root vectors and coroots
-(_lone_lines_closed).
+(_lone_lines_closed), and where it is l-stable only module highest
+weights are paired with its lines, as on the twisted path.
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ class HolomorphicSubspace:
         self.plains = plains
         self.rj_plus = rj_plus
         self.label = label
+        self._disjointness: Optional[DisjointnessResult] = None  # check_disjointness's, once taken
 
     def _key(self) -> tuple:
         return self.datum, self.pairs, self.plains, self.rj_plus, self.label
@@ -338,7 +340,8 @@ def check_integrability(h: HolomorphicSubspace) -> ConstraintSet:
     N(r, s) E_(r+s), nonzero, for a root sum, and H_r, which lies off t'
     as r lies in R', for s = -r.  So it is unconditional when no two
     roots of S are opposite and every root sum of two lies in S or R_o,
-    and otherwise its one generator is 1, printed "1 = 0".
+    and otherwise its one generator is 1, printed "1 = 0"; where l-stable,
+    r runs over module highest weights only, by the lemma below.
 
     Each bracket of two lines is read off their at most four root pairs:
     N(r, s) E_(r+s) for a root sum, and for s = -r the coroot H_r, of
@@ -358,7 +361,7 @@ def check_integrability(h: HolomorphicSubspace) -> ConstraintSet:
     it has no Cartan part and reduces to 0."""
     datum = h.datum
     if not any(h.lines.values()):
-        return ConstraintSet(() if _lone_lines_closed(datum, h.lines) else (as_poly(ONE),))
+        return ConstraintSet(() if _lone_lines_closed(h) else (as_poly(ONE),))
     sys = datum.system
     n, codes, get, neg = sys.constants.n, sys.codes, sys.by_code.get, sys.neg_index
     tp, factor = datum.theta_pairings, sys.constants.coroot_factors
@@ -402,12 +405,16 @@ def check_integrability(h: HolomorphicSubspace) -> ConstraintSet:
     return ConstraintSet(tuple(_minimize(sorted(gens.values(), key=lambda p: p.key()))))
 
 
-def _lone_lines_closed(datum: ContactDatum, s) -> bool:
-    """True when the root set s holds no two opposite roots and every root
-    sum of two of its roots lies in s or R_o."""
+def _lone_lines_closed(h: HolomorphicSubspace) -> bool:
+    """True when the line roots S of h, every line a lone E_s, hold no two
+    opposite roots and every root sum of two of them lies in S or R_o.
+    Where h.l_stable, S is a union of modules and only each module's
+    highest weight is paired with S: check_integrability's lemma with
+    every twist 0."""
+    datum, s = h.datum, h.lines
     codes, get, neg = datum.system.codes, datum.system.by_code.get, datum.system.neg_index
-    ro = datum.Ro.members
-    for r in s:
+    ro, mod = datum.Ro.members, datum.module_of
+    for r in [r for r in s if mod[r] == r] if h.l_stable else s:
         if neg[r] in s:
             return False
         cr = codes[r]
@@ -537,7 +544,10 @@ def check_disjointness(h: HolomorphicSubspace) -> DisjointnessResult:
     without a twist has none: its determinant is +-1, no factor.  Where
     HolomorphicSubspace.l_stable, only the classes of module highest
     weights take one: m10 n m01 is then l^C-stable, and a highest vector
-    of it lies in such a class (README)."""
+    of it lies in such a class (README).  The result is kept with h, so
+    every check of h reads one; a raise is not kept, and raises again."""
+    if h._disjointness is not None:
+        return h._disjointness
     neg, class_of = h.datum.system.neg_index, h.datum.class_of
     decided = set(map(class_of.get, h.datum.modules if h.l_stable else class_of))
     # each class's rows: a pivot's column, or a twisted row {column: entry},
@@ -568,7 +578,8 @@ def check_disjointness(h: HolomorphicSubspace) -> DisjointnessResult:
         det = det.primitive()
         if not det.is_constant():
             factors.setdefault(det.key(), det)
-    return DisjointnessResult(tuple(sorted(factors.values(), key=lambda p: p.key())))
+    h._disjointness = DisjointnessResult(tuple(sorted(factors.values(), key=lambda p: p.key())))
+    return h._disjointness
 
 
 def _det_poly(mat: list[list]):
@@ -608,9 +619,9 @@ def normalizer_excess(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> in
     """dim over R of N_g(l^C + m01) modulo l.
 
     Where HolomorphicSubspace.l_stable holds and m10 and m01 are disjoint
-    at values (DisjointnessResult.holds_at; where check_disjointness
-    raises they meet at every value), the excess is 1 when h is standard
-    at values and 0 otherwise, with no bracket taken (README, "How the
+    at values (DisjointnessResult.holds_at of the one result kept with h;
+    where check_disjointness raises they meet at every value), the excess
+    is 1 when h is standard at values and 0 otherwise, with no bracket taken (README, "How the
     normalizer excess is computed"): l^C lies in N and in conj(N), the t'
     seeds below leave N n conj(N) no more than l^C in every weight block
     rho != 0, and in block 0 the normalizers of the lines of m10 and m01
@@ -845,18 +856,24 @@ def _additive_closure(sys: RootSystem, seed: frozenset[int]) -> frozenset[int]:
 
     Sweeps the roots missing from the set until one sweep adds none: a
     root r joins when r - a lies in the set for some member a, one code
-    difference and one lookup per test.  A seed holds most of its closure,
-    so this tests far fewer pairs than pairing every two members."""
-    codes, get = sys.codes, sys.by_code.get
-    out = set(seed)
+    difference and one lookup in the member codes per test, exact since
+    codes tell apart sums and differences of two roots (RootSystem.codes).
+    A seed holds most of its closure, so this tests far fewer pairs than
+    pairing every two members."""
+    codes = sys.codes
+    held = {codes[a] for a in seed}
     grew = True
     while grew:
         grew = False
-        for r, cr in enumerate(codes):
-            if r not in out and any(get(cr - codes[a]) in out for a in out):
-                out.add(r)
-                grew = True
-    return frozenset(out)
+        for cr in codes:
+            if cr in held:
+                continue
+            for c in held:
+                if cr - c in held:
+                    held.add(cr)  # and break at once, before the set is read on
+                    grew = True
+                    break
+    return frozenset(r for r, cr in enumerate(codes) if cr in held)
 
 
 def _rotated_s1_witness(h: HolomorphicSubspace, values: Mapping[str, Gauss]) -> Optional[ParabolicWitness]:

@@ -8,9 +8,9 @@ Poly product and every reduction modulo the lines a Poly sum, exactly as
 the checks ran before their twists were coded as {monomial code: Gauss}.
 The mixed-weight guards stay in: no part builds such a line, so they
 never fire, and the references keep the code they compare against whole.
-Both structure checks here read every pair of lines and every congruence
-class, where crlie.crstruct reads an l-stable subspace's highest weights
-only.
+Both structure checks here, and the root-set test of lone lines, read
+every pair of lines and every congruence class, where crlie.crstruct
+reads an l-stable subspace's highest weights only.
 """
 
 from crlie.crstruct import ConstraintSet, DisjointnessResult, StructError, _det_poly, _minimize
@@ -143,3 +143,18 @@ def check_disjointness(h):
             if not det.is_constant():
                 factors.setdefault(det.key(), det)
     return DisjointnessResult(tuple(sorted(factors.values(), key=lambda p: p.key())))
+
+
+def lone_lines_closed(datum, s):
+    """crstruct._lone_lines_closed on every pair: True when the root set s
+    holds no two opposite roots and every root sum of two of its roots
+    lies in s or R_o."""
+    neg, ro = datum.system.neg_index, datum.Ro.members
+    for r in s:
+        if neg[r] in s:
+            return False
+        for t in s:
+            k = datum.system.sum_index(r, t)
+            if k is not None and k not in s and k not in ro:
+                return False
+    return True

@@ -23,34 +23,29 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _derive_case():
-    """A fresh A3 table and its first root k with two special pairs: (a, b)
-    extraspecial, (x, y) derived from it."""
+    """A fresh A3 table, the first root k with two positive pairs, its
+    extraspecial pair's first root a (ConstantTable._extraspecial) and the
+    other pair (x, y), x before y, whose constant the Jacobi step derives."""
     s = RootSystem([("A", 3)])
     tab = ch.ConstantTable(s)
-    k = next(k for k in tab._pos_order if len(tab._special_pairs(k)) > 1)
-    (a, b), (x, y) = tab._special_pairs(k)[:2]
-    return s, tab, (a, b, k, x, y)
+    rank = tab._pos_rank
+    k, x, y = next((k, x, y) for k in tab._pos_order for x in tab._pos_order
+                   if (y := s.sum_index(k, s.neg_index[x])) is not None and s.positive[y]
+                   and rank[x] < rank[y] and x != tab._extraspecial(k)[0])
+    return s, tab, (tab._extraspecial(k)[0], k, x, y)
 
 
 def derive_with_zero_lhs(mp):
-    s, tab, (a, b, k, x, y) = _derive_case()
+    s, tab, (a, k, x, y) = _derive_case()
     mp.setitem(tab._n, (s.neg_index[a], k), 0)
-    return lambda: tab._derive(a, b, k, x, y)
+    return lambda: tab.n(x, y)
 
 
 def derive_non_integral(mp):
     # every constant of A3 is +-1, so the Jacobi total is too and 2 divides it not
-    s, tab, (a, b, k, x, y) = _derive_case()
+    s, tab, (a, k, x, y) = _derive_case()
     mp.setitem(tab._n, (s.neg_index[a], k), 2)
-    return lambda: tab._derive(a, b, k, x, y)
-
-
-def general_positive_pair(mp):
-    s = RootSystem([("A", 3)])
-    tab = ch.ConstantTable(s)
-    i, j = next(ij for ij in tab._n if s.positive[ij[0]] and s.positive[ij[1]])
-    mp.delitem(tab._n, (i, j))
-    return lambda: tab.n(i, j)
+    return lambda: tab.n(x, y)
 
 
 def general_non_integral(mp):
@@ -65,13 +60,12 @@ def general_non_integral(mp):
                    and (k := s.sum_index(i, j)) is not None and s.positive[k]
                    and norms[k] < norms[i])
     mp.setitem(tab._n, (s.neg_index[j], k), 1)
-    return lambda: tab._general(i, j)
+    return lambda: tab.n(i, j)
 
 
 CORRUPTIONS = {
     "derive_with_zero_lhs": (derive_with_zero_lhs, ch.ChevalleyError, "zero structure constant"),
     "derive_non_integral": (derive_non_integral, ch.ChevalleyError, "non-integral derived"),
-    "general_positive_pair": (general_positive_pair, ch.ChevalleyError, "positive pair"),
     "general_non_integral": (general_non_integral, ch.ChevalleyError, "non-integral structure"),
 }
 

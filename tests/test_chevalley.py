@@ -337,11 +337,16 @@ def test_constants_match_reference_table(t, r):
     assert all(type(x) is int for row in got for x in row)
 
 
-def test_missing_positive_pair_raises():
-    s = rs.build("A3")
+@pytest.mark.parametrize("tag", ["A3", "B4", "C3", "D4", "G2", "F4", "E6"])
+def test_deleted_constant_reads_the_same(tag):
+    # the table is a memo of its first reads: an entry deleted, alone or
+    # with every other, is derived again on its next read, in any order
+    s = rs.build(tag)
     tab = ch.ConstantTable(s)
-    i, j = next((i, j) for i in range(len(s.roots)) for j in range(len(s.roots))
-                if s.positive[i] and s.positive[j] and s.sum_index(i, j) is not None)
-    del tab._n[i, j]
-    with pytest.raises(ch.ChevalleyError, match="positive pair"):
-        tab.n(i, j)
+    n = len(s.roots)
+    want = {(i, j): tab.n(i, j) for i in range(n) for j in range(n)}
+    for key in want:
+        del tab._n[key]
+        assert tab.n(*key) == want[key]
+    tab._n.clear()
+    assert {key: tab.n(*key) for key in reversed(list(want))} == want

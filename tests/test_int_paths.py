@@ -585,6 +585,33 @@ def test_additive_closure_matches_pairwise_reference(case):
     assert _additive_closure(s, seed) == additive_closure_reference(s, seed)
 
 
+@pytest.mark.parametrize("t,r", classify.simple_types(6))
+def test_additive_closure_matches_pairwise_reference_on_seeded_sets(t, r):
+    s = rs.build(t, r)
+    rng = random.Random(f"{t}{r}")
+    for _ in range(40):
+        seed = frozenset(rng.sample(range(len(s.roots)), rng.randint(0, min(12, len(s.roots)))))
+        assert _additive_closure(s, seed) == additive_closure_reference(s, seed), sorted(seed)
+
+
+@pytest.mark.parametrize("kind", ["golden", "sums", "m10"])
+def test_additive_closure_matches_pairwise_reference_on_digest_supports(kind):
+    # the support find_crf_parabolics closes: R_o and the roots of the
+    # lines at SAMPLES[0], a line of twist 0 adding its first root only
+    from test_crstruct import _digest_structures
+
+    sizes = set()
+    for h in _digest_structures(kind):
+        seed = set(h.datum.Ro.members)
+        for w, line in h.at({p: classify.SAMPLES[0] for p in h.parameters()}).items():
+            seed.update((w, line[0]) if line else (w,))
+        s = h.datum.system
+        closure = _additive_closure(s, frozenset(seed))
+        assert closure == additive_closure_reference(s, frozenset(seed)), h.label
+        sizes.add(len(closure) < len(s.roots))
+    assert sizes == {True, False}
+
+
 # -- the int representation ---------------------------------------------------------------
 
 SMALL = [rs.build(t, r) for t, r in classify.simple_types(4)] + [rs.parse_type("A1+A1")]

@@ -1,6 +1,7 @@
 """The structure checks decided on root sets against the references they
 replaced: HolomorphicSubspace.l_stable against the bracket-and-reduce
-check of poly_reference, check_disjointness against the cofactor
+check of poly_reference, the lone-line integrability against its
+every-pair test, check_disjointness against the cofactor
 determinant of every class on the LieElement basis, and the typing table
 RootSystem._subsystem_components against a fresh Subsystem._dynkin_components.
 They run on every structure of the tools/cli_digest.py batteries, on its
@@ -8,12 +9,14 @@ M10_EDGES specs, and on seeded subspaces of random R_J+ beside twisted pairs,
 whose classes are often not square or have two unit rows on one column."""
 
 import random
+import sys
 from collections import Counter
 from functools import cache
 
 import pytest
 
 import poly_reference as ref
+from crlie import classify
 from crlie import contact as ct
 from crlie import crstruct as cs
 from crlie import rootsys as rs
@@ -103,6 +106,61 @@ def test_l_stable_matches_the_bracket_reference():
     # empty every root is its own module
     assert all(seen[f"random {t}"] == {True, False} for t, _ in RANDOM_FORMS if t != "A2")
     assert seen["random A2"] == {True}
+
+
+def test_lone_lines_match_the_every_pair_reference():
+    # an untwisted subspace's integrability on root sets: from module
+    # highest weights where l-stable, on every pair otherwise
+    seen = Counter()
+    for name, h in _all_subspaces():
+        if not any(h.lines.values()):
+            got = cs._lone_lines_closed(h)
+            assert got == ref.lone_lines_closed(h.datum, h.lines), (name, h.label)
+            seen[h.l_stable, got] += 1
+    assert set(seen) == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_disjointness_is_kept_with_the_subspace():
+    # the first call takes the determinants and every later one returns
+    # that result; a raise is not kept, and raises again
+    outcomes = set()
+    for name, h in _all_subspaces():
+        first = _outcome(cs.check_disjointness, h)
+        again = _outcome(cs.check_disjointness, h)
+        if isinstance(first, cs.DisjointnessResult):
+            assert again is first, (name, h.label)
+        else:
+            assert again == first and h._disjointness is None, (name, h.label)
+        outcomes.add(type(first))
+    assert outcomes == {cs.DisjointnessResult, tuple}
+
+
+def test_structure_row_takes_each_determinant_once(monkeypatch):
+    # a structure row reads one disjointness result for the row's own
+    # verdict and its normalizer excess: as many top-level determinants as
+    # one check_disjointness of a fresh copy of the subspace takes
+    det = cs._det_poly
+    calls = []
+
+    def counted(mat):
+        if sys._getframe(1).f_code is not det.__code__:
+            calls.append(len(mat))
+        return det(mat)
+
+    monkeypatch.setattr(cs, "_det_poly", counted)
+    taken = 0
+    for h in _structures("golden"):
+        fresh = [cs.HolomorphicSubspace(h.datum, h.pairs, h.plains, h.rj_plus, h.label)
+                 for _ in range(2)]
+        calls.clear()
+        if not isinstance(_outcome(cs.check_disjointness, fresh[0]), cs.DisjointnessResult):
+            continue
+        once = len(calls)
+        calls.clear()
+        classify._structure_row(fresh[1], h.label)
+        assert len(calls) == once, h.label
+        taken += once
+    assert taken > 100
 
 
 def test_propagated_pairs_are_intertwiners():

@@ -167,6 +167,19 @@ def test_choices_match_the_every_pair_and_every_class_references():
             assert [f.key() for f in got.factors] == [f.key() for f in want.factors]
 
 
+def test_untwisted_choices_match_the_every_pair_lone_lines():
+    # every choice is l-stable, so an untwisted one's integrability pairs
+    # only module highest weights with the lines (_lone_lines_closed)
+    seen = Counter()
+    for choices in _census()["choices"]:
+        for g in choices:
+            if not any(g.lines.values()):
+                got = cs._lone_lines_closed(g)
+                assert got == ref.lone_lines_closed(g.datum, g.lines)
+                seen[got] += 1
+    assert seen[True] and seen[False]
+
+
 def test_standardness_rule_on_every_choice(monkeypatch):
     # every choice is l-stable, so wherever its m10 and m01 are disjoint
     # its normalizer excess is 1 when it is standard and 0 otherwise

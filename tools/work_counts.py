@@ -21,15 +21,20 @@ older checkout's work as well:
   ``crstruct._reduce`` call each;
 * ``bracket terms``: the root pairs of those brackets, one
   ``crstruct.add_product`` call each from ``check_integrability``;
-* ``disjointness determinants``: the determinants ``check_disjointness``
-  takes, one top-level ``crstruct._det_poly`` call each;
+* ``disjointness determinants``: the determinants of the disjointness
+  check, one top-level ``crstruct._det_poly`` call each, a call from any
+  caller but ``_det_poly`` itself, so the count does not depend on which
+  function takes them;
 * ``normalizer bracket rows``: the ``crstruct._bracket_row`` calls of
   ``normalizer_excess``;
 * ``normalizer general-path calls``: the ``crstruct._graded_w_and_perp``
   calls made from ``normalizer_excess``, the calls that count the excess
   rather than read it off standardness;
 * ``structure rows``: the ``classify._structure_row`` calls, one per row
-  of a ``check --family`` report that the report computes.
+  of a ``check --family`` report that the report computes;
+* ``structure constants computed``: the entries of the Chevalley tables
+  the workload builds, the sum of ``len(ConstantTable._n)`` over the
+  tables whose ``__init__`` ran during it, read when it ends.
 
 Every count repeats exactly between runs of the same tree.
 """
@@ -47,15 +52,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COUNTS = ("twisted integrability checks", "line pairs of those checks", "line pairs bracketed",
           "bracket terms", "disjointness determinants", "normalizer bracket rows",
-          "normalizer general-path calls", "structure rows")
+          "normalizer general-path calls", "structure rows", "structure constants computed")
 WORKLOADS = ("primitive", "family")
 PRIMITIVE_ARGV = ["classify", "--what", "primitive", "--max-rank", "6", "--format", "json"]
 
 
-def install(counts: Counter) -> None:
+def install(counts: Counter, tables: list) -> None:
     """Wrap the counted functions of the loaded crlie modules, booking
-    into counts for the rest of the process's life."""
-    from crlie import classify, crstruct
+    into counts, and each new ConstantTable into tables, for the rest of
+    the process's life."""
+    from crlie import chevalley, classify, crstruct
 
     integrability = crstruct.check_integrability
 
@@ -67,8 +73,11 @@ def install(counts: Counter) -> None:
         return integrability(h)
 
     def booked(fn, name, caller=None):
+        """fn, booking a call from caller, or from any caller, but never a
+        call that fn makes of itself."""
         def wrapper(*args):
-            if caller is None or sys._getframe(1).f_code is caller:
+            code = sys._getframe(1).f_code
+            if (caller is None or code is caller) and code is not fn.__code__:
                 counts[name] += 1
             return fn(*args)
         return wrapper
@@ -83,14 +92,21 @@ def install(counts: Counter) -> None:
     code = integrability.__code__
     rebind(crstruct, "_reduce", booked(crstruct._reduce, "line pairs bracketed", code))
     rebind(crstruct, "add_product", booked(crstruct.add_product, "bracket terms", code))
-    rebind(crstruct, "_det_poly", booked(crstruct._det_poly, "disjointness determinants",
-                                         crstruct.check_disjointness.__code__))
+    rebind(crstruct, "_det_poly", booked(crstruct._det_poly, "disjointness determinants"))
     rebind(crstruct, "_bracket_row", booked(crstruct._bracket_row, "normalizer bracket rows"))
     rebind(crstruct, "_graded_w_and_perp", booked(crstruct._graded_w_and_perp,
                                                   "normalizer general-path calls",
                                                   crstruct.normalizer_excess.__code__))
     rebind(classify, "_structure_row", booked(classify._structure_row, "structure rows"))
     rebind(crstruct, "check_integrability", checked)
+
+    init = chevalley.ConstantTable.__init__
+
+    def built(table, system):
+        init(table, system)
+        tables.append(table)
+
+    chevalley.ConstantTable.__init__ = built
 
 
 def family_commands(src: Path) -> list[list[str]]:
@@ -104,16 +120,18 @@ def family_commands(src: Path) -> list[list[str]]:
             if argv[0] == "check" and "--family" in argv]
 
 
-def run(argvs: list[list[str]], counts: Counter) -> dict[str, int]:
+def run(argvs: list[list[str]], counts: Counter, tables: list) -> dict[str, int]:
     """Run each argv through crlie.cli.main, stdout captured, and return
     the counts it booked."""
     from crlie import cli
 
     counts.clear()
+    tables.clear()
     for argv in argvs:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             with contextlib.suppress(SystemExit):
                 cli.main(argv)
+    counts["structure constants computed"] = sum(len(t._n) for t in tables)
     return {name: counts[name] for name in COUNTS}
 
 
@@ -129,10 +147,11 @@ def main() -> int:
     import crlie.cli  # noqa: F401  (loads every module the commands use)
 
     counts: Counter = Counter()
-    install(counts)
+    tables: list = []
+    install(counts, tables)
     for workload in [w for w in WORKLOADS if w in (args.workload or WORKLOADS)]:
         argvs = [PRIMITIVE_ARGV] if workload == "primitive" else family_commands(src)
-        for name, value in run(argvs, counts).items():
+        for name, value in run(argvs, counts, tables).items():
             print(f"{workload}: {name} = {value}")
     return 0
 
